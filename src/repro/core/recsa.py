@@ -21,8 +21,8 @@ It combines two techniques:
 Reconstruction notes
 --------------------
 The pseudo-code of the technical report is followed closely, with the
-following documented reconstructions (the report's listing is garbled in a
-few places — see DESIGN.md):
+following reconstructions, documented here because the report's listing is
+garbled in a few places:
 
 * ``noReco()`` returns **True when no reconfiguration/recovery is in
   progress** (the polarity used by Algorithms 3.2/3.3/4.x and by the prose of

@@ -26,8 +26,7 @@ nullifying the closure property the paper proves.  We therefore implement the
 robust subset above — it is sufficient for convergence because any state the
 dropped tests would catch either makes no progress (and is then caught by the
 type-2 conflict test once the blocked notification owner is reset by recMA)
-or is caught by the phase-2 compatibility test below.  The deviation is also
-recorded in DESIGN.md.
+or is caught by the phase-2 compatibility test below.
 """
 
 from __future__ import annotations

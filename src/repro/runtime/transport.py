@@ -46,8 +46,13 @@ _log = get_logger("runtime.transport")
 _HEADER = struct.Struct(">q")
 
 #: Practical UDP payload ceiling on loopback; larger frames are dropped like
-#: any other lost packet (honest messages are a few KiB even at large n).
+#: any other lost packet (honest messages are a few KiB even at large n) but
+#: counted apart, in ``oversize_frames``: a lost packet is retransmitted, an
+#: oversize one never gets through (docs/transport.md, "The 60 KB ceiling").
 MAX_DATAGRAM_BYTES = 60_000
+
+#: At most one oversize-frame warning per this many wall seconds.
+_OVERSIZE_WARNING_PERIOD_S = 1.0
 
 #: Default wall seconds per simulated-time unit.  At the stack's default
 #: step_interval of 1.0 this paces each node's do-forever loop at 20 Hz —
@@ -143,15 +148,21 @@ class AsyncioTransport:
         # flushed once per event-loop turn.
         self._outbox: Dict[Tuple[ProcessId, ProcessId], List[bytes]] = {}
         self._flush_scheduled = False
+        # Encode-once memo for the current loop turn: id(payload) -> (payload,
+        # frame).  Holding the payload keeps its id from being recycled.
+        self._frame_memo: Dict[int, Tuple[Any, bytes]] = {}
         # Wire statistics (mirrors the simulator's counters loosely).
         self.sent_datagrams = 0
+        self.sent_bytes = 0
         self.dropped_datagrams = 0
         self.delivered_datagrams = 0
         self.quarantined_datagrams = 0
         self.delivery_errors = 0
         self.sent_frames = 0
         self.dropped_frames = 0
+        self.oversize_frames = 0  # also counted in dropped_frames
         self.delivered_frames = 0
+        self._oversize_warned_at = float("-inf")
 
     # ------------------------------------------------------- Transport API
     def now(self) -> float:
@@ -178,10 +189,32 @@ class AsyncioTransport:
         self._epoch = wall
         self.tick_seconds = tick_seconds
 
-    def _enqueue_frame(
-        self, source: ProcessId, destination: ProcessId, body: bytes
-    ) -> bool:
-        """Queue one encoded frame for coalesced delivery; True if accepted."""
+    def _schedule_flush(self) -> None:
+        if not self._flush_scheduled:
+            self._flush_scheduled = True
+            self._loop.call_soon(self._flush_outbox)
+
+    def _frame_once(self, payload: Any) -> bytes:
+        """*payload*'s frame, encoded at most once per event-loop turn.
+
+        A broadcast hands one immutable message object to every peer, whether
+        through ``send_many`` or through one ``send`` per destination (VS,
+        recMA).  Only frozen dataclasses — every protocol message — are
+        remembered: a mutable payload may change between two sends.
+        """
+        params = getattr(payload.__class__, "__dataclass_params__", None)
+        if params is None or not params.frozen:
+            return frame(payload)
+        entry = self._frame_memo.get(id(payload))
+        if entry is None:
+            entry = self._frame_memo[id(payload)] = (payload, frame(payload))
+            self._schedule_flush()  # the flush is what clears the memo
+        return entry[1]
+
+    def _enqueue(self, source: ProcessId, destination: ProcessId, payload: Any) -> bool:
+        """Encode *payload* and queue the frame for coalesced delivery; True
+        if accepted."""
+        body = self._frame_once(payload)
         if self._addrs.get(destination) is None or source not in self._endpoints:
             # Sender gone or receiver unknown/down: the unreliable-channel
             # model says this is simply a lost packet.
@@ -189,13 +222,27 @@ class AsyncioTransport:
             return False
         if _HEADER.size + len(body) > MAX_DATAGRAM_BYTES:
             self.dropped_frames += 1
+            self.oversize_frames += 1
+            self._warn_oversize(source, destination, payload, len(body))
             return False
         self._outbox.setdefault((source, destination), []).append(body)
         self.sent_frames += 1
-        if not self._flush_scheduled:
-            self._flush_scheduled = True
-            self._loop.call_soon(self._flush_outbox)
+        self._schedule_flush()
         return True
+
+    def _warn_oversize(
+        self, source: ProcessId, destination: ProcessId, payload: Any, size: int
+    ) -> None:
+        now = self._loop.time()
+        if now - self._oversize_warned_at < _OVERSIZE_WARNING_PERIOD_S:
+            return
+        self._oversize_warned_at = now
+        _log.warning(
+            "dropped an oversize %s frame %s -> %s: %d bytes exceed the %d-byte "
+            "datagram ceiling (%d oversize frames so far)",
+            type(payload).__name__, source, destination, size,
+            MAX_DATAGRAM_BYTES, self.oversize_frames,
+        )
 
     def _flush_outbox(self) -> None:
         """Send every queued frame, coalescing per (source, dest) pair.
@@ -207,6 +254,7 @@ class AsyncioTransport:
         how many frames share a header, never what a receiver accepts.
         """
         self._flush_scheduled = False
+        self._frame_memo.clear()
         outbox, self._outbox = self._outbox, {}
         for (source, destination), frames in outbox.items():
             endpoint = self._endpoints.get(source)
@@ -238,34 +286,26 @@ class AsyncioTransport:
     ) -> None:
         assert endpoint.udp is not None
         try:
-            endpoint.udp.sendto(header + b"".join(batch), addr)
+            datagram = header + b"".join(batch)
+            endpoint.udp.sendto(datagram, addr)
             self.sent_datagrams += 1
+            self.sent_bytes += len(datagram)
         except OSError:
             self.dropped_datagrams += 1
             self.sent_frames -= len(batch)
             self.dropped_frames += len(batch)
 
     def send(self, source: ProcessId, destination: ProcessId, payload: Any) -> None:
-        try:
-            body = frame(payload)
-        except CodecError:
-            # An unregistered payload type is a programming error on the
-            # sending node, not line noise — surface it.
-            raise
-        self._enqueue_frame(source, destination, body)
+        # An unregistered payload type raises CodecError: a programming
+        # error on the sending node, not line noise — it surfaces.
+        self._enqueue(source, destination, payload)
 
     def send_many(
         self, source: ProcessId, payloads: Iterable[Tuple[ProcessId, Any]]
     ) -> int:
-        # Broadcasts send one object to many peers: encode each distinct
-        # payload once and fan the bytes out.
-        encoded: Dict[int, bytes] = {}
         accepted = 0
         for destination, payload in payloads:
-            body = encoded.get(id(payload))
-            if body is None:
-                body = encoded[id(payload)] = frame(payload)
-            if self._enqueue_frame(source, destination, body):
+            if self._enqueue(source, destination, payload):
                 accepted += 1
         return accepted
 
@@ -360,11 +400,13 @@ class AsyncioTransport:
             "time": self.now(),
             "live_nodes": len(self._endpoints),
             "sent_datagrams": self.sent_datagrams,
+            "sent_bytes": self.sent_bytes,
             "dropped_datagrams": self.dropped_datagrams,
             "delivered_datagrams": self.delivered_datagrams,
             "quarantined_datagrams": self.quarantined_datagrams,
             "delivery_errors": self.delivery_errors,
             "sent_frames": self.sent_frames,
             "dropped_frames": self.dropped_frames,
+            "oversize_frames": self.oversize_frames,
             "delivered_frames": self.delivered_frames,
         }

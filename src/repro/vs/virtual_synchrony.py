@@ -1,11 +1,13 @@
 """Self-stabilizing reconfigurable virtually synchronous SMR (Algorithm 4.7).
 
 Structure of the reconstruction (the pseudo-code of the technical report is
-followed functionally; see DESIGN.md for the mapping):
+followed functionally; ``docs/vs.md`` has the wire-level protocol — what a
+:class:`VSState` carries when, the prompt-step guards, and the storm and
+self-stabilization arguments):
 
 * every participant periodically broadcasts its VS state (view, status,
-  round, proposed view, suspend flag, pending input, ...) to the trusted
-  participants — the ``state[]`` exchange of Algorithm 4.7;
+  round, proposed view, suspend flag, pending input, replica digest, ...) to
+  the trusted participants — the ``state[]`` exchange of Algorithm 4.7;
 * a **coordinator** is recognized (``valCrd``) when it proposes/leads a view
   whose member set contains a majority of the current configuration and whose
   identifier — a counter obtained from the counter-increment algorithm — is
@@ -21,8 +23,18 @@ followed functionally; see DESIGN.md for the mapping):
 * in ``MULTICAST`` status the coordinator runs rounds: it collects one
   pending input from each member's report, delivers the batch in a
   deterministic order, applies it to the replicated state machine and
-  advances the round; followers adopt the coordinator's state verbatim —
-  which is exactly what makes the replication virtually synchronous;
+  advances the round; its state record ships the *batch*, not the log — a
+  follower one round behind applies the same batch to its own replica, and
+  an O(1) digest (history length + running checksum) in every record lets
+  the coordinator see a replica that disagrees and overwrite it with its
+  full state, which is exactly what makes the replication virtually
+  synchronous;
+* rounds are **message-driven**: a follower applies a new round and answers
+  the coordinator on receipt, and the coordinator runs the next round on the
+  report that completes its barrier whenever a command is waiting; the
+  periodic timer remains the fair-communication backstop (retransmission,
+  idle rounds, repair, and the periodic recompute of the digest and machine
+  from the actual history);
 * **coordinator-led delicate reconfiguration** (Algorithm 4.6): when the
   coordinator's ``evalConfig()`` policy asks for a reconfiguration it raises
   ``suspend``, waits until every view member reports having suspended, then
@@ -35,14 +47,14 @@ followed functionally; see DESIGN.md for the mapping):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+import zlib
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.common.codec import wire_enum, wire_type
+from repro.common.codec import CodecError, encode_binary, wire_enum, wire_type
 from repro.common.logging_utils import get_logger
 from repro.common.types import Configuration, ProcessId
 from repro.core.scheme import ReconfigurationScheme
-from repro.counters.counter import Counter, counter_less_than
 from repro.counters.service import CounterService, IncrementOutcome
 from repro.vs.smr import LogStateMachine, StateMachine
 from repro.vs.view import View
@@ -52,6 +64,35 @@ _log = get_logger("vs")
 SendFn = Callable[[ProcessId, Any], None]
 DeliveryCallback = Callable[[int, View, List[Any]], None]
 EvalConfigPolicy = Callable[[], bool]
+#: The O(1) replica digest: ``(history length, running checksum)``.
+Digest = Tuple[int, int]
+#: Where a member says it is: ``(view, status, rnd, digest)``.
+Report = Tuple[Optional[View], "VSStatus", int, Digest]
+
+#: Every this many do-forever iterations a member stops trusting its
+#: incremental digest and machine: it recomputes the checksum from its actual
+#: history and rebuilds the machine by replaying it, so a corrupted replica
+#: shows up in its next report and is overwritten (docs/vs.md).
+RECOMPUTE_INTERVAL = 16
+
+
+def _checksum(crc: int, entry: Tuple[int, Any]) -> int:
+    """*crc* extended by one history entry: CRC-32 of the entry's canonical
+    wire bytes, so equal histories agree across processes (``hash()`` is
+    salted per process).  A command that cannot go on the wire only exists
+    inside one simulator process, where ``repr`` is as good."""
+    try:
+        raw = encode_binary(entry)
+    except CodecError:
+        raw = repr(entry).encode()
+    return zlib.crc32(raw, crc)
+
+
+def _history_checksum(history: List[Tuple[int, Any]]) -> int:
+    crc = 0
+    for entry in history:
+        crc = _checksum(crc, entry)
+    return crc
 
 
 @wire_enum
@@ -79,6 +120,13 @@ class VSState:
     state_snapshot: Any = None
     delivered: Tuple = ()
     crd: Optional[ProcessId] = None
+    digest: Digest = (0, 0)
+    #: On a multicasting coordinator's full-state record: the receiver's
+    #: report this record answers.
+    answers: Optional[Report] = None
+
+    def report(self) -> Report:
+        return (self.view, self.status, self.rnd, self.digest)
 
 
 def _never_reconfigure() -> bool:
@@ -124,7 +172,12 @@ class VirtualSynchronyService:
         self._pending: List[Tuple[ProcessId, int, Any]] = []
         self._next_input_seq = 0
         self._delivered_history: List[Tuple[int, Any]] = []
+        self._history_crc = 0
         self._last_batch: Tuple = ()
+        # The coordinator's digest before its last batch: what a member that
+        # has not applied that batch yet legitimately reports.
+        self._prev_digest: Digest = (0, 0)
+        self._iterations = 0
 
         # Election bookkeeping.
         self._counter_pending = False
@@ -134,14 +187,28 @@ class VirtualSynchronyService:
         self.views_installed = 0
         self.rounds_completed = 0
         self.reconfigurations_requested = 0
+        self.replica_repairs = 0
 
     # ------------------------------------------------------------------
     # Client API
     # ------------------------------------------------------------------
     def submit(self, command: Any) -> None:
-        """Submit *command* for totally-ordered delivery in the current view."""
+        """Submit *command* for totally-ordered delivery in the current view.
+
+        A command that finds the queue empty is announced at once instead of
+        on the next timer iteration: the coordinator tries a round, a
+        follower pushes its state record (which carries the command) to the
+        coordinator.  One message per command, so clients cannot start a storm.
+        """
         self._pending.append((self.pid, self._next_input_seq, command))
         self._next_input_seq += 1
+        if len(self._pending) > 1 or not self.scheme.is_participant():
+            return
+        coordinator = self._last_coordinator
+        if coordinator == self.pid:
+            self._prompt_round()
+        elif coordinator is not None:
+            self.send(coordinator, self._own_state())
 
     def pending_count(self) -> int:
         """Commands submitted locally and not yet delivered."""
@@ -185,7 +252,11 @@ class VirtualSynchronyService:
             state_snapshot=None,
             delivered=self._last_batch,
             crd=self._last_coordinator,
+            digest=self._digest(),
         )
+
+    def _digest(self) -> Digest:
+        return (len(self._delivered_history), self._history_crc)
 
     def _all_states(self) -> Dict[ProcessId, VSState]:
         states = dict(self.states)
@@ -244,6 +315,11 @@ class VirtualSynchronyService:
         """One iteration of the Algorithm 4.7 do-forever loop."""
         if not self.scheme.is_participant():
             return
+        # Modulo, so that no corrupted counter value postpones the next pass
+        # by more than one interval.
+        self._iterations = (self._iterations + 1) % RECOMPUTE_INTERVAL
+        if self._iterations == 0:
+            self._recompute_replica()
         config = self.scheme.configuration()
         if config is None:
             self._broadcast()
@@ -356,16 +432,10 @@ class VirtualSynchronyService:
         if self.view is None:
             return
         members = self.view.members
-        in_sync = all(
-            (state := states.get(pid)) is not None
-            and state.view == self.view
-            and state.status is VSStatus.MULTICAST
-            and state.rnd == self.rnd
-            for pid in members
-        )
-        if not in_sync:
+        if not self._in_sync():
             # A member stopped following (crash or FD change): propose a new
-            # view over the processors still trusted.
+            # view over the processors still trusted.  A member that merely
+            # lags or diverged is sent the full state by ``_broadcast``.
             self._maybe_repropose(config)
             return
 
@@ -400,15 +470,79 @@ class VirtualSynchronyService:
         if self.suspend:
             return
 
-        # A multicast round: deliver one pending input per member.
+        # A multicast round (possibly empty: idle rounds are timer-paced).
+        self._run_round(self._collect_batch())
+
+    def _follows(self, state: Optional[VSState], rnd: int, digest: Digest) -> bool:
+        """*state* reports this view, multicasting, at exactly (*rnd*, *digest*)."""
+        return (
+            state is not None
+            and state.rnd == rnd
+            and state.digest == digest
+            and state.status is VSStatus.MULTICAST
+            and state.view == self.view
+        )
+
+    def _within_a_round(self, state: VSState) -> bool:
+        """*state* reports the coordinator's current round or the one before
+        (its batch is in flight or will be retransmitted)."""
+        return self._follows(state, self.rnd, self._digest()) or self._follows(
+            state, self.rnd - 1, self._prev_digest
+        )
+
+    def _in_sync(self) -> bool:
+        """The round barrier: every other member reported the coordinator's
+        own round *and* replica digest."""
+        assert self.view is not None
+        digest = self._digest()
+        return all(
+            pid == self.pid or self._follows(self.states.get(pid), self.rnd, digest)
+            for pid in self.view.members
+        )
+
+    def _collect_batch(self) -> List[Tuple[ProcessId, int, Any]]:
+        """One pending input per member, from the reports behind the barrier."""
+        assert self.view is not None
         batch = []
-        for pid in sorted(members):
-            state = states.get(pid)
-            if state is not None and state.input is not None:
+        if self._pending:
+            batch.append(self._pending[0])
+        for pid in self.view.members:
+            state = self.states.get(pid)
+            if pid != self.pid and state is not None and state.input is not None:
                 batch.append(state.input)
+        return batch
+
+    def _run_round(self, batch: List[Tuple[ProcessId, int, Any]]) -> None:
+        self._prev_digest = self._digest()
         self._apply_batch(batch)
-        self.rnd += 1
         self.rounds_completed += 1
+
+    def _prompt_round(self) -> None:
+        """The coordinator's message-driven step: run the next round *now* if
+        the barrier is complete and a command is waiting.
+
+        Everything else — idle rounds, repair, re-proposal, the delicate
+        reconfiguration hand-shake — stays with the timer, so every prompt
+        round consumes at least one client command and an idle system sends
+        nothing beyond its periodic broadcast.
+        """
+        if (
+            self.view is None
+            or self.status is not VSStatus.MULTICAST
+            or self.suspend
+            or not self._in_sync()
+            or not self.scheme.no_reco()
+            or self.eval_config()
+        ):
+            return
+        batch = self._collect_batch()
+        if not batch:
+            return
+        self._run_round(batch)
+        state = self._own_state()
+        for pid in self.view.members:
+            if pid != self.pid:
+                self.send(pid, state)
 
     def _maybe_repropose(self, config: Configuration) -> None:
         if self._counter_pending or not self.scheme.no_reco():
@@ -439,18 +573,14 @@ class VirtualSynchronyService:
 
     def _synchronize_state(self, members: FrozenSet[ProcessId]) -> None:
         """``synchState`` / ``synchMsgs``: adopt the most advanced replica."""
-        states = self._all_states()
         best_snapshot = None
         best_key: Tuple = (-1, -1)
         best_history: List[Tuple[int, Any]] = self._delivered_history
         for pid in members:
-            state = states.get(pid)
-            if state is None or state.state_snapshot is None:
+            state = self.states.get(pid)
+            if pid == self.pid or state is None or state.state_snapshot is None:
                 continue
             snapshot, history = state.state_snapshot
-            view_key = (
-                state.view.view_id.sort_key() if state.view is not None else ((), -1, -1)
-            )
             key = (len(history), state.rnd)
             if key > best_key:
                 best_key = key
@@ -459,7 +589,7 @@ class VirtualSynchronyService:
         own_key = (len(self._delivered_history), self.rnd)
         if best_snapshot is not None and best_key > own_key:
             self.machine.restore(best_snapshot)
-            self._delivered_history = list(best_history)
+            self._set_history(best_history)
 
     # -- follower (lines 18-23) ------------------------------------------------
     def _follower_step(self, coordinator: ProcessId) -> None:
@@ -479,34 +609,24 @@ class VirtualSynchronyService:
                 if state.state_snapshot is not None:
                     snapshot, history = state.state_snapshot
                     self.machine.restore(snapshot)
-                    self._delivered_history = list(history)
+                    self._set_history(history)
                     self.rnd = state.rnd
             return
         # Coordinator is multicasting.
         if state.view is None or self.pid not in state.view.members:
             return
-        if self.view != state.view or self.status is not VSStatus.MULTICAST:
-            # A round counter restarts with every view, so a follower entering
-            # an installed view must adopt the coordinator's round wholesale —
-            # even *backwards*.  This covers two cases: the follower missed
-            # the PROPOSE/INSTALL exchange entirely (lost or reordered
-            # packets) and first sees the coordinator already multicasting,
-            # and the follower left INSTALL carrying the coordinator's stale
-            # pre-reset round (the coordinator only zeroes ``rnd`` on its own
-            # INSTALL→MULTICAST transition).  Without the resync such a
-            # follower's round can exceed the new view's round forever, so
-            # ``state.rnd > self.rnd`` never fires again and the coordinator's
-            # in-sync barrier wedges permanently.
-            resync = self.view != state.view or self.status is VSStatus.INSTALL
-            if resync:
-                if state.state_snapshot is None:
-                    # Adopting the round without the replica state would leave
-                    # this follower silently diverged (it would report the
-                    # coordinator's round while missing the batches behind
-                    # it).  A multicasting coordinator includes its snapshot
-                    # whenever it recognises itself, so simply wait for the
-                    # next state message that carries one.
-                    return
+        aligned = self.view == state.view and self.status is VSStatus.MULTICAST
+        if state.state_snapshot is not None:
+            # Full state: the coordinator saw this member's report disagree.
+            # Adopt it on *any* mismatch — behind, diverged, or ahead: a round
+            # counter restarts with every view and a transient fault can leave
+            # it anywhere, so a follower that only ever moved forward could
+            # sit above the coordinator's round forever and wedge the barrier.
+            # But only while this member still stands where that report said:
+            # a record answering an older report was overtaken on the channel
+            # by the rounds applied since, and adopting it would roll them
+            # back and deliver them a second time.
+            if state.answers == (self.view, self.status, self.rnd, self._digest()):
                 self.view = state.view
                 self.prop_view = state.prop_view
                 self.status = VSStatus.MULTICAST
@@ -515,70 +635,143 @@ class VirtualSynchronyService:
                 self._replay_history(history)
                 self.rnd = state.rnd
                 self._consume_delivered(state.delivered)
-                self.suspend = bool(state.suspend) or not self.scheme.no_reco()
-                return
-            self.view = state.view
-            self.prop_view = state.prop_view
-            self.status = VSStatus.MULTICAST
-        if state.rnd > self.rnd:
-            if state.state_snapshot is not None:
-                snapshot, history = state.state_snapshot
-                self.machine.restore(snapshot)
-                self._replay_history(history)
-            self.rnd = state.rnd
-            self._consume_delivered(state.delivered)
+        elif not aligned:
+            # Adopting the view or round without the replica state would
+            # leave this follower silently diverged.  Its own report shows
+            # the coordinator the disagreement; the full state follows.
+            return
+        elif state.rnd == self.rnd + 1:
+            # One round behind: apply the coordinator's batch to this
+            # replica.  If the result is not the coordinator's digest the
+            # next report says so and the coordinator overwrites the replica.
+            self._apply_batch(state.delivered)
         self.suspend = bool(state.suspend) or not self.scheme.no_reco()
+
+    def _set_history(self, history: List[Tuple[int, Any]]) -> None:
+        """Replace the delivery record; the digest is recomputed from it,
+        never taken from the sender."""
+        self._delivered_history = list(history)
+        self._history_crc = _history_checksum(self._delivered_history)
 
     def _replay_history(self, history: List[Tuple[int, Any]]) -> None:
         known = len(self._delivered_history)
-        self._delivered_history = list(history)
-        for rnd, command in history[known:]:
+        self._set_history(history)
+        for rnd, command in self._delivered_history[known:]:
             if self.delivery_callback is not None and self.view is not None:
                 self.delivery_callback(rnd, self.view, [command])
+
+    def _recompute_replica(self) -> None:
+        """Stop trusting the incremental state: recompute the checksum from
+        the actual history and rebuild the machine by replaying it.
+
+        The digest is thereby a function of the history alone, and the
+        machine a function of the history too — a locally restored invariant,
+        so comparing digests across replicas compares the machines as well.
+        """
+        before = self.machine.snapshot()
+        crc = self._history_crc
+        self.machine.reset()
+        for _, command in self._delivered_history:
+            self.machine.apply(command)
+        self._history_crc = _history_checksum(self._delivered_history)
+        if crc != self._history_crc or before != self.machine.snapshot():
+            self.replica_repairs += 1
+            _log.debug("pid %s repaired its replica from its history", self.pid)
 
     def _consume_delivered(self, delivered: Tuple) -> None:
         delivered_set = set(delivered)
         self._pending = [item for item in self._pending if tuple(item) not in delivered_set]
 
     # -- delivery --------------------------------------------------------------
-    def _apply_batch(self, batch: List[Tuple[ProcessId, int, Any]]) -> None:
+    def _apply_batch(self, batch: Any) -> None:
+        """Apply one round's *batch* to this replica and enter the next round.
+
+        The one place a round is delivered, on the coordinator and on every
+        follower alike: same order, same ``(round, command)`` history
+        entries, same checksum, one ``delivery_callback`` per replica.
+        """
         ordered = sorted(batch, key=lambda item: (item[0], item[1]))
         applied: List[Any] = []
         for sender, seq, command in ordered:
             self.machine.apply(command)
-            self._delivered_history.append((self.rnd, command))
+            entry = (self.rnd, command)
+            self._delivered_history.append(entry)
+            self._history_crc = _checksum(self._history_crc, entry)
             applied.append(command)
         self._last_batch = tuple(tuple(item) for item in ordered)
         self._consume_delivered(self._last_batch)
         if applied and self.delivery_callback is not None and self.view is not None:
             self.delivery_callback(self.rnd, self.view, applied)
+        self.rnd += 1
 
     # ------------------------------------------------------------------
     # Gossip
     # ------------------------------------------------------------------
     def _broadcast(self) -> None:
+        """Send this participant's state record to every peer.
+
+        The record carries the full replica (machine snapshot + history) only
+        where the receiver needs it: to everybody while a view is being
+        proposed or installed (``synchState`` picks the most advanced
+        replica), and from a multicasting coordinator to exactly those
+        members whose last report is neither its current round nor the one
+        before — a steady-state round costs O(batch) bytes, not O(history).
+        """
         if not self.scheme.is_participant():
             return
+        targets = (
+            frozenset(self.scheme.recsa.participants())
+            | (self.view.members if self.view is not None else frozenset())
+        ) - {self.pid}
         state = self._own_state()
-        include_snapshot = self.is_coordinator() or self.status in (
-            VSStatus.PROPOSE,
-            VSStatus.INSTALL,
-        )
-        if include_snapshot:
-            state = replace(
-                state,
-                state_snapshot=(self.machine.snapshot(), list(self._delivered_history)),
-            )
-        targets = frozenset(self.scheme.recsa.participants()) | (
-            self.view.members if self.view is not None else frozenset()
-        )
+        lagging: Dict[ProcessId, VSState] = {}
+        if self.status in (VSStatus.PROPOSE, VSStatus.INSTALL):
+            state = replace(state, state_snapshot=self._replica())
+        elif self.view is not None and self.is_coordinator():
+            lagging = {
+                pid: report
+                for pid in self.view.members
+                if pid != self.pid
+                and (report := self.states.get(pid)) is not None
+                and not self._within_a_round(report)
+            }
+        full = replace(state, state_snapshot=self._replica()) if lagging else state
         for pid in targets:
-            if pid != self.pid:
-                self.send(pid, state)
+            report = lagging.get(pid)
+            # A repair says which report it answers: the receiver adopts the
+            # replica only while it still stands there.
+            self.send(pid, state if report is None else replace(full, answers=report.report()))
+
+    def _replica(self) -> Tuple[Any, List[Tuple[int, Any]]]:
+        return (self.machine.snapshot(), list(self._delivered_history))
 
     def on_message(self, sender: ProcessId, message: Any) -> bool:
-        """Store a peer's VS state record; True when the message was ours."""
+        """Store a peer's VS state record and take the step it enables at
+        once; True when the message was ours.
+
+        Only the steady-state steps are message-driven (docs/vs.md): a
+        follower whose coordinator moved to the next round applies the batch
+        and — if the round delivered something or a command of its own is
+        waiting — answers the coordinator alone; the coordinator tries the
+        next round on each member's report.  Which processor coordinates is
+        what the last do-forever iteration established.
+        """
         if not isinstance(message, VSState):
             return False
         self.states[sender] = message
+        coordinator = self._last_coordinator
+        if coordinator is None or not self.scheme.is_participant():
+            return True
+        if coordinator == self.pid:
+            if self.view is not None and sender in self.view.members:
+                self._prompt_round()
+        elif (
+            sender == coordinator
+            and message.status is VSStatus.MULTICAST
+            and message.state_snapshot is None
+            and message.rnd == self.rnd + 1
+        ):
+            self._follower_step(coordinator)  # applies the batch if aligned
+            if self.rnd == message.rnd and (message.delivered or self._pending):
+                self.send(coordinator, self._own_state())
         return True

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import asyncio
 import socket
+import statistics
 import struct
 
 from repro.runtime.cluster import RuntimeCluster
@@ -92,6 +93,137 @@ def test_mini_loadgen_counters():
     assert latency["p50_ms"] > 0
     assert latency["p50_ms"] <= latency["p95_ms"] <= latency["p99_ms"]
     assert report["statistics"]["delivery_errors"] == 0
+
+
+def test_smr_closed_loop_costs_the_same_at_any_history_length():
+    """3 000 commands through an n=8 vs_smr cluster at the default tick.
+
+    The parent shipped the whole replica every round: bytes per command grew
+    with the history until the coordinator's record crossed the datagram
+    ceiling at about 1 850 commands and SMR stopped for good.  A round now
+    ships its batch: the last 500-command windows cost what the first did.
+
+    The byte count is everything on the wire, so a third of it is the
+    time-driven gossip of the layers below, and one 500-command window
+    (a quarter of a second) moves by 20-40 % with the host's speed at that
+    moment.  The median of three windows moves by under 10 % (48 runs:
+    0.96-1.12), which is what is compared.
+    """
+    total, clients, window = 3000, 8, 500
+
+    async def scenario() -> None:
+        async with RuntimeCluster(n=8, seed=7, stack="vs_smr") as cluster:
+            assert await cluster.wait_converged(timeout_s=BUDGET_S, poll_s=0.01)
+            loop = asyncio.get_running_loop()
+            transport = cluster.transport
+            services = {pid: cluster.service(pid, "vs") for pid in cluster.nodes}
+            deadline = loop.time() + BUDGET_S
+            while not any(vs.is_coordinator() and vs.view for vs in services.values()):
+                assert loop.time() < deadline, "no view was installed"
+                await asyncio.sleep(0.01)
+
+            waiting: dict = {}
+            sent_at = [transport.sent_bytes]  # bytes on the wire at every 500th completion
+            completed = submitted = timeouts = 0
+
+            def tap(rnd, view, commands) -> None:
+                for command in commands:
+                    future = waiting.get(command)
+                    if future is not None and not future.done():
+                        future.set_result(True)
+
+            for vs in services.values():
+                vs.delivery_callback = tap
+
+            async def client(index: int) -> None:
+                nonlocal completed, submitted, timeouts
+                seq = 0
+                while submitted < total:
+                    submitted += 1
+                    command = ("closed-loop", index, seq)
+                    seq += 1
+                    future = waiting[command] = loop.create_future()
+                    services[index % len(services)].submit(command)
+                    try:
+                        await asyncio.wait_for(future, timeout=10.0)
+                    except asyncio.TimeoutError:
+                        timeouts += 1
+                        continue
+                    completed += 1
+                    if completed % window == 0:
+                        sent_at.append(transport.sent_bytes)
+
+            await asyncio.gather(*(client(index) for index in range(clients)))
+            assert timeouts == 0
+            assert completed == total
+            stats = cluster.statistics()
+            assert stats["oversize_frames"] == 0
+            assert stats["delivery_errors"] == 0
+            per_command = [(b - a) / window for a, b in zip(sent_at, sent_at[1:])]
+            first = statistics.median(per_command[:3])
+            last = statistics.median(per_command[3:])
+            assert abs(last - first) <= 0.2 * first, per_command
+
+    asyncio.run(scenario())
+
+
+def test_oversize_frames_are_counted_apart_and_warned_once(caplog):
+    """A frame above the datagram ceiling is not a lost packet: it would be
+    lost again on every retransmission, so it has its own counter and a
+    (rate-limited) warning that names the payload type."""
+    from repro.core.joining import JoinResponse
+    from repro.runtime.transport import MAX_DATAGRAM_BYTES
+
+    async def scenario() -> None:
+        async with RuntimeCluster(
+            n=2, seed=7, stack="counters", tick_seconds=TICK
+        ) as cluster:
+            transport = cluster.transport
+            huge = JoinResponse(sender=0, granted=True, state="x" * MAX_DATAGRAM_BYTES)
+            dropped = transport.dropped_frames
+            with caplog.at_level("WARNING", logger="repro.runtime.transport"):
+                transport.send(0, 1, huge)
+                transport.send(0, 1, huge)
+            assert transport.statistics()["oversize_frames"] == 2
+            assert transport.dropped_frames == dropped + 2
+            warnings = [r for r in caplog.records if "oversize" in r.getMessage()]
+            assert len(warnings) == 1
+            assert "JoinResponse" in warnings[0].getMessage()
+
+    asyncio.run(scenario())
+
+
+def test_send_encodes_a_broadcast_message_once_per_loop_turn(monkeypatch):
+    """``send`` of one immutable message to many peers frames it once (VS and
+    recMA broadcast that way); the memo does not outlive the loop turn and
+    never covers a mutable payload."""
+    import repro.runtime.transport as rt
+
+    calls = []
+    real_frame = rt.frame
+    monkeypatch.setattr(rt, "frame", lambda payload: calls.append(payload) or real_frame(payload))
+
+    async def scenario() -> None:
+        from repro.core.joining import JoinRequest
+
+        async with RuntimeCluster(n=4, seed=7, stack="bare", tick_seconds=10.0) as cluster:
+            transport = cluster.transport
+            await asyncio.sleep(0.05)  # the start-up burst is flushed
+            message = JoinRequest(sender=0)
+            calls.clear()
+            for peer in (1, 2, 3):
+                transport.send(0, peer, message)
+            assert calls == [message]
+            mutable = ["payload"]
+            transport.send(0, 1, mutable)
+            transport.send(0, 2, mutable)
+            assert calls == [message, mutable, mutable]
+            await asyncio.sleep(0.05)  # flushed: a new turn encodes again
+            assert not transport._frame_memo
+            transport.send(0, 1, message)
+            assert calls == [message, mutable, mutable, message]
+
+    asyncio.run(scenario())
 
 
 def test_hostile_datagrams_are_quarantined_not_fatal():

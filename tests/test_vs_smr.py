@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.common.codec import encode_binary
 from repro.sim.stacks import stack
 from repro.vs.smr import KeyValueStateMachine, LogStateMachine, RegisterStateMachine
 from repro.vs.view import View, newer_view
-from repro.vs.virtual_synchrony import VSStatus
+from repro.vs.virtual_synchrony import RECOMPUTE_INTERVAL, VSStatus
 from repro.vs.shared_memory import SharedRegister
 from repro.counters.counter import Counter
 from repro.labels.label import EpochLabel
@@ -256,3 +259,239 @@ class TestSharedRegister:
         assert len(histories) == 1
         final_values = {reg.read() for reg in registers.values()}
         assert len(final_values) == 1
+
+
+# ---------------------------------------------------------------------------
+# Batch-only multicast + message-driven rounds (docs/vs.md)
+# ---------------------------------------------------------------------------
+def _multicasting(n, seed):
+    """A converged cluster whose members all multicast in one installed view."""
+    env = _VSCluster(n, seed=seed)
+    assert env.wait_for_view()
+    coord = env.coordinator()
+    assert env.cluster.run_until(
+        lambda: all(
+            vs.view == env.vs[coord].view and vs.status is VSStatus.MULTICAST
+            for vs in env.vs.values()
+        ),
+        timeout=600,
+    )
+    return env, coord
+
+
+def _delivered_everywhere(env, command, timeout=600):
+    return env.cluster.run_until(
+        lambda: all(command in vs.machine.log for vs in env.vs.values()),
+        timeout=timeout,
+    )
+
+
+def _replicas_agree(env):
+    histories = {encode_binary(list(vs.delivery_history())) for vs in env.vs.values()}
+    logs = {tuple(vs.machine.log) for vs in env.vs.values()}
+    return len(histories) == 1 and len(logs) == 1
+
+
+def _tap_sends(env):
+    """Record every VS frame the nodes send from now on: ``[(pid, frame)]``."""
+    frames = []
+    for pid, vs in env.vs.items():
+        def send(destination, state, _pid=pid, _send=vs.send):
+            frames.append((_pid, state))
+            _send(destination, state)
+
+        vs.send = send
+    return frames
+
+
+class TestBatchOnlyMulticast:
+    def test_followers_apply_batches_themselves(self):
+        env, coord = _multicasting(4, seed=72)
+        fired = {pid: [] for pid in env.vs}
+        for pid, vs in env.vs.items():
+            vs.delivery_callback = (
+                lambda rnd, view, batch, _pid=pid: fired[_pid].extend(batch)
+            )
+        frames = _tap_sends(env)
+        commands = [(pid, k) for k in range(3) for pid in env.vs]
+        for command in commands:
+            env.vs[command[0]].submit(command)
+        assert env.cluster.run_until(
+            lambda: all(len(vs.machine.log) == len(commands) for vs in env.vs.values()),
+            timeout=300,
+        )
+        # One order, byte for byte, on every member; each replica delivered
+        # every command to its application exactly once.
+        assert _replicas_agree(env)
+        for pid in env.vs:
+            assert sorted(fired[pid]) == sorted(commands)
+        # ... and nobody was shipped the log to get there.
+        assert frames
+        assert all(state.state_snapshot is None for _, state in frames)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_exactly_once_under_channel_reordering(self, seed):
+        """Right after a view install the coordinator sends a still-installing
+        follower the replica more than once; a copy the channel delivers
+        after the follower applied round 1 must not roll that round back
+        (it used to: seeds 2, 12, 21 and 28 then delivered a batch twice)."""
+        env, coord = _multicasting(5, seed=seed)
+        fired = {pid: [] for pid in env.vs}
+        for pid, vs in env.vs.items():
+            vs.delivery_callback = (
+                lambda rnd, view, batch, _pid=pid: fired[_pid].extend(batch)
+            )
+        commands = [(pid, k) for k in range(5) for pid in env.vs]
+        for command in commands:
+            env.vs[command[0]].submit(command)
+        assert env.cluster.run_until(
+            lambda: all(len(vs.machine.log) >= len(commands) for vs in env.vs.values()),
+            timeout=300,
+        )
+        env.cluster.run(until=env.cluster.simulator.now + 10)
+        assert _replicas_agree(env)
+        for pid in env.vs:
+            assert sorted(fired[pid]) == sorted(commands)
+
+    def test_overtaken_replica_is_not_adopted(self):
+        """A full-state record that answers a report the follower has moved
+        on from is stale, whatever it carries."""
+        env, coord = _multicasting(4, seed=72)
+        follower = next(pid for pid in env.vs if pid != coord)
+        vs = env.vs[follower]
+        before = vs._own_state().report()
+        env.vs[coord].submit("first")
+        assert _delivered_everywhere(env, "first")
+        history = vs.delivery_history()
+        stale = replace(
+            env.vs[coord]._own_state(),
+            rnd=before[2],
+            state_snapshot=([], []),
+            digest=before[3],
+            answers=before,
+        )
+        vs.on_message(coord, stale)
+        vs.on_timer()
+        assert vs.delivery_history() == history and "first" in vs.machine.log
+
+    def test_rounds_do_not_wait_for_the_timer(self):
+        env, coord = _multicasting(4, seed=72)
+        follower = next(pid for pid in env.vs if pid != coord)
+        start = env.cluster.simulator.now
+        rounds = env.vs[coord].rounds_completed
+        for k in range(10):
+            env.vs[follower].submit(("burst", k))
+        assert _delivered_everywhere(env, ("burst", 9))
+        # One command per member per round: ten rounds.  A message-driven
+        # round is one round trip (two channel delays of 0.2-0.6 su, about
+        # 1 su for the slowest member); paced by the 1-su timers of both
+        # ends it took about 2 su (measured: 9-12 su against 20-22 su).
+        assert env.vs[coord].rounds_completed - rounds >= 10
+        assert env.cluster.simulator.now - start < 15
+
+    def test_dropped_round_resyncs(self):
+        env, coord = _multicasting(4, seed=72)
+        follower = next(pid for pid in env.vs if pid != coord)
+        cut = env.cluster.environment.partition([coord], [follower], symmetric=False)
+        env.vs[coord].submit("while-cut")
+        assert env.cluster.run_until(
+            lambda: "while-cut" in env.vs[coord].machine.log, timeout=50
+        )
+        assert "while-cut" not in env.vs[follower].machine.log
+        env.cluster.environment.heal(cut)
+        assert _delivered_everywhere(env, "while-cut")
+        env.vs[follower].submit("after-heal")
+        assert _delivered_everywhere(env, "after-heal")
+        assert _replicas_agree(env)
+
+    def test_idle_cluster_sends_only_its_periodic_broadcast(self):
+        """Storm guard: with no client commands, message-driven rounds add
+        nothing to the one-record-per-peer-per-iteration exchange."""
+        env, coord = _multicasting(5, seed=81)
+        env.cluster.run(until=env.cluster.simulator.now + 20)
+        frames = _tap_sends(env)
+        nodes = env.cluster.nodes
+        before = {pid: node.step_count for pid, node in nodes.items()}
+        env.cluster.run(until=env.cluster.simulator.now + 50)
+        iterations = sum(node.step_count - before[pid] for pid, node in nodes.items())
+        assert iterations >= 5 * 40
+        assert len(frames) == iterations * (len(env.vs) - 1)
+        assert all(state.state_snapshot is None for _, state in frames)
+
+
+class TestReplicaRepair:
+    """A member whose replica or round was corrupted is detected through its
+    report (or its own periodic recompute) and overwritten."""
+
+    def _corrupted_follower(self, corrupt, seed=72):
+        env, coord = _multicasting(4, seed=seed)
+        env.vs[coord].submit("first")
+        assert _delivered_everywhere(env, "first")
+        env.cluster.run(until=env.cluster.simulator.now + 5)  # a few idle rounds
+        follower = next(pid for pid in env.vs if pid != coord)
+        corrupt(env.vs[follower])
+        return env, coord, follower
+
+    def _heals(self, env, submitter):
+        env.vs[submitter].submit("later")
+        assert _delivered_everywhere(env, "later")
+        assert env.cluster.run_until(lambda: _replicas_agree(env), timeout=100)
+
+    def test_round_ahead_of_the_coordinator(self):
+        """The parent wedged here for good: the follower only ever adopted a
+        *larger* round, so the coordinator's barrier never completed again."""
+        env, coord, follower = self._corrupted_follower(
+            lambda vs: setattr(vs, "rnd", 50_000)
+        )
+        self._heals(env, coord)
+        assert env.vs[follower].rnd == env.vs[coord].rnd < 50_000
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda vs: setattr(vs, "rnd", 0), id="round-behind"),
+            pytest.param(
+                lambda vs: vs._set_history([(0, "forged"), (1, "entries")]),
+                id="forged-history",
+            ),
+            pytest.param(
+                lambda vs: setattr(vs, "_history_crc", vs._history_crc ^ 0xBEEF),
+                id="corrupted-digest",
+            ),
+        ],
+    )
+    def test_disagreeing_report_is_overwritten(self, corrupt):
+        env, coord, follower = self._corrupted_follower(corrupt)
+        self._heals(env, follower)
+
+    def test_corrupted_machine(self):
+        def corrupt(vs):
+            vs.machine.log = ["garbage"]
+
+        env, coord, follower = self._corrupted_follower(corrupt)
+        self._heals(env, follower)
+        assert env.vs[follower].replica_repairs == 1
+
+    def test_recompute_catches_history_corrupted_to_match(self):
+        """The history changes but the incremental digest still reads what
+        the coordinator expects: only the periodic recompute from the actual
+        history can tell."""
+
+        def corrupt(vs):
+            vs._delivered_history[0] = (0, "forged")
+
+        env, coord, follower = self._corrupted_follower(corrupt)
+        assert env.vs[follower]._digest() == env.vs[coord]._digest()
+        assert env.cluster.run_until(
+            lambda: env.vs[follower].replica_repairs == 1, timeout=RECOMPUTE_INTERVAL * 2
+        )
+        self._heals(env, coord)
+
+    def test_corrupted_coordinator_replica_wins(self):
+        env, coord = _multicasting(4, seed=72)
+        env.vs[coord].submit("first")
+        assert _delivered_everywhere(env, "first")
+        env.vs[coord]._set_history([(0, "rewritten")])
+        env.vs[coord].machine.restore(["rewritten"])
+        self._heals(env, coord)
+        assert all(vs.machine.log == ["rewritten", "later"] for vs in env.vs.values())

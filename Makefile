@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test bench bench-quick bench-matrix bench-pytest bench-scale bench-codec bench-sharded-cores bench-loadgen loadgen-baseline bench-cache bench-history runtime-smoke scenarios scenarios-smoke audit-smoke audit-gate audit-baseline audit-byzantine audit-n24 audit-n24-baseline audit-n128 audit-n128-baseline audit-n512-smoke audit-profile-grid audit-shrink-demo audit-warm-check
+.PHONY: test bench bench-quick bench-matrix bench-pytest bench-scale bench-codec bench-loadgen loadgen-baseline bench-cache bench-history runtime-smoke scenarios scenarios-smoke audit-smoke audit-gate audit-baseline audit-byzantine audit-n24 audit-n24-baseline audit-n128 audit-n128-baseline audit-n512-smoke audit-profile-grid audit-shrink-demo audit-warm-check
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -33,16 +33,11 @@ bench-matrix:
 runtime-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.runtime --smoke --n 8 --budget 60
 
-# Codec microbenchmark: every hot wire type through both formats (binary
-# fast path vs tagged-JSON fallback), ns/op + frame bytes + speedup.
+# Codec microbenchmark: every hot wire type through the binary wire format
+# and the tagged-JSON reference encoding, ns/op + frame bytes + speedup.
 # Writes the dev-path artifact; the committed trail lives in BENCH_pr9.json.
 bench-codec:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/run_bench.py --only codec_micro --output BENCH_dev_codec.json
-
-# Fork-sharded simulator wall-clock vs the serial baseline on this machine's
-# cores (skips with a recorded reason on single-CPU boxes).
-bench-sharded-cores:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/run_bench.py --only sharded_cores --output BENCH_dev_sharded.json
 
 # Closed-loop load generator against the live asyncio runtime: client
 # sessions driving counter increments and SMR commands, a mid-run

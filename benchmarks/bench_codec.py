@@ -1,16 +1,18 @@
-"""Codec microbenchmark: encode/decode ns/op per hot wire type, both formats.
+"""Codec microbenchmark: encode/decode ns/op per hot wire type.
 
 The runtime's per-datagram cost is one :func:`repro.common.codec.frame` on
 the sender and one :func:`~repro.common.codec.unframe` on the receiver, so
 the codec *is* the wire hot path.  This bench measures each hot wire type —
 the messages the loadgen profile shows dominating live traffic (data-link
 tokens every heartbeat, counter quorum reads/writes per client op, recSA
-digest/delta gossip, recMA flags) — through both wire formats:
+digest/delta gossip, recMA flags) — through the wire format and, for
+scale, the reference encoding the tests compare it against:
 
-* ``binary``  — the PR 9 fast path (:func:`codec.frame` /
-  :func:`codec.unframe` with the ``B`` discriminator);
-* ``json``    — the tagged-JSON fallback (:func:`codec.frame_json`), still
-  the fuzz target and the interop path.
+* ``binary``  — the wire format (:func:`codec.frame` /
+  :func:`codec.unframe`);
+* ``json``    — the tagged-JSON reference (``json.dumps`` of
+  :func:`codec.encode`, ``json.loads`` into :func:`codec.decode`); nothing
+  sends it.
 
 Reported per type: encode ns/op, decode ns/op, frame bytes, and the
 combined encode+decode speedup of binary over JSON.  Run directly::
@@ -77,6 +79,11 @@ def hot_exemplars() -> Dict[str, Any]:
     }
 
 
+def _reference_dumps(value: Any) -> str:
+    """The tagged-JSON reference encoding of *value* as compact JSON text."""
+    return json.dumps(codec.encode(value), separators=(",", ":"))
+
+
 def _time_ns(fn, reps: int) -> float:
     t0 = time.perf_counter_ns()
     for _ in range(reps):
@@ -85,20 +92,20 @@ def _time_ns(fn, reps: int) -> float:
 
 
 def bench_codec(reps: int = 20_000) -> Dict[str, Any]:
-    """Measure both formats over the hot types; return the result entry."""
+    """Measure both encodings over the hot types; return the result entry."""
     entry: Dict[str, Any] = {"reps": reps, "types": {}}
     speedups = []
     for name, value in hot_exemplars().items():
         binary_frame = codec.frame(value)
-        json_frame = codec.frame_json(value)
+        json_text = _reference_dumps(value)
         # Round-trip equality is asserted here too — a microbench that
         # measures a broken fast path would be worse than no bench.
-        assert codec.unframe(binary_frame)[0] == codec.unframe(json_frame)[0]
+        assert codec.unframe(binary_frame)[0] == codec.decode(json.loads(json_text))
 
         bin_enc = _time_ns(lambda v=value: codec.frame(v), reps)
         bin_dec = _time_ns(lambda f=binary_frame: codec.unframe(f), reps)
-        json_enc = _time_ns(lambda v=value: codec.frame_json(v), reps)
-        json_dec = _time_ns(lambda f=json_frame: codec.unframe(f), reps)
+        json_enc = _time_ns(lambda v=value: _reference_dumps(v), reps)
+        json_dec = _time_ns(lambda t=json_text: codec.decode(json.loads(t)), reps)
         speedup = round((json_enc + json_dec) / (bin_enc + bin_dec), 2)
         speedups.append(speedup)
         entry["types"][name] = {
@@ -110,7 +117,7 @@ def bench_codec(reps: int = 20_000) -> Dict[str, Any]:
             "json": {
                 "encode_ns": round(json_enc, 1),
                 "decode_ns": round(json_dec, 1),
-                "frame_bytes": len(json_frame),
+                "frame_bytes": len(json_text.encode("utf-8")),
             },
             "speedup_encode_decode": speedup,
         }

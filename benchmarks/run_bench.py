@@ -355,7 +355,6 @@ def bench_scale_curve(
     horizon: float = 12.0,
     converge_sizes=(),
     scaled_fd_sizes=(),
-    sharded_check_n: int | None = None,
 ) -> dict:
     """Large-topology throughput curve: the PR 7 scale push headline.
 
@@ -369,9 +368,6 @@ def bench_scale_curve(
     failure detector's gap slack scaled to ``2n`` (``fd_gap_slack``) — the
     regime where large topologies actually converge — and the n=128 leg is
     compared against ``PRE_PR7_BASELINE`` for the acceptance speedup.
-    ``sharded_check_n`` cross-checks the sharded simulator at one size: a
-    window-synchronized run must produce statistics byte-identical to the
-    single-process run.
     """
     from repro.sim.cluster import build_cluster
     from repro.sim.config import fast_sim
@@ -448,24 +444,6 @@ def bench_scale_curve(
             )
         entry.setdefault("bootstrap_scaled_fd", {})[f"n{n}"] = cell
 
-    if sharded_check_n is not None:
-        from repro.sim.sharded import build_sharded_cluster
-
-        config = fast_sim(broadcast_streams="per_source")
-        single = build_cluster(n=sharded_check_n, seed=seed, config=config)
-        single.run(until=horizon)
-        sharded = build_sharded_cluster(
-            n=sharded_check_n, seed=seed, shards=4, config=config
-        )
-        t0 = time.perf_counter()
-        sharded.run(until=horizon)
-        entry["sharded_check"] = {
-            "n": sharded_check_n,
-            "shards": 4,
-            "wall_seconds": time.perf_counter() - t0,
-            "statistics_identical": sharded.statistics() == single.statistics(),
-        }
-
     baseline = PRE_PR7_BASELINE["scale_window_n128"]
     current = entry["curve"].get("n128")
     if current and current["wall_seconds"] and horizon == baseline["horizon"]:
@@ -481,7 +459,6 @@ def bench_scale_curve(
             item["converged"]
             for item in entry.get("bootstrap_scaled_fd", {}).values()
         )
-        and entry.get("sharded_check", {}).get("statistics_identical", True)
     )
     return entry
 
@@ -493,61 +470,6 @@ def bench_codec_micro() -> dict:
     t0 = time.perf_counter()
     entry = bench_codec()
     entry["wall_seconds"] = time.perf_counter() - t0
-    return entry
-
-
-def bench_sharded_cores(n: int, seed: int, horizon: float = 12.0) -> dict:
-    """Real-core sharded-sim speedup: fork-mode sharded vs serial wall.
-
-    Open since PR 7: every earlier sharded measurement ran serial-mode (one
-    process, windows round-robin), which measures the sharding *overhead*,
-    not the speedup.  This entry runs the same fixed window on
-    ``os.cpu_count()`` fork workers and compares wall clocks — and on a
-    1-CPU container it *skips with a recorded reason* instead of silently
-    benchmarking contention (fork workers on one core can only lose).
-    """
-    import os
-
-    from repro.sim.cluster import build_cluster
-    from repro.sim.config import fast_sim
-    from repro.sim.sharded import build_sharded_cluster
-
-    cores = os.cpu_count() or 1
-    if cores < 2:
-        return {
-            "skipped": True,
-            "reason": (
-                f"os.cpu_count()={cores}: fork-mode shards would time "
-                "scheduler contention, not parallel speedup"
-            ),
-            "cpu_count": cores,
-            "all_ok": True,
-        }
-    shards = min(cores, 4)
-    config = fast_sim(broadcast_streams="per_source")
-    entry: dict = {"n": n, "seed": seed, "horizon": horizon,
-                   "cpu_count": cores, "shards": shards}
-
-    serial = build_cluster(n=n, seed=seed, config=config)
-    t0 = time.perf_counter()
-    serial.run(until=horizon)
-    entry["serial_wall_seconds"] = time.perf_counter() - t0
-    serial_stats = serial.statistics()
-
-    forked = build_sharded_cluster(
-        n=n, seed=seed, shards=shards, mode="fork", config=config
-    )
-    try:
-        t0 = time.perf_counter()
-        forked.run(until=horizon)
-        entry["fork_wall_seconds"] = time.perf_counter() - t0
-        entry["statistics_identical"] = forked.statistics() == serial_stats
-    finally:
-        forked.close()
-    entry["speedup"] = round(
-        entry["serial_wall_seconds"] / entry["fork_wall_seconds"], 2
-    ) if entry["fork_wall_seconds"] else None
-    entry["all_ok"] = entry["statistics_identical"]
     return entry
 
 
@@ -706,7 +628,6 @@ def main(argv=None) -> int:
         "matrix_throughput",
         "scale_curve",
         "codec_micro",
-        "sharded_cores",
         "sweep_cache",
     } | {f"event_throughput_{n}" for n in (100_000, 200_000)} \
       | {f"bootstrap_n{n}" for n in (4, 8, 16)} \
@@ -752,12 +673,6 @@ def main(argv=None) -> int:
         print("[bench] codec_micro ...", flush=True)
         results["benchmarks"]["codec_micro"] = bench_codec_micro()
 
-    if want("sharded_cores"):
-        print("[bench] sharded_cores ...", flush=True)
-        results["benchmarks"]["sharded_cores"] = bench_sharded_cores(
-            n=24 if args.quick else 48, seed=89
-        )
-
     if want("scenario_matrix"):
         print("[bench] scenario_matrix ...", flush=True)
         results["benchmarks"]["scenario_matrix"] = bench_scenario_matrix(
@@ -798,7 +713,6 @@ def main(argv=None) -> int:
             seed=89,
             converge_sizes=[24] if args.quick else [24, 48],
             scaled_fd_sizes=[128],
-            sharded_check_n=24 if args.quick else 48,
         )
         results["seed_baseline"]["pre_pr7"] = PRE_PR7_BASELINE
 

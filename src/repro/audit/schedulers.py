@@ -244,10 +244,10 @@ def _install_uniform(cluster: "Cluster", rng: random.Random) -> None:
 
 def _install_delay_skew(cluster: "Cluster", rng: random.Random) -> None:
     base = _base_config(cluster)
-    network = cluster.simulator.network
+    environment = cluster.environment
     for source, destination in _pairs(cluster):
         factor = math.exp(rng.uniform(math.log(0.5), math.log(8.0)))
-        network.set_channel_config(
+        environment.set_link_config(
             source,
             destination,
             replace(
@@ -256,41 +256,41 @@ def _install_delay_skew(cluster: "Cluster", rng: random.Random) -> None:
                 max_delay=base.max_delay * factor,
             ),
         )
-    cluster.environment.add_link_policy(
+    environment.add_link_policy(
         "delay_skew", _DelaySkewLatePolicy(cluster.simulator.seed, base)
     )
 
 
 def _install_reorder_heavy(cluster: "Cluster", rng: random.Random) -> None:
     base = _base_config(cluster)
-    network = cluster.simulator.network
+    environment = cluster.environment
     config = replace(
         base, max_delay=base.max_delay * 8.0, duplicate_probability=0.2
     )
     for source, destination in _pairs(cluster):
-        network.set_channel_config(source, destination, config)
-    cluster.environment.add_link_policy("reorder_heavy", _ConstantLinkPolicy(config))
+        environment.set_link_config(source, destination, config)
+    environment.add_link_policy("reorder_heavy", _ConstantLinkPolicy(config))
 
 
 def _install_burst_delivery(cluster: "Cluster", rng: random.Random) -> None:
     base = _base_config(cluster)
-    network = cluster.simulator.network
+    environment = cluster.environment
     quantum = base.max_delay * 4.0
     config = replace(base, max_delay=base.max_delay * 4.0, delay_quantum=quantum)
     for source, destination in _pairs(cluster):
-        network.set_channel_config(source, destination, config)
-    cluster.environment.add_link_policy("burst_delivery", _ConstantLinkPolicy(config))
+        environment.set_link_config(source, destination, config)
+    environment.add_link_policy("burst_delivery", _ConstantLinkPolicy(config))
 
 
 def _install_slow_node(cluster: "Cluster", rng: random.Random) -> None:
     base = _base_config(cluster)
-    network = cluster.simulator.network
+    environment = cluster.environment
     victim = rng.choice(sorted(cluster.nodes))
     slow = replace(base, min_delay=base.min_delay * 10.0, max_delay=base.max_delay * 10.0)
     for source, destination in _pairs(cluster):
         if victim in (source, destination):
-            network.set_channel_config(source, destination, slow)
-    cluster.environment.add_link_policy("slow_node", _VictimLinkPolicy(victim, slow))
+            environment.set_link_config(source, destination, slow)
+    environment.add_link_policy("slow_node", _VictimLinkPolicy(victim, slow))
 
 
 # ---------------------------------------------------------------------------

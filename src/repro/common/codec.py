@@ -22,14 +22,14 @@ Design
   ``mappingproxy`` views (copy-on-write SMR snapshots) all round-trip.
   Frozenset elements are sorted by their encoded representation, so equal
   values encode to identical bytes regardless of iteration order.
+  :func:`encode` / :func:`decode` never touch the wire: this form is the
+  reference ``tests/test_codec.py`` compares the binary format against.
 * **Length-prefixed framing with a format discriminator.**  :func:`frame`
   prefixes the body with a 4-byte big-endian length; the first body byte is
-  a one-byte wire-format discriminator (``B`` = binary, ``J`` = tagged
-  JSON), so both formats interoperate on the same socket and a receiver can
-  reject oversized or truncated input before parsing.
-* **Binary fast path.**  The tagged-JSON encoding is self-describing but
-  pays dict-building plus ``json.dumps``/``loads`` per datagram.  The
-  binary format (PR 9) encodes the same object graph as compact
+  a one-byte wire-format discriminator.  There is one format (``B`` =
+  binary); :func:`unframe` rejects every other discriminator, and a
+  receiver can reject oversized or truncated input before parsing.
+* **Binary format.**  The wire format (PR 9) is the object graph as compact
   opcode-prefixed bytes: per-dataclass *precompiled flat encoders* (field
   list resolved at registry build time, fields positional on the wire) plus
   a per-dataclass *precompiled* ``struct`` *fast path* for all-integer
@@ -38,8 +38,7 @@ Design
   registry, so both sides of a connection that import the same message
   modules agree on them.  ``decode_binary(encode_binary(x))`` equals
   ``decode(encode(x))`` for every encodable value — pinned property-style
-  in ``tests/test_codec.py``.  The JSON path remains the fallback and the
-  fuzz target.
+  in ``tests/test_codec.py``.
 * **Graceful rejection.**  Malformed input — truncated frames, unknown tags
   or opcodes, wrong field sets, over-deep nesting — raises
   :class:`CodecError`, never anything else.  Receivers (the runtime
@@ -67,7 +66,7 @@ class CodecError(ReproError):
 
 #: Hard cap on one frame's body (bytes).  Every honest message in the stack
 #: is a few KiB even at large n; anything bigger is a hostile or corrupted
-#: frame and is rejected before JSON parsing allocates for it.
+#: frame and is rejected before parsing allocates for it.
 MAX_FRAME_BYTES = 1 << 20
 
 #: Maximum nesting depth of the encoded object graph.  Honest messages nest
@@ -78,9 +77,8 @@ MAX_DEPTH = 32
 #: The length prefix: 4-byte big-endian unsigned body length.
 _LEN = struct.Struct(">I")
 
-#: Wire-format discriminator bytes: the first byte of every frame body.
+#: Wire-format discriminator: the first byte of every frame body.
 FORMAT_BINARY = 0x42  # 'B'
-FORMAT_JSON = 0x4A  # 'J'
 
 _TYPES: Dict[str, Type[Any]] = {}
 _TYPE_NAMES: Dict[Type[Any], str] = {}
@@ -730,14 +728,6 @@ def decode_binary(data: bytes) -> Any:
 # ---------------------------------------------------------------------------
 # Framing
 # ---------------------------------------------------------------------------
-def frame_json(value: Any) -> bytes:
-    """Serialize *value* to one length-prefixed tagged-JSON wire frame."""
-    body = json.dumps(encode(value), separators=(",", ":")).encode("utf-8")
-    if len(body) + 1 > MAX_FRAME_BYTES:
-        raise CodecError(f"frame body of {len(body)} bytes exceeds the cap")
-    return _LEN.pack(len(body) + 1) + bytes((FORMAT_JSON,)) + body
-
-
 def frame(value: Any) -> bytes:
     """Serialize *value* to one length-prefixed wire frame (binary format)."""
     body = encode_binary(value)
@@ -747,7 +737,7 @@ def frame(value: Any) -> bytes:
 
 
 def unframe(data: bytes) -> Tuple[Any, int]:
-    """Decode one frame from the head of *data* (either wire format).
+    """Decode one frame from the head of *data*.
 
     Returns ``(value, bytes_consumed)``; raises :class:`CodecError` when the
     prefix is truncated, the body is incomplete or oversized, the format
@@ -769,12 +759,6 @@ def unframe(data: bytes) -> Tuple[Any, int]:
     body = data[_LEN.size + 1 : end]
     if fmt == FORMAT_BINARY:
         return decode_binary(body), end
-    if fmt == FORMAT_JSON:
-        try:
-            parsed = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CodecError(f"frame body is not valid JSON: {exc}") from None
-        return decode(parsed), end
     raise CodecError(f"unknown wire format discriminator 0x{fmt:02X}")
 
 

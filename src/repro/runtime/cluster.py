@@ -23,6 +23,7 @@ like a simulator ``add_joiner``.
 from __future__ import annotations
 
 import asyncio
+from numbers import Real
 from typing import Any, Dict, List, Optional, Union
 
 from repro.common.types import BOTTOM, Configuration, ProcessId, make_config
@@ -30,13 +31,6 @@ from repro.sim.cluster import ClusterNode, converged_scan
 from repro.sim.config import ClusterConfig, preset
 from repro.sim.stacks import StackProfile, get_stack
 from repro.runtime.transport import AsyncioTransport, DEFAULT_TICK_SECONDS
-
-#: ``tick_seconds="auto"`` fast-tick scale: once bootstrap converges the
-#: wall-clock/sim-unit scale drops to DEFAULT_TICK_SECONDS / this factor,
-#: so steady-state protocol rounds are not pinned to the conservative 50 ms
-#: bootstrap pace.  4× keeps an n=8 stack's timer+fan-out load well inside
-#: one core while quartering round-paced client latency.
-FAST_TICK_FACTOR = 4.0
 
 
 class RuntimeCluster:
@@ -58,7 +52,7 @@ class RuntimeCluster:
         seed: int = 0,
         config: Union[str, ClusterConfig] = "fast_sim",
         stack: Union[str, StackProfile, None] = None,
-        tick_seconds: Union[float, str] = DEFAULT_TICK_SECONDS,
+        tick_seconds: float = DEFAULT_TICK_SECONDS,
     ) -> None:
         if n < 1:
             raise ValueError("a cluster needs at least one node")
@@ -68,17 +62,11 @@ class RuntimeCluster:
         self.seed = seed
         self.config = base.resolve(n)
         self.stack: StackProfile = get_stack(self.config.stack)
-        if isinstance(tick_seconds, str):
-            if tick_seconds != "auto":
-                raise ValueError(
-                    f"tick_seconds must be a float or 'auto', got {tick_seconds!r}"
-                )
-            self.auto_tick = True
-            self.tick_seconds: float = DEFAULT_TICK_SECONDS
-        else:
-            self.auto_tick = False
-            self.tick_seconds = tick_seconds
-        self.fast_tick_engaged = False
+        if not isinstance(tick_seconds, Real) or tick_seconds <= 0:
+            raise ValueError(
+                f"tick_seconds must be a positive number, got {tick_seconds!r}"
+            )
+        self.tick_seconds = tick_seconds
         self.nodes: Dict[ProcessId, ClusterNode] = {}
         self.transport: Optional[AsyncioTransport] = None
 
@@ -146,32 +134,15 @@ class RuntimeCluster:
     async def wait_converged(
         self, timeout_s: float, poll_s: float = 0.05
     ) -> bool:
-        """Poll the convergence oracle until it holds or *timeout_s* passes.
-
-        Under ``tick_seconds="auto"`` the first successful wait engages the
-        fast tick (see :meth:`engage_fast_tick`): bootstrap runs at the
-        conservative default pace, steady state at ``FAST_TICK_FACTOR``×.
-        """
+        """Poll the convergence oracle until it holds or *timeout_s* passes."""
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout_s
         while True:
             if self.is_converged():
-                if self.auto_tick and not self.fast_tick_engaged:
-                    self.engage_fast_tick()
                 return True
             if loop.time() >= deadline:
                 return False
             await asyncio.sleep(poll_s)
-
-    def engage_fast_tick(self, factor: float = FAST_TICK_FACTOR) -> None:
-        """Shorten the wall-clock/sim-unit scale by *factor* (idempotent)."""
-        if self.transport is None:
-            raise RuntimeError("cluster not started")
-        if self.fast_tick_engaged:
-            return
-        self.tick_seconds = self.tick_seconds / factor
-        self.transport.set_tick_seconds(self.tick_seconds)
-        self.fast_tick_engaged = True
 
     # ------------------------------------------------------------- churn
     def kill(self, pid: ProcessId) -> None:

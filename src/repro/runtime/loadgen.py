@@ -53,7 +53,7 @@ import random
 import sys
 import time
 from collections import Counter
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional
 
 from repro.runtime.cluster import RuntimeCluster
 from repro.runtime.transport import DEFAULT_TICK_SECONDS
@@ -340,7 +340,7 @@ async def run_loadgen(
     duration_s: float = 5.0,
     mode: str = "counters",
     seed: int = 7,
-    tick_seconds: Union[float, str] = DEFAULT_TICK_SECONDS,
+    tick_seconds: float = DEFAULT_TICK_SECONDS,
     kill_probe: bool = False,
     bootstrap_timeout_s: float = 60.0,
     op_timeout_s: float = 10.0,
@@ -410,7 +410,6 @@ async def run_loadgen(
             "clients": clients,
             "seed": seed,
             "tick_seconds": cluster.tick_seconds,
-            "auto_tick": cluster.auto_tick,
             "duration_s": duration_s,
             "wall_s": round(time.perf_counter() - wall_start, 3),
             "bootstrap_s": round(bootstrap_s, 3),
@@ -487,7 +486,6 @@ def _merge_worker_reports(
         "workers": len(reports),
         "seed": first["seed"],
         "tick_seconds": first["tick_seconds"],
-        "auto_tick": first["auto_tick"],
         "duration_s": duration_s,
         "ops_completed": completed,
         "ops_failed": sum(failures.values()),
@@ -510,7 +508,7 @@ def run_loadgen_workers(
     duration_s: float = 5.0,
     mode: str = "counters",
     seed: int = 7,
-    tick_seconds: Union[float, str] = DEFAULT_TICK_SECONDS,
+    tick_seconds: float = DEFAULT_TICK_SECONDS,
     kill_probe: bool = False,
     bootstrap_timeout_s: float = 60.0,
     op_timeout_s: float = 10.0,
@@ -650,12 +648,6 @@ def _check_baseline(results: Dict[str, Any], baseline_path: str) -> int:
     return 0
 
 
-def _parse_tick(text: str) -> Union[float, str]:
-    if text == "auto":
-        return "auto"
-    return float(text)
-
-
 def _parse_sweep(text: str) -> List[int]:
     return [int(item) for item in text.split(",") if item.strip()]
 
@@ -676,10 +668,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--mode", choices=["counters", "smr", "both"],
                         default="both")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--tick", type=_parse_tick, default=DEFAULT_TICK_SECONDS,
-                        help="wall seconds per simulated-time unit, or "
-                             "'auto' (bootstrap at the default, then engage "
-                             "the fast tick once converged)")
+    parser.add_argument("--tick", type=float, default=DEFAULT_TICK_SECONDS,
+                        help="wall seconds per simulated-time unit")
     parser.add_argument("--kill-probe", action="store_true",
                         help="stop-fail one node mid-run and time recovery")
     parser.add_argument("--sweep-clients", type=_parse_sweep, default=None,

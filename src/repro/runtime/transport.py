@@ -8,12 +8,10 @@ single datagram (up to ``MAX_DATAGRAM_BYTES``), mirroring the simulator's
 ``send_many`` batching: a protocol round that fans out heartbeat + gossip +
 token to the same peer pays one syscall and one header instead of three.
 Timers are ``loop.call_later`` with simulated-time delays rescaled by
-``tick_seconds`` (wall seconds per sim-time unit); the scale can be changed
-live via :meth:`AsyncioTransport.set_tick_seconds` (the clock is rebased so
-``now()`` stays continuous and monotone).  Because the loop is
-single-threaded, every timer callback and every datagram delivery runs as
-one atomic step — the same interleaving model the simulator enforces, just
-scheduled by the kernel instead of an event queue.
+``tick_seconds`` (wall seconds per sim-time unit), fixed at construction.
+Because the loop is single-threaded, every timer callback and every
+datagram delivery runs as one atomic step — the same interleaving model the
+simulator enforces, just scheduled by the kernel instead of an event queue.
 
 Fidelity to the model, not to the simulator: there is no channel-delay or
 loss shaping here (localhost UDP is the channel — unreliable in principle,
@@ -140,7 +138,6 @@ class AsyncioTransport:
         self.tick_seconds = tick_seconds
         self._loop = asyncio.get_running_loop()
         self._epoch = self._loop.time()
-        self._epoch_sim = 0.0  # sim-time at the last tick rebase
         self._endpoints: Dict[ProcessId, _NodeEndpoint] = {}
         self._addrs: Dict[ProcessId, Tuple[str, int]] = {}
         self._timers: Dict[ProcessId, Set[_Timer]] = {}
@@ -168,26 +165,7 @@ class AsyncioTransport:
     def now(self) -> float:
         """Wall time since transport creation, in sim-time units (metrics
         only — see :mod:`repro.transport.base` for the contract)."""
-        return self._epoch_sim + (self._loop.time() - self._epoch) / self.tick_seconds
-
-    def set_tick_seconds(self, tick_seconds: float) -> None:
-        """Change the wall-clock/sim-unit scale live (the fast-tick lever).
-
-        The clock is rebased so :meth:`now` stays continuous and monotone
-        across the change.  Timers already pending keep the wall delay they
-        were armed with; every timer set *after* the change uses the new
-        scale — the protocol layers re-arm their round timers each
-        iteration, so the whole stack converges onto the new pace within
-        one round.
-        """
-        if tick_seconds <= 0:
-            raise ValueError("tick_seconds must be positive")
-        if tick_seconds == self.tick_seconds:
-            return
-        wall = self._loop.time()
-        self._epoch_sim += (wall - self._epoch) / self.tick_seconds
-        self._epoch = wall
-        self.tick_seconds = tick_seconds
+        return (self._loop.time() - self._epoch) / self.tick_seconds
 
     def _schedule_flush(self) -> None:
         if not self._flush_scheduled:

@@ -20,7 +20,15 @@ run while two runs of the same seed stay identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional, Protocol, Tuple, runtime_checkable
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    ClassVar,
+    Optional,
+    Protocol,
+    Tuple,
+    runtime_checkable,
+)
 
 from repro.audit.arbitrary_state import (
     DEFAULT_PROFILE,
@@ -250,6 +258,10 @@ class PartitionWorkload:
     at: float
     heal_at: float
 
+    #: Name of the partition :meth:`_split` installs and :meth:`_heal` heals;
+    #: partitions owned by environment programs are left alone.
+    NAME: ClassVar[str] = "workload:partition"
+
     def install(self, cluster: "Cluster") -> None:
         if self.heal_at <= self.at:
             raise ValueError("heal_at must be after the partition time")
@@ -265,11 +277,13 @@ class PartitionWorkload:
         alive = sorted(node.pid for node in cluster.alive_nodes())
         half = len(alive) // 2
         if half and len(alive) - half:
-            cluster.simulator.network.partition(alive[:half], alive[half:])
+            cluster.environment.partition(
+                alive[:half], alive[half:], name=PartitionWorkload.NAME
+            )
 
     @staticmethod
     def _heal(cluster: "Cluster") -> None:
-        cluster.simulator.network.heal_partitions()
+        cluster.environment.heal(PartitionWorkload.NAME)
 
 
 @dataclass(frozen=True)

@@ -75,14 +75,6 @@ class ClusterConfig:
     gossip_refresh_interval: Optional[int] = None
     heartbeat_resend_interval: int = 3
     stack: Any = "bare"  # str (registry name) or StackProfile
-    #: Sim-time cadence at which :meth:`Cluster.run_until` re-evaluates its
-    #: predicate.  ``None`` derives the minimum event spacing (the smaller of
-    #: the step interval and the minimum link delay); ``0.0`` restores the
-    #: seed behaviour of evaluating after every executed event.
-    convergence_poll_interval: Optional[float] = None
-    #: Cross-check every incremental ``is_converged`` answer against the full
-    #: scan oracle (tests only; raises on divergence).
-    convergence_oracle_checks: bool = False
     #: recSA gossip wire discipline: when True, steady-state re-broadcasts
     #: travel as (version, changed-entries) deltas and compact digest
     #: refreshes, falling back to full vectors on digest mismatch.  Off by
@@ -97,11 +89,6 @@ class ClusterConfig:
     #: bytes-on-wire savings) or in dedicated tiers that pin their own
     #: baselines.
     gossip_deltas: bool = False
-    #: Broadcast-burst RNG streams: ``"shared"`` (seed behaviour — one global
-    #: stream consumed in send order) or ``"per_source"`` (one stream per
-    #: sending processor, required by the sharded simulator where no global
-    #: send order exists).
-    broadcast_streams: str = "shared"
     #: (N, Theta) failure-detector suspicion slack.  ``None`` keeps the
     #: detector's default (16) — calibrated for n <= 32, where the
     #: heartbeat-count ramp is narrow.  The ramp's spread grows with n (a
@@ -121,9 +108,9 @@ class ClusterConfig:
     fd_gap_slack: Optional[Union[int, str]] = None
 
     def poll_interval(self) -> float:
-        """The effective :meth:`Cluster.run_until` predicate-poll cadence."""
-        if self.convergence_poll_interval is not None:
-            return self.convergence_poll_interval
+        """The sim-time cadence at which :meth:`Cluster.run_until` re-evaluates
+        its predicate: the minimum event spacing (the smaller of the step
+        interval and the minimum link delay)."""
         min_delay = self.channel.min_delay if self.channel is not None else 0.0
         if min_delay > 0.0:
             return min(self.step_interval, min_delay)

@@ -279,13 +279,7 @@ class Network:
         default_config: Optional[ChannelConfig] = None,
         seed: int = 0,
         environment: Optional[NetworkEnvironment] = None,
-        broadcast_streams: str = "shared",
     ) -> None:
-        if broadcast_streams not in ("shared", "per_source"):
-            raise SimulationError(
-                f"broadcast_streams must be 'shared' or 'per_source', "
-                f"got {broadcast_streams!r}"
-            )
         self._default_config = default_config or ChannelConfig()
         self._seed = seed
         self._channels: Dict[Tuple[ProcessId, ProcessId], Channel] = {}
@@ -293,26 +287,16 @@ class Network:
             self._default_config, seed=seed
         )
         self.environment.attach(self)
-        #: Names of partitions installed via the legacy two-group wrapper;
-        #: :meth:`heal_partitions` heals exactly these.
-        self._legacy_partitions: List[str] = []
         self._schedule_delivery: Optional[Callable[[Channel, Packet, float], None]] = None
         self._schedule_deliveries: Optional[
             Callable[[List[Tuple[Channel, Packet, float]]], None]
         ] = None
         self._totals = NetworkCounters()
-        # Dedicated stream(s) for batched broadcasts: every delay of a
-        # ``send_many`` burst is drawn from one RNG, which keeps the burst
-        # deterministic while touching a single generator instead of one per
-        # destination channel.  ``"shared"`` uses a single global stream
-        # consumed in send order (the historical behaviour); ``"per_source"``
-        # derives one stream per sending processor, so a burst's draws depend
-        # only on that sender's own broadcast history — the property the
-        # sharded simulator needs, since no global send order exists across
-        # shards.
-        self.broadcast_streams = broadcast_streams
+        # Dedicated stream for batched broadcasts: every delay of a
+        # ``send_many`` burst is drawn from this one RNG, consumed in send
+        # order, which keeps the burst deterministic while touching a single
+        # generator instead of one per destination channel.
         self._broadcast_rng = make_rng(seed, "broadcast")
-        self._broadcast_rngs: Dict[ProcessId, Any] = {}
 
     def bind_scheduler(
         self,
@@ -347,16 +331,6 @@ class Network:
         if environment is not None:
             environment._invalidate_resolution()
 
-    def set_channel_config(
-        self, source: ProcessId, destination: ProcessId, config: ChannelConfig
-    ) -> None:
-        """Override the channel configuration for one directed pair.
-
-        Thin wrapper over the environment's explicit-override layer, kept
-        because the install protocol is load-bearing in tests and workloads.
-        """
-        self.environment.set_link_config(source, destination, config)
-
     def channel(self, source: ProcessId, destination: ProcessId) -> Channel:
         """Return (creating if needed) the directed channel source→destination.
 
@@ -381,31 +355,6 @@ class Network:
     def channels(self) -> Iterable[Channel]:
         """Iterate over every channel created so far."""
         return self._channels.values()
-
-    def partition(self, group_a: Iterable[ProcessId], group_b: Iterable[ProcessId]) -> None:
-        """Install a symmetric, leak-free partition between the two groups.
-
-        Compatibility wrapper over :meth:`NetworkEnvironment.partition`; use
-        the environment directly for one-way partitions, leaks and
-        per-partition heal.
-        """
-        self._legacy_partitions.append(self.environment.partition(group_a, group_b))
-
-    def heal_partitions(self) -> None:
-        """Heal every partition installed through this wrapper.
-
-        Scoped to wrapper-created partitions on purpose: a workload calling
-        the historical heal-all must not erase named partitions owned by a
-        concurrently running environment program (pre-environment behaviour
-        is preserved, since back then every partition came through here).
-        """
-        for name in self._legacy_partitions:
-            self.environment.heal(name)
-        self._legacy_partitions.clear()
-
-    def is_partitioned(self, source: ProcessId, destination: ProcessId) -> bool:
-        """Return True when a partition currently blocks the directed pair."""
-        return self.environment.is_blocked(source, destination)
 
     def send(self, packet: Packet) -> None:
         """Submit *packet* for transmission on its directed channel."""
@@ -433,14 +382,7 @@ class Network:
             raise SimulationError("network is not bound to a simulator")
         environment = self.environment
         blocked = environment._blocked
-        if self.broadcast_streams == "shared":
-            rng = self._broadcast_rng
-        else:
-            rng = self._broadcast_rngs.get(source)
-            if rng is None:
-                rng = self._broadcast_rngs[source] = make_rng(
-                    self._seed, "broadcast", source
-                )
+        rng = self._broadcast_rng
         batch: List[Tuple[Channel, Packet, float]] = []
         accepted = 0
         for destination, payload in payloads:

@@ -20,7 +20,6 @@ from repro.common.types import ProcessId
 from repro.common.logging_utils import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.simulator import Simulator
     from repro.transport.base import Transport
 
 _log = get_logger("process")
@@ -41,16 +40,6 @@ class ProcessContext:
     pid: ProcessId
     transport: "Transport"
     rng: random.Random
-
-    @property
-    def simulator(self) -> "Simulator":
-        """The underlying :class:`Simulator` (sim backend only).
-
-        Back-compat accessor for harness/instrumentation code written before
-        the transport split; raises :class:`AttributeError` on backends that
-        are not simulator-based.
-        """
-        return self.transport.simulator  # type: ignore[attr-defined]
 
     def now(self) -> float:
         """The transport clock, for metrics and traces only.

@@ -48,14 +48,11 @@ class Simulator:
         seed: int = 0,
         channel_config: Optional[ChannelConfig] = None,
         network: Optional[Network] = None,
-        broadcast_streams: str = "shared",
     ) -> None:
         self.seed = seed
         self.now: float = 0.0
         self.events = EventQueue()
-        self.network = network or Network(
-            default_config=channel_config, seed=seed, broadcast_streams=broadcast_streams
-        )
+        self.network = network or Network(default_config=channel_config, seed=seed)
         self.network.bind_scheduler(self._schedule_delivery, self._schedule_deliveries)
         # The time-varying environment layer ticks through ordinary simulator
         # events: bind this simulator as the environment's timeline (clock +

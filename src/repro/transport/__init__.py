@@ -7,7 +7,7 @@ SMR, applications) interact with the outside world exclusively through a
 
 * :class:`~repro.transport.sim.SimTransport` — the deterministic
   discrete-event simulator (byte-identical seed trajectories, snapshots,
-  sharding, audit warm prefixes).
+  audit warm prefixes).
 * :class:`~repro.runtime.transport.AsyncioTransport` — the real runtime:
   each node an asyncio task, messages over UDP/localhost with the
   :mod:`repro.common.codec` wire format, wall-clock timers.

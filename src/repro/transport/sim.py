@@ -4,8 +4,8 @@ A thin adapter: every method is a single delegation to the owning
 :class:`~repro.sim.simulator.Simulator`, and the per-process RNG derivation
 is byte-for-byte the one the simulator always used
 (``make_rng(seed, "process", pid)``).  The adapter therefore changes *no*
-seed trajectory — snapshot capture/restore, the sharded simulator,
-environment shaping and the audit warm-prefix paths all run through it
+seed trajectory — snapshot capture/restore, environment shaping and the
+audit warm-prefix paths all run through it
 unmodified, which the trajectory-guard tests pin (bootstrap_n16 at seed 89
 must keep its 1794 executed events / 1726 deliveries exactly).
 

@@ -299,7 +299,7 @@ class TestSchedulers:
                 self.sink = sink
 
             def on_receive(self, sender, payload):
-                self.sink.arrivals.append(self.context.simulator.now)
+                self.sink.arrivals.append(self.context.now())
 
         sink = _Sink()
         sim.add_process(_Node(0, sink))

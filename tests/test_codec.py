@@ -307,11 +307,10 @@ class TestByzantineBoundsSplit:
 class TestBinaryFastPath:
     """PR 9: the binary wire format is an exact twin of the tagged-JSON path.
 
-    ``frame()`` now emits the binary format (discriminator ``B``);
-    ``frame_json()`` keeps the JSON format (``J``) alive as the fallback and
-    fuzz target.  Equivalence is the contract that lets both coexist on one
-    socket: for every encodable value, decoding the binary bytes and
-    decoding the JSON bytes must produce equal objects.
+    ``frame()`` emits the binary format (discriminator ``B``), the only one
+    ``unframe()`` accepts; ``encode()``/``decode()`` are the reference it is
+    compared against: for every encodable value, decoding the binary bytes
+    and decoding the reference JSON must produce equal objects.
     """
 
     @pytest.mark.parametrize("name", sorted(EXEMPLARS))
@@ -323,13 +322,15 @@ class TestBinaryFastPath:
         assert type(via_binary) is type(via_json)
 
     @pytest.mark.parametrize("name", sorted(EXEMPLARS))
-    def test_both_frame_formats_interoperate(self, name):
+    def test_json_frame_rejected(self, name):
+        # The wire has one format: a well-formed frame in the retired
+        # tagged-JSON format ('J') is hostile input like any other.
         value = EXEMPLARS[name]
-        binary_frame = frame(value)
-        json_frame = codec.frame_json(value)
-        assert binary_frame[4] == codec.FORMAT_BINARY
-        assert json_frame[4] == codec.FORMAT_JSON
-        assert unframe(binary_frame)[0] == unframe(json_frame)[0]
+        assert frame(value)[4] == codec.FORMAT_BINARY
+        body = json.dumps(encode(value), separators=(",", ":")).encode("utf-8")
+        json_frame = struct.pack(">I", len(body) + 1) + b"J" + body
+        with pytest.raises(CodecError, match="discriminator"):
+            unframe(json_frame)
 
     def test_binary_preserves_identity_semantics(self):
         restored = codec.decode_binary(codec.encode_binary(DEFAULT_PROPOSAL))

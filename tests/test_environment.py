@@ -135,27 +135,6 @@ class TestDirectedPartitions:
         assert kinds == ["partition", "heal"]
         assert injector.records[0].details["name"] == name
 
-    def test_legacy_wrapper_blocks_both_directions_and_heals_all(self):
-        sim = _two_nodes()
-        network = sim.network
-        network.partition([1], [2])
-        assert network.is_partitioned(1, 2) and network.is_partitioned(2, 1)
-        network.heal_partitions()
-        assert not network.is_partitioned(1, 2)
-        assert sim.environment.active_partitions() == []
-
-    def test_legacy_heal_does_not_erase_program_partitions(self):
-        # A workload's historical heal-all must only heal wrapper-created
-        # partitions, never named ones owned by an environment program.
-        sim = _two_nodes()
-        network = sim.network
-        sim.environment.partition([1], [2], name="program:forward", symmetric=False)
-        network.partition([1], [2])
-        network.heal_partitions()
-        assert sim.environment.active_partitions() == ["program:forward"]
-        assert sim.environment.is_blocked(1, 2)
-        assert not sim.environment.is_blocked(2, 1)
-
 
 # ---------------------------------------------------------------------------
 # Link-state layers: overlays > overrides > policies > default

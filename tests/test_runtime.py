@@ -13,10 +13,15 @@ expected timings are an order of magnitude smaller.
 from __future__ import annotations
 
 import asyncio
+import json
 import socket
 import statistics
 import struct
 
+import pytest
+
+from repro.common.codec import encode
+from repro.core.joining import JoinRequest
 from repro.runtime.cluster import RuntimeCluster
 from repro.runtime.loadgen import percentile, run_loadgen
 from repro.runtime.transport import _HEADER
@@ -204,7 +209,6 @@ def test_send_encodes_a_broadcast_message_once_per_loop_turn(monkeypatch):
     monkeypatch.setattr(rt, "frame", lambda payload: calls.append(payload) or real_frame(payload))
 
     async def scenario() -> None:
-        from repro.core.joining import JoinRequest
 
         async with RuntimeCluster(n=4, seed=7, stack="bare", tick_seconds=10.0) as cluster:
             transport = cluster.transport
@@ -226,6 +230,14 @@ def test_send_encodes_a_broadcast_message_once_per_loop_turn(monkeypatch):
     asyncio.run(scenario())
 
 
+def test_tick_seconds_auto_rejected_at_construction():
+    """``tick_seconds`` is a positive number fixed at construction; the
+    retired ``"auto"`` mode fails there, not inside ``start()``."""
+    for bad in ("auto", 0.0, -0.05):
+        with pytest.raises(ValueError, match="tick_seconds"):
+            RuntimeCluster(n=3, seed=7, stack="counters", tick_seconds=bad)
+
+
 def test_hostile_datagrams_are_quarantined_not_fatal():
     """Garbage sprayed at a node's port is counted and dropped, and the
     node keeps working (same stance as the Byzantine datalink validation)."""
@@ -238,7 +250,19 @@ def test_hostile_datagrams_are_quarantined_not_fatal():
             transport = cluster.transport
             target = transport._addrs[0]
             hostile = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            loop = asyncio.get_running_loop()
             try:
+                # A well-formed frame in the retired tagged-JSON format: sent
+                # alone first, so the count below is this datagram's.
+                body = json.dumps(encode(JoinRequest(sender=1))).encode("utf-8")
+                hostile.sendto(
+                    _HEADER.pack(1) + struct.pack(">I", len(body) + 1) + b"J" + body,
+                    target,
+                )
+                deadline = loop.time() + 5.0
+                while transport.quarantined_datagrams < 1:
+                    assert loop.time() < deadline
+                    await asyncio.sleep(0.01)
                 hostile.sendto(b"", target)  # empty
                 hostile.sendto(b"\x01", target)  # shorter than header
                 hostile.sendto(_HEADER.pack(99) + b"junk", target)  # bad frame
@@ -254,9 +278,9 @@ def test_hostile_datagrams_are_quarantined_not_fatal():
             finally:
                 hostile.close()
             # Let the loop drain the socket, then check the node survived.
-            deadline = asyncio.get_running_loop().time() + 5.0
-            while transport.quarantined_datagrams < 4:
-                assert asyncio.get_running_loop().time() < deadline
+            deadline = loop.time() + 5.0
+            while transport.quarantined_datagrams < 1 + 4:
+                assert loop.time() < deadline
                 await asyncio.sleep(0.01)
             assert transport.delivery_errors == 0
             assert not cluster.nodes[0].crashed

@@ -10,15 +10,14 @@ Pins the behavior-preservation contract of the large-n fast paths:
   full-scan oracle, including under arbitrary-state corruption;
 * ``run_until`` poll throttling delays *detection* by at most one poll
   interval and never changes the trajectory;
-* same-seed runs at large n are bit-identical (the determinism basis the
-  sharded simulator relies on).
+* same-seed runs at large n are bit-identical.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from tests.conftest import RecSAHarness, quick_cluster
+from tests.conftest import RecSAHarness, oracle_checked, quick_cluster
 from repro.sim.config import fast_sim
 from repro.workloads.corruption import scramble_cluster
 
@@ -146,29 +145,23 @@ class TestDigestFallback:
 
 class TestLedgerOracle:
     def test_ledger_agrees_with_oracle_through_bootstrap(self):
-        cluster = quick_cluster(
-            8, seed=19, config=fast_sim(convergence_oracle_checks=True)
-        )
-        # Every is_converged() below cross-checks ledger vs full scan and
-        # raises on divergence.
-        assert cluster.run_until_converged(timeout=300)
+        cluster = quick_cluster(8, seed=19, config=fast_sim())
+        # Every poll below cross-checks ledger vs full scan and fails on
+        # divergence.
+        assert cluster.run_until(oracle_checked(cluster), timeout=300)
         assert cluster.is_converged() == cluster.is_converged_scan()
 
     def test_ledger_agrees_with_oracle_under_corruption(self):
-        cluster = quick_cluster(
-            8, seed=23, config=fast_sim(convergence_oracle_checks=True)
-        )
-        assert cluster.run_until_converged(timeout=300)
+        cluster = quick_cluster(8, seed=23, config=fast_sim())
+        assert cluster.run_until(oracle_checked(cluster), timeout=300)
         scramble_cluster(cluster, seed=5, fraction=1.0)
         assert cluster.is_converged() == cluster.is_converged_scan()
-        assert cluster.run_until_converged(timeout=2_000)
+        assert cluster.run_until(oracle_checked(cluster), timeout=2_000)
         assert cluster.is_converged() == cluster.is_converged_scan()
 
     def test_crash_keeps_ledger_and_oracle_in_step(self):
-        cluster = quick_cluster(
-            6, seed=29, config=fast_sim(convergence_oracle_checks=True)
-        )
-        assert cluster.run_until_converged(timeout=300)
+        cluster = quick_cluster(6, seed=29, config=fast_sim())
+        assert cluster.run_until(oracle_checked(cluster), timeout=300)
         cluster.crash(5)
         cluster.run(until=cluster.simulator.now + 30.0)
         assert cluster.is_converged() == cluster.is_converged_scan()
@@ -176,10 +169,10 @@ class TestLedgerOracle:
 
 class TestPollThrottling:
     def test_detection_within_one_poll_interval_of_exact(self):
-        exact = quick_cluster(
-            8, seed=31, config=fast_sim(convergence_poll_interval=0.0)
+        exact = quick_cluster(8, seed=31, config=fast_sim())
+        assert exact.simulator.run_until(
+            exact.is_converged, timeout=300, poll_interval=0.0
         )
-        assert exact.run_until_converged(timeout=300)
         t_exact = exact.simulator.now
 
         throttled = quick_cluster(8, seed=31, config=fast_sim())
@@ -200,16 +193,12 @@ class TestPollThrottling:
 
             return probe
 
-        for key, poll in (("exact", 0.0), ("throttled", None)):
-            cluster = quick_cluster(
-                8, seed=37, config=fast_sim(convergence_poll_interval=poll)
-            )
+        for key, exact in (("exact", True), ("throttled", False)):
+            cluster = quick_cluster(8, seed=37, config=fast_sim())
             cluster.simulator.run_until(
                 counting(cluster, key),
                 timeout=40.0,
-                poll_interval=(
-                    cluster.config.poll_interval() if poll is None else 0.0
-                ),
+                poll_interval=0.0 if exact else cluster.config.poll_interval(),
             )
         assert calls["throttled"] < calls["exact"]
 

@@ -327,7 +327,7 @@ class TestNetworkFastPath:
         a, b = _Echo(1), _Echo(2)
         sim.add_process(a)
         sim.add_process(b)
-        sim.network.partition([1], [2])
+        sim.environment.partition([1], [2])
         assert sim.send_many(1, [(2, "blocked")]) == 0
         sim.run(until=5.0)
         assert b.got == []
@@ -368,11 +368,11 @@ class TestNetworkPartition:
         a, b = _Echo(1), _Echo(2)
         sim.add_process(a)
         sim.add_process(b)
-        sim.network.partition([1], [2])
+        sim.environment.partition([1], [2])
         sim.send(1, 2, "ping")
         sim.run(until=5.0)
         assert b.got == []
-        sim.network.heal_partitions()
+        sim.environment.heal()
         sim.send(1, 2, "ping")
         sim.run(until=10.0)
         assert (1, "ping") in b.got

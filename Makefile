@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test bench bench-quick bench-matrix bench-pytest bench-scale bench-codec bench-loadgen loadgen-baseline bench-cache bench-history runtime-smoke scenarios scenarios-smoke audit-smoke audit-gate audit-baseline audit-byzantine audit-n24 audit-n24-baseline audit-n128 audit-n128-baseline audit-n512-smoke audit-profile-grid audit-shrink-demo audit-warm-check
+.PHONY: test bench bench-quick bench-matrix bench-pytest bench-scale bench-codec bench-loadgen loadgen-baseline bench-cache bench-history runtime-smoke scenarios scenarios-smoke audit-smoke audit-gate audit-baseline audit-byzantine audit-n24 audit-n24-baseline audit-n128 audit-n128-baseline audit-n512-smoke audit-profile-grid audit-shrink-demo audit-warm-check spine-pairs
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -150,3 +150,15 @@ audit-warm-check:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.audit --smoke --workers 4 --cache-dir .audit_cache_ci --output AUDIT_smoke_warm.json
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.audit.store check AUDIT_smoke_warm.json --against AUDIT_smoke_cold.json --min-hit-rate 0.9
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.audit.store stats --cache-dir .audit_cache_ci
+
+# The paired protocol behind every claimed gain: `git archive` BASE and CHANGE
+# (default HEAD; `git stash create` names an uncommitted tree) into a scratch
+# directory, run the spine benchmark on each PAIRS times with the first side
+# alternating, count the pairs the change won and hand the result files to
+# benchmarks/spine/compare.py --layers.
+#   make spine-pairs BASE=<rev> [CHANGE=<rev>] [WORKLOAD=<name>] [PAIRS=10]
+PAIRS ?= 10
+CHANGE ?= HEAD
+spine-pairs:
+	$(if $(BASE),,$(error BASE=<rev> is required))
+	$(PYTHON) benchmarks/spine_pairs.py --base $(BASE) --change $(CHANGE) --pairs $(PAIRS) $(if $(WORKLOAD),--workload $(WORKLOAD))

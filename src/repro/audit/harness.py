@@ -504,11 +504,12 @@ def certify(
     are fanned out from one warm :class:`~repro.sim.snapshot.SimSnapshot` per
     ``(prefix, simulator seed)`` instead of each paying a full bootstrap;
     results are byte-identical to the cold path.  Snapshots are built in the
-    parent (serially — an in-memory snapshot cannot cross a process boundary
-    except by fork inheritance), so without a persistent store a group only
-    goes warm when its fan-out beats that serial cost: at least 2 cases per
-    prefix, and at least one case per *actually available* core the pool
-    could otherwise use for parallel cold bootstraps.
+    parent, serially (a snapshot is plain bytes and could travel to a worker,
+    but the forked pool inherits the whole table for free), so without a
+    persistent store a group only goes warm when its fan-out beats that
+    serial cost: at least 2 cases per prefix, and at least one case per
+    *actually available* core the pool could otherwise use for parallel cold
+    bootstraps.
 
     With a *store* (:class:`~repro.audit.store.SweepStore`), the sweep is
     **incremental across invocations**: every ``(case, seed)`` cell is first
@@ -701,10 +702,11 @@ def certify(
         return report
     finally:
         if reuse_prefix:
-            # The snapshots are full deep copies of simulation graphs; they
-            # were only needed during the sweep (workers inherited them at
-            # fork) and the shrink pass — don't hold the memory for the
-            # process lifetime, not even when a worker death raised.
+            # Each snapshot is the pickle of a whole simulation graph (a few
+            # hundred KB); they were only needed during the sweep (workers
+            # inherited them at fork) and the shrink pass — don't hold the
+            # memory for the process lifetime, not even when a worker death
+            # raised.
             _WARM_CASES.clear()
             _WARM_SNAPSHOTS.clear()
 

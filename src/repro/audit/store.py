@@ -16,11 +16,13 @@ invocations, processes and machines:
   hashing the ``src/repro`` source tree — to the complete deterministic run
   entry (verdict, stabilization trajectory, invariant intervals, workload
   reports).  A hit replays the stored entry instead of dispatching the run.
-* The **snapshot store** maps ``(prefix fingerprint, seed)`` to a pickled
-  pre-corruption :class:`~repro.sim.snapshot.SimSnapshot`, so the expensive
-  bootstrap prefix of a sweep cell is paid once *ever* (per code version),
-  not once per process: ``certify`` and ``shrink_case`` resume disk-warm
-  prefixes byte-identically to a cold run (pinned by the test-suite).
+* The **snapshot store** maps ``(prefix fingerprint, seed)`` to the bytes of
+  a pre-corruption :class:`~repro.sim.snapshot.SimSnapshot` — the very bytes
+  the in-memory snapshot holds, written and read back without re-encoding —
+  so the expensive bootstrap prefix of a sweep cell is paid once *ever* (per
+  code version), not once per process: ``certify`` and ``shrink_case`` resume
+  disk-warm prefixes byte-identically to a cold run (pinned by the
+  test-suite).
 
 Correct invalidation is the crux, and it is structural: the salt is folded
 into **every** fingerprint, so any change to any ``.py`` file under

@@ -37,6 +37,19 @@ garbled in a few places:
 * The stale-information tests that compare a peer's *received* phase against
   the local current phase are implemented in their robust form (see
   :mod:`repro.core.stale`).
+* ``noReco()``, ``chsConfig()``/``getConfig()`` and ``FD[i].part`` are pure
+  functions of the trusted set and the six replicated arrays, and every
+  layer above polls them far more often than either moves, so they are
+  answered from a memo keyed on the trusted set and on the arrays' write
+  counts (:class:`ReplicatedMap` counts *where the write happens*, so local
+  writes, received gossip and injected corruption all invalidate alike and
+  there is no ``invalidate()`` to forget).  The memo is derived state like
+  any other variable, so a transient fault may plant a wrong one; ``step()``
+  drops it at the top of every do-forever iteration, which bounds the life
+  of any memo — right or wrong — to one iteration.  Every convergence
+  argument of the paper is in iterations, so a wrong interface answer that
+  survives at most until the next one stretches a bound by one iteration
+  and leaves self-stabilization intact.
 """
 
 from __future__ import annotations
@@ -195,6 +208,73 @@ def compute_core_digest(core: Tuple[Any, ...]) -> int:
 #: Field order of the broadcast core, aligned with the core-key tuple.
 _CORE_FIELDS = ("fd", "part", "config", "prp", "all_flag")
 
+#: "No such key" in :meth:`ReplicatedMap.store` (never stored, never pickled).
+_ABSENT = object()
+
+
+class ReplicatedMap(dict):
+    """One of recSA's replicated arrays: a ``dict`` that counts its writes.
+
+    :class:`RecSA` keys its memo of derived verdicts on the sum of these
+    counts.  Counting inside the mutators means every writer — recSA's own
+    ~40 sites, the joining hook in :mod:`repro.core.scheme`, corruption
+    workloads, the fault injector — invalidates by writing, as it always
+    did.  A count that runs ahead (a rewrite of the same value through
+    ``[]``) only costs a re-derivation; :meth:`store` is the spelling for
+    writers that repeat themselves.
+    """
+
+    #: A class-level default, not an ``__init__`` assignment: pickle replays
+    #: a dict subclass's items (``SETITEMS``, through ``__setitem__``)
+    #: *before* it restores the instance ``__dict__`` (``BUILD``).
+    writes = 0
+
+    def __setitem__(self, key: Any, value: Any) -> None:
+        self.writes += 1
+        dict.__setitem__(self, key, value)
+
+    def store(self, key: Any, value: Any) -> None:
+        """``self[key] = value``, counted only when the value moved.
+
+        The received object always replaces the stored one (so the array
+        holds exactly what a plain ``dict`` would), but a peer repeating
+        itself — most gossip, most of the time — leaves the count alone.
+        Identity first: ``frozenset.__eq__`` has no identity shortcut.
+        """
+        old = self.get(key, _ABSENT)
+        if old is not value:
+            if old != value:
+                self.writes += 1
+            dict.__setitem__(self, key, value)
+
+    def __delitem__(self, key: Any) -> None:
+        self.writes += 1
+        dict.__delitem__(self, key)
+
+    def pop(self, *args: Any) -> Any:
+        self.writes += 1
+        return dict.pop(self, *args)
+
+    def popitem(self) -> Tuple[Any, Any]:
+        self.writes += 1
+        return dict.popitem(self)
+
+    def clear(self) -> None:
+        self.writes += 1
+        dict.clear(self)
+
+    def setdefault(self, *args: Any) -> Any:
+        self.writes += 1
+        return dict.setdefault(self, *args)
+
+    def update(self, *args: Any, **kwargs: Any) -> None:
+        self.writes += 1
+        dict.update(self, *args, **kwargs)
+
+    def __ior__(self, other: Any) -> "ReplicatedMap":
+        self.update(other)
+        return self
+
 
 class RecSA:
     """Per-processor instance of the Reconfiguration Stability Assurance layer.
@@ -235,13 +315,16 @@ class RecSA:
         self.gossip_deltas = bool(gossip_deltas)
 
         # Replicated arrays (own entry + most recently received per peer).
-        self.config: Dict[ProcessId, Any] = {}
-        self.fd: Dict[ProcessId, FrozenSet[ProcessId]] = {}
-        self.part: Dict[ProcessId, FrozenSet[ProcessId]] = {}
-        self.prp: Dict[ProcessId, Proposal] = {}
-        self.all_flags: Dict[ProcessId, bool] = {}
-        self.echo: Dict[ProcessId, EchoTriple] = {}
+        self.config: Dict[ProcessId, Any] = ReplicatedMap()
+        self.fd: Dict[ProcessId, FrozenSet[ProcessId]] = ReplicatedMap()
+        self.part: Dict[ProcessId, FrozenSet[ProcessId]] = ReplicatedMap()
+        self.prp: Dict[ProcessId, Proposal] = ReplicatedMap()
+        self.all_flags: Dict[ProcessId, bool] = ReplicatedMap()
+        self.echo: Dict[ProcessId, EchoTriple] = ReplicatedMap()
         self.all_seen: Set[ProcessId] = set()
+        # Verdicts derived from (trusted set, the six arrays above) since
+        # either last moved; see :meth:`_memoized`.
+        self._memo: Dict[str, Any] = {}
 
         # Change-detected gossip bookkeeping (line 29 fast path): the local
         # broadcast core — everything in a RecSAMessage except the per-peer
@@ -305,17 +388,53 @@ class RecSA:
             view = frozenset(view)
         if self.pid not in view:
             view = view | {self.pid}
-        self.fd[self.pid] = view
+        # A query must not count as a write (it would defeat the memo it is
+        # the key of): the detector hands back the same object until its set
+        # changes, and store() leaves an identical object alone.
+        self.fd.store(self.pid, view)
         return view
 
     def is_participant(self) -> bool:
         """True when the owner is a participant (``config[i] != ]``)."""
         return self.config.get(self.pid, NOT_PARTICIPANT) is not NOT_PARTICIPANT
 
-    def participants(self, trusted: Optional[FrozenSet[ProcessId]] = None) -> FrozenSet[ProcessId]:
-        """``FD[i].part``: trusted processors whose config field is not ``]``."""
+    def _memoized(
+        self,
+        name: str,
+        derive: Callable[[FrozenSet[ProcessId]], Any],
+        trusted: Optional[FrozenSet[ProcessId]] = None,
+    ) -> Any:
+        """``derive(trusted)``, derived once per state of its inputs.
+
+        The memo is keyed on the trusted set and on the write counts of the
+        six replicated arrays; it is emptied when either moves and dropped
+        at the top of every :meth:`step` (module docstring: a memo lives at
+        most one iteration).
+        """
         if trusted is None:
             trusted = self.trusted()
+        writes = (
+            self.config.writes
+            + self.fd.writes
+            + self.part.writes
+            + self.prp.writes
+            + self.all_flags.writes
+            + self.echo.writes
+        )
+        memo = self._memo
+        if memo.get("writes") != writes or not (
+            memo["trusted"] is trusted or memo["trusted"] == trusted
+        ):
+            memo = self._memo = {"writes": writes, "trusted": trusted}
+        if name not in memo:
+            memo[name] = derive(trusted)
+        return memo[name]
+
+    def participants(self, trusted: Optional[FrozenSet[ProcessId]] = None) -> FrozenSet[ProcessId]:
+        """``FD[i].part``: trusted processors whose config field is not ``]``."""
+        return self._memoized("participants", self._derive_participants, trusted)
+
+    def _derive_participants(self, trusted: FrozenSet[ProcessId]) -> FrozenSet[ProcessId]:
         members = {
             pid
             for pid in trusted
@@ -339,7 +458,9 @@ class RecSA:
         member tuple, with ``⊥`` ordered first) is returned so the choice is
         deterministic across processors holding the same local data.
         """
-        trusted = self.trusted()
+        return self._memoized("chs_config", self._derive_chs_config)
+
+    def _derive_chs_config(self, trusted: FrozenSet[ProcessId]) -> Any:
         values = []
         for pid in trusted:
             value = self.config.get(pid, NOT_PARTICIPANT)
@@ -364,7 +485,9 @@ class RecSA:
         4. an ongoing configuration reset (some ``config`` field is ``⊥``),
         5. a delicate replacement in progress (some non-default notification).
         """
-        trusted = self.trusted()
+        return self._memoized("no_reco", self._derive_no_reco)
+
+    def _derive_no_reco(self, trusted: FrozenSet[ProcessId]) -> bool:
         part = self.participants(trusted)
 
         # (1) mutual trust: every trusted peer we have heard from must trust us.
@@ -460,10 +583,9 @@ class RecSA:
         """``configSet(val)``: overwrite every config entry, clear notifications."""
         trusted = self.fd.get(self.pid, frozenset({self.pid}))
         scope = set(self.config) | set(self.prp) | set(trusted)
-        for pid in scope:
-            self.config[pid] = value
-            self.prp[pid] = DEFAULT_PROPOSAL
-            self.all_flags[pid] = False
+        self.config.update(dict.fromkeys(scope, value))
+        self.prp.update(dict.fromkeys(scope, DEFAULT_PROPOSAL))
+        self.all_flags.update(dict.fromkeys(scope, False))
         self.all_seen.clear()
         if value is BOTTOM:
             self.reset_count += 1
@@ -522,6 +644,8 @@ class RecSA:
     # ------------------------------------------------------------------
     def step(self) -> None:
         """Execute one iteration of the do-forever loop and broadcast."""
+        # No memo outlives an iteration (module docstring).
+        self._memo = {}
         trusted = self.trusted()
         self._clean_after_crashes(trusted)
         part = self.participants(trusted)
@@ -732,6 +856,10 @@ class RecSA:
         if core_key != self._last_core_key:
             self._state_version += 1
             self._last_core_key = core_key
+        else:
+            # Same values: keep sending the objects the peers already hold,
+            # so their receipt (and ours of their echo) compares by identity.
+            core_key = self._last_core_key
         version = self._state_version
         refresh = self.gossip_refresh_interval
         deltas = self.gossip_deltas
@@ -741,13 +869,20 @@ class RecSA:
         for pid in trusted:
             if pid == self.pid:
                 continue
-            echo: Optional[EchoTriple] = None
+            # Our echo of this peer's values, as bare fields: two sends in
+            # three are skipped and most of the rest repeat the last echo,
+            # so an EchoTriple is built only when a new one goes out.
+            echo = self._sent_echo.get(pid)
+            echo_fields: Optional[Tuple[Any, ...]] = None
             if pid in self.part or pid in self.prp:
-                echo = EchoTriple(
-                    part=self.part.get(pid, frozenset()),
-                    prp=self.prp.get(pid, DEFAULT_PROPOSAL),
-                    all_flag=bool(self.all_flags.get(pid, False)),
+                echo_fields = (
+                    self.part.get(pid, frozenset()),
+                    self.prp.get(pid, DEFAULT_PROPOSAL),
+                    bool(self.all_flags.get(pid, False)),
                 )
+            echo_unchanged = echo_fields == (
+                None if echo is None else (echo.part, echo.prp, echo.all_flag)
+            )
             rounds = self._rounds_since_sent.get(pid, refresh)
             echoed = self._peer_echoed(pid, part, with_all=True)
             if echoed:
@@ -756,12 +891,14 @@ class RecSA:
                 refresh > 1
                 and rounds + 1 < refresh
                 and self._sent_version.get(pid) == version
-                and self._sent_echo.get(pid) == echo
+                and echo_unchanged
                 and echoed
             ):
                 self._rounds_since_sent[pid] = rounds + 1
                 self.broadcasts_skipped += 1
                 continue
+            if not echo_unchanged:
+                echo = None if echo_fields is None else EchoTriple(*echo_fields)
             message = (
                 self._compose(pid, version, core_key, digest, echo, echoed)
                 if deltas
@@ -886,13 +1023,14 @@ class RecSA:
         """Store the peer's state (the paper's ``upon receive`` handler)."""
         if sender == self.pid:
             return
-        self.fd[sender] = frozenset(message.fd)
-        self.part[sender] = frozenset(message.part)
-        self.config[sender] = message.config
-        self.prp[sender] = message.prp
-        self.all_flags[sender] = bool(message.all_flag)
+        # A peer mostly repeats itself: store() counts only what moved.
+        self.fd.store(sender, frozenset(message.fd))
+        self.part.store(sender, frozenset(message.part))
+        self.config.store(sender, message.config)
+        self.prp.store(sender, message.prp)
+        self.all_flags.store(sender, bool(message.all_flag))
         if message.echo is not None:
-            self.echo[sender] = message.echo
+            self.echo.store(sender, message.echo)
         # A full vector (re)seeds the delta chain; messages without chain
         # metadata (old constructors, forged stale packets) break it, so
         # later compact receipts must re-verify against actual state.
@@ -923,7 +1061,7 @@ class RecSA:
         if sender == self.pid:
             return
         if delta.echo is not None:
-            self.echo[sender] = delta.echo
+            self.echo.store(sender, delta.echo)
         chain = self._gossip_chain.get(sender)
         countdown = self._digest_verify_countdown.get(sender, 1) - 1
         if chain is not None and chain[0] == delta.base_version and countdown > 0:
@@ -952,7 +1090,7 @@ class RecSA:
         if sender == self.pid:
             return
         if message.echo is not None:
-            self.echo[sender] = message.echo
+            self.echo.store(sender, message.echo)
         chain = self._gossip_chain.get(sender)
         countdown = self._digest_verify_countdown.get(sender, 1) - 1
         if (

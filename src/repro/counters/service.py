@@ -173,8 +173,14 @@ class CounterService:
     # ------------------------------------------------------------------
     # Membership / structure management
     # ------------------------------------------------------------------
-    def _current_members(self) -> Optional[Configuration]:
-        config = self.scheme.configuration()
+    def _stable_members(self) -> Optional[Configuration]:
+        """The configuration this processor serves as a member of — ``None``
+        while a reconfiguration is in progress or it is not a member.  The
+        member-side handlers ask once per message."""
+        scheme = self.scheme
+        if not scheme.no_reco():
+            return None
+        config = scheme.configuration()
         if config is None or self.pid not in config:
             return None
         return config
@@ -368,8 +374,8 @@ class CounterService:
     # ------------------------------------------------------------------
     def on_timer(self) -> None:
         """Member gossip plus retransmission of in-flight operation requests."""
-        members = self._current_members()
-        if members is not None and self.scheme.no_reco():
+        members = self._stable_members()
+        if members is not None:
             if self._conf_changed(members):
                 self._rebuild_for(members)
             else:
@@ -429,8 +435,8 @@ class CounterService:
 
     # -- member side -----------------------------------------------------
     def _on_gossip(self, sender: ProcessId, message: CounterGossipMessage) -> None:
-        members = self._current_members()
-        if members is None or not self.scheme.no_reco() or self._conf_changed(members):
+        members = self._stable_members()
+        if members is None or self._conf_changed(members):
             return
         if sender not in members:
             return
@@ -455,7 +461,8 @@ class CounterService:
                 )
 
     def _on_read_request(self, sender: ProcessId, message: MaxReadRequest) -> None:
-        if not self.scheme.no_reco() or self._current_members() is None:
+        members = self._stable_members()
+        if members is None:
             self.send(
                 sender,
                 MaxReadResponse(
@@ -463,8 +470,6 @@ class CounterService:
                 ),
             )
             return
-        members = self._current_members()
-        assert members is not None
         if self._conf_changed(members):
             self._rebuild_for(members)
         counter = self._find_max_counter()
@@ -475,7 +480,8 @@ class CounterService:
         )
 
     def _on_write_request(self, sender: ProcessId, message: MaxWriteRequest) -> None:
-        if not self.scheme.no_reco() or self._current_members() is None:
+        members = self._stable_members()
+        if members is None:
             self.send(
                 sender,
                 MaxWriteResponse(
@@ -483,8 +489,6 @@ class CounterService:
                 ),
             )
             return
-        members = self._current_members()
-        assert members is not None
         if self._conf_changed(members):
             self._rebuild_for(members)
         self._apply_write(message.counter)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections.abc import MutableMapping
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
 from repro.common.types import ProcessId
 
@@ -237,30 +237,46 @@ class NThetaFailureDetector:
         """The set of processors the owner currently trusts (including self).
 
         Cached between heartbeat-vector updates: the computation is pure in
-        ``counts``, so the cache can never observe a stale vector.
+        ``counts``, so the cache can never observe a stale vector.  When a
+        recomputation yields the same set, the *previous frozenset object*
+        is handed back, so callers that memoize on the trusted set (recSA)
+        and comparisons downstream hit identity instead of an O(n)
+        ``frozenset.__eq__`` — which has no identity shortcut of its own.
         """
         if self._trusted_cache_version == self._counts_version:
             return self._trusted_cache
         result = self._compute_trusted()
-        self._trusted_cache = result
+        if result == self._trusted_cache:
+            result = self._trusted_cache
+        else:
+            self._trusted_cache = result
         self._trusted_cache_version = self._counts_version
         return result
 
     def _compute_trusted(self) -> FrozenSet[ProcessId]:
-        ranked = self.ranked()
-        limit = self.estimate_active()
+        """Owner + the ranked prefix before the gap, at most ``N`` in all.
+
+        One sort and one walk.  The sort is by raw count: the shared shift
+        is a constant, so it cannot reorder anything.  The walk is the walk
+        of :meth:`estimate_active` — same thresholds, same running mean —
+        and the prefix it accepts is what gets trusted: while no gap has
+        been met the estimate is always ahead of the prefix length, so the
+        only other stop is the cap ("we can ignore any processors that rank
+        below the Nth vector entry").
+        """
+        shift = self._shift
+        cap = self.upper_bound_n
+        gap_factor = self.gap_factor
+        gap_slack = self.gap_slack
         trusted = {self.pid}
-        reference: Optional[float] = None
-        for index, (pid, count) in enumerate(ranked):
-            if len(trusted) >= min(limit, self.upper_bound_n):
-                # Everything ranked past the estimate is ignored (paper:
-                # "we can ignore any processors that rank below the Nth
-                # vector entry").
+        reference = 0.0
+        for index, (raw, pid) in enumerate(sorted(zip(self._raw.values(), self._raw))):
+            if len(trusted) >= cap:
                 break
-            if reference is None:
+            count = raw + shift
+            if index == 0:
                 reference = float(count)
-            threshold = self.gap_factor * max(reference, 1.0) + self.gap_slack
-            if count > threshold:
+            if count > gap_factor * (reference if reference > 1.0 else 1.0) + gap_slack:
                 break
             trusted.add(pid)
             reference = (reference * index + count) / (index + 1)

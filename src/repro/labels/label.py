@@ -117,9 +117,13 @@ def max_label(labels: Iterable[EpochLabel]) -> Optional[EpochLabel]:
     the greatest deterministic sort key among them is returned so that every
     processor holding the same set picks the same label.
     """
-    candidates: List[EpochLabel] = list(labels)
+    # Equal labels are interchangeable, and in steady state every member
+    # reports the same one: keep the first of each before the O(k^2) scan.
+    candidates: List[EpochLabel] = list(dict.fromkeys(labels))
     if not candidates:
         return None
+    if len(candidates) == 1:
+        return candidates[0]
     maximal = [
         a
         for a in candidates

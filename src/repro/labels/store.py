@@ -50,11 +50,13 @@ class BoundedLabelQueue:
         return len(self._pairs)
 
     def __iter__(self):
-        return iter(list(self._pairs.values()))
+        """The stored pairs, least recent first; a live view — take
+        :meth:`pairs` before a loop that touches the queue."""
+        return iter(self._pairs.values())
 
     def pairs(self) -> List[LabelPair]:
         """Snapshot of the stored pairs (most recent first)."""
-        return list(reversed(list(self._pairs.values())))
+        return list(reversed(self._pairs.values()))
 
     def get(self, label: EpochLabel) -> Optional[LabelPair]:
         """Return the stored pair for *label*, marking it recently used."""
@@ -229,6 +231,8 @@ class LabelStore:
 
         # Line 22: cancel stored labels dominated-by-nothing rivals exist for.
         for creator, queue in self.stored.items():
+            if len(queue) < 2:
+                continue  # a lone pair has no rival
             pairs = queue.pairs()
             for pair in pairs:
                 if not pair.legit:

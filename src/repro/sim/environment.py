@@ -109,7 +109,7 @@ class NetworkEnvironment:
         """Bind the simulator (clock + ``call_at``); done by the simulator.
 
         The simulator object is held directly instead of captured closures so
-        that a deep copy of the graph (snapshot/restore) rebinds the copy's
+        that a copy of the graph (snapshot/restore) rebinds the copy's
         environment to the copy's simulator automatically.
         """
         self._timeline = timeline

@@ -36,21 +36,21 @@ _NEG_INF = float("-inf")
 
 
 class Action:
-    """A deep-copyable scheduled callable: ``fn(*args)``.
+    """A copyable scheduled callable: ``fn(*args)``.
 
-    Snapshot/restore (:mod:`repro.sim.snapshot`) deep-copies the whole
-    simulation graph.  A plain closure in the event queue would survive that
-    copy *unchanged* — functions are copied atomically, so its cells would
-    keep pointing at the **old** graph and a restored run would silently
-    mutate the original cluster.  An ``Action`` instead carries its target
-    objects as instance state: ``deepcopy`` remaps them through the same memo
-    as the rest of the graph, so the restored event fires against the
-    restored objects.
+    Snapshot/restore (:mod:`repro.sim.snapshot`) pickles the whole simulation
+    graph.  A plain closure in the event queue cannot make that trip: pickle
+    refuses it (and ``deepcopy`` would copy it atomically, its cells still
+    pointing at the **old** graph, so a restored run would silently mutate
+    the original cluster).  An ``Action`` instead carries its target objects
+    as instance state: pickle and ``deepcopy`` alike remap them through the
+    same memo as the rest of the graph, so the restored event fires against
+    the restored objects.
 
     ``fn`` must be either (a) a module-level function / function accessed on
     a class (stateless; shared across copies by design) with the stateful
-    targets passed via ``*args``, or (b) a bound method — ``deepcopy``
-    rebinds methods to the copied instance.
+    targets passed via ``*args``, or (b) a bound method — which is rebound
+    to the copied instance.
     """
 
     __slots__ = ("fn", "args")

@@ -76,7 +76,7 @@ class Simulator:
         self._post_step_hooks: List[Callable[["Simulator"], None]] = []
         self._root_rng = make_rng(seed, "simulator")
         #: The transport facade handed to every process context.  One shared
-        #: adapter (not one per process) so snapshot deepcopy rebinds all
+        #: adapter (not one per process) so a snapshot round trip rebinds all
         #: contexts to the restored simulator through a single memo entry.
         self.transport = SimTransport(self)
 

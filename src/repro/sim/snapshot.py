@@ -21,37 +21,54 @@ through ``fork``.
 
 How it works
 ------------
-Capture and restore are structural deep copies of the object graph.  Two
-properties of the codebase make that sound:
+A snapshot *is* its pickle bytes: ``capture`` is one ``dumps`` of the object
+graph, ``restore`` is one ``loads``, and :meth:`SimSnapshot.to_bytes` hands
+out the very bytes it holds — the in-memory warm prefix of a sweep and the
+row in the disk-backed store (:mod:`repro.audit.store`) are the same thing.
+Three properties of the codebase make that sound:
 
 * **No foreign closures in live state.**  Everything the event queue or any
   long-lived structure holds is either a bound method, an
   :class:`~repro.sim.events.Action`, or a small callable object — all of
-  which ``deepcopy`` remaps onto the copied graph.  A plain closure would be
-  shared (functions copy atomically) and would keep mutating the *original*
-  graph; the workload/scheduler/monitor layers are written to never store
-  one (this is enforced by the snapshot determinism tests).
+  which pickle by state and are rebuilt onto the restored graph.  A plain
+  closure does not pickle at all, so one that slips into live state fails
+  the capture (a :class:`~repro.common.errors.SimulationError` naming it)
+  instead of silently mutating the *original* graph from a copy.
+* **Bound methods travel by the attribute they are bound under.**  Pickle
+  reduces a method to ``getattr(instance, function.__name__)``, which is
+  wrong whenever the class attribute and the function's own name differ —
+  any wrapper installed without ``functools.wraps`` (the benchmark's tracing
+  spans are patched in at class level exactly like that).
+  :func:`_reduce_method` looks the function up by identity along the
+  instance's MRO and reduces to the attribute name it finds.
 * **Identity-keyed ledgers are re-keyed.**  Channels track in-flight packets
   in a dict keyed by ``id(packet)`` for O(1) completion; object ids change
-  under deepcopy, so :func:`_rekey_in_flight` rebuilds those ledgers (in
-  order) after every copy.
+  across a round trip, so :func:`_rekey_in_flight` rebuilds those ledgers
+  (in order) after every ``loads``.
 
 Restrictions
 ------------
 * A snapshot must be taken **between events** (never from inside a running
   callback): capture while a handler is mid-flight would miss its pending
   local mutations.
-* Objects reachable from the graph must be deepcopy-able; registered link
+* Objects reachable from the graph must be picklable; registered link
   policies must be pure per pair (the built-ins are frozen dataclasses).
+  A dict subclass that keeps per-instance state needs a class-level default
+  for it: pickle replays the items (``SETITEMS``, through ``__setitem__``)
+  *before* it restores the instance ``__dict__`` (``BUILD``).
+* Only restore trusted bytes — unpickling executes the constructors of
+  whatever it decodes.
 * Wall-clock measurements are obviously not reproduced — only simulated
   state is.
 """
 
 from __future__ import annotations
 
-import copy
+import copyreg
+import io
 import pickle
-from typing import Any
+import types
+from typing import Any, Tuple
 
 from repro.common.errors import SimulationError
 
@@ -74,7 +91,7 @@ def _find_simulator(subject: Any) -> Any:
 def _rekey_in_flight(simulator: Any) -> None:
     """Rebuild every channel's identity-keyed in-flight ledger.
 
-    The ledger maps ``id(packet) -> packet``; after a deep copy the values
+    The ledger maps ``id(packet) -> packet``; after a round trip the values
     are fresh objects while the keys still hold the *original* ids, so a
     delivery completing on the copy would miss the ledger and corrupt the
     capacity accounting.  Rebuilding preserves insertion order, which is the
@@ -86,6 +103,43 @@ def _rekey_in_flight(simulator: Any) -> None:
             channel._in_flight = {id(packet): packet for packet in in_flight.values()}
 
 
+def _reduce_method(method: types.MethodType) -> Tuple[Any, Tuple[Any, str]]:
+    """Reduce a bound method to ``getattr(instance, <attribute it is bound under>)``.
+
+    Pickle's own reduction uses ``method.__func__.__name__``, which is the
+    attribute name only as long as nobody replaced the class attribute with
+    a differently-named wrapper.  The name is found by identity along the
+    instance's MRO; a method that is not a class attribute at all keeps
+    pickle's default.
+    """
+    function, instance = method.__func__, method.__self__
+    for klass in type(instance).__mro__:
+        for name, value in vars(klass).items():
+            if value is function:
+                return getattr, (instance, name)
+    return getattr, (instance, function.__name__)
+
+
+def _dumps(subject: Any) -> bytes:
+    """Pickle *subject* with bound methods reduced by :func:`_reduce_method`.
+
+    A ``dispatch_table`` entry (not ``reducer_override``, which is a Python
+    call per pickled object) keeps the C pickler at full speed: the reducer
+    runs only for the few hundred bound methods of a graph.
+    """
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+    pickler.dispatch_table = {**copyreg.dispatch_table, types.MethodType: _reduce_method}
+    try:
+        pickler.dump(subject)
+    except (pickle.PicklingError, TypeError, AttributeError) as error:
+        raise SimulationError(
+            f"cannot snapshot {type(subject).__name__!r}: its object graph "
+            f"is not picklable ({error})"
+        ) from error
+    return buffer.getvalue()
+
+
 class SimSnapshot:
     """An immutable, restorable copy of a simulation's complete state.
 
@@ -94,54 +148,44 @@ class SimSnapshot:
     :class:`~repro.scenarios.runner.ScenarioRun` (the most useful unit: it
     carries the monitor/tracker hooks and the phase machine's resume state
     along with the cluster).  Each ``restore()`` yields an independent copy;
-    the snapshot itself is never handed out, so it can fan out any number of
-    runs.
+    the snapshot holds only bytes, so it can fan out any number of runs and
+    cross process and machine boundaries as it is.
     """
 
-    def __init__(self, state: Any) -> None:
-        self._state = state
+    def __init__(self, blob: bytes) -> None:
+        self._blob = blob
         self._restores = 0
 
     @classmethod
     def capture(cls, subject: Any) -> "SimSnapshot":
-        """Deep-copy *subject* into a new snapshot (the original keeps running)."""
-        state = copy.deepcopy(subject)
-        _rekey_in_flight(_find_simulator(state))
-        return cls(state)
+        """Pickle *subject* into a new snapshot (the original keeps running)."""
+        _find_simulator(subject)
+        return cls(_dumps(subject))
 
     def restore(self) -> Any:
         """Return a fresh, fully independent copy of the captured state."""
-        restored = copy.deepcopy(self._state)
+        restored = pickle.loads(self._blob)
         _rekey_in_flight(_find_simulator(restored))
         self._restores += 1
         return restored
 
     def to_bytes(self) -> bytes:
-        """Serialize the captured state for disk/wire transport.
+        """The captured bytes, for disk/wire transport.
 
-        Pickle works here for the same reason ``deepcopy`` does: the live
-        graph holds no closures (only bound methods, module-level functions
-        and :class:`~repro.sim.events.Action` values, all of which pickle by
-        reference or by state).  The persistent sweep cache
-        (:mod:`repro.audit.store`) stores these bytes keyed by a
-        content-addressed prefix fingerprint, which is what lets warm
-        prefixes finally cross process and machine boundaries.
+        The persistent sweep cache (:mod:`repro.audit.store`) stores these
+        bytes keyed by a content-addressed prefix fingerprint, which is what
+        lets warm prefixes cross process and machine boundaries.
         """
-        return pickle.dumps(self._state, protocol=pickle.HIGHEST_PROTOCOL)
+        return self._blob
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "SimSnapshot":
         """Rebuild a snapshot from :meth:`to_bytes` output.
 
-        Unpickling allocates fresh objects, so the identity-keyed channel
-        ledgers are re-keyed exactly as after a deep copy; a restored
-        continuation is byte-identical to a cold run (pinned by the
-        test-suite).  Only feed this trusted bytes — pickle executes the
-        constructors of whatever it decodes.
+        Nothing is decoded until :meth:`restore`.  Only feed this trusted
+        bytes — pickle executes the constructors of whatever it decodes.
         """
-        state = pickle.loads(blob)
-        _rekey_in_flight(_find_simulator(state))
-        return cls(state)
+        return cls(blob)
 
     @property
     def restores(self) -> int:
@@ -151,13 +195,10 @@ class SimSnapshot:
     @property
     def now(self) -> float:
         """The simulated instant the snapshot was captured at."""
-        return _find_simulator(self._state).now
+        return _find_simulator(pickle.loads(self._blob)).now
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SimSnapshot(at={self.now:g}, of={type(self._state).__name__}, "
-            f"restores={self._restores})"
-        )
+        return f"SimSnapshot({len(self._blob)} bytes, restores={self._restores})"
 
 
 def snapshot(subject: Any) -> SimSnapshot:

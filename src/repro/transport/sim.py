@@ -9,8 +9,8 @@ audit warm-prefix paths all run through it
 unmodified, which the trajectory-guard tests pin (bootstrap_n16 at seed 89
 must keep its 1794 executed events / 1726 deliveries exactly).
 
-Deep-copy note: the adapter holds only the simulator reference, so
-``SimSnapshot``'s deepcopy carries it through the same memo as the simulator
+Snapshot note: the adapter holds only the simulator reference, so a
+``SimSnapshot`` round trip carries it through the same memo as the simulator
 itself — a restored snapshot's contexts point at the restored simulator's
 transport, never the live one.
 """

@@ -10,6 +10,8 @@ harness with reproducer shrinking.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.analysis import probes
@@ -22,6 +24,7 @@ from repro.audit.arbitrary_state import (
 )
 from repro.audit.harness import AuditCase, build_cases, certify, run_case, shrink_case
 from repro.audit.schedulers import available_schedulers, get_scheduler
+from repro.audit.store import report_bytes
 from repro.scenarios import ArbitraryStateWorkload, ScenarioSpec, run_scenario
 from repro.scenarios.runner import _unfinished_jobs, prepare
 from repro.sim.cluster import build_cluster
@@ -360,6 +363,21 @@ class TestAuditHarness:
         assert first["statistics"] == second["statistics"]
         assert first["convergence"] == second["convergence"]
         assert first["probes"] == second["probes"]
+
+    def test_audit_path_trajectory_pin(self):
+        """The audit path's 1794/1726: every verdict, stabilization time,
+        invariant interval and corruption report of the benchmark's matrix
+        (8 schedulers x 4 corruptions, n=8, simulator seed 89, warm prefix
+        snapshots), as one digest.  Computed on the commit *before* recSA's
+        verdict memo, the one-pass failure detector and byte snapshots; it
+        moves only when a trajectory does, and then the PR says why."""
+        cases = build_cases(corruption_seeds=range(4), n=8)
+        report = certify(cases, seeds=[89], workers=1, reuse_prefix=True, store=None)
+        assert report["certified"], report["failed"]
+        assert report["meta"]["prefix_reuse"]["warm_runs"] == 32
+        assert hashlib.sha256(report_bytes(report)).hexdigest() == (
+            "e674463240c5960422d704c6f57ec52990a47e6244c3f6d5977d3e93ccb71738"
+        )
 
     def test_certify_sweep_all_schedulers(self):
         cases = build_cases(corruption_seeds=[0])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.datalink.heartbeat import HeartbeatService
 from repro.datalink.token_exchange import DataLinkMessage, LinkEndpoint, LinkState, TokenExchangeLink
@@ -215,3 +216,94 @@ class TestNThetaFailureDetector:
         assert 2 in view
         assert len(view) == 2
         assert list(view) == [1, 2]
+
+
+def _two_walk_trusted(fd: NThetaFailureDetector) -> frozenset:
+    """The reference ``_compute_trusted`` replaced: rank, walk once for the
+    estimate (``estimate_active``), walk again for the admitted prefix."""
+    ranked = fd.ranked()
+    limit = fd.estimate_active()
+    trusted = {fd.pid}
+    reference = None
+    for index, (pid, count) in enumerate(ranked):
+        if len(trusted) >= min(limit, fd.upper_bound_n):
+            break
+        if reference is None:
+            reference = float(count)
+        threshold = fd.gap_factor * max(reference, 1.0) + fd.gap_slack
+        if count > threshold:
+            break
+        trusted.add(pid)
+        reference = (reference * index + count) / (index + 1)
+    return frozenset(trusted)
+
+
+class TestOnePassTrusted:
+    """``_compute_trusted`` is one sort and one walk; the two-walk version it
+    replaced is kept here as the reference."""
+
+    @given(
+        counts=st.dictionaries(
+            # Includes the owner's own pid (1): a corrupted vector may hold it.
+            st.integers(min_value=0, max_value=12),
+            # Small range for ties, negatives for corrupted counts, large
+            # values for gaps.
+            st.one_of(
+                st.integers(min_value=-40, max_value=40),
+                st.integers(min_value=-10_000, max_value=10_000),
+            ),
+            max_size=12,
+        ),
+        shift=st.integers(min_value=-500, max_value=500),
+        upper_bound_n=st.integers(min_value=0, max_value=14),
+        gap_factor=st.sampled_from([1.0, 2.0, 4.0]),
+        gap_slack=st.sampled_from([0, 4, 16, 256]),
+    )
+    def test_equals_the_two_walk_reference(
+        self, counts, shift, upper_bound_n, gap_factor, gap_slack
+    ):
+        fd = NThetaFailureDetector(
+            pid=1, upper_bound_n=upper_bound_n, gap_factor=gap_factor, gap_slack=gap_slack
+        )
+        fd._shift = shift
+        for pid, count in counts.items():
+            fd.counts[pid] = count
+        assert fd.snapshot_counts() == counts
+        expected = _two_walk_trusted(fd)
+        assert fd._compute_trusted() == expected
+        fd._counts_version += 1
+        assert fd.trusted() == expected
+
+    @given(
+        beats=st.lists(st.integers(min_value=2, max_value=6), min_size=1, max_size=60),
+        upper_bound_n=st.integers(min_value=1, max_value=8),
+    )
+    def test_heartbeat_sequences_equal_the_reference_and_keep_the_object(
+        self, beats, upper_bound_n
+    ):
+        fd = NThetaFailureDetector(pid=1, upper_bound_n=upper_bound_n, gap_factor=2.0, gap_slack=2)
+        previous = fd.trusted()
+        for sender in beats:
+            fd.heartbeat(sender)
+            current = fd.trusted()
+            assert current == _two_walk_trusted(fd)
+            # Same set => the very same frozenset object, so memo keys and
+            # comparisons downstream hit identity.
+            assert (current is previous) == (current == previous)
+            previous = current
+
+    def test_unchanged_set_is_the_identical_object(self):
+        fd = NThetaFailureDetector(pid=1, upper_bound_n=10)
+        for _ in range(3):
+            for peer in (2, 3, 4):
+                fd.heartbeat(peer)
+        held = fd.trusted()
+        for _ in range(10):
+            for peer in (2, 3, 4):
+                version = fd._counts_version
+                fd.heartbeat(peer)
+                assert fd._counts_version > version  # the vector did move
+                assert fd.trusted() is held
+        # Pitfall this guards: ``frozenset.__eq__`` has no identity shortcut
+        # (``a == a`` walks the set), so callers compare ``a is b or a == b``
+        # and the detector makes the first half hit.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.types import Phase, Proposal, is_majority, majority_size, make_config
@@ -9,10 +10,12 @@ from repro.core.quorum import MajorityQuorumSystem
 from repro.counters.counter import Counter, counter_less_than
 from repro.labels.label import (
     EpochLabel,
+    LabelPair,
     label_less_than,
     max_label,
     next_label,
 )
+from repro.labels.store import LabelStore
 from repro.sim.events import EventQueue
 
 
@@ -99,6 +102,148 @@ class TestLabelProperties:
             if label.creator == creator:
                 assert label_less_than(label, fresh)
             assert not label_less_than(fresh, label) or label.creator > creator
+
+
+# -- the receipt action and label election, against the versions replaced ----
+def _reference_max_label(candidates):
+    """``max_label`` before it deduplicated: O(k^2) over every copy."""
+    candidates = list(candidates)
+    if not candidates:
+        return None
+    maximal = [
+        a for a in candidates if not any(label_less_than(a, b) for b in candidates if b != a)
+    ]
+    return max(maximal, key=lambda lbl: lbl.sort_key())
+
+
+class _ReferenceLabelStore(LabelStore):
+    """``LabelStore`` with the receipt action as it was: the rival scan walks
+    every queue (also those holding a single pair), every queue walk copies
+    the queue first, and the election runs the quadratic ``max_label``."""
+
+    def receipt_action(self, sent_max, last_sent, sender):
+        if sender in self.max_pairs:
+            self.max_pairs[sender] = self.clean_pair(sent_max)
+        own = self.own_max()
+        if (
+            last_sent is not None
+            and not last_sent.legit
+            and own is not None
+            and own.ml == last_sent.ml
+        ):
+            self.max_pairs[self.owner] = last_sent
+        if any(
+            pair.ml.creator != creator
+            for creator, queue in self.stored.items()
+            for pair in list(queue._pairs.values())
+        ):
+            self.empty_all_queues()
+        for pair in self.max_pairs.values():
+            if pair is None:
+                continue
+            queue = self.stored.get(pair.ml.creator)
+            if queue is None:
+                continue
+            if queue.get(pair.ml) is None:
+                queue.add(pair)
+        for creator, queue in self.stored.items():
+            pairs = list(reversed(list(queue._pairs.values())))
+            for pair in pairs:
+                if not pair.legit:
+                    continue
+                for rival in pairs:
+                    if rival.ml == pair.ml:
+                        continue
+                    if not label_less_than(rival.ml, pair.ml):
+                        queue.replace(pair.cancel(rival.ml))
+                        break
+        for member, pair in list(self.max_pairs.items()):
+            if pair is None:
+                continue
+            queue = self.stored.get(pair.ml.creator)
+            if queue is None:
+                continue
+            stored = queue.get(pair.ml)
+            if stored is None:
+                continue
+            if not pair.legit and stored.legit:
+                queue.replace(pair)
+            elif pair.legit and not stored.legit:
+                self.max_pairs[member] = stored
+        legit = self.legit_labels()
+        if legit:
+            self.max_pairs[self.owner] = LabelPair(ml=_reference_max_label(legit), cl=None)
+        else:
+            self._use_own_label()
+        return self.own_max()
+
+
+def _store_state(store: LabelStore):
+    return (
+        store.max_pairs,
+        # Queue order is behaviour: it decides eviction and rival order.
+        {creator: list(queue._pairs.items()) for creator, queue in store.stored.items()},
+        store.labels_created,
+        store.queue_flushes,
+    )
+
+
+#: A small label space, so that equal labels, same-creator rivals, cancelled
+#: pairs and pairs by a creator outside the configuration (9) all collide.
+_exchange_labels = st.builds(
+    EpochLabel,
+    creator=st.sampled_from([1, 2, 3, 9]),
+    sting=st.integers(min_value=0, max_value=4),
+    antistings=st.frozensets(st.integers(min_value=0, max_value=4), max_size=3),
+)
+_exchange_pairs = st.one_of(
+    st.none(),
+    st.builds(LabelPair, ml=_exchange_labels, cl=st.one_of(st.none(), _exchange_labels)),
+)
+_exchanges = st.lists(
+    st.tuples(
+        _exchange_pairs,
+        _exchange_pairs,
+        st.sampled_from([1, 2, 3, 9]),
+        # Now and then a transient fault files a pair in member 2's queue,
+        # whoever created it (staleInfo() must flush in both versions).
+        st.one_of(st.none(), st.none(), st.none(), _exchange_pairs),
+    ),
+    max_size=25,
+)
+
+
+class TestLabelElectionEquivalence:
+    @given(st.lists(labels, max_size=8), st.data())
+    def test_max_label_equals_the_quadratic_reference(self, known, data):
+        # Steady state is many copies of few labels: repeat some.
+        copies = data.draw(st.lists(st.sampled_from(known), max_size=8)) if known else []
+        candidates = known + copies
+        try:
+            expected = _reference_max_label(candidates)
+        except ValueError:  # a cycle under the partial order: no maximal element
+            with pytest.raises(ValueError):
+                max_label(candidates)
+            return
+        chosen = max_label(candidates)
+        assert chosen == expected
+        assert chosen is expected  # the same copy, not merely an equal one
+
+    @given(_exchanges)
+    def test_receipt_action_equals_the_reference_on_random_exchanges(self, exchanges):
+        new = LabelStore(owner=1, members=[1, 2, 3], in_transit_bound=2)
+        old = _ReferenceLabelStore(owner=1, members=[1, 2, 3], in_transit_bound=2)
+        for sent_max, last_sent, sender, misfiled in exchanges:
+            outcomes = []
+            for store in (new, old):
+                if misfiled is not None:
+                    store.stored[2].add(misfiled)
+                try:
+                    outcomes.append(store.receipt_action(sent_max, last_sent, sender))
+                except ValueError:  # an election over a cycle of labels
+                    outcomes.append(ValueError)
+            assert outcomes[0] == outcomes[1]
+            assert _store_state(new) == _store_state(old)
 
 
 counters = st.builds(

@@ -7,8 +7,12 @@ cluster (unreliable channels, failure detectors, the works).
 
 from __future__ import annotations
 
+import pickle
+import random
+
 import pytest
 
+from repro.audit.arbitrary_state import apply_plan, generate_plan
 from repro.common.types import (
     BOTTOM,
     DEFAULT_PROPOSAL,
@@ -17,7 +21,10 @@ from repro.common.types import (
     Proposal,
     make_config,
 )
+from repro.core.joining import JoinRequest
+from repro.core.recsa import EchoTriple, RecSA, RecSAMessage, ReplicatedMap
 from repro.core.stale import StaleInfoType, classify_stale_information
+from repro.sim.config import ClusterConfig
 from repro.workloads.corruption import corrupt_recsa_state, scramble_cluster
 
 from tests.conftest import RecSAHarness, quick_cluster
@@ -359,3 +366,211 @@ class TestChangeDetectedGossip:
             cluster.run(until=cluster.simulator.now + 100)
             delivered[refresh] = cluster.statistics()["delivered_messages"]
         assert delivered[5] < delivered[1]
+
+
+# ---------------------------------------------------------------------------
+# Derived verdicts: the memo behind noReco()/getConfig()/FD[i].part
+# ---------------------------------------------------------------------------
+def _underived(recsa: RecSA):
+    """``(no_reco, get_config, participants)`` from the un-memoized bodies.
+
+    Derived with the memo set aside, so nothing the oracle computes comes
+    from — or leaks into — the memo under test.
+    """
+    saved, recsa._memo = recsa._memo, {}
+    try:
+        trusted = recsa.trusted()
+        stable = recsa._derive_no_reco(trusted)
+        config = (
+            recsa._derive_chs_config(trusted)
+            if stable
+            else recsa.config.get(recsa.pid, NOT_PARTICIPANT)
+        )
+        return stable, config, recsa._derive_participants(trusted)
+    finally:
+        recsa._memo = saved
+
+
+def _assert_memo_agrees(cluster, after: str) -> None:
+    for node in cluster.nodes.values():
+        recsa = node.recsa
+        expected = _underived(recsa)
+        answered = (recsa.no_reco(), recsa.get_config(), recsa.participants())
+        assert answered == expected, (
+            f"memoized verdicts of node {node.pid} diverged from the "
+            f"un-memoized bodies after {after} at t={cluster.simulator.now}"
+        )
+        # Asking again (now certainly from the memo) changes nothing — nor
+        # does asking about another trusted set in between: the set is part
+        # of the key.
+        other = frozenset(pid for pid in cluster.nodes if pid % 2)
+        assert recsa.participants(other) == recsa._derive_participants(other)
+        assert (recsa.no_reco(), recsa.get_config(), recsa.participants()) == expected
+
+
+class TestDerivedVerdictMemo:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_walk_agrees_with_unmemoized_bodies(self, seed):
+        """Oracle style (cf. ``conftest.oracle_checked``): after *every*
+        operation of a seeded walk over everything that can move a verdict —
+        simulator events (``step``/``on_message``, and ``on_delta``/
+        ``on_digest`` on odd seeds), the interface calls, received forgeries,
+        the joining hook and both corruption surfaces — the memoized answers
+        equal the bodies they memoize."""
+        rng = random.Random(seed)
+        cluster = quick_cluster(
+            5, seed=seed, config=ClusterConfig(gossip_deltas=bool(seed % 2))
+        )
+        universe = sorted(cluster.nodes)
+        simulator = cluster.simulator
+
+        def a_view():
+            return frozenset(rng.sample(universe, rng.randint(0, len(universe))))
+
+        def a_proposal():
+            members = None if rng.random() < 0.3 else a_view()
+            return Proposal(phase=Phase(rng.choice([0, 1, 2])), members=members)
+
+        def a_config_value():
+            return rng.choice([BOTTOM, NOT_PARTICIPANT, frozenset(), a_view()])
+
+        def forged_message(recsa):
+            sender = rng.choice(universe)
+            echo = None
+            if rng.random() < 0.5:
+                echo = EchoTriple(part=a_view(), prp=a_proposal(), all_flag=rng.random() < 0.5)
+            recsa.on_message(
+                sender,
+                RecSAMessage(
+                    sender=sender,
+                    fd=a_view(),
+                    part=a_view(),
+                    config=a_config_value(),
+                    prp=a_proposal(),
+                    all_flag=rng.random() < 0.5,
+                    echo=echo,
+                ),
+            )
+
+        operations = {
+            "event": lambda node: simulator.step(),
+            "estab": lambda node: node.recsa.estab(a_view()),
+            "participate": lambda node: node.recsa.participate(),
+            "config_set": lambda node: node.recsa.config_set(a_config_value()),
+            "forged on_message": lambda node: forged_message(node.recsa),
+            "join request": lambda node: node.scheme.on_message(
+                rng.choice(universe), JoinRequest(sender=rng.choice(universe))
+            ),
+            "corrupt_recsa_state": lambda node: corrupt_recsa_state(
+                node, universe, seed=rng.randrange(1 << 16)
+            ),
+            "apply_plan": lambda node: apply_plan(
+                cluster, generate_plan(cluster, seed=rng.randrange(1 << 16))
+            ),
+        }
+        # Mostly events (the protocol must get to run between faults).
+        names = ["event"] * 24 + [name for name in operations if name != "event"]
+        for _ in range(700):
+            name = rng.choice(names)
+            operations[name](cluster.nodes[rng.choice(universe)])
+            _assert_memo_agrees(cluster, after=name)
+
+    def test_planted_memo_is_gone_after_one_step(self):
+        """The memo is state a transient fault can hit: a wrong verdict
+        planted under a *valid* key survives queries, but not an iteration."""
+        harness = RecSAHarness([1, 2, 3], initial_config=make_config([1, 2, 3]))
+        harness.round(6)
+        recsa = harness[1]
+        assert recsa.no_reco() is True
+        recsa._memo["no_reco"] = False
+        recsa._memo["chs_config"] = make_config([7])
+        recsa._memo["participants"] = frozenset({9})
+        assert recsa.no_reco() is False  # the fault is visible ...
+        recsa.step()
+        assert recsa.no_reco() is True  # ... for at most one iteration
+        assert recsa.get_config() == make_config([1, 2, 3])
+        assert recsa.participants() == frozenset({1, 2, 3})
+
+    def test_queries_on_an_unchanged_detector_write_nothing(self):
+        """A read that writes would defeat the memo it is the key of."""
+        cluster = quick_cluster(4, seed=5)
+        assert cluster.run_until_converged(timeout=800)
+        recsa = cluster.nodes[0].recsa
+        maps = (recsa.config, recsa.fd, recsa.part, recsa.prp, recsa.all_flags, recsa.echo)
+        recsa.trusted()
+        before = [m.writes for m in maps]
+        held = recsa.fd[0]
+        for _ in range(3):
+            assert recsa.trusted() is held
+            recsa.no_reco(), recsa.get_config(), recsa.participants(), recsa.chs_config()
+        assert [m.writes for m in maps] == before
+        assert recsa.fd[0] is held
+
+    def test_every_mutator_counts_and_store_counts_changes_only(self):
+        m = ReplicatedMap()
+        seen = [m.writes]
+
+        def counted() -> bool:
+            seen.append(m.writes)
+            return seen[-1] > seen[-2]
+
+        m[1] = "a"
+        assert counted()
+        m.update({2: "b"})
+        assert counted()
+        m |= {3: "c"}
+        assert counted() and isinstance(m, ReplicatedMap)
+        m.setdefault(4, "d")
+        assert counted()
+        m.pop(4)
+        assert counted()
+        m.pop(4, None)
+        assert counted()  # running ahead is allowed; falling behind is not
+        del m[3]
+        assert counted()
+        m.popitem()
+        assert counted()
+        m.clear()
+        assert counted()
+
+        value = frozenset({1, 2})
+        m.store(1, value)
+        assert counted()
+        m.store(1, value)
+        assert not counted()
+        twin = frozenset({1, 2})
+        m.store(1, twin)  # equal value, new object: stored, not counted
+        assert not counted() and m[1] is twin
+        m.store(1, frozenset({1}))
+        assert counted()
+        m.store(2, None)  # an absent key is a change even for None
+        assert counted() and 2 in m
+
+    def test_write_count_survives_pickle(self):
+        """Pickle replays a dict subclass's items (``SETITEMS``, through
+        ``__setitem__``) *before* it restores the instance ``__dict__``
+        (``BUILD``): the counter must have a class-level default to count
+        from, and the restored count is the captured one."""
+        m = ReplicatedMap()
+        for key in range(5):
+            m[key] = key
+        m.pop(0)
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            clone = pickle.loads(pickle.dumps(m, protocol=protocol))
+            assert type(clone) is ReplicatedMap
+            assert dict(clone) == dict(m) and clone.writes == m.writes == 6
+        assert "writes" not in vars(ReplicatedMap()) and ReplicatedMap().writes == 0
+        assert pickle.loads(pickle.dumps(ReplicatedMap())).writes == 0
+
+    def test_broadcast_builds_an_echo_only_when_one_goes_out(self):
+        """Skipped peers cost no ``EchoTriple``; a repeated echo is the same
+        object, so the receiver's store compares by identity."""
+        harness = RecSAHarness([1, 2, 3], initial_config=make_config([1, 2, 3]))
+        harness.round(6)
+        held = {p: dict(harness[p].echo) for p in harness.pids}
+        skipped = sum(harness[p].broadcasts_skipped for p in harness.pids)
+        harness.round(harness[1].gossip_refresh_interval * 2)
+        assert sum(harness[p].broadcasts_skipped for p in harness.pids) > skipped
+        for p in harness.pids:
+            for peer, echo in harness[p].echo.items():
+                assert echo is held[p][peer]

@@ -34,6 +34,8 @@ from repro.scenarios import (
     run_matrix,
     run_scenario,
 )
+from repro.common.errors import SimulationError
+from repro.failure_detector.ntheta import NThetaFailureDetector
 from repro.sim.cluster import build_cluster
 from repro.sim.events import Action
 from repro.sim.network import ChannelConfig
@@ -188,6 +190,68 @@ class TestSnapshotDeterminism:
         assert chan_net.total_in_flight() == sum(
             channel.occupancy() for channel in chan_net.channels()
         )
+
+
+# ---------------------------------------------------------------------------
+# A snapshot is its pickle bytes
+# ---------------------------------------------------------------------------
+class TestByteSnapshots:
+    def test_to_bytes_is_the_captured_bytes(self):
+        run = prepare(_snapshot_spec("bare"), seed=0)
+        drive(run, stop_before=20.0)
+        snapshot = SimSnapshot.capture(run)
+        blob = snapshot.to_bytes()
+        assert isinstance(blob, bytes)
+        assert snapshot.to_bytes() is blob  # held, not re-serialized
+        snapshot.restore()
+        assert snapshot.to_bytes() is blob  # restoring decodes, never rewrites
+        assert SimSnapshot.from_bytes(blob).to_bytes() == blob
+        assert SimSnapshot.from_bytes(blob).now == run.cluster.simulator.now
+
+    def test_method_wrapped_under_another_name_survives_the_round_trip(self, monkeypatch):
+        """A class-level wrapper installed without ``functools.wraps`` (the
+        benchmark's tracing spans) gives every bound method it produces the
+        wrapper's ``__name__``; pickle's own reduction would look that name
+        up on the instance and fail to restore the heartbeat listener."""
+        spec = _snapshot_spec("bare")
+        cold = run_scenario(spec, seed=2)
+
+        calls = []
+        original = NThetaFailureDetector.heartbeat
+
+        def traced(self, sender):
+            calls.append(sender)
+            return original(self, sender)
+
+        # Installed before the cluster is built, as the spans are: the
+        # listener captured at wiring time is a bound ``traced``.
+        monkeypatch.setattr(NThetaFailureDetector, "heartbeat", traced)
+        run = prepare(spec, seed=2)
+        assert not drive(run, stop_before=20.0)
+        listeners = run.cluster.nodes[0].heartbeat._heartbeat_listeners
+        assert [listener.__func__.__name__ for listener in listeners] == ["traced"]
+
+        blob = SimSnapshot.capture(run).to_bytes()
+        restored = SimSnapshot.from_bytes(blob).restore()
+        node = restored.cluster.nodes[0]
+        (listener,) = node.heartbeat._heartbeat_listeners
+        assert listener.__self__ is node.failure_detector
+        assert listener.__func__ is traced
+        before = len(calls)
+        drive(restored)
+        assert len(calls) > before  # the restored graph still runs the wrapper
+        assert _strip_wall(finalize(restored)) == _strip_wall(cold)
+
+    def test_unpicklable_subject_raises_simulation_error_naming_it(self):
+        cluster = build_cluster(n=3, seed=0)
+        cluster.simulator.call_at(1.0, lambda: None, label="a closure in live state")
+        with pytest.raises(SimulationError) as caught:
+            SimSnapshot.capture(cluster)
+        assert "Cluster" in str(caught.value) and "lambda" in str(caught.value)
+
+    def test_capture_rejects_a_subject_without_a_simulator(self):
+        with pytest.raises(SimulationError):
+            SimSnapshot.capture({"not": "a simulation"})
 
 
 # ---------------------------------------------------------------------------

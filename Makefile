@@ -73,9 +73,13 @@ bench-pytest:
 scenarios:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.scenarios --seeds 0:4 --workers 4
 
-# CI gate: every registered scenario once, seed 0, nonzero exit on failure.
+# CI gate: every registered scenario once, seed 0, nonzero exit on failure;
+# then the three examples, each of which ends by asserting what it claims.
 scenarios-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.scenarios --smoke
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/quickstart.py
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/replicated_state_machine.py
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/shared_storage_under_churn.py
 
 # Adversarial audit matrix: static schedulers x 2 corruption seeds + the
 # dynamic adversaries + SMR-stack cases with smr_agreement armed + two
@@ -132,8 +136,8 @@ audit-n128-baseline:
 audit-n512-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.audit --scale-smoke 512 --output AUDIT_n512_smoke.json
 
-# Stabilization-time distributions across corruption intensity (light/
-# default/heavy CorruptionProfile grid).
+# Stabilization-time distributions per named CorruptionProfile (every entry
+# of repro.audit.arbitrary_state.PROFILES unless --profiles narrows it).
 audit-profile-grid:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.audit --profile-grid --workers 4 --seeds 0:2 --output AUDIT_profile_grid.json
 

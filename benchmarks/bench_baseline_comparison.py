@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.audit.arbitrary_state import apply_plan, generate_plan
 from repro.baselines.coherent_start import CoherentStartNode
 from repro.common.types import make_config
 from repro.sim.simulator import Simulator
-from repro.workloads.corruption import scramble_cluster
 
 from conftest import bench_cluster, record
 
@@ -21,7 +21,7 @@ from conftest import bench_cluster, record
 def _scheme_under_faults(n: int, seed: int) -> dict:
     cluster = bench_cluster(n, seed=seed)
     assert cluster.run_until_converged(timeout=4_000)
-    scramble_cluster(cluster, seed=seed + 1)
+    apply_plan(cluster, generate_plan(cluster, seed=seed + 1, profile="scramble"))
     recovered = cluster.run_until_converged(timeout=10_000)
     return {
         "system": "self-stabilizing",

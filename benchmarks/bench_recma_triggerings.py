@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.workloads.corruption import corrupt_recma_flags, stuff_stale_recma_packets
+from repro.audit.arbitrary_state import apply_plan
+from repro.core.recma import RecMAMessage
+from repro.sim.faults import CorruptionAtom
 
 from conftest import bench_cluster, record
 
@@ -18,11 +20,24 @@ def _spurious_triggerings(n: int, capacity: int, seed: int) -> dict:
     cluster = bench_cluster(n, seed=seed, capacity=capacity)
     assert cluster.run_until_converged(timeout=4_000)
     universe = list(range(n))
-    for node in cluster.nodes.values():
-        corrupt_recma_flags(node, universe, seed=seed)
-    stuffed = 0
-    for target in range(n):
-        stuffed += stuff_stale_recma_packets(cluster, target=target, count=capacity, seed=seed)
+    # Every noMaj/needReconf flag at every node set ...
+    flags = [
+        CorruptionAtom(kind="entry", pid=pid, path=("recma", flag), key=other, value=True)
+        for pid in universe
+        for other in universe
+        for flag in ("no_maj", "need_reconf")
+    ]
+    apply_plan(cluster, flags)
+    # ... and *capacity* stale all-True flag packets toward every node, the
+    # senders taken in turn (the channels bound what is accepted).
+    stale = []
+    for target in universe:
+        senders = [pid for pid in universe if pid != target]
+        for index in range(capacity):
+            sender = senders[index % len(senders)]
+            message = RecMAMessage(sender=sender, no_maj=True, need_reconf=True)
+            stale.append(CorruptionAtom(kind="channel", pid=sender, key=target, value=message))
+    stuffed = apply_plan(cluster, stale)["applied"]
     cluster.run(until=cluster.simulator.now + 400)
     triggers = sum(node.recma.trigger_count for node in cluster.nodes.values())
     settled = cluster.run_until_converged(timeout=6_000)

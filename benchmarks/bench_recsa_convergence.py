@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.workloads.corruption import scramble_cluster
+from repro.audit.arbitrary_state import apply_plan, generate_plan
 
 from conftest import bench_cluster, record
 
@@ -30,7 +30,7 @@ def _converge_from_scramble(n: int, seed: int) -> dict:
     cluster = bench_cluster(n, seed=seed)
     assert cluster.run_until_converged(timeout=4_000)
     start = cluster.simulator.now
-    scramble_cluster(cluster, seed=seed + 1)
+    apply_plan(cluster, generate_plan(cluster, seed=seed + 1, profile="scramble"))
     converged = cluster.run_until_converged(timeout=20_000)
     return {
         "n": n,

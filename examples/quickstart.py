@@ -62,6 +62,11 @@ def main() -> None:
           f"{ {name: entry['satisfied'] for name, entry in result['probes'].items()} }")
     print("explore more with: python -m repro.scenarios --list")
 
+    # What the example claims, checked (``make scenarios-smoke`` runs it).
+    assert converged and joiner.scheme.is_participant()
+    assert recovered and new_config and not set(victims) & new_config
+    assert result["ok"]
+
 
 if __name__ == "__main__":
     main()

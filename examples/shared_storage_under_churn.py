@@ -18,10 +18,12 @@ Run with::
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro import build_cluster, fast_sim
 from repro.analysis import probes
 from repro.analysis.probes import wait_for
-from repro.workloads.corruption import scramble_cluster
+from repro.audit.arbitrary_state import PROFILES, apply_plan, generate_plan
 
 
 def main() -> None:
@@ -44,7 +46,8 @@ def main() -> None:
 
     print("\n== crash of a replica + a transient fault ==")
     cluster.crash(1)
-    scramble_cluster(cluster, seed=13, fraction=0.4)
+    fault = replace(PROFILES["scramble"], node_fraction=0.4)
+    apply_plan(cluster, generate_plan(cluster, seed=13, profile=fault))
     cluster.run_until_converged(timeout=10_000)
     wait_for(cluster, probes.view_installed(12_000))
     alive = [pid for pid in cluster.nodes if not cluster.nodes[pid].crashed]
@@ -61,6 +64,11 @@ def main() -> None:
     agreement = wait_for(cluster, probes.register_agreement(2_000))
     print("histories identical (register consistency preserved):",
           agreement.satisfied)
+
+    # What the example claims, checked (``make scenarios-smoke`` runs it).
+    assert all(registers[pid].read() == "v3-after-recovery" for pid in alive)
+    assert not any(registers[pid].pending_writes() for pid in alive)
+    assert agreement.satisfied
 
 
 if __name__ == "__main__":

@@ -17,8 +17,9 @@ It provides:
   :mod:`repro.vs`),
 * non-self-stabilizing baselines used for comparison
   (:mod:`repro.baselines`), and
-* workload generators and analysis helpers used by the benchmark harness
-  (:mod:`repro.workloads`, :mod:`repro.analysis`).
+* the declarative scenario engine, the audit engine whose corruption plans
+  are the one way state gets damaged, and the analysis helpers
+  (:mod:`repro.scenarios`, :mod:`repro.audit`, :mod:`repro.analysis`).
 
 Quickstart
 ----------

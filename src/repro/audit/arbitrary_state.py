@@ -2,10 +2,10 @@
 
 The paper defines a transient fault as an **arbitrary starting state**: every
 processor variable and every channel may hold any type-correct value (channel
-content bounded by the capacity ``cap``).  The hand-written campaigns in
-:mod:`repro.workloads.corruption` only ever corrupt a few hand-picked recSA /
-recMA fields; this module generalizes fault injection to the whole protocol
-state space:
+content bounded by the capacity ``cap``).  This module is the repo's one
+fault vocabulary — every test, example, bench and scenario that corrupts
+state or channels does it through a plan generated here — and it covers the
+whole protocol state space:
 
 * every replicated recSA array (``config``, ``prp``, ``fd``, ``part``,
   ``echo``, ``all``/``allSeen``) of every selected node,
@@ -128,6 +128,16 @@ PROFILES: Dict[str, CorruptionProfile] = {
         corrupt_services=False,
         corrupt_failure_detector=False,
     ),
+    # recSA + recMA variables of the selected nodes and nothing else (no
+    # failure detector, no services, no channels): the reconfiguration
+    # layer's own recovery in isolation, and the profile callers narrow with
+    # ``dataclasses.replace(..., node_fraction=...)``.
+    "scramble": CorruptionProfile(
+        channel_fraction=0.0,
+        channel_fill=0.0,
+        corrupt_services=False,
+        corrupt_failure_detector=False,
+    ),
 }
 
 
@@ -151,7 +161,7 @@ def _random_members(rng: random.Random, universe: Sequence[ProcessId]) -> Any:
     return make_config(rng.sample(list(universe), size))
 
 
-def _random_config_value(
+def random_config_value(
     rng: random.Random, universe: Sequence[ProcessId], allow_not_participant: bool = True
 ) -> Any:
     roll = rng.random()
@@ -164,7 +174,7 @@ def _random_config_value(
     return _random_members(rng, universe)
 
 
-def _random_proposal(rng: random.Random, universe: Sequence[ProcessId]) -> Proposal:
+def random_proposal(rng: random.Random, universe: Sequence[ProcessId]) -> Proposal:
     phase = Phase(rng.choice([0, 1, 2]))
     members = None if rng.random() < 0.3 else _random_members(rng, universe)
     return Proposal(phase=phase, members=members)
@@ -184,15 +194,15 @@ def _random_stale_payload(
         if rng.random() < 0.5:
             echo = EchoTriple(
                 part=_random_view(rng, universe),
-                prp=_random_proposal(rng, universe),
+                prp=random_proposal(rng, universe),
                 all_flag=rng.random() < 0.5,
             )
         return RecSAMessage(
             sender=source,
             fd=_random_view(rng, universe),
             part=_random_view(rng, universe),
-            config=_random_config_value(rng, universe),
-            prp=_random_proposal(rng, universe),
+            config=random_config_value(rng, universe),
+            prp=random_proposal(rng, universe),
             all_flag=rng.random() < 0.5,
             echo=echo,
         )
@@ -229,7 +239,7 @@ def _recsa_atoms(
             pid=pid,
             path=("recsa", "config"),
             key=pid,
-            value=_random_config_value(rng, universe, allow_not_participant=not anchor),
+            value=random_config_value(rng, universe, allow_not_participant=not anchor),
         )
     ]
     for other in universe:
@@ -242,7 +252,7 @@ def _recsa_atoms(
                     pid=pid,
                     path=("recsa", "config"),
                     key=other,
-                    value=_random_config_value(rng, universe),
+                    value=random_config_value(rng, universe),
                 )
             )
         if rng.random() < probability:
@@ -252,7 +262,7 @@ def _recsa_atoms(
                     pid=pid,
                     path=("recsa", "prp"),
                     key=other,
-                    value=_random_proposal(rng, universe),
+                    value=random_proposal(rng, universe),
                 )
             )
         if rng.random() < probability:
@@ -294,7 +304,7 @@ def _recsa_atoms(
                     key=other,
                     value=EchoTriple(
                         part=_random_view(rng, universe),
-                        prp=_random_proposal(rng, universe),
+                        prp=random_proposal(rng, universe),
                         all_flag=rng.random() < 0.5,
                     ),
                 )
@@ -483,14 +493,16 @@ def _service_atoms(
 def generate_plan(
     cluster: "Cluster",
     seed: int,
-    profile: CorruptionProfile = DEFAULT_PROFILE,
+    profile: Any = DEFAULT_PROFILE,
 ) -> List[CorruptionAtom]:
     """Generate a seeded corruption plan over *cluster*'s current state.
 
-    Deterministic: the same cluster state, seed and profile produce the exact
-    same atom list (nodes and channel pairs are visited in sorted order and
-    every random draw comes from one derived RNG).
+    *profile* is a :class:`CorruptionProfile` or the name of a registered
+    one.  Deterministic: the same cluster state, seed and profile produce the
+    exact same atom list (nodes and channel pairs are visited in sorted order
+    and every random draw comes from one derived RNG).
     """
+    profile = get_profile(profile)
     rng = make_rng(seed, "arbitrary-state")
     universe = sorted(cluster.nodes)
     alive = [
@@ -530,8 +542,7 @@ def generate_plan(
         if profile.corrupt_services:
             atoms.extend(_service_atoms(node, universe, rng, profile.field_probability))
     # Channel stuffing, bounded by capacity (Lemma 3.18's O(N^2 * cap)).
-    capacity = cluster.config.channel.capacity if cluster.config.channel else 8
-    fill = max(1, int(capacity * profile.channel_fill))
+    fill = max(1, int(cluster.channel_capacity * profile.channel_fill))
     alive_pids = [node.pid for node in alive]
     for source in alive_pids:
         for destination in alive_pids:

@@ -47,8 +47,8 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.audit.arbitrary_state import (
-    _random_config_value,
-    _random_proposal,
+    random_config_value,
+    random_proposal,
     _random_stale_payload,
 )
 from repro.audit.schedulers import current_coordinator
@@ -200,9 +200,9 @@ class _MutateHandler:
             # Payload replacement via the arbitrary-state value generators
             # (the CorruptionAtom machinery's type-correct draws).
             if rng.random() < 0.5:
-                value: Any = _random_config_value(rng, program.universe)
+                value: Any = random_config_value(rng, program.universe)
             else:
-                value = _random_proposal(rng, program.universe)
+                value = random_proposal(rng, program.universe)
             return replace(message, payload=("mutated", value))
         roll = rng.random()
         if roll < 0.5:
@@ -554,7 +554,7 @@ class ByzantineWorkload:
         by_pid: Dict[ProcessId, List[str]] = {}
         for pid, behavior in selected:
             by_pid.setdefault(pid, []).append(behavior)
-        injector = FaultInjector(cluster.simulator, seed=spec.seed)
+        injector = FaultInjector(cluster.simulator)
         installed: List[ProcessId] = []
         for pid, behaviors in sorted(by_pid.items()):
             program = TraitorProgram(

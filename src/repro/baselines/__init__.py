@@ -1,6 +1,5 @@
 """Non-self-stabilizing baselines used for comparison (experiment E9)."""
 
 from repro.baselines.coherent_start import CoherentStartNode, CoherentStartMessage
-from repro.baselines.static_replication import StaticMajorityReplication
 
-__all__ = ["CoherentStartNode", "CoherentStartMessage", "StaticMajorityReplication"]
+__all__ = ["CoherentStartNode", "CoherentStartMessage"]

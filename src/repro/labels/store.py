@@ -19,7 +19,6 @@ creating a fresh label with ``nextLabel``.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.types import ProcessId

@@ -49,6 +49,14 @@ _HEADER = struct.Struct(">q")
 #: oversize one never gets through (docs/transport.md, "The 60 KB ceiling").
 MAX_DATAGRAM_BYTES = 60_000
 
+#: Receive buffer per ``recvfrom``: no UDP datagram is larger, so nothing is
+#: ever truncated.  asyncio's default is 256 KiB, allocated and shrunk again
+#: for every datagram; whether glibc then trims and regrows the heap top each
+#: time depends on where the block happens to land — the same tree took 7.7 k
+#: or 30 k page faults per ``live_smr`` pass (and ran a quarter slower)
+#: depending on nothing but the length of the checkout's path.
+_RECV_BYTES = 64 * 1024
+
 #: At most one oversize-frame warning per this many wall seconds.
 _OVERSIZE_WARNING_PERIOD_S = 1.0
 
@@ -327,6 +335,7 @@ class AsyncioTransport:
             lambda: endpoint, local_addr=("127.0.0.1", 0)
         )
         assert endpoint.udp is udp
+        udp.max_size = _RECV_BYTES  # the selector transport's recvfrom size
         self._endpoints[pid] = endpoint
         self._addrs[pid] = udp.get_extra_info("sockname")[:2]
         process.bind(
@@ -354,10 +363,6 @@ class AsyncioTransport:
         if endpoint is not None:
             endpoint.process.crash()
         self.stop_node(pid)
-
-    def live_pids(self) -> List[ProcessId]:
-        """Pids with an open endpoint."""
-        return sorted(self._endpoints)
 
     async def close(self) -> None:
         """Tear down every endpoint and cancel every pending timer."""

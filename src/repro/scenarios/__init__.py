@@ -6,7 +6,7 @@ The experiment layer on top of the simulation stack.  A scenario is::
         name="churny",
         n=5,
         stack="counters",                      # StackProfile per node
-        workloads=(ChurnWorkload(...), ScrambleWorkload(at=35.0)),
+        workloads=(ChurnWorkload(...), ArbitraryStateWorkload(at=35.0)),
         probes=(probes.converged(8_000),),
     )
 
@@ -27,9 +27,7 @@ from repro.scenarios.workloads import (
     PartitionWorkload,
     QuorumEdgeCrashWorkload,
     RegisterWriteWorkload,
-    ScrambleWorkload,
     SMRCommandWorkload,
-    StaleMessageWorkload,
     Workload,
 )
 from repro.scenarios.library import (
@@ -57,9 +55,7 @@ __all__ = [
     "PartitionWorkload",
     "QuorumEdgeCrashWorkload",
     "RegisterWriteWorkload",
-    "ScrambleWorkload",
     "SMRCommandWorkload",
-    "StaleMessageWorkload",
     "available_scenarios",
     "get_scenario",
     "register_scenario",

@@ -9,9 +9,11 @@ can resolve them inside worker processes without pickling closures.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Union
 
 from repro.analysis import probes
+from repro.audit.arbitrary_state import PROFILES
 from repro.audit.byzantine import ByzantineSpec, ByzantineWorkload
 from repro.scenarios.spec import ScenarioSpec
 from repro.sim.config import fast_sim
@@ -24,9 +26,7 @@ from repro.scenarios.workloads import (
     QuorumEdgeCrashWorkload,
     RBBroadcastWorkload,
     RegisterWriteWorkload,
-    ScrambleWorkload,
     SMRCommandWorkload,
-    StaleMessageWorkload,
 )
 
 _REGISTRY: Dict[str, ScenarioSpec] = {}
@@ -98,7 +98,9 @@ register_scenario(
         stack="counters",
         workloads=(
             ChurnWorkload(start=10.0, duration=80.0, crash_rate=0.02, join_rate=0.03, first_new_pid=100),
-            ScrambleWorkload(at=35.0, fraction=0.6),
+            ArbitraryStateWorkload(
+                at=35.0, profile=replace(PROFILES["scramble"], node_fraction=0.6)
+            ),
         ),
         horizon=110.0,
         probes=(probes.converged(8_000), probes.participating(8_000)),
@@ -110,12 +112,13 @@ register_scenario(
         name="quorum_edge_crash_storm",
         description=(
             "Simultaneous crash of the largest survivable minority of the "
-            "configuration plus a burst of stale recMA trigger packets."
+            "configuration, then a quarter of the surviving channels stuffed "
+            "with stale packets of every wire type."
         ),
         n=6,
         workloads=(
             QuorumEdgeCrashWorkload(at=20.0),
-            StaleMessageWorkload(at=22.0, target=5, count=64),
+            ArbitraryStateWorkload(at=22.0, profile="channel_only"),
         ),
         horizon=40.0,
         probes=(probes.converged(10_000), probes.participating(10_000)),

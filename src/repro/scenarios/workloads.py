@@ -6,11 +6,11 @@ The scenario layer's contract is a single method::
 
 Each workload schedules its disturbance(s) on the cluster's simulator; a
 scenario composes several (churn *while* corrupting *while* partitioned) by
-listing them.  :class:`~repro.workloads.churn.ChurnTrace` and
-:class:`~repro.sim.faults.TransientFaultCampaign` already satisfy the
-protocol natively; the wrappers below cover the remaining disturbance types
-(state corruption, stale-packet stuffing, partitions, crash storms, join
-waves, register writes) with seeded, reproducible parameters.
+listing them.  State and channel corruption has exactly one form — a seeded
+:mod:`repro.audit.arbitrary_state` plan, applied by
+:class:`ArbitraryStateWorkload` — and the other workloads cover churn,
+partitions, crash storms, join waves and client operations with seeded,
+reproducible parameters.
 
 Workloads that draw randomness default their seed to the cluster's simulator
 seed, so a seed sweep varies the disturbances together with the rest of the
@@ -24,9 +24,11 @@ from typing import (
     TYPE_CHECKING,
     Any,
     ClassVar,
+    List,
     Optional,
     Protocol,
     Tuple,
+    Union,
     runtime_checkable,
 )
 
@@ -37,10 +39,9 @@ from repro.audit.arbitrary_state import (
     generate_plan,
     plan_summary,
 )
+from repro.common.rng import make_rng
 from repro.common.types import ProcessId
 from repro.sim.events import Action
-from repro.workloads.churn import generate_churn_trace
-from repro.workloads.corruption import scramble_cluster, stuff_stale_recma_packets
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.cluster import Cluster
@@ -58,13 +59,23 @@ def _seed_for(workload_seed: Optional[int], cluster: "Cluster") -> int:
     return workload_seed if workload_seed is not None else cluster.simulator.seed
 
 
+def _join_if_absent(cluster: "Cluster", pid: ProcessId) -> None:
+    """Add joiner *pid* unless the cluster already has a node of that id
+    (``add_joiner`` would raise on the duplicate process id)."""
+    if pid not in cluster.nodes:
+        cluster.add_joiner(pid)
+
+
 @dataclass(frozen=True)
 class ChurnWorkload:
-    """Random crashes and joins generated at install time.
+    """Random crashes and joins drawn at install time.
 
-    A thin declarative front for :func:`generate_churn_trace` — the initial
-    membership is read off the cluster, so the same workload value composes
-    with any topology size.
+    ``crash_rate`` / ``join_rate`` are expected events per unit of simulated
+    time; ``max_crashes`` caps crashes (by default at just below half of the
+    initial membership so a majority survives, matching the paper's
+    assumption for delicate reconfiguration).  The initial membership is read
+    off the cluster, so the same workload value composes with any topology
+    size.
     """
 
     start: float = 0.0
@@ -75,38 +86,45 @@ class ChurnWorkload:
     first_new_pid: int = 1000
     seed: Optional[int] = None
 
+    def events(self, cluster: "Cluster") -> List[Tuple[float, str, ProcessId]]:
+        """The ``(time, "crash" | "join", pid)`` events, sorted by time."""
+        rng = make_rng(_seed_for(self.seed, cluster), "churn")
+        end = self.start + self.duration
+        crash_candidates = sorted(cluster.nodes)
+        max_crashes = self.max_crashes
+        if max_crashes is None:
+            max_crashes = max(0, (len(crash_candidates) - 1) // 2)
+        events: List[Tuple[float, str, ProcessId]] = []
+
+        time = self.start
+        while self.crash_rate > 0 and crash_candidates and len(events) < max_crashes:
+            time += rng.expovariate(self.crash_rate)
+            if time >= end:
+                break
+            victim = rng.choice(crash_candidates)
+            crash_candidates.remove(victim)
+            events.append((time, "crash", victim))
+
+        time = self.start
+        next_pid = self.first_new_pid
+        while self.join_rate > 0:
+            time += rng.expovariate(self.join_rate)
+            if time >= end:
+                break
+            events.append((time, "join", next_pid))
+            next_pid += 1
+
+        events.sort(key=lambda event: event[0])
+        return events
+
     def install(self, cluster: "Cluster") -> None:
-        trace = generate_churn_trace(
-            initial_members=list(cluster.nodes.keys()),
-            duration=self.duration,
-            crash_rate=self.crash_rate,
-            join_rate=self.join_rate,
-            seed=_seed_for(self.seed, cluster),
-            max_crashes=self.max_crashes,
-            first_new_pid=self.first_new_pid,
-            start_time=self.start,
-        )
-        trace.install(cluster)
-
-
-@dataclass(frozen=True)
-class ScrambleWorkload:
-    """Transient fault at time *at*: corrupt recSA/recMA state of a fraction
-    of the alive nodes (the paper's arbitrary-starting-state model)."""
-
-    at: float
-    fraction: float = 1.0
-    seed: Optional[int] = None
-
-    def install(self, cluster: "Cluster") -> None:
-        cluster.simulator.call_at(
-            self.at, Action(ScrambleWorkload._fire, self, cluster), label="workload:scramble"
-        )
-
-    def _fire(self, cluster: "Cluster") -> None:
-        scramble_cluster(
-            cluster, seed=_seed_for(self.seed, cluster), fraction=self.fraction
-        )
+        # The events guard themselves at fire time: a crash of an unknown or
+        # already-crashed pid and a join of an existing pid are no-ops.
+        for time, kind, pid in self.events(cluster):
+            fire = type(cluster).try_crash if kind == "crash" else _join_if_absent
+            cluster.simulator.call_at(
+                time, Action(fire, cluster, pid), label=f"churn:{kind}:{pid}"
+            )
 
 
 @dataclass(frozen=True)
@@ -118,7 +136,8 @@ class ArbitraryStateWorkload:
     plus bounded channel stuffing — see
     :mod:`repro.audit.arbitrary_state` — and apply it.
 
-    ``include`` restricts application to the given indices of the (always
+    ``profile`` is a :class:`CorruptionProfile` or the name of a registered
+    one.  ``include`` restricts application to the given indices of the (always
     fully generated, deterministic) plan; the audit harness uses this to
     shrink a violating run to a minimal reproducer.  ``record_atoms`` adds
     the applied atoms' descriptions to the workload report (reproducer
@@ -127,7 +146,7 @@ class ArbitraryStateWorkload:
 
     at: float
     seed: Optional[int] = None
-    profile: CorruptionProfile = DEFAULT_PROFILE
+    profile: Union[str, CorruptionProfile] = DEFAULT_PROFILE
     include: Optional[Tuple[int, ...]] = None
     record_atoms: bool = False
 
@@ -163,29 +182,6 @@ class ArbitraryStateWorkload:
         if self.record_atoms:
             entry["atoms"] = [atom.describe() for atom in selected]
         cluster.workload_reports.append(entry)
-
-
-@dataclass(frozen=True)
-class StaleMessageWorkload:
-    """Stuff channels toward *target* with stale recMA trigger packets."""
-
-    at: float
-    target: ProcessId = 0
-    count: int = 50
-    seed: Optional[int] = None
-
-    def install(self, cluster: "Cluster") -> None:
-        cluster.simulator.call_at(
-            self.at,
-            Action(StaleMessageWorkload._fire, self, cluster),
-            label="workload:stale-packets",
-        )
-
-    def _fire(self, cluster: "Cluster") -> None:
-        if self.target in cluster.nodes:
-            stuff_stale_recma_packets(
-                cluster, self.target, self.count, seed=_seed_for(self.seed, cluster)
-            )
 
 
 @dataclass(frozen=True)
@@ -247,8 +243,7 @@ class FlashJoinWorkload:
 
     def _fire(self, cluster: "Cluster") -> None:
         for pid in range(self.first_pid, self.first_pid + self.count):
-            if pid not in cluster.nodes:
-                cluster.add_joiner(pid)
+            _join_if_absent(cluster, pid)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from repro.sim.process import Process, ProcessContext
 from repro.sim.simulator import Simulator
 from repro.sim.config import ClusterConfig, fast_sim, paper_faithful, preset
 from repro.sim.stacks import StackProfile, available_stacks, get_stack, register_stack, stack
-from repro.sim.faults import FaultInjector, TransientFaultCampaign
+from repro.sim.faults import FaultInjector
 from repro.sim.monitors import InvariantMonitor, ConvergenceTracker
 from repro.sim.cluster import Cluster, ClusterNode, build_cluster
 
@@ -50,7 +50,6 @@ __all__ = [
     "register_stack",
     "stack",
     "FaultInjector",
-    "TransientFaultCampaign",
     "InvariantMonitor",
     "ConvergenceTracker",
     "Cluster",

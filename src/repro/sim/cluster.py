@@ -478,7 +478,7 @@ class Cluster:
     def try_crash(self, pid: ProcessId) -> bool:
         """Crash *pid* if it exists and is alive; report whether it fired.
 
-        The guard every scheduled workload needs: a churn trace or crash
+        The guard every scheduled workload needs: random churn or a crash
         storm may target a pid that was never added or already crashed.
         """
         node = self.nodes.get(pid)
@@ -552,7 +552,7 @@ class Cluster:
     def invalidate_convergence(self, pid: Optional[ProcessId] = None) -> None:
         """Mark convergence state stale after out-of-band node mutation.
 
-        Fault injectors, corruption workloads and tests that mutate node
+        The fault injector and tests that mutate node
         state directly (instead of through the node's own event hooks) must
         call this so the incremental ledger re-examines the touched node
         (or, with no *pid*, every node) at the next check.

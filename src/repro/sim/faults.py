@@ -7,34 +7,22 @@ channel capacity).  The :class:`FaultInjector` reproduces this by:
 * overwriting protocol-state fields of live processes with adversarially
   chosen (but type-correct) values,
 * stuffing channels with stale packets,
-* crashing processes and introducing churn (starting new joiners),
+* crashing processes,
 * temporarily partitioning the network.
 
-A :class:`TransientFaultCampaign` describes a reproducible schedule of such
-injections and is what the benchmark harness and the property-based tests
-drive.
+What to corrupt is decided elsewhere: :mod:`repro.audit.arbitrary_state`
+generates seeded plans of :class:`CorruptionAtom` values and the injector
+only applies (and records) them.
 """
 
 from __future__ import annotations
 
-import random
 from collections.abc import MutableMapping
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
-from repro.common.rng import make_rng
-from repro.common.types import (
-    BOTTOM,
-    DEFAULT_PROPOSAL,
-    NOT_PARTICIPANT,
-    Configuration,
-    Phase,
-    ProcessId,
-    Proposal,
-    make_config,
-)
-from repro.sim.events import Action
+from repro.common.types import ProcessId
 from repro.sim.simulator import Simulator
 
 
@@ -63,7 +51,8 @@ class CorruptionAtom:
     -----
     ``attr``
         ``setattr`` on the object reached by walking *path* from the node;
-        *key* is the attribute name.
+        *key* is the name of an attribute that object already has (the atom
+        is skipped otherwise).
     ``entry``
         Overwrite one entry of the mapping reached by *path*; *key* is the
         mapping key.
@@ -108,83 +97,26 @@ def _resolve_path(node: Any, path: Tuple[str, ...]) -> Any:
 class FaultInjector:
     """Injects crashes, state corruption and stale packets into a simulation."""
 
-    def __init__(self, simulator: Simulator, seed: int = 0) -> None:
+    def __init__(self, simulator: Simulator) -> None:
         self.simulator = simulator
-        self.rng = make_rng(seed, "fault-injector")
         self.records: List[FaultRecord] = []
         # Partitions this injector installed; the scope of a no-name heal().
         self._partition_names: List[str] = []
 
-    # ------------------------------------------------------------ crash/churn
+    # ----------------------------------------------------------------- crash
     def crash(self, pid: ProcessId) -> None:
         """Stop-fail process *pid*."""
         self.simulator.crash_process(pid)
         self._record("crash", pid)
 
-    def crash_many(self, pids: Iterable[ProcessId]) -> None:
-        """Crash several processes at the current instant."""
-        for pid in pids:
-            self.crash(pid)
-
-    def crash_majority_of(self, config: Configuration) -> List[ProcessId]:
-        """Crash a (deterministically chosen) majority of *config*.
-
-        Used by experiment E4: the recMA layer must detect the collapse and
-        trigger a reconfiguration.
-        """
-        members = sorted(config)
-        victims = members[: len(members) // 2 + 1]
-        self.crash_many(victims)
-        return victims
-
-    def schedule_crash(self, time: float, pid: ProcessId) -> None:
-        """Crash *pid* at absolute simulated time *time*."""
-        self.simulator.call_at(time, Action(self.crash, pid), label=f"fault:crash:{pid}")
-
     # -------------------------------------------------------- state corruption
-    def corrupt_attribute(self, obj: Any, attribute: str, value: Any) -> None:
-        """Overwrite ``obj.attribute`` with *value* (arbitrary state corruption)."""
-        setattr(obj, attribute, value)
-        self._record("corrupt", f"{type(obj).__name__}.{attribute}", {"value": repr(value)})
-
-    def corrupt_mapping_entry(self, mapping: Dict[Any, Any], key: Any, value: Any) -> None:
-        """Overwrite one entry of a protocol-state dictionary."""
-        mapping[key] = value
-        self._record("corrupt-entry", key, {"value": repr(value)})
-
-    def random_configuration(self, universe: Sequence[ProcessId]) -> Configuration:
-        """Draw a random non-empty configuration over *universe*."""
-        size = self.rng.randint(1, max(1, len(universe)))
-        return make_config(self.rng.sample(list(universe), size))
-
-    def random_config_value(self, universe: Sequence[ProcessId]) -> Any:
-        """Draw an arbitrary ``config`` field value: a set, ``⊥``, ``]`` or ∅."""
-        roll = self.rng.random()
-        if roll < 0.15:
-            return BOTTOM
-        if roll < 0.30:
-            return NOT_PARTICIPANT
-        if roll < 0.40:
-            return frozenset()
-        return self.random_configuration(universe)
-
-    def random_proposal(self, universe: Sequence[ProcessId]) -> Proposal:
-        """Draw an arbitrary notification ``⟨phase, set⟩`` (may be invalid)."""
-        phase = Phase(self.rng.choice([0, 1, 2]))
-        if self.rng.random() < 0.3:
-            members: Optional[Configuration] = None
-        else:
-            members = self.random_configuration(universe)
-        return Proposal(phase=phase, members=members)
-
-    # ---------------------------------------------------------- atom plans
     def apply_atom(self, cluster: Any, atom: CorruptionAtom) -> bool:
         """Apply one :class:`CorruptionAtom` against *cluster*.
 
         Returns ``True`` when the corruption landed (the node exists and is
-        alive, the path resolves, the channel had room).  Every applied atom
-        is recorded like any other injection, so post-mortem analysis sees
-        generated and hand-picked faults uniformly.
+        alive, the path resolves to an existing field, the channel had room).
+        Every applied atom is recorded like any other injection, so
+        post-mortem analysis sees crashes, corruption and treason uniformly.
         """
         if atom.kind == "channel":
             return self.stuff_channel(atom.pid, atom.key, atom.value)
@@ -195,21 +127,28 @@ class FaultInjector:
         if target is None:
             return False
         if atom.kind == "attr":
-            self.corrupt_attribute(target, atom.key, atom.value)
+            # A transient fault rewrites variables the protocol has; an atom
+            # naming a field that no longer exists must show up as skipped,
+            # not become a junk attribute nothing reads.
+            if not hasattr(target, atom.key):
+                return False
+            setattr(target, atom.key, atom.value)
+            self._record(
+                "corrupt", f"{type(target).__name__}.{atom.key}", {"value": repr(atom.value)}
+            )
         elif atom.kind == "entry":
             # MutableMapping (not just dict): the failure detector's
             # ``counts`` is an offset-encoded mapping view, and its entries
             # remain a legitimate corruption surface.
             if not isinstance(target, (dict, MutableMapping)):
                 return False
-            self.corrupt_mapping_entry(target, atom.key, atom.value)
+            target[atom.key] = atom.value
+            self._record("corrupt-entry", atom.key, {"value": repr(atom.value)})
         else:
             raise SimulationError(f"unknown corruption-atom kind {atom.kind!r}")
         # State was mutated behind the node's back: the incremental
         # convergence ledger must re-examine this node at the next check.
-        invalidate = getattr(cluster, "invalidate_convergence", None)
-        if invalidate is not None:
-            invalidate(atom.pid)
+        cluster.invalidate_convergence(atom.pid)
         return True
 
     def apply_plan(
@@ -312,31 +251,3 @@ class FaultInjector:
         self.records.append(
             FaultRecord(time=self.simulator.now, kind=kind, target=target, details=details or {})
         )
-
-
-@dataclass
-class TransientFaultCampaign:
-    """A reproducible schedule of fault injections.
-
-    Each action is ``(time, callable)``; :meth:`install` registers them with
-    the simulator.  The campaign object is what workload generators build.
-    """
-
-    actions: List[tuple] = field(default_factory=list)
-
-    def add(self, time: float, action: Callable[[], None], label: str = "") -> None:
-        """Append an action firing at simulated time *time*."""
-        self.actions.append((time, action, label))
-
-    def install(self, target: Any) -> None:
-        """Register every action with *target* — a cluster or a simulator.
-
-        Accepting either lets a campaign be used wherever the scenario
-        layer's ``Workload.install(cluster)`` protocol is expected.
-        """
-        simulator: Simulator = getattr(target, "simulator", target)
-        for time, action, label in self.actions:
-            simulator.call_at(time, action, label=label or "fault-campaign")
-
-    def __len__(self) -> int:
-        return len(self.actions)

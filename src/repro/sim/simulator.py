@@ -18,7 +18,6 @@ convergence experiments).
 from __future__ import annotations
 
 import math
-import random
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.common.errors import SimulationError

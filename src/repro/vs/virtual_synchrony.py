@@ -228,10 +228,6 @@ class VirtualSynchronyService:
         """
         return tuple(self._delivered_history)
 
-    def current_view(self) -> Optional[View]:
-        """The installed view (None before the first installation)."""
-        return self.view
-
     def is_coordinator(self) -> bool:
         """True when this participant currently leads the installed view."""
         return self._valid_coordinator() == self.pid
@@ -432,10 +428,13 @@ class VirtualSynchronyService:
         if self.view is None:
             return
         members = self.view.members
-        if not self._in_sync():
+        if not self._in_sync() or not members <= self.scheme.recsa.trusted():
             # A member stopped following (crash or FD change): propose a new
             # view over the processors still trusted.  A member that merely
             # lags or diverged is sent the full state by ``_broadcast``.
+            # The failure detector is read directly because the barrier alone
+            # cannot see a crash while delivery is suspended: no round runs,
+            # so the dead member's last report keeps matching (rnd, digest).
             self._maybe_repropose(config)
             return
 

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Dict, Iterable, List, Optional
 
 import pytest
 
+from repro.audit.arbitrary_state import PROFILES, apply_plan, generate_plan
 from repro.common.types import BOTTOM, ProcessId, make_config
 from repro.core.recsa import RecSA
 from repro.sim.cluster import Cluster, build_cluster
+from repro.sim.faults import CorruptionAtom
 from repro.sim.network import ChannelConfig
 
 
@@ -20,6 +23,24 @@ def quick_cluster(n: int, seed: int = 1, **kwargs: Any) -> Cluster:
     )
     kwargs.setdefault("step_interval", 1.0)
     return build_cluster(n=n, seed=seed, **kwargs)
+
+
+def scramble(
+    cluster: Cluster, seed: int, fraction: float = 1.0, only: Optional[ProcessId] = None
+) -> List[CorruptionAtom]:
+    """Transient fault on the reconfiguration layer: apply the ``"scramble"``
+    plan (recSA + recMA variables) to *fraction* of the alive nodes.
+
+    *only* keeps just the atoms aimed at that pid — a single-node corruption
+    is a filtered plan.  Returns the atoms applied.
+    """
+    plan = generate_plan(
+        cluster, seed=seed, profile=replace(PROFILES["scramble"], node_fraction=fraction)
+    )
+    if only is not None:
+        plan = [atom for atom in plan if atom.pid == only]
+    assert apply_plan(cluster, plan)["skipped"] == 0
+    return plan
 
 
 def oracle_checked(cluster: Cluster):

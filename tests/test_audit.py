@@ -28,10 +28,12 @@ from repro.audit.store import report_bytes
 from repro.scenarios import ArbitraryStateWorkload, ScenarioSpec, run_scenario
 from repro.scenarios.runner import _unfinished_jobs, prepare
 from repro.sim.cluster import build_cluster
-from repro.sim.faults import CorruptionAtom, FaultInjector
+from repro.sim.config import fast_sim
+from repro.sim.faults import CorruptionAtom, FaultInjector, _resolve_path
 from repro.sim.monitors import InvariantMonitor
 from repro.sim.network import ChannelConfig
 from repro.sim.simulator import Simulator
+from repro.sim.stacks import available_stacks
 
 from tests.conftest import quick_cluster
 
@@ -254,6 +256,42 @@ class TestArbitraryState:
         )
         report = apply_plan(cluster, [atom])
         assert report == {"applied": 0, "skipped": 1}
+
+    def test_attr_atom_on_missing_attribute_is_skipped(self):
+        cluster = quick_cluster(3)
+        atom = CorruptionAtom(
+            kind="attr", pid=0, path=("recsa",), key="renamed_field", value=7
+        )
+        assert apply_plan(cluster, [atom]) == {"applied": 0, "skipped": 1}
+        assert not hasattr(cluster.nodes[0].recsa, "renamed_field")
+
+    @pytest.mark.parametrize("stack_name", available_stacks())
+    def test_every_atom_names_a_field_the_stack_has(self, stack_name):
+        """The vocabulary stays honest: on every registered stack, each
+        non-channel atom of a heavy plan lands on an existing variable — a
+        renamed protocol field fails here instead of silently shrinking what
+        the audit covers."""
+        cluster = build_cluster(n=4, seed=2, config=fast_sim(), stack=stack_name)
+        assert cluster.run_until_converged(timeout=800)
+        atoms = [
+            atom
+            for atom in generate_plan(cluster, seed=3, profile="heavy")
+            if atom.kind != "channel"
+        ]
+        assert len(atoms) > 100
+        for atom in atoms:
+            target = _resolve_path(cluster.nodes[atom.pid], atom.path)
+            assert target is not None, atom.describe()
+            if atom.kind == "attr":
+                assert hasattr(target, atom.key), atom.describe()
+        assert apply_plan(cluster, atoms) == {"applied": len(atoms), "skipped": 0}
+
+    def test_scramble_profile_touches_recsa_and_recma_only(self):
+        plan = generate_plan(self._converged_cluster(), seed=6, profile="scramble")
+        assert {atom.path[0] for atom in plan} == {"recsa", "recma"}
+        assert "channel" not in plan_summary(plan)
+        # Every alive node is in scope, as with the default profile.
+        assert {atom.pid for atom in plan} == {0, 1, 2, 3}
 
 
 # ---------------------------------------------------------------------------

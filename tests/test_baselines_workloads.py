@@ -5,13 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.coherent_start import CoherentStartMessage, CoherentStartNode
-from repro.baselines.static_replication import StaticMajorityReplication
+from repro.audit.arbitrary_state import apply_plan
 from repro.common.types import make_config
+from repro.core.recma import RecMAMessage
+from repro.scenarios import ChurnWorkload
+from repro.sim.faults import CorruptionAtom
 from repro.sim.simulator import Simulator
-from repro.workloads.churn import generate_churn_trace
-from repro.workloads.corruption import scramble_cluster, stuff_stale_recma_packets
 
-from tests.conftest import quick_cluster
+from tests.conftest import quick_cluster, scramble
 
 
 class TestCoherentStartBaseline:
@@ -54,80 +55,116 @@ class TestCoherentStartBaseline:
         assert all(node.config == make_config([2]) for node in nodes.values())
 
 
-class TestStaticReplicationBaseline:
-    def test_available_with_majority(self):
-        replica = StaticMajorityReplication([1, 2, 3, 4, 5])
-        assert replica.write("x")
-        assert replica.read() == "x"
-        replica.crash(1)
-        replica.crash(2)
-        assert replica.has_majority()
-        assert replica.write("y")
-
-    def test_unavailable_after_majority_crash(self):
-        replica = StaticMajorityReplication([1, 2, 3, 4, 5])
-        for pid in (1, 2, 3):
-            replica.crash(pid)
-        assert not replica.has_majority()
-        assert not replica.write("z")
-        assert replica.read() is None
-        assert replica.failed_operations == 2
-
-    def test_crash_of_non_member_ignored(self):
-        replica = StaticMajorityReplication([1, 2, 3])
-        replica.crash(99)
-        assert replica.alive_members() == make_config([1, 2, 3])
+#: ``ChurnWorkload(start=10, duration=80, crash_rate=0.02, join_rate=0.03,
+#: first_new_pid=100)`` on a 5-node cluster, seeds 0-5, as drawn before PR 22
+#: moved the generator into the workload — the "churn" RNG stream must not move.
+CHURN_EVENTS = {
+    0: [
+        (20.791015822422565, "join", 100),
+        (25.180353536325722, "join", 101),
+        (31.969096499371908, "crash", 3),
+        (45.13490387396571, "join", 102),
+        (48.29745860521926, "join", 103),
+        (56.61034717932861, "crash", 0),
+        (68.37877227387581, "join", 104),
+    ],
+    1: [
+        (49.46034858163067, "crash", 4),
+        (51.64492648185116, "crash", 1),
+        (77.49674831642083, "join", 100),
+    ],
+    2: [
+        (18.85281215538558, "crash", 1),
+        (20.99267083799999, "join", 100),
+        (38.89974583694348, "join", 101),
+        (41.94320770568333, "join", 102),
+        (48.54948005278688, "join", 103),
+        (56.92714220738562, "crash", 4),
+    ],
+    3: [
+        (20.599492593887277, "join", 100),
+        (34.55334040926069, "join", 101),
+        (55.89989691936621, "join", 102),
+    ],
+    4: [
+        (28.741397914072653, "join", 100),
+        (38.03228418843288, "crash", 0),
+        (41.029305424225896, "join", 101),
+        (88.3687229160617, "crash", 1),
+        (88.56171448145847, "join", 102),
+    ],
+    5: [
+        (15.139045180046526, "join", 100),
+        (49.55650749560588, "crash", 4),
+        (71.09266942498594, "crash", 1),
+        (75.33070904718103, "join", 101),
+        (76.10963466185639, "join", 102),
+    ],
+}
 
 
 class TestChurnTraces:
     def test_trace_is_reproducible(self):
-        a = generate_churn_trace(range(5), duration=100, crash_rate=0.05, join_rate=0.05, seed=3)
-        b = generate_churn_trace(range(5), duration=100, crash_rate=0.05, join_rate=0.05, seed=3)
-        assert a.events == b.events
+        churn = ChurnWorkload(duration=100, crash_rate=0.05, join_rate=0.05, seed=3)
+        assert churn.events(quick_cluster(5)) == churn.events(quick_cluster(5))
 
     def test_crash_cap_preserves_majority(self):
-        trace = generate_churn_trace(range(5), duration=1000, crash_rate=1.0, seed=4)
-        assert len(trace.crashes()) <= 2
+        churn = ChurnWorkload(duration=1000, crash_rate=1.0, seed=4)
+        crashes = [event for event in churn.events(quick_cluster(5)) if event[1] == "crash"]
+        assert len(crashes) <= 2
 
     def test_events_sorted_by_time(self):
-        trace = generate_churn_trace(
-            range(4), duration=200, crash_rate=0.05, join_rate=0.1, seed=5
-        )
-        times = [event.time for event in trace.events]
+        churn = ChurnWorkload(duration=200, crash_rate=0.05, join_rate=0.1, seed=5)
+        times = [time for time, _, _ in churn.events(quick_cluster(4))]
         assert times == sorted(times)
 
     def test_install_on_cluster(self):
         cluster = quick_cluster(4, seed=81)
         assert cluster.run_until_converged(timeout=800)
-        trace = generate_churn_trace(
-            range(4),
-            duration=100,
-            crash_rate=0.02,
-            join_rate=0.02,
-            seed=6,
-            start_time=cluster.simulator.now,
+        churn = ChurnWorkload(
+            start=cluster.simulator.now, duration=100, crash_rate=0.02, join_rate=0.02, seed=6
         )
-        trace.install(cluster)
+        events = churn.events(cluster)
+        churn.install(cluster)
         cluster.run(until=cluster.simulator.now + 150)
-        for event in trace.crashes():
-            assert cluster.nodes[event.pid].crashed
-        for event in trace.joins():
-            assert event.pid in cluster.nodes
+        for _, kind, pid in events:
+            if kind == "crash":
+                assert cluster.nodes[pid].crashed
+            else:
+                assert pid in cluster.nodes
+
+    @pytest.mark.parametrize("seed", sorted(CHURN_EVENTS))
+    def test_event_stream_is_pinned(self, seed):
+        """The workload seed defaults to the simulator's, and the draws are
+        the ones the scenario library's results were pinned on."""
+        churn = ChurnWorkload(
+            start=10.0, duration=80.0, crash_rate=0.02, join_rate=0.03, first_new_pid=100
+        )
+        assert churn.events(quick_cluster(5, seed=seed)) == CHURN_EVENTS[seed]
 
 
 class TestCorruptionWorkloads:
     def test_scramble_reports_fields(self):
         cluster = quick_cluster(3, seed=82)
         assert cluster.run_until_converged(timeout=800)
-        report = scramble_cluster(cluster, seed=1, fraction=0.5)
-        assert report["nodes"] >= 1
-        assert report["recsa_fields"] > 0
+        atoms = scramble(cluster, seed=1, fraction=0.5)
+        assert len({atom.pid for atom in atoms}) >= 1
+        assert sum(atom.path[0] == "recsa" for atom in atoms) > 0
 
     def test_stuffing_respects_channel_capacity(self):
         cluster = quick_cluster(3, seed=83)
         assert cluster.run_until_converged(timeout=800)
-        accepted = stuff_stale_recma_packets(cluster, target=0, count=500, seed=2)
-        assert accepted <= 2 * cluster.channel_capacity
+        stale = [
+            CorruptionAtom(
+                kind="channel",
+                pid=sender,
+                key=0,
+                value=RecMAMessage(sender=sender, no_maj=True, need_reconf=True),
+            )
+            for sender in (1, 2) * 250
+        ]
+        accepted = apply_plan(cluster, stale)["applied"]
+        assert 0 < accepted <= 2 * cluster.channel_capacity
 
 
 class TestEndToEnd:
@@ -158,7 +195,7 @@ class TestEndToEnd:
         )
         # Minority crash plus a transient recSA corruption.
         cluster.crash(3)
-        scramble_cluster(cluster, seed=9, fraction=0.4)
+        scramble(cluster, seed=9, fraction=0.4)
         assert cluster.run_until_converged(timeout=6000)
         # The service keeps working after recovery.
         alive = [pid for pid in cluster.nodes if not cluster.nodes[pid].crashed]

@@ -98,7 +98,7 @@ class TestTraitorLifecycle:
     def test_make_byzantine_installs_and_restore_honest_removes(self):
         cluster = quick_cluster(5, stack="rb_bracha")
         assert cluster.run_until_converged(timeout=2_000)
-        injector = FaultInjector(cluster.simulator, seed=3)
+        injector = FaultInjector(cluster.simulator)
         program = TraitorProgram(cluster, 1, ("equivocate",), seed=3)
         assert injector.make_byzantine(cluster, 1, program)
         assert cluster.simulator.outbound_interceptors[1] is program
@@ -114,7 +114,7 @@ class TestTraitorLifecycle:
         cluster = quick_cluster(4, stack="rb_bracha")
         assert cluster.run_until_converged(timeout=2_000)
         cluster.try_crash(2)
-        injector = FaultInjector(cluster.simulator, seed=1)
+        injector = FaultInjector(cluster.simulator)
         program = TraitorProgram(cluster, 2, ("forge",), seed=1)
         assert not injector.make_byzantine(cluster, 2, program)
         assert 2 not in cluster.simulator.outbound_interceptors
@@ -123,7 +123,7 @@ class TestTraitorLifecycle:
         """Forged spontaneous traffic must not recurse into the interceptor."""
         cluster = quick_cluster(5, stack="rb_bracha")
         assert cluster.run_until_converged(timeout=2_000)
-        injector = FaultInjector(cluster.simulator, seed=5)
+        injector = FaultInjector(cluster.simulator)
         program = TraitorProgram(cluster, 0, ("forge", "inflate"), seed=5)
         assert injector.make_byzantine(cluster, 0, program)
         cluster.run(until=cluster.simulator.now + 30.0)

@@ -125,7 +125,7 @@ class TestDirectedPartitions:
         from repro.sim.faults import FaultInjector
 
         sim = _two_nodes()
-        injector = FaultInjector(sim, seed=2)
+        injector = FaultInjector(sim)
         name = injector.partition([1], [2], symmetric=False, leak=0.0)
         assert sim.environment.is_blocked(1, 2)
         assert not sim.environment.is_blocked(2, 1)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.audit.arbitrary_state import apply_plan
 from repro.common.types import make_config
 from repro.core.prediction import (
     AlwaysReconfigure,
@@ -14,7 +15,7 @@ from repro.core.prediction import (
 )
 from repro.core.quorum import MajorityQuorumSystem
 from repro.core.recma import RecMAMessage
-from repro.workloads.corruption import corrupt_recma_flags, stuff_stale_recma_packets
+from repro.sim.faults import CorruptionAtom
 
 from tests.conftest import quick_cluster
 
@@ -130,9 +131,22 @@ class TestRecMA:
         cluster = quick_cluster(4, seed=36)
         assert cluster.run_until_converged(timeout=800)
         universe = list(range(4))
-        for node in cluster.nodes.values():
-            corrupt_recma_flags(node, universe, seed=5)
-        stuff_stale_recma_packets(cluster, target=0, count=10, seed=6)
+        flags = [
+            CorruptionAtom(kind="entry", pid=pid, path=("recma", flag), key=other, value=True)
+            for pid in universe
+            for other in universe
+            for flag in ("no_maj", "need_reconf")
+        ]
+        stale = [
+            CorruptionAtom(
+                kind="channel",
+                pid=sender,
+                key=0,
+                value=RecMAMessage(sender=sender, no_maj=True, need_reconf=True),
+            )
+            for sender in (1, 2, 3) * 4
+        ]
+        assert apply_plan(cluster, flags + stale)["skipped"] == 0
         cluster.run(until=cluster.simulator.now + 400)
         triggers = sum(node.recma.trigger_count for node in cluster.nodes.values())
         capacity = cluster.channel_capacity

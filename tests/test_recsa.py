@@ -25,9 +25,8 @@ from repro.core.joining import JoinRequest
 from repro.core.recsa import EchoTriple, RecSA, RecSAMessage, ReplicatedMap
 from repro.core.stale import StaleInfoType, classify_stale_information
 from repro.sim.config import ClusterConfig
-from repro.workloads.corruption import corrupt_recsa_state, scramble_cluster
 
-from tests.conftest import RecSAHarness, quick_cluster
+from tests.conftest import RecSAHarness, quick_cluster, scramble
 
 
 class TestStaleClassification:
@@ -238,8 +237,8 @@ class TestRecSACluster:
     def test_convergence_from_scrambled_state(self):
         cluster = quick_cluster(5, seed=23)
         assert cluster.run_until_converged(timeout=800)
-        report = scramble_cluster(cluster, seed=99)
-        assert report["recsa_fields"] > 0
+        atoms = scramble(cluster, seed=99)
+        assert sum(atom.path[0] == "recsa" for atom in atoms) > 0
         assert cluster.run_until_converged(timeout=4000)
         config = cluster.agreed_configuration()
         assert config is not None and len(config) >= 1
@@ -247,7 +246,8 @@ class TestRecSACluster:
     def test_single_node_corruption_recovers(self):
         cluster = quick_cluster(4, seed=24)
         assert cluster.run_until_converged(timeout=800)
-        corrupt_recsa_state(cluster.nodes[0], universe=list(range(4)), seed=7)
+        atoms = scramble(cluster, seed=7, only=0)
+        assert atoms and {atom.pid for atom in atoms} == {0}
         assert cluster.run_until_converged(timeout=4000)
 
     def test_explicit_estab_through_scheme(self):
@@ -461,8 +461,8 @@ class TestDerivedVerdictMemo:
             "join request": lambda node: node.scheme.on_message(
                 rng.choice(universe), JoinRequest(sender=rng.choice(universe))
             ),
-            "corrupt_recsa_state": lambda node: corrupt_recsa_state(
-                node, universe, seed=rng.randrange(1 << 16)
+            "single-node scramble": lambda node: scramble(
+                cluster, seed=rng.randrange(1 << 16), only=node.pid
             ),
             "apply_plan": lambda node: apply_plan(
                 cluster, generate_plan(cluster, seed=rng.randrange(1 << 16))

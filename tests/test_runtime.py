@@ -198,6 +198,29 @@ def test_oversize_frames_are_counted_apart_and_warned_once(caplog):
     asyncio.run(scenario())
 
 
+def test_receive_buffer_is_one_udp_datagram_and_the_largest_frame_arrives():
+    """Every endpoint reads with 64 KiB, not asyncio's 256 KiB (whose
+    per-datagram allocation made a pass's cost depend on the heap layout,
+    PERFORMANCE.md PR 22), and a frame just under the send ceiling still
+    arrives whole."""
+    from repro.core.joining import JoinResponse
+    from repro.runtime.transport import MAX_DATAGRAM_BYTES
+
+    async def scenario() -> None:
+        async with RuntimeCluster(n=2, seed=7, stack="bare", tick_seconds=10.0) as cluster:
+            transport = cluster.transport
+            sizes = {ep.udp.max_size for ep in transport._endpoints.values()}
+            assert sizes == {64 * 1024}
+            got = []
+            cluster.nodes[1].on_receive = lambda sender, payload: got.append(payload)
+            big = JoinResponse(sender=0, granted=True, state="x" * (MAX_DATAGRAM_BYTES - 200))
+            transport.send(0, 1, big)
+            await asyncio.sleep(0.05)
+            assert big in got and transport.quarantined_datagrams == 0
+
+    asyncio.run(scenario())
+
+
 def test_send_encodes_a_broadcast_message_once_per_loop_turn(monkeypatch):
     """``send`` of one immutable message to many peers frames it once (VS and
     recMA broadcast that way); the memo does not outlive the loop turn and

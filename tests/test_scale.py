@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import pytest
 
-from tests.conftest import RecSAHarness, oracle_checked, quick_cluster
+from tests.conftest import RecSAHarness, oracle_checked, quick_cluster, scramble
 from repro.sim.config import fast_sim
-from repro.workloads.corruption import scramble_cluster
 
 
 def _stats_at(n, seed, horizon, **overrides):
@@ -154,7 +153,7 @@ class TestLedgerOracle:
     def test_ledger_agrees_with_oracle_under_corruption(self):
         cluster = quick_cluster(8, seed=23, config=fast_sim())
         assert cluster.run_until(oracle_checked(cluster), timeout=300)
-        scramble_cluster(cluster, seed=5, fraction=1.0)
+        scramble(cluster, seed=5)
         assert cluster.is_converged() == cluster.is_converged_scan()
         assert cluster.run_until(oracle_checked(cluster), timeout=2_000)
         assert cluster.is_converged() == cluster.is_converged_scan()

@@ -2,8 +2,8 @@
 
 Covers the config layer (ClusterConfig presets, the channel-conflict guard),
 the service layer (stack profiles instantiated by nodes and joiners), the
-unified ``Workload.install(cluster)`` protocol (churn guard/dedup, corruption
-and fault campaigns), probes, scenario determinism and the parallel runner.
+unified ``Workload.install(cluster)`` protocol (fire-time churn guards,
+corruption plans), probes, scenario determinism and the parallel runner.
 """
 
 from __future__ import annotations
@@ -15,10 +15,11 @@ import pytest
 from repro.analysis import probes
 from repro.common.errors import SimulationError
 from repro.scenarios import (
+    ArbitraryStateWorkload,
     ChurnWorkload,
     CrashWorkload,
+    FlashJoinWorkload,
     ScenarioSpec,
-    ScrambleWorkload,
     available_scenarios,
     get_scenario,
     run_matrix,
@@ -26,13 +27,10 @@ from repro.scenarios import (
 )
 from repro.sim.cluster import build_cluster
 from repro.sim.config import ClusterConfig, fast_sim, paper_faithful, preset
-from repro.sim.faults import TransientFaultCampaign
 from repro.sim.network import ChannelConfig
 from repro.sim.stacks import available_stacks, get_stack, stack
-from repro.workloads.churn import ChurnEvent, ChurnTrace
-from repro.workloads.corruption import scramble_cluster
 
-from tests.conftest import quick_cluster
+from tests.conftest import quick_cluster, scramble
 
 COMPOSED = [
     "churn_during_corruption",
@@ -149,10 +147,7 @@ class TestChurnTraceGuards:
     def test_join_of_existing_pid_is_noop(self):
         cluster = quick_cluster(3, seed=81)
         assert cluster.run_until_converged(timeout=800)
-        trace = ChurnTrace(
-            events=[ChurnEvent(time=cluster.simulator.now + 5.0, kind="join", pid=0)]
-        )
-        trace.install(cluster)
+        FlashJoinWorkload(at=cluster.simulator.now + 5.0, count=1, first_pid=0).install(cluster)
         cluster.run(until=cluster.simulator.now + 20)
         # Node 0 is the original node, not a rebooted joiner.
         assert cluster.nodes[0].scheme.is_participant()
@@ -162,35 +157,29 @@ class TestChurnTraceGuards:
         cluster = quick_cluster(3, seed=82)
         assert cluster.run_until_converged(timeout=800)
         now = cluster.simulator.now
-        trace = ChurnTrace(
-            events=[
-                ChurnEvent(time=now + 2.0, kind="crash", pid=1),
-                ChurnEvent(time=now + 6.0, kind="join", pid=1),
-                ChurnEvent(time=now + 8.0, kind="crash", pid=1),
-            ]
+        # Joiner ids starting at 0 collide with the members the same churn
+        # crashes: one pid gets both a crash and a join event.
+        churn = ChurnWorkload(
+            start=now, duration=20.0, crash_rate=0.5, join_rate=0.5, first_new_pid=0, seed=0
         )
-        trace.install(cluster)
-        cluster.run(until=now + 20)
-        # Only the first event fired: 1 crashed and was never re-added.
-        assert cluster.nodes[1].crashed
+        events = churn.events(cluster)
+        crashed = {pid for _, kind, pid in events if kind == "crash"}
+        joined = {pid for _, kind, pid in events if kind == "join"}
+        assert crashed and crashed <= joined
+        churn.install(cluster)
+        cluster.run(until=now + 25)
+        # The crash fired; the join of the same pid never re-added it.
+        assert all(cluster.nodes[pid].crashed for pid in crashed)
+        assert set(cluster.nodes) == {0, 1, 2} | joined
 
     def test_crash_of_unknown_pid_is_noop(self):
         cluster = quick_cluster(2, seed=83)
-        trace = ChurnTrace(events=[ChurnEvent(time=5.0, kind="crash", pid=999)])
-        trace.install(cluster)
+        CrashWorkload(schedule=((5.0, 999),)).install(cluster)
         cluster.run(until=20)  # must not raise
+        assert not any(node.crashed for node in cluster.nodes.values())
 
 
 class TestWorkloadProtocol:
-    def test_campaign_installs_on_cluster(self):
-        cluster = quick_cluster(3, seed=84)
-        fired = []
-        campaign = TransientFaultCampaign()
-        campaign.add(5.0, lambda: fired.append("boom"), label="test")
-        campaign.install(cluster)  # cluster, not simulator: the workload protocol
-        cluster.run(until=10)
-        assert fired == ["boom"]
-
     def test_corruption_during_inflight_reconfiguration_converges(self):
         """Scramble recSA/recMA state while a reconfiguration is mid-flight."""
         cluster = quick_cluster(4, seed=85, stack="counters")
@@ -198,8 +187,8 @@ class TestWorkloadProtocol:
         target = frozenset([0, 1, 2])
         assert cluster.nodes[0].scheme.request_reconfiguration(target)
         # The reconfiguration is now in flight; corrupt most of the cluster.
-        report = scramble_cluster(cluster, seed=3, fraction=0.75)
-        assert report["recsa_fields"] > 0 and report["recma_fields"] > 0
+        layers = {atom.path[0] for atom in scramble(cluster, seed=3, fraction=0.75)}
+        assert layers == {"recsa", "recma"}
         assert cluster.run_until_converged(timeout=8_000)
         assert all(node.scheme.no_reco() for node in cluster.participants())
 
@@ -207,8 +196,10 @@ class TestWorkloadProtocol:
         cluster = quick_cluster(3, seed=86)
         assert cluster.run_until_converged(timeout=800)
         at = cluster.simulator.now + 10.0
-        ScrambleWorkload(at=at, fraction=1.0).install(cluster)
+        ArbitraryStateWorkload(at=at, profile="scramble").install(cluster)
         cluster.run(until=at + 1.0)  # let the scramble fire
+        (report,) = cluster.workload_reports
+        assert report["applied"] == report["atoms_total"] > 0
         assert cluster.run_until_converged(timeout=8_000)
         assert cluster.simulator.now > at
 

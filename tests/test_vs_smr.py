@@ -6,7 +6,12 @@ from dataclasses import replace
 
 import pytest
 
+from repro.analysis import probes
+from repro.analysis.probes import wait_for
+from repro.audit.arbitrary_state import apply_plan, generate_plan
 from repro.common.codec import encode_binary
+from repro.sim.cluster import build_cluster
+from repro.sim.config import fast_sim
 from repro.sim.stacks import stack
 from repro.vs.smr import KeyValueStateMachine, LogStateMachine, RegisterStateMachine
 from repro.vs.view import View, newer_view
@@ -259,6 +264,37 @@ class TestSharedRegister:
         assert len(histories) == 1
         final_values = {reg.read() for reg in registers.values()}
         assert len(final_values) == 1
+
+
+class TestCrashWhileSuspended:
+    @pytest.mark.parametrize("seed", [13, 1, 2, 3, 5])
+    def test_view_changes_after_crash_during_a_recsa_reset(self, seed):
+        """A member crashes and a transient fault resets recSA at the same
+        instant.  The reset suspends delivery, a suspended coordinator runs
+        no round, so the dead member's last report keeps satisfying the
+        round barrier — only the failure detector shows it is gone.  Before
+        the coordinator compared its view with the trusted set, every
+        survivor stayed at MULTICAST/suspend in the old view for good."""
+        cluster = build_cluster(n=5, seed=13, config=fast_sim(), stack="shared_register")
+        registers = cluster.services("register")
+        assert cluster.run_until_converged(timeout=2_000)
+        assert wait_for(cluster, probes.view_installed(6_000)).satisfied
+        registers[0].write("v1")
+        registers[2].write("v2")
+        assert cluster.run_until(
+            lambda: all(len(reg.history()) == 2 for reg in registers.values()), timeout=800
+        )
+
+        cluster.crash(1)
+        apply_plan(cluster, generate_plan(cluster, seed=seed, profile="scramble"))
+        assert wait_for(cluster, probes.view_installed(100)).satisfied
+
+        survivors = [0, 2, 3, 4]
+        registers[4].write("v3")
+        assert cluster.run_until(
+            lambda: all(registers[pid].read() == "v3" for pid in survivors), timeout=400
+        )
+        assert all(registers[pid].pending_writes() == 0 for pid in survivors)
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,10 @@ scale, the reference encoding the tests compare it against:
   sends it.
 
 Reported per type: encode ns/op, decode ns/op, frame bytes, and the
-combined encode+decode speedup of binary over JSON.  Run directly::
+combined encode+decode speedup of binary over JSON.  Run directly (it finds
+``src/`` itself) or with ``make bench-micro``::
 
-    PYTHONPATH=src python benchmarks/bench_codec.py
-
-or through the runner (``make bench-codec``), which embeds the result in
-the benchmark JSON trail.
+    python benchmarks/bench_codec.py
 """
 
 from __future__ import annotations

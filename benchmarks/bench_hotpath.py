@@ -1,9 +1,10 @@
 """Micro-benchmarks of the simulation hot path (event queue, gossip round).
 
-Unlike the experiment benchmarks (E1-E12) these do not reproduce a claim of
-the paper; they pin the cost of the two inner loops every experiment runs
-through — event scheduling/dispatch and the recSA broadcast round — so that
-future PRs can detect regressions in the fast path itself.
+These do not reproduce a claim of the paper (those are tier-1 tests, see
+``docs/claims.md``); they time the inner loops every simulated run goes
+through — event scheduling/dispatch and the recSA broadcast round — in
+isolation, which the spine's per-layer spans cannot: it sees them only inside
+whole workloads.  Run with ``make bench-micro``.
 """
 
 from __future__ import annotations

@@ -1,21 +1,14 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the pytest-benchmark micro-benches (``bench_hotpath.py``).
 
-Every benchmark corresponds to an experiment id (E1-E12) from DESIGN.md /
-EXPERIMENTS.md and measures the quantity the corresponding theorem or claim
-of the paper bounds.  Benchmarks use ``benchmark.pedantic(..., rounds=1)``
-because each "iteration" is a full discrete-event simulation whose cost — not
-micro-timing — is the interesting number; the measured metrics themselves are
-attached to ``benchmark.extra_info`` so they appear in the report.
+The benches use ``benchmark.pedantic`` with a handful of rounds because each
+"iteration" is a whole loop over the code under test; the counts it produced
+are attached to ``benchmark.extra_info`` so they appear in the report.  The
+paper's claims (E1-E12) are tier-1 tests, not benchmarks: ``docs/claims.md``.
 """
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
 from typing import Any, Dict
-
-# Make the test-suite helpers (quick_cluster) importable from benchmarks.
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from repro.sim.cluster import Cluster, build_cluster
 from repro.sim.network import ChannelConfig

@@ -13,6 +13,12 @@ end-to-end metric counts the pairs the change won: a claim needs nine in ten
 besides a median beyond the base's own quartiles, and ``compare.py`` prints
 medians and spreads only.
 
+The two export directories have names of one length and every run prints its
+minor page faults: a live pass has read the length of its checkout's path
+before (PR 22: a 7.7 k- or a 30 k-fault mode, ±25 % ``work_per_s``), and a
+fault count that differs between the sides of one tree means such an artefact
+is back.
+
 ``--change`` takes any tree-ish; ``git stash create`` names the working tree
 without committing it.  Lives outside ``benchmarks/spine/`` because that
 directory is the benchmark, which a change that claims a gain may not edit.
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import shutil
 import statistics
 import subprocess
@@ -32,6 +39,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 REPO = Path(__file__).resolve().parent.parent
+#: Export directory (and result-file stem) of each side: one length.
+TREE_NAMES = {"base": "parent", "change": "change"}
 
 
 def export_tree(rev: str, destination: Path) -> None:
@@ -46,11 +55,14 @@ def export_tree(rev: str, destination: Path) -> None:
             tar.extractall(destination, filter="data")
 
 
-def run_side(tree: Path, out: Path, workload: Optional[str], seed: int) -> int:
+def run_side(tree: Path, out: Path, workload: Optional[str], seed: int) -> Tuple[int, int]:
+    """Run the benchmark in *tree*; its exit code and its ``ru_minflt``."""
     command = [sys.executable, "benchmarks/spine/run.py", "--seed", str(seed), "--out", str(out)]
     if workload:
         command += ["--workload", workload]
-    return subprocess.run(command, cwd=tree, stdout=subprocess.DEVNULL).returncode
+    faults_before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    code = subprocess.run(command, cwd=tree, stdout=subprocess.DEVNULL).returncode
+    return code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults_before
 
 
 def end_to_end(path: Path) -> Dict[Tuple[str, str], Tuple[float, str]]:
@@ -97,18 +109,22 @@ def main() -> int:
     scratch = Path(args.keep or tempfile.mkdtemp(prefix="spine-pairs-")).resolve()
     failed = 0
     try:
-        trees = {"base": scratch / "base", "change": scratch / "change"}
+        trees = {side: scratch / name for side, name in TREE_NAMES.items()}
         export_tree(args.base, trees["base"])
         export_tree(args.change, trees["change"])
         files: Dict[str, List[Path]] = {"base": [], "change": []}
         for pair in range(args.pairs):
             order = ("base", "change") if pair % 2 == 0 else ("change", "base")
             for side in order:
-                out = scratch / f"{side}_{pair:02d}.json"
-                code = run_side(trees[side], out, args.workload, args.seed)
+                out = scratch / f"{TREE_NAMES[side]}_{pair:02d}.json"
+                code, faults = run_side(trees[side], out, args.workload, args.seed)
                 failed += code != 0
                 files[side].append(out)
-                print(f"pair {pair + 1}/{args.pairs}: {side} -> {out.name} (exit {code})", flush=True)
+                print(
+                    f"pair {pair + 1}/{args.pairs}: {side} -> {out.name} "
+                    f"(exit {code}, ru_minflt {faults})",
+                    flush=True,
+                )
         print()
         print_wins(files["base"], files["change"])
         print()

@@ -1,12 +1,8 @@
-"""Metrics, probes and reporting helpers for scenarios and benchmarks."""
+"""Probes and invariants evaluated over a running cluster."""
 
-from repro.analysis.metrics import ExperimentResult, ResultTable, summarize
 from repro.analysis.probes import Invariant, Probe, ProbeResult, wait_for
 
 __all__ = [
-    "ExperimentResult",
-    "ResultTable",
-    "summarize",
     "Invariant",
     "Probe",
     "ProbeResult",

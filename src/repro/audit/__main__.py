@@ -34,7 +34,6 @@ from pathlib import Path
 from typing import List
 
 from repro.analysis import probes
-from repro.analysis.metrics import ResultTable
 from repro.audit.arbitrary_state import PROFILES
 from repro.audit.byzantine import (
     BEHAVIORS,
@@ -291,24 +290,18 @@ def _scale_smoke(n: int, horizon: float, output: str | None) -> int:
 
 
 def _render(report: dict) -> str:
-    table = ResultTable(
-        title=(
-            f"audit sweep ({report['meta']['runs']} runs, "
-            f"{report['meta']['workers']} worker(s))"
-        ),
-        columns=["case", "seed", "certified", "converged", "stabilized_at"],
-    )
-    for verdict in report["verdicts"]:
-        convergence = verdict.get("convergence") or {}
-        table.add(
-            {"case": verdict["case"], "seed": verdict["seed"]},
-            {
-                "certified": verdict["certified"],
-                "converged": verdict["converged"],
-                "stabilized_at": convergence.get("stabilization_time"),
-            },
-        )
-    return table.render()
+    verdicts = report["verdicts"]
+    width = max([len("case")] + [len(verdict["case"]) for verdict in verdicts])
+    row = f"{{:{width}}}  {{:>4}}  {{:9}}  {{:9}}  {{}}".format
+    lines = [
+        f"audit sweep ({report['meta']['runs']} runs, {report['meta']['workers']} worker(s))",
+        row("case", "seed", "certified", "converged", "stabilized_at"),
+    ]
+    for verdict in verdicts:
+        stabilized = (verdict.get("convergence") or {}).get("stabilization_time")
+        cells = (verdict["case"], verdict["seed"], verdict["certified"], verdict["converged"])
+        lines.append(row(*map(str, cells), f"{stabilized:.2f}" if stabilized is not None else "-"))
+    return "\n".join(lines)
 
 
 def _print_cache(meta: dict) -> None:

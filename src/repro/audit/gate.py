@@ -16,7 +16,7 @@ Usage::
     python -m repro.audit.gate AUDIT_smoke.json \\
         --baseline benchmarks/audit_baseline.json --tolerance 0.25
 
-The baseline is refreshed (``make audit-baseline``) whenever a deliberate
+The baseline is refreshed (``--refresh``) whenever a deliberate
 change moves the bound; the refresh rewrites the JSON from the same report
 format the gate reads, so baseline and verdict can never drift structurally.
 

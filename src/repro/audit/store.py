@@ -2,7 +2,7 @@
 
 Every audit/certification sweep used to recompute the world from scratch:
 warm prefix snapshots lived only in parent memory ("cannot cross a process
-boundary except by fork inheritance"), so each ``make audit-smoke`` /
+boundary except by fork inheritance"), so each ``make audit-gate`` /
 ``audit-n128`` / CI invocation re-bootstrapped identical ``(config, seed)``
 prefixes and re-ran thousands of ``(case, seed)`` cells whose inputs had not
 changed since the last run.  This module makes both survive across

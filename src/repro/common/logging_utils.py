@@ -28,9 +28,3 @@ def enable_trace(level: int = logging.DEBUG) -> None:
         handler = logging.StreamHandler()
         handler.setFormatter(logging.Formatter("%(name)s %(levelname)s %(message)s"))
         logger.addHandler(handler)
-
-
-def disable_trace() -> None:
-    """Disable package logging (the default for benchmarks)."""
-    logger = get_logger()
-    logger.setLevel(logging.CRITICAL + 1)

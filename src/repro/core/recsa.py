@@ -305,7 +305,7 @@ class RecSA:
         initial_config: Any = None,
         send_many: Optional[SendManyFn] = None,
         gossip_refresh_interval: int = DEFAULT_GOSSIP_REFRESH_INTERVAL,
-        gossip_deltas: bool = True,
+        gossip_deltas: bool = False,
     ) -> None:
         self.pid = pid
         self.fd_provider = fd_provider

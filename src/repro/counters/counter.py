@@ -69,11 +69,6 @@ def counter_less_than(a: Counter, b: Counter) -> bool:
     return (a.seqn, a.wid) < (b.seqn, b.wid)
 
 
-def counter_leq(a: Counter, b: Counter) -> bool:
-    """``a = b`` or ``a ≺ct b``."""
-    return a == b or counter_less_than(a, b)
-
-
 def max_counter(counters: Iterable[Counter]) -> Optional[Counter]:
     """A maximal counter under ``≺ct`` (deterministic among incomparables)."""
     candidates: List[Counter] = list(counters)

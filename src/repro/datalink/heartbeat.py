@@ -173,7 +173,3 @@ class HeartbeatService:
     def established_peers(self) -> List[ProcessId]:
         """Peers whose link has completed the snap-stabilizing cleaning."""
         return [peer for peer, link in self.links.items() if link.is_established()]
-
-    def heartbeat_counts(self) -> Dict[ProcessId, int]:
-        """Number of heartbeats observed per peer (diagnostics)."""
-        return {peer: link.heartbeats_observed for peer, link in self.links.items()}

@@ -100,11 +100,6 @@ def label_less_than(a: EpochLabel, b: EpochLabel) -> bool:
     return a.sting in b.antistings and b.sting not in a.antistings
 
 
-def label_leq(a: EpochLabel, b: EpochLabel) -> bool:
-    """``a = b`` or ``a ≺lb b``."""
-    return a == b or label_less_than(a, b)
-
-
 def labels_incomparable(a: EpochLabel, b: EpochLabel) -> bool:
     """True when neither label dominates the other under ``≺lb``."""
     return a != b and not label_less_than(a, b) and not label_less_than(b, a)

@@ -180,10 +180,6 @@ class LabelStore:
         """``legitLabels()``: the legitimate labels among the max entries."""
         return [pair.ml for pair in self.max_pairs.values() if pair is not None and pair.legit]
 
-    def total_stored(self) -> int:
-        """Total number of stored label pairs (bounded-memory check)."""
-        return sum(len(queue) for queue in self.stored.values())
-
     # ------------------------------------------------------------------
     # The receipt action (Algorithm 4.2, labelReceiptAction)
     # ------------------------------------------------------------------

@@ -16,7 +16,6 @@ import sys
 from pathlib import Path
 from typing import List
 
-from repro.analysis.metrics import ResultTable
 from repro.scenarios.library import available_scenarios, get_scenario
 from repro.scenarios.runner import run_matrix
 
@@ -30,6 +29,10 @@ def parse_seeds(spec: str) -> List[int]:
     if "," in spec:
         return [int(part) for part in spec.split(",") if part.strip()]
     return [int(spec)]
+
+
+def _cell(value) -> str:
+    return f"{value:.2f}" if isinstance(value, float) else str(value)
 
 
 def main(argv=None) -> int:
@@ -67,23 +70,20 @@ def main(argv=None) -> int:
 
     sweep = run_matrix(names, seeds=seeds, workers=workers)
 
-    table = ResultTable(
-        title=f"scenario sweep ({len(sweep['results'])} runs, "
-        f"{sweep['meta']['workers']} worker(s))",
-        columns=["scenario", "seed", "ok", "sim_time", "delivered", "wall_s"],
-    )
+    print(f"scenario sweep ({len(sweep['results'])} runs, {sweep['meta']['workers']} worker(s))")
+    row = "{:26s} {:>4}  {:5} {:>9} {:>10} {:>7}".format
+    print(row("scenario", "seed", "ok", "sim_time", "delivered", "wall_s"))
     for entry in sweep["results"]:
         stats = entry.get("statistics", {})
-        table.add(
-            {"scenario": entry["scenario"], "seed": entry["seed"]},
-            {
-                "ok": entry.get("ok"),
-                "sim_time": stats.get("time"),
-                "delivered": stats.get("delivered_messages"),
-                "wall_s": entry.get("wall_seconds"),
-            },
+        cells = (
+            entry["scenario"],
+            entry["seed"],
+            entry.get("ok"),
+            stats.get("time"),
+            stats.get("delivered_messages"),
+            entry.get("wall_seconds"),
         )
-    print(table.render())
+        print(row(*map(_cell, cells)))
 
     if args.output:
         path = Path(args.output)

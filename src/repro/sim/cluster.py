@@ -21,7 +21,7 @@ helpers such as :meth:`Cluster.run_until_converged` and
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Protocol, Union
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Union
 
 from repro.common.errors import SimulationError
 from repro.common.types import BOTTOM, Configuration, ProcessId, make_config
@@ -36,21 +36,6 @@ from repro.sim.network import ChannelConfig
 from repro.sim.process import Process
 from repro.sim.simulator import Simulator
 from repro.sim.stacks import StackProfile, get_stack
-
-
-class NodeService(Protocol):
-    """Interface of application services pluggable into a node.
-
-    A service may implement either hook; both are optional (the node inspects
-    the service once, at registration, and dispatches through precomputed
-    hook lists — no per-event ``getattr``).
-    """
-
-    def on_timer(self) -> None:  # pragma: no cover - protocol declaration
-        ...
-
-    def on_message(self, sender: ProcessId, message: Any) -> bool:  # pragma: no cover
-        ...
 
 
 #: Ledger entry for an alive node that is not (yet) a participant.

@@ -158,7 +158,6 @@ class ConvergenceTracker:
         self.first_true_time: Optional[float] = None
         self.first_true_event: Optional[int] = None
         self.last_transition_time: Optional[float] = None
-        self.last_transition_event: Optional[int] = None
         self.currently_true = False
         self.transition_count = 0
         simulator.add_post_step_hook(self._observe)
@@ -185,7 +184,6 @@ class ConvergenceTracker:
                 self.first_true_time = simulator.now
                 self.first_true_event = simulator.executed_events
             self.last_transition_time = simulator.now
-            self.last_transition_event = simulator.executed_events
         self.currently_true = holds
 
     @property
@@ -194,13 +192,6 @@ class ConvergenceTracker:
         if not self.currently_true:
             return None
         return self.last_transition_time
-
-    @property
-    def stabilization_event(self) -> Optional[int]:
-        """Event index at which the predicate last became true."""
-        if not self.currently_true:
-            return None
-        return self.last_transition_event
 
     def summary(self) -> Dict[str, Any]:
         """Dictionary summary used by the benchmark reporting helpers."""

@@ -10,9 +10,8 @@ The simulator owns:
 Running modes
 -------------
 ``run(until=...)`` executes events until the clock passes the deadline;
-``run_steps(n)`` executes exactly ``n`` events; ``run_until(predicate, ...)``
-executes until a condition over the system state holds (used heavily by the
-convergence experiments).
+``run_until(predicate, ...)`` executes until a condition over the system
+state holds (used heavily by the convergence experiments).
 """
 
 from __future__ import annotations
@@ -71,7 +70,6 @@ class Simulator:
         self.outbound_interceptors: Dict[ProcessId, Any] = {}
         self.executed_events = 0
         self.delivered_messages = 0
-        self._pre_step_hooks: List[Callable[["Simulator"], None]] = []
         self._post_step_hooks: List[Callable[["Simulator"], None]] = []
         self._root_rng = make_rng(seed, "simulator")
         #: The transport facade handed to every process context.  One shared
@@ -213,10 +211,6 @@ class Simulator:
         process.deliver(packet.source, packet.payload)
 
     # ----------------------------------------------------------------- hooks
-    def add_pre_step_hook(self, hook: Callable[["Simulator"], None]) -> None:
-        """Run *hook(self)* before every executed event."""
-        self._pre_step_hooks.append(hook)
-
     def add_post_step_hook(self, hook: Callable[["Simulator"], None]) -> None:
         """Run *hook(self)* after every executed event."""
         self._post_step_hooks.append(hook)
@@ -230,9 +224,6 @@ class Simulator:
         if event.time < self.now:
             raise SimulationError("event queue returned an event from the past")
         self.now = event.time
-        if self._pre_step_hooks:
-            for hook in self._pre_step_hooks:
-                hook(self)
         event.callback(*event.args)
         self.executed_events += 1
         if self._post_step_hooks:
@@ -258,20 +249,10 @@ class Simulator:
                 return PAUSED
             self.step()
 
-    def run_steps(self, count: int) -> int:
-        """Execute at most *count* events; return the number executed."""
-        executed = 0
-        for _ in range(count):
-            if not self.step():
-                break
-            executed += 1
-        return executed
-
     def run_until(
         self,
         predicate: Callable[[], bool],
         timeout: float = 10_000.0,
-        check_interval: int = 1,
         stop_before: Optional[float] = None,
         poll_interval: Optional[float] = None,
     ) -> Any:
@@ -283,8 +264,8 @@ class Simulator:
         instant should pass ``simulator.now + budget`` (which is what
         :meth:`repro.sim.cluster.Cluster.run_until` does).
 
-        Without *poll_interval* the predicate is evaluated every
-        *check_interval* executed events.  With a positive *poll_interval*
+        Without *poll_interval* the predicate is evaluated after every
+        executed event.  With a positive *poll_interval*
         the predicate is instead evaluated on a **simulated-time cadence**:
         whenever the next live event would cross the current poll boundary
         (so dense event bursts pay one evaluation per interval, not one per
@@ -319,7 +300,6 @@ class Simulator:
                     # empty poll windows one by one.
                     next_poll = max(next_poll + poll_interval, next_time)
                 self.step()
-        counter = 0
         while True:
             next_time = events.peek_time()
             if next_time is None or next_time > timeout:
@@ -327,8 +307,7 @@ class Simulator:
             if stop_before is not None and next_time >= stop_before:
                 return PAUSED
             self.step()
-            counter += 1
-            if counter % check_interval == 0 and predicate():
+            if predicate():
                 return True
 
     # ------------------------------------------------------------ inspection

@@ -15,11 +15,11 @@ from repro.sim.faults import CorruptionAtom
 from repro.sim.network import ChannelConfig
 
 
-def quick_cluster(n: int, seed: int = 1, **kwargs: Any) -> Cluster:
-    """A small, fast cluster with low-latency channels for tests."""
+def quick_cluster(n: int, seed: int = 1, capacity: int = 8, **kwargs: Any) -> Cluster:
+    """A small, fast cluster with low-latency, lossless channels for tests."""
     kwargs.setdefault(
         "channel_config",
-        ChannelConfig(capacity=8, loss_probability=0.0, min_delay=0.2, max_delay=0.6),
+        ChannelConfig(capacity=capacity, loss_probability=0.0, min_delay=0.2, max_delay=0.6),
     )
     kwargs.setdefault("step_interval", 1.0)
     return build_cluster(n=n, seed=seed, **kwargs)
@@ -105,7 +105,9 @@ class RecSAHarness:
     control exactly which processors each instance trusts.
     """
 
-    def __init__(self, pids: Iterable[ProcessId], initial_config: Any = BOTTOM) -> None:
+    def __init__(
+        self, pids: Iterable[ProcessId], initial_config: Any = BOTTOM, gossip_deltas: bool = False
+    ) -> None:
         self.pids = sorted(pids)
         self.bus = LocalBus()
         self.trusted: Dict[ProcessId, frozenset] = {
@@ -118,6 +120,7 @@ class RecSAHarness:
                 fd_provider=(lambda p=pid: self.trusted[p]),
                 send=self.bus.sender_for(pid),
                 initial_config=initial_config,
+                gossip_deltas=gossip_deltas,
             )
             self.instances[pid] = instance
             self.bus.register(pid, instance.dispatch)

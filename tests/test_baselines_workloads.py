@@ -32,7 +32,9 @@ class TestCoherentStartBaseline:
         assert all(node.config == make_config([0, 1, 2]) for node in nodes.values())
 
     def test_transient_fault_never_recovers(self):
-        """The non-self-stabilizing baseline stays split forever (E9)."""
+        """E9: the non-self-stabilizing coherent-start baseline stays split
+        forever under the class of fault the scheme recovers from
+        (``test_recsa.py::TestRecSACluster::test_convergence_from_scrambled_state``)."""
         sim, nodes = self._baseline()
         sim.run(until=20.0)
         # Transient fault: two nodes end up with the same sequence number but

@@ -1,4 +1,4 @@
-"""Unit tests for repro.common (types, rng, errors) and repro.analysis."""
+"""Unit tests for repro.common (types, rng, errors)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pickle
 
 import pytest
 
-from repro.analysis.metrics import ExperimentResult, ResultTable, summarize
 from repro.common import errors
 from repro.common.rng import derive_seed, make_rng, seed_stream
 from repro.common.types import (
@@ -143,35 +142,3 @@ class TestErrors:
         with pytest.raises(errors.ReproError):
             raise errors.InvariantViolation("boom")
 
-
-class TestAnalysis:
-    def test_result_table_rows_and_render(self):
-        table = ResultTable(title="demo", columns=["n", "time"])
-        table.add({"n": 3}, {"time": 1.5})
-        table.add({"n": 5}, {"time": 2.0})
-        assert table.rows() == [[3, 1.5], [5, 2.0]]
-        rendered = table.render()
-        assert "demo" in rendered
-        assert "1.50" in rendered
-
-    def test_result_table_column(self):
-        table = ResultTable(title="t", columns=["n", "x"])
-        table.add({"n": 1}, {"x": 10})
-        table.add({"n": 2}, {"x": 20})
-        assert table.column("x") == [10, 20]
-
-    def test_summarize(self):
-        stats = summarize([1.0, 2.0, 3.0])
-        assert stats["mean"] == pytest.approx(2.0)
-        assert stats["median"] == pytest.approx(2.0)
-        assert stats["min"] == 1.0
-        assert stats["max"] == 3.0
-        assert stats["count"] == 3
-
-    def test_summarize_empty(self):
-        stats = summarize([])
-        assert stats["count"] == 0
-
-    def test_experiment_result_as_row_handles_missing(self):
-        result = ExperimentResult(parameters={"a": 1}, metrics={"b": 2})
-        assert result.as_row(["a", "b", "c"]) == [1, 2, ""]

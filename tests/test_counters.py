@@ -81,6 +81,8 @@ class TestCounterService:
         assert outcome.counter.seqn >= 1
 
     def test_sequential_increments_are_monotonic(self):
+        """E7, Theorem 4.6: completed increments return strictly increasing
+        counters, whichever participant asks."""
         env = _ClusterWithCounters(4, seed=62)
         previous = None
         for pid in (0, 1, 2, 0, 3):
@@ -109,6 +111,10 @@ class TestCounterService:
         assert results and not results[0].success and results[0].aborted
 
     def test_exhaustion_rolls_over_to_new_label(self):
+        """E7, Theorem 4.6 across an epoch: an exhausted ``seqn`` rolls over
+        to a fresh label (Theorem 4.4) and increments keep completing.  Strict
+        order across the rollover holds only once the new maximal label is
+        agreed, so it is asserted within one epoch, above."""
         env = _ClusterWithCounters(3, seed=65, seqn_bound=3)
         labels_seen = set()
         for round_index in range(6):

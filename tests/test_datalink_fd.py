@@ -171,6 +171,9 @@ class TestNThetaFailureDetector:
         assert fd.suspects() == frozenset()
 
     def test_crashed_peer_eventually_suspected(self):
+        """E10, the detector's rule on its own: a silent peer falls behind the
+        gap and is suspected, the heartbeating ones stay trusted (the cluster
+        half is ``test_claims.py::test_failure_detector_suspects_exactly_the_crashed``)."""
         fd = NThetaFailureDetector(pid=1, upper_bound_n=10, gap_factor=2.0, gap_slack=4)
         for _ in range(5):
             for peer in (2, 3, 4):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import cycle, islice
+
 import pytest
 
 from repro.audit.arbitrary_state import apply_plan
@@ -71,6 +73,8 @@ class TestRecMA:
         assert sum(node.recma.trigger_count for node in cluster.nodes.values()) == 0
 
     def test_majority_collapse_triggers_reconfiguration(self):
+        """E4, Lemma 3.20: a collapsed majority triggers recMA and the
+        survivors install a configuration of their own."""
         cluster = quick_cluster(5, seed=32)
         assert cluster.run_until_converged(timeout=800)
         old_config = cluster.agreed_configuration()
@@ -127,33 +131,44 @@ class TestRecMA:
         assert sum(node.recma.prediction_triggers for node in cluster.nodes.values()) == 0
 
     def test_corrupt_flags_cause_bounded_triggers(self):
-        """Lemma 3.18: stale flags cause at most a bounded number of triggers."""
-        cluster = quick_cluster(4, seed=36)
-        assert cluster.run_until_converged(timeout=800)
-        universe = list(range(4))
-        flags = [
-            CorruptionAtom(kind="entry", pid=pid, path=("recma", flag), key=other, value=True)
-            for pid in universe
-            for other in universe
-            for flag in ("no_maj", "need_reconf")
-        ]
-        stale = [
-            CorruptionAtom(
-                kind="channel",
-                pid=sender,
-                key=0,
-                value=RecMAMessage(sender=sender, no_maj=True, need_reconf=True),
-            )
-            for sender in (1, 2, 3) * 4
-        ]
-        assert apply_plan(cluster, flags + stale)["skipped"] == 0
-        cluster.run(until=cluster.simulator.now + 400)
-        triggers = sum(node.recma.trigger_count for node in cluster.nodes.values())
-        capacity = cluster.channel_capacity
-        n = len(cluster.nodes)
-        assert triggers <= n * n * capacity
-        # And the system is stable again afterwards.
-        assert cluster.run_until_converged(timeout=2000)
+        """E3, Lemma 3.18: stale flags cause at most N²·cap spurious triggers.
+
+        Here the bound cannot be reached: ``RecMA.step`` clears and recomputes
+        the owner's own ``no_maj``/``need_reconf`` from its failure detector
+        and policy before it reads any peer flag, so stale flags alone never
+        complete a trigger.  The test therefore pins 0 exactly and asserts
+        that every atom landed — with ``0 <= N²·cap`` alone, renaming a flag
+        field (every atom skipped) would leave it green.
+        """
+        for n, capacity in ((4, 4), (6, 8)):
+            cluster = quick_cluster(n, seed=36, capacity=capacity)
+            assert cluster.run_until_converged(timeout=800)
+            universe = list(range(n))
+            # Every noMaj/needReconf flag at every node set ...
+            flags = [
+                CorruptionAtom(kind="entry", pid=pid, path=("recma", flag), key=other, value=True)
+                for pid in universe
+                for other in universe
+                for flag in ("no_maj", "need_reconf")
+            ]
+            # ... and *capacity* stale all-True packets toward every node,
+            # the senders taken in turn.
+            stale = [
+                CorruptionAtom(
+                    kind="channel",
+                    pid=sender,
+                    key=target,
+                    value=RecMAMessage(sender=sender, no_maj=True, need_reconf=True),
+                )
+                for target in universe
+                for sender in islice(cycle(p for p in universe if p != target), capacity)
+            ]
+            assert apply_plan(cluster, flags) == {"applied": 2 * n * n, "skipped": 0}
+            assert apply_plan(cluster, stale) == {"applied": n * capacity, "skipped": 0}
+            cluster.run(until=cluster.simulator.now + 400)
+            assert [node.recma.trigger_count for node in cluster.nodes.values()] == [0] * n
+            # And the system is stable again afterwards.
+            assert cluster.run_until_converged(timeout=2000)
 
     def test_flags_reset_each_iteration(self):
         cluster = quick_cluster(3, seed=37)
@@ -182,6 +197,7 @@ class TestJoining:
         assert cluster.is_converged() or cluster.run_until_converged(timeout=1000)
 
     def test_joiner_not_member_until_reconfiguration(self):
+        """E5, Theorem 3.26: joining makes a participant, not a member."""
         cluster = quick_cluster(3, seed=42)
         assert cluster.run_until_converged(timeout=800)
         joiner = cluster.add_joiner(77)
@@ -191,6 +207,7 @@ class TestJoining:
         assert 77 not in cluster.agreed_configuration()
 
     def test_admission_policy_denies_join(self):
+        """E5, Theorem 3.26: a joiner ``passQuery()`` denies never participates."""
         cluster = quick_cluster(3, seed=43, admission_policy=lambda joiner: False)
         assert cluster.run_until_converged(timeout=800)
         joiner = cluster.add_joiner(88)
@@ -212,13 +229,17 @@ class TestJoining:
         assert all(value["snapshot-from"] in cluster.nodes for value in received.values())
 
     def test_multiple_joiners(self):
+        """E5, Theorem 3.26: a burst of joiners all become participants and
+        the configuration does not move."""
         cluster = quick_cluster(3, seed=45)
         assert cluster.run_until_converged(timeout=800)
+        config = cluster.agreed_configuration()
         joiners = [cluster.add_joiner(pid) for pid in (200, 201, 202)]
         assert cluster.run_until(
             lambda: all(j.scheme.is_participant() for j in joiners), timeout=4000
         )
         assert cluster.run_until_converged(timeout=1000)
+        assert cluster.agreed_configuration() == config
 
     def test_responses_withheld_during_reconfiguration(self):
         cluster = quick_cluster(4, seed=46)

@@ -235,6 +235,8 @@ class TestRecSACluster:
         assert sum(node.recsa.reset_count for node in cluster.nodes.values()) == 0
 
     def test_convergence_from_scrambled_state(self):
+        """E9, the scheme's half: a ``scramble`` plan is recovered from (the
+        baseline's half is ``test_transient_fault_never_recovers``)."""
         cluster = quick_cluster(5, seed=23)
         assert cluster.run_until_converged(timeout=800)
         atoms = scramble(cluster, seed=99)
@@ -262,16 +264,35 @@ class TestRecSACluster:
         )
 
     def test_closure_no_spurious_reconfigurations(self):
-        """After convergence and with no faults, the configuration never changes."""
+        """E2, Theorem 3.16 (closure): with no faults the configuration never
+        changes, and an explicit ``estab()`` is installed exactly once by
+        every processor, without a reset, and stays."""
         cluster = quick_cluster(4, seed=26)
         assert cluster.run_until_converged(timeout=800)
         config = cluster.agreed_configuration()
-        installs_before = sum(node.recsa.install_count for node in cluster.nodes.values())
-        resets_before = sum(node.recsa.reset_count for node in cluster.nodes.values())
+
+        def counts():
+            nodes = cluster.nodes.values()
+            return [node.recsa.install_count for node in nodes], sum(
+                node.recsa.reset_count for node in nodes
+            )
+
+        installs_before, resets_before = counts()
         cluster.run(until=cluster.simulator.now + 200)
         assert cluster.agreed_configuration() == config
-        assert sum(node.recsa.install_count for node in cluster.nodes.values()) == installs_before
-        assert sum(node.recsa.reset_count for node in cluster.nodes.values()) == resets_before
+        assert counts() == (installs_before, resets_before)
+
+        target = make_config([0, 1, 2])
+        assert cluster.nodes[0].scheme.request_reconfiguration(target)
+        assert cluster.run_until(
+            lambda: cluster.agreed_configuration() == target and cluster.is_converged(),
+            timeout=2500,
+        )
+        replaced = ([count + 1 for count in installs_before], resets_before)
+        assert counts() == replaced
+        cluster.run(until=cluster.simulator.now + 100)
+        assert cluster.agreed_configuration() == target
+        assert counts() == replaced
 
 
 class TestChangeDetectedGossip:

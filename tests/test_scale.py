@@ -60,8 +60,11 @@ class TestDeltaEquivalence:
 
 
 class TestDigestFallback:
+    """The delta/digest wire discipline, switched on explicitly: it is off by
+    default everywhere (``RecSA``, ``ClusterConfig``) since PR 7."""
+
     def test_corrupt_stored_copy_detected_and_repaired(self):
-        harness = RecSAHarness(pids=[1, 2, 3])
+        harness = RecSAHarness(pids=[1, 2, 3], gossip_deltas=True)
         assert harness.run_until(harness.converged)
         harness.round(count=8)  # settle into compact steady-state gossip
         victim, source = harness[2], harness[1]
@@ -86,7 +89,7 @@ class TestDigestFallback:
         """
         from repro.core.recsa import RecSADelta
 
-        harness = RecSAHarness(pids=[1, 2])
+        harness = RecSAHarness(pids=[1, 2], gossip_deltas=True)
         harness.round(count=6)
         victim = harness[2]
         chain_version = victim._gossip_chain[1][0]
@@ -125,7 +128,7 @@ class TestDigestFallback:
         from repro.common.types import BOTTOM, DEFAULT_PROPOSAL
         from repro.core.recsa import RecSAMessage
 
-        harness = RecSAHarness(pids=[1, 2])
+        harness = RecSAHarness(pids=[1, 2], gossip_deltas=True)
         harness.round(count=6)
         victim = harness[2]
         assert 1 in victim._gossip_chain

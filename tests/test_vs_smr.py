@@ -128,6 +128,7 @@ class TestVirtualSynchrony:
         assert len(view.members & env.cluster.agreed_configuration()) >= 3
 
     def test_total_order_delivery(self):
+        """E8, Theorem 4.13: every replica applies the same command sequence."""
         env = _VSCluster(4, seed=72)
         assert env.wait_for_view()
         env.vs[0].submit("a")
@@ -154,6 +155,8 @@ class TestVirtualSynchrony:
         assert "hello" in delivered
 
     def test_coordinator_crash_elects_new_coordinator(self):
+        """E8, Theorem 4.13 across a view change: the state survives the
+        coordinator's crash and the survivors' logs stay prefix-consistent."""
         env = _VSCluster(4, seed=74)
         assert env.wait_for_view()
         old_coord = env.coordinator()
@@ -177,6 +180,8 @@ class TestVirtualSynchrony:
         assert new_coord is not None and new_coord != old_coord
         # State survived the coordinator change.
         assert "before-crash" in env.vs[new_coord].machine.log
+        logs = sorted((vs.machine.log for vs in env._alive().values()), key=len)
+        assert all(long[: len(short)] == short for short, long in zip(logs, logs[1:]))
 
     def test_coordinator_led_reconfiguration_preserves_state(self):
         env = _VSCluster(4, seed=75)
@@ -251,6 +256,8 @@ class TestSharedRegister:
         assert count == 1
 
     def test_concurrent_writes_totally_ordered(self):
+        """E12: the MWMR register emulation — every replica observes one
+        totally ordered write history and the same final value."""
         env = _VSCluster(3, seed=78, machine_factory=RegisterStateMachine)
         assert env.wait_for_view()
         registers = {pid: SharedRegister(pid, vs) for pid, vs in env.vs.items()}

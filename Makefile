@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test bench bench-micro bench-loadgen runtime-smoke scenarios-smoke audit-gate audit-byzantine audit-n24 audit-n128 audit-n512-smoke audit-profile-grid audit-shrink-demo audit-warm-check spine-pairs
+.PHONY: test bench bench-micro scenarios-smoke audit-gate audit-byzantine audit-n24 audit-n128 audit-n512-smoke audit-profile-grid audit-shrink-demo audit-warm-check spine-pairs
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -17,22 +17,6 @@ bench:
 bench-micro:
 	$(PYTHON) benchmarks/bench_codec.py
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/bench_hotpath.py -q
-
-# Live-runtime CI smoke: boot an n=8 asyncio/UDP cluster on localhost,
-# require bootstrap convergence, kill a node (survivors must evict it),
-# restart it as a joiner (must be re-admitted) — all inside one wall-clock
-# budget.  Exit 1 on any missed milestone.
-runtime-smoke:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.runtime --smoke --n 8 --budget 60
-
-# Closed-loop load generator against the live asyncio runtime: client
-# sessions driving counter increments and SMR commands, a mid-run
-# kill/recover probe, and the clients-axis sweep (multi-process drivers
-# above 32 clients).  Writes the git-ignored BENCH_dev_loadgen.json and
-# fails if counters ops/s drops below 75% of the checked-in baseline
-# (re-pin: docs/transport.md).
-bench-loadgen:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.runtime.loadgen --mode both --kill-probe --duration 8 --clients 16 --sweep-clients 16,32,64,128,256 --baseline benchmarks/loadgen_baseline.json --output BENCH_dev_loadgen.json
 
 # CI gate: every registered scenario once, seed 0, nonzero exit on failure;
 # then the three examples, each of which ends by asserting what it claims.

@@ -3,10 +3,10 @@
 The runtime's per-datagram cost is one :func:`repro.common.codec.frame` on
 the sender and one :func:`~repro.common.codec.unframe` on the receiver, so
 the codec *is* the wire hot path.  This bench measures each hot wire type —
-the messages the loadgen profile shows dominating live traffic (data-link
-tokens every heartbeat, counter quorum reads/writes per client op, recSA
-digest/delta gossip, recMA flags) — through the wire format and, for
-scale, the reference encoding the tests compare it against:
+the messages that dominate live traffic (data-link tokens every heartbeat,
+counter quorum reads/writes per client op, recSA digest/delta gossip, recMA
+flags) — through the wire format and, for scale, the reference encoding the
+tests compare it against:
 
 * ``binary``  — the wire format (:func:`codec.frame` /
   :func:`codec.unframe`);

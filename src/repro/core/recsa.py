@@ -1006,19 +1006,6 @@ class RecSA:
     # ------------------------------------------------------------------
     # Message receipt (line 30)
     # ------------------------------------------------------------------
-    def dispatch(self, sender: ProcessId, message: Any) -> None:
-        """Route any recSA gossip form (full, delta, digest) to its handler.
-
-        Convenience for harnesses that wire ``RecSA`` directly to a bus;
-        the composed scheme dispatches by type itself.
-        """
-        if isinstance(message, RecSAMessage):
-            self.on_message(sender, message)
-        elif isinstance(message, RecSADelta):
-            self.on_delta(sender, message)
-        elif isinstance(message, RecSADigest):
-            self.on_digest(sender, message)
-
     def on_message(self, sender: ProcessId, message: RecSAMessage) -> None:
         """Store the peer's state (the paper's ``upon receive`` handler)."""
         if sender == self.pid:

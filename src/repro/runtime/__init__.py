@@ -12,12 +12,11 @@ as live asyncio tasks exchanging UDP datagrams on localhost:
 * :class:`~repro.runtime.cluster.RuntimeCluster` — the harness: builds
   and boots an n-node localhost cluster, polls convergence, kills and
   restarts nodes.
-* :mod:`repro.runtime.loadgen` — the closed-loop load generator
-  (``python -m repro.runtime.loadgen``): K concurrent client sessions
-  driving counter increments / SMR commands, latency percentiles,
-  convergence-after-kill probes.
-* ``python -m repro.runtime --smoke`` — the CI smoke: n=8 bootstraps,
-  converges, survives a kill/restart inside a 60 s wall budget.
+
+There is no client here: a service is called in-process through
+``cluster.service(pid, name)`` (``tests/test_runtime.py`` has the
+examples), and the measured clients, which check every answer, are the
+spine benchmark's live workloads (``benchmarks/spine/``).
 """
 
 from repro.runtime.transport import AsyncioTransport

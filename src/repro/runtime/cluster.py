@@ -156,7 +156,8 @@ class RuntimeCluster:
 
         The old crashed node object is replaced; the new one must be
         admitted by the current configuration's members before it counts as
-        a participant again.
+        a participant again.  A pid that is still alive is refused by the
+        transport (``RuntimeError``) and nothing changes.
         """
         if self.transport is None:
             raise RuntimeError("cluster not started")
@@ -169,8 +170,10 @@ class RuntimeCluster:
             initial_config=None,
             stack=self.stack,
         )
-        self.nodes[pid] = node
+        # Hosted first, recorded second: ``nodes`` only ever names nodes the
+        # transport accepted.
         await self.transport.start_node(node)
+        self.nodes[pid] = node
         return node
 
     # -------------------------------------------------------- inspection

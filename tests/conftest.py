@@ -9,7 +9,7 @@ import pytest
 
 from repro.audit.arbitrary_state import PROFILES, apply_plan, generate_plan
 from repro.common.types import BOTTOM, ProcessId, make_config
-from repro.core.recsa import RecSA
+from repro.core.recsa import RecSA, RecSADelta, RecSADigest, RecSAMessage
 from repro.sim.cluster import Cluster, build_cluster
 from repro.sim.faults import CorruptionAtom
 from repro.sim.network import ChannelConfig
@@ -123,7 +123,16 @@ class RecSAHarness:
                 gossip_deltas=gossip_deltas,
             )
             self.instances[pid] = instance
-            self.bus.register(pid, instance.dispatch)
+            # The three gossip forms, routed by type as ``ReconfigurationScheme``
+            # does (only the first is on the wire unless *gossip_deltas*).
+            routes = {
+                RecSAMessage: instance.on_message,
+                RecSADelta: instance.on_delta,
+                RecSADigest: instance.on_digest,
+            }
+            self.bus.register(
+                pid, lambda sender, message, routes=routes: routes[type(message)](sender, message)
+            )
 
     def __getitem__(self, pid: ProcessId) -> RecSA:
         return self.instances[pid]

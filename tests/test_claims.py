@@ -145,9 +145,13 @@ def test_every_ledger_row_names_tests_that_exist():
 
 def test_every_make_target_ci_runs_is_defined():
     """``make bench-pytest`` rotted unnoticed because nothing ran it; a CI
-    step that names a target the Makefile lost should fail here first."""
+    step that names a target the Makefile lost should fail here first.  And
+    ``.PHONY`` lists exactly the rules, so a deleted target leaves no entry
+    behind and a new one is not shadowed by a file of its name."""
     makefile = (REPO / "Makefile").read_text(encoding="utf-8")
     defined = set(re.findall(r"^([a-z0-9-]+):", makefile, re.MULTILINE))
+    phony = set(re.search(r"^\.PHONY:(.*)$", makefile, re.MULTILINE).group(1).split())
+    assert phony == defined, sorted(phony ^ defined)
     workflow = (REPO / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
     used = set(re.findall(r"run: make ([a-z0-9-]+)", workflow))
     assert used and used <= defined, sorted(used - defined)

@@ -346,7 +346,7 @@ class TestChangeDetectedGossip:
                 gossip_refresh_interval=1,
             )
             instances[pid] = inst
-            bus.register(pid, inst.dispatch)
+            bus.register(pid, inst.on_message)
         for _ in range(8):
             for pid in bus_pids:
                 instances[pid].step()

@@ -2,9 +2,13 @@
 
 These exercise :class:`repro.runtime.cluster.RuntimeCluster` end to end —
 bootstrap from ``BOTTOM`` to an agreed configuration, stop-fail eviction,
-joiner re-admission — plus a miniature closed-loop load-generator run and
-the hostile-datagram quarantine path.  Everything runs at ``tick_seconds``
-well below the default so the whole module stays a few wall seconds.
+joiner re-admission — plus closed-loop clients that check what they got back
+(counter values, Thm 4.6; SMR delivery across a live view change) and the
+hostile-datagram quarantine path.  These are also the examples of driving a
+live cluster: a service is called in-process through
+``cluster.service(pid, name)``.  Everything but the SMR tests runs at
+``tick_seconds`` well below the default so the whole module stays a few wall
+seconds.
 
 Wall-clock budgets are deliberately generous (CI machines stall); the
 expected timings are an order of magnitude smaller.
@@ -22,14 +26,88 @@ import pytest
 
 from repro.common.codec import encode
 from repro.core.joining import JoinRequest
+from repro.counters.counter import counter_less_than
 from repro.runtime.cluster import RuntimeCluster
-from repro.runtime.loadgen import percentile, run_loadgen
 from repro.runtime.transport import _HEADER
 
 #: Fast pacing for tests: 10 ms of wall clock per sim-time unit.
 TICK = 0.01
 #: Outer wall-clock budget per wait; actual convergence is well under 1 s.
 BUDGET_S = 30.0
+
+
+async def _wait_until(predicate, what: str) -> None:
+    """Poll *predicate* every 10 ms; fail with *what* after ``BUDGET_S``."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + BUDGET_S
+    while not predicate():
+        assert loop.time() < deadline, what
+        await asyncio.sleep(0.01)
+
+
+async def _kill_and_wait_for_eviction(cluster: RuntimeCluster, victim: int) -> None:
+    """Stop-fail *victim*; return once no survivor's detector trusts it."""
+    cluster.kill(victim)
+    assert cluster.nodes[victim].crashed
+    await _wait_until(
+        lambda: all(
+            victim not in node.trusted()
+            for pid, node in cluster.nodes.items()
+            if pid != victim
+        ),
+        "survivors never evicted the victim",
+    )
+
+
+async def _smr_clients(cluster: RuntimeCluster):
+    """Wait for convergence and an installed view, tap every replica's
+    deliveries; returns ``submit(pid, command)``, a future that resolves when
+    the first replica delivers *command*."""
+    assert await cluster.wait_converged(timeout_s=BUDGET_S, poll_s=0.01)
+    loop = asyncio.get_running_loop()
+    services = {pid: cluster.service(pid, "vs") for pid in cluster.nodes}
+    await _wait_until(
+        lambda: any(vs.is_coordinator() and vs.view for vs in services.values()),
+        "no view was installed",
+    )
+    waiting: dict = {}
+
+    def tap(rnd, view, commands) -> None:
+        for command in commands:
+            future = waiting.get(command)
+            if future is not None and not future.done():
+                future.set_result(True)
+
+    for vs in services.values():
+        vs.delivery_callback = tap
+
+    def submit(pid: int, command) -> asyncio.Future:
+        future = waiting[command] = loop.create_future()
+        services[pid].submit(command)
+        return future
+
+    return submit
+
+
+async def _deliver_closed_loop(submit, total: int, on_completed=None) -> None:
+    """Eight closed-loop clients (client i at node i) get *total* commands
+    delivered, each within 10 s; *on_completed(count)* after every one."""
+    completed = submitted = 0
+
+    async def client(index: int) -> None:
+        nonlocal completed, submitted
+        seq = 0
+        while submitted < total:
+            submitted += 1
+            future = submit(index, ("closed-loop", index, seq))
+            seq += 1
+            await asyncio.wait_for(future, timeout=10.0)
+            completed += 1
+            if on_completed is not None:
+                on_completed(completed)
+
+    await asyncio.gather(*(client(index) for index in range(8)))
+    assert completed == total
 
 
 def test_bootstrap_kill_restart_cycle():
@@ -43,30 +121,14 @@ def test_bootstrap_kill_restart_cycle():
             assert cluster.agreed_configuration() == frozenset(range(8))
 
             victim = 7
-            cluster.kill(victim)
-            assert cluster.nodes[victim].crashed
-
-            def evicted() -> bool:
-                return all(
-                    victim not in node.trusted()
-                    for pid, node in cluster.nodes.items()
-                    if pid != victim
-                )
-
-            loop = asyncio.get_running_loop()
-            deadline = loop.time() + BUDGET_S
-            while not evicted():
-                assert loop.time() < deadline, "survivors never evicted the victim"
-                await asyncio.sleep(0.01)
+            await _kill_and_wait_for_eviction(cluster, victim)
 
             node = await cluster.restart(victim)
             assert not node.scheme.is_participant()  # fresh joiner
-            deadline = loop.time() + BUDGET_S
-            while not (
-                node.scheme.is_participant() and cluster.is_converged()
-            ):
-                assert loop.time() < deadline, "restarted node never rejoined"
-                await asyncio.sleep(0.01)
+            await _wait_until(
+                lambda: node.scheme.is_participant() and cluster.is_converged(),
+                "restarted node never rejoined",
+            )
 
             stats = cluster.statistics()
             assert stats["delivery_errors"] == 0
@@ -75,29 +137,73 @@ def test_bootstrap_kill_restart_cycle():
     asyncio.run(scenario())
 
 
-def test_mini_loadgen_counters():
-    """A small closed-loop run completes increments and reports latency."""
+def test_restart_of_a_live_pid_is_refused_and_changes_nothing():
+    """``restart`` of a pid that was never killed raises before it replaces
+    the node: the cluster keeps describing the nodes that are running."""
 
-    async def scenario() -> dict:
-        return await run_loadgen(
-            n=4,
-            clients=4,
-            duration_s=1.5,
-            mode="counters",
-            seed=7,
-            tick_seconds=TICK,
-            bootstrap_timeout_s=BUDGET_S,
-            op_timeout_s=10.0,
-        )
+    async def scenario() -> None:
+        async with RuntimeCluster(
+            n=3, seed=7, stack="counters", tick_seconds=TICK
+        ) as cluster:
+            assert await cluster.wait_converged(timeout_s=BUDGET_S, poll_s=0.01)
+            node = cluster.nodes[2]
+            with pytest.raises(RuntimeError, match="live endpoint"):
+                await cluster.restart(2)
+            assert cluster.nodes[2] is node
+            assert cluster.is_converged()
+            assert cluster.statistics()["alive"] == 3
 
-    report = asyncio.run(scenario())
-    assert "error" not in report
-    assert report["ops_completed"] > 0
-    assert report["ops_failed"] == 0
-    latency = report["latency"]
-    assert latency["p50_ms"] > 0
-    assert latency["p50_ms"] <= latency["p95_ms"] <= latency["p99_ms"]
-    assert report["statistics"]["delivery_errors"] == 0
+    asyncio.run(scenario())
+
+
+def test_closed_loop_counter_clients_get_distinct_increasing_values():
+    """Thm 4.6 on the live backend: n=4, four concurrent closed-loop clients
+    for 1.5 s — every increment succeeds, no two clients are handed the same
+    counter, and each client's counters strictly increase under ``≺ct``.
+
+    The theorem starts from an agreed maximal label (Thm 4.4), which recSA
+    convergence does not imply: a client let loose a few milliseconds earlier
+    is handed a counter under one label and then a smaller one under another
+    (8 runs of 24 with both cores taken).  So the clients wait for the label.
+    """
+
+    async def scenario() -> None:
+        async with RuntimeCluster(
+            n=4, seed=7, stack="counters", tick_seconds=TICK
+        ) as cluster:
+            assert await cluster.wait_converged(timeout_s=BUDGET_S, poll_s=0.01)
+
+            def max_label_agreed() -> bool:
+                pairs = [
+                    cluster.service(pid, "counters").local_max_counter()
+                    for pid in cluster.nodes
+                ]
+                return None not in pairs and len({pair.mct.label for pair in pairs}) == 1
+
+            await _wait_until(max_label_agreed, "no maximal label was agreed")
+            loop = asyncio.get_running_loop()
+            stop_at = loop.time() + 1.5
+            outcomes: dict = {pid: [] for pid in cluster.nodes}
+
+            async def client(pid: int) -> None:
+                counters = cluster.service(pid, "counters")
+                while loop.time() < stop_at:
+                    done = loop.create_future()
+                    counters.increment(done.set_result)
+                    outcomes[pid].append(await asyncio.wait_for(done, timeout=10.0))
+
+            await asyncio.gather(*(client(pid) for pid in cluster.nodes))
+            assert all(outcomes.values())
+            assert all(o.success for mine in outcomes.values() for o in mine)
+            values = [o.counter for mine in outcomes.values() for o in mine]
+            assert len(set(values)) == len(values)
+            for mine in outcomes.values():
+                assert all(
+                    counter_less_than(a.counter, b.counter) for a, b in zip(mine, mine[1:])
+                )
+            assert cluster.statistics()["delivery_errors"] == 0
+
+    asyncio.run(scenario())
 
 
 def test_smr_closed_loop_costs_the_same_at_any_history_length():
@@ -114,53 +220,19 @@ def test_smr_closed_loop_costs_the_same_at_any_history_length():
     moment.  The median of three windows moves by under 10 % (48 runs:
     0.96-1.12), which is what is compared.
     """
-    total, clients, window = 3000, 8, 500
+    window = 500
 
     async def scenario() -> None:
         async with RuntimeCluster(n=8, seed=7, stack="vs_smr") as cluster:
-            assert await cluster.wait_converged(timeout_s=BUDGET_S, poll_s=0.01)
-            loop = asyncio.get_running_loop()
+            submit = await _smr_clients(cluster)
             transport = cluster.transport
-            services = {pid: cluster.service(pid, "vs") for pid in cluster.nodes}
-            deadline = loop.time() + BUDGET_S
-            while not any(vs.is_coordinator() and vs.view for vs in services.values()):
-                assert loop.time() < deadline, "no view was installed"
-                await asyncio.sleep(0.01)
-
-            waiting: dict = {}
             sent_at = [transport.sent_bytes]  # bytes on the wire at every 500th completion
-            completed = submitted = timeouts = 0
 
-            def tap(rnd, view, commands) -> None:
-                for command in commands:
-                    future = waiting.get(command)
-                    if future is not None and not future.done():
-                        future.set_result(True)
+            def on_completed(count: int) -> None:
+                if count % window == 0:
+                    sent_at.append(transport.sent_bytes)
 
-            for vs in services.values():
-                vs.delivery_callback = tap
-
-            async def client(index: int) -> None:
-                nonlocal completed, submitted, timeouts
-                seq = 0
-                while submitted < total:
-                    submitted += 1
-                    command = ("closed-loop", index, seq)
-                    seq += 1
-                    future = waiting[command] = loop.create_future()
-                    services[index % len(services)].submit(command)
-                    try:
-                        await asyncio.wait_for(future, timeout=10.0)
-                    except asyncio.TimeoutError:
-                        timeouts += 1
-                        continue
-                    completed += 1
-                    if completed % window == 0:
-                        sent_at.append(transport.sent_bytes)
-
-            await asyncio.gather(*(client(index) for index in range(clients)))
-            assert timeouts == 0
-            assert completed == total
+            await _deliver_closed_loop(submit, 3000, on_completed)
             stats = cluster.statistics()
             assert stats["oversize_frames"] == 0
             assert stats["delivery_errors"] == 0
@@ -168,6 +240,42 @@ def test_smr_closed_loop_costs_the_same_at_any_history_length():
             first = statistics.median(per_command[:3])
             last = statistics.median(per_command[3:])
             assert abs(last - first) <= 0.2 * first, per_command
+
+    asyncio.run(scenario())
+
+
+@pytest.mark.parametrize(
+    "history",
+    [
+        200,
+        pytest.param(
+            3000,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="full-replica record past MAX_DATAGRAM_BYTES — ROADMAP: bounded replica state",
+            ),
+        ),
+    ],
+)
+def test_smr_keeps_delivering_across_a_live_view_change(history):
+    """n=8 vs_smr at the default tick: *history* commands delivered, node 7
+    killed, and once the survivors have evicted it a command submitted at a
+    survivor is delivered within 3 s with no oversize frame.
+
+    The view change ships the whole replica in one frame (``docs/vs.md``,
+    "What is still bounded by the datagram ceiling"): at 200 commands it
+    fits, at 3 000 it is past the ceiling, is dropped on every resend and SMR
+    stops for good.  Deleting the ``xfail`` is part of the acceptance of
+    ROADMAP's bounded-replica-state item.
+    """
+
+    async def scenario() -> None:
+        async with RuntimeCluster(n=8, seed=7, stack="vs_smr") as cluster:
+            submit = await _smr_clients(cluster)
+            await _deliver_closed_loop(submit, history)
+            await _kill_and_wait_for_eviction(cluster, 7)
+            await asyncio.wait_for(submit(0, ("after-the-kill", 0, 0)), timeout=3.0)
+            assert cluster.statistics()["oversize_frames"] == 0
 
     asyncio.run(scenario())
 
@@ -311,12 +419,3 @@ def test_hostile_datagrams_are_quarantined_not_fatal():
             assert cluster.is_converged()
 
     asyncio.run(scenario())
-
-
-def test_percentile_nearest_rank():
-    values = list(range(1, 101))  # 1..100
-    assert percentile(values, 0.50) == 51
-    assert percentile(values, 0.95) == 96
-    assert percentile(values, 0.99) == 100
-    assert percentile([7.0], 0.99) == 7.0
-    assert percentile([], 0.50) is None

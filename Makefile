@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test bench bench-micro scenarios-smoke audit-gate audit-byzantine audit-n24 audit-n128 audit-n512-smoke audit-profile-grid audit-shrink-demo audit-warm-check spine-pairs
+.PHONY: test bench bench-micro scenarios-smoke audit-gate audit-tiers audit-warm-check spine-pairs
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -26,61 +26,33 @@ scenarios-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/replicated_state_machine.py
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/shared_storage_under_churn.py
 
-# Byzantine matrix: f < n/3 traitors running every registered behavior
-# against the Bracha/Dolev reliable-broadcast stacks and the adaptive
-# coordinator-traitor against vs_smr_rb, with rb_agreement / rb_validity /
-# smr_agreement armed (18 runs).
-audit-byzantine:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.audit --byzantine --workers 4 --output AUDIT_byzantine.json
-
-# Adversarial audit matrix + convergence-bound regression gate: static
-# schedulers x 2 corruption seeds + the dynamic adversaries + SMR-stack cases
-# with smr_agreement armed + two Byzantine traitor cases, 3 sim seeds each
-# (54 runs, verdicts in AUDIT_smoke.json); fails when the worst-case
-# stabilization time regresses >25% vs the checked-in baseline (re-pin, here
-# and for the tiers below: docs/audit.md).
+# The fast audit matrices (python -m repro.audit --list): smoke (54 runs:
+# static schedulers x 2 corruption seeds, every dynamic adversary, SMR stacks
+# with smr_agreement armed, two Byzantine cases), byzantine (18 runs: traitor
+# programs against the reliable-broadcast stacks) and profiles (24 runs: every
+# corruption intensity).  Each certifies, then fails when it lost a pinned
+# case or run, or its worst-case stabilization time regressed >25% against
+# matrices.<name> of benchmarks/audit_baseline.json (re-pin: docs/audit.md).
 audit-gate:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.audit --smoke --workers 4 --output AUDIT_smoke.json
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.audit.gate AUDIT_smoke.json --baseline benchmarks/audit_baseline.json
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.audit --matrix smoke --workers 4 --output AUDIT_smoke.json
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.audit --matrix byzantine --workers 4 --output AUDIT_byzantine.json
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.audit --matrix profiles --workers 4 --output AUDIT_profiles.json
 
-# The large-topology tier: n=24, paper_faithful config, two dynamic
-# adversaries, corruption at t=120 (after bootstrap convergence at ~t=83).
-# Tractable because of the sweep engine: warm prefix snapshots share each
-# adversary's bootstrap across corruption seeds (or cold-parallel workers
-# take over when idle cores outnumber the fan-out).
-audit-n24:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.audit --tier n24 --workers 4 --output AUDIT_n24.json
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.audit.gate AUDIT_n24.json --tier n24 --baseline benchmarks/audit_baseline.json
-
-# The scale tier: n=128, coherent start with fd_gap_slack=2n, full-state
-# ("default") and channel-only corruption at t=20 under one static and one
-# dynamic adversary — certifies re-convergence of a converged 128-processor
-# system and gates its stabilization bound (tiers.n128 in the baseline).
-audit-n128:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.audit --tier n128 --workers 2 --output AUDIT_n128.json
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.audit.gate AUDIT_n128.json --tier n128 --baseline benchmarks/audit_baseline.json
-
-# Soft n=512 smoke: coherent cluster, 2-sim-unit window; reports event counts
-# and wall clock, fails only on a dead cluster (never on timing).
-audit-n512-smoke:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.audit --scale-smoke 512 --output AUDIT_n512_smoke.json
-
-# Stabilization-time distributions per named CorruptionProfile (every entry
-# of repro.audit.arbitrary_state.PROFILES unless --profiles narrows it).
-audit-profile-grid:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.audit --profile-grid --workers 4 --seeds 0:2 --output AUDIT_profile_grid.json
-
-# Demonstrate reproducer shrinking against a deliberately broken invariant.
-audit-shrink-demo:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.audit --demo-shrink --output AUDIT_shrink_demo.json
+# The large-topology tiers, gated the same way: n24 (paper_faithful config,
+# two dynamic adversaries, corruption at t=120 after bootstrap convergence)
+# and n128 (coherent start with fd_gap_slack=2n, full-state and channel-only
+# corruption at t=20).
+audit-tiers:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.audit --matrix n24 --workers 4 --output AUDIT_n24.json
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.audit --matrix n128 --workers 2 --output AUDIT_n128.json
 
 # Warm-cache CI check: the smoke matrix twice against one shared cache
 # directory — the second run must answer >= 90% of cells from the store with
 # verdicts byte-identical to the first (python -m repro.audit.store check).
 audit-warm-check:
 	rm -rf .audit_cache_ci
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.audit --smoke --workers 4 --cache-dir .audit_cache_ci --output AUDIT_smoke_cold.json
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.audit --smoke --workers 4 --cache-dir .audit_cache_ci --output AUDIT_smoke_warm.json
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.audit --matrix smoke --workers 4 --cache-dir .audit_cache_ci --output AUDIT_smoke_cold.json
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.audit --matrix smoke --workers 4 --cache-dir .audit_cache_ci --output AUDIT_smoke_warm.json
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.audit.store check AUDIT_smoke_warm.json --against AUDIT_smoke_cold.json --min-hit-rate 0.9
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.audit.store stats --cache-dir .audit_cache_ci
 

@@ -208,7 +208,7 @@ def no_reset_in_progress(cluster: "Cluster") -> bool:
     **Deliberately too strong**: a brute-force reset legitimately drives
     every config entry through ``⊥``, so any corruption that triggers a reset
     violates this.  It exists as the demonstration target for the audit
-    engine's reproducer shrinking (``python -m repro.audit --demo-shrink``).
+    engine's reproducer shrinking (``tests/test_audit.py``'s shrink test).
     """
     from repro.common.types import BOTTOM
 

@@ -14,7 +14,10 @@ starting state — instead of trusting a handful of hand-picked corruptions:
   ``corrupted-states x schedulers x seeds`` (reusing the scenario engine's
   parallel matrix) with ddmin-style shrinking of violating runs to minimal
   reproducers;
-* ``python -m repro.audit`` — the CLI (``--smoke`` is the CI gate).
+* :mod:`repro.audit.gate` — the pinned convergence bounds every named
+  matrix is compared against;
+* ``python -m repro.audit --matrix NAME`` — the CLI: certify a named matrix
+  and gate it (``--list`` names them).
 
 This module only pulls in the simulation-layer pieces; the harness (which
 depends on :mod:`repro.scenarios`) is imported on demand to keep the import

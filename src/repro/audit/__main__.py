@@ -1,28 +1,26 @@
-"""CLI: certify self-stabilization from arbitrary states.
+"""CLI: certify a named audit matrix and gate it against its pinned bounds.
 
 Examples::
 
-    python -m repro.audit --list-schedulers
-    python -m repro.audit --list-behaviors
-    python -m repro.audit --smoke                      # CI gate: 54 runs
-    python -m repro.audit --byzantine --workers 4      # active-adversary
-                                                       # matrix (traitor
-                                                       # programs vs RB)
-    python -m repro.audit --schedulers delay_skew,slow_node \\
-        --corruptions 0:4 --seeds 0:4 --workers 4 --output audit.json
-    python -m repro.audit --stacks vs_smr,shared_register --seeds 0:2
-    python -m repro.audit --profile-grid --workers 4   # stabilization-time
-                                                       # distribution vs
-                                                       # corruption intensity
-    python -m repro.audit --demo-shrink                # broken invariant ->
-                                                       # minimal reproducer
+    python -m repro.audit --list                       # matrices, schedulers,
+                                                       # Byzantine behaviors
+    python -m repro.audit --matrix smoke --workers 4   # CI gate: 54 runs
+    python -m repro.audit --matrix n24 --pin           # re-pin after a
+                                                       # deliberate change
+
+A matrix is a named list of audit cases swept over fixed simulator seeds
+(:data:`MATRICES`); its stabilization bounds were pinned on exactly those
+seeds, so a run certifies the matrix and then compares it against
+``matrices.<name>`` of ``benchmarks/audit_baseline.json``
+(:mod:`repro.audit.gate`).  Exploration outside the named matrices calls
+:func:`~repro.audit.harness.build_cases` and
+:func:`~repro.audit.harness.certify` directly.
 
 Sweeps run against a persistent content-addressed cache (``.audit_cache/``
 by default): unchanged cells are answered from disk and warm pre-corruption
 prefixes are resumed from stored snapshots, so re-running a matrix after an
 edit only recomputes what the edit could have changed.  ``--no-cache``
-disables it, ``--refresh`` forces recompute (with write-back), and
-``python -m repro.audit.store stats`` inspects the store.
+disables it and ``python -m repro.audit.store stats`` inspects the store.
 """
 
 from __future__ import annotations
@@ -31,22 +29,12 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List
+from typing import Dict, List, Tuple
 
-from repro.analysis import probes
 from repro.audit.arbitrary_state import PROFILES
-from repro.audit.byzantine import (
-    BEHAVIORS,
-    ByzantineSpec,
-    available_behaviors,
-)
-from repro.audit.harness import (
-    AuditCase,
-    build_cases,
-    certify,
-    shrink_case,
-    sweep_profile_grid,
-)
+from repro.audit.byzantine import BEHAVIORS, ByzantineSpec, available_behaviors
+from repro.audit.gate import BASELINE, compare, extract_bounds, load_pins, pin
+from repro.audit.harness import AuditCase, build_cases, certify
 from repro.audit.schedulers import (
     available_schedulers,
     dynamic_schedulers,
@@ -54,11 +42,9 @@ from repro.audit.schedulers import (
     static_schedulers,
 )
 from repro.audit.store import DEFAULT_CACHE_DIR, SweepStore
-from repro.scenarios.__main__ import parse_seeds
+from repro.sim.config import coherent_start
 
-
-#: Every registered traitor behavior at once — the smoke matrix's Byzantine
-#: adversary (f = 1 < n/3 for the default n = 5).
+#: Every registered traitor behavior at once (f = 1 < n/3 at n = 5).
 _BYZ_FULL = ByzantineSpec(
     behaviors=("forge", "mutate", "drop", "equivocate", "inflate"), traitors=1
 )
@@ -67,40 +53,26 @@ _BYZ_COORDINATOR = ByzantineSpec(
     behaviors=("equivocate", "mutate", "inflate"), traitors=1, selection="coordinator"
 )
 
-
-def smoke_cases(n: int = 5, convergence_budget: float = 6_000.0) -> List[AuditCase]:
-    """The CI smoke matrix (certified per sim seed by ``--smoke``).
-
-    Static schedulers keep their historical 2-corruption coverage on the
-    bare stack; every dynamic adversary runs once; the SMR-replicating
-    stacks run with the ``smr_agreement`` invariant armed (under both the
-    benign baseline and the adaptive coordinator-targeting adversary for
-    ``vs_smr``).  Two Byzantine cases ride along: ``f < n/3`` traitors
-    running *every* registered behavior against Bracha reliable broadcast
-    (``rb_agreement`` / ``rb_validity`` armed), and an equivocating
-    *coordinator* against the combined ``vs_smr_rb`` stack (all three
-    invariants armed).  ``--n`` and ``--budget`` pass through; the stack mix
-    is fixed by design (``--stacks`` applies to explicit sweeps only).
-    """
-    overrides = {"n": n, "convergence_budget": convergence_budget}
-    return (
-        build_cases(
-            schedulers=static_schedulers(), corruption_seeds=[0, 1], **overrides
-        )
-        + build_cases(
-            schedulers=dynamic_schedulers(), corruption_seeds=[0], **overrides
-        )
+#: ``name -> (cases, simulator seeds)``: every matrix the CLI certifies and
+#: every entry of ``matrices`` in the baseline, one-to-one.
+MATRICES: Dict[str, Tuple[List[AuditCase], Tuple[int, ...]]] = {
+    # The CI smoke matrix.  Static schedulers keep their 2-corruption
+    # coverage on the bare stack; every dynamic adversary runs once; the
+    # SMR-replicating stacks run with smr_agreement armed (under the benign
+    # baseline and, for vs_smr, the adaptive coordinator-targeting
+    # adversary).  Two Byzantine cases ride along: f < n/3 traitors running
+    # every registered behavior against Bracha reliable broadcast, and an
+    # equivocating coordinator against vs_smr_rb (all three invariants).
+    "smoke": (
+        build_cases(schedulers=static_schedulers(), corruption_seeds=[0, 1])
+        + build_cases(schedulers=dynamic_schedulers(), corruption_seeds=[0])
         + build_cases(
             schedulers=["uniform", "target_coordinator"],
             corruption_seeds=[0],
             stacks=["vs_smr"],
-            **overrides,
         )
         + build_cases(
-            schedulers=["uniform"],
-            corruption_seeds=[0],
-            stacks=["shared_register"],
-            **overrides,
+            schedulers=["uniform"], corruption_seeds=[0], stacks=["shared_register"]
         )
         + build_cases(
             schedulers=["uniform"],
@@ -108,7 +80,6 @@ def smoke_cases(n: int = 5, convergence_budget: float = 6_000.0) -> List[AuditCa
             stacks=["rb_bracha"],
             profiles=["none"],
             byzantine=_BYZ_FULL,
-            **overrides,
         )
         + build_cases(
             schedulers=["uniform"],
@@ -116,32 +87,21 @@ def smoke_cases(n: int = 5, convergence_budget: float = 6_000.0) -> List[AuditCa
             stacks=["vs_smr_rb"],
             profiles=["none"],
             byzantine=_BYZ_COORDINATOR,
-            **overrides,
-        )
-    )
-
-
-def byzantine_cases(
-    n: int = 5, convergence_budget: float = 6_000.0
-) -> List[AuditCase]:
-    """The dedicated active-adversary matrix (``--byzantine``).
-
-    Every registered behavior attacks both reliable-broadcast variants; the
-    adaptive coordinator-traitor attacks the combined SMR+RB stack under the
-    benign and the coordinator-hunting scheduler; and one case layers the
-    full transient corruption *on top of* live traitors (arbitrary state
-    while under active attack — the hardest composition the audit
-    certifies).
-    """
-    overrides = {"n": n, "convergence_budget": convergence_budget}
-    return (
+        ),
+        (0, 1, 2),
+    ),
+    # The active-adversary matrix (docs/byzantine.md).  Every registered
+    # behavior attacks both reliable-broadcast variants; the coordinator
+    # traitor attacks vs_smr_rb under the benign and the coordinator-hunting
+    # scheduler; and one case layers the full transient corruption on top of
+    # live traitors — arbitrary state while under active attack.
+    "byzantine": (
         build_cases(
             schedulers=["uniform", "delay_skew"],
             corruption_seeds=[0],
             stacks=["rb_bracha"],
             profiles=["none"],
             byzantine=_BYZ_FULL,
-            **overrides,
         )
         + build_cases(
             schedulers=["uniform"],
@@ -149,7 +109,6 @@ def byzantine_cases(
             stacks=["rb_dolev"],
             profiles=["none"],
             byzantine=_BYZ_FULL,
-            **overrides,
         )
         + build_cases(
             schedulers=["uniform", "target_coordinator"],
@@ -157,7 +116,6 @@ def byzantine_cases(
             stacks=["vs_smr_rb"],
             profiles=["none"],
             byzantine=_BYZ_COORDINATOR,
-            **overrides,
         )
         + build_cases(
             schedulers=["uniform"],
@@ -165,128 +123,62 @@ def byzantine_cases(
             stacks=["rb_bracha"],
             profiles=["default"],
             byzantine=ByzantineSpec(behaviors=("forge", "inflate"), traitors=1),
-            **overrides,
-        )
-    )
-
-
-def n24_cases(
-    convergence_budget: float = 8_000.0,
-    corrupt_at: float = 120.0,
-) -> List[AuditCase]:
-    """The large-topology tier: ``n=24`` under the paper-faithful model.
-
-    Two dynamic adversaries (crash-recovery blackouts and the leaky one-way
-    partition) against a 24-processor cluster running the literal Section-2
-    communication model (link cleaning on every link, un-throttled
-    heartbeats).  The corruption lands at t=120 — after the ~t=83 bootstrap
-    convergence — so every run certifies re-convergence of a long-running
-    converged system.  Tractable because of the sweep engine: the warm
-    prefix path bootstraps each adversary's 120-time-unit prefix once and
-    fans the corruption seeds out from the snapshot (on machines with more
-    idle cores than fan-out, ``certify`` runs the group cold-parallel
-    instead — whichever is faster).
-    """
-    return build_cases(
-        schedulers=["crash_recovery", "partition_leak"],
-        corruption_seeds=[0, 1],
-        n=24,
-        config="paper_faithful",
-        corrupt_at=corrupt_at,
-        convergence_budget=convergence_budget,
-    )
-
-
-def n128_cases(
-    convergence_budget: float = 120.0,
-    corrupt_at: float = 20.0,
-) -> List[AuditCase]:
-    """The scale tier: ``n=128`` full-state corruption on a coherent start.
-
-    Only reachable with the failure detector's gap slack scaled to ``2n``
-    (``fd_gap_slack=256``): with the default slack the heartbeat-count
-    ramp's spread at this size turns ordinary staggering into perpetual
-    suspicion churn, the cluster-wide no-reconfiguration windows never
-    align, and *any* disturbance — even a converged system left alone —
-    degenerates into an endless reset storm (a probe with default slack
-    was still unconverged after 600 time units and 76k resets).  With the
-    scaled slack the same system is stable, and recovery from the paper's
-    full transient-fault model — 40% of nodes scrambled field-by-field
-    *and* stale/garbled packets stuffed into in-flight channels (the
-    ``default`` profile) — completes within a few time units: the global
-    reset it triggers reconfigures as fast as a (slack-scaled) cold
-    bootstrap, which the PR 7 fast paths made cheap.  The runs exercise
-    exactly those paths: garbled fulls break delta chains (fallback +
-    full-vector repair), corruption flips the convergence ledger's dirty
-    sets, and the per-event cost rides the incremental predicate.  One
-    static and one dynamic adversary keep the tier tractable: at this
-    size every run executes hundreds of thousands of events even with
-    the warm prefix shared.
-    """
-    from repro.sim.config import coherent_start
-
-    return build_cases(
-        schedulers=["uniform", "crash_recovery"],
-        corruption_seeds=[0],
-        n=128,
-        config=coherent_start(fd_gap_slack=256),
-        profiles=["default", "channel_only"],
-        corrupt_at=corrupt_at,
-        convergence_budget=convergence_budget,
-        # 0.2-unit tracker cadence (= fast_sim's min link delay): exact
-        # per-event tracking is a ~300 us/event monitor tax at this size.
-        convergence_poll=0.2,
-    )
-
-
-TIERS = {"n24": n24_cases, "n128": n128_cases}
-
-
-def _scale_smoke(n: int, horizon: float, output: str | None) -> int:
-    """Soft large-topology smoke: a coherent n-processor window (``--scale-smoke``).
-
-    Builds the full cluster (lazy channels keep the ~n^2 link space
-    virtual), runs ``horizon`` sim-units and reports event counts, wall
-    clock and whether the ledger still sees the pre-installed configuration
-    as converged.  Soft by design — it exercises construction, the delta
-    gossip paths and the incremental ledger at sizes (n=512) where a
-    certification run would be too slow for CI, and only fails on a crash
-    or a completely dead cluster.
-    """
-    import time as _time
-
-    from repro.sim.cluster import build_cluster
-    from repro.sim.config import coherent_start
-
-    t0 = _time.perf_counter()
-    # Slack scaled to 2n: without it, suspicion churn at these sizes turns
-    # the window into a reset storm and the event count measures the storm,
-    # not steady-state gossip throughput.
-    cluster = build_cluster(n=n, seed=0, config=coherent_start(fd_gap_slack=2 * n))
-    built = _time.perf_counter() - t0
-    t0 = _time.perf_counter()
-    cluster.run(until=horizon)
-    ran = _time.perf_counter() - t0
-    stats = cluster.statistics()
-    report = {
-        "n": n,
-        "horizon": horizon,
-        "build_seconds": round(built, 3),
-        "run_seconds": round(ran, 3),
-        "executed_events": stats["executed_events"],
-        "delivered_messages": stats["delivered_messages"],
-        "converged": cluster.is_converged(),
-        "channels_materialized": len(cluster.simulator.network._channels),
-        "channels_possible": n * (n - 1),
-    }
-    print(json.dumps(report, indent=2, sort_keys=True))
-    if output:
-        Path(output).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {output}")
-    if stats["executed_events"] <= 0:
-        print(f"[audit] scale smoke: no events executed at n={n}", file=sys.stderr)
-        return 1
-    return 0
+        ),
+        (0, 1, 2),
+    ),
+    # Recovery time against corruption intensity: every registered
+    # CorruptionProfile under one benign and one skewed scheduler; the
+    # pinned by_case worst is the per-profile column.
+    "profiles": (
+        build_cases(
+            schedulers=["uniform", "delay_skew"],
+            corruption_seeds=[0],
+            profiles=sorted(PROFILES),
+        ),
+        (0, 1),
+    ),
+    # The large-topology tier: n=24 under the literal Section-2 model (link
+    # cleaning on every link, un-throttled heartbeats) and the two harshest
+    # dynamic adversaries.  The corruption lands at t=120, after the ~t=83
+    # bootstrap convergence, so every run certifies re-convergence of a
+    # long-running converged system; warm prefix snapshots share each
+    # adversary's bootstrap across the corruption seeds.
+    "n24": (
+        build_cases(
+            schedulers=["crash_recovery", "partition_leak"],
+            corruption_seeds=[0, 1],
+            n=24,
+            config="paper_faithful",
+            corrupt_at=120.0,
+            convergence_budget=8_000.0,
+        ),
+        (0,),
+    ),
+    # The scale tier: n=128 on a coherent start.  Only reachable with the
+    # failure detector's gap slack scaled to 2n: with the default slack the
+    # heartbeat-ramp spread at this size turns ordinary staggering into
+    # perpetual suspicion churn and any disturbance into an endless reset
+    # storm.  With it, recovery from the full transient-fault model (40% of
+    # nodes scrambled plus stuffed channels) completes within a few time
+    # units — the global reset reconfigures as fast as a cold bootstrap —
+    # and channel_only certifies stale-packet absorption on its own.  One
+    # static and one dynamic adversary keep the tier tractable.
+    "n128": (
+        build_cases(
+            schedulers=["uniform", "crash_recovery"],
+            corruption_seeds=[0],
+            n=128,
+            config=coherent_start(fd_gap_slack=256),
+            profiles=["default", "channel_only"],
+            corrupt_at=20.0,
+            convergence_budget=120.0,
+            # 0.2-unit tracker cadence (= fast_sim's min link delay): exact
+            # per-event tracking is a ~300 us/event monitor tax at this size.
+            convergence_poll=0.2,
+        ),
+        (0,),
+    ),
+}
 
 
 def _render(report: dict) -> str:
@@ -317,281 +209,109 @@ def _print_cache(meta: dict) -> None:
         f"{cache.get('snapshot_hits', 0)} prefix snapshot(s) from disk, "
         f"salt {cache.get('salt')}"
     )
-    if cache.get("refreshed"):
-        line += " (refreshed)"
     if stale:
         line += f"; {stale} stale row(s) from other salts (prune to reclaim)"
     print(line)
 
 
-def _demo_shrink(output: str | None, store: SweepStore | None = None) -> int:
-    """Certify against a deliberately-too-strong invariant and shrink.
-
-    ``no_reset_in_progress`` is violated by any corruption that triggers a
-    brute-force reset, so the demo is *expected* to fail certification —
-    success here means the shrinker reduced the violating corruption plan to
-    a minimal reproducer that still fails.
-    """
-    case = AuditCase(
-        scheduler="uniform",
-        corruption_seed=0,
-        invariants=(probes.no_reset_invariant(),),
-    )
-    print(f"[audit] demo case {case.name}: deliberately broken invariant "
-          f"'no_reset_in_progress' (any reset violates it)")
-    reproducer = shrink_case(case, seed=0, store=store)
-    print(json.dumps(reproducer, indent=2, default=str))
-    if output:
-        Path(output).write_text(json.dumps(reproducer, indent=2, default=str) + "\n")
-        print(f"wrote {output}")
-    ok = (
-        reproducer.get("still_fails")
-        and reproducer.get("minimal_size", 0) >= 1
-        and reproducer.get("minimal_size") < reproducer.get("atoms_total", 0)
-    )
-    if not ok:
-        print("demo shrink FAILED to produce a minimal reproducer", file=sys.stderr)
-        return 1
-    print(
-        f"[audit] shrank {reproducer['atoms_total']} corruption atoms to "
-        f"{reproducer['minimal_size']} in {reproducer['trials']} trials"
-    )
-    return 0
+def _print_list() -> None:
+    print("matrices:")
+    for name, (cases, seeds) in MATRICES.items():
+        print(f"  {name:14s} {len(cases)} cases x {len(seeds)} seeds = "
+              f"{len(cases) * len(seeds)} runs")
+    print("schedulers:")
+    for name in available_schedulers():
+        print(f"  {name:18s} {get_scheduler(name).description}")
+    print("behaviors:")
+    for name in available_behaviors():
+        print(f"  {name:18s} {BEHAVIORS[name].description}")
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="python -m repro.audit", description=__doc__)
-    parser.add_argument(
-        "--schedulers",
-        default=None,
-        help="comma-separated scheduler names (default: every registered one)",
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.audit",
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument(
-        "--corruptions", default="0", help='corruption-seed spec: "0,1", "0:4" or "7"'
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument(
+        "--matrix", choices=list(MATRICES), help="certify and gate this named matrix"
     )
-    parser.add_argument("--seeds", default="0", help='simulator-seed spec, same syntax')
+    mode.add_argument(
+        "--list",
+        action="store_true",
+        help="list matrices, schedulers and Byzantine behaviors and exit",
+    )
     parser.add_argument("--workers", type=int, default=1, help="worker processes")
-    parser.add_argument("--n", type=int, default=5, help="cluster size")
-    parser.add_argument(
-        "--stacks",
-        default="bare",
-        help="comma-separated stack profiles (SMR stacks arm smr_agreement)",
-    )
-    parser.add_argument(
-        "--budget", type=float, default=6_000.0, help="re-convergence budget (sim time)"
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI gate: static x2 + dynamic adversaries + SMR-stack invariant "
-        "cases + Byzantine traitor cases, 3 sim seeds each (54 runs)",
-    )
-    parser.add_argument(
-        "--byzantine",
-        action="store_true",
-        help="the active-adversary matrix: traitor programs (every registered "
-        "behavior) against Bracha/Dolev reliable broadcast and the combined "
-        "vs_smr_rb stack, 3 sim seeds each",
-    )
-    parser.add_argument(
-        "--profile-grid",
-        action="store_true",
-        help="sweep corruption intensities (light/default/heavy) and report "
-        "stabilization-time distributions per profile (schedulers default to "
-        "uniform,delay_skew here to bound the grid; widen with --schedulers)",
-    )
-    parser.add_argument(
-        "--profiles",
-        default=None,
-        help=f"comma-separated profile names for --profile-grid "
-        f"(default: {','.join(sorted(PROFILES))})",
-    )
-    parser.add_argument(
-        "--tier",
-        default=None,
-        choices=sorted(TIERS),
-        help="run a named matrix tier (n24: 24 processors, paper_faithful "
-        "config, two dynamic adversaries, corruption at t=120; n128: 128 "
-        "processors, coherent start, light corruption at t=60)",
-    )
-    parser.add_argument(
-        "--scale-smoke",
-        type=int,
-        default=None,
-        metavar="N",
-        help="soft large-topology smoke: build a coherent N-processor "
-        "cluster, run a short window, report events/wall/convergence "
-        "(n=512 in CI; fails only on a dead cluster)",
-    )
-    parser.add_argument(
-        "--smoke-horizon",
-        type=float,
-        default=2.0,
-        help="sim-time window of --scale-smoke (default: 2.0)",
-    )
-    parser.add_argument(
-        "--cold",
-        action="store_true",
-        help="disable warm prefix sharing (every run pays its own bootstrap; "
-        "results are identical, only slower)",
-    )
-    parser.add_argument(
-        "--demo-shrink",
-        action="store_true",
-        help="run the broken-invariant shrinking demonstration and exit",
-    )
-    cache_group = parser.add_argument_group(
-        "persistent sweep cache",
-        "content-addressed result + prefix-snapshot store (repro.audit.store); "
-        "fingerprints fold in a source-tree salt, so any change under "
-        "src/repro invalidates every cached row automatically",
-    )
-    cache_group.add_argument(
+    cache = parser.add_mutually_exclusive_group()
+    cache.add_argument(
         "--cache-dir",
         default=str(DEFAULT_CACHE_DIR),
-        help=f"cache directory (default: {DEFAULT_CACHE_DIR}; created on "
-        "demand, safe to share between concurrent invocations)",
+        help=f"persistent sweep cache (default: {DEFAULT_CACHE_DIR}; fingerprints "
+        "fold in a source-tree salt, so any change under src/repro invalidates "
+        "every cached row)",
     )
-    cache_group.add_argument(
+    cache.add_argument(
         "--no-cache",
         action="store_true",
         help="run without the persistent cache (no reads, no writes)",
     )
-    cache_group.add_argument(
-        "--refresh",
-        action="store_true",
-        help="ignore cached results/snapshots but write fresh ones back",
-    )
-    parser.add_argument(
-        "--list-schedulers", action="store_true", help="list schedulers and exit"
-    )
-    parser.add_argument(
-        "--list-behaviors",
-        action="store_true",
-        help="list registered Byzantine behaviors and exit",
-    )
     parser.add_argument("--output", default=None, help="write the verdict JSON here")
+    parser.add_argument(
+        "--pin",
+        action="store_true",
+        help="re-pin this matrix's bounds in the baseline instead of gating",
+    )
     args = parser.parse_args(argv)
 
-    if args.list_schedulers:
-        for name in available_schedulers():
-            print(f"{name:16s} {get_scheduler(name).description}")
+    if args.list:
+        _print_list()
         return 0
 
-    if args.list_behaviors:
-        for name in available_behaviors():
-            print(f"{name:16s} {BEHAVIORS[name].description}")
-        return 0
-
+    cases, seeds = MATRICES[args.matrix]
     store = None if args.no_cache else SweepStore(args.cache_dir)
     try:
-        return _dispatch(args, store)
+        report = certify(cases, seeds=seeds, workers=args.workers, store=store)
     finally:
         if store is not None:
             store.close()
-
-
-def _dispatch(args: argparse.Namespace, store: SweepStore | None) -> int:
-    """Run the selected mode against the (possibly disabled) sweep cache."""
-    if args.demo_shrink:
-        return _demo_shrink(args.output, store=store)
-
-    if args.scale_smoke is not None:
-        return _scale_smoke(args.scale_smoke, args.smoke_horizon, args.output)
-
-    if args.profile_grid:
-        schedulers = (
-            args.schedulers.split(",") if args.schedulers else ["uniform", "delay_skew"]
-        )
-        report = sweep_profile_grid(
-            schedulers=schedulers,
-            seeds=parse_seeds(args.seeds),
-            profiles=args.profiles.split(",") if args.profiles else None,
-            stacks=args.stacks.split(","),
-            corruption_seeds=parse_seeds(args.corruptions),
-            workers=args.workers,
-            n=args.n,
-            convergence_budget=args.budget,
-            store=store,
-            refresh=args.refresh,
-        )
-        print(json.dumps(report["grid"], indent=2, sort_keys=True))
-        _print_cache(report.get("meta") or {})
-        if args.output:
-            path = Path(args.output)
-            path.write_text(json.dumps(report, indent=2, sort_keys=True, default=str) + "\n")
-            print(f"wrote {path}")
-        if not report["certified"]:
-            print(f"NOT CERTIFIED: {report['failed']}", file=sys.stderr)
-            return 1
-        return 0
-
-    if args.tier:
-        # A tier is a fixed matrix; silently ignoring contradictory flags
-        # would certify a different sweep than the user asked for.
-        ignored = [
-            flag
-            for flag, value, default in (
-                ("--schedulers", args.schedulers, None),
-                ("--corruptions", args.corruptions, "0"),
-                ("--stacks", args.stacks, "bare"),
-                ("--profiles", args.profiles, None),
-                ("--n", args.n, 5),
-                ("--budget", args.budget, 6_000.0),
-            )
-            if value != default
-        ]
-        if ignored:
-            print(
-                f"[audit] --tier {args.tier} fixes the matrix; drop {ignored} "
-                f"(only --seeds/--workers/--cold/--output and the cache flags "
-                f"apply to a tier)",
-                file=sys.stderr,
-            )
-            return 2
-        cases = TIERS[args.tier]()
-        seeds = parse_seeds(args.seeds)
-    elif args.smoke:
-        cases = smoke_cases(n=args.n, convergence_budget=args.budget)
-        seeds = [0, 1, 2]
-    elif args.byzantine:
-        cases = byzantine_cases(n=args.n, convergence_budget=args.budget)
-        seeds = [0, 1, 2]
-    else:
-        schedulers = (
-            args.schedulers.split(",") if args.schedulers else available_schedulers()
-        )
-        cases = build_cases(
-            schedulers=schedulers,
-            corruption_seeds=parse_seeds(args.corruptions),
-            n=args.n,
-            stacks=args.stacks.split(","),
-            convergence_budget=args.budget,
-        )
-        seeds = parse_seeds(args.seeds)
-
-    report = certify(
-        cases,
-        seeds=seeds,
-        workers=args.workers,
-        reuse_prefix=not args.cold,
-        store=store,
-        refresh=args.refresh,
-    )
     print(_render(report))
     _print_cache(report.get("meta") or {})
-
     if args.output:
         path = Path(args.output)
         path.write_text(json.dumps(report, indent=2, sort_keys=True, default=str) + "\n")
         print(f"wrote {path}")
-
     if not report["certified"]:
         print(f"NOT CERTIFIED: {report['failed']}", file=sys.stderr)
         return 1
     print(
         f"[audit] certified {report['meta']['runs']} runs "
         f"({len(cases)} corrupted-state x scheduler cases x {len(seeds)} seeds)"
+    )
+
+    bounds = extract_bounds(report)
+    if args.pin:
+        pin(args.matrix, bounds)
+        print(
+            f"[gate] pinned {args.matrix} in {BASELINE}: worst "
+            f"{bounds['worst']:.2f} over {bounds['runs']} runs"
+        )
+        return 0
+    pinned = load_pins().get(args.matrix)
+    if pinned is None:
+        print(f"[gate] no pin for {args.matrix!r}; run with --pin", file=sys.stderr)
+        return 1
+    outcome = compare(bounds, pinned)
+    for warning in outcome["warnings"]:
+        print(f"[gate] warning: {warning}")
+    if not outcome["ok"]:
+        for failure in outcome["failures"]:
+            print(f"[gate] FAIL: {failure}", file=sys.stderr)
+        return 1
+    print(
+        f"[gate] ok: {args.matrix} worst-case stabilization "
+        f"{outcome['current_worst']:.2f} within {outcome['tolerance']:.0%} of "
+        f"baseline {outcome['baseline_worst']:.2f} over {bounds['runs']} runs"
     )
     return 0
 

@@ -492,7 +492,6 @@ def certify(
     max_shrink_trials: int = 64,
     reuse_prefix: bool = True,
     store: Optional[SweepStore] = None,
-    refresh: bool = False,
 ) -> Dict[str, Any]:
     """Sweep ``cases x seeds``; return the JSON-serializable audit report.
 
@@ -521,8 +520,6 @@ def certify(
     members is worth persisting, since the snapshot outlives the process).
     Any source change under ``src/repro`` rotates the fingerprint salt and
     every lookup misses — stale cells are counted, never consulted.
-    *refresh* forces a full recompute (both tables bypassed on read,
-    overwritten on write) for paranoid re-validation of cached cells.
     ``meta.cache`` reports hit/miss/invalidation counts either way.
     """
     wall_start = time.perf_counter()
@@ -556,7 +553,7 @@ def certify(
             for seed in seeds:
                 fingerprint = fingerprint_cell(case, seed, salt)
                 fingerprints[(case.name, seed)] = fingerprint
-                entry = None if refresh else store.get_result(fingerprint)
+                entry = store.get_result(fingerprint)
                 if entry is not None:
                     cached_entries.append(entry)
                 else:
@@ -580,7 +577,7 @@ def certify(
                     continue
                 snapshot = None
                 prefix_fp = fingerprint_prefix(key, salt) if store is not None else None
-                if store is not None and not refresh:
+                if store is not None:
                     # Disk-warm prefix: loading a pickled snapshot costs
                     # milliseconds, so a hit is worth taking at any fan-out.
                     snapshot = store.get_snapshot(prefix_fp, seed)
@@ -666,7 +663,6 @@ def certify(
                     salt,
                     hits=len(cached_entries),
                     misses=len(miss_jobs),
-                    refreshed=refresh,
                     snapshot_hits=snapshot_hits,
                     snapshots_written=snapshots_written,
                 ),
@@ -716,7 +712,6 @@ def _cache_meta(
     salt: Optional[str],
     hits: int,
     misses: int,
-    refreshed: bool,
     snapshot_hits: int,
     snapshots_written: int,
 ) -> Dict[str, Any]:
@@ -728,7 +723,6 @@ def _cache_meta(
         "enabled": True,
         "dir": str(store.directory),
         "salt": salt,
-        "refreshed": bool(refreshed),
         "hits": hits,
         "misses": misses,
         "hit_rate": round(hits / (hits + misses), 4) if (hits + misses) else None,
@@ -774,66 +768,6 @@ def stabilization_distribution(verdicts: Sequence[Dict[str, Any]]) -> Dict[str, 
         "mean": statistics.fmean(times),
         "worst": max(times),
         "by_case": dict(sorted(by_case.items())),
-    }
-
-
-def sweep_profile_grid(
-    schedulers: Sequence[str],
-    seeds: Sequence[int],
-    profiles: Optional[Sequence[str]] = None,
-    stacks: Sequence[str] = ("bare",),
-    corruption_seeds: Sequence[int] = (0,),
-    workers: int = 1,
-    store: Optional[SweepStore] = None,
-    refresh: bool = False,
-    **case_overrides: Any,
-) -> Dict[str, Any]:
-    """Worst-case stabilization-time distributions across corruption intensity.
-
-    Sweeps ``profiles × stacks × schedulers × corruption_seeds × seeds`` and
-    groups the resulting stabilization times *per profile*, so the report
-    answers the ROADMAP question directly: how does worst-case recovery time
-    scale with the intensity of the injected arbitrary state?
-    """
-    profile_names = list(profiles) if profiles is not None else sorted(PROFILES)
-    grid: Dict[str, Any] = {}
-    all_certified = True
-    failed: List[str] = []
-    for profile in profile_names:
-        cases = build_cases(
-            schedulers=schedulers,
-            corruption_seeds=corruption_seeds,
-            stacks=stacks,
-            profiles=[profile],
-            **case_overrides,
-        )
-        report = certify(
-            cases,
-            seeds=seeds,
-            workers=workers,
-            shrink_failures=False,
-            store=store,
-            refresh=refresh,
-        )
-        all_certified = all_certified and report["certified"]
-        failed.extend(report["failed"])
-        grid[profile] = report["stabilization"]
-    return {
-        "meta": {
-            "profiles": profile_names,
-            "stacks": list(stacks),
-            "schedulers": list(schedulers),
-            "corruption_seeds": list(corruption_seeds),
-            "seeds": list(seeds),
-            "runs": len(profile_names)
-            * len(stacks)
-            * len(schedulers)
-            * len(corruption_seeds)
-            * len(seeds),
-        },
-        "certified": all_certified,
-        "failed": failed,
-        "grid": grid,
     }
 
 

@@ -583,9 +583,9 @@ class TestAuditStacksAndProfiles:
         assert len(names) == 4
 
     def test_smoke_cases_cover_dynamic_and_smr(self):
-        from repro.audit.__main__ import smoke_cases
+        from repro.audit.__main__ import MATRICES
 
-        cases = smoke_cases()
+        cases, _ = MATRICES["smoke"]
         schedulers = {case.scheduler for case in cases}
         assert {"crash_recovery", "partition_leak", "target_coordinator"} <= schedulers
         stacks = {case.stack for case in cases}
@@ -653,13 +653,34 @@ class TestConvergenceGate:
         assert outcome["ok"]  # overall worst unchanged
         assert outcome["warnings"] and "b" in outcome["warnings"][0]
 
-    def test_checked_in_baseline_matches_current_smoke_schema(self):
-        import json
-        from pathlib import Path
+    def test_gate_fails_when_a_pinned_case_or_run_goes_missing(self):
+        # A matrix that silently loses cells must not pass on the worst case
+        # of what is left.
+        from repro.audit.gate import compare
 
-        baseline = json.loads(
-            (Path(__file__).parent.parent / "benchmarks" / "audit_baseline.json").read_text()
+        pinned = {"worst": 100.0, "runs": 6, "by_case": {"a": 100.0, "b": 50.0}}
+        lost_case = compare(
+            {"worst": 100.0, "runs": 3, "unconverged": [], "by_case": {"a": 100.0}},
+            pinned,
         )
-        assert baseline["worst"] > 0
-        assert baseline["runs"] >= 48
-        assert baseline["by_case"]
+        assert not lost_case["ok"]
+        assert any("'b'" in failure for failure in lost_case["failures"])
+        assert any("run count" in failure for failure in lost_case["failures"])
+        lost_runs = compare(
+            {"worst": 100.0, "runs": 4, "unconverged": [], "by_case": pinned["by_case"]},
+            pinned,
+        )
+        assert not lost_runs["ok"]
+        assert compare({**pinned, "unconverged": []}, pinned)["ok"]
+
+    def test_matrices_and_pins_agree(self):
+        from repro.audit.__main__ import MATRICES
+        from repro.audit.gate import load_pins
+
+        pins = load_pins()
+        assert set(MATRICES) == set(pins)
+        for name, (cases, seeds) in MATRICES.items():
+            pinned = pins[name]
+            assert pinned["worst"] > 0 and pinned["by_case"], name
+            assert set(pinned["by_case"]) == {case.name for case in cases}, name
+            assert pinned["runs"] == len(cases) * len(seeds), name

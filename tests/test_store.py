@@ -9,9 +9,9 @@ The load-bearing guarantees of the PR 10 cache are pinned here:
 * the content-addressed fingerprint is canonical (dict ordering cannot move
   it) and rotates with the source-tree salt, so *any* change under
   ``src/repro`` structurally invalidates every cached row;
-* ``certify`` with a store is incremental (hits skip dispatch, refresh
-  recomputes) and its deterministic report byte-compares equal across
-  cold/warm/refreshed/parallel invocations;
+* ``certify`` with a store is incremental (hits skip dispatch, a salt
+  rotation recomputes) and its deterministic report byte-compares equal
+  across cold/warm/rotated/parallel invocations;
 * ddmin shrinking resumes disk-warm prefixes.
 """
 
@@ -285,11 +285,16 @@ class TestCertifyWithStore:
         assert plain["meta"]["cache"] == {"enabled": False}
         assert report_bytes(warm) == report_bytes(plain)
 
-    def test_refresh_recomputes_but_matches(self, tmp_path):
+    def test_refresh_recomputes_but_matches(self, tmp_path, monkeypatch):
+        import repro.audit.harness as harness_mod
+
         with SweepStore(tmp_path / "cache") as store:
             cold = certify(_cases(), seeds=[0, 1], store=store)
-            refreshed = certify(_cases(), seeds=[0, 1], store=store, refresh=True)
-        assert refreshed["meta"]["cache"]["refreshed"] is True
+            # A new source salt is the store's one way to refresh a cell.
+            monkeypatch.setattr(
+                harness_mod, "source_tree_salt", lambda: "0123456789abcdef"
+            )
+            refreshed = certify(_cases(), seeds=[0, 1], store=store)
         assert refreshed["meta"]["cache"]["hits"] == 0
         assert refreshed["meta"]["cache"]["misses"] == 4
         assert report_bytes(refreshed) == report_bytes(cold)

@@ -1,10 +1,11 @@
-"""Micro-benchmarks of the simulation hot path (event queue, gossip round).
+"""Micro-benchmarks of the simulation hot path (event queue, gossip rounds).
 
 These do not reproduce a claim of the paper (those are tier-1 tests, see
 ``docs/claims.md``); they time the inner loops every simulated run goes
-through — event scheduling/dispatch and the recSA broadcast round — in
-isolation, which the spine's per-layer spans cannot: it sees them only inside
-whole workloads.  Run with ``make bench-micro``.
+through — event scheduling/dispatch, the recSA broadcast round and a counter
+member's steady-state iteration (label-layer gossip and the receipts it
+triggers) — in isolation, which the spine's per-layer spans cannot: it sees
+them only inside whole workloads.  Run with ``make bench-micro``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import pytest
 
 from conftest import bench_cluster, record
 
-from repro.core.recsa import RecSA
+from repro.core.recsa import DEFAULT_GOSSIP_REFRESH_INTERVAL, RecSA
+from repro.counters.service import CounterService
 from repro.sim.events import EventQueue
 
 
@@ -91,6 +93,53 @@ def _broadcast_round_cost(n: int, rounds: int) -> dict:
     }
 
 
+class _StableScheme:
+    """What a counter service reads of the scheme: one stable configuration."""
+
+    def __init__(self, members) -> None:
+        self.members = frozenset(members)
+        self.recsa = self
+        self.gossip_refresh_interval = DEFAULT_GOSSIP_REFRESH_INTERVAL
+
+    def no_reco(self) -> bool:
+        return True
+
+    def configuration(self):
+        return self.members
+
+
+def _counter_members(n: int):
+    """*n* counter-service members over plain-list inboxes, run until they
+    hold one label (the steady state the timed rounds start from)."""
+    inboxes: dict = {pid: [] for pid in range(n)}
+    scheme = _StableScheme(range(n))
+    members = {}
+    for pid in range(n):
+        def _send(dest, message, _pid=pid):
+            inboxes[dest].append((_pid, message))
+
+        members[pid] = CounterService(pid, scheme, _send)
+    _counter_rounds(members, inboxes, 3 * DEFAULT_GOSSIP_REFRESH_INTERVAL)
+    assert len({svc.store.local_max_label() for svc in members.values()}) == 1
+    return (members, inboxes), {}
+
+
+def _counter_rounds(members: dict, inboxes: dict, rounds: int) -> dict:
+    """*rounds* do-forever iterations of every counter member: its gossip
+    send, then the receipts that gossip triggers at the other members."""
+    messages = 0
+    for _ in range(rounds):
+        for svc in members.values():
+            svc.on_timer()
+        for pid, svc in members.items():
+            queue = inboxes[pid]
+            inboxes[pid] = []
+            messages += len(queue)
+            for sender, message in queue:
+                svc.on_message(sender, message)
+    return {"n": len(members), "rounds": rounds, "messages_exchanged": messages}
+
+
 def _delivery_path_cost(n: int, until: float) -> dict:
     """End-to-end simulator cost: a full cluster run for *until* sim-time."""
     cluster = bench_cluster(n, seed=7)
@@ -126,6 +175,21 @@ def test_recsa_broadcast_round(benchmark, n):
     assert result["broadcasts_sent"] > 0
     # Change detection must actually suppress steady-state traffic.
     assert result["broadcasts_skipped"] > result["broadcasts_sent"]
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_counters_member_round(benchmark, n):
+    rounds = 50
+    result = benchmark.pedantic(
+        lambda members, inboxes: _counter_rounds(members, inboxes, rounds),
+        setup=lambda: _counter_members(n),
+        rounds=3,
+        iterations=1,
+    )
+    record(benchmark, result)
+    # Idle members tell each peer their pair once per refresh interval.
+    per_member_round = result["messages_exchanged"] / (n * rounds)
+    assert per_member_round <= (n - 1) / DEFAULT_GOSSIP_REFRESH_INTERVAL + 0.1
 
 
 @pytest.mark.parametrize("n", [8])

@@ -21,11 +21,12 @@ the local flags are flushed, and subsequent iterations observe
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Optional
 
 from repro.common.codec import wire_type
 from repro.common.logging_utils import get_logger
 from repro.common.types import Configuration, ProcessId
+from repro.core.gossip import GossipGate
 from repro.core.prediction import NeverReconfigure, PredictionPolicy
 from repro.core.recsa import DEFAULT_GOSSIP_REFRESH_INTERVAL, RecSA
 from repro.core.stale import is_real_config
@@ -63,19 +64,16 @@ class RecMA:
         self.fd_provider = fd_provider
         self.send = send
         self.policy: PredictionPolicy = policy or NeverReconfigure()
-        self.gossip_refresh_interval = max(1, int(gossip_refresh_interval))
 
         # Replicated flag arrays (own entry + most recently received values).
         self.no_maj: Dict[ProcessId, bool] = {pid: False}
         self.need_reconf: Dict[ProcessId, bool] = {pid: False}
         self.prev_config: Optional[Configuration] = None
 
-        # Change-detected gossip bookkeeping: the ⟨noMaj, needReconf⟩ pair
-        # last sent per peer plus a round counter backing the periodic
-        # unconditional refresh (the flags are idempotent state, so a lost
-        # packet is repaired by the next refresh within K rounds).
-        self._sent_flags: Dict[ProcessId, Tuple[bool, bool]] = {}
-        self._rounds_since_sent: Dict[ProcessId, int] = {}
+        # Change-detected gossip: the ⟨noMaj, needReconf⟩ pair goes to a
+        # peer when it changed or every K rounds (the flags are idempotent
+        # state, so a lost packet is repaired by the next refresh).
+        self.gate = GossipGate(gossip_refresh_interval)
 
         # Experiment counters (Lemma 3.18 bounds the spurious ones).
         self.trigger_count = 0
@@ -179,26 +177,15 @@ class RecMA:
 
     def _broadcast(self) -> None:
         flags = (self.no_maj[self.pid], self.need_reconf[self.pid])
-        refresh = self.gossip_refresh_interval
         participants = self.recsa.participants()
-        if len(self._sent_flags) > len(participants):
-            # Drop bookkeeping for departed peers (mirrors recSA's cleanup in
-            # _clean_after_crashes) so churn cannot grow the dicts unboundedly.
-            for pid in list(self._sent_flags):
-                if pid not in participants:
-                    del self._sent_flags[pid]
-                    self._rounds_since_sent.pop(pid, None)
+        # Departed peers leave the bookkeeping (mirrors recSA's cleanup in
+        # _clean_after_crashes).
+        self.gate.retain(participants)
         message: Optional[RecMAMessage] = None
         for pid in participants:
             if pid == self.pid:
                 continue
-            rounds = self._rounds_since_sent.get(pid, refresh)
-            if (
-                refresh > 1
-                and rounds + 1 < refresh
-                and self._sent_flags.get(pid) == flags
-            ):
-                self._rounds_since_sent[pid] = rounds + 1
+            if not self.gate.due(pid, flags):
                 self.broadcasts_skipped += 1
                 continue
             if message is None:
@@ -206,8 +193,6 @@ class RecMA:
                     sender=self.pid, no_maj=flags[0], need_reconf=flags[1]
                 )
             self.send(pid, message)
-            self._sent_flags[pid] = flags
-            self._rounds_since_sent[pid] = 0
             self.broadcasts_sent += 1
 
     # ------------------------------------------------------------------

@@ -4,7 +4,9 @@ The :class:`CounterService` plays two roles:
 
 * **configuration member** (Algorithm 4.3 + 4.4) — maintains the maximal
   counter by gossiping counter pairs with the other members (mirroring the
-  labeling algorithm but carrying sequence numbers), answers the majority
+  labeling algorithm but carrying sequence numbers; a pair goes to a member
+  when its label part changed or every ``gossip_refresh_interval``
+  iterations, :class:`repro.core.gossip.GossipGate`), answers the majority
   read/write requests of increment operations, cancels exhausted counters and
   elects fresh epoch labels when needed;
 * **any participant** (Algorithm 4.4 for members, 4.5 for non-members) — the
@@ -27,6 +29,7 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 from repro.common.codec import wire_type
 from repro.common.logging_utils import get_logger
 from repro.common.types import Configuration, ProcessId
+from repro.core.gossip import GossipGate
 from repro.core.scheme import ReconfigurationScheme
 from repro.counters.counter import (
     DEFAULT_SEQN_BOUND,
@@ -42,6 +45,11 @@ _log = get_logger("counters")
 
 SendFn = Callable[[ProcessId, Any], None]
 IncrementCallback = Callable[["IncrementOutcome"], None]
+
+
+def _label_key(pair: Optional[CounterPair]) -> Optional[Tuple[EpochLabel, bool]]:
+    """The label part of a gossiped counter pair: what a send is gated on."""
+    return None if pair is None else (pair.mct.label, pair.legit)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +164,7 @@ class CounterService:
         self._store_members: Optional[Tuple[ProcessId, ...]] = None
         self.max_counters: Dict[ProcessId, Optional[CounterPair]] = {}
         self.seqns: Dict[EpochLabel, Tuple[int, ProcessId]] = {}
+        self.gate = GossipGate(scheme.recsa.gossip_refresh_interval)
 
         # Client-side state: in-flight increment operations.
         self._ops: Dict[int, _IncrementOp] = {}
@@ -199,6 +208,7 @@ class CounterService:
         self.store.clean_non_member_labels()
         self.store.receipt_action(None, self.store.own_max(), self.pid)
         self._store_members = tuple(sorted(members))
+        self.gate.reset()
         self.max_counters = {m: self.max_counters.get(m) for m in members}
         self.seqns = {
             label: value
@@ -397,19 +407,20 @@ class CounterService:
                         )
 
     def _gossip(self, members: Configuration) -> None:
+        """Send a member the pairs when their labels changed (a sequence
+        number alone travels with the reads and writes) or every K rounds."""
         assert self.store is not None
         own = self.local_max_counter()
+        own_key = _label_key(own)
         for member in members:
             if member == self.pid:
                 continue
-            self.send(
-                member,
-                CounterGossipMessage(
-                    sender=self.pid,
-                    sent_max=own,
-                    last_sent=self.max_counters.get(member),
-                ),
-            )
+            last_sent = self.max_counters.get(member)
+            if self.gate.due(member, (own_key, _label_key(last_sent))):
+                self.send(
+                    member,
+                    CounterGossipMessage(sender=self.pid, sent_max=own, last_sent=last_sent),
+                )
 
     # ------------------------------------------------------------------
     # Message handling
@@ -498,8 +509,15 @@ class CounterService:
         )
 
     def _apply_write(self, counter: Counter) -> None:
-        if self.store is not None and counter.label.creator in self.store.members:
-            self.store.receipt_action(LabelPair(ml=counter.label), None, self.pid)
+        # In steady state every write carries the label the member already
+        # holds as its legit maximum, and the receipt action would change no
+        # pair; a corrupted store is repaired by the next gossip receipt,
+        # which every member sends within K rounds.
+        store = self.store
+        if store is not None and counter.label.creator in store.members:
+            own = store.own_max()
+            if own is None or not own.legit or own.ml != counter.label:
+                store.receipt_action(LabelPair(ml=counter.label), None, self.pid)
         self._record_counter(counter)
 
     # -- client side -----------------------------------------------------

@@ -49,13 +49,6 @@ class EpochLabel:
     sting: int
     antistings: FrozenSet[int]
 
-    def __post_init__(self) -> None:
-        if self.sting in self.antistings:
-            # A label cannot cancel itself; such a value can only appear via
-            # a transient fault and is treated as smaller than everything by
-            # the ordering below (it is its own antisting).
-            pass
-
     def sort_key(self) -> tuple:
         """Deterministic tie-break key (NOT the semantic ``≺lb`` order)."""
         return (self.creator, self.sting, tuple(sorted(self.antistings)))

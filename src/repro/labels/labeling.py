@@ -1,11 +1,14 @@
 """The reconfiguration-aware labeling service — Algorithm 4.1 of the paper.
 
-The service is run by **configuration members only**.  Each member
-periodically exchanges its maximal label pair with every other member; the
-receipt action (Algorithm 4.2, :class:`repro.labels.store.LabelStore`) keeps
-the bounded structures consistent and elects a local maximal label.  The
-correctness argument of the paper then guarantees that members converge to a
-single, globally maximal label.
+The service is run by **configuration members only**.  Each member sends
+every other member its maximal label pair and the pair it last received from
+that member, whenever either changed as ``(label, legit)`` and at least every
+``gossip_refresh_interval`` iterations (:class:`repro.core.gossip.GossipGate`:
+the fair communication the proofs need); the receipt action (Algorithm 4.2,
+:class:`repro.labels.store.LabelStore`) keeps the bounded structures
+consistent and elects a local maximal label.  The correctness argument of the
+paper then guarantees that members converge to a single, globally maximal
+label.
 
 Interaction with the reconfiguration scheme:
 
@@ -24,6 +27,7 @@ from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tup
 from repro.common.codec import wire_type
 from repro.common.logging_utils import get_logger
 from repro.common.types import Configuration, ProcessId
+from repro.core.gossip import GossipGate
 from repro.core.scheme import ReconfigurationScheme
 from repro.labels.label import EpochLabel, LabelPair
 from repro.labels.store import LabelStore
@@ -31,6 +35,11 @@ from repro.labels.store import LabelStore
 _log = get_logger("labels")
 
 SendFn = Callable[[ProcessId, Any], None]
+
+
+def _label_key(pair: Optional[LabelPair]) -> Optional[Tuple[EpochLabel, bool]]:
+    """The part of a gossiped pair whose change is worth a send."""
+    return None if pair is None else (pair.ml, pair.legit)
 
 
 @wire_type
@@ -59,6 +68,7 @@ class LabelingService:
         self.in_transit_bound = in_transit_bound
         self.store: Optional[LabelStore] = None
         self._store_members: Optional[Tuple[ProcessId, ...]] = None
+        self.gate = GossipGate(scheme.recsa.gossip_refresh_interval)
         self.rebuild_count = 0
 
     # ------------------------------------------------------------------
@@ -88,6 +98,7 @@ class LabelingService:
         self.store.clean_non_member_labels()
         self.store.receipt_action(None, self.store.own_max(), self.pid)
         self._store_members = tuple(sorted(members))
+        self.gate.reset()
         self.rebuild_count += 1
 
     # ------------------------------------------------------------------
@@ -118,11 +129,15 @@ class LabelingService:
             return
         assert self.store is not None
         own = self.store.clean_pair(self.store.own_max())
+        own_key = _label_key(own)
         for member in members:
             if member == self.pid:
                 continue
             last_sent = self.store.clean_pair(self.store.max_pairs.get(member))
-            self.send(member, LabelMessage(sender=self.pid, sent_max=own, last_sent=last_sent))
+            if self.gate.due(member, (own_key, _label_key(last_sent))):
+                self.send(
+                    member, LabelMessage(sender=self.pid, sent_max=own, last_sent=last_sent)
+                )
 
     def on_message(self, sender: ProcessId, message: Any) -> bool:
         """Handle a label exchange; returns True when the message was ours."""

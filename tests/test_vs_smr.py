@@ -308,15 +308,24 @@ class TestCrashWhileSuspended:
 # Batch-only multicast + message-driven rounds (docs/vs.md)
 # ---------------------------------------------------------------------------
 def _multicasting(n, seed):
-    """A converged cluster whose members all multicast in one installed view."""
+    """A converged cluster whose members all multicast in one installed view,
+    and whose coordinator has heard each of them say so — until it has, it
+    answers a member's last INSTALL report with the full replica."""
     env = _VSCluster(n, seed=seed)
     assert env.wait_for_view()
     coord = env.coordinator()
+
+    def multicasting(state):
+        return (
+            state is not None
+            and state.view == env.vs[coord].view
+            and state.status is VSStatus.MULTICAST
+        )
+
+    reports = env.vs[coord].states
     assert env.cluster.run_until(
-        lambda: all(
-            vs.view == env.vs[coord].view and vs.status is VSStatus.MULTICAST
-            for vs in env.vs.values()
-        ),
+        lambda: all(multicasting(vs) for vs in env.vs.values())
+        and all(multicasting(reports.get(pid)) for pid in env.vs if pid != coord),
         timeout=600,
     )
     return env, coord

@@ -2,10 +2,12 @@
 
 These do not reproduce a claim of the paper (those are tier-1 tests, see
 ``docs/claims.md``); they time the inner loops every simulated run goes
-through — event scheduling/dispatch, the recSA broadcast round and a counter
+through — event scheduling/dispatch, the recSA broadcast round, a counter
 member's steady-state iteration (label-layer gossip and the receipts it
-triggers) — in isolation, which the spine's per-layer spans cannot: it sees
-them only inside whole workloads.  Run with ``make bench-micro``.
+triggers), a heartbeat followed by the failure detector's ``trusted()``, and
+the convergence ledger's refresh of a node an event left unchanged — in
+isolation, which the spine's per-layer spans cannot: it sees them only
+inside whole workloads.  Run with ``make bench-micro``.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from conftest import bench_cluster, record
 
 from repro.core.recsa import DEFAULT_GOSSIP_REFRESH_INTERVAL, RecSA
 from repro.counters.service import CounterService
+from repro.failure_detector.ntheta import NThetaFailureDetector
 from repro.sim.events import EventQueue
 
 
@@ -140,6 +143,45 @@ def _counter_rounds(members: dict, inboxes: dict, rounds: int) -> dict:
     return {"n": len(members), "rounds": rounds, "messages_exchanged": messages}
 
 
+def _detector(n: int):
+    """An (N, Theta) detector that has heard every one of n - 1 peers."""
+    fd = NThetaFailureDetector(pid=0, upper_bound_n=n)
+    for _ in range(3):
+        for peer in range(1, n):
+            fd.heartbeat(peer)
+    fd.trusted()
+    return (fd, n), {}
+
+
+def _heartbeat_then_trusted(fd: NThetaFailureDetector, n: int, beats: int = 20_000) -> dict:
+    """*beats* round-robin heartbeats, each followed by ``trusted()`` — what
+    every received frame costs a node whose convergence is then checked."""
+    total = 0
+    for index in range(beats):
+        fd.heartbeat(1 + index % (n - 1))
+        total += len(fd.trusted())
+    return {"n": n, "beats": beats, "trusted_mean": total / beats}
+
+
+def _converged_ledger(n: int):
+    cluster = bench_cluster(n, seed=7)
+    assert cluster.run_until_converged(timeout=800)
+    return (cluster,), {}
+
+
+def _ledger_refreshes(cluster, refreshes: int = 20_000) -> dict:
+    """Mark one node of a converged cluster dirty and refresh, *refreshes*
+    times: the convergence check after an event that moved nothing."""
+    ledger = cluster.convergence_ledger
+    pids = sorted(cluster.nodes)
+    converged = 0
+    for index in range(refreshes):
+        ledger.mark(pids[index % len(pids)])
+        ledger.refresh()
+        converged += ledger.converged()
+    return {"refreshes": refreshes, "converged": converged}
+
+
 def _delivery_path_cost(n: int, until: float) -> dict:
     """End-to-end simulator cost: a full cluster run for *until* sim-time."""
     cluster = bench_cluster(n, seed=7)
@@ -190,6 +232,24 @@ def test_counters_member_round(benchmark, n):
     # Idle members tell each peer their pair once per refresh interval.
     per_member_round = result["messages_exchanged"] / (n * rounds)
     assert per_member_round <= (n - 1) / DEFAULT_GOSSIP_REFRESH_INTERVAL + 0.1
+
+
+@pytest.mark.parametrize("n", [8, 128])
+def test_detector_heartbeat_then_trusted(benchmark, n):
+    result = benchmark.pedantic(
+        _heartbeat_then_trusted, setup=lambda: _detector(n), rounds=3, iterations=1
+    )
+    record(benchmark, result)
+    # Round-robin peers never open a gap: everyone stays trusted.
+    assert result["trusted_mean"] == n
+
+
+def test_ledger_refresh_of_a_dirty_converged_node(benchmark):
+    result = benchmark.pedantic(
+        _ledger_refreshes, setup=lambda: _converged_ledger(8), rounds=3, iterations=1
+    )
+    record(benchmark, result)
+    assert result["converged"] == result["refreshes"]
 
 
 @pytest.mark.parametrize("n", [8])

@@ -143,15 +143,14 @@ class RecMA:
         if len(current & trusted) < majority:
             self.no_maj[self.pid] = True
 
-        core = self.core()
-        if (
-            self.no_maj[self.pid]
-            and len(core) > 1
-            and all(self.no_maj.get(pid, False) for pid in core)
-        ):
-            # Lines 13-14: majority collapse agreed by the whole core.
-            self._trigger("majority")
-            return
+        # The core (an intersection of every participant's reported set) is
+        # built only when the owner lacks a majority, the one case it decides.
+        if self.no_maj[self.pid]:
+            core = self.core()
+            if len(core) > 1 and all(self.no_maj.get(pid, False) for pid in core):
+                # Lines 13-14: majority collapse agreed by the whole core.
+                self._trigger("majority")
+                return
 
         # Lines 16-18: prediction-driven reconfiguration.
         self.need_reconf[self.pid] = bool(self.policy(current, trusted))

@@ -37,13 +37,20 @@ garbled in a few places:
 * The stale-information tests that compare a peer's *received* phase against
   the local current phase are implemented in their robust form (see
   :mod:`repro.core.stale`).
+* The six replicated arrays are a transposition: peer *k*'s ``(fd, part,
+  config, prp, all, echo)`` is its last :class:`RecSAMessage`.  recSA keeps
+  **one record per processor** (a ``dict`` of those fields plus the entries
+  it writes locally) under one :attr:`RecSA.version`, which a write bumps
+  only when a value changes.  ``config[]``, ``fd[]``, ``part[]``, ``prp[]``,
+  ``all_flags[]`` and ``echo[]`` are writable views over the records; every
+  write through a view bumps the version.
 * ``noReco()``, ``chsConfig()``/``getConfig()`` and ``FD[i].part`` are pure
-  functions of the trusted set and the six replicated arrays, and every
-  layer above polls them far more often than either moves, so they are
-  answered from a memo keyed on the trusted set and on the arrays' write
-  counts (:class:`ReplicatedMap` counts *where the write happens*, so local
-  writes, received gossip and injected corruption all invalidate alike and
-  there is no ``invalidate()`` to forget).  The memo is derived state like
+  functions of the trusted set and the records, and every layer above polls
+  them far more often than either moves, so they are answered from a memo
+  keyed on ``(version, trusted set)`` — the set by identity: the failure
+  detector hands back the same object until the set changes.  Local writes,
+  received gossip and corruption all move the version, so there is no
+  ``invalidate()`` to forget.  The memo is derived state like
   any other variable, so a transient fault may plant a wrong one; ``step()``
   drops it at the top of every do-forever iteration, which bounds the life
   of any memo — right or wrong — to one iteration.  Every convergence
@@ -55,24 +62,21 @@ garbled in a few places:
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from collections.abc import MutableMapping
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.common.codec import wire_type
-from repro.common.logging_utils import get_logger
 from repro.common.types import (
     BOTTOM,
     DEFAULT_PROPOSAL,
     NOT_PARTICIPANT,
-    Configuration,
     Phase,
     ProcessId,
     Proposal,
     make_config,
 )
-from repro.core.stale import StaleInfoType, classify_stale_information, is_real_config
-
-_log = get_logger("recsa")
+from repro.core.stale import NO_RECORD, StaleInfoType, classify_stale_information
 
 FdProvider = Callable[[], FrozenSet[ProcessId]]
 SendFn = Callable[[ProcessId, Any], None]
@@ -205,75 +209,55 @@ def compute_core_digest(core: Tuple[Any, ...]) -> int:
     """
     return zlib.crc32(repr(_canonical_core(core)).encode("utf-8"))
 
-#: Field order of the broadcast core, aligned with the core-key tuple.
+#: Field order of the broadcast core, aligned with the core-key tuple; also
+#: the record keys a received core lands under.
 _CORE_FIELDS = ("fd", "part", "config", "prp", "all_flag")
 
-#: "No such key" in :meth:`ReplicatedMap.store` (never stored, never pickled).
+#: "No such field" in a record lookup (never stored, never pickled).
 _ABSENT = object()
 
 
-class ReplicatedMap(dict):
-    """One of recSA's replicated arrays: a ``dict`` that counts its writes.
+class _FieldView(MutableMapping):
+    """One of the pseudo-code's arrays — ``config[]``, ``fd[]``, … — as a view.
 
-    :class:`RecSA` keys its memo of derived verdicts on the sum of these
-    counts.  Counting inside the mutators means every writer — recSA's own
-    ~40 sites, the joining hook in :mod:`repro.core.scheme`, corruption
-    workloads, the fault injector — invalidates by writing, as it always
-    did.  A count that runs ahead (a rewrite of the same value through
-    ``[]``) only costs a re-derivation; :meth:`store` is the spelling for
-    writers that repeat themselves.
-    """
+    ``recsa.config[k]`` is field ``config`` of *k*'s record (missing record
+    or field: missing key).  Every write lands in the record and bumps
+    :attr:`RecSA.version`, so corruption plans and tests invalidate the memo
+    by writing.  The protocol itself reads the records."""
 
-    #: A class-level default, not an ``__init__`` assignment: pickle replays
-    #: a dict subclass's items (``SETITEMS``, through ``__setitem__``)
-    #: *before* it restores the instance ``__dict__`` (``BUILD``).
-    writes = 0
+    __slots__ = ("_recsa", "_field")
 
-    def __setitem__(self, key: Any, value: Any) -> None:
-        self.writes += 1
-        dict.__setitem__(self, key, value)
+    def __init__(self, recsa: "RecSA", field: str) -> None:
+        self._recsa = recsa
+        self._field = field
 
-    def store(self, key: Any, value: Any) -> None:
-        """``self[key] = value``, counted only when the value moved.
+    def __getitem__(self, pid: ProcessId) -> Any:
+        return self._recsa._records[pid][self._field]
 
-        The received object always replaces the stored one (so the array
-        holds exactly what a plain ``dict`` would), but a peer repeating
-        itself — most gossip, most of the time — leaves the count alone.
-        Identity first: ``frozenset.__eq__`` has no identity shortcut.
-        """
-        old = self.get(key, _ABSENT)
-        if old is not value:
-            if old != value:
-                self.writes += 1
-            dict.__setitem__(self, key, value)
+    def get(self, pid: ProcessId, default: Any = None) -> Any:
+        return self._recsa._records.get(pid, NO_RECORD).get(self._field, default)
 
-    def __delitem__(self, key: Any) -> None:
-        self.writes += 1
-        dict.__delitem__(self, key)
+    def __setitem__(self, pid: ProcessId, value: Any) -> None:
+        recsa = self._recsa
+        recsa._records.setdefault(pid, {})[self._field] = value
+        recsa.version += 1
 
-    def pop(self, *args: Any) -> Any:
-        self.writes += 1
-        return dict.pop(self, *args)
+    def __delitem__(self, pid: ProcessId) -> None:
+        record = self._recsa._records.get(pid, NO_RECORD)
+        if self._field not in record:
+            raise KeyError(pid)
+        del record[self._field]  # type: ignore[attr-defined]
+        self._recsa.version += 1
 
-    def popitem(self) -> Tuple[Any, Any]:
-        self.writes += 1
-        return dict.popitem(self)
+    def __iter__(self) -> Iterator[ProcessId]:
+        field = self._field
+        return iter([pid for pid, record in self._recsa._records.items() if field in record])
 
-    def clear(self) -> None:
-        self.writes += 1
-        dict.clear(self)
+    def __len__(self) -> int:
+        return len(list(iter(self)))
 
-    def setdefault(self, *args: Any) -> Any:
-        self.writes += 1
-        return dict.setdefault(self, *args)
-
-    def update(self, *args: Any, **kwargs: Any) -> None:
-        self.writes += 1
-        dict.update(self, *args, **kwargs)
-
-    def __ior__(self, other: Any) -> "ReplicatedMap":
-        self.update(other)
-        return self
+    def __contains__(self, pid: object) -> bool:
+        return self._field in self._recsa._records.get(pid, NO_RECORD)  # type: ignore[arg-type]
 
 
 class RecSA:
@@ -297,6 +281,14 @@ class RecSA:
         brute-force technique.
     """
 
+    # The pseudo-code's replicated arrays, as writable views over the records.
+    config = property(lambda self: _FieldView(self, "config"))
+    fd = property(lambda self: _FieldView(self, "fd"))
+    part = property(lambda self: _FieldView(self, "part"))
+    prp = property(lambda self: _FieldView(self, "prp"))
+    all_flags = property(lambda self: _FieldView(self, "all_flag"))
+    echo = property(lambda self: _FieldView(self, "echo"))
+
     def __init__(
         self,
         pid: ProcessId,
@@ -314,16 +306,20 @@ class RecSA:
         self.gossip_refresh_interval = max(1, int(gossip_refresh_interval))
         self.gossip_deltas = bool(gossip_deltas)
 
-        # Replicated arrays (own entry + most recently received per peer).
-        self.config: Dict[ProcessId, Any] = ReplicatedMap()
-        self.fd: Dict[ProcessId, FrozenSet[ProcessId]] = ReplicatedMap()
-        self.part: Dict[ProcessId, FrozenSet[ProcessId]] = ReplicatedMap()
-        self.prp: Dict[ProcessId, Proposal] = ReplicatedMap()
-        self.all_flags: Dict[ProcessId, bool] = ReplicatedMap()
-        self.echo: Dict[ProcessId, EchoTriple] = ReplicatedMap()
+        # One record per processor, the owner's included (module docstring).
+        # Boot (line 31): every entry defaults to (], dfltNtf, false); an
+        # explicit initial configuration overrides the own entry only.
+        self._own: Dict[str, Any] = {
+            "config": NOT_PARTICIPANT if initial_config is None else initial_config,
+            "prp": DEFAULT_PROPOSAL,
+            "all_flag": False,
+        }
+        self._records: Dict[ProcessId, Dict[str, Any]] = {pid: self._own}
+        #: Bumped by every write that changes a record.
+        self.version = 0
         self.all_seen: Set[ProcessId] = set()
-        # Verdicts derived from (trusted set, the six arrays above) since
-        # either last moved; see :meth:`_memoized`.
+        # Verdicts derived from (trusted set, records) since either last
+        # moved; see :meth:`_memoized`.
         self._memo: Dict[str, Any] = {}
 
         # Change-detected gossip bookkeeping (line 29 fast path): the local
@@ -365,38 +361,50 @@ class RecSA:
         self.delta_fallbacks = 0
         self.stale_detections: Dict[StaleInfoType, int] = {t: 0 for t in StaleInfoType}
 
-        # Boot (the paper's line 31 interrupt): every entry defaults to
-        # (], dfltNtf, false); an explicit initial configuration overrides
-        # the own entry only.
-        if initial_config is None:
-            self.config[pid] = NOT_PARTICIPANT
-        else:
-            self.config[pid] = initial_config
-        self.prp[pid] = DEFAULT_PROPOSAL
-        self.all_flags[pid] = False
-
     # ------------------------------------------------------------------
     # State helpers
     # ------------------------------------------------------------------
+    def store(self, pid: ProcessId, name: str, value: Any) -> None:
+        """Write field *name* of *pid*'s record, bumping the version only when
+        the value moved (the object is stored either way: identity next)."""
+        record = self._records.get(pid)
+        if record is None:
+            record = self._records[pid] = {}
+        old = record.get(name, _ABSENT)
+        if old is not value:
+            if old != value:
+                self.version += 1
+            record[name] = value
+
+    def _receive(self, sender: ProcessId, fields: Dict[str, Any]) -> None:
+        """Store received *fields* in *sender*'s record: one bump if any moved
+        (the subset test compares each value identity first, in C)."""
+        record = self._records.get(sender)
+        if record is None:
+            self._records[sender] = fields
+            self.version += 1
+            return
+        if not fields.items() <= record.items():
+            self.version += 1
+        record.update(fields)
+
     def trusted(self) -> FrozenSet[ProcessId]:
         """The owner's current failure-detector view ``FD[i]``."""
         view = self.fd_provider()
-        # The (N, Theta) detector already returns a frozenset containing the
-        # owner; reuse it instead of rebuilding an O(n) copy on every call
-        # (this is on the path of every no_reco()/participants() query).
+        # The detector hands back one frozenset (owner included) until its
+        # set changes: a query is then one identity test and writes nothing.
+        if self._own.get("fd") is view:
+            return view
         if not isinstance(view, frozenset):
             view = frozenset(view)
         if self.pid not in view:
             view = view | {self.pid}
-        # A query must not count as a write (it would defeat the memo it is
-        # the key of): the detector hands back the same object until its set
-        # changes, and store() leaves an identical object alone.
-        self.fd.store(self.pid, view)
+        self.store(self.pid, "fd", view)
         return view
 
     def is_participant(self) -> bool:
         """True when the owner is a participant (``config[i] != ]``)."""
-        return self.config.get(self.pid, NOT_PARTICIPANT) is not NOT_PARTICIPANT
+        return self._own.get("config", NOT_PARTICIPANT) is not NOT_PARTICIPANT
 
     def _memoized(
         self,
@@ -406,26 +414,15 @@ class RecSA:
     ) -> Any:
         """``derive(trusted)``, derived once per state of its inputs.
 
-        The memo is keyed on the trusted set and on the write counts of the
-        six replicated arrays; it is emptied when either moves and dropped
-        at the top of every :meth:`step` (module docstring: a memo lives at
-        most one iteration).
+        The memo is keyed on the version and on the trusted set's identity;
+        it is emptied when either moves and dropped at the top of every
+        :meth:`step` (module docstring: a memo lives at most one iteration).
         """
         if trusted is None:
             trusted = self.trusted()
-        writes = (
-            self.config.writes
-            + self.fd.writes
-            + self.part.writes
-            + self.prp.writes
-            + self.all_flags.writes
-            + self.echo.writes
-        )
         memo = self._memo
-        if memo.get("writes") != writes or not (
-            memo["trusted"] is trusted or memo["trusted"] == trusted
-        ):
-            memo = self._memo = {"writes": writes, "trusted": trusted}
+        if memo.get("trusted") is not trusted or memo.get("version") != self.version:
+            memo = self._memo = {"version": self.version, "trusted": trusted}
         if name not in memo:
             memo[name] = derive(trusted)
         return memo[name]
@@ -435,18 +432,18 @@ class RecSA:
         return self._memoized("participants", self._derive_participants, trusted)
 
     def _derive_participants(self, trusted: FrozenSet[ProcessId]) -> FrozenSet[ProcessId]:
-        members = {
+        records = self._records
+        return frozenset({
             pid
             for pid in trusted
-            if self.config.get(pid, NOT_PARTICIPANT) is not NOT_PARTICIPANT
-        }
-        return frozenset(members)
+            if records.get(pid, NO_RECORD).get("config", NOT_PARTICIPANT) is not NOT_PARTICIPANT
+        })
 
     def _own_prp(self) -> Proposal:
-        return self.prp.get(self.pid, DEFAULT_PROPOSAL)
+        return self._own.get("prp", DEFAULT_PROPOSAL)
 
     def _own_all(self) -> bool:
-        return bool(self.all_flags.get(self.pid, False))
+        return bool(self._own.get("all_flag", False))
 
     # ------------------------------------------------------------------
     # Interface functions (lines 10-14)
@@ -461,15 +458,15 @@ class RecSA:
         return self._memoized("chs_config", self._derive_chs_config)
 
     def _derive_chs_config(self, trusted: FrozenSet[ProcessId]) -> Any:
+        records = self._records
         values = []
         for pid in trusted:
-            value = self.config.get(pid, NOT_PARTICIPANT)
-            if value is NOT_PARTICIPANT:
-                continue
-            values.append(value)
+            value = records.get(pid, NO_RECORD).get("config", NOT_PARTICIPANT)
+            if value is BOTTOM:
+                return BOTTOM
+            if value is not NOT_PARTICIPANT:
+                values.append(value)
         if not values:
-            return BOTTOM
-        if any(value is BOTTOM for value in values):
             return BOTTOM
         return min(values, key=lambda cfg: tuple(sorted(cfg)))
 
@@ -489,56 +486,47 @@ class RecSA:
 
     def _derive_no_reco(self, trusted: FrozenSet[ProcessId]) -> bool:
         part = self.participants(trusted)
-
-        # (1) mutual trust: every trusted peer we have heard from must trust us.
-        for pid in trusted:
-            if pid == self.pid:
-                continue
-            view = self.fd.get(pid)
-            if view is not None and self.pid not in view:
-                return False
-
-        # (2) configuration conflicts (more than one non-] value).
-        values = set()
-        for pid in trusted:
-            value = self.config.get(pid, NOT_PARTICIPANT)
-            if value is NOT_PARTICIPANT:
-                continue
-            if value is BOTTOM:
-                # (4) an ongoing reset.
-                return False
-            values.add(value)
-        if len(values) > 1:
-            return False
-
-        # (3) participant sets must have stabilized: every participant's last
-        # reported participant set, and its echo of ours, equals ours.  The
-        # echo half only applies to participants — a joiner never broadcasts,
-        # so its peers have nothing of it to echo back.
+        records = self._records
+        own = self.pid
+        # The echo half of (3) only applies to participants — a joiner never
+        # broadcasts, so its peers have nothing of it to echo back.
         own_is_participant = self.is_participant()
-        for pid in part:
-            if pid == self.pid:
-                continue
-            reported = self.part.get(pid)
-            if reported is None or frozenset(reported) != part:
-                return False
-            if own_is_participant:
-                echo = self.echo.get(pid)
-                if echo is None or frozenset(echo.part) != part:
-                    return False
-
-        # (5) delicate replacement in progress.
+        agreed: Any = _ABSENT
+        # One pass, one record read per processor: the five tests in any order.
         for pid in trusted:
-            prp = self.prp.get(pid, DEFAULT_PROPOSAL)
-            if not prp.is_default:
-                return False
+            record = records.get(pid, NO_RECORD)
+            value = record.get("config", NOT_PARTICIPANT)
+            if value is not NOT_PARTICIPANT:
+                if value is BOTTOM:
+                    return False  # (4) an ongoing reset
+                if agreed is _ABSENT:
+                    agreed = value
+                elif value is not agreed and value != agreed:
+                    return False  # (2) configuration conflict
+            if not record.get("prp", DEFAULT_PROPOSAL).is_default:
+                return False  # (5) delicate replacement in progress
+            if pid == own:
+                continue
+            view = record.get("fd")
+            if view is not None and own not in view:
+                return False  # (1) mutual trust
+            if pid in part:
+                # (3) the participant's last reported participant set, and
+                # its echo of ours, equal ours.
+                reported = record.get("part")
+                if reported is None or frozenset(reported) != part:
+                    return False
+                if own_is_participant:
+                    echo = record.get("echo")
+                    if echo is None or frozenset(echo.part) != part:
+                        return False
         return True
 
     def get_config(self) -> Any:
         """``getConfig()``: the current configuration as seen by the owner."""
         if self.no_reco():
             return self.chs_config()
-        return self.config.get(self.pid, NOT_PARTICIPANT)
+        return self._own.get("config", NOT_PARTICIPANT)
 
     def estab(self, members: Iterable[ProcessId]) -> bool:
         """``estab(set)``: request replacement of the configuration by *members*.
@@ -554,12 +542,10 @@ class RecSA:
         if not self.no_reco():
             self.estab_rejected += 1
             return False
-        if proposal_set == self.config.get(self.pid):
+        if proposal_set == self._own.get("config"):
             self.estab_rejected += 1
             return False
-        self.prp[self.pid] = Proposal(phase=Phase.SELECT, members=proposal_set)
-        self.all_flags[self.pid] = False
-        self.all_seen.clear()
+        self._adopt(Proposal(phase=Phase.SELECT, members=proposal_set))
         self.estab_accepted += 1
         return True
 
@@ -573,7 +559,7 @@ class RecSA:
         """
         if not self.no_reco():
             return False
-        self.config[self.pid] = self.chs_config()
+        self.store(self.pid, "config", self.chs_config())
         return True
 
     # ------------------------------------------------------------------
@@ -581,56 +567,58 @@ class RecSA:
     # ------------------------------------------------------------------
     def config_set(self, value: Any) -> None:
         """``configSet(val)``: overwrite every config entry, clear notifications."""
-        trusted = self.fd.get(self.pid, frozenset({self.pid}))
-        scope = set(self.config) | set(self.prp) | set(trusted)
-        self.config.update(dict.fromkeys(scope, value))
-        self.prp.update(dict.fromkeys(scope, DEFAULT_PROPOSAL))
-        self.all_flags.update(dict.fromkeys(scope, False))
+        records = self._records
+        scope = {pid for pid, record in records.items() if "config" in record or "prp" in record}
+        scope.update(self._own.get("fd", (self.pid,)))
+        fields = {"config": value, "prp": DEFAULT_PROPOSAL, "all_flag": False}
+        for pid in scope:
+            record = records.setdefault(pid, {})
+            if not fields.items() <= record.items():
+                record.update(fields)
+                self.version += 1
         self.all_seen.clear()
         if value is BOTTOM:
             self.reset_count += 1
 
     def max_ntf(self) -> Optional[Proposal]:
         """``maxNtf()``: lexically-maximal non-default notification, or ``None``."""
-        part = self.participants()
-        candidates = [
-            self.prp.get(pid, DEFAULT_PROPOSAL)
-            for pid in part
-        ]
-        candidates = [
-            prp
-            for prp in candidates
-            if not prp.is_default and prp.members is not None and len(prp.members) > 0
-        ]
+        records = self._records
+        candidates = []
+        for pid in self.participants():
+            prp = records.get(pid, NO_RECORD).get("prp", DEFAULT_PROPOSAL)
+            if not prp.is_default and prp.members is not None and len(prp.members) > 0:
+                candidates.append(prp)
         if not candidates:
             return None
         return max(candidates, key=lambda prp: prp.sort_key())
 
     # ------------------------------------------------------------------
-    # Barrier helpers for the delicate replacement
+    # Barrier helpers for the delicate replacement (on a peer's record)
     # ------------------------------------------------------------------
-    def _peer_in_sync(self, pid: ProcessId, part: FrozenSet[ProcessId]) -> bool:
+    def _peer_in_sync(self, record: Dict[str, Any], part: FrozenSet[ProcessId]) -> bool:
         """``same(k)``: the peer reports our participant set and notification."""
-        reported_part = self.part.get(pid)
+        reported_part = record.get("part")
         if reported_part is None or frozenset(reported_part) != part:
             return False
-        return self.prp.get(pid, DEFAULT_PROPOSAL) == self._own_prp()
+        return record.get("prp", DEFAULT_PROPOSAL) == self._own_prp()
 
-    def _peer_ahead(self, pid: ProcessId) -> bool:
+    def _peer_ahead(self, record: Dict[str, Any]) -> bool:
         """The peer has demonstrably already advanced past our current phase."""
         own = self._own_prp()
-        peer = self.prp.get(pid, DEFAULT_PROPOSAL)
+        peer = record.get("prp", DEFAULT_PROPOSAL)
         if own.is_default:
             return False
         if own.phase is Phase.SELECT:
             return peer.phase is Phase.REPLACE and peer.members == own.members
         if own.phase is Phase.REPLACE:
-            return peer.is_default and self.config.get(pid) == own.members
+            return peer.is_default and record.get("config") == own.members
         return False
 
-    def _peer_echoed(self, pid: ProcessId, part: FrozenSet[ProcessId], with_all: bool) -> bool:
+    def _peer_echoed(
+        self, record: Dict[str, Any], part: FrozenSet[ProcessId], with_all: bool
+    ) -> bool:
         """``echoNoAll(k)`` / ``echo()``: the peer echoed our current values."""
-        echo = self.echo.get(pid)
+        echo = record.get("echo")
         if echo is None:
             return False
         if frozenset(echo.part) != part or echo.prp != self._own_prp():
@@ -652,9 +640,7 @@ class RecSA:
 
         stale = classify_stale_information(
             own=self.pid,
-            configs=self.config,
-            proposals=self.prp,
-            fd_views=self.fd,
+            records=self._records,
             own_view=trusted,
             trusted=trusted,
             participants=part,
@@ -674,44 +660,40 @@ class RecSA:
     # -- line 25: clean entries of processors outside the participant set ----
     def _clean_after_crashes(self, trusted: FrozenSet[ProcessId]) -> None:
         part = self.participants(trusted)
-        for pid in list(self.config):
+        for pid, record in self._records.items():
             if pid == self.pid:
                 continue
-            if pid not in part:
-                self.config[pid] = NOT_PARTICIPANT
-                self.prp[pid] = DEFAULT_PROPOSAL
-                self.all_flags[pid] = False
+            if pid not in part and "config" in record:
+                self.store(pid, "config", NOT_PARTICIPANT)
+                self.store(pid, "prp", DEFAULT_PROPOSAL)
+                self.store(pid, "all_flag", False)
                 # Our stored copy of this peer's core was just mutated
                 # locally; a future delta from it would verify against state
                 # it never sent.  Drop the chain so the next compact receipt
                 # re-verifies (or forces the full-vector fallback).
                 self._gossip_chain.pop(pid, None)
-        for pid in list(self.prp):
-            if pid == self.pid:
-                continue
-            if pid not in trusted:
-                self.prp[pid] = DEFAULT_PROPOSAL
-                self.all_flags[pid] = False
-                self.echo.pop(pid, None)
-                self.part.pop(pid, None)
-                self._sent_version.pop(pid, None)
-                self._sent_echo.pop(pid, None)
-                self._rounds_since_sent.pop(pid, None)
-                self._sent_core.pop(pid, None)
-                self._sent_digest.pop(pid, None)
-                self._full_countdown.pop(pid, None)
-                self._unacked_sends.pop(pid, None)
-                self._gossip_chain.pop(pid, None)
-                self._digest_verify_countdown.pop(pid, None)
+            if pid not in trusted and "prp" in record:
+                self.store(pid, "prp", DEFAULT_PROPOSAL)
+                self.store(pid, "all_flag", False)
+                for name in ("echo", "part"):
+                    if record.pop(name, _ABSENT) is not _ABSENT:
+                        self.version += 1
+                for ledger in (
+                    self._sent_version, self._sent_echo, self._rounds_since_sent,
+                    self._sent_core, self._sent_digest, self._full_countdown,
+                    self._unacked_sends, self._gossip_chain, self._digest_verify_countdown,
+                ):
+                    ledger.pop(pid, None)
 
     # -- line 26: brute-force stabilization -----------------------------------
     def _brute_force_step(
         self, trusted: FrozenSet[ProcessId], allow_completion: bool = True
     ) -> None:
         # Nullify the configuration upon conflict.
+        records = self._records
         values = set()
         for pid in trusted:
-            value = self.config.get(pid, NOT_PARTICIPANT)
+            value = records.get(pid, NO_RECORD).get("config", NOT_PARTICIPANT)
             if value is NOT_PARTICIPANT or value is BOTTOM:
                 continue
             values.add(value)
@@ -722,16 +704,17 @@ class RecSA:
         # failure-detector view: adopt that view as the configuration.
         if (
             allow_completion
-            and self.config.get(self.pid) is BOTTOM
+            and self._own.get("config") is BOTTOM
             and self._fd_views_agree(trusted)
         ):
             self.config_set(make_config(trusted))
 
     def _fd_views_agree(self, trusted: FrozenSet[ProcessId]) -> bool:
+        records = self._records
         for pid in trusted:
             if pid == self.pid:
                 continue
-            view = self.fd.get(pid)
+            view = records.get(pid, NO_RECORD).get("fd")
             if view is None or frozenset(view) != trusted:
                 return False
         return True
@@ -756,7 +739,7 @@ class RecSA:
             candidate = Proposal(phase=Phase.SELECT, members=maximal.members)
             already_installed = (
                 maximal.phase is Phase.REPLACE
-                and self.config.get(self.pid) == maximal.members
+                and self._own.get("config") == maximal.members
             )
             if own.is_default and not already_installed:
                 self._adopt(candidate)
@@ -775,40 +758,41 @@ class RecSA:
             return
 
         part = self.participants(trusted)
-        others = [pid for pid in part if pid != self.pid]
+        records = self._records
+        others = [(pid, records.get(pid, NO_RECORD)) for pid in part if pid != self.pid]
 
         # Stage A: raise the all flag once every participant is in sync (or
         # ahead) and has echoed our current notification.
         if not self._own_all():
             ready = all(
-                (self._peer_in_sync(pid, part) or self._peer_ahead(pid))
-                and (self._peer_echoed(pid, part, with_all=False) or self._peer_ahead(pid))
-                for pid in others
+                (self._peer_in_sync(record, part) or self._peer_ahead(record))
+                and (self._peer_echoed(record, part, with_all=False) or self._peer_ahead(record))
+                for _, record in others
             )
             if ready:
-                self.all_flags[self.pid] = True
+                self.store(self.pid, "all_flag", True)
 
         # Record peers known to have completed the phase (their all flag, or
         # evidence they already advanced).
-        for pid in others:
-            peer_all = bool(self.all_flags.get(pid, False))
-            if (peer_all and self._peer_in_sync(pid, part)) or self._peer_ahead(pid):
+        for pid, record in others:
+            peer_all = bool(record.get("all_flag", False))
+            if (peer_all and self._peer_in_sync(record, part)) or self._peer_ahead(record):
                 self.all_seen.add(pid)
 
         # Stage B: advance once the barrier is complete.
         if not self._own_all():
             return
-        barrier_seen = all(pid in self.all_seen for pid in others)
+        barrier_seen = all(pid in self.all_seen for pid, _ in others)
         barrier_echoed = all(
-            self._peer_echoed(pid, part, with_all=True) or self._peer_ahead(pid)
-            for pid in others
+            self._peer_echoed(record, part, with_all=True) or self._peer_ahead(record)
+            for _, record in others
         )
         if barrier_seen and barrier_echoed:
             self._advance_phase()
 
     def _adopt(self, proposal: Proposal) -> None:
-        self.prp[self.pid] = proposal
-        self.all_flags[self.pid] = False
+        self.store(self.pid, "prp", proposal)
+        self.store(self.pid, "all_flag", False)
         self.all_seen.clear()
 
     def _advance_phase(self) -> None:
@@ -816,13 +800,13 @@ class RecSA:
         if own.phase is Phase.SELECT:
             # Entering phase 2 installs the selected configuration (line 28,
             # case 2 of the select statement).
-            self.prp[self.pid] = Proposal(phase=Phase.REPLACE, members=own.members)
-            self.config[self.pid] = own.members
+            self.store(self.pid, "prp", Proposal(phase=Phase.REPLACE, members=own.members))
+            self.store(self.pid, "config", own.members)
             self.install_count += 1
         elif own.phase is Phase.REPLACE:
             # Returning to phase 0: the replacement is complete.
-            self.prp[self.pid] = DEFAULT_PROPOSAL
-        self.all_flags[self.pid] = False
+            self.store(self.pid, "prp", DEFAULT_PROPOSAL)
+        self.store(self.pid, "all_flag", False)
         self.all_seen.clear()
 
     # -- line 29: broadcast -----------------------------------------------------
@@ -843,7 +827,7 @@ class RecSA:
           fair-communication guarantee against lost packets and corrupted
           bookkeeping; see PERFORMANCE.md for the stabilization argument).
         """
-        own_config = self.config.get(self.pid, NOT_PARTICIPANT)
+        own_config = self._own.get("config", NOT_PARTICIPANT)
         if own_config is NOT_PARTICIPANT:
             # Non-participants follow the computation silently (line 29's
             # guard): they receive but never broadcast.
@@ -864,27 +848,29 @@ class RecSA:
         refresh = self.gossip_refresh_interval
         deltas = self.gossip_deltas
         digest = self._core_digest(version, core_key) if deltas else None
+        records = self._records
 
         outgoing: List[Tuple[ProcessId, Any]] = []
         for pid in trusted:
             if pid == self.pid:
                 continue
+            record = records.get(pid, NO_RECORD)
             # Our echo of this peer's values, as bare fields: two sends in
             # three are skipped and most of the rest repeat the last echo,
             # so an EchoTriple is built only when a new one goes out.
             echo = self._sent_echo.get(pid)
             echo_fields: Optional[Tuple[Any, ...]] = None
-            if pid in self.part or pid in self.prp:
+            if "part" in record or "prp" in record:
                 echo_fields = (
-                    self.part.get(pid, frozenset()),
-                    self.prp.get(pid, DEFAULT_PROPOSAL),
-                    bool(self.all_flags.get(pid, False)),
+                    record.get("part", frozenset()),
+                    record.get("prp", DEFAULT_PROPOSAL),
+                    bool(record.get("all_flag", False)),
                 )
             echo_unchanged = echo_fields == (
                 None if echo is None else (echo.part, echo.prp, echo.all_flag)
             )
             rounds = self._rounds_since_sent.get(pid, refresh)
-            echoed = self._peer_echoed(pid, part, with_all=True)
+            echoed = self._peer_echoed(record, part, with_all=True)
             if echoed:
                 self._unacked_sends.pop(pid, None)
             if (
@@ -1010,14 +996,26 @@ class RecSA:
         """Store the peer's state (the paper's ``upon receive`` handler)."""
         if sender == self.pid:
             return
-        # A peer mostly repeats itself: store() counts only what moved.
-        self.fd.store(sender, frozenset(message.fd))
-        self.part.store(sender, frozenset(message.part))
-        self.config.store(sender, message.config)
-        self.prp.store(sender, message.prp)
-        self.all_flags.store(sender, bool(message.all_flag))
-        if message.echo is not None:
-            self.echo.store(sender, message.echo)
+        record = self._records.get(sender)
+        echo = message.echo
+        # A peer re-sends the very objects it sent last while its state is
+        # unchanged, so most receipts are one identity test per field.
+        if (
+            record is None
+            or record.get("fd") is not message.fd
+            or record.get("part") is not message.part
+            or record.get("config") is not message.config
+            or record.get("prp") is not message.prp
+            or record.get("all_flag") is not message.all_flag
+            or (echo is not None and record.get("echo") is not echo)
+        ):
+            received = dict(
+                fd=frozenset(message.fd), part=frozenset(message.part), config=message.config,
+                prp=message.prp, all_flag=bool(message.all_flag),
+            )
+            if echo is not None:
+                received["echo"] = echo
+            self._receive(sender, received)
         # A full vector (re)seeds the delta chain; messages without chain
         # metadata (old constructors, forged stale packets) break it, so
         # later compact receipts must re-verify against actual state.
@@ -1048,7 +1046,7 @@ class RecSA:
         if sender == self.pid:
             return
         if delta.echo is not None:
-            self.echo.store(sender, delta.echo)
+            self.store(sender, "echo", delta.echo)
         chain = self._gossip_chain.get(sender)
         countdown = self._digest_verify_countdown.get(sender, 1) - 1
         if chain is not None and chain[0] == delta.base_version and countdown > 0:
@@ -1059,17 +1057,16 @@ class RecSA:
             self._gossip_chain.pop(sender, None)
             self.delta_fallbacks += 1
             return
+        received = {}
         for name, value in delta.changes:
-            if name == "fd":
-                self.fd[sender] = frozenset(value)
-            elif name == "part":
-                self.part[sender] = frozenset(value)
-            elif name == "config":
-                self.config[sender] = value
-            elif name == "prp":
-                self.prp[sender] = value
+            if name == "fd" or name == "part":
+                received[name] = frozenset(value)
             elif name == "all_flag":
-                self.all_flags[sender] = bool(value)
+                received[name] = bool(value)
+            elif name in _CORE_FIELDS:
+                received[name] = value
+        if received:
+            self._receive(sender, received)
         self._gossip_chain[sender] = (delta.version, delta.digest)
 
     def on_digest(self, sender: ProcessId, message: RecSADigest) -> None:
@@ -1077,7 +1074,7 @@ class RecSA:
         if sender == self.pid:
             return
         if message.echo is not None:
-            self.echo.store(sender, message.echo)
+            self.store(sender, "echo", message.echo)
         chain = self._gossip_chain.get(sender)
         countdown = self._digest_verify_countdown.get(sender, 1) - 1
         if (
@@ -1096,13 +1093,14 @@ class RecSA:
 
     def _stored_core_digest(self, sender: ProcessId) -> int:
         """Digest of our stored copy of *sender*'s broadcast core."""
+        record = self._records.get(sender, NO_RECORD)
         return compute_core_digest(
             (
-                self.fd.get(sender, frozenset()),
-                self.part.get(sender, frozenset()),
-                self.config.get(sender, NOT_PARTICIPANT),
-                self.prp.get(sender, DEFAULT_PROPOSAL),
-                bool(self.all_flags.get(sender, False)),
+                record.get("fd", frozenset()),
+                record.get("part", frozenset()),
+                record.get("config", NOT_PARTICIPANT),
+                record.get("prp", DEFAULT_PROPOSAL),
+                bool(record.get("all_flag", False)),
             )
         )
 
@@ -1113,7 +1111,7 @@ class RecSA:
         """A structured snapshot of the layer's state (tests / debugging)."""
         return {
             "pid": self.pid,
-            "config": self.config.get(self.pid),
+            "config": self._own.get("config"),
             "prp": self._own_prp(),
             "all": self._own_all(),
             "participant": self.is_participant(),

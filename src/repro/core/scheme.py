@@ -155,7 +155,7 @@ class ReconfigurationScheme:
                 # flipped a former participant into a joiner — otherwise the
                 # stale "participant" entry would block the delicate
                 # replacement barrier forever.
-                self.recsa.config.store(sender, NOT_PARTICIPANT)
+                self.recsa.store(sender, "config", NOT_PARTICIPANT)
             return self.joining.on_message(sender, message)
         return False
 

@@ -6,6 +6,12 @@ stabilization).  The classification lives in its own module so that the
 fault-injection workloads and the tests can generate / assert on specific
 stale-information types independently of the algorithm object.
 
+The local state is read as *records*: a mapping from each processor to
+what the owner holds of it — field name to value, the fields of a
+:class:`~repro.core.recsa.RecSAMessage` (``fd``, ``part``, ``config``,
+``prp``, ``all_flag``, ``echo``), a missing field being a missing entry.
+That is what :class:`~repro.core.recsa.RecSA` keeps.
+
 * **type-1** — a notification in phase 0 carries a non-empty proposal set.
 * **type-2** — a configuration field holds ``⊥`` or the empty set, or two
   processors hold conflicting non-empty configurations.
@@ -32,7 +38,8 @@ or is caught by the phase-2 compatibility test below.
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set
+from types import MappingProxyType
+from typing import Any, FrozenSet, Iterable, List, Mapping, Set
 
 from repro.common.types import (
     BOTTOM,
@@ -40,8 +47,12 @@ from repro.common.types import (
     Configuration,
     Phase,
     ProcessId,
-    Proposal,
 )
+
+#: The record of a processor the owner holds nothing of.
+NO_RECORD: Mapping[str, Any] = MappingProxyType({})
+
+Records = Mapping[ProcessId, Mapping[str, Any]]
 
 
 class StaleInfoType(enum.Enum):
@@ -58,7 +69,7 @@ def is_real_config(value: object) -> bool:
     return isinstance(value, frozenset)
 
 
-def has_type1(proposals: Dict[ProcessId, Proposal], scope: Iterable[ProcessId]) -> bool:
+def has_type1(records: Records, scope: Iterable[ProcessId]) -> bool:
     """Type-1: a notification whose phase and proposal set are inconsistent.
 
     Two malformed shapes exist: a phase-0 notification carrying a non-``⊥``
@@ -68,7 +79,7 @@ def has_type1(proposals: Dict[ProcessId, Proposal], scope: Iterable[ProcessId]) 
     fault since ``estab()`` rejects empty sets).
     """
     for pid in scope:
-        prp = proposals.get(pid)
+        prp = records.get(pid, NO_RECORD).get("prp")
         if prp is None:
             continue
         if prp.phase is Phase.IDLE and prp.members is not None:
@@ -78,7 +89,7 @@ def has_type1(proposals: Dict[ProcessId, Proposal], scope: Iterable[ProcessId]) 
     return False
 
 
-def has_type2(configs: Dict[ProcessId, object], scope: Iterable[ProcessId]) -> bool:
+def has_type2(records: Records, scope: Iterable[ProcessId]) -> bool:
     """Type-2 (reset propagation): a config field holding ``⊥`` or ∅.
 
     Conflicts between two different *real* configurations are deliberately
@@ -90,7 +101,7 @@ def has_type2(configs: Dict[ProcessId, object], scope: Iterable[ProcessId]) -> b
     therefore lives in :meth:`repro.core.recsa.RecSA._brute_force_step`.
     """
     for pid in scope:
-        value = configs.get(pid, NOT_PARTICIPANT)
+        value = records.get(pid, NO_RECORD).get("config", NOT_PARTICIPANT)
         if value is BOTTOM:
             return True
         if is_real_config(value) and len(value) == 0:
@@ -98,22 +109,17 @@ def has_type2(configs: Dict[ProcessId, object], scope: Iterable[ProcessId]) -> b
     return False
 
 
-def has_config_conflict(configs: Dict[ProcessId, object], scope: Iterable[ProcessId]) -> bool:
+def has_config_conflict(records: Records, scope: Iterable[ProcessId]) -> bool:
     """Two trusted processors hold different non-``⊥``, non-``]`` configurations."""
     real_configs: Set[Configuration] = set()
     for pid in scope:
-        value = configs.get(pid, NOT_PARTICIPANT)
+        value = records.get(pid, NO_RECORD).get("config", NOT_PARTICIPANT)
         if is_real_config(value) and len(value) > 0:
             real_configs.add(value)
     return len(real_configs) > 1
 
 
-def has_type3(
-    own: ProcessId,
-    own_config: object,
-    proposals: Dict[ProcessId, Proposal],
-    participants: Iterable[ProcessId],
-) -> bool:
+def has_type3(records: Records, participants: Iterable[ProcessId]) -> bool:
     """Type-3: inconsistent replacement (phase-2) bookkeeping.
 
     Two participants in phase 2 proposing *different* sets is stale
@@ -126,18 +132,18 @@ def has_type3(
     describes (the surviving phase-2 notification eventually becomes the
     quorum configuration).
     """
-    participants = list(participants)
     phase2_sets = {
         prp.members
         for pid in participants
-        if (prp := proposals.get(pid)) is not None and prp.phase is Phase.REPLACE
+        if (prp := records.get(pid, NO_RECORD).get("prp")) is not None
+        and prp.phase is Phase.REPLACE
     }
     return len(phase2_sets) > 1
 
 
 def has_type4(
     own_config: object,
-    fd_views: Dict[ProcessId, FrozenSet[ProcessId]],
+    records: Records,
     own_view: FrozenSet[ProcessId],
     participants: FrozenSet[ProcessId],
     own: ProcessId,
@@ -153,7 +159,7 @@ def has_type4(
     for pid in participants:
         if pid == own:
             continue
-        view = fd_views.get(pid)
+        view = records.get(pid, NO_RECORD).get("fd")
         if view is None or frozenset(view) != frozenset(own_view):
             return False
     return len(frozenset(own_config) & participants) == 0
@@ -161,21 +167,20 @@ def has_type4(
 
 def classify_stale_information(
     own: ProcessId,
-    configs: Dict[ProcessId, object],
-    proposals: Dict[ProcessId, Proposal],
-    fd_views: Dict[ProcessId, FrozenSet[ProcessId]],
+    records: Records,
     own_view: FrozenSet[ProcessId],
     trusted: FrozenSet[ProcessId],
     participants: FrozenSet[ProcessId],
 ) -> List[StaleInfoType]:
     """Return every stale-information type present in the given local state."""
+    own_config = records.get(own, NO_RECORD).get("config")
     found: List[StaleInfoType] = []
-    if has_type1(proposals, trusted):
+    if has_type1(records, trusted):
         found.append(StaleInfoType.TYPE_1)
-    if has_type2(configs, trusted):
+    if has_type2(records, trusted):
         found.append(StaleInfoType.TYPE_2)
-    if has_type3(own, configs.get(own), proposals, participants):
+    if has_type3(records, participants):
         found.append(StaleInfoType.TYPE_3)
-    if has_type4(configs.get(own), fd_views, own_view, participants, own):
+    if has_type4(own_config, records, own_view, participants, own):
         found.append(StaleInfoType.TYPE_4)
     return found

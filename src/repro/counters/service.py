@@ -135,6 +135,10 @@ class _IncrementOp:
     read_responses: Dict[ProcessId, Optional[CounterPair]] = field(default_factory=dict)
     write_acks: Set[ProcessId] = field(default_factory=set)
     written: Optional[Counter] = None
+    #: The current phase's request, built once: every member gets (and
+    #: ``on_timer`` re-sends) the same object, which the live transport
+    #: encodes once per loop turn.
+    request: Any = None
 
     def majority(self) -> int:
         return len(self.config) // 2 + 1
@@ -307,10 +311,11 @@ class CounterService:
         return op.op_id
 
     def _send_reads(self, op: _IncrementOp) -> None:
+        op.request = MaxReadRequest(sender=self.pid, op_id=op.op_id)
         for member in op.config:
             if member == self.pid:
                 continue
-            self.send(member, MaxReadRequest(sender=self.pid, op_id=op.op_id))
+            self.send(member, op.request)
         # A member counts itself among the read responses.
         if self.pid in op.config:
             op.read_responses[self.pid] = self.local_max_counter()
@@ -318,13 +323,11 @@ class CounterService:
 
     def _send_writes(self, op: _IncrementOp) -> None:
         assert op.written is not None
+        op.request = MaxWriteRequest(sender=self.pid, op_id=op.op_id, counter=op.written)
         for member in op.config:
             if member == self.pid:
                 continue
-            self.send(
-                member,
-                MaxWriteRequest(sender=self.pid, op_id=op.op_id, counter=op.written),
-            )
+            self.send(member, op.request)
         if self.pid in op.config:
             self._apply_write(op.written)
             op.write_acks.add(self.pid)
@@ -393,18 +396,14 @@ class CounterService:
         # Retransmit pending requests (fair-communication driving).
         for op in list(self._ops.values()):
             if op.phase is _OpPhase.READ:
-                for member in op.config:
-                    if member != self.pid and member not in op.read_responses:
-                        self.send(member, MaxReadRequest(sender=self.pid, op_id=op.op_id))
+                answered: Any = op.read_responses
             elif op.phase is _OpPhase.WRITE and op.written is not None:
-                for member in op.config:
-                    if member != self.pid and member not in op.write_acks:
-                        self.send(
-                            member,
-                            MaxWriteRequest(
-                                sender=self.pid, op_id=op.op_id, counter=op.written
-                            ),
-                        )
+                answered = op.write_acks
+            else:
+                continue
+            for member in op.config:
+                if member != self.pid and member not in answered:
+                    self.send(member, op.request)
 
     def _gossip(self, members: Configuration) -> None:
         """Send a member the pairs when their labels changed (a sequence

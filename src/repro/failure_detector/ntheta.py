@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections.abc import MutableMapping
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Tuple
 
 from repro.common.types import ProcessId
 
@@ -40,7 +40,10 @@ class _CountsView(MutableMapping):
     exactly as they did when ``counts`` was a plain dict — including the
     seed behaviour that a direct external write does *not* invalidate the
     ``trusted()`` cache (the corrupted value becomes visible at the next
-    vector update, as before).
+    vector update, as before).  Iteration follows the detector's order,
+    stalest first.  A write or a deletion marks that order for one re-sort
+    at the next recomputation, so a view write never leaves a stale order
+    behind.
     """
 
     __slots__ = ("_fd",)
@@ -55,9 +58,12 @@ class _CountsView(MutableMapping):
     def __setitem__(self, pid: ProcessId, value: int) -> None:
         fd = self._fd
         fd._raw[pid] = value - fd._shift
+        fd._resort = True
 
     def __delitem__(self, pid: ProcessId) -> None:
-        del self._fd._raw[pid]
+        fd = self._fd
+        del fd._raw[pid]
+        fd._resort = True
 
     def __iter__(self) -> Iterator[ProcessId]:
         return iter(self._fd._raw)
@@ -96,6 +102,17 @@ class FailureDetectorView:
 
 class NThetaFailureDetector:
     """Heartbeat-count based failure detector with gap estimation.
+
+    The vector is kept **in order**: ``_raw`` runs from the stalest entry to
+    the freshest, by ``(count, pid)`` descending, so the gap walk reads it
+    backwards without sorting.  A heartbeat that ages the vector moves its
+    sender to the freshest end, which keeps the order whenever the sender's
+    new count of zero ranks first — always, unless a written or corrupted
+    count sits at or below it.  What can break the order marks the vector
+    for one re-sort by ``(count, pid)`` at the next recomputation: a
+    heartbeat that lands out of order, a ``counts`` write or deletion,
+    :meth:`forget`, and a cleared cache version (the corruption plan's
+    ``_trusted_cache_version = -1``: the cache is arbitrary state too).
 
     Parameters
     ----------
@@ -136,6 +153,8 @@ class NThetaFailureDetector:
         # mapping view presenting the effective values.
         self._raw: Dict[ProcessId, int] = {}
         self._shift = 0
+        # True when ``_raw``'s order may be wrong (class docstring).
+        self._resort = False
         self.counts: MutableMapping = _CountsView(self)
         self.heartbeats_received = 0
         # Anti-inflation clamp state: length of the current run of
@@ -181,14 +200,24 @@ class NThetaFailureDetector:
             self._zero_streak = 0
         self._counts_version += 1
         # Age everyone by one through the shared shift, then pin the sender
-        # back to an effective count of zero — O(1) for any vector size.
+        # back to an effective count of zero at the freshest end — O(1) for
+        # any vector size.
         self._shift += 1
-        raw[sender] = -self._shift
+        fresh = -self._shift
+        if entry is not None:
+            del raw[sender]
+        if raw and not self._resort:
+            freshest = next(reversed(raw))
+            held = raw[freshest]
+            if held < fresh or (held == fresh and freshest < sender):
+                self._resort = True
+        raw[sender] = fresh
 
     def forget(self, pid: ProcessId) -> None:
         """Drop a processor from the vector (used when links are torn down)."""
         self._counts_version += 1
         self._raw.pop(pid, None)
+        self._resort = True
 
     def known(self) -> FrozenSet[ProcessId]:
         """Every processor that has ever exchanged a token with the owner."""
@@ -246,41 +275,71 @@ class NThetaFailureDetector:
         if self._trusted_cache_version == self._counts_version:
             return self._trusted_cache
         result = self._compute_trusted()
-        if result == self._trusted_cache:
-            result = self._trusted_cache
-        else:
-            self._trusted_cache = result
         self._trusted_cache_version = self._counts_version
         return result
 
     def _compute_trusted(self) -> FrozenSet[ProcessId]:
         """Owner + the ranked prefix before the gap, at most ``N`` in all.
 
-        One sort and one walk.  The sort is by raw count: the shared shift
-        is a constant, so it cannot reorder anything.  The walk is the walk
-        of :meth:`estimate_active` — same thresholds, same running mean —
-        and the prefix it accepts is what gets trusted: while no gap has
-        been met the estimate is always ahead of the prefix length, so the
-        only other stop is the cap ("we can ignore any processors that rank
-        below the Nth vector entry").
+        One walk over the ordered vector, freshest first (after one re-sort
+        when the order is marked unknown).  The walk is the walk of
+        :meth:`estimate_active` — same thresholds, same running mean — and
+        the prefix it accepts is what gets trusted: while no gap has been
+        met the estimate is always ahead of the prefix length, so the only
+        other stop is the cap ("we can ignore any processors that rank
+        below the Nth vector entry").  The result becomes the cached set;
+        an unchanged set keeps the cached object.
+
+        There is no walk when it could not stop early: fewer than ``N``
+        processors are known (the cap cannot bite) and the oldest count is
+        within the smallest threshold the walk can apply, ``gap_factor * 1
+        + gap_slack``.  Then everything known is trusted — the cached set
+        itself when it has that size, since between two recomputations
+        with the order known the vector only gains processors.
         """
+        raw = self._raw
+        known_order = not self._resort and self._trusted_cache_version >= 0
+        if not known_order:
+            self._raw = raw = {
+                pid: value for value, pid in sorted(zip(raw.values(), raw), reverse=True)
+            }
+            self._resort = False
         shift = self._shift
         cap = self.upper_bound_n
         gap_factor = self.gap_factor
         gap_slack = self.gap_slack
-        trusted = {self.pid}
-        reference = 0.0
-        for index, (raw, pid) in enumerate(sorted(zip(self._raw.values(), self._raw))):
-            if len(trusted) >= cap:
-                break
-            count = raw + shift
-            if index == 0:
-                reference = float(count)
-            if count > gap_factor * (reference if reference > 1.0 else 1.0) + gap_slack:
-                break
-            trusted.add(pid)
-            reference = (reference * index + count) / (index + 1)
-        return frozenset(trusted)
+        cache = self._trusted_cache
+        if (
+            raw
+            and len(raw) < cap
+            and gap_factor >= 0
+            and next(iter(raw.values())) + shift <= gap_factor + gap_slack
+        ):
+            if known_order and len(cache) == len(raw) + 1:
+                return cache
+            # Built in the walk's order: a small set's iteration order is
+            # its insertion order, and callers iterate it (send order).
+            trusted = {self.pid}
+            trusted.update(reversed(raw))
+            result = frozenset(trusted)
+        else:
+            trusted = {self.pid}
+            reference = 0.0
+            for index, (pid, value) in enumerate(reversed(raw.items())):
+                if len(trusted) >= cap:
+                    break
+                count = value + shift
+                if index == 0:
+                    reference = float(count)
+                if count > gap_factor * (reference if reference > 1.0 else 1.0) + gap_slack:
+                    break
+                trusted.add(pid)
+                reference = (reference * index + count) / (index + 1)
+            result = frozenset(trusted)
+        if result == cache:
+            return cache
+        self._trusted_cache = result
+        return result
 
     def suspects(self) -> FrozenSet[ProcessId]:
         """Processors known to the detector but not currently trusted."""

@@ -21,7 +21,7 @@ helpers such as :meth:`Cluster.run_until_converged` and
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Union
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from repro.common.errors import SimulationError
 from repro.common.types import BOTTOM, Configuration, ProcessId, make_config
@@ -71,12 +71,20 @@ class ConvergenceLedger:
     ``Cluster.run``/``run_until`` entry and by the fault injector's explicit
     invalidation).  The test suite cross-checks every answer against the
     retained scan oracle, :func:`converged_scan`.
+
+    A marked node's contribution is a pure function of its recSA records and
+    trusted set, so the ledger also keeps the inputs it was computed from —
+    recSA's ``version`` and the trusted-set object — and skips the
+    recomputation while both are unchanged (most marks come from a gossip
+    receipt or heartbeat that moved neither).  :meth:`mark_all` and
+    :meth:`invalidate` drop those inputs.
     """
 
     __slots__ = (
         "_cluster",
         "_dirty",
         "_entries",
+        "_inputs",
         "_participants",
         "_bad_config",
         "_unstable",
@@ -87,6 +95,7 @@ class ConvergenceLedger:
         self._cluster = cluster
         self._dirty: set = set()
         self._entries: Dict[ProcessId, Any] = {}
+        self._inputs: Dict[ProcessId, Tuple[int, FrozenSet[ProcessId]]] = {}
         self._participants = 0
         self._bad_config = 0
         self._unstable = 0
@@ -96,9 +105,15 @@ class ConvergenceLedger:
         """Record that *pid*'s convergence contribution may have changed."""
         self._dirty.add(pid)
 
+    def invalidate(self, pid: ProcessId) -> None:
+        """:meth:`mark` after a mutation behind *pid*'s back: recompute for sure."""
+        self._dirty.add(pid)
+        self._inputs.pop(pid, None)
+
     def mark_all(self) -> None:
         """Mark every known node (out-of-band mutations, run entry)."""
         self._dirty.update(self._cluster.nodes)
+        self._inputs.clear()
 
     def refresh(self) -> None:
         """Fold every dirty node's (re)computed contribution into the counters."""
@@ -107,9 +122,20 @@ class ConvergenceLedger:
             return
         nodes = self._cluster.nodes
         entries = self._entries
+        inputs = self._inputs
         for pid in dirty:
             node = nodes.get(pid)
-            new = None if node is None else self._contribution(node)
+            if node is None or not node.started or node.crashed:
+                new = None
+                inputs.pop(pid, None)
+            else:
+                recsa = node.recsa
+                trusted = recsa.trusted()
+                seen = inputs.get(pid)
+                if seen is not None and seen[1] is trusted and seen[0] == recsa.version:
+                    continue
+                new = self._contribution(node)
+                inputs[pid] = (recsa.version, trusted)
             old = entries.get(pid)
             if new == old:
                 continue
@@ -133,8 +159,6 @@ class ConvergenceLedger:
 
     @staticmethod
     def _contribution(node: "ClusterNode") -> Any:
-        if not node.started or node.crashed:
-            return None
         scheme = node.scheme
         if not scheme.is_participant():
             return _NON_PARTICIPANT_ENTRY
@@ -201,7 +225,7 @@ class ClusterNode(Process):
         self.heartbeat.add_heartbeat_listener(self.failure_detector.heartbeat)
         self.scheme = ReconfigurationScheme(
             pid=pid,
-            fd_provider=self.trusted,
+            fd_provider=self.failure_detector.trusted,
             send=self._send_raw,
             initial_config=initial_config,
             prediction_policy=prediction_policy or config.prediction_policy,
@@ -545,7 +569,7 @@ class Cluster:
         if pid is None:
             self.convergence_ledger.mark_all()
         else:
-            self.convergence_ledger.mark(pid)
+            self.convergence_ledger.invalidate(pid)
 
     # ------------------------------------------------------------------
     # Running

@@ -53,9 +53,6 @@ Restrictions
   local mutations.
 * Objects reachable from the graph must be picklable; registered link
   policies must be pure per pair (the built-ins are frozen dataclasses).
-  A dict subclass that keeps per-instance state needs a class-level default
-  for it: pickle replays the items (``SETITEMS``, through ``__setitem__``)
-  *before* it restores the instance ``__dict__`` (``BUILD``).
 * Only restore trusted bytes — unpickling executes the constructors of
   whatever it decodes.
 * Wall-clock measurements are obviously not reproduced — only simulated

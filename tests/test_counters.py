@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.counters.counter import Counter, CounterPair, counter_less_than, max_counter
+from repro.counters.service import MaxReadRequest, MaxWriteRequest
 from repro.labels.label import EpochLabel
 from repro.sim.stacks import stack
 
@@ -147,6 +148,27 @@ class TestCounterService:
         second = env.increment(1)
         assert second is not None and second.success
         assert counter_less_than(first.counter, second.counter)
+
+    def test_one_request_object_per_phase(self):
+        """Every member of a read phase, and of a write phase, is sent the
+        same request object: the live transport encodes it once."""
+        env = _ClusterWithCounters(4, seed=69)
+        service = env.services[0]
+        sent = []
+        forward = service.send
+
+        def capture(member, message):
+            sent.append((member, message))
+            forward(member, message)
+
+        service.send = capture
+        outcome = env.increment(0)
+        assert outcome is not None and outcome.success
+        others = set(env.cluster.agreed_configuration()) - {0}
+        for kind in (MaxReadRequest, MaxWriteRequest):
+            requests = [(member, message) for member, message in sent if isinstance(message, kind)]
+            assert {member for member, _ in requests} == others
+            assert all(message is requests[0][1] for _, message in requests)
 
     def test_members_converge_on_max_counter(self):
         env = _ClusterWithCounters(3, seed=68)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -241,6 +243,11 @@ def _two_walk_trusted(fd: NThetaFailureDetector) -> frozenset:
     return frozenset(trusted)
 
 
+#: Peers of owner 1 whose hashes collide in a small set's table (1, 9, 17 and
+#: 2, 10 share slots mod 8), so a set's iteration order is its build order.
+_PEERS = st.sampled_from([1, 2, 3, 9, 10, 17])
+
+
 class TestOnePassTrusted:
     """``_compute_trusted`` is one sort and one walk; the two-walk version it
     replaced is kept here as the reference."""
@@ -278,18 +285,55 @@ class TestOnePassTrusted:
         assert fd.trusted() == expected
 
     @given(
-        beats=st.lists(st.integers(min_value=2, max_value=6), min_size=1, max_size=60),
+        steps=st.lists(
+            st.one_of(
+                st.tuples(st.just("beat"), _PEERS),
+                # A run from one sender: the inflation clamp.
+                st.tuples(st.just("run"), _PEERS, st.integers(min_value=2, max_value=9)),
+                # Counts below zero and ties with a fresh sender break the order.
+                st.tuples(st.just("write"), _PEERS, st.integers(min_value=-3, max_value=40)),
+                st.tuples(st.just("forget"), _PEERS),
+                st.tuples(st.just("uncache")),
+                st.tuples(st.just("pickle")),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
         upper_bound_n=st.integers(min_value=1, max_value=8),
     )
     def test_heartbeat_sequences_equal_the_reference_and_keep_the_object(
-        self, beats, upper_bound_n
+        self, steps, upper_bound_n
     ):
+        """The kept order never shows: every recomputation equals the
+        reference, whatever moved the vector in between."""
         fd = NThetaFailureDetector(pid=1, upper_bound_n=upper_bound_n, gap_factor=2.0, gap_slack=2)
         previous = fd.trusted()
-        for sender in beats:
-            fd.heartbeat(sender)
+        for step in steps:
+            kind = step[0]
+            if kind == "beat":
+                fd.heartbeat(step[1])
+            elif kind == "run":
+                for _ in range(step[2]):
+                    fd.heartbeat(step[1])
+            elif kind == "write":
+                fd.counts[step[1]] = step[2]
+            elif kind == "forget":
+                fd.forget(step[1])
+            elif kind == "uncache":
+                fd._trusted_cache_version = -1  # the corruption plan's atom
+            else:
+                fd = pickle.loads(pickle.dumps(fd))
+                previous = fd._trusted_cache
+            # A written count is seen at the next vector update, as always.
+            due = fd._trusted_cache_version != fd._counts_version
             current = fd.trusted()
-            assert current == _two_walk_trusted(fd)
+            if due:
+                reference = _two_walk_trusted(fd)
+                assert current == reference
+                if current is not previous:
+                    # Built like the reference, so it iterates alike: the
+                    # broadcast's send order follows a small set's order.
+                    assert list(current) == list(reference)
             # Same set => the very same frozenset object, so memo keys and
             # comparisons downstream hit identity.
             assert (current is previous) == (current == previous)

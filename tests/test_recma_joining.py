@@ -16,7 +16,7 @@ from repro.core.prediction import (
     NeverReconfigure,
 )
 from repro.core.quorum import MajorityQuorumSystem
-from repro.core.recma import RecMAMessage
+from repro.core.recma import RecMA, RecMAMessage
 from repro.sim.faults import CorruptionAtom
 
 from tests.conftest import quick_cluster
@@ -169,6 +169,21 @@ class TestRecMA:
             assert [node.recma.trigger_count for node in cluster.nodes.values()] == [0] * n
             # And the system is stable again afterwards.
             assert cluster.run_until_converged(timeout=2000)
+
+    def test_healthy_member_builds_no_core(self, monkeypatch):
+        """``core()`` decides only a majority collapse: a member that sees a
+        trusted majority never builds it."""
+        cluster = quick_cluster(5, seed=39)
+        assert cluster.run_until_converged(timeout=800)
+        cores, evaluations = [], []
+        core, evaluate = RecMA.core, RecMA._evaluate
+        monkeypatch.setattr(RecMA, "core", lambda self: cores.append(self.pid) or core(self))
+        monkeypatch.setattr(
+            RecMA, "_evaluate", lambda self, current: evaluations.append(self.pid) or evaluate(self, current)
+        )
+        cluster.run(until=cluster.simulator.now + 20.0)
+        assert len(evaluations) >= 5 * 19
+        assert cores == []
 
     def test_flags_reset_each_iteration(self):
         cluster = quick_cluster(3, seed=37)

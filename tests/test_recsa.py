@@ -22,9 +22,10 @@ from repro.common.types import (
     make_config,
 )
 from repro.core.joining import JoinRequest
-from repro.core.recsa import EchoTriple, RecSA, RecSAMessage, ReplicatedMap
+from repro.core.recsa import EchoTriple, RecSA, RecSAMessage
 from repro.core.stale import StaleInfoType, classify_stale_information
 from repro.sim.config import ClusterConfig
+from repro.sim.snapshot import SimSnapshot
 
 from tests.conftest import RecSAHarness, quick_cluster, scramble
 
@@ -35,9 +36,7 @@ class TestStaleClassification:
         trusted = inst.trusted()
         return classify_stale_information(
             own=pid,
-            configs=inst.config,
-            proposals=inst.prp,
-            fd_views=inst.fd,
+            records=inst._records,
             own_view=trusted,
             trusted=trusted,
             participants=inst.participants(trusted),
@@ -63,7 +62,7 @@ class TestStaleClassification:
         # Conflicts are handled by the no-notification branch, not the
         # always-on classification (see stale.has_type2 docstring).
         assert StaleInfoType.TYPE_2 not in self._classify(harness)
-        assert has_config_conflict(harness[1].config, harness[1].trusted())
+        assert has_config_conflict(harness[1]._records, harness[1].trusted())
 
     def test_type2_bottom_detected(self):
         harness = RecSAHarness([1, 2, 3], initial_config=make_config([1, 2, 3]))
@@ -517,71 +516,85 @@ class TestDerivedVerdictMemo:
         cluster = quick_cluster(4, seed=5)
         assert cluster.run_until_converged(timeout=800)
         recsa = cluster.nodes[0].recsa
-        maps = (recsa.config, recsa.fd, recsa.part, recsa.prp, recsa.all_flags, recsa.echo)
         recsa.trusted()
-        before = [m.writes for m in maps]
+        before = recsa.version
         held = recsa.fd[0]
         for _ in range(3):
             assert recsa.trusted() is held
             recsa.no_reco(), recsa.get_config(), recsa.participants(), recsa.chs_config()
-        assert [m.writes for m in maps] == before
+        assert recsa.version == before
         assert recsa.fd[0] is held
 
     def test_every_mutator_counts_and_store_counts_changes_only(self):
-        m = ReplicatedMap()
-        seen = [m.writes]
+        """Every write through an array view bumps the version; ``store``
+        and a receipt bump it only when a value moved."""
+        recsa = RecSA(pid=1, fd_provider=lambda: frozenset({1, 2}), send=lambda *_: None)
+        seen = [recsa.version]
 
         def counted() -> bool:
-            seen.append(m.writes)
+            seen.append(recsa.version)
             return seen[-1] > seen[-2]
 
-        m[1] = "a"
+        recsa.config[2] = BOTTOM
+        assert counted() and recsa.config[2] is BOTTOM
+        recsa.prp.update({3: DEFAULT_PROPOSAL})
         assert counted()
-        m.update({2: "b"})
+        recsa.fd.setdefault(4, frozenset({4}))
         assert counted()
-        m |= {3: "c"}
-        assert counted() and isinstance(m, ReplicatedMap)
-        m.setdefault(4, "d")
+        recsa.fd.pop(4)
+        assert counted() and 4 not in recsa.fd
+        del recsa.prp[3]
         assert counted()
-        m.pop(4)
+        recsa.all_flags[2] = True
+        recsa.all_flags.popitem()
         assert counted()
-        m.pop(4, None)
-        assert counted()  # running ahead is allowed; falling behind is not
-        del m[3]
-        assert counted()
-        m.popitem()
-        assert counted()
-        m.clear()
-        assert counted()
+        recsa.part[2] = frozenset({2})
+        recsa.part.clear()
+        assert counted() and dict(recsa.part) == {}
 
         value = frozenset({1, 2})
-        m.store(1, value)
+        recsa.store(2, "fd", value)
         assert counted()
-        m.store(1, value)
+        recsa.store(2, "fd", value)
         assert not counted()
         twin = frozenset({1, 2})
-        m.store(1, twin)  # equal value, new object: stored, not counted
-        assert not counted() and m[1] is twin
-        m.store(1, frozenset({1}))
+        recsa.store(2, "fd", twin)  # equal value, new object: stored, not counted
+        assert not counted() and recsa.fd[2] is twin
+        recsa.store(2, "fd", frozenset({1}))
         assert counted()
-        m.store(2, None)  # an absent key is a change even for None
-        assert counted() and 2 in m
+        recsa.store(5, "echo", None)  # an absent field is a change even for None
+        assert counted() and 5 in recsa.echo
+
+        message = RecSAMessage(
+            sender=2,
+            fd=frozenset({1, 2}),
+            part=frozenset({1, 2}),
+            config=make_config([1, 2]),
+            prp=DEFAULT_PROPOSAL,
+            all_flag=False,
+            echo=None,
+        )
+        recsa.on_message(2, message)
+        assert counted()
+        recsa.on_message(2, message)  # a receipt that repeats the stored values
+        assert not counted()
+        recsa.on_message(2, RecSAMessage(**{**vars(message), "all_flag": True}))
+        assert counted() and recsa.all_flags[2] is True
 
     def test_write_count_survives_pickle(self):
-        """Pickle replays a dict subclass's items (``SETITEMS``, through
-        ``__setitem__``) *before* it restores the instance ``__dict__``
-        (``BUILD``): the counter must have a class-level default to count
-        from, and the restored count is the captured one."""
-        m = ReplicatedMap()
-        for key in range(5):
-            m[key] = key
-        m.pop(0)
-        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
-            clone = pickle.loads(pickle.dumps(m, protocol=protocol))
-            assert type(clone) is ReplicatedMap
-            assert dict(clone) == dict(m) and clone.writes == m.writes == 6
-        assert "writes" not in vars(ReplicatedMap()) and ReplicatedMap().writes == 0
-        assert pickle.loads(pickle.dumps(ReplicatedMap())).writes == 0
+        """The version is plain state: a snapshot round trip keeps it, the
+        records, and the own record as the one the table holds."""
+        cluster = quick_cluster(4, seed=5)
+        assert cluster.run_until_converged(timeout=800)
+        recsa = cluster.nodes[0].recsa
+        recsa.config[3] = BOTTOM
+        clone = SimSnapshot.capture(cluster).restore().nodes[0].recsa
+        assert clone.version == recsa.version > 0
+        assert clone._records == recsa._records
+        assert clone._own is clone._records[0]
+        clone.config[3] = NOT_PARTICIPANT
+        assert clone.version == recsa.version + 1
+        assert pickle.loads(pickle.dumps(RecSA(pid=1, fd_provider=frozenset, send=print))).version == 0
 
     def test_broadcast_builds_an_echo_only_when_one_goes_out(self):
         """Skipped peers cost no ``EchoTriple``; a repeated echo is the same

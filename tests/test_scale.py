@@ -18,6 +18,7 @@ from __future__ import annotations
 import pytest
 
 from tests.conftest import RecSAHarness, oracle_checked, quick_cluster, scramble
+from repro.audit.arbitrary_state import apply_plan, generate_plan
 from repro.sim.config import fast_sim
 
 
@@ -160,6 +161,32 @@ class TestLedgerOracle:
         assert cluster.is_converged() == cluster.is_converged_scan()
         assert cluster.run_until(oracle_checked(cluster), timeout=2_000)
         assert cluster.is_converged() == cluster.is_converged_scan()
+
+    def test_ledger_equals_the_scan_after_every_event(self):
+        """The ledger skips a node whose recSA version and trusted-set object
+        are the ones its entry was computed from.  After every single event —
+        through a plan with failure-detector atoms, a crash and a fresh
+        joiner (the simulator's restart: a stop-failed pid never returns) —
+        it still answers what the full scan does."""
+        cluster = quick_cluster(6, seed=41, config=fast_sim())
+        checked = []
+
+        def check(simulator) -> None:
+            assert cluster.is_converged() == cluster.is_converged_scan(), (
+                f"ledger diverged from the scan at t={simulator.now}"
+            )
+            checked.append(simulator.now)
+
+        cluster.simulator.add_post_step_hook(check)
+        assert cluster.run_until_converged(timeout=300)
+        plan = generate_plan(cluster, seed=7)
+        assert any(atom.path[0] == "failure_detector" for atom in plan if atom.path)
+        apply_plan(cluster, plan)
+        cluster.run(until=cluster.simulator.now + 150.0)
+        cluster.crash(5)
+        cluster.add_joiner(6)
+        cluster.run(until=cluster.simulator.now + 150.0)
+        assert len(checked) > 5_000
 
     def test_crash_keeps_ledger_and_oracle_in_step(self):
         cluster = quick_cluster(6, seed=29, config=fast_sim())

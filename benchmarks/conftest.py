@@ -11,16 +11,12 @@ from __future__ import annotations
 from typing import Any, Dict
 
 from repro.sim.cluster import Cluster, build_cluster
-from repro.sim.network import ChannelConfig
+from repro.sim.config import fast_sim
 
 
-def bench_cluster(n: int, seed: int = 1, capacity: int = 8, **kwargs: Any) -> Cluster:
-    """A cluster sized for benchmarking (low-latency, lossless channels)."""
-    kwargs.setdefault(
-        "channel_config",
-        ChannelConfig(capacity=capacity, loss_probability=0.0, min_delay=0.2, max_delay=0.6),
-    )
-    return build_cluster(n=n, seed=seed, **kwargs)
+def bench_cluster(n: int, seed: int = 1) -> Cluster:
+    """A cluster sized for benchmarking (``fast_sim``: low-latency, lossless)."""
+    return build_cluster(n=n, seed=seed, config=fast_sim())
 
 
 def record(benchmark, metrics: Dict[str, Any]) -> None:

@@ -542,7 +542,7 @@ def generate_plan(
         if profile.corrupt_services:
             atoms.extend(_service_atoms(node, universe, rng, profile.field_probability))
     # Channel stuffing, bounded by capacity (Lemma 3.18's O(N^2 * cap)).
-    fill = max(1, int(cluster.channel_capacity * profile.channel_fill))
+    fill = max(1, int(cluster.config.channel.capacity * profile.channel_fill))
     alive_pids = [node.pid for node in alive]
     for source in alive_pids:
         for destination in alive_pids:

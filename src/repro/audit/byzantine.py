@@ -338,8 +338,7 @@ class TraitorProgram:
         self.tick_interval = max(0.5, float(tick_interval))
         self.universe: List[ProcessId] = sorted(cluster.nodes)
         self.peer_list: List[ProcessId] = [p for p in self.universe if p != pid]
-        channel = cluster.config.channel
-        self.channel_capacity = channel.capacity if channel is not None else 8
+        self.channel_capacity = cluster.config.channel.capacity
         # Seeded half of the peers targeted by selective forwarding.
         half = max(1, len(self.peer_list) // 2) if self.peer_list else 0
         self.drop_targets = frozenset(self.rng.sample(self.peer_list, half)) if half else frozenset()

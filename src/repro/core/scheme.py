@@ -32,7 +32,13 @@ from repro.core.joining import (
 )
 from repro.core.prediction import PredictionPolicy
 from repro.core.recma import RecMA, RecMAMessage
-from repro.core.recsa import RecSA, RecSADelta, RecSADigest, RecSAMessage
+from repro.core.recsa import (
+    DEFAULT_GOSSIP_REFRESH_INTERVAL,
+    RecSA,
+    RecSADelta,
+    RecSADigest,
+    RecSAMessage,
+)
 from repro.core.stale import is_real_config
 
 FdProvider = Callable[[], FrozenSet[ProcessId]]
@@ -55,25 +61,19 @@ class ReconfigurationScheme:
         state_initializer: Optional[StateInitializer] = None,
         state_resetter: Optional[StateResetter] = None,
         send_many: Optional[SendManyFn] = None,
-        gossip_refresh_interval: Optional[int] = None,
-        gossip_deltas: Optional[bool] = None,
+        gossip_refresh_interval: int = DEFAULT_GOSSIP_REFRESH_INTERVAL,
+        gossip_deltas: bool = False,
     ) -> None:
         self.pid = pid
         self.fd_provider = fd_provider
-        recsa_kwargs: Dict[str, Any] = {}
-        recma_kwargs: Dict[str, Any] = {}
-        if gossip_refresh_interval is not None:
-            recsa_kwargs["gossip_refresh_interval"] = gossip_refresh_interval
-            recma_kwargs["gossip_refresh_interval"] = gossip_refresh_interval
-        if gossip_deltas is not None:
-            recsa_kwargs["gossip_deltas"] = gossip_deltas
         self.recsa = RecSA(
             pid=pid,
             fd_provider=fd_provider,
             send=send,
             initial_config=initial_config,
             send_many=send_many,
-            **recsa_kwargs,
+            gossip_refresh_interval=gossip_refresh_interval,
+            gossip_deltas=gossip_deltas,
         )
         self.recma = RecMA(
             pid=pid,
@@ -81,7 +81,7 @@ class ReconfigurationScheme:
             fd_provider=fd_provider,
             send=send,
             policy=prediction_policy,
-            **recma_kwargs,
+            gossip_refresh_interval=gossip_refresh_interval,
         )
         self.joining = JoiningProtocol(
             pid=pid,

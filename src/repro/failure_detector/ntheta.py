@@ -26,6 +26,9 @@ from typing import Dict, FrozenSet, Iterator, List, Tuple
 
 from repro.common.types import ProcessId
 
+#: The suspicion slack calibrated for n <= 32 (``ClusterConfig.fd_gap_slack``).
+DEFAULT_GAP_SLACK = 16
+
 
 class _CountsView(MutableMapping):
     """Keyed, writable view over the offset-encoded heartbeat vector.
@@ -140,7 +143,7 @@ class NThetaFailureDetector:
         pid: ProcessId,
         upper_bound_n: int,
         gap_factor: float = 4.0,
-        gap_slack: int = 16,
+        gap_slack: int = DEFAULT_GAP_SLACK,
     ) -> None:
         self.pid = pid
         self.upper_bound_n = upper_bound_n

@@ -27,9 +27,9 @@ from numbers import Real
 from typing import Any, Dict, List, Optional, Union
 
 from repro.common.types import BOTTOM, Configuration, ProcessId, make_config
-from repro.sim.cluster import ClusterNode, converged_scan
+from repro.sim.cluster import ClusterNode, agreed_configuration, converged_scan
 from repro.sim.config import ClusterConfig, preset
-from repro.sim.stacks import StackProfile, get_stack
+from repro.sim.stacks import StackProfile
 from repro.runtime.transport import AsyncioTransport, DEFAULT_TICK_SECONDS
 
 
@@ -56,12 +56,9 @@ class RuntimeCluster:
     ) -> None:
         if n < 1:
             raise ValueError("a cluster needs at least one node")
-        base = preset(config) if isinstance(config, str) else config
-        base = base.with_overrides(stack=stack)
         self.n = n
         self.seed = seed
-        self.config = base.resolve(n)
-        self.stack: StackProfile = get_stack(self.config.stack)
+        self.config = preset(config).with_overrides(stack=stack).resolve(n)
         if not isinstance(tick_seconds, Real) or tick_seconds <= 0:
             raise ValueError(
                 f"tick_seconds must be a positive number, got {tick_seconds!r}"
@@ -86,7 +83,6 @@ class RuntimeCluster:
                 peers=pids,
                 config=self.config,
                 initial_config=initial,
-                stack=self.stack,
             )
             self.nodes[pid] = node
             await self.transport.start_node(node)
@@ -114,18 +110,7 @@ class RuntimeCluster:
 
     def agreed_configuration(self) -> Optional[Configuration]:
         """The single real configuration all alive participants hold."""
-        agreed = None
-        for node in self.alive_nodes():
-            if not node.scheme.is_participant():
-                continue
-            value = node.scheme.configuration()
-            if value is None:
-                return None
-            if agreed is None:
-                agreed = value
-            elif value != agreed:
-                return None
-        return agreed
+        return agreed_configuration(self.nodes.values())
 
     def service(self, pid: ProcessId, name: str) -> Any:
         """The *name* stack service of node *pid* (e.g. ``"counters"``)."""
@@ -168,7 +153,6 @@ class RuntimeCluster:
             peers=peers,
             config=self.config,
             initial_config=None,
-            stack=self.stack,
         )
         # Hosted first, recorded second: ``nodes`` only ever names nodes the
         # transport accepted.

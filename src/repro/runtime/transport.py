@@ -170,6 +170,7 @@ class AsyncioTransport:
         self._oversize_warned_at = float("-inf")
 
     # ------------------------------------------------------- Transport API
+    @property
     def now(self) -> float:
         """Wall time since transport creation, in sim-time units (metrics
         only — see :mod:`repro.transport.base` for the contract)."""
@@ -320,7 +321,7 @@ class AsyncioTransport:
             handle.cancel()
 
     def make_process_rng(self, pid: ProcessId):
-        # Identical derivation to SimTransport: a node's local coin flips do
+        # Identical derivation to the Simulator's: a node's local coin flips do
         # not depend on which backend hosts it.
         return make_rng(self.seed, "process", pid)
 
@@ -380,7 +381,7 @@ class AsyncioTransport:
     def statistics(self) -> Dict[str, Any]:
         """Wire counters, shaped like the simulator's ``statistics()``."""
         return {
-            "time": self.now(),
+            "time": self.now,
             "live_nodes": len(self._endpoints),
             "sent_datagrams": self.sent_datagrams,
             "sent_bytes": self.sent_bytes,

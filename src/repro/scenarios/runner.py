@@ -41,7 +41,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.scenarios.spec import ScenarioSpec
 from repro.sim.cluster import Cluster, build_cluster
-from repro.sim.config import ClusterConfig, preset
+from repro.sim.config import preset
 from repro.sim.events import Action
 from repro.sim.monitors import ConvergenceTracker, InvariantMonitor
 from repro.sim.simulator import PAUSED
@@ -83,8 +83,7 @@ def prepare(spec_or_name: Union[str, ScenarioSpec], seed: int = 0) -> ScenarioRu
     from repro.scenarios.library import get_scenario
 
     spec = get_scenario(spec_or_name)
-    config = spec.config if isinstance(spec.config, ClusterConfig) else preset(spec.config)
-    cluster = build_cluster(n=spec.n, seed=seed, config=config, stack=spec.stack)
+    cluster = build_cluster(n=spec.n, seed=seed, config=preset(spec.config), stack=spec.stack)
     if spec.scheduler is not None:
         from repro.audit.schedulers import get_scheduler
 

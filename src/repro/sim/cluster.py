@@ -25,14 +25,12 @@ from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tup
 
 from repro.common.errors import SimulationError
 from repro.common.types import BOTTOM, Configuration, ProcessId, make_config
-from repro.core.prediction import PredictionPolicy
 from repro.core.scheme import ReconfigurationScheme
 from repro.core.stale import is_real_config
 from repro.datalink.heartbeat import HeartbeatService
 from repro.datalink.token_exchange import DataLinkMessage
 from repro.failure_detector.ntheta import NThetaFailureDetector
 from repro.sim.config import ClusterConfig
-from repro.sim.network import ChannelConfig
 from repro.sim.process import Process
 from repro.sim.simulator import Simulator
 from repro.sim.stacks import StackProfile, get_stack
@@ -194,12 +192,7 @@ class ClusterNode(Process):
         peers: Iterable[ProcessId],
         config: ClusterConfig,
         initial_config: Any = None,
-        stack: Optional[StackProfile] = None,
-        prediction_policy: Optional[PredictionPolicy] = None,
     ) -> None:
-        peers = list(peers)
-        if config.channel is None or config.upper_bound_n is None:
-            config = config.resolve(n=len(peers) or 1)
         super().__init__(pid=pid, step_interval=config.step_interval)
         self.config = config
         self._initial_peers = [p for p in peers if p != pid]
@@ -209,11 +202,8 @@ class ClusterNode(Process):
         #: ``ConvergenceLedger.mark`` of the owning cluster (installed by
         #: ``Cluster.add_node``); ``None`` for nodes driven outside a cluster.
         self._converge_mark: Optional[Callable[[ProcessId], None]] = None
-        fd_kwargs: Dict[str, Any] = {}
-        if config.fd_gap_slack is not None:
-            fd_kwargs["gap_slack"] = config.fd_gap_slack
         self.failure_detector = NThetaFailureDetector(
-            pid=pid, upper_bound_n=config.upper_bound_n, **fd_kwargs
+            pid=pid, upper_bound_n=config.upper_bound_n, gap_slack=config.fd_gap_slack
         )
         self.heartbeat = HeartbeatService(
             pid=pid,
@@ -228,7 +218,7 @@ class ClusterNode(Process):
             fd_provider=self.failure_detector.trusted,
             send=self._send_raw,
             initial_config=initial_config,
-            prediction_policy=prediction_policy or config.prediction_policy,
+            prediction_policy=config.prediction_policy,
             admission_policy=config.admission_policy,
             send_many=self._send_raw_many,
             gossip_refresh_interval=config.gossip_refresh_interval,
@@ -238,7 +228,7 @@ class ClusterNode(Process):
         self.service_map: Dict[str, Any] = {}
         self._timer_hooks: List[Callable[[], None]] = []
         self._message_hooks: List[Callable[[ProcessId, Any], bool]] = []
-        self.stack: StackProfile = stack if stack is not None else get_stack(config.stack)
+        self.stack: StackProfile = get_stack(config.stack)
         for name, service in self.stack.instantiate(self).items():
             self.register_service(service, name=name)
 
@@ -396,11 +386,34 @@ def converged_scan(nodes: Iterable[ClusterNode]) -> bool:
     return found
 
 
+def agreed_configuration(nodes: Iterable[ClusterNode]) -> Optional[Configuration]:
+    """The single configuration every alive participant holds, if any.
+
+    Reads each alive participant's own config slot — the value the
+    :class:`ConvergenceLedger` and :func:`converged_scan` read — and returns
+    ``None`` when participants disagree, some hold a non-real value (``⊥``
+    or corrupted), or there are no participants at all.  Shared by
+    :meth:`Cluster.agreed_configuration` and the asyncio ``RuntimeCluster``.
+    """
+    agreed = None
+    for node in nodes:
+        if not node.started or node.crashed or not node.scheme.is_participant():
+            continue
+        value = node.recsa.config.get(node.pid)
+        if not is_real_config(value):
+            return None
+        if agreed is None:
+            agreed = value
+        elif value != agreed:
+            return None
+    return agreed
+
+
 class Cluster:
     """A simulated system of :class:`ClusterNode` processors."""
 
     def __init__(self, simulator: Simulator, config: ClusterConfig) -> None:
-        if config.channel is None or config.upper_bound_n is None:
+        if config.upper_bound_n is None:
             raise SimulationError(
                 "Cluster requires a resolved ClusterConfig; call "
                 "config.resolve(n) (or use build_cluster)"
@@ -428,19 +441,6 @@ class Cluster:
         partitions); what adversarial environment programs mutate mid-run."""
         return self.simulator.network.environment
 
-    # Convenience views on the shared config (kept for existing callers).
-    @property
-    def upper_bound_n(self) -> int:
-        return self.config.upper_bound_n  # type: ignore[return-value]
-
-    @property
-    def channel_capacity(self) -> int:
-        return self.config.channel.capacity  # type: ignore[union-attr]
-
-    @property
-    def step_interval(self) -> float:
-        return self.config.step_interval
-
     # ------------------------------------------------------------------
     # Topology management
     # ------------------------------------------------------------------
@@ -449,16 +449,13 @@ class Cluster:
         pid: ProcessId,
         initial_config: Any = None,
         peers: Optional[Iterable[ProcessId]] = None,
-        prediction_policy: Optional[PredictionPolicy] = None,
-        stack: Optional[StackProfile] = None,
     ) -> ClusterNode:
         """Create, register and start a node.
 
         ``initial_config`` follows the :class:`~repro.core.recsa.RecSA`
         convention: ``None`` boots a non-participant (a joiner), ``BOTTOM``
         boots into a brute-force reset (self-bootstrap), and a concrete set
-        boots with that configuration installed (a coherent start).  The node
-        runs the cluster's stack profile unless *stack* overrides it.
+        boots with that configuration installed (a coherent start).
         """
         if peers is None:
             peers = list(self.nodes.keys())
@@ -467,8 +464,6 @@ class Cluster:
             peers=peers,
             config=self.config,
             initial_config=initial_config,
-            stack=stack if stack is not None else self.stack,
-            prediction_policy=prediction_policy,
         )
         self.nodes[pid] = node
         node._converge_mark = self.convergence_ledger.mark
@@ -516,26 +511,8 @@ class Cluster:
         }
 
     def agreed_configuration(self) -> Optional[Configuration]:
-        """The single configuration every alive participant holds, if any.
-
-        Returns ``None`` when participants disagree, some hold ``⊥``, or
-        there are no participants at all.  Single pass with early exit —
-        the predicate over each node is pure, so bailing at the first
-        non-real or disagreeing config returns the same answer the old
-        two-scan (participants list + throwaway config set) version did.
-        """
-        agreed = None
-        for node in self.nodes.values():
-            if not node.started or node.crashed or not node.scheme.is_participant():
-                continue
-            value = node.recsa.config.get(node.pid)
-            if not is_real_config(value):
-                return None
-            if agreed is None:
-                agreed = value
-            elif value != agreed:
-                return None
-        return agreed
+        """:func:`agreed_configuration` over this cluster's nodes."""
+        return agreed_configuration(self.nodes.values())
 
     def is_converged(self) -> bool:
         """True when all alive participants agree and report stability.
@@ -641,48 +618,20 @@ def build_cluster(
     seed: int = 0,
     config: Optional[ClusterConfig] = None,
     stack: Union[str, StackProfile, None] = None,
-    *,
-    upper_bound_n: Optional[int] = None,
-    channel_config: Optional[ChannelConfig] = None,
-    channel_capacity: Optional[int] = None,
-    step_interval: Optional[float] = None,
-    coherent_start: Optional[bool] = None,
-    prediction_policy: Optional[PredictionPolicy] = None,
-    admission_policy: Optional[Callable[[ProcessId], bool]] = None,
-    require_link_cleaning: Optional[bool] = None,
-    gossip_refresh_interval: Optional[int] = None,
-    heartbeat_resend_interval: Optional[int] = None,
 ) -> Cluster:
     """Build a ready-to-run cluster of *n* nodes (identifiers ``0..n-1``).
 
-    The one source of truth for tunables is *config* (a
+    Every tunable comes from *config* (a
     :class:`~repro.sim.config.ClusterConfig`, e.g. from a preset such as
-    :func:`~repro.sim.config.fast_sim`); the keyword arguments are per-call
-    overrides of individual fields.  Passing both an explicit
-    ``channel_config`` and a disagreeing ``channel_capacity`` raises instead
-    of silently ignoring the capacity.
-
-    *stack* selects the :class:`~repro.sim.stacks.StackProfile` every node
-    instantiates (a registry name such as ``"counters"`` or a configured
-    profile object).
+    :func:`~repro.sim.config.fast_sim`; default ``ClusterConfig()``).
+    *stack*, when given, replaces its ``stack`` field: a registry name such
+    as ``"counters"`` or a configured
+    :class:`~repro.sim.stacks.StackProfile`.
     """
     if n < 1:
         raise ValueError("a cluster needs at least one node")
     base = config if config is not None else ClusterConfig()
-    base = base.with_overrides(
-        upper_bound_n=upper_bound_n,
-        channel=channel_config,
-        channel_capacity=channel_capacity,
-        step_interval=step_interval,
-        coherent_start=coherent_start,
-        prediction_policy=prediction_policy,
-        admission_policy=admission_policy,
-        require_link_cleaning=require_link_cleaning,
-        gossip_refresh_interval=gossip_refresh_interval,
-        heartbeat_resend_interval=heartbeat_resend_interval,
-        stack=stack,
-    )
-    resolved = base.resolve(n)
+    resolved = base.with_overrides(stack=stack).resolve(n)
     simulator = Simulator(seed=seed, channel_config=resolved.channel)
     cluster = Cluster(simulator=simulator, config=resolved)
     pids = list(range(n))

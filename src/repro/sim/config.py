@@ -1,14 +1,13 @@
-"""Cluster configuration: one frozen dataclass instead of parameter sprawl.
+"""Cluster configuration: every tunable of a cluster in one frozen value.
 
-Historically every knob of the simulated stack (channel shape, step interval,
-boot mode, link cleaning, gossip refresh, ...) was threaded as an individual
-keyword argument through ``ClusterNode.__init__``, ``Cluster.__init__`` and
-``build_cluster`` — three copies of the same nine parameters that drifted
-independently.  :class:`ClusterConfig` collapses them into a single immutable
-value that is resolved once (:meth:`ClusterConfig.resolve`) and then shared by
-the cluster and every node, including nodes added later by churn workloads.
+:class:`ClusterConfig` is the only place a cluster's tunables are set: each
+field holds its own concrete value, and :meth:`ClusterConfig.resolve` derives
+the one size-dependent field (the failure detector's ``N``) once.  The
+resolved value is then shared by the cluster and every node, including nodes
+added later by churn, on both backends (:func:`repro.sim.cluster.build_cluster`
+and :class:`repro.runtime.cluster.RuntimeCluster`).
 
-Named presets cover the three configurations the repository actually uses:
+Named presets cover the configurations the repository actually uses:
 
 ``fast_sim``
     Low-latency lossless channels — what the test-suite and the benchmark
@@ -20,26 +19,26 @@ Named presets cover the three configurations the repository actually uses:
 ``coherent_start``
     ``fast_sim`` but booting with the full configuration pre-installed — the
     assumption classical reconfiguration schemes make, used as a baseline.
+``degraded_net``
+    Lossy, jittery channels for the environment-driven scenarios.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Optional, Union
 
 from repro.common.errors import SimulationError
-from repro.common.types import ProcessId
+from repro.core.joining import AdmissionPolicy
 from repro.core.prediction import PredictionPolicy
+from repro.core.recsa import DEFAULT_GOSSIP_REFRESH_INTERVAL
+from repro.failure_detector.ntheta import DEFAULT_GAP_SLACK
 from repro.sim.network import ChannelConfig
-
-AdmissionPolicy = Callable[[ProcessId], bool]
-
-DEFAULT_CHANNEL_CAPACITY = 8
 
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Every tunable of a simulated cluster, as one immutable value.
+    """Every tunable of a cluster, as one immutable value.
 
     Attributes
     ----------
@@ -49,11 +48,7 @@ class ClusterConfig:
         cluster size during :meth:`resolve`.
     channel:
         The :class:`~repro.sim.network.ChannelConfig` of every directed
-        channel.  ``None`` builds one from ``channel_capacity``.
-    channel_capacity:
-        Convenience scalar for the common "default channel, custom capacity"
-        case.  Passing *both* ``channel`` and a disagreeing
-        ``channel_capacity`` raises — the capacity is never silently ignored.
+        channel; its ``capacity`` is also the heartbeat links' ``cap``.
     coherent_start:
         When True nodes boot with the full configuration already installed;
         when False (default) they boot into a brute-force reset and
@@ -65,14 +60,13 @@ class ClusterConfig:
     """
 
     upper_bound_n: Optional[int] = None
-    channel: Optional[ChannelConfig] = None
-    channel_capacity: Optional[int] = None
+    channel: ChannelConfig = field(default_factory=ChannelConfig)
     step_interval: float = 1.0
     coherent_start: bool = False
     prediction_policy: Optional[PredictionPolicy] = None
     admission_policy: Optional[AdmissionPolicy] = None
     require_link_cleaning: bool = False
-    gossip_refresh_interval: Optional[int] = None
+    gossip_refresh_interval: int = DEFAULT_GOSSIP_REFRESH_INTERVAL
     heartbeat_resend_interval: int = 3
     stack: Any = "bare"  # str (registry name) or StackProfile
     #: recSA gossip wire discipline: when True, steady-state re-broadcasts
@@ -89,94 +83,47 @@ class ClusterConfig:
     #: bytes-on-wire savings) or in dedicated tiers that pin their own
     #: baselines.
     gossip_deltas: bool = False
-    #: (N, Theta) failure-detector suspicion slack.  ``None`` keeps the
-    #: detector's default (16) — calibrated for n <= 32, where the
-    #: heartbeat-count ramp is narrow.  The ramp's spread grows with n (a
-    #: peer's count between its own heartbeats is proportional to the
-    #: number of chattering peers), so at n >= 48 the default slack turns
-    #: ordinary staggering into suspicion churn: trust flaps forever and
-    #: the cluster-wide stability windows that define convergence become
-    #: astronomically rare (n=48 first converges at t~1041; n=128 never).
-    #: Setting slack ~ 2n restores stable full trust — an n=128 cold
-    #: bootstrap converges at t~5 — at the cost of slower crash suspicion.
-    #: Deliberately opt-in: auto-scaling it would change the seed's
-    #: trajectories at every size.  The string ``"auto"`` opts into the
-    #: n-aware rule: :meth:`resolve` replaces it with ``max(16, 2 * n)``
-    #: (the detector default at small n, the PR 7 scale finding above it).
-    #: ``None`` remains the default and keeps every seed trajectory
-    #: byte-identical.
-    fd_gap_slack: Optional[Union[int, str]] = None
+    #: (N, Theta) failure-detector suspicion slack.  The default (16) is
+    #: calibrated for n <= 32, where the heartbeat-count ramp is narrow.
+    #: The ramp's spread grows with n (a peer's count between its own
+    #: heartbeats is proportional to the number of chattering peers), so at
+    #: n >= 48 the default slack turns ordinary staggering into suspicion
+    #: churn: trust flaps forever and the cluster-wide stability windows that
+    #: define convergence become astronomically rare (n=48 first converges at
+    #: t~1041; n=128 never).  Setting slack ~ 2n restores stable full trust —
+    #: an n=128 cold bootstrap converges at t~5 — at the cost of slower crash
+    #: suspicion.  Not scaled with n by default: that would change the seed's
+    #: trajectories at every size.
+    fd_gap_slack: int = DEFAULT_GAP_SLACK
 
     def poll_interval(self) -> float:
         """The sim-time cadence at which :meth:`Cluster.run_until` re-evaluates
         its predicate: the minimum event spacing (the smaller of the step
         interval and the minimum link delay)."""
-        min_delay = self.channel.min_delay if self.channel is not None else 0.0
+        min_delay = self.channel.min_delay
         if min_delay > 0.0:
             return min(self.step_interval, min_delay)
         return 0.1 * self.step_interval
 
     def resolve(self, n: int) -> "ClusterConfig":
-        """Return a fully concrete copy for an initial cluster of *n* nodes."""
-        if (
-            self.channel is not None
-            and self.channel_capacity is not None
-            and self.channel.capacity != self.channel_capacity
-        ):
-            raise SimulationError(
-                f"conflicting channel configuration: channel_capacity="
-                f"{self.channel_capacity} disagrees with the explicit "
-                f"ChannelConfig(capacity={self.channel.capacity}); pass one "
-                f"or the other"
-            )
-        channel = self.channel or ChannelConfig(
-            capacity=self.channel_capacity
-            if self.channel_capacity is not None
-            else DEFAULT_CHANNEL_CAPACITY
-        )
+        """Return a copy for an initial cluster of *n* nodes with ``N`` set.
+
+        Raises :class:`SimulationError` when an explicit (or previously
+        resolved) ``upper_bound_n`` is below *n*: every detector would then
+        be sized for fewer processors than the cluster boots with.
+        """
         upper = self.upper_bound_n or max(2 * n, n + 2)
-        gap_slack = self.fd_gap_slack
-        if isinstance(gap_slack, str):
-            if gap_slack != "auto":
-                raise SimulationError(
-                    f"unknown fd_gap_slack policy {gap_slack!r}; "
-                    f"expected an int, None, or 'auto'"
-                )
-            gap_slack = max(16, 2 * n)
-        return replace(
-            self,
-            channel=channel,
-            channel_capacity=channel.capacity,
-            upper_bound_n=upper,
-            fd_gap_slack=gap_slack,
-        )
+        if upper < n:
+            raise SimulationError(
+                f"upper_bound_n={upper} is below the cluster size n={n}; "
+                f"the failure detector's N must bound the processor count"
+            )
+        return replace(self, upper_bound_n=upper)
 
     def with_overrides(self, **overrides: Any) -> "ClusterConfig":
-        """A copy with the given fields replaced (``None`` values ignored).
-
-        Overriding ``channel_capacity`` alone on a config that already
-        carries a channel resizes that channel (preserving its loss/delay
-        shape) — so ``fast_sim(channel_capacity=16)`` works.  Passing both
-        ``channel`` and a disagreeing ``channel_capacity`` in the *same* call
-        is the conflicting combination :meth:`resolve` rejects.
-        """
+        """A copy with the given fields replaced (``None`` values ignored)."""
         effective = {k: v for k, v in overrides.items() if v is not None}
-        if not effective:
-            return self
-        if (
-            "channel_capacity" in effective
-            and "channel" not in effective
-            and self.channel is not None
-        ):
-            effective["channel"] = replace(
-                self.channel, capacity=effective["channel_capacity"]
-            )
-        elif "channel" in effective and "channel_capacity" not in effective:
-            # A resolved config carries channel_capacity=channel.capacity;
-            # keep the pair in sync so a later resolve() does not see a
-            # conflict the caller never created.
-            effective["channel_capacity"] = effective["channel"].capacity
-        return replace(self, **effective)
+        return replace(self, **effective) if effective else self
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +132,7 @@ class ClusterConfig:
 def fast_sim(**overrides: Any) -> ClusterConfig:
     """Low-latency lossless channels: the test/benchmark configuration."""
     return ClusterConfig(
-        channel=ChannelConfig(
-            capacity=DEFAULT_CHANNEL_CAPACITY,
-            loss_probability=0.0,
-            min_delay=0.2,
-            max_delay=0.6,
-        ),
+        channel=ChannelConfig(loss_probability=0.0, min_delay=0.2, max_delay=0.6),
     ).with_overrides(**overrides)
 
 
@@ -201,7 +143,6 @@ def paper_faithful(**overrides: Any) -> ClusterConfig:
     on every link before heartbeats count, and an un-throttled heartbeat.
     """
     return ClusterConfig(
-        channel=ChannelConfig(capacity=DEFAULT_CHANNEL_CAPACITY),
         require_link_cleaning=True,
         heartbeat_resend_interval=1,
     ).with_overrides(**overrides)
@@ -222,12 +163,7 @@ def degraded_net(**overrides: Any) -> ClusterConfig:
     fabric.
     """
     return ClusterConfig(
-        channel=ChannelConfig(
-            capacity=DEFAULT_CHANNEL_CAPACITY,
-            loss_probability=0.05,
-            min_delay=0.2,
-            max_delay=1.2,
-        ),
+        channel=ChannelConfig(loss_probability=0.05, min_delay=0.2, max_delay=1.2),
     ).with_overrides(**overrides)
 
 

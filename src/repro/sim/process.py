@@ -33,8 +33,8 @@ class ProcessContext:
     read the (local) clock, draw local randomness, send packets, and arm
     timers.  Processes never touch the backend directly — the same protocol
     code runs over the deterministic simulator
-    (:class:`repro.transport.sim.SimTransport`) and the asyncio runtime
-    (:class:`repro.runtime.transport.AsyncioTransport`).
+    (:class:`repro.sim.simulator.Simulator`, its own transport) and the
+    asyncio runtime (:class:`repro.runtime.transport.AsyncioTransport`).
     """
 
     pid: ProcessId
@@ -52,7 +52,7 @@ class ProcessContext:
         asyncio runtime it is wall clock rescaled to sim-time units, so
         values are backend-relative and must never feed algorithm state.
         """
-        return self.transport.now()
+        return self.transport.now
 
     def send(self, destination: ProcessId, payload: Any) -> None:
         """Send *payload* to *destination* over the unreliable network."""

@@ -1,5 +1,9 @@
 """The discrete-event simulator driving processes, timers and the network.
 
+:class:`Simulator` is itself a :class:`~repro.transport.base.Transport`: every
+process context holds the simulator directly, so a simulated send or timer is
+one call into it.
+
 The simulator owns:
 
 * the simulated clock and event queue,
@@ -17,6 +21,7 @@ state holds (used heavily by the convergence experiments).
 from __future__ import annotations
 
 import math
+import random
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.common.errors import SimulationError
@@ -27,7 +32,6 @@ from repro.sim.environment import NetworkEnvironment
 from repro.sim.events import Event, EventQueue
 from repro.sim.network import Channel, ChannelConfig, Network, Packet
 from repro.sim.process import Process, ProcessContext
-from repro.transport.sim import SimTransport
 
 _log = get_logger("simulator")
 
@@ -72,10 +76,6 @@ class Simulator:
         self.delivered_messages = 0
         self._post_step_hooks: List[Callable[["Simulator"], None]] = []
         self._root_rng = make_rng(seed, "simulator")
-        #: The transport facade handed to every process context.  One shared
-        #: adapter (not one per process) so a snapshot round trip rebinds all
-        #: contexts to the restored simulator through a single memo entry.
-        self.transport = SimTransport(self)
 
     # ------------------------------------------------------------ processes
     def add_process(self, process: Process, start: bool = True) -> Process:
@@ -84,14 +84,16 @@ class Simulator:
             raise SimulationError(f"duplicate process id {process.pid}")
         self.processes[process.pid] = process
         context = ProcessContext(
-            pid=process.pid,
-            transport=self.transport,
-            rng=self.transport.make_process_rng(process.pid),
+            pid=process.pid, transport=self, rng=self.make_process_rng(process.pid)
         )
         process.bind(context)
         if start:
             process.start()
         return process
+
+    def make_process_rng(self, pid: ProcessId) -> random.Random:
+        """The per-process randomness stream, ``(seed, "process", pid)``."""
+        return make_rng(self.seed, "process", pid)
 
     def get_process(self, pid: ProcessId) -> Process:
         """Return the registered process with identifier *pid*."""

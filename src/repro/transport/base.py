@@ -9,18 +9,18 @@ protocol layers cannot tell the difference.
 
 Time contract
 -------------
-``now()`` returns the transport's clock: the deterministic simulated clock
-under :class:`~repro.transport.sim.SimTransport`, a monotonic wall-clock
-reading (in sim-time units) under the asyncio runtime.  **No protocol layer
+``now`` is the transport's clock, a read attribute: the deterministic
+simulated clock under :class:`~repro.sim.simulator.Simulator`, a monotonic
+wall-clock reading (in sim-time units) under the asyncio runtime.  **No protocol layer
 reads it** — an audit of the stack (PR 8) found zero call sites: the
 heartbeat service paces itself by iteration count
 (``idle_resend_interval``), the reliable-broadcast services by
 ``_rounds % resend_interval``, and the failure detector is heartbeat-count
 based by construction.  That is deliberate: the paper's algorithms are
 *time-free* (self-stabilization may not assume synchronized or even
-monotonic local clocks after a transient fault), so ``now()`` exists for
+monotonic local clocks after a transient fault), so ``now`` exists for
 metrics, traces and harness instrumentation only.  Keep it that way — a
-protocol layer that starts branching on ``now()`` silently forfeits the
+protocol layer that starts branching on ``now`` silently forfeits the
 byte-identical trajectory guarantee *and* the time-free stabilization
 argument.
 
@@ -50,10 +50,9 @@ class Transport(Protocol):
     (``ProcessContext``) curry their own pid in.
     """
 
-    def now(self) -> float:
-        """The transport clock, in simulated-time units (metrics only —
-        see the module docstring for the full contract)."""
-        ...
+    #: The transport clock, in simulated-time units (metrics only — see the
+    #: module docstring for the full contract).
+    now: float
 
     def send(self, source: ProcessId, destination: ProcessId, payload: Any) -> None:
         """Send one packet over the unreliable network (may be lost)."""

@@ -11,18 +11,16 @@ from repro.audit.arbitrary_state import PROFILES, apply_plan, generate_plan
 from repro.common.types import BOTTOM, ProcessId, make_config
 from repro.core.recsa import RecSA, RecSADelta, RecSADigest, RecSAMessage
 from repro.sim.cluster import Cluster, build_cluster
+from repro.sim.config import fast_sim
 from repro.sim.faults import CorruptionAtom
-from repro.sim.network import ChannelConfig
 
 
-def quick_cluster(n: int, seed: int = 1, capacity: int = 8, **kwargs: Any) -> Cluster:
-    """A small, fast cluster with low-latency, lossless channels for tests."""
-    kwargs.setdefault(
-        "channel_config",
-        ChannelConfig(capacity=capacity, loss_probability=0.0, min_delay=0.2, max_delay=0.6),
-    )
-    kwargs.setdefault("step_interval", 1.0)
-    return build_cluster(n=n, seed=seed, **kwargs)
+def quick_cluster(n: int, seed: int = 1, capacity: int = 8, **overrides: Any) -> Cluster:
+    """A small ``fast_sim`` cluster for tests; *overrides* are
+    :class:`~repro.sim.config.ClusterConfig` fields, *capacity* the channels'."""
+    config = fast_sim(**overrides)
+    channel = replace(config.channel, capacity=capacity)
+    return build_cluster(n, seed, config=config.with_overrides(channel=channel))
 
 
 def scramble(

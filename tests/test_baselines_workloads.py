@@ -166,7 +166,7 @@ class TestCorruptionWorkloads:
             for sender in (1, 2) * 250
         ]
         accepted = apply_plan(cluster, stale)["applied"]
-        assert 0 < accepted <= 2 * cluster.channel_capacity
+        assert 0 < accepted <= 2 * cluster.config.channel.capacity
 
 
 class TestEndToEnd:

@@ -80,7 +80,7 @@ def test_label_creations_within_the_bound(corrupt):
     created_before = sum(svc.labels_created() for svc in services.values())
     assert cluster.run_until(one_maximal_label, timeout=6_000)
     creations = sum(svc.labels_created() for svc in services.values()) - created_before
-    m = cluster.channel_capacity * n * n
+    m = cluster.config.channel.capacity * n * n
     assert creations <= n * (n * n + m)
     assert (creations > 0) == corrupt
 
@@ -160,3 +160,25 @@ def test_every_make_target_ci_runs_is_defined():
     assert used and used <= defined, sorted(used - defined)
     matrices = set(re.findall(r"--matrix ([a-z0-9]+)", makefile))
     assert matrices and matrices <= set(MATRICES), sorted(matrices - set(MATRICES))
+
+
+def test_every_cluster_config_field_is_read():
+    """``ClusterConfig`` is the one tunable surface: a field that no module
+    reads as ``config.<field>`` (outside the module defining it) is a knob
+    that does nothing, and fails here instead of drifting."""
+    import dataclasses
+
+    from repro.sim.config import ClusterConfig
+
+    src = REPO / "src" / "repro"
+    text = "\n".join(
+        path.read_text(encoding="utf-8")
+        for path in sorted(src.rglob("*.py"))
+        if path != src / "sim" / "config.py"
+    )
+    unread = [
+        field.name
+        for field in dataclasses.fields(ClusterConfig)
+        if not re.search(rf"\bconfig\.{field.name}\b", text)
+    ]
+    assert not unread, unread

@@ -24,7 +24,6 @@ from repro.common.types import (
 from repro.core.joining import JoinRequest
 from repro.core.recsa import EchoTriple, RecSA, RecSAMessage
 from repro.core.stale import StaleInfoType, classify_stale_information
-from repro.sim.config import ClusterConfig
 from repro.sim.snapshot import SimSnapshot
 
 from tests.conftest import RecSAHarness, quick_cluster, scramble
@@ -438,9 +437,7 @@ class TestDerivedVerdictMemo:
         the joining hook and both corruption surfaces — the memoized answers
         equal the bodies they memoize."""
         rng = random.Random(seed)
-        cluster = quick_cluster(
-            5, seed=seed, config=ClusterConfig(gossip_deltas=bool(seed % 2))
-        )
+        cluster = quick_cluster(5, seed=seed, gossip_deltas=bool(seed % 2))
         universe = sorted(cluster.nodes)
         simulator = cluster.simulator
 

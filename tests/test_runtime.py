@@ -29,6 +29,8 @@ from repro.core.joining import JoinRequest
 from repro.counters.counter import counter_less_than
 from repro.runtime.cluster import RuntimeCluster
 from repro.runtime.transport import _HEADER
+from repro.sim.cluster import build_cluster
+from repro.sim.config import PRESETS, preset
 from repro.vs.virtual_synchrony import VSState
 
 #: Fast pacing for tests: 10 ms of wall clock per sim-time unit.
@@ -431,3 +433,34 @@ def test_hostile_datagrams_are_quarantined_not_fatal():
             assert cluster.is_converged()
 
     asyncio.run(scenario())
+
+
+def _node_shape(node) -> dict:
+    """What a ``ClusterConfig`` decides about one node, read off the node."""
+    return {
+        "upper_bound_n": node.failure_detector.upper_bound_n,
+        "gap_slack": node.failure_detector.gap_slack,
+        "channel_capacity": node.heartbeat.channel_capacity,
+        "require_cleaning": node.heartbeat.require_cleaning,
+        "idle_resend_interval": node.heartbeat.idle_resend_interval,
+        "gossip_refresh_interval": node.recsa.gossip_refresh_interval,
+        "gossip_deltas": node.recsa.gossip_deltas,
+        "recma_refresh": node.recma.gate.refresh,
+        "stack": node.stack.name,
+        "step_interval": node.step_interval,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_both_backends_build_the_same_node_from_one_config(name):
+    """One preset, two backends: the live cluster's nodes and the simulated
+    cluster's nodes are built the same, pid for pid."""
+    simulated = build_cluster(n=3, config=preset(name))
+
+    async def scenario() -> dict:
+        async with RuntimeCluster(n=3, config=name, tick_seconds=TICK) as live:
+            return {pid: _node_shape(node) for pid, node in live.nodes.items()}
+
+    live = asyncio.run(scenario())
+    assert live == {pid: _node_shape(node) for pid, node in simulated.nodes.items()}
+

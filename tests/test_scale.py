@@ -19,11 +19,12 @@ import pytest
 
 from tests.conftest import RecSAHarness, oracle_checked, quick_cluster, scramble
 from repro.audit.arbitrary_state import apply_plan, generate_plan
+from repro.failure_detector.ntheta import NThetaFailureDetector
 from repro.sim.config import fast_sim
 
 
 def _stats_at(n, seed, horizon, **overrides):
-    cluster = quick_cluster(n, seed=seed, config=fast_sim(**overrides))
+    cluster = quick_cluster(n, seed=seed, **overrides)
     cluster.run(until=horizon)
     return cluster.statistics()
 
@@ -36,7 +37,7 @@ class TestDeltaEquivalence:
         assert with_deltas == without
 
     def test_compact_forms_dominate_steady_state(self):
-        cluster = quick_cluster(8, seed=11, config=fast_sim(gossip_deltas=True))
+        cluster = quick_cluster(8, seed=11, gossip_deltas=True)
         assert cluster.run_until_converged(timeout=300)
         cluster.run(until=cluster.simulator.now + 40.0)
         fulls = sum(node.recsa.fulls_sent for node in cluster.nodes.values())
@@ -50,9 +51,7 @@ class TestDeltaEquivalence:
 
     def test_delta_convergence_time_matches_full(self):
         for gossip_deltas in (True, False):
-            cluster = quick_cluster(
-                10, seed=3, config=fast_sim(gossip_deltas=gossip_deltas)
-            )
+            cluster = quick_cluster(10, seed=3, gossip_deltas=gossip_deltas)
             assert cluster.run_until_converged(timeout=300)
             if gossip_deltas:
                 t_deltas = cluster.simulator.now
@@ -148,14 +147,14 @@ class TestDigestFallback:
 
 class TestLedgerOracle:
     def test_ledger_agrees_with_oracle_through_bootstrap(self):
-        cluster = quick_cluster(8, seed=19, config=fast_sim())
+        cluster = quick_cluster(8, seed=19)
         # Every poll below cross-checks ledger vs full scan and fails on
         # divergence.
         assert cluster.run_until(oracle_checked(cluster), timeout=300)
         assert cluster.is_converged() == cluster.is_converged_scan()
 
     def test_ledger_agrees_with_oracle_under_corruption(self):
-        cluster = quick_cluster(8, seed=23, config=fast_sim())
+        cluster = quick_cluster(8, seed=23)
         assert cluster.run_until(oracle_checked(cluster), timeout=300)
         scramble(cluster, seed=5)
         assert cluster.is_converged() == cluster.is_converged_scan()
@@ -168,7 +167,7 @@ class TestLedgerOracle:
         through a plan with failure-detector atoms, a crash and a fresh
         joiner (the simulator's restart: a stop-failed pid never returns) —
         it still answers what the full scan does."""
-        cluster = quick_cluster(6, seed=41, config=fast_sim())
+        cluster = quick_cluster(6, seed=41)
         checked = []
 
         def check(simulator) -> None:
@@ -189,7 +188,7 @@ class TestLedgerOracle:
         assert len(checked) > 5_000
 
     def test_crash_keeps_ledger_and_oracle_in_step(self):
-        cluster = quick_cluster(6, seed=29, config=fast_sim())
+        cluster = quick_cluster(6, seed=29)
         assert cluster.run_until(oracle_checked(cluster), timeout=300)
         cluster.crash(5)
         cluster.run(until=cluster.simulator.now + 30.0)
@@ -198,13 +197,13 @@ class TestLedgerOracle:
 
 class TestPollThrottling:
     def test_detection_within_one_poll_interval_of_exact(self):
-        exact = quick_cluster(8, seed=31, config=fast_sim())
+        exact = quick_cluster(8, seed=31)
         assert exact.simulator.run_until(
             exact.is_converged, timeout=300, poll_interval=0.0
         )
         t_exact = exact.simulator.now
 
-        throttled = quick_cluster(8, seed=31, config=fast_sim())
+        throttled = quick_cluster(8, seed=31)
         poll = throttled.config.poll_interval()
         assert poll > 0.0
         assert throttled.run_until_converged(timeout=300)
@@ -223,7 +222,7 @@ class TestPollThrottling:
             return probe
 
         for key, exact in (("exact", True), ("throttled", False)):
-            cluster = quick_cluster(8, seed=37, config=fast_sim())
+            cluster = quick_cluster(8, seed=37)
             cluster.simulator.run_until(
                 counting(cluster, key),
                 timeout=40.0,
@@ -234,36 +233,16 @@ class TestPollThrottling:
 
 class TestScaledFailureDetector:
     def test_default_slack_matches_detector_default(self):
-        """``fd_gap_slack=None`` and an explicit 16 are the same trajectory.
+        """The config's default slack is the detector's own default, and an
+        explicit 16 is the same trajectory as the default.
 
-        Guards the opt-in contract: adding the knob must not move any
-        existing (small-n, default-slack) trajectory.
+        Guards the seed trajectories: every small-n pin runs on this value.
         """
+        detector = NThetaFailureDetector(pid=0, upper_bound_n=4)
+        assert fast_sim().fd_gap_slack == detector.gap_slack == 16
         default = _stats_at(12, seed=7, horizon=40.0)
         explicit = _stats_at(12, seed=7, horizon=40.0, fd_gap_slack=16)
         assert default == explicit
-
-    def test_auto_slack_resolves_to_max_16_2n(self):
-        """``fd_gap_slack="auto"`` resolves to ``max(16, 2n)`` at resolve()."""
-        assert fast_sim(fd_gap_slack="auto").resolve(4).fd_gap_slack == 16
-        assert fast_sim(fd_gap_slack="auto").resolve(8).fd_gap_slack == 16
-        assert fast_sim(fd_gap_slack="auto").resolve(12).fd_gap_slack == 24
-        assert fast_sim(fd_gap_slack="auto").resolve(128).fd_gap_slack == 256
-        # None stays None: the detector's own default remains in charge.
-        assert fast_sim().resolve(128).fd_gap_slack is None
-
-    def test_auto_slack_rejects_other_strings(self):
-        from repro.common.errors import SimulationError
-
-        with pytest.raises(SimulationError):
-            fast_sim(fd_gap_slack="adaptive").resolve(8)
-
-    def test_auto_slack_trajectory_matches_explicit_value(self):
-        """``"auto"`` is sugar, not a new behavior: at n=12 it must produce
-        the byte-identical trajectory of an explicit ``fd_gap_slack=24``."""
-        auto = _stats_at(12, seed=7, horizon=40.0, fd_gap_slack="auto")
-        explicit = _stats_at(12, seed=7, horizon=40.0, fd_gap_slack=24)
-        assert auto == explicit
 
     def test_scaled_slack_unlocks_n128_bootstrap(self):
         """With slack ~ 2n an n=128 cold bootstrap converges in ~13 rounds.
@@ -272,17 +251,18 @@ class TestScaledFailureDetector:
         the no-reconfiguration windows from ever aligning cluster-wide) —
         this is the scale-push headline and the benchmark's n=128 leg.
         """
-        cluster = quick_cluster(128, seed=89, config=fast_sim(fd_gap_slack=256))
+        cluster = quick_cluster(128, seed=89, fd_gap_slack=256)
         assert cluster.run_until_converged(timeout=10.0)
         assert cluster.simulator.now < 6.0
 
 
 class TestTransportRewireGuard:
     def test_bootstrap_n16_pin_survives_transport_split(self):
-        """The PR 8 acceptance pin: routing every process through
-        ``SimTransport`` must leave the benchmark headline trajectory
-        byte-identical — bootstrap_n16 at seed 89 executes exactly 1794
-        events and delivers exactly 1726 messages."""
+        """The transport-split pin: routing every process through the
+        transport boundary (the ``Simulator`` itself) must leave the
+        benchmark headline trajectory byte-identical — bootstrap_n16 at
+        seed 89 executes exactly 1794 events and delivers exactly 1726
+        messages."""
         from repro.scenarios import ScenarioSpec, run_scenario
 
         spec = ScenarioSpec(

@@ -1,6 +1,6 @@
 """Tests for the declarative scenario engine and the layers beneath it.
 
-Covers the config layer (ClusterConfig presets, the channel-conflict guard),
+Covers the config layer (ClusterConfig presets, the ``N >= n`` guard),
 the service layer (stack profiles instantiated by nodes and joiners), the
 unified ``Workload.install(cluster)`` protocol (fire-time churn guards,
 corruption plans), probes, scenario determinism and the parallel runner.
@@ -25,8 +25,9 @@ from repro.scenarios import (
     run_matrix,
     run_scenario,
 )
+from repro.runtime.cluster import RuntimeCluster
 from repro.sim.cluster import build_cluster
-from repro.sim.config import ClusterConfig, fast_sim, paper_faithful, preset
+from repro.sim.config import fast_sim, paper_faithful, preset
 from repro.sim.network import ChannelConfig
 from repro.sim.stacks import available_stacks, get_stack, stack
 
@@ -59,40 +60,26 @@ class TestClusterConfig:
         assert config.require_link_cleaning
         assert config.heartbeat_resend_interval == 1
 
-    def test_conflicting_channel_capacity_raises(self):
-        with pytest.raises(SimulationError, match="conflicting channel"):
-            build_cluster(
-                n=3,
-                channel_config=ChannelConfig(capacity=8),
-                channel_capacity=4,
-            )
-
-    def test_agreeing_channel_capacity_accepted(self):
-        cluster = build_cluster(
-            n=3, channel_config=ChannelConfig(capacity=4), channel_capacity=4
-        )
-        assert cluster.channel_capacity == 4
-
-    def test_capacity_alone_builds_channel(self):
-        cluster = build_cluster(n=3, channel_capacity=5)
-        assert cluster.config.channel.capacity == 5
-
-    def test_preset_capacity_override_resizes_channel(self):
-        # Overriding only the capacity must keep the preset's delay shape.
-        config = fast_sim(channel_capacity=16).resolve(3)
-        assert config.channel.capacity == 16
-        assert config.channel.max_delay == 0.6
-        cluster = build_cluster(n=3, config=fast_sim(), channel_capacity=16)
-        assert cluster.channel_capacity == 16
-
     def test_resolved_config_reusable_with_new_channel(self):
-        # A resolved config bakes channel_capacity in; overriding the channel
-        # alone must not trip the conflict guard on the next resolve.
         resolved = fast_sim().resolve(3)
-        cluster = build_cluster(
-            n=3, config=resolved, channel_config=ChannelConfig(capacity=4)
-        )
-        assert cluster.channel_capacity == 4
+        config = resolved.with_overrides(channel=ChannelConfig(capacity=4))
+        cluster = build_cluster(n=3, config=config)
+        assert cluster.config.channel.capacity == 4
+
+    def test_upper_bound_below_n_raises(self):
+        # A config resolved for 3 nodes carries N = 6; reusing it at n = 10
+        # must not run every detector with N below the processor count.
+        for config in (fast_sim().resolve(3), fast_sim(upper_bound_n=5)):
+            with pytest.raises(SimulationError, match="upper_bound_n"):
+                build_cluster(n=10, seed=1, config=config)
+            with pytest.raises(SimulationError, match="upper_bound_n"):
+                RuntimeCluster(n=10, seed=1, config=config)
+        spec = get_scenario("flash_join_wave")
+        assert (spec.n, spec.config.upper_bound_n) == (4, 20)
+        cluster = build_cluster(n=spec.n, seed=0, config=spec.config)
+        assert {
+            node.failure_detector.upper_bound_n for node in cluster.nodes.values()
+        } == {20}
 
     def test_config_shared_by_late_joiners(self):
         cluster = quick_cluster(3, seed=9, gossip_refresh_interval=7)

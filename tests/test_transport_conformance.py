@@ -1,7 +1,7 @@
 """Transport conformance: one battery, two backends.
 
 Every test here runs the *same scenario* against both
-:class:`repro.transport.sim.SimTransport` (discrete-event simulator) and
+:class:`repro.sim.simulator.Simulator` (discrete-event simulator) and
 :class:`repro.runtime.transport.AsyncioTransport` (UDP/localhost event
 loop), asserting the behavioural contract of
 :class:`repro.transport.base.Transport` that the protocol stack relies on:
@@ -72,9 +72,9 @@ def _drive_sim(probes: Sequence[Probe], schedule: Schedule, horizon: float) -> A
         simulator.add_process(probe)
     for at, action in schedule:
         simulator.run(until=at)
-        action(simulator.transport)
+        action(simulator)
     simulator.run(until=horizon)
-    return simulator.transport
+    return simulator
 
 
 def _drive_asyncio(probes: Sequence[Probe], schedule: Schedule, horizon: float) -> Any:
@@ -113,9 +113,9 @@ def _drive_sim_fifo(probes: Sequence[Probe], schedule: Schedule, horizon: float)
         simulator.add_process(probe)
     for at, action in schedule:
         simulator.run(until=at)
-        action(simulator.transport)
+        action(simulator)
     simulator.run(until=horizon)
-    return simulator.transport
+    return simulator
 
 
 DRIVERS = {"sim": _drive_sim, "asyncio": _drive_asyncio}
@@ -127,7 +127,7 @@ def crash(transport: Any, pid: int) -> None:
     if hasattr(transport, "crash_node"):
         transport.crash_node(pid)
     else:
-        transport.simulator.crash_process(pid)
+        transport.crash_process(pid)
 
 
 @pytest.fixture(params=sorted(DRIVERS))
@@ -306,7 +306,7 @@ def test_process_rng_streams_are_backend_independent():
     """``make_process_rng`` derives from ``(seed, pid)`` only."""
     simulator = Simulator(seed=SEED)
     sim_draws = {
-        pid: [simulator.transport.make_process_rng(pid).random() for _ in range(5)]
+        pid: [simulator.make_process_rng(pid).random() for _ in range(5)]
         for pid in (0, 3, 7)
     }
 

@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test bench bench-micro scenarios-smoke audit-gate audit-tiers audit-warm-check spine-pairs
+.PHONY: test bench bench-micro scenarios-smoke audit-gate audit-tiers spine-pairs
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -45,16 +45,6 @@ audit-gate:
 audit-tiers:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.audit --matrix n24 --workers 4 --output AUDIT_n24.json
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.audit --matrix n128 --workers 2 --output AUDIT_n128.json
-
-# Warm-cache CI check: the smoke matrix twice against one shared cache
-# directory — the second run must answer >= 90% of cells from the store with
-# verdicts byte-identical to the first (python -m repro.audit.store check).
-audit-warm-check:
-	rm -rf .audit_cache_ci
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.audit --matrix smoke --workers 4 --cache-dir .audit_cache_ci --output AUDIT_smoke_cold.json
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.audit --matrix smoke --workers 4 --cache-dir .audit_cache_ci --output AUDIT_smoke_warm.json
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.audit.store check AUDIT_smoke_warm.json --against AUDIT_smoke_cold.json --min-hit-rate 0.9
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.audit.store stats --cache-dir .audit_cache_ci
 
 # The paired protocol behind every claimed gain: `git archive` BASE and CHANGE
 # (default HEAD; `git stash create` names an uncommitted tree) into a scratch

@@ -16,11 +16,9 @@ seeds, so a run certifies the matrix and then compares it against
 :func:`~repro.audit.harness.build_cases` and
 :func:`~repro.audit.harness.certify` directly.
 
-Sweeps run against a persistent content-addressed cache (``.audit_cache/``
-by default): unchanged cells are answered from disk and warm pre-corruption
-prefixes are resumed from stored snapshots, so re-running a matrix after an
-edit only recomputes what the edit could have changed.  ``--no-cache``
-disables it and ``python -m repro.audit.store stats`` inspects the store.
+Every run recomputes the whole matrix; within the one sweep, cases that
+share a pre-corruption prefix resume one warm in-memory snapshot instead of
+each bootstrapping (:mod:`repro.audit.harness`).
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ from repro.audit.schedulers import (
     get_scheduler,
     static_schedulers,
 )
-from repro.audit.store import DEFAULT_CACHE_DIR, SweepStore
 from repro.sim.config import coherent_start
 
 #: Every registered traitor behavior at once (f = 1 < n/3 at n = 5).
@@ -196,24 +193,6 @@ def _render(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _print_cache(meta: dict) -> None:
-    """One-line cache summary after a sweep (hits, warm prefixes, salt)."""
-    cache = (meta or {}).get("cache") or {}
-    if not cache.get("enabled"):
-        return
-    total = cache.get("hits", 0) + cache.get("misses", 0)
-    stale = cache.get("stale_results", 0) + cache.get("stale_snapshots", 0)
-    line = (
-        f"[audit] cache: {cache.get('hits', 0)}/{total} result hits "
-        f"({cache.get('hit_rate', 0.0):.0%}), "
-        f"{cache.get('snapshot_hits', 0)} prefix snapshot(s) from disk, "
-        f"salt {cache.get('salt')}"
-    )
-    if stale:
-        line += f"; {stale} stale row(s) from other salts (prune to reclaim)"
-    print(line)
-
-
 def _print_list() -> None:
     print("matrices:")
     for name, (cases, seeds) in MATRICES.items():
@@ -243,19 +222,6 @@ def main(argv=None) -> int:
         help="list matrices, schedulers and Byzantine behaviors and exit",
     )
     parser.add_argument("--workers", type=int, default=1, help="worker processes")
-    cache = parser.add_mutually_exclusive_group()
-    cache.add_argument(
-        "--cache-dir",
-        default=str(DEFAULT_CACHE_DIR),
-        help=f"persistent sweep cache (default: {DEFAULT_CACHE_DIR}; fingerprints "
-        "fold in a source-tree salt, so any change under src/repro invalidates "
-        "every cached row)",
-    )
-    cache.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="run without the persistent cache (no reads, no writes)",
-    )
     parser.add_argument("--output", default=None, help="write the verdict JSON here")
     parser.add_argument(
         "--pin",
@@ -269,14 +235,8 @@ def main(argv=None) -> int:
         return 0
 
     cases, seeds = MATRICES[args.matrix]
-    store = None if args.no_cache else SweepStore(args.cache_dir)
-    try:
-        report = certify(cases, seeds=seeds, workers=args.workers, store=store)
-    finally:
-        if store is not None:
-            store.close()
+    report = certify(cases, seeds=seeds, workers=args.workers)
     print(_render(report))
-    _print_cache(report.get("meta") or {})
     if args.output:
         path = Path(args.output)
         path.write_text(json.dumps(report, indent=2, sort_keys=True, default=str) + "\n")

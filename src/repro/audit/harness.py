@@ -24,9 +24,13 @@ each distinct ``(prefix, simulator seed)`` once, snapshots it right before
 the first event at ``corrupt_at`` (:class:`~repro.sim.snapshot.SimSnapshot`),
 and fans the corruption cases out from the warm snapshot — the dominant cost
 of a matrix drops from O(cases) bootstraps to O(distinct prefixes).  The
-``fork``-based worker pool inherits parent-captured snapshots copy-on-write.
-Warm results are byte-identical to cold ones (pinned by the test-suite);
-``reuse_prefix=False`` forces the historical cold path.
+``fork``-based worker pool inherits parent-captured snapshots copy-on-write;
+they live only for the one sweep.  A group goes warm only when it has at
+least ``max(2, parallelism)`` cases, the point where one serial bootstrap in
+the parent beats the pool's parallel cold ones.  Warm results are
+byte-identical to cold ones: :func:`report_bytes` of the two reports is
+equal (pinned by the test-suite), and ``reuse_prefix=False`` forces the cold
+reference path.
 
 A run that fails certification is handed to :func:`shrink_case`, which
 re-runs the deterministic corruption plan with ddmin-style subset bisection
@@ -38,6 +42,7 @@ across all its probe runs, so each ddmin trial skips bootstrap too.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import os
 import statistics
@@ -61,12 +66,6 @@ from repro.scenarios.workloads import (
     ArbitraryStateWorkload,
     RBBroadcastWorkload,
     SMRCommandWorkload,
-)
-from repro.audit.store import (
-    SweepStore,
-    fingerprint_cell,
-    fingerprint_prefix,
-    source_tree_salt,
 )
 from repro.sim.snapshot import SimSnapshot
 
@@ -491,7 +490,8 @@ def certify(
     shrink_failures: bool = True,
     max_shrink_trials: int = 64,
     reuse_prefix: bool = True,
-    store: Optional[SweepStore] = None,
+    *,
+    store: None = None,
 ) -> Dict[str, Any]:
     """Sweep ``cases x seeds``; return the JSON-serializable audit report.
 
@@ -503,25 +503,17 @@ def certify(
     are fanned out from one warm :class:`~repro.sim.snapshot.SimSnapshot` per
     ``(prefix, simulator seed)`` instead of each paying a full bootstrap;
     results are byte-identical to the cold path.  Snapshots are built in the
-    parent, serially (a snapshot is plain bytes and could travel to a worker,
-    but the forked pool inherits the whole table for free), so without a
-    persistent store a group only goes warm when its fan-out beats that
-    serial cost: at least 2 cases per prefix, and at least one case per
-    *actually available* core the pool could otherwise use for parallel cold
-    bootstraps.
-
-    With a *store* (:class:`~repro.audit.store.SweepStore`), the sweep is
-    **incremental across invocations**: every ``(case, seed)`` cell is first
-    looked up by its content-addressed fingerprint and cache hits replay the
-    stored deterministic entry instead of dispatching a run; only the misses
-    reach the matrix.  Pre-corruption prefix snapshots are read from and
-    written back to the store's disk-backed snapshot table, so warm prefixes
-    survive across processes and machines too (any group with >= 2 pending
-    members is worth persisting, since the snapshot outlives the process).
-    Any source change under ``src/repro`` rotates the fingerprint salt and
-    every lookup misses — stale cells are counted, never consulted.
-    ``meta.cache`` reports hit/miss/invalidation counts either way.
+    parent, serially, and the forked pool inherits the whole table, so a
+    group only goes warm when its fan-out beats that serial cost: at least
+    ``max(2, parallelism)`` cases per prefix, where *parallelism* is the
+    number of *actually available* cores the pool could otherwise use for
+    parallel cold bootstraps.
     """
+    # The frozen benchmark (benchmarks/spine/workloads.py, audit_recovery)
+    # still passes ``store=None``; this one-value keyword exists only so that
+    # call keeps working until the next benchmark change (ROADMAP item 6(f)).
+    if store is not None:
+        raise TypeError("certify() has no sweep store; store must be None")
     wall_start = time.perf_counter()
     by_name: Dict[str, AuditCase] = {}
     for case in cases:
@@ -536,116 +528,40 @@ def certify(
         cores = os.cpu_count() or 1
     parallelism = max(1, min(workers, cores, len(by_name) * max(1, len(seeds))))
 
-    # ------------------------------------------------------------------
-    # Cache lookup: serve every content-addressed hit from the store and
-    # dispatch only the misses.  The fingerprint covers the fully-resolved
-    # case, the simulator seed and the source-tree salt, so a hit is exactly
-    # a cell whose inputs (code included) have not changed.
-    # ------------------------------------------------------------------
-    salt = source_tree_salt() if store is not None else None
-    fingerprints: Dict[Tuple[str, int], str] = {}
-    cached_entries: List[Dict[str, Any]] = []
-    snapshot_hits = 0
-    snapshots_written = 0
-    if store is not None:
-        miss_jobs: List[Tuple[str, int]] = []
-        for case in by_name.values():
-            for seed in seeds:
-                fingerprint = fingerprint_cell(case, seed, salt)
-                fingerprints[(case.name, seed)] = fingerprint
-                entry = store.get_result(fingerprint)
-                if entry is not None:
-                    cached_entries.append(entry)
-                else:
-                    miss_jobs.append((case.name, seed))
-    else:
-        miss_jobs = [
-            (case.name, seed) for case in by_name.values() for seed in seeds
-        ]
-    miss_set = set(miss_jobs)
-
-    if reuse_prefix and miss_jobs:
+    if reuse_prefix:
         for case in by_name.values():
             groups.setdefault(prefix_key(case), []).append(case)
         _WARM_CASES.clear()
         _WARM_SNAPSHOTS.clear()
         _WARM_CASES.update(by_name)
         for key, members in groups.items():
+            # Building costs one serial parent bootstrap, which must beat
+            # the pool's parallel cold bootstraps of the same members.
+            if len(members) < max(2, parallelism):
+                continue
             for seed in seeds:
-                pending = [case for case in members if (case.name, seed) in miss_set]
-                if not pending:
-                    continue
-                snapshot = None
-                prefix_fp = fingerprint_prefix(key, salt) if store is not None else None
-                if store is not None:
-                    # Disk-warm prefix: loading a pickled snapshot costs
-                    # milliseconds, so a hit is worth taking at any fan-out.
-                    snapshot = store.get_snapshot(prefix_fp, seed)
-                    if snapshot is not None:
-                        snapshot_hits += 1
-                if snapshot is None:
-                    # Building costs one serial parent bootstrap.  In-memory
-                    # only, it must beat the pool's parallel cold bootstraps
-                    # (>= max(2, parallelism) members); persisted, it outlives
-                    # the process, so any real sharing (>= 2) already pays.
-                    threshold = 2 if store is not None else max(2, parallelism)
-                    if len(pending) < threshold:
-                        continue
-                    snapshot = prefix_snapshot(members[0], seed)
-                    if snapshot is not None and store is not None:
-                        store.put_snapshot(prefix_fp, seed, snapshot, salt)
-                        snapshots_written += 1
+                snapshot = prefix_snapshot(members[0], seed)
                 if snapshot is not None:
                     _WARM_SNAPSHOTS[(key, seed)] = snapshot
-                    warm_jobs += len(pending)
+                    warm_jobs += len(members)
         if _WARM_SNAPSHOTS:
             job_runner = _warm_job
     try:
-        names = list(by_name)
-        if miss_jobs:
-            sweep = run_matrix(
-                names,
-                seeds=seeds,
-                workers=workers,
-                job_runner=job_runner,
-                jobs=miss_jobs,
-            )
-            sweep_results = sweep["results"]
-            sweep_meta = sweep["meta"]
-        else:
-            # Every cell was served from the cache; there is no sweep.
-            sweep_results = []
-            sweep_meta = {"workers": 0, "sweep": {"jobs": 0, "fully_cached": True}}
-        if store is not None:
-            for entry in sweep_results:
-                # Entries carrying an "error" are not deterministic facts
-                # about the cell (worker death, transient OOM) — never cache
-                # them, so the next invocation retries.
-                if entry.get("error"):
-                    continue
-                store.put_result(
-                    fingerprints[(entry["scenario"], entry["seed"])],
-                    entry["scenario"],
-                    entry["seed"],
-                    entry,
-                    salt,
-                )
-        results = sorted(
-            cached_entries + sweep_results,
-            key=lambda entry: (entry["scenario"], entry["seed"]),
+        sweep = run_matrix(
+            list(by_name), seeds=seeds, workers=workers, job_runner=job_runner
         )
         verdicts = [
             _verdict(entry, corrupt_at=by_name[entry["scenario"]].corrupt_at)
-            for entry in results
+            for entry in sweep["results"]
         ]
         failures = [v for v in verdicts if not v["certified"]]
         report: Dict[str, Any] = {
             "meta": {
                 "cases": sorted(by_name),
                 "seeds": list(seeds),
-                "workers": sweep_meta["workers"],
+                "workers": sweep["meta"]["workers"],
                 "runs": len(verdicts),
-                "sweep": sweep_meta["sweep"],
+                "sweep": sweep["meta"]["sweep"],
                 # Warm prefix sharing: how many distinct pre-corruption
                 # prefixes the matrix had, and how many of its runs resumed
                 # a snapshot instead of bootstrapping from scratch.
@@ -655,17 +571,6 @@ def certify(
                     "snapshots": len(_WARM_SNAPSHOTS) if reuse_prefix else 0,
                     "warm_runs": warm_jobs,
                 },
-                # The persistent sweep cache: cells served without dispatch,
-                # cells recomputed, disk-warm prefix traffic, and how many
-                # stored rows the current source-tree salt invalidates.
-                "cache": _cache_meta(
-                    store,
-                    salt,
-                    hits=len(cached_entries),
-                    misses=len(miss_jobs),
-                    snapshot_hits=snapshot_hits,
-                    snapshots_written=snapshots_written,
-                ),
                 # Runs where bootstrap overran corrupt_at: those certify
                 # convergence from a corrupted bootstrap state, not
                 # re-convergence of a converged system.
@@ -690,7 +595,6 @@ def certify(
                     snapshot=_WARM_SNAPSHOTS.get(
                         (prefix_key(by_name[v["case"]]), v["seed"])
                     ),
-                    store=store,
                 )
                 for v in failures
             ]
@@ -705,35 +609,6 @@ def certify(
             # raised.
             _WARM_CASES.clear()
             _WARM_SNAPSHOTS.clear()
-
-
-def _cache_meta(
-    store: Optional[SweepStore],
-    salt: Optional[str],
-    hits: int,
-    misses: int,
-    snapshot_hits: int,
-    snapshots_written: int,
-) -> Dict[str, Any]:
-    """The ``meta.cache`` section of a sweep report."""
-    if store is None:
-        return {"enabled": False}
-    stats = store.stats(salt)
-    return {
-        "enabled": True,
-        "dir": str(store.directory),
-        "salt": salt,
-        "hits": hits,
-        "misses": misses,
-        "hit_rate": round(hits / (hits + misses), 4) if (hits + misses) else None,
-        "snapshot_hits": snapshot_hits,
-        "snapshots_written": snapshots_written,
-        # Invalidation counts: rows stored under *other* source-tree salts.
-        # They are never consulted (the salt is folded into every
-        # fingerprint); `python -m repro.audit.store prune` reclaims them.
-        "stale_results": stats["stale_results"],
-        "stale_snapshots": stats["stale_snapshots"],
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -772,6 +647,66 @@ def stabilization_distribution(verdicts: Sequence[Dict[str, Any]]) -> Dict[str, 
 
 
 # ---------------------------------------------------------------------------
+# The deterministic report surface
+# ---------------------------------------------------------------------------
+#: Result-entry keys that are *not* part of the deterministic surface: wall
+#: clock depends on machine load and worker pids on the OS.  They are
+#: scrubbed before any byte-comparison.
+VOLATILE_KEYS = frozenset({"wall_seconds", "worker_pid"})
+
+
+def scrub_volatile(value: Any) -> Any:
+    """A deep copy of *value* with every volatile key removed.
+
+    Two executions of the same cell differ only in wall clock and worker
+    identity, so what remains is the deterministic surface.
+    """
+    if isinstance(value, dict):
+        return {
+            key: scrub_volatile(item)
+            for key, item in value.items()
+            if key not in VOLATILE_KEYS
+        }
+    if isinstance(value, list):
+        return [scrub_volatile(item) for item in value]
+    return value
+
+
+def deterministic_report(report: Dict[str, Any]) -> Dict[str, Any]:
+    """The byte-comparable projection of a ``certify`` report.
+
+    Everything load- or machine-dependent is dropped (wall clock, worker
+    accounting, prefix-reuse counts); what remains — the verdicts,
+    stabilization distribution, failure list and matrix identity — must
+    serialize identically for two sweeps of the same code and inputs,
+    however they were scheduled: serial or parallel, warm or cold.
+    """
+    meta = report.get("meta", {})
+    projected: Dict[str, Any] = {
+        "meta": {
+            "cases": meta.get("cases"),
+            "seeds": meta.get("seeds"),
+            "runs": meta.get("runs"),
+            "corrupted_mid_bootstrap": meta.get("corrupted_mid_bootstrap"),
+        },
+        "certified": report.get("certified"),
+        "failed": report.get("failed"),
+        "verdicts": scrub_volatile(report.get("verdicts", [])),
+        "stabilization": scrub_volatile(report.get("stabilization", {})),
+    }
+    if "reproducers" in report:
+        projected["reproducers"] = scrub_volatile(report["reproducers"])
+    return projected
+
+
+def report_bytes(report: Dict[str, Any]) -> bytes:
+    """Canonical bytes of a report's deterministic projection."""
+    return json.dumps(
+        deterministic_report(report), sort_keys=True, separators=(",", ":"), default=str
+    ).encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
 # Shrinking
 # ---------------------------------------------------------------------------
 def _fails(result: Dict[str, Any]) -> bool:
@@ -796,7 +731,6 @@ def shrink_case(
     max_trials: int = 64,
     reuse_prefix: bool = True,
     snapshot: Optional[SimSnapshot] = None,
-    store: Optional[SweepStore] = None,
 ) -> Dict[str, Any]:
     """Shrink *case*'s corruption plan to a minimal failing subset (ddmin).
 
@@ -811,21 +745,10 @@ def shrink_case(
     resumes the warm copy per trial — a ddmin pass over a hundred atoms pays
     for one bootstrap instead of dozens.  A caller that already holds the
     matching prefix *snapshot* (``certify`` does, for failures of a warm
-    sweep) can pass it in to skip even that one bootstrap; with a persistent
-    *store*, the prefix is read from (or written back to) the disk snapshot
-    table, so repeated shrink sessions — across processes — never pay the
-    bootstrap again.
+    sweep) can pass it in to skip even that one bootstrap.
     """
     if snapshot is None and reuse_prefix:
-        prefix_fp = (
-            fingerprint_prefix(prefix_key(case)) if store is not None else None
-        )
-        if store is not None:
-            snapshot = store.get_snapshot(prefix_fp, seed)
-        if snapshot is None:
-            snapshot = prefix_snapshot(case, seed)
-            if snapshot is not None and store is not None:
-                store.put_snapshot(prefix_fp, seed, snapshot)
+        snapshot = prefix_snapshot(case, seed)
     plan_kind = _plan_kind(case)
     full = run_case(case, seed, snapshot=snapshot)
     total = _plan_size(full, kind=plan_kind)

@@ -327,7 +327,6 @@ def run_matrix(
     seeds: Sequence[int],
     workers: int = 1,
     job_runner: Optional[JobRunner] = None,
-    jobs: Optional[Sequence[Sequence[Any]]] = None,
 ) -> Dict[str, Any]:
     """Run every ``scenario × seed`` combination, optionally in parallel.
 
@@ -335,12 +334,6 @@ def run_matrix(
     ``(scenario, seed)`` regardless of completion order.  Scenario *specs*
     (not just names) are accepted with ``workers == 1``; a parallel sweep
     requires registered names so workers can resolve them locally.
-
-    An explicit *jobs* list of ``(scenario name, seed)`` pairs replaces the
-    full cross product — the persistent sweep cache dispatches only its
-    cache *misses* this way, which are a sparse subset of the grid.  Every
-    job's scenario must still appear in *scenarios* (validation and
-    name-resolution run over the declared scenario list either way).
 
     Parallel sweeps use a persistent pool of forked workers pulling from one
     shared work queue — a slow job delays only itself, not a statically
@@ -351,15 +344,7 @@ def run_matrix(
     from repro.scenarios.library import get_scenario
 
     names = [ref if isinstance(ref, str) else ref.name for ref in scenarios]
-    if jobs is None:
-        jobs = [(name, seed) for name in names for seed in seeds]
-    else:
-        jobs = [tuple(job) for job in jobs]
-        unknown = sorted({job[0] for job in jobs} - set(names))
-        if unknown:
-            raise ValueError(
-                f"explicit jobs name scenarios not in the declared list: {unknown}"
-            )
+    jobs = [(name, seed) for name in names for seed in seeds]
     effective_workers = max(1, min(workers, len(jobs)))
     for ref in scenarios:
         if isinstance(ref, str):
@@ -398,7 +383,7 @@ def run_matrix(
         task_queue = context.Queue()
         result_queue = context.Queue()
         for job in jobs:
-            task_queue.put(tuple(job))
+            task_queue.put(job)
         for _ in range(effective_workers):
             task_queue.put(None)  # one shutdown sentinel per worker
         processes = [

@@ -22,10 +22,8 @@ through ``fork``.
 How it works
 ------------
 A snapshot *is* its pickle bytes: ``capture`` is one ``dumps`` of the object
-graph, ``restore`` is one ``loads``, and :meth:`SimSnapshot.to_bytes` hands
-out the very bytes it holds — the in-memory warm prefix of a sweep and the
-row in the disk-backed store (:mod:`repro.audit.store`) are the same thing.
-Three properties of the codebase make that sound:
+graph and ``restore`` is one ``loads``.  Three properties of the codebase
+make that sound:
 
 * **No foreign closures in live state.**  Everything the event queue or any
   long-lived structure holds is either a bound method, an
@@ -145,8 +143,7 @@ class SimSnapshot:
     :class:`~repro.scenarios.runner.ScenarioRun` (the most useful unit: it
     carries the monitor/tracker hooks and the phase machine's resume state
     along with the cluster).  Each ``restore()`` yields an independent copy;
-    the snapshot holds only bytes, so it can fan out any number of runs and
-    cross process and machine boundaries as it is.
+    the snapshot holds only bytes, so it can fan out any number of runs.
     """
 
     def __init__(self, blob: bytes) -> None:
@@ -165,24 +162,6 @@ class SimSnapshot:
         _rekey_in_flight(_find_simulator(restored))
         self._restores += 1
         return restored
-
-    def to_bytes(self) -> bytes:
-        """The captured bytes, for disk/wire transport.
-
-        The persistent sweep cache (:mod:`repro.audit.store`) stores these
-        bytes keyed by a content-addressed prefix fingerprint, which is what
-        lets warm prefixes cross process and machine boundaries.
-        """
-        return self._blob
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "SimSnapshot":
-        """Rebuild a snapshot from :meth:`to_bytes` output.
-
-        Nothing is decoded until :meth:`restore`.  Only feed this trusted
-        bytes — pickle executes the constructors of whatever it decodes.
-        """
-        return cls(blob)
 
     @property
     def restores(self) -> int:

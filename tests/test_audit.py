@@ -5,12 +5,13 @@ probes issued after ``now > 2000`` used to time out instantly), the
 interval-based violation recording of :class:`InvariantMonitor`, the
 ``run_matrix`` worker-collection hardening, the arbitrary-state generator's
 determinism and closure, the adversarial schedulers, and the certification
-harness with reproducer shrinking.
+harness with reproducer shrinking and its byte-comparable report projection.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
@@ -22,9 +23,16 @@ from repro.audit.arbitrary_state import (
     generate_plan,
     plan_summary,
 )
-from repro.audit.harness import AuditCase, build_cases, certify, run_case, shrink_case
+from repro.audit.harness import (
+    AuditCase,
+    build_cases,
+    certify,
+    deterministic_report,
+    report_bytes,
+    run_case,
+    shrink_case,
+)
 from repro.audit.schedulers import available_schedulers, get_scheduler
-from repro.audit.store import report_bytes
 from repro.scenarios import ArbitraryStateWorkload, ScenarioSpec, run_scenario
 from repro.scenarios.runner import _unfinished_jobs, prepare
 from repro.sim.cluster import build_cluster
@@ -416,6 +424,10 @@ class TestAuditHarness:
         assert hashlib.sha256(report_bytes(report)).hexdigest() == (
             "e674463240c5960422d704c6f57ec52990a47e6244c3f6d5977d3e93ccb71738"
         )
+        # ``store`` survives only for the benchmark's call above: None is its
+        # one accepted value.
+        with pytest.raises(TypeError):
+            certify(cases[:1], seeds=[89], store=object())
 
     def test_certify_sweep_all_schedulers(self):
         cases = build_cases(corruption_seeds=[0])
@@ -484,6 +496,32 @@ class TestAuditHarness:
         report = result["workload_reports"][0]
         assert report["atoms_selected"] == 3
         assert report["atoms_total"] > 3
+
+
+# ---------------------------------------------------------------------------
+# The deterministic report surface: sweeps byte-compare equal
+# ---------------------------------------------------------------------------
+def _report_cases():
+    return build_cases(schedulers=["uniform"], corruption_seeds=[0, 1])
+
+
+class TestDeterministicReport:
+    def test_serial_and_parallel_runs_byte_compare_equal(self):
+        cases = _report_cases()
+        serial = certify(cases, seeds=[0, 1], workers=1)
+        parallel = certify(cases, seeds=[0, 1], workers=2)
+        assert report_bytes(serial) == report_bytes(parallel)
+
+    def test_projection_drops_scheduling_meta_only(self):
+        report = certify(_report_cases(), seeds=[0])
+        det = deterministic_report(report)
+        assert "wall_seconds" not in json.dumps(det)
+        assert "worker_pid" not in json.dumps(det)
+        for key in ("sweep", "workers", "prefix_reuse"):
+            assert key not in det["meta"]
+        assert det["certified"] == report["certified"]
+        assert len(det["verdicts"]) == len(report["verdicts"])
+        assert det["meta"]["runs"] == report["meta"]["runs"]
 
 
 # ---------------------------------------------------------------------------

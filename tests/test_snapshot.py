@@ -22,6 +22,7 @@ from repro.audit.harness import (
     certify,
     prefix_key,
     prefix_snapshot,
+    report_bytes,
     run_case,
     shrink_case,
 )
@@ -51,15 +52,6 @@ def _strip_wall(result):
     if "window" in result:
         result["window"].pop("wall_seconds", None)
     return result
-
-
-def _strip_report(report):
-    """Audit report minus timing/scheduling meta (not part of determinism)."""
-    report = copy.deepcopy(report)
-    report["meta"].pop("wall_seconds", None)
-    report["meta"].pop("sweep", None)
-    report["meta"].pop("prefix_reuse", None)
-    return report
 
 
 def _snapshot_spec(stack: str) -> ScenarioSpec:
@@ -196,18 +188,6 @@ class TestSnapshotDeterminism:
 # A snapshot is its pickle bytes
 # ---------------------------------------------------------------------------
 class TestByteSnapshots:
-    def test_to_bytes_is_the_captured_bytes(self):
-        run = prepare(_snapshot_spec("bare"), seed=0)
-        drive(run, stop_before=20.0)
-        snapshot = SimSnapshot.capture(run)
-        blob = snapshot.to_bytes()
-        assert isinstance(blob, bytes)
-        assert snapshot.to_bytes() is blob  # held, not re-serialized
-        snapshot.restore()
-        assert snapshot.to_bytes() is blob  # restoring decodes, never rewrites
-        assert SimSnapshot.from_bytes(blob).to_bytes() == blob
-        assert SimSnapshot.from_bytes(blob).now == run.cluster.simulator.now
-
     def test_method_wrapped_under_another_name_survives_the_round_trip(self, monkeypatch):
         """A class-level wrapper installed without ``functools.wraps`` (the
         benchmark's tracing spans) gives every bound method it produces the
@@ -231,8 +211,7 @@ class TestByteSnapshots:
         listeners = run.cluster.nodes[0].heartbeat._heartbeat_listeners
         assert [listener.__func__.__name__ for listener in listeners] == ["traced"]
 
-        blob = SimSnapshot.capture(run).to_bytes()
-        restored = SimSnapshot.from_bytes(blob).restore()
+        restored = SimSnapshot.capture(run).restore()
         node = restored.cluster.nodes[0]
         (listener,) = node.heartbeat._heartbeat_listeners
         assert listener.__self__ is node.failure_detector
@@ -278,7 +257,7 @@ class TestWarmPrefixSharing:
         seeds = [0, 1]
         cold = certify(cases, seeds=seeds, shrink_failures=False, reuse_prefix=False)
         warm = certify(cases, seeds=seeds, shrink_failures=False, reuse_prefix=True)
-        assert _strip_report(warm) == _strip_report(cold)
+        assert report_bytes(warm) == report_bytes(cold)
         reuse = warm["meta"]["prefix_reuse"]
         assert reuse["enabled"] and reuse["distinct_prefixes"] == 2
         # 2 prefixes x 2 seeds snapshots, every one of the 12 runs warm.
@@ -293,7 +272,7 @@ class TestWarmPrefixSharing:
         )
         cold = certify(cases, seeds=[0], shrink_failures=False, reuse_prefix=False)
         warm = certify(cases, seeds=[0], shrink_failures=False, reuse_prefix=True)
-        assert _strip_report(warm) == _strip_report(cold)
+        assert report_bytes(warm) == report_bytes(cold)
 
     def test_single_run_prefixes_stay_cold(self):
         cases = build_cases(schedulers=["uniform", "slow_node"], corruption_seeds=[0])

@@ -252,7 +252,7 @@ def test_ledger_refresh_of_a_dirty_converged_node(benchmark):
     assert result["converged"] == result["refreshes"]
 
 
-@pytest.mark.parametrize("n", [8])
+@pytest.mark.parametrize("n", [8, 32])
 def test_simulator_delivery_path(benchmark, n):
     result = benchmark.pedantic(_delivery_path_cost, args=(n, 50.0), rounds=1, iterations=1)
     record(benchmark, result)

@@ -468,7 +468,14 @@ class RecSA:
                 values.append(value)
         if not values:
             return BOTTOM
-        return min(values, key=lambda cfg: tuple(sorted(cfg)))
+        # Trusted peers almost always report one configuration: drop
+        # duplicates first (``fromkeys`` keeps the first object seen, which
+        # is the one ``min`` picks among equal values) and sort members only
+        # when distinct values remain.
+        distinct = list(dict.fromkeys(values))
+        if len(distinct) == 1:
+            return distinct[0]
+        return min(distinct, key=lambda cfg: tuple(sorted(cfg)))
 
     def no_reco(self) -> bool:
         """True when no reconfiguration (brute-force or delicate) is in progress.

@@ -13,10 +13,11 @@ first-class, programmable layer:
   static schedulers install) over *link policies* (pair-keyed functions that
   shape channels created later, so **late joiners inherit the active
   shaping**) over the network default.  Resolution is *pull-based and
-  memoized*: the network reads every channel's config through
-  :meth:`resolve`, a per-pair cache invalidated (and :attr:`version` bumped)
-  by every layer mutation — the steady-state send path pays one dict lookup
-  and a mutation is O(1) instead of a re-sync walk;
+  memoized*: the network reads a channel's config through :meth:`resolve`,
+  a per-pair cache invalidated (and :attr:`version` bumped) by every layer
+  mutation, which also empties the network's route table — the steady-state
+  send path pays one dict lookup and a mutation is O(1) instead of a
+  re-sync walk;
 * **partitions** — *named*, *directed* and optionally *leaky*: one-way
   blocks, per-partition heal, and a leak probability that lets an occasional
   packet cross (fair communication is preserved whenever every blocking
@@ -27,7 +28,8 @@ first-class, programmable layer:
   what the environment did and when.
 
 The environment is owned by the :class:`~repro.sim.network.Network` (which
-consults it on every channel creation and every send) and bound to the
+consults it on every channel creation, after every mutation, and on every
+send while a partition is installed) and bound to the
 :class:`~repro.sim.simulator.Simulator`'s clock and event queue at simulator
 construction.  Randomness (leak draws) comes from a dedicated seeded stream,
 so installing a leak-free environment program never perturbs the delivery
@@ -185,10 +187,13 @@ class NetworkEnvironment:
         return config
 
     def _invalidate_resolution(self) -> None:
-        """A config-affecting layer changed: drop every memoized pair."""
+        """A config-affecting layer changed: drop every memoized pair, and
+        the network's route table that was filled from them."""
         self.version += 1
         if self._resolve_cache:
             self._resolve_cache.clear()
+        if self._network is not None:
+            self._network.invalidate_routes()
 
     def config_for(self, source: ProcessId, destination: ProcessId) -> Any:
         """The effective channel config of the directed pair, layer-resolved."""

@@ -7,32 +7,46 @@ per destination).
 
 Hot-path design
 ---------------
-The heap holds plain ``(time, sequence, event)`` tuples rather than rich
-comparable objects: tuple comparison short-circuits on the ``(time,
-sequence)`` prefix (the sequence number is unique, so the :class:`Event`
-record itself is never compared), which makes every sift in ``heappush`` /
-``heappop`` a C-level comparison with no Python dunder dispatch.  The
-:class:`Event` handle uses ``__slots__`` and carries an optional ``args``
-tuple so callers can schedule a shared bound method instead of allocating a
-closure per event (see ``Simulator._deliver``).
+The heap holds plain ``(time, sequence, target, item)`` tuples rather than
+rich comparable objects: tuple comparison short-circuits on the ``(time,
+sequence)`` prefix (the sequence number is unique, so the rest of the entry is
+never compared), which makes every sift in ``heappush`` / ``heappop`` a
+C-level comparison with no Python dunder dispatch.
+
+Two kinds of entry share the heap:
+
+* **Handle-less entries** (:meth:`EventQueue.push`): ``target`` is the object
+  the owner dispatches the entry to and ``item`` its argument — a simulated
+  message is ``(arrival, sequence, channel, packet)``.  Nothing is allocated
+  beyond the tuple, and nothing can cancel it: a message in flight is never
+  recalled.  Sending one message is one ``heappush``, delivering it one
+  ``heappop``.
+* **Cancellable events** (:meth:`EventQueue.schedule`, for timers and
+  ``call_at``): ``target`` is ``None`` and ``item`` an :class:`Event` handle
+  with a callback and an optional ``args`` tuple, so callers can schedule a
+  shared bound method instead of allocating a closure per event.
 
 Cancellation is O(1): the handle is flagged and skipped lazily when it
-reaches the head of the heap.  Both :meth:`Event.cancel` and
-:meth:`EventQueue.cancel` route through the same bookkeeping (the handle
-keeps a reference to its owning queue), so ``len(queue)`` is always the exact
-number of live events no matter which cancellation path or drain path
-(``peek_time`` vs ``pop``) touched the heap.
+reaches the head of the heap.  The queue counts the cancelled handles still
+in the heap, so ``len(queue)`` — heap size minus that count — is exact no
+matter which cancellation path (:meth:`Event.cancel` or
+:meth:`EventQueue.cancel`) or drain path (``peek_time`` vs ``pop``) touched
+the heap, and a handle-less push touches no counter at all.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
 
 _INF = float("inf")
 _NEG_INF = float("-inf")
+
+#: One heap entry: ``(time, sequence, target, item)``; ``target`` is ``None``
+#: for a cancellable :class:`Event` (then ``item`` is the handle).
+Entry = Tuple[float, int, Any, Any]
 
 
 class Action:
@@ -68,7 +82,7 @@ class Action:
 
 
 class Event:
-    """A scheduled callback handle.
+    """A cancellable scheduled callback handle.
 
     Attributes
     ----------
@@ -126,18 +140,32 @@ class Event:
 
 
 class EventQueue:
-    """A priority queue of :class:`Event` handles keyed by simulated time."""
+    """A priority queue of handle-less entries and :class:`Event` handles,
+    keyed by simulated time."""
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, Event]] = []
+        self._heap: List[Entry] = []
         self._next_seq = 0
-        self._live_count = 0
+        # Cancelled handles still in the heap; ``len`` subtracts them.
+        self._cancelled = 0
 
     def __len__(self) -> int:
-        return self._live_count
+        return len(self._heap) - self._cancelled
 
     def __bool__(self) -> bool:
-        return self._live_count > 0
+        return len(self._heap) > self._cancelled
+
+    def push(self, time: float, target: Any, item: Any) -> None:
+        """Insert a handle-less entry ``(time, sequence, target, item)``.
+
+        The hot path of every simulated message: no handle, no validation —
+        the caller guarantees a finite *time* (channel delays are checked
+        once, when their :class:`~repro.sim.network.ChannelConfig` is built)
+        and a non-``None`` *target*.
+        """
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        heapq.heappush(self._heap, (time, seq, target, item))
 
     def schedule(
         self,
@@ -146,7 +174,7 @@ class EventQueue:
         label: str = "",
         args: Tuple = (),
     ) -> Event:
-        """Insert a new event firing at *time* and return its handle.
+        """Insert a new cancellable event firing at *time*; return its handle.
 
         Raises :class:`SimulationError` if *time* is not a finite number.
         """
@@ -155,8 +183,7 @@ class EventQueue:
         seq = self._next_seq
         self._next_seq = seq + 1
         event = Event(time, seq, callback, args, label, self)
-        heapq.heappush(self._heap, (time, seq, event))
-        self._live_count += 1
+        heapq.heappush(self._heap, (time, seq, None, event))
         return event
 
     def schedule_many(
@@ -184,53 +211,66 @@ class EventQueue:
         for time, callback, args, label in validated:
             event = Event(time, seq, callback, args, label, self)
             if bulk:
-                heap.append((time, seq, event))
+                heap.append((time, seq, None, event))
             else:
-                heapq.heappush(heap, (time, seq, event))
+                heapq.heappush(heap, (time, seq, None, event))
             seq += 1
             created.append(event)
         if bulk and heap:
             heapq.heapify(heap)
         self._next_seq = seq
-        self._live_count += len(created)
         return created
 
     def cancel(self, event: Event) -> None:
         """Cancel *event* in O(1); it will be skipped lazily when popped.
 
         Cancelling an event that has already been popped (or dropped by
-        :meth:`clear`) is a no-op — the live count only tracks events still
-        in the heap, so it stays exact whichever order pop/cancel land in
+        :meth:`clear`) is a no-op — only handles still in the heap are
+        counted, so ``len`` stays exact whichever order pop/cancel land in
         (e.g. a process crashing itself from inside its own firing timer).
         """
         if not event.cancelled:
             event.cancelled = True
             if event._queue is self:
-                self._live_count -= 1
+                self._cancelled += 1
 
     def peek_time(self) -> Optional[float]:
-        """Return the firing time of the next live event, or ``None``."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)[2]._queue = None
-        if not heap:
-            return None
-        return heap[0][0]
-
-    def pop(self) -> Optional[Event]:
-        """Remove and return the next live event, or ``None`` if empty."""
+        """Return the time of the next live entry, or ``None``."""
         heap = self._heap
         while heap:
-            event = heapq.heappop(heap)[2]
-            event._queue = None
-            if not event.cancelled:
-                self._live_count -= 1
-                return event
+            entry = heap[0]
+            if entry[2] is None and entry[3].cancelled:
+                heapq.heappop(heap)[3]._queue = None
+                self._cancelled -= 1
+                continue
+            return entry[0]
         return None
 
+    def pop_entry(self) -> Optional[Entry]:
+        """Remove and return the next live ``(time, sequence, target, item)``
+        entry, or ``None`` if the queue is empty."""
+        heap = self._heap
+        while heap:
+            entry = heapq.heappop(heap)
+            if entry[2] is None:
+                event = entry[3]
+                event._queue = None
+                if event.cancelled:
+                    self._cancelled -= 1
+                    continue
+            return entry
+        return None
+
+    def pop(self) -> Any:
+        """Remove the next live entry and return its item — the
+        :class:`Event` handle of a scheduled event — or ``None``."""
+        entry = self.pop_entry()
+        return None if entry is None else entry[3]
+
     def clear(self) -> None:
-        """Drop every pending event."""
-        for _, _, event in self._heap:
-            event._queue = None
+        """Drop every pending entry."""
+        for entry in self._heap:
+            if entry[2] is None:
+                entry[3]._queue = None
         self._heap.clear()
-        self._live_count = 0
+        self._cancelled = 0

@@ -11,45 +11,92 @@ The paper's communication model (Section 2):
   often — realized here by loss probabilities strictly below one.
 
 A :class:`Channel` is a bounded FIFO of in-flight packets.  Delivery is driven
-by the simulator: when a packet is accepted, a delivery event is scheduled
-after a (seeded) random delay; reordering emerges from the variance of the
-delay, and duplication schedules an extra delivery of a copy.
+by the simulator's event queue: when a packet is accepted, its delivery is
+pushed onto the queue after a (seeded) random delay; reordering emerges from
+the variance of the delay, and duplication pushes an extra delivery of the
+same packet.
 
 Hot-path design
 ---------------
+One accepted copy is one ``heappush``: :meth:`Channel.try_accept` applies the
+accept rule — capacity, then the loss draw, then the delay draw, then the
+duplicate draw — and pushes each accepted copy straight onto the
+:class:`~repro.sim.events.EventQueue` as a handle-less
+``(arrival, sequence, channel, packet)`` entry, which the simulator pops and
+hands to the receiver.  There is no per-packet event handle, no callback
+between the network and the queue, and no list of deliveries; unicast sends
+and ``send_many`` bursts take the same path (a burst only swaps in the
+network's broadcast RNG stream).
+
+The network keeps a route table of the channels whose configuration is
+current: the steady-state send resolves its channel with one dict lookup, and
+an environment mutation empties the table (O(1), see
+:meth:`Network.invalidate_routes`) so the next send on each pair re-resolves
+its configuration through the environment.
+
 The in-flight set is an insertion-ordered ``dict`` keyed by packet identity,
-so accepting and completing a delivery are both O(1) (the previous ``deque``
-paid an O(cap) scan in ``remove`` per delivered packet).  Identity keys are
-required because payloads may be unhashable; the simulator always hands back
-the exact object it scheduled.  Every per-channel counter update also feeds a
-network-wide :class:`NetworkCounters` aggregate, making ``statistics()`` and
+so accepting and completing a delivery are both O(1).  Identity keys are
+required because payloads may be unhashable; the queue always hands back the
+exact object that was accepted.  Every per-channel counter update also feeds
+a network-wide :class:`NetworkCounters` aggregate, making ``statistics()`` and
 ``total_in_flight()`` O(1) instead of an O(N^2) scan over channels.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.common.rng import make_rng
 from repro.common.types import ProcessId
 from repro.common.errors import SimulationError
 from repro.sim.environment import NetworkEnvironment
+from repro.sim.events import EventQueue
 
 
-@dataclass(frozen=True)
 class Packet:
     """A low-level packet travelling on a directed channel.
 
     ``sender_label`` carries the anti-parallel data-link labelling described
     in Section 2 (packets are identified by the sender of the data link they
     belong to); higher layers usually just use ``payload``.
+
+    A slotted value class, built on every send: two packets are equal (and
+    hash alike) when their four fields are.  Nothing may mutate a packet
+    once it is sent.
     """
 
-    source: ProcessId
-    destination: ProcessId
-    payload: Any
-    sender_label: Optional[ProcessId] = None
+    __slots__ = ("source", "destination", "payload", "sender_label")
+
+    def __init__(
+        self,
+        source: ProcessId,
+        destination: ProcessId,
+        payload: Any,
+        sender_label: Optional[ProcessId] = None,
+    ) -> None:
+        self.source = source
+        self.destination = destination
+        self.payload = payload
+        self.sender_label = sender_label
+
+    def _fields(self) -> Tuple[Any, ...]:
+        return (self.source, self.destination, self.payload, self.sender_label)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"Packet(source={self.source!r}, destination={self.destination!r}, "
+            f"payload={self.payload!r}, sender_label={self.sender_label!r})"
+        )
 
 
 @dataclass
@@ -69,11 +116,12 @@ class ChannelConfig:
     duplicate_probability:
         Probability that an accepted packet is delivered twice.
     min_delay / max_delay:
-        Uniform delivery-delay bounds; a wide interval produces reordering.
+        Uniform delivery-delay bounds (finite); a wide interval produces
+        reordering.
     delay_quantum:
         When positive, the **arrival instant** of every delivery on this
-        channel is rounded up to the next multiple of this quantum (applied
-        by the simulator when it schedules the delivery event), so packets
+        channel is rounded up to the next multiple of this quantum (see
+        :meth:`Channel.arrival`), so packets
         sent at different times land together in synchronized bursts at
         quantum boundaries — the burst-delivery adversarial scheduler.
         Zero (the default) keeps continuous arrivals.
@@ -93,10 +141,10 @@ class ChannelConfig:
             raise SimulationError("loss probability must be in [0, 1)")
         if not 0.0 <= self.duplicate_probability <= 1.0:
             raise SimulationError("duplicate probability must be in [0, 1]")
-        if self.min_delay < 0 or self.max_delay < self.min_delay:
-            raise SimulationError("delay bounds must satisfy 0 <= min <= max")
-        if self.delay_quantum < 0:
-            raise SimulationError("delay quantum must be non-negative")
+        if not (0 <= self.min_delay <= self.max_delay < math.inf):
+            raise SimulationError("delay bounds must satisfy 0 <= min <= max < inf")
+        if not 0 <= self.delay_quantum < math.inf:
+            raise SimulationError("delay quantum must be non-negative and finite")
 
 
 class NetworkCounters:
@@ -116,8 +164,8 @@ class Channel:
     """A directed, bounded-capacity, unreliable channel.
 
     The channel tracks the set of in-flight packets (for capacity accounting
-    and for fault-injection snapshots) and delegates the actual timing of
-    deliveries to the owning :class:`Network`.
+    and for fault-injection snapshots) and pushes the delivery of every
+    copy it accepts onto the simulator's event queue.
     """
 
     __slots__ = (
@@ -170,40 +218,70 @@ class Channel:
         """Number of packets currently occupying channel capacity."""
         return len(self._in_flight)
 
-    def try_accept(self, packet: Packet, rng: Optional[Any] = None) -> List[Tuple[Packet, float]]:
-        """Try to accept *packet* for transmission.
+    def try_accept(
+        self, packet: Packet, now: float, events: EventQueue, rng: Optional[Any] = None
+    ) -> int:
+        """Try to accept *packet*, sent at *now*, for transmission.
 
-        Returns a list of ``(packet, delay)`` pairs to be scheduled for
-        delivery — empty when the packet was dropped (lost or channel full),
-        length two when the packet was duplicated.  *rng* overrides the
-        channel's own generator for every draw (used by the broadcast fast
-        path, which feeds one shared stream for a whole burst).
+        The accept rule, in draw order: a full channel omits the packet; an
+        accepted one may be lost (loss draw); otherwise it takes a delay
+        (delay draw, :meth:`arrival`) and may be duplicated (duplicate draw,
+        then a second delay).  Every accepted copy is pushed onto *events* as
+        a handle-less ``(arrival, sequence, self, packet)`` entry.  Returns
+        the number of copies pushed: 0 (lost or channel full), 1, or 2
+        (duplicated).  *rng* overrides the channel's own generator for every
+        draw (the broadcast path feeds one shared stream for a whole burst).
         """
         totals = self._totals
         self.sent_count += 1
         totals.sent += 1
         in_flight = self._in_flight
-        if len(in_flight) >= self.config.capacity:
+        config = self.config
+        if len(in_flight) >= config.capacity:
             # Channel full: the new packet is omitted (paper, Section 2).
             self.dropped_count += 1
             totals.dropped += 1
-            return []
+            return 0
         if rng is None:
             rng = self._rng or self._materialize_rng()
-        loss = self.config.loss_probability
+        loss = config.loss_probability
         if loss and rng.random() < loss:
             self.dropped_count += 1
             totals.dropped += 1
-            return []
+            return 0
         in_flight[id(packet)] = packet
         totals.in_flight += 1
-        deliveries = [(packet, self._draw_delay(rng))]
-        dup = self.config.duplicate_probability
+        events.push(self.arrival(now, rng), self, packet)
+        dup = config.duplicate_probability
         if dup and rng.random() < dup:
             self.duplicated_count += 1
             totals.duplicated += 1
-            deliveries.append((packet, self._draw_delay(rng)))
-        return deliveries
+            events.push(self.arrival(now, rng), self, packet)
+            return 2
+        return 1
+
+    def arrival(self, now: float, rng: Optional[Any] = None) -> float:
+        """The delivery instant of one copy sent at *now*.
+
+        ``now`` plus a delay drawn uniformly from ``[min_delay, max_delay]``
+        (no draw when the bounds coincide), rounded **up** to the next
+        multiple of ``delay_quantum`` when one is set — packets sent at
+        different times then land together in synchronized bursts.  The draw
+        is ``random.uniform``'s own arithmetic, without its call.
+        """
+        config = self.config
+        low = config.min_delay
+        high = config.max_delay
+        if high <= low:
+            time = now + low
+        else:
+            if rng is None:
+                rng = self._rng or self._materialize_rng()
+            time = now + (low + (high - low) * rng.random())
+        quantum = config.delay_quantum
+        if quantum > 0.0:
+            time = math.ceil(time / quantum) * quantum
+        return time
 
     def record_blocked(self) -> None:
         """Count a send attempt that was dropped before entering the channel
@@ -239,23 +317,6 @@ class Channel:
         self._totals.in_flight -= 1
         return True
 
-    def drop_in_flight(self) -> int:
-        """Drop every in-flight packet (used when a processor crashes)."""
-        dropped = len(self._in_flight)
-        self._in_flight.clear()
-        self.dropped_count += dropped
-        self._totals.dropped += dropped
-        self._totals.in_flight -= dropped
-        return dropped
-
-    def _draw_delay(self, rng: Optional[Any] = None) -> float:
-        lo, hi = self.config.min_delay, self.config.max_delay
-        if hi <= lo:
-            return lo
-        if rng is None:
-            rng = self._rng or self._materialize_rng()
-        return rng.uniform(lo, hi)
-
     def _materialize_rng(self) -> Any:
         rng = make_rng(self._seed, "channel", self.source, self.destination)
         self._rng = rng
@@ -270,8 +331,8 @@ class Network:
     :class:`~repro.sim.environment.NetworkEnvironment` — the time-varying
     link-state layer that holds per-pair overrides, dynamic overlays, link
     policies (so late joiners inherit the active shaping) and the directed,
-    possibly leaky partitions.  Delivery scheduling is delegated to a
-    callback installed by the :class:`~repro.sim.simulator.Simulator`.
+    possibly leaky partitions.  Accepted packets go straight onto the event
+    queue of the simulator bound with :meth:`bind`.
     """
 
     def __init__(
@@ -283,14 +344,13 @@ class Network:
         self._default_config = default_config or ChannelConfig()
         self._seed = seed
         self._channels: Dict[Tuple[ProcessId, ProcessId], Channel] = {}
+        # The channels whose config is current: the send path's one lookup.
+        self._routes: Dict[Tuple[ProcessId, ProcessId], Channel] = {}
+        self._simulator: Optional[Any] = None
         self.environment = environment or NetworkEnvironment(
             self._default_config, seed=seed
         )
         self.environment.attach(self)
-        self._schedule_delivery: Optional[Callable[[Channel, Packet, float], None]] = None
-        self._schedule_deliveries: Optional[
-            Callable[[List[Tuple[Channel, Packet, float]]], None]
-        ] = None
         self._totals = NetworkCounters()
         # Dedicated stream for batched broadcasts: every delay of a
         # ``send_many`` burst is drawn from this one RNG, consumed in send
@@ -298,21 +358,12 @@ class Network:
         # generator instead of one per destination channel.
         self._broadcast_rng = make_rng(seed, "broadcast")
 
-    def bind_scheduler(
-        self,
-        schedule_delivery: Callable[[Channel, Packet, float], None],
-        schedule_deliveries: Optional[
-            Callable[[List[Tuple[Channel, Packet, float]]], None]
-        ] = None,
-    ) -> None:
-        """Install the delivery-scheduling callbacks (done by the simulator).
-
-        ``schedule_deliveries`` is the optional bulk variant used by
-        :meth:`send_many`; when absent, bursts fall back to the per-packet
-        callback.
-        """
-        self._schedule_delivery = schedule_delivery
-        self._schedule_deliveries = schedule_deliveries
+    def bind(self, simulator: Any) -> None:
+        """Bind the simulator whose clock (``now``) and event queue
+        (``events``) accepted packets are pushed onto (done by the
+        simulator).  The object itself is held, not its queue, so
+        snapshot/restore rebinds the copy automatically."""
+        self._simulator = simulator
 
     @property
     def default_config(self) -> ChannelConfig:
@@ -331,25 +382,33 @@ class Network:
         if environment is not None:
             environment._invalidate_resolution()
 
+    def invalidate_routes(self) -> None:
+        """Forget which channels hold a current config (called by the
+        environment on every config-affecting mutation): each pair
+        re-resolves on its next send, so a mutation stays O(1) however many
+        channels exist."""
+        self._routes.clear()
+
     def channel(self, source: ProcessId, destination: ProcessId) -> Channel:
         """Return (creating if needed) the directed channel source→destination.
 
         The channel's configuration is **pulled** through the environment's
-        memoized :meth:`~repro.sim.environment.NetworkEnvironment.resolve` on
-        every access: the steady-state send path pays one cache-dict lookup,
-        a processor joining mid-run gets channels shaped by whatever program
-        is currently active, and an environment mutation (overlay push,
-        override, policy) is O(1) — it invalidates the cache instead of
-        walking and re-syncing every touched channel.
+        :meth:`~repro.sim.environment.NetworkEnvironment.resolve` the first
+        time the pair is used after an environment mutation, so a processor
+        joining mid-run gets channels shaped by whatever program is active.
         """
+        return self._routes.get((source, destination)) or self._route(source, destination)
+
+    def _route(self, source: ProcessId, destination: ProcessId) -> Channel:
         key = (source, destination)
+        config = self.environment.resolve(source, destination)
         chan = self._channels.get(key)
         if chan is None:
-            config = self.environment.resolve(source, destination)
             chan = Channel(source, destination, config, seed=self._seed, totals=self._totals)
             self._channels[key] = chan
         else:
-            chan.config = self.environment.resolve(source, destination)
+            chan.config = config
+        self._routes[key] = chan
         return chan
 
     def channels(self) -> Iterable[Channel]:
@@ -358,65 +417,54 @@ class Network:
 
     def send(self, packet: Packet) -> None:
         """Submit *packet* for transmission on its directed channel."""
-        if self._schedule_delivery is None:
-            raise SimulationError("network is not bound to a simulator")
-        chan = self.channel(packet.source, packet.destination)
+        source = packet.source
+        destination = packet.destination
+        chan = self._routes.get((source, destination)) or self._route(source, destination)
         environment = self.environment
-        if environment._blocked and not environment.permits(
-            packet.source, packet.destination
-        ):
+        if environment._blocked and not environment.permits(source, destination):
             chan.record_blocked()
             return
-        for pkt, delay in chan.try_accept(packet):
-            self._schedule_delivery(chan, pkt, delay)
+        simulator = self._simulator
+        chan.try_accept(packet, simulator.now, simulator.events)
 
     def send_many(self, source: ProcessId, payloads: Iterable[Tuple[ProcessId, Any]]) -> int:
         """Submit one packet per ``(destination, payload)`` pair as a burst.
 
-        A broadcast fast path: all delivery delays of the burst are drawn from
-        the network's dedicated broadcast RNG stream and the resulting events
-        are scheduled with one bulk call.  Returns the number of packets
-        accepted into channels.
+        A broadcast fast path: every draw of the burst comes from the
+        network's dedicated broadcast RNG stream, in send order.  Returns the
+        number of packets accepted into channels.
         """
-        if self._schedule_delivery is None:
-            raise SimulationError("network is not bound to a simulator")
+        routes = self._routes
         environment = self.environment
         blocked = environment._blocked
         rng = self._broadcast_rng
-        batch: List[Tuple[Channel, Packet, float]] = []
+        simulator = self._simulator
+        now = simulator.now
+        events = simulator.events
         accepted = 0
         for destination, payload in payloads:
-            packet = Packet(source=source, destination=destination, payload=payload)
-            chan = self.channel(source, destination)
+            packet = Packet(source, destination, payload)
+            chan = routes.get((source, destination)) or self._route(source, destination)
             if blocked and not environment.permits(source, destination):
                 chan.record_blocked()
                 continue
-            deliveries = chan.try_accept(packet, rng=rng)
-            if deliveries:
+            if chan.try_accept(packet, now, events, rng):
                 accepted += 1
-                for pkt, delay in deliveries:
-                    batch.append((chan, pkt, delay))
-        if batch:
-            if self._schedule_deliveries is not None:
-                self._schedule_deliveries(batch)
-            else:
-                for chan, packet, delay in batch:
-                    self._schedule_delivery(chan, packet, delay)
         return accepted
 
     def stuff_channel(self, source: ProcessId, destination: ProcessId, payload: Any) -> bool:
         """Inject a stale packet into a channel and schedule its delivery.
 
         Used by the transient-fault injector to model arbitrary initial
-        channel contents.  Returns ``False`` when the channel was full.
+        channel contents.  Returns ``False`` when the channel was full.  The
+        delay is drawn from the channel's own stream.
         """
-        if self._schedule_delivery is None:
-            raise SimulationError("network is not bound to a simulator")
         chan = self.channel(source, destination)
-        packet = Packet(source=source, destination=destination, payload=payload)
+        packet = Packet(source, destination, payload)
         if not chan.stuff(packet):
             return False
-        self._schedule_delivery(chan, packet, chan._draw_delay())
+        simulator = self._simulator
+        simulator.events.push(chan.arrival(simulator.now), chan, packet)
         return True
 
     def total_in_flight(self) -> int:

@@ -115,7 +115,9 @@ class Process:
             self._timer_handle = None
 
     def deliver(self, sender: ProcessId, payload: Any) -> None:
-        """Entry point used by the simulator when a packet arrives."""
+        """Entry point used by the asyncio runtime when a frame arrives
+        (:meth:`~repro.sim.simulator.Simulator.step` applies the same rule
+        inline, one call fewer per simulated message)."""
         if self.crashed or not self.started:
             return
         self.received_count += 1

@@ -8,8 +8,14 @@ The simulator owns:
 
 * the simulated clock and event queue,
 * the registry of :class:`~repro.sim.process.Process` instances,
-* the :class:`~repro.sim.network.Network` (delivery scheduling is bound here),
+* the :class:`~repro.sim.network.Network`, whose channels push every
+  accepted packet onto this event queue,
 * optional per-step hooks used by monitors and the fault injector.
+
+One simulated message costs one ``heappush`` when it is sent (by
+:meth:`~repro.sim.network.Channel.try_accept`) and one ``heappop`` when
+:meth:`Simulator.step` hands it to its receiver's ``on_receive``: a message
+has no event handle and no callback of its own.
 
 Running modes
 -------------
@@ -20,7 +26,6 @@ state holds (used heavily by the convergence experiments).
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
@@ -30,7 +35,7 @@ from repro.common.rng import make_rng
 from repro.common.types import ProcessId
 from repro.sim.environment import NetworkEnvironment
 from repro.sim.events import Event, EventQueue
-from repro.sim.network import Channel, ChannelConfig, Network, Packet
+from repro.sim.network import ChannelConfig, Network, Packet
 from repro.sim.process import Process, ProcessContext
 
 _log = get_logger("simulator")
@@ -55,7 +60,7 @@ class Simulator:
         self.now: float = 0.0
         self.events = EventQueue()
         self.network = network or Network(default_config=channel_config, seed=seed)
-        self.network.bind_scheduler(self._schedule_delivery, self._schedule_deliveries)
+        self.network.bind(self)
         # The time-varying environment layer ticks through ordinary simulator
         # events: bind this simulator as the environment's timeline (clock +
         # ``call_at``) so environment programs (adversarial schedulers,
@@ -103,20 +108,14 @@ class Simulator:
         """Processes that have started and not crashed."""
         return [p for p in self.processes.values() if p.started and not p.crashed]
 
-    def crash_process(self, pid: ProcessId, drop_in_flight: bool = False) -> None:
+    def crash_process(self, pid: ProcessId) -> None:
         """Crash (stop-fail) the process *pid*.
 
-        When *drop_in_flight* is true, packets already in flight to or from
-        the crashed process are discarded (modelling a crash that also takes
-        down its network interface); by default they are still delivered,
-        matching the paper's model in which a crash only stops future steps.
+        Packets it already sent are still delivered, matching the paper's
+        model in which a crash only stops future steps; packets reaching it
+        afterwards are dropped on arrival.
         """
-        process = self.processes[pid]
-        process.crash()
-        if drop_in_flight:
-            for chan in self.network.channels():
-                if chan.source == pid or chan.destination == pid:
-                    chan.drop_in_flight()
+        self.processes[pid].crash()
 
     # --------------------------------------------------------------- timers
     def set_timer(
@@ -152,19 +151,16 @@ class Simulator:
         interceptor = self.outbound_interceptors.get(source)
         if interceptor is not None:
             for dest, adversarial in interceptor.outgoing(destination, payload):
-                self.network.send(
-                    Packet(source=source, destination=dest, payload=adversarial)
-                )
+                self.network.send(Packet(source, dest, adversarial))
             return
-        packet = Packet(source=source, destination=destination, payload=payload)
-        self.network.send(packet)
+        self.network.send(Packet(source, destination, payload))
 
     def send_many(self, source: ProcessId, payloads: Iterable[Any]) -> int:
         """Send a burst of ``(destination, payload)`` pairs from *source*.
 
-        The broadcast fast path: delivery events are scheduled in bulk and
-        delays are drawn from the network's dedicated broadcast RNG stream.
-        Returns the number of packets accepted into channels.
+        The broadcast fast path: every draw of the burst comes from the
+        network's dedicated broadcast RNG stream.  Returns the number of
+        packets accepted into channels.
         """
         interceptor = self.outbound_interceptors.get(source)
         if interceptor is not None:
@@ -175,43 +171,6 @@ class Simulator:
             ]
         return self.network.send_many(source, payloads)
 
-    @staticmethod
-    def _arrival(now: float, delay: float, quantum: float) -> float:
-        """The delivery instant: ``now + delay``, rounded **up** to the next
-        multiple of the channel's ``delay_quantum`` when one is set — packets
-        sent at different times then land together in synchronized bursts."""
-        time = now + delay
-        if quantum > 0.0:
-            time = math.ceil(time / quantum) * quantum
-        return time
-
-    def _schedule_delivery(self, channel: Channel, packet: Packet, delay: float) -> None:
-        # The delivery event carries (channel, packet) as event args and fires
-        # the shared bound method — no per-packet closure allocation.
-        self.events.schedule(
-            self._arrival(self.now, delay, channel.config.delay_quantum),
-            self._deliver,
-            label="deliver",
-            args=(channel, packet),
-        )
-
-    def _schedule_deliveries(self, batch: Iterable[Any]) -> None:
-        now = self.now
-        deliver = self._deliver
-        arrival = self._arrival
-        self.events.schedule_many(
-            (arrival(now, delay, channel.config.delay_quantum), deliver, (channel, packet), "deliver")
-            for channel, packet, delay in batch
-        )
-
-    def _deliver(self, channel: Channel, packet: Packet) -> None:
-        channel.complete_delivery(packet)
-        process = self.processes.get(packet.destination)
-        if process is None or process.crashed or not process.started:
-            return
-        self.delivered_messages += 1
-        process.deliver(packet.source, packet.payload)
-
     # ----------------------------------------------------------------- hooks
     def add_post_step_hook(self, hook: Callable[["Simulator"], None]) -> None:
         """Run *hook(self)* after every executed event."""
@@ -219,14 +178,28 @@ class Simulator:
 
     # ------------------------------------------------------------------ run
     def step(self) -> bool:
-        """Execute a single event; return ``False`` when the queue is empty."""
-        event = self.events.pop()
-        if event is None:
+        """Execute a single event; return ``False`` when the queue is empty.
+
+        An event is a timer (its callback fires) or a message: the channel
+        frees the packet's in-flight slot and, when the destination is
+        running, its ``on_receive`` handles the payload as one atomic step.
+        """
+        entry = self.events.pop_entry()
+        if entry is None:
             return False
-        if event.time < self.now:
+        time, _, channel, item = entry
+        if time < self.now:
             raise SimulationError("event queue returned an event from the past")
-        self.now = event.time
-        event.callback(*event.args)
+        self.now = time
+        if channel is None:
+            item.callback(*item.args)
+        else:
+            channel.complete_delivery(item)
+            process = self.processes.get(item.destination)
+            if process is not None and process.started and not process.crashed:
+                self.delivered_messages += 1
+                process.received_count += 1
+                process.on_receive(item.source, item.payload)
         self.executed_events += 1
         if self._post_step_hooks:
             for hook in self._post_step_hooks:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.common.types import Phase, Proposal, is_majority, majority_size, make_config
 from repro.core.quorum import MajorityQuorumSystem
@@ -283,3 +285,95 @@ class TestEventQueueProperties:
             popped.append(queue.pop().time)
         assert popped == sorted(popped)
         assert len(popped) == len(times)
+
+
+_times = st.integers(min_value=0, max_value=12).map(float)
+_queue_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), _times),
+        st.tuples(st.just("timer"), _times),
+        st.tuples(st.just("many"), st.lists(_times, max_size=5)),
+        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=30)),
+        st.tuples(st.just("pop"), st.integers(min_value=1, max_value=4)),
+        st.tuples(st.just("pickle"), st.just(0)),
+    ),
+    max_size=40,
+)
+
+
+class TestMixedEventQueueModel:
+    """Handle-less deliveries and cancellable timers in one heap, checked
+    against a plain list of the live ``(time, seq, kind, token)`` entries."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_queue_ops)
+    @example([
+        ("many", [3.0, 1.0, 1.0]),   # bulk into an empty heap (heapified)
+        ("push", 1.0),               # a delivery tied with two timers
+        ("timer", 0.0),
+        ("cancel", 1),               # cancel before pop, through the handle
+        ("pop", 2),
+        ("cancel", 3),               # cancel after pop, through the handle
+        ("cancel", 2),               # ... and through the queue
+        ("pickle", 0),               # round trip mid-stream
+        ("many", [0.0, 2.0]),        # bulk into a non-empty heap
+        ("cancel", 6),               # cancel before pop, through the queue
+        ("push", 2.0),
+        ("pop", 4),
+    ])
+    def test_mixed_queue_matches_reference_model(self, ops):
+        queue = EventQueue()
+        handles = []  # every Event ever scheduled, by creation order
+        model = []    # live entries: (time, seq, kind, token)
+        seq = 0
+
+        def add(time, kind):
+            nonlocal seq
+            model.append((time, seq, kind, seq))
+            seq += 1
+            return seq - 1
+
+        for op, arg in ops:
+            if op == "push":
+                token = add(arg, "delivery")
+                queue.push(arg, "channel", token)
+            elif op == "timer":
+                token = add(arg, "timer")
+                handles.append((queue.schedule(arg, list, args=(token,)), token))
+            elif op == "many":
+                tokens = [add(time, "timer") for time in arg]
+                created = queue.schedule_many(
+                    (time, list, (token,), "") for time, token in zip(arg, tokens)
+                )
+                handles.extend(zip(created, tokens))
+            elif op == "cancel" and handles:
+                handle, token = handles[arg % len(handles)]
+                # Both entry points, also on a handle already popped.
+                handle.cancel() if arg % 2 else queue.cancel(handle)
+                model[:] = [entry for entry in model if entry[3] != token]
+            elif op == "pop":
+                for _ in range(arg):
+                    entry = queue.pop_entry()
+                    if not model:
+                        assert entry is None
+                        break
+                    expected = min(model)
+                    model.remove(expected)
+                    time, entry_seq, target, item = entry
+                    assert (time, entry_seq) == expected[:2]
+                    if expected[2] == "delivery":
+                        assert (target, item) == ("channel", expected[3])
+                    else:
+                        assert target is None and item.args == (expected[3],)
+            elif op == "pickle":
+                # The handles travel with the queue, as in a snapshot.
+                queue, handles = pickle.loads(pickle.dumps((queue, handles)))
+            assert len(queue) == len(model)
+            assert bool(queue) == bool(model)
+            if op == "push":  # elsewhere a cancelled head is left for pop
+                assert queue.peek_time() == (min(model)[0] if model else None)
+        drained = []
+        while queue:
+            drained.append(queue.pop_entry()[:2])
+        assert drained == sorted(entry[:2] for entry in model)
+        assert queue.pop_entry() is None and len(queue) == 0

@@ -276,6 +276,24 @@ class TestTransportRewireGuard:
         assert stats["delivered_messages"] == 1726
         assert stats["time"] == pytest.approx(4.857012582571038)
 
+    def test_degraded_net_n8_pin_covers_the_loss_branch(self):
+        """The lossy counterpart of the pin above: ``degraded_net`` (5 %
+        loss, delays 0.2-1.2) at n=8, seed 89, run for 60 time units.  Every
+        unicast and burst send takes the loss draw before its delay draw, so
+        this pins the trajectory of ``loss_probability`` — which the lossless
+        canary and the audit digest do not exercise."""
+        from repro.sim.cluster import build_cluster
+        from repro.sim.config import degraded_net
+
+        cluster = build_cluster(8, 89, config=degraded_net())
+        cluster.run(until=60.0)
+        stats = cluster.statistics()
+        assert cluster.is_converged()
+        assert stats["executed_events"] == 3931
+        assert stats["delivered_messages"] == 3453
+        assert stats["net_dropped"] == 204
+        assert stats["net_sent"] == 3698
+
 
 class TestScaleDeterminism:
     def test_same_seed_is_bit_identical_at_n128(self):

@@ -148,17 +148,19 @@ class TestEventQueue:
 class TestChannel:
     def test_capacity_drops_new_packet(self):
         chan = Channel(1, 2, ChannelConfig(capacity=2), seed=0)
+        queue = EventQueue()
         packets = [Packet(1, 2, i) for i in range(3)]
-        assert chan.try_accept(packets[0])
-        assert chan.try_accept(packets[1])
-        assert chan.try_accept(packets[2]) == []
+        assert chan.try_accept(packets[0], 0.0, queue) == 1
+        assert chan.try_accept(packets[1], 0.0, queue) == 1
+        assert chan.try_accept(packets[2], 0.0, queue) == 0
         assert chan.dropped_count == 1
         assert chan.occupancy() == 2
+        assert len(queue) == 2
 
     def test_complete_delivery_frees_capacity(self):
         chan = Channel(1, 2, ChannelConfig(capacity=1), seed=0)
         packet = Packet(1, 2, "x")
-        chan.try_accept(packet)
+        chan.try_accept(packet, 0.0, EventQueue())
         assert chan.complete_delivery(packet)
         assert chan.occupancy() == 0
         assert not chan.complete_delivery(packet)
@@ -169,16 +171,20 @@ class TestChannel:
 
     def test_loss_probability_drops_some_packets(self):
         chan = Channel(1, 2, ChannelConfig(capacity=1000, loss_probability=0.5), seed=3)
+        queue = EventQueue()
         deliveries = sum(
-            1 for i in range(200) if chan.try_accept(Packet(1, 2, i))
+            1 for i in range(200) if chan.try_accept(Packet(1, 2, i), 0.0, queue)
         )
         assert 0 < deliveries < 200
 
     def test_duplication(self):
         chan = Channel(1, 2, ChannelConfig(capacity=10, duplicate_probability=1.0), seed=0)
-        result = chan.try_accept(Packet(1, 2, "x"))
-        assert len(result) == 2
+        queue = EventQueue()
+        packet = Packet(1, 2, "x")
+        assert chan.try_accept(packet, 0.0, queue) == 2
         assert chan.duplicated_count == 1
+        # Both copies are handle-less entries carrying the same packet.
+        assert [queue.pop_entry()[2:] for _ in range(2)] == [(chan, packet)] * 2
 
     def test_stuff_respects_capacity(self):
         chan = Channel(1, 2, ChannelConfig(capacity=1), seed=0)
@@ -345,8 +351,7 @@ class TestNetworkFastPath:
     def test_duplicate_delivery_consumes_one_slot(self):
         chan = Channel(1, 2, ChannelConfig(capacity=10, duplicate_probability=1.0), seed=0)
         packet = Packet(1, 2, "x")
-        deliveries = chan.try_accept(packet)
-        assert len(deliveries) == 2
+        assert chan.try_accept(packet, 0.0, EventQueue()) == 2
         assert chan.occupancy() == 1
         assert chan.complete_delivery(packet)
         assert not chan.complete_delivery(packet)
@@ -357,7 +362,7 @@ class TestNetworkFastPath:
         # hashable (VS snapshots carry lists).
         chan = Channel(1, 2, ChannelConfig(capacity=4), seed=0)
         packet = Packet(1, 2, ["mutable", {"nested": True}])
-        assert chan.try_accept(packet)
+        assert chan.try_accept(packet, 0.0, EventQueue())
         assert chan.complete_delivery(packet)
 
 

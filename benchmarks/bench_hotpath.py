@@ -210,7 +210,7 @@ def test_event_queue_bulk_throughput(benchmark, batch):
     assert result["drained"] == 100_000
 
 
-@pytest.mark.parametrize("n", [16])
+@pytest.mark.parametrize("n", [16, 64])
 def test_recsa_broadcast_round(benchmark, n):
     result = benchmark.pedantic(_broadcast_round_cost, args=(n, 50), rounds=3, iterations=1)
     record(benchmark, result)

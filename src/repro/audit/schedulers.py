@@ -189,7 +189,7 @@ def current_coordinator(cluster: "Cluster") -> Optional[ProcessId]:
 # Policies are long-lived environment state, so they are small frozen
 # dataclasses over immutable values instead of closures: snapshot/restore
 # deep-copies them with the graph, and they are pure per pair — the contract
-# :meth:`NetworkEnvironment.resolve` memoization relies on.
+# the network's route table relies on (:meth:`NetworkEnvironment.config_for`).
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class _ConstantLinkPolicy:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 from repro.common.codec import register_singleton, wire_enum, wire_type
 
@@ -65,9 +65,37 @@ BOTTOM = register_singleton("BOTTOM", _Sentinel("BOTTOM"))
 """The paper's ``⊥`` value: no value / configuration reset in progress."""
 
 
+#: :func:`canonical` empties its table at this many entries (an n = 128
+#: bootstrap and 8 su window intern about 800 sets).
+CANONICAL_BOUND = 2048
+
+_canonical: Dict[FrozenSet[ProcessId], FrozenSet[ProcessId]] = {}
+
+
+def canonical(members: FrozenSet[ProcessId]) -> FrozenSet[ProcessId]:
+    """One shared object per set value (and iteration order): a pure memo.
+
+    ``frozenset.__eq__`` has no identity shortcut: sets built through here
+    let per-peer checks compare ``a is b or a == b`` in O(1).  A held object
+    is handed back only when it iterates in the same order as *members*
+    (equal sets can iterate differently, and callers iterate these sets in
+    send order), so the result differs from *members* in identity alone.
+    The table is emptied at :data:`CANONICAL_BOUND` entries.
+    """
+    held = _canonical.get(members)
+    if held is None:
+        if len(_canonical) >= CANONICAL_BOUND:
+            _canonical.clear()
+        _canonical[members] = members
+        return members
+    if held is members or tuple(held) == tuple(members):
+        return held
+    return members
+
+
 def make_config(members: Iterable[ProcessId]) -> Configuration:
-    """Build a :data:`Configuration` from any iterable of processor ids."""
-    return frozenset(members)
+    """Build a :data:`Configuration` (the :func:`canonical` object) from ids."""
+    return canonical(frozenset(members))
 
 
 def majority_size(config: Iterable[ProcessId]) -> int:

@@ -124,7 +124,7 @@ class RecMA:
         self.need_reconf[self.pid] = False
 
         if self.prev_config is not None and is_real_config(current):
-            if self.prev_config != current:
+            if self.prev_config is not current and self.prev_config != current:
                 # A reconfiguration completed since our last look: stale votes
                 # gathered for the previous configuration are meaningless.
                 self.flush_flags()

@@ -74,6 +74,7 @@ from repro.common.types import (
     Phase,
     ProcessId,
     Proposal,
+    canonical,
     make_config,
 )
 from repro.core.stale import NO_RECORD, StaleInfoType, classify_stale_information
@@ -433,11 +434,11 @@ class RecSA:
 
     def _derive_participants(self, trusted: FrozenSet[ProcessId]) -> FrozenSet[ProcessId]:
         records = self._records
-        return frozenset({
+        return canonical(frozenset({
             pid
             for pid in trusted
             if records.get(pid, NO_RECORD).get("config", NOT_PARTICIPANT) is not NOT_PARTICIPANT
-        })
+        }))
 
     def _own_prp(self) -> Proposal:
         return self._own.get("prp", DEFAULT_PROPOSAL)
@@ -521,11 +522,11 @@ class RecSA:
                 # (3) the participant's last reported participant set, and
                 # its echo of ours, equal ours.
                 reported = record.get("part")
-                if reported is None or frozenset(reported) != part:
+                if reported is None or (reported is not part and frozenset(reported) != part):
                     return False
                 if own_is_participant:
                     echo = record.get("echo")
-                    if echo is None or frozenset(echo.part) != part:
+                    if echo is None or (echo.part is not part and frozenset(echo.part) != part):
                         return False
         return True
 
@@ -604,8 +605,8 @@ class RecSA:
     # ------------------------------------------------------------------
     def _peer_in_sync(self, record: Dict[str, Any], part: FrozenSet[ProcessId]) -> bool:
         """``same(k)``: the peer reports our participant set and notification."""
-        reported_part = record.get("part")
-        if reported_part is None or frozenset(reported_part) != part:
+        reported = record.get("part")
+        if reported is None or (reported is not part and frozenset(reported) != part):
             return False
         return record.get("prp", DEFAULT_PROPOSAL) == self._own_prp()
 
@@ -628,7 +629,7 @@ class RecSA:
         echo = record.get("echo")
         if echo is None:
             return False
-        if frozenset(echo.part) != part or echo.prp != self._own_prp():
+        if (echo.part is not part and frozenset(echo.part) != part) or echo.prp != self._own_prp():
             return False
         if with_all and echo.all_flag != self._own_all():
             return False
@@ -722,7 +723,7 @@ class RecSA:
             if pid == self.pid:
                 continue
             view = records.get(pid, NO_RECORD).get("fd")
-            if view is None or frozenset(view) != trusted:
+            if view is None or (view is not trusted and frozenset(view) != trusted):
                 return False
         return True
 

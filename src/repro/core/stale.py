@@ -160,7 +160,7 @@ def has_type4(
         if pid == own:
             continue
         view = records.get(pid, NO_RECORD).get("fd")
-        if view is None or frozenset(view) != frozenset(own_view):
+        if view is None or (view is not own_view and frozenset(view) != frozenset(own_view)):
             return False
     return len(frozenset(own_config) & participants) == 0
 

@@ -24,7 +24,7 @@ from collections.abc import MutableMapping
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Tuple
 
-from repro.common.types import ProcessId
+from repro.common.types import ProcessId, canonical
 
 #: The suspicion slack calibrated for n <= 32 (``ClusterConfig.fd_gap_slack``).
 DEFAULT_GAP_SLACK = 16
@@ -271,9 +271,10 @@ class NThetaFailureDetector:
         Cached between heartbeat-vector updates: the computation is pure in
         ``counts``, so the cache can never observe a stale vector.  When a
         recomputation yields the same set, the *previous frozenset object*
-        is handed back, so callers that memoize on the trusted set (recSA)
-        and comparisons downstream hit identity instead of an O(n)
-        ``frozenset.__eq__`` — which has no identity shortcut of its own.
+        is handed back, and a new set is ``canonical``'s shared object, so
+        callers that memoize on the trusted set (recSA) and comparisons
+        downstream hit identity instead of an O(n) ``frozenset.__eq__`` —
+        which has no identity shortcut of its own.
         """
         if self._trusted_cache_version == self._counts_version:
             return self._trusted_cache
@@ -320,11 +321,13 @@ class NThetaFailureDetector:
         ):
             if known_order and len(cache) == len(raw) + 1:
                 return cache
-            # Built in the walk's order: a small set's iteration order is
-            # its insertion order, and callers iterate it (send order).
+            # Built in the walk's order, like the walk below: a set iterates
+            # in hash-slot order, so ids that collide (1, 9 and 17 in an
+            # 8-slot table) iterate in insertion order, and callers iterate
+            # it in send order (hence ``canonical``'s order check).
             trusted = {self.pid}
             trusted.update(reversed(raw))
-            result = frozenset(trusted)
+            result = canonical(frozenset(trusted))
         else:
             trusted = {self.pid}
             reference = 0.0
@@ -338,8 +341,8 @@ class NThetaFailureDetector:
                     break
                 trusted.add(pid)
                 reference = (reference * index + count) / (index + 1)
-            result = frozenset(trusted)
-        if result == cache:
+            result = canonical(frozenset(trusted))
+        if result is cache or result == cache:
             return cache
         self._trusted_cache = result
         return result

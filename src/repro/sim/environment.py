@@ -13,11 +13,11 @@ first-class, programmable layer:
   static schedulers install) over *link policies* (pair-keyed functions that
   shape channels created later, so **late joiners inherit the active
   shaping**) over the network default.  Resolution is *pull-based and
-  memoized*: the network reads a channel's config through :meth:`resolve`,
-  a per-pair cache invalidated (and :attr:`version` bumped) by every layer
-  mutation, which also empties the network's route table — the steady-state
-  send path pays one dict lookup and a mutation is O(1) instead of a
-  re-sync walk;
+  memoized*: the network reads a channel's config through
+  :meth:`config_for` once and keeps the channel in its route table until a
+  layer mutation empties the table (and bumps :attr:`version`) — the
+  steady-state send path pays one dict lookup and a mutation is O(1)
+  instead of a re-sync walk;
 * **partitions** — *named*, *directed* and optionally *leaky*: one-way
   blocks, per-partition heal, and a leak probability that lets an occasional
   packet cross (fair communication is preserved whenever every blocking
@@ -59,10 +59,6 @@ MAX_RECORDED_TRANSITIONS = 256
 #: overlay/heal transitions the log exists to report.
 UNLISTED_KINDS = frozenset({"link_config", "link_config_cleared"})
 
-#: Cache-miss sentinel for :meth:`NetworkEnvironment.resolve` (``None`` is a
-#: legitimate policy answer, so it cannot mark absence).
-_UNRESOLVED = object()
-
 
 class NetworkEnvironment:
     """Programmable, time-varying state of the network fabric."""
@@ -87,15 +83,10 @@ class NetworkEnvironment:
         # remaps it together with the rest of the graph.
         self._network: Optional[Any] = None
         self._timeline: Optional[Any] = None
-        # Memoized link-state resolution: the effective config of a directed
-        # pair is cached until any config-affecting layer (overlay, override,
-        # policy) mutates; ``version`` counts every mutation of the
-        # environment — partitions included — so external observers can
-        # detect *any* change with one integer compare.
-        self._resolve_cache: Dict[LinkKey, Any] = {}
+        # ``version`` counts every mutation of the environment — partitions
+        # included — so external observers can detect *any* change with one
+        # integer compare.
         self.version = 0
-        self.resolve_hits = 0
-        self.resolve_misses = 0
         # Transition log: exact counts plus a bounded list of records.
         self.transition_counts: Dict[str, int] = {}
         self.transitions: List[Dict[str, Any]] = []
@@ -146,57 +137,32 @@ class NetworkEnvironment:
 
     def summary(self) -> Dict[str, Any]:
         """JSON-serializable view of what the environment did during a run."""
-        lookups = self.resolve_hits + self.resolve_misses
         return {
             "transitions": self.transition_count,
             "by_kind": dict(sorted(self.transition_counts.items())),
             "active_partitions": sorted(self._partitions),
             "events": [dict(entry) for entry in self.transitions],
-            "resolve_cache": {
-                "version": self.version,
-                "entries": len(self._resolve_cache),
-                "hits": self.resolve_hits,
-                "misses": self.resolve_misses,
-                "hit_rate": (self.resolve_hits / lookups) if lookups else None,
-            },
         }
 
     # ------------------------------------------------------------------
     # Link state: overlays > overrides > policies > default
     # ------------------------------------------------------------------
-    def resolve(self, source: ProcessId, destination: ProcessId) -> Any:
-        """Memoized :meth:`config_for`: one dict lookup on the steady path.
-
-        The cache is invalidated (and :attr:`version` bumped) on every
-        mutation of a config-affecting layer — overlay push/pop, explicit
-        override set/clear, policy registration — so a cached entry is always
-        identical to a fresh layer walk.  Registered link policies must
-        therefore be *pure* per pair (the built-in schedulers' are); a policy
-        that wants to vary over time should be expressed as overlay/override
-        transitions, which invalidate correctly.
-        """
-        key = (source, destination)
-        cache = self._resolve_cache
-        config = cache.get(key, _UNRESOLVED)
-        if config is not _UNRESOLVED:
-            self.resolve_hits += 1
-            return config
-        self.resolve_misses += 1
-        config = self.config_for(source, destination)
-        cache[key] = config
-        return config
-
     def _invalidate_resolution(self) -> None:
-        """A config-affecting layer changed: drop every memoized pair, and
-        the network's route table that was filled from them."""
+        """A config-affecting layer changed: bump :attr:`version` and empty
+        the network's route table, so each pair re-reads :meth:`config_for`
+        on its next send."""
         self.version += 1
-        if self._resolve_cache:
-            self._resolve_cache.clear()
         if self._network is not None:
             self._network.invalidate_routes()
 
     def config_for(self, source: ProcessId, destination: ProcessId) -> Any:
-        """The effective channel config of the directed pair, layer-resolved."""
+        """The effective channel config of the directed pair, layer-resolved.
+
+        The network's route table keeps the answer until a config-affecting
+        mutation empties it, so registered link policies must be *pure* per
+        pair (the built-in schedulers' are); a policy that varies over time
+        should be overlay/override transitions, which invalidate correctly.
+        """
         key = (source, destination)
         if self._overlays:
             for mapping in reversed(list(self._overlays.values())):
@@ -254,10 +220,10 @@ class NetworkEnvironment:
         """Register a pair-keyed shaping rule for channels created later.
 
         This is what makes late joiners inherit the active shaping: the
-        network pulls every channel's config through :meth:`resolve`, which
-        consults registered policies for pairs without an explicit override.
-        Existing channels pick the policy up on their next access (the
-        registration invalidates the resolve cache).
+        network pulls every channel's config through :meth:`config_for`,
+        which consults registered policies for pairs without an explicit
+        override.  Existing channels pick the policy up on their next access
+        (the registration empties the network's route table).
         """
         self._policies.append((name, policy))
         self._invalidate_resolution()
@@ -289,8 +255,8 @@ class NetworkEnvironment:
             entry[key] = leak
             self._blocked.setdefault(key, {})[name] = leak
         # Partitions gate delivery (``permits``) but do not change a pair's
-        # resolved config, so they bump the version without clearing the
-        # resolve cache.
+        # resolved config, so they bump the version without emptying the
+        # route table.
         self.version += 1
         self.record("partition", name=name, links=len(entry), leak=leak)
         return name

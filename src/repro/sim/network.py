@@ -369,9 +369,9 @@ class Network:
     def default_config(self) -> ChannelConfig:
         """The fabric-wide fallback :class:`ChannelConfig`.
 
-        Rebinding it invalidates the environment's memoized link resolution —
-        the default is the bottom layer of the resolve stack, so a cached
-        entry computed against the old default would otherwise go stale.
+        Rebinding it empties the route table — the default is the bottom
+        layer of the environment's resolution stack, so a channel configured
+        against the old default would otherwise keep it.
         """
         return self._default_config
 
@@ -393,7 +393,7 @@ class Network:
         """Return (creating if needed) the directed channel source→destination.
 
         The channel's configuration is **pulled** through the environment's
-        :meth:`~repro.sim.environment.NetworkEnvironment.resolve` the first
+        :meth:`~repro.sim.environment.NetworkEnvironment.config_for` the first
         time the pair is used after an environment mutation, so a processor
         joining mid-run gets channels shaped by whatever program is active.
         """
@@ -401,7 +401,7 @@ class Network:
 
     def _route(self, source: ProcessId, destination: ProcessId) -> Channel:
         key = (source, destination)
-        config = self.environment.resolve(source, destination)
+        config = self.environment.config_for(source, destination)
         chan = self._channels.get(key)
         if chan is None:
             chan = Channel(source, destination, config, seed=self._seed, totals=self._totals)

@@ -7,14 +7,16 @@ import pickle
 
 import pytest
 
-from repro.common import errors
+from repro.common import errors, types
 from repro.common.rng import derive_seed, make_rng, seed_stream
 from repro.common.types import (
     BOTTOM,
+    CANONICAL_BOUND,
     DEFAULT_PROPOSAL,
     NOT_PARTICIPANT,
     Phase,
     Proposal,
+    canonical,
     degree,
     is_majority,
     majority_size,
@@ -109,6 +111,78 @@ class TestProposal:
         assert hash(a) == hash(Proposal(Phase.SELECT, make_config([1])))
         with pytest.raises(Exception):
             a.phase = Phase.REPLACE  # type: ignore[misc]
+
+
+class TestCanonical:
+    """``canonical`` shares one object per set value and iteration order."""
+
+    def test_equal_sets_that_iterate_differently_are_not_merged(self):
+        # 1 and 9 share a slot of an 8-slot table: the one inserted first
+        # takes it, so the two equal sets iterate in opposite orders.
+        first = frozenset([1, 9])
+        second = frozenset([9, 1])
+        assert first == second and list(first) != list(second)
+        types._canonical.clear()
+        assert canonical(first) is first
+        result = canonical(second)
+        assert result is second
+        assert list(result) == list(second)
+        again = frozenset([1, 9])
+        assert again is not first and canonical(again) is first
+
+    def test_table_never_exceeds_its_bound(self):
+        types._canonical.clear()
+        for index in range(CANONICAL_BOUND + 10):
+            held = canonical(frozenset({index, -index - 1}))
+            assert held == frozenset({index, -index - 1})
+            assert len(types._canonical) <= CANONICAL_BOUND
+
+    def test_emptying_the_table_after_every_event_moves_nothing(self, monkeypatch):
+        """A pure memo: what the table holds never shows in a trajectory."""
+        from repro.audit.harness import build_cases, certify, report_bytes
+        from repro.scenarios import ScenarioSpec, run_scenario
+        from repro.sim.simulator import Simulator
+
+        cases = build_cases(corruption_seeds=[0], n=8)[:1]
+        unhooked = report_bytes(certify(cases, seeds=[89], workers=1))
+
+        step = Simulator.step
+        emptied = []
+
+        def step_then_empty(simulator):
+            result = step(simulator)
+            if types._canonical:
+                emptied.append(len(types._canonical))
+                types._canonical.clear()
+            return result
+
+        monkeypatch.setattr(Simulator, "step", step_then_empty)
+        spec = ScenarioSpec(
+            name="bootstrap_n16", n=16, config="fast_sim", bootstrap_timeout=6_000.0
+        )
+        stats = run_scenario(spec, seed=89)["statistics"]
+        assert stats["executed_events"] == 1794
+        assert stats["delivered_messages"] == 1726
+        assert report_bytes(certify(cases, seeds=[89], workers=1)) == unhooked
+        assert emptied  # the hook did run against a filled table
+
+    def test_converged_cluster_holds_one_object_per_set(self):
+        """The identity the per-peer checks rely on: a copy of a protocol set
+        built without ``canonical`` would bring back the O(n) compare per
+        peer, and fails here instead of in a benchmark."""
+        from repro.sim.cluster import build_cluster
+        from repro.sim.config import fast_sim
+
+        cluster = build_cluster(16, 89, config=fast_sim())
+        assert cluster.run_until_converged(timeout=6_000.0)
+        nodes = list(cluster.nodes.values())
+        for read in (
+            lambda node: node.recsa.config[node.pid],
+            lambda node: node.recsa.participants(),
+            lambda node: node.failure_detector.trusted(),
+        ):
+            held = {id(read(node)) for node in nodes}
+            assert len(held) == 1
 
 
 class TestRng:

@@ -317,66 +317,64 @@ class TestSweepAccounting:
 
 
 # ---------------------------------------------------------------------------
-# Memoized link resolution
+# Memoized link resolution: the network's route table
 # ---------------------------------------------------------------------------
 class TestResolveCache:
-    def test_hits_and_misses_accumulate(self):
-        cluster = build_cluster(n=3, seed=0)
-        environment = cluster.environment
-        first = environment.resolve(0, 1)
-        again = environment.resolve(0, 1)
-        assert first is again
-        assert environment.resolve_misses >= 1
-        assert environment.resolve_hits >= 1
-        stats = environment.summary()["resolve_cache"]
-        assert stats["hits"] == environment.resolve_hits
-        assert stats["hit_rate"] is not None
+    """A pair's channel keeps its resolved config in the route table until a
+    config-affecting mutation empties the table."""
 
     def test_override_and_overlay_invalidate(self):
         cluster = build_cluster(n=3, seed=0)
+        network = cluster.simulator.network
         environment = cluster.environment
-        base = environment.resolve(0, 1)
+        base = network.channel(0, 1).config
         version = environment.version
         shaped = ChannelConfig(min_delay=3.0, max_delay=9.0)
         environment.set_link_config(0, 1, shaped)
         assert environment.version > version
-        assert environment.resolve(0, 1) is shaped
+        assert not network._routes
+        assert network.channel(0, 1).config is shaped
         environment.apply_overlay("t", {(0, 1): base})
-        assert environment.resolve(0, 1) is base
+        assert network.channel(0, 1).config is base
         environment.remove_overlay("t")
-        assert environment.resolve(0, 1) is shaped
+        assert network.channel(0, 1).config is shaped
         environment.clear_link_config(0, 1)
-        assert environment.resolve(0, 1) == base
+        assert network.channel(0, 1).config == base
 
     def test_policy_registration_invalidates(self):
         cluster = build_cluster(n=3, seed=0)
+        network = cluster.simulator.network
         environment = cluster.environment
-        default = environment.resolve(0, 2)
+        default = network.channel(0, 2).config
         shaped = ChannelConfig(min_delay=5.0, max_delay=10.0)
         environment.add_link_policy("shape", lambda s, d: shaped)
-        assert environment.resolve(0, 2) is shaped
+        assert network.channel(0, 2).config is shaped
         assert default is not shaped
 
     def test_partition_bumps_version_without_clearing_cache(self):
         cluster = build_cluster(n=3, seed=0)
+        network = cluster.simulator.network
         environment = cluster.environment
-        environment.resolve(0, 1)
-        entries = len(environment._resolve_cache)
+        channel = network.channel(0, 1)
+        routes = dict(network._routes)
         version = environment.version
         name = environment.partition([0], [1], leak=0.5)
         assert environment.version > version
-        assert len(environment._resolve_cache) == entries
+        assert network._routes == routes
+        assert network.channel(0, 1) is channel
         environment.heal(name)
         assert environment.version > version + 1
+        assert network._routes == routes
 
     def test_default_config_rebind_invalidates(self):
         cluster = build_cluster(n=3, seed=0)
         network = cluster.simulator.network
-        environment = cluster.environment
-        environment.resolve(0, 1)
+        channel = network.channel(0, 1)
         replacement = ChannelConfig(capacity=3)
         network.default_config = replacement
-        assert environment.resolve(0, 1) is replacement
+        assert not network._routes
+        assert network.channel(0, 1) is channel
+        assert channel.config is replacement
 
 
 # ---------------------------------------------------------------------------

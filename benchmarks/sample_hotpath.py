@@ -1,8 +1,9 @@
 """Where one ``sim_scale`` repetition spends its CPU, by function.
 
-A statistical profiler on SIGPROF (stdlib only): every ``--interval`` of
-process CPU time the handler walks the interrupted stack and counts each
-function once as *inclusive* and the innermost one as *self*.  Unlike
+A statistical profiler on SIGPROF (stdlib only): every ``INTERVAL_S`` of
+process CPU time (the kernel rounds it up to its tick) the handler walks
+the interrupted stack and counts each function once as *inclusive* and the
+innermost one as *self*; the ``TOP`` functions of each ranking print.  Unlike
 cProfile it adds no per-call cost, so work that moves into or out of C
 (a set compare, a dict lookup) shows as a share of time, not as a count of
 Python calls.  The run is the ``sim_scale`` shape: an n-node ``fast_sim``
@@ -23,14 +24,14 @@ from repro.sim.cluster import build_cluster
 from repro.sim.config import fast_sim
 
 WINDOW_SU = 8.0
+INTERVAL_S = 0.001
+TOP = 25
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=128)
     parser.add_argument("--seed", type=int, default=89)
-    parser.add_argument("--interval", type=float, default=0.001, help="CPU seconds per sample (the kernel rounds it up to its tick)")
-    parser.add_argument("--top", type=int, default=25)
     args = parser.parse_args()
 
     inclusive: collections.Counter = collections.Counter()
@@ -50,7 +51,7 @@ def main() -> None:
 
     cluster = build_cluster(n=args.n, seed=args.seed, config=fast_sim(fd_gap_slack=2 * args.n))
     signal.signal(signal.SIGPROF, sample)
-    signal.setitimer(signal.ITIMER_PROF, args.interval, args.interval)
+    signal.setitimer(signal.ITIMER_PROF, INTERVAL_S, INTERVAL_S)
     cpu = time.process_time()
     try:
         converged = cluster.run_until_converged()
@@ -64,7 +65,7 @@ def main() -> None:
           f"cpu_s={cpu:.2f} samples={samples[0]}")
     for title, ranking in (("by inclusive share", inclusive), ("by self share", own)):
         print(f"\n{title}\n{'inclusive':>9} {'self':>6}  function")
-        for name, _ in ranking.most_common(args.top):
+        for name, _ in ranking.most_common(TOP):
             print(f"{100 * inclusive[name] / total:8.1f}% {100 * own[name] / total:5.1f}%  {name}")
 
 

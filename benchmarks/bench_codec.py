@@ -4,8 +4,7 @@ The runtime's per-datagram cost is one :func:`repro.common.codec.frame` on
 the sender and one :func:`~repro.common.codec.unframe` on the receiver, so
 the codec *is* the wire hot path.  This bench measures each hot wire type —
 the messages that dominate live traffic (data-link tokens every heartbeat,
-counter quorum reads/writes per client op, recSA digest/delta gossip, recMA
-flags) — through the wire format and, for scale, the reference encoding the
+counter quorum reads/writes per client op, recMA flags) — through the wire format and, for scale, the reference encoding the
 tests compare it against:
 
 * ``binary``  — the wire format (:func:`codec.frame` /
@@ -33,9 +32,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.common import codec  # noqa: E402
-from repro.common.types import Phase, Proposal, make_config  # noqa: E402
 from repro.core.recma import RecMAMessage  # noqa: E402
-from repro.core.recsa import EchoTriple, RecSADigest  # noqa: E402
 from repro.counters.counter import Counter, CounterPair  # noqa: E402
 from repro.counters.service import (  # noqa: E402
     CounterGossipMessage,
@@ -49,11 +46,6 @@ from repro.labels.label import EpochLabel  # noqa: E402
 _LABEL = EpochLabel(creator=2, sting=7, antistings=frozenset({1, 3}))
 _COUNTER = Counter(label=_LABEL, seqn=5, wid=2)
 _CPAIR = CounterPair(mct=_COUNTER, cct=_COUNTER)
-_ECHO = EchoTriple(
-    part=make_config([0, 1, 2]),
-    prp=Proposal(Phase.SELECT, make_config([0, 1])),
-    all_flag=True,
-)
 
 
 def hot_exemplars() -> Dict[str, Any]:
@@ -70,7 +62,6 @@ def hot_exemplars() -> Dict[str, Any]:
             sender=2, op_id=41, counter=_COUNTER
         ),
         "RecMAMessage": RecMAMessage(sender=0, no_maj=False, need_reconf=True),
-        "RecSADigest": RecSADigest(sender=2, version=7, digest=456, echo=_ECHO),
         "CounterGossipMessage": CounterGossipMessage(
             sender=1, sent_max=_CPAIR, last_sent=None
         ),

@@ -61,7 +61,6 @@ garbled in a few places:
 
 from __future__ import annotations
 
-import zlib
 from collections.abc import MutableMapping
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
@@ -92,18 +91,6 @@ SendManyFn = Callable[[List[Tuple[ProcessId, Any]]], Any]
 #: ``1`` disables change detection entirely (the seed behaviour).
 DEFAULT_GOSSIP_REFRESH_INTERVAL = 5
 
-#: Delta-gossip wire discipline (see :meth:`RecSA._broadcast`): every
-#: ``FULL_RESEND_PERIOD``-th actual send to a peer is an unconditional full
-#: vector, bounding how long a silently diverged copy can survive on the
-#: compact paths; receivers re-derive the digest of their stored copy from
-#: scratch every ``DIGEST_VERIFY_PERIOD``-th compact receipt (repairing
-#: arbitrary corruption of the stored arrays in bounded time); a sender that
-#: has re-sent the same state version ``ESCALATION_THRESHOLD`` times without
-#: the peer's echo reflecting it falls back to a full vector.
-FULL_RESEND_PERIOD = 4
-DIGEST_VERIFY_PERIOD = 4
-ESCALATION_THRESHOLD = 2
-
 
 @wire_type
 @dataclass(frozen=True)
@@ -132,87 +119,7 @@ class RecSAMessage:
     prp: Proposal
     all_flag: bool
     echo: Optional[EchoTriple]
-    #: Delta-gossip chain seed (trailing defaults keep every historical
-    #: constructor call — including forged stale messages — valid; a message
-    #: without them simply does not establish a delta chain).
-    version: Optional[int] = None
-    digest: Optional[int] = None
 
-
-@wire_type
-@dataclass(frozen=True)
-class RecSADelta:
-    """Compact gossip: only the core fields that changed since the last send.
-
-    ``changes`` is a tuple of ``(field_name, absolute_value)`` pairs over the
-    message core (``fd``/``part``/``config``/``prp``/``all_flag``), computed
-    against the *base*: the core the sender last materialized to this peer.
-    ``base_digest`` is the CRC of that base and ``digest`` the CRC of the
-    sender's entire new core.  A delta is applied only when the receiver's
-    stored copy provably equals the base (chain intact, or base digest
-    matches from scratch) — so the stored copy is always a *complete* core
-    the sender once held, never a hybrid of two versions.  A delta whose
-    base cannot be verified (reordered burst, lost chain, corrupted copy)
-    is dropped; the sender repairs with a full vector within a bounded
-    number of rounds (escalation or the periodic full resend).
-    """
-
-    sender: ProcessId
-    version: int
-    base_version: int
-    base_digest: int
-    changes: Tuple[Tuple[str, Any], ...]
-    digest: int
-    echo: Optional[EchoTriple]
-
-
-@wire_type
-@dataclass(frozen=True)
-class RecSADigest:
-    """Compact periodic refresh: nothing changed, here is proof.
-
-    Carries the per-peer ``echo`` (which changes independently of the core)
-    plus the core's version and digest so the receiver can confirm its copy
-    is current — or discover it is not and force the full-vector fallback.
-    """
-
-    sender: ProcessId
-    version: int
-    digest: int
-    echo: Optional[EchoTriple]
-
-
-def _canonical_core(core: Tuple[Any, ...]) -> Tuple[Any, ...]:
-    trusted, part, config, prp, all_flag = core
-    if config is BOTTOM:
-        config_c: Any = "<bottom>"
-    elif config is NOT_PARTICIPANT:
-        config_c = "<not-participant>"
-    else:
-        config_c = tuple(sorted(config))
-    members = None if prp.members is None else tuple(sorted(prp.members))
-    return (
-        tuple(sorted(trusted)),
-        tuple(sorted(part)),
-        config_c,
-        (prp.phase.value, members),
-        bool(all_flag),
-    )
-
-
-def compute_core_digest(core: Tuple[Any, ...]) -> int:
-    """CRC32 over the canonical form of a broadcast core.
-
-    A checksum, not a cryptographic commitment: the adversary model for the
-    digest path is transient faults (lost packets, corrupted state), not an
-    equivocating sender — Byzantine senders are modelled by the interceptor
-    layer, and honest-node invariants never depend on a traitor's digests.
-    """
-    return zlib.crc32(repr(_canonical_core(core)).encode("utf-8"))
-
-#: Field order of the broadcast core, aligned with the core-key tuple; also
-#: the record keys a received core lands under.
-_CORE_FIELDS = ("fd", "part", "config", "prp", "all_flag")
 
 #: "No such field" in a record lookup (never stored, never pickled).
 _ABSENT = object()
@@ -298,14 +205,12 @@ class RecSA:
         initial_config: Any = None,
         send_many: Optional[SendManyFn] = None,
         gossip_refresh_interval: int = DEFAULT_GOSSIP_REFRESH_INTERVAL,
-        gossip_deltas: bool = False,
     ) -> None:
         self.pid = pid
         self.fd_provider = fd_provider
         self.send = send
         self.send_many = send_many
         self.gossip_refresh_interval = max(1, int(gossip_refresh_interval))
-        self.gossip_deltas = bool(gossip_deltas)
 
         # One record per processor, the owner's included (module docstring).
         # Boot (line 31): every entry defaults to (], dfltNtf, false); an
@@ -334,21 +239,6 @@ class RecSA:
         self._sent_echo: Dict[ProcessId, Optional[EchoTriple]] = {}
         self._rounds_since_sent: Dict[ProcessId, int] = {}
 
-        # Delta/digest wire discipline (sender side): the core last shipped
-        # to each peer in materialized form (full or delta — what we believe
-        # the peer's copy of us equals), the countdown to the next
-        # unconditional full resend, and the run of same-version sends the
-        # peer has not echoed (escalation to full).
-        self._sent_core: Dict[ProcessId, Any] = {}
-        self._sent_digest: Dict[ProcessId, int] = {}
-        self._full_countdown: Dict[ProcessId, int] = {}
-        self._unacked_sends: Dict[ProcessId, int] = {}
-        self._digest_cache: Tuple[int, int] = (-1, 0)
-        # Receiver side: per-sender (version, digest) of the last verified
-        # core, plus the countdown to the next from-scratch digest check.
-        self._gossip_chain: Dict[ProcessId, Tuple[int, int]] = {}
-        self._digest_verify_countdown: Dict[ProcessId, int] = {}
-
         # Diagnostics / experiment counters.
         self.reset_count = 0
         self.install_count = 0
@@ -356,10 +246,6 @@ class RecSA:
         self.estab_rejected = 0
         self.broadcasts_sent = 0
         self.broadcasts_skipped = 0
-        self.deltas_sent = 0
-        self.digests_sent = 0
-        self.fulls_sent = 0
-        self.delta_fallbacks = 0
         self.stale_detections: Dict[StaleInfoType, int] = {t: 0 for t in StaleInfoType}
 
     # ------------------------------------------------------------------
@@ -675,22 +561,13 @@ class RecSA:
                 self.store(pid, "config", NOT_PARTICIPANT)
                 self.store(pid, "prp", DEFAULT_PROPOSAL)
                 self.store(pid, "all_flag", False)
-                # Our stored copy of this peer's core was just mutated
-                # locally; a future delta from it would verify against state
-                # it never sent.  Drop the chain so the next compact receipt
-                # re-verifies (or forces the full-vector fallback).
-                self._gossip_chain.pop(pid, None)
             if pid not in trusted and "prp" in record:
                 self.store(pid, "prp", DEFAULT_PROPOSAL)
                 self.store(pid, "all_flag", False)
                 for name in ("echo", "part"):
                     if record.pop(name, _ABSENT) is not _ABSENT:
                         self.version += 1
-                for ledger in (
-                    self._sent_version, self._sent_echo, self._rounds_since_sent,
-                    self._sent_core, self._sent_digest, self._full_countdown,
-                    self._unacked_sends, self._gossip_chain, self._digest_verify_countdown,
-                ):
+                for ledger in (self._sent_version, self._sent_echo, self._rounds_since_sent):
                     ledger.pop(pid, None)
 
     # -- line 26: brute-force stabilization -----------------------------------
@@ -854,8 +731,6 @@ class RecSA:
             core_key = self._last_core_key
         version = self._state_version
         refresh = self.gossip_refresh_interval
-        deltas = self.gossip_deltas
-        digest = self._core_digest(version, core_key) if deltas else None
         records = self._records
 
         outgoing: List[Tuple[ProcessId, Any]] = []
@@ -878,27 +753,19 @@ class RecSA:
                 None if echo is None else (echo.part, echo.prp, echo.all_flag)
             )
             rounds = self._rounds_since_sent.get(pid, refresh)
-            echoed = self._peer_echoed(record, part, with_all=True)
-            if echoed:
-                self._unacked_sends.pop(pid, None)
             if (
                 refresh > 1
                 and rounds + 1 < refresh
                 and self._sent_version.get(pid) == version
                 and echo_unchanged
-                and echoed
+                and self._peer_echoed(record, part, with_all=True)
             ):
                 self._rounds_since_sent[pid] = rounds + 1
                 self.broadcasts_skipped += 1
                 continue
             if not echo_unchanged:
                 echo = None if echo_fields is None else EchoTriple(*echo_fields)
-            message = (
-                self._compose(pid, version, core_key, digest, echo, echoed)
-                if deltas
-                else self._full(version, core_key, None, echo)
-            )
-            outgoing.append((pid, message))
+            outgoing.append((pid, self._full(core_key, echo)))
             self._sent_version[pid] = version
             self._sent_echo[pid] = echo
             self._rounds_since_sent[pid] = 0
@@ -911,13 +778,7 @@ class RecSA:
                 for pid, message in outgoing:
                     self.send(pid, message)
 
-    def _full(
-        self,
-        version: int,
-        core_key: Tuple[Any, ...],
-        digest: Optional[int],
-        echo: Optional[EchoTriple],
-    ) -> RecSAMessage:
+    def _full(self, core_key: Tuple[Any, ...], echo: Optional[EchoTriple]) -> RecSAMessage:
         trusted, part, own_config, own_prp, own_all = core_key
         return RecSAMessage(
             sender=self.pid,
@@ -927,75 +788,7 @@ class RecSA:
             prp=own_prp,
             all_flag=own_all,
             echo=echo,
-            version=version,
-            digest=digest,
         )
-
-    def _compose(
-        self,
-        pid: ProcessId,
-        version: int,
-        core_key: Tuple[Any, ...],
-        digest: int,
-        echo: Optional[EchoTriple],
-        echoed: bool,
-    ) -> Any:
-        """Pick the cheapest sound wire form for one peer (deltas enabled).
-
-        Full vector when: we have never materialized state to this peer, the
-        periodic full-resend countdown expired, or the peer has repeatedly
-        failed to echo the current version (its copy — or its chain — is
-        broken in a way deltas cannot repair).  Digest when the core is
-        exactly what we last materialized (pure refresh / echo update).
-        Delta of the changed fields otherwise.
-        """
-        sent_core = self._sent_core.get(pid)
-        unacked = self._unacked_sends.get(pid, 0)
-        if not echoed and self._sent_version.get(pid) == version:
-            self._unacked_sends[pid] = unacked + 1
-        else:
-            self._unacked_sends.pop(pid, None)
-            unacked = 0
-        countdown = self._full_countdown.get(pid, 0)
-        if sent_core is None or unacked >= ESCALATION_THRESHOLD or countdown <= 1:
-            self._sent_core[pid] = core_key
-            self._sent_digest[pid] = digest
-            self._full_countdown[pid] = FULL_RESEND_PERIOD
-            self.fulls_sent += 1
-            return self._full(version, core_key, digest, echo)
-        self._full_countdown[pid] = countdown - 1
-        if core_key == sent_core:
-            self.digests_sent += 1
-            return RecSADigest(
-                sender=self.pid, version=version, digest=digest, echo=echo
-            )
-        base_version = self._sent_version.get(pid, -1)
-        base_digest = self._sent_digest.get(pid, 0)
-        changes = tuple(
-            (name, new)
-            for name, old, new in zip(_CORE_FIELDS, sent_core, core_key)
-            if old is not new and old != new
-        )
-        self._sent_core[pid] = core_key
-        self._sent_digest[pid] = digest
-        self.deltas_sent += 1
-        return RecSADelta(
-            sender=self.pid,
-            version=version,
-            base_version=base_version,
-            base_digest=base_digest,
-            changes=changes,
-            digest=digest,
-            echo=echo,
-        )
-
-    def _core_digest(self, version: int, core_key: Tuple[Any, ...]) -> int:
-        cached_version, cached = self._digest_cache
-        if cached_version == version:
-            return cached
-        digest = compute_core_digest(core_key)
-        self._digest_cache = (version, digest)
-        return digest
 
     # ------------------------------------------------------------------
     # Message receipt (line 30)
@@ -1024,93 +817,9 @@ class RecSA:
             if echo is not None:
                 received["echo"] = echo
             self._receive(sender, received)
-        # A full vector (re)seeds the delta chain; messages without chain
-        # metadata (old constructors, forged stale packets) break it, so
-        # later compact receipts must re-verify against actual state.
-        if message.version is not None and message.digest is not None:
-            self._gossip_chain[sender] = (message.version, message.digest)
-            self._digest_verify_countdown[sender] = DIGEST_VERIFY_PERIOD
-        else:
-            self._gossip_chain.pop(sender, None)
 
-    def on_delta(self, sender: ProcessId, delta: RecSADelta) -> None:
-        """Apply a changed-fields delta to the stored copy of *sender*.
-
-        A delta is sound only against its base: the exact core the sender
-        last materialized to us.  We apply it when the stored copy provably
-        equals that base — the chain is intact (base version matches, with a
-        from-scratch digest check every ``DIGEST_VERIFY_PERIOD``-th compact
-        receipt) — and drop it otherwise, counting a fallback.  Dropping
-        matters: a delta applied over the *wrong* base (a reordered burst
-        put a newer delta ahead of the send that established its base, or
-        the copy was corrupted) would leave a hybrid core no process ever
-        held.  Keeping the stale-but-complete copy instead preserves the
-        full-vector path's invariant — stored state is always some core the
-        sender actually broadcast — and the sender repairs via escalation
-        or the periodic full resend.  The echo rides outside the core and
-        is applied either way (full vectors overwrite it unconditionally
-        too).
-        """
-        if sender == self.pid:
-            return
-        if delta.echo is not None:
-            self.store(sender, "echo", delta.echo)
-        chain = self._gossip_chain.get(sender)
-        countdown = self._digest_verify_countdown.get(sender, 1) - 1
-        if chain is not None and chain[0] == delta.base_version and countdown > 0:
-            self._digest_verify_countdown[sender] = countdown
-        elif self._stored_core_digest(sender) == delta.base_digest:
-            self._digest_verify_countdown[sender] = DIGEST_VERIFY_PERIOD
-        else:
-            self._gossip_chain.pop(sender, None)
-            self.delta_fallbacks += 1
-            return
-        received = {}
-        for name, value in delta.changes:
-            if name == "fd" or name == "part":
-                received[name] = frozenset(value)
-            elif name == "all_flag":
-                received[name] = bool(value)
-            elif name in _CORE_FIELDS:
-                received[name] = value
-        if received:
-            self._receive(sender, received)
-        self._gossip_chain[sender] = (delta.version, delta.digest)
-
-    def on_digest(self, sender: ProcessId, message: RecSADigest) -> None:
-        """Process a compact refresh: update the echo, audit the chain."""
-        if sender == self.pid:
-            return
-        if message.echo is not None:
-            self.store(sender, "echo", message.echo)
-        chain = self._gossip_chain.get(sender)
-        countdown = self._digest_verify_countdown.get(sender, 1) - 1
-        if (
-            chain is not None
-            and chain == (message.version, message.digest)
-            and countdown > 0
-        ):
-            self._digest_verify_countdown[sender] = countdown
-            return
-        if self._stored_core_digest(sender) == message.digest:
-            self._gossip_chain[sender] = (message.version, message.digest)
-            self._digest_verify_countdown[sender] = DIGEST_VERIFY_PERIOD
-        else:
-            self._gossip_chain.pop(sender, None)
-            self.delta_fallbacks += 1
-
-    def _stored_core_digest(self, sender: ProcessId) -> int:
-        """Digest of our stored copy of *sender*'s broadcast core."""
-        record = self._records.get(sender, NO_RECORD)
-        return compute_core_digest(
-            (
-                record.get("fd", frozenset()),
-                record.get("part", frozenset()),
-                record.get("config", NOT_PARTICIPANT),
-                record.get("prp", DEFAULT_PROPOSAL),
-                bool(record.get("all_flag", False)),
-            )
-        )
+    # Kept only for the spine's span table, which wraps these names (ROADMAP 6(d)).
+    on_delta = on_digest = on_message
 
     # ------------------------------------------------------------------
     # Diagnostics

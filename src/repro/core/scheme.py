@@ -32,13 +32,7 @@ from repro.core.joining import (
 )
 from repro.core.prediction import PredictionPolicy
 from repro.core.recma import RecMA, RecMAMessage
-from repro.core.recsa import (
-    DEFAULT_GOSSIP_REFRESH_INTERVAL,
-    RecSA,
-    RecSADelta,
-    RecSADigest,
-    RecSAMessage,
-)
+from repro.core.recsa import DEFAULT_GOSSIP_REFRESH_INTERVAL, RecSA, RecSAMessage
 from repro.core.stale import is_real_config
 
 FdProvider = Callable[[], FrozenSet[ProcessId]]
@@ -62,7 +56,6 @@ class ReconfigurationScheme:
         state_resetter: Optional[StateResetter] = None,
         send_many: Optional[SendManyFn] = None,
         gossip_refresh_interval: int = DEFAULT_GOSSIP_REFRESH_INTERVAL,
-        gossip_deltas: bool = False,
     ) -> None:
         self.pid = pid
         self.fd_provider = fd_provider
@@ -73,7 +66,6 @@ class ReconfigurationScheme:
             initial_config=initial_config,
             send_many=send_many,
             gossip_refresh_interval=gossip_refresh_interval,
-            gossip_deltas=gossip_deltas,
         )
         self.recma = RecMA(
             pid=pid,
@@ -136,12 +128,6 @@ class ReconfigurationScheme:
         """Dispatch a received scheme message; returns True when handled."""
         if isinstance(message, RecSAMessage):
             self.recsa.on_message(sender, message)
-            return True
-        if isinstance(message, RecSADelta):
-            self.recsa.on_delta(sender, message)
-            return True
-        if isinstance(message, RecSADigest):
-            self.recsa.on_digest(sender, message)
             return True
         if isinstance(message, RecMAMessage):
             self.recma.on_message(sender, message)

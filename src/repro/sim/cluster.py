@@ -222,7 +222,6 @@ class ClusterNode(Process):
             admission_policy=config.admission_policy,
             send_many=self._send_raw_many,
             gossip_refresh_interval=config.gossip_refresh_interval,
-            gossip_deltas=config.gossip_deltas,
         )
         self.services: List[Any] = []
         self.service_map: Dict[str, Any] = {}

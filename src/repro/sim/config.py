@@ -69,20 +69,6 @@ class ClusterConfig:
     gossip_refresh_interval: int = DEFAULT_GOSSIP_REFRESH_INTERVAL
     heartbeat_resend_interval: int = 3
     stack: Any = "bare"  # str (registry name) or StackProfile
-    #: recSA gossip wire discipline: when True, steady-state re-broadcasts
-    #: travel as (version, changed-entries) deltas and compact digest
-    #: refreshes, falling back to full vectors on digest mismatch.  Off by
-    #: default: in a discrete-event simulator the compact forms do not
-    #: reduce the event count (one packet either way), so they buy no
-    #: wall-clock — but a dropped-delta repair window (a few rounds of
-    #: bounded staleness after a receiver-side wipe) perturbs the chaotic
-    #: churn regime at n >= 48 enough to move first-convergence times by
-    #: orders of magnitude in either direction.  Full vectors keep every
-    #: trajectory byte-identical to the seed.  Enable for wire-level
-    #: realism (the counters expose the full/delta/digest mix and the
-    #: bytes-on-wire savings) or in dedicated tiers that pin their own
-    #: baselines.
-    gossip_deltas: bool = False
     #: (N, Theta) failure-detector suspicion slack.  The default (16) is
     #: calibrated for n <= 32, where the heartbeat-count ramp is narrow.
     #: The ramp's spread grows with n (a peer's count between its own

@@ -15,9 +15,8 @@ first-class, programmable layer:
   shaping**) over the network default.  Resolution is *pull-based and
   memoized*: the network reads a channel's config through
   :meth:`config_for` once and keeps the channel in its route table until a
-  layer mutation empties the table (and bumps :attr:`version`) — the
-  steady-state send path pays one dict lookup and a mutation is O(1)
-  instead of a re-sync walk;
+  layer mutation empties the table — the steady-state send path pays one
+  dict lookup and a mutation is O(1) instead of a re-sync walk;
 * **partitions** — *named*, *directed* and optionally *leaky*: one-way
   blocks, per-partition heal, and a leak probability that lets an occasional
   packet cross (fair communication is preserved whenever every blocking
@@ -83,10 +82,6 @@ class NetworkEnvironment:
         # remaps it together with the rest of the graph.
         self._network: Optional[Any] = None
         self._timeline: Optional[Any] = None
-        # ``version`` counts every mutation of the environment — partitions
-        # included — so external observers can detect *any* change with one
-        # integer compare.
-        self.version = 0
         # Transition log: exact counts plus a bounded list of records.
         self.transition_counts: Dict[str, int] = {}
         self.transitions: List[Dict[str, Any]] = []
@@ -148,10 +143,8 @@ class NetworkEnvironment:
     # Link state: overlays > overrides > policies > default
     # ------------------------------------------------------------------
     def _invalidate_resolution(self) -> None:
-        """A config-affecting layer changed: bump :attr:`version` and empty
-        the network's route table, so each pair re-reads :meth:`config_for`
-        on its next send."""
-        self.version += 1
+        """A config-affecting layer changed: empty the network's route
+        table, so each pair re-reads :meth:`config_for` on its next send."""
         if self._network is not None:
             self._network.invalidate_routes()
 
@@ -255,9 +248,7 @@ class NetworkEnvironment:
             entry[key] = leak
             self._blocked.setdefault(key, {})[name] = leak
         # Partitions gate delivery (``permits``) but do not change a pair's
-        # resolved config, so they bump the version without emptying the
-        # route table.
-        self.version += 1
+        # resolved config, so they leave the route table alone.
         self.record("partition", name=name, links=len(entry), leak=leak)
         return name
 
@@ -312,7 +303,6 @@ class NetworkEnvironment:
                     if not blockers:
                         del self._blocked[key]
             freed += len(entry)
-            self.version += 1
             self.record("heal", name=partition_name, links=len(entry))
         return freed
 

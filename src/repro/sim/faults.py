@@ -7,8 +7,7 @@ channel capacity).  The :class:`FaultInjector` reproduces this by:
 * overwriting protocol-state fields of live processes with adversarially
   chosen (but type-correct) values,
 * stuffing channels with stale packets,
-* crashing processes,
-* temporarily partitioning the network.
+* turning live processes Byzantine for a window.
 
 What to corrupt is decided elsewhere: :mod:`repro.audit.arbitrary_state`
 generates seeded plans of :class:`CorruptionAtom` values and the injector
@@ -95,19 +94,11 @@ def _resolve_path(node: Any, path: Tuple[str, ...]) -> Any:
 
 
 class FaultInjector:
-    """Injects crashes, state corruption and stale packets into a simulation."""
+    """Injects state corruption, stale packets and treason into a simulation."""
 
     def __init__(self, simulator: Simulator) -> None:
         self.simulator = simulator
         self.records: List[FaultRecord] = []
-        # Partitions this injector installed; the scope of a no-name heal().
-        self._partition_names: List[str] = []
-
-    # ----------------------------------------------------------------- crash
-    def crash(self, pid: ProcessId) -> None:
-        """Stop-fail process *pid*."""
-        self.simulator.crash_process(pid)
-        self._record("crash", pid)
 
     # -------------------------------------------------------- state corruption
     def apply_atom(self, cluster: Any, atom: CorruptionAtom) -> bool:
@@ -202,49 +193,6 @@ class FaultInjector:
         accepted = self.simulator.network.stuff_channel(source, destination, payload)
         self._record("stuff-channel", (source, destination), {"accepted": accepted})
         return accepted
-
-    # ------------------------------------------------------------ partitions
-    def partition(
-        self,
-        group_a: Iterable[ProcessId],
-        group_b: Iterable[ProcessId],
-        name: Optional[str] = None,
-        leak: float = 0.0,
-        symmetric: bool = True,
-    ) -> str:
-        """Partition the network between the two groups; return the name.
-
-        Delegates to the :class:`~repro.sim.environment.NetworkEnvironment`'s
-        directed model: ``symmetric=False`` blocks only a→b links, ``leak``
-        lets the occasional packet cross, and the returned name heals this
-        partition independently of any other.
-        """
-        group_a = list(group_a)
-        group_b = list(group_b)
-        name = self.simulator.network.environment.partition(
-            group_a, group_b, name=name, leak=leak, symmetric=symmetric
-        )
-        self._partition_names.append(name)
-        self._record(
-            "partition",
-            (tuple(group_a), tuple(group_b)),
-            {"name": name, "leak": leak, "symmetric": symmetric},
-        )
-        return name
-
-    def heal(self, name: Optional[str] = None) -> None:
-        """Heal the named partition (default: every partition *this injector*
-        installed — never partitions owned by a running environment program)."""
-        environment = self.simulator.network.environment
-        if name is not None:
-            environment.heal(name)
-            if name in self._partition_names:
-                self._partition_names.remove(name)
-        else:
-            for own in self._partition_names:
-                environment.heal(own)
-            self._partition_names.clear()
-        self._record("heal", name)
 
     # ------------------------------------------------------------- internals
     def _record(self, kind: str, target: Any, details: Optional[Dict[str, Any]] = None) -> None:

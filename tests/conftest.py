@@ -9,7 +9,7 @@ import pytest
 
 from repro.audit.arbitrary_state import PROFILES, apply_plan, generate_plan
 from repro.common.types import BOTTOM, ProcessId, make_config
-from repro.core.recsa import RecSA, RecSADelta, RecSADigest, RecSAMessage
+from repro.core.recsa import RecSA
 from repro.sim.cluster import Cluster, build_cluster
 from repro.sim.config import fast_sim
 from repro.sim.faults import CorruptionAtom
@@ -103,9 +103,7 @@ class RecSAHarness:
     control exactly which processors each instance trusts.
     """
 
-    def __init__(
-        self, pids: Iterable[ProcessId], initial_config: Any = BOTTOM, gossip_deltas: bool = False
-    ) -> None:
+    def __init__(self, pids: Iterable[ProcessId], initial_config: Any = BOTTOM) -> None:
         self.pids = sorted(pids)
         self.bus = LocalBus()
         self.trusted: Dict[ProcessId, frozenset] = {
@@ -118,19 +116,9 @@ class RecSAHarness:
                 fd_provider=(lambda p=pid: self.trusted[p]),
                 send=self.bus.sender_for(pid),
                 initial_config=initial_config,
-                gossip_deltas=gossip_deltas,
             )
             self.instances[pid] = instance
-            # The three gossip forms, routed by type as ``ReconfigurationScheme``
-            # does (only the first is on the wire unless *gossip_deltas*).
-            routes = {
-                RecSAMessage: instance.on_message,
-                RecSADelta: instance.on_delta,
-                RecSADigest: instance.on_digest,
-            }
-            self.bus.register(
-                pid, lambda sender, message, routes=routes: routes[type(message)](sender, message)
-            )
+            self.bus.register(pid, instance.on_message)
 
     def __getitem__(self, pid: ProcessId) -> RecSA:
         return self.instances[pid]

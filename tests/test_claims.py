@@ -182,3 +182,23 @@ def test_every_cluster_config_field_is_read():
         if not re.search(rf"\bconfig\.{field.name}\b", text)
     ]
     assert not unread, unread
+
+
+def test_every_spine_entry_point_resolves():
+    """The spine benchmark wraps each ``(owner, attribute)`` of its span
+    table by name (a class attribute through ``owner.__dict__``); a method
+    renamed or deleted under it should fail here, not as a ``KeyError`` in a
+    traced benchmark pass.  The table is only read: nothing is wrapped."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "spine_spans", REPO / "benchmarks" / "spine" / "spans.py"
+    )
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        f"{getattr(owner, '__name__', owner)}.{attribute}"
+        for owner, attribute, _ in spans.entry_points()
+        if (attribute not in owner.__dict__ if isinstance(owner, type) else not hasattr(owner, attribute))
+    ]
+    assert not missing, missing

@@ -33,7 +33,7 @@ from repro.common.types import (
 )
 from repro.core.joining import JoinRequest, JoinResponse
 from repro.core.recma import RecMAMessage
-from repro.core.recsa import EchoTriple, RecSADelta, RecSADigest, RecSAMessage
+from repro.core.recsa import EchoTriple, RecSAMessage
 from repro.counters.counter import Counter, CounterPair
 from repro.counters.service import (
     CounterGossipMessage,
@@ -83,19 +83,7 @@ EXEMPLARS = {
         prp=DEFAULT_PROPOSAL,
         all_flag=False,
         echo=_ECHO,
-        version=4,
-        digest=0xDEAD,
     ),
-    "RecSADelta": RecSADelta(
-        sender=1,
-        version=7,
-        base_version=6,
-        base_digest=123,
-        changes=(("config", make_config([0, 1])), ("all_flag", True)),
-        digest=456,
-        echo=None,
-    ),
-    "RecSADigest": RecSADigest(sender=2, version=7, digest=456, echo=_ECHO),
     "RecMAMessage": RecMAMessage(sender=0, no_maj=False, need_reconf=True),
     "JoinRequest": JoinRequest(sender=9),
     "JoinResponse": JoinResponse(

@@ -121,20 +121,6 @@ class TestDirectedPartitions:
         with pytest.raises(SimulationError, match="leak probability"):
             sim.environment.partition([1], [2], leak=1.0)
 
-    def test_fault_injector_directed_partition_and_named_heal(self):
-        from repro.sim.faults import FaultInjector
-
-        sim = _two_nodes()
-        injector = FaultInjector(sim)
-        name = injector.partition([1], [2], symmetric=False, leak=0.0)
-        assert sim.environment.is_blocked(1, 2)
-        assert not sim.environment.is_blocked(2, 1)
-        injector.heal(name)
-        assert not sim.environment.is_blocked(1, 2)
-        kinds = [record.kind for record in injector.records]
-        assert kinds == ["partition", "heal"]
-        assert injector.records[0].details["name"] == name
-
 
 # ---------------------------------------------------------------------------
 # Link-state layers: overlays > overrides > policies > default

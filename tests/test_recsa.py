@@ -367,6 +367,18 @@ class TestChangeDetectedGossip:
             max_rounds=refresh * 6,
         )
 
+    def test_full_vector_repairs_corrupted_stored_copy(self):
+        """Full vectors are the only wire form, so they alone repair a stored
+        copy that silently diverged: within one refresh window."""
+        harness = RecSAHarness([1, 2, 3])
+        assert harness.run_until(harness.converged)
+        harness.round(count=8)  # settle into echo-confirmed skipping
+        victim = harness[2]
+        truth = victim.part[1]
+        victim.part[1] = frozenset({99})
+        refresh = victim.gossip_refresh_interval
+        assert harness.run_until(lambda: victim.part[1] == truth, max_rounds=refresh + 1)
+
     def test_convergence_unaffected_by_gossip_skipping(self):
         """Bootstrap from BOTTOM must converge to the same configuration with
         and without change detection (the skip guard never hides progress)."""
@@ -432,12 +444,11 @@ class TestDerivedVerdictMemo:
     def test_random_walk_agrees_with_unmemoized_bodies(self, seed):
         """Oracle style (cf. ``conftest.oracle_checked``): after *every*
         operation of a seeded walk over everything that can move a verdict —
-        simulator events (``step``/``on_message``, and ``on_delta``/
-        ``on_digest`` on odd seeds), the interface calls, received forgeries,
-        the joining hook and both corruption surfaces — the memoized answers
-        equal the bodies they memoize."""
+        simulator events (``step``/``on_message``), the interface calls,
+        received forgeries, the joining hook and both corruption surfaces —
+        the memoized answers equal the bodies they memoize."""
         rng = random.Random(seed)
-        cluster = quick_cluster(5, seed=seed, gossip_deltas=bool(seed % 2))
+        cluster = quick_cluster(5, seed=seed)
         universe = sorted(cluster.nodes)
         simulator = cluster.simulator
 

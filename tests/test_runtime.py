@@ -444,7 +444,6 @@ def _node_shape(node) -> dict:
         "require_cleaning": node.heartbeat.require_cleaning,
         "idle_resend_interval": node.heartbeat.idle_resend_interval,
         "gossip_refresh_interval": node.recsa.gossip_refresh_interval,
-        "gossip_deltas": node.recsa.gossip_deltas,
         "recma_refresh": node.recma.gate.refresh,
         "stack": node.stack.name,
         "step_interval": node.step_interval,

@@ -2,10 +2,6 @@
 
 Pins the behavior-preservation contract of the large-n fast paths:
 
-* the delta/digest gossip wire forms are trace-equivalent to full-vector
-  gossip on lossless channels;
-* a digest mismatch (corrupted stored copy, broken chain) falls back to
-  verified state and repairs within the full-resend window;
 * the incremental convergence ledger always agrees with the retained
   full-scan oracle, including under arbitrary-state corruption;
 * ``run_until`` poll throttling delays *detection* by at most one poll
@@ -17,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from tests.conftest import RecSAHarness, oracle_checked, quick_cluster, scramble
+from tests.conftest import oracle_checked, quick_cluster, scramble
 from repro.audit.arbitrary_state import apply_plan, generate_plan
 from repro.failure_detector.ntheta import NThetaFailureDetector
 from repro.sim.config import fast_sim
@@ -27,122 +23,6 @@ def _stats_at(n, seed, horizon, **overrides):
     cluster = quick_cluster(n, seed=seed, **overrides)
     cluster.run(until=horizon)
     return cluster.statistics()
-
-
-class TestDeltaEquivalence:
-    def test_delta_path_matches_full_path_statistics(self):
-        """Deltas/digests change the wire form, never the trajectory."""
-        with_deltas = _stats_at(12, seed=7, horizon=40.0, gossip_deltas=True)
-        without = _stats_at(12, seed=7, horizon=40.0, gossip_deltas=False)
-        assert with_deltas == without
-
-    def test_compact_forms_dominate_steady_state(self):
-        cluster = quick_cluster(8, seed=11, gossip_deltas=True)
-        assert cluster.run_until_converged(timeout=300)
-        cluster.run(until=cluster.simulator.now + 40.0)
-        fulls = sum(node.recsa.fulls_sent for node in cluster.nodes.values())
-        compact = sum(
-            node.recsa.deltas_sent + node.recsa.digests_sent
-            for node in cluster.nodes.values()
-        )
-        # Steady state is pure refresh: every FULL_RESEND_PERIOD-th send is
-        # a full vector, the rest ride the compact forms.
-        assert compact > fulls
-
-    def test_delta_convergence_time_matches_full(self):
-        for gossip_deltas in (True, False):
-            cluster = quick_cluster(10, seed=3, gossip_deltas=gossip_deltas)
-            assert cluster.run_until_converged(timeout=300)
-            if gossip_deltas:
-                t_deltas = cluster.simulator.now
-            else:
-                assert cluster.simulator.now == t_deltas
-
-
-class TestDigestFallback:
-    """The delta/digest wire discipline, switched on explicitly: it is off by
-    default everywhere (``RecSA``, ``ClusterConfig``) since PR 7."""
-
-    def test_corrupt_stored_copy_detected_and_repaired(self):
-        harness = RecSAHarness(pids=[1, 2, 3], gossip_deltas=True)
-        assert harness.run_until(harness.converged)
-        harness.round(count=8)  # settle into compact steady-state gossip
-        victim, source = harness[2], harness[1]
-        truth = victim.part[1]
-        # Corrupt the stored copy *and* the chain metadata: compact receipts
-        # must now verify against actual state, notice the mismatch, count a
-        # fallback, and route the sender back to the full-vector path.
-        victim.part[1] = frozenset({99})
-        victim._gossip_chain.pop(1, None)
-        before = victim.delta_fallbacks
-        harness.round(count=12)
-        assert victim.delta_fallbacks > before
-        assert victim.part[1] == truth
-        assert source.fulls_sent > 0
-
-    def test_delta_with_unverifiable_base_is_dropped(self):
-        """A delta whose base cannot be verified must not touch the core.
-
-        Applying changed-fields over the wrong base (reordered burst, wiped
-        copy) would fabricate a hybrid core no process ever held; the
-        receiver keeps its stale-but-complete copy and counts a fallback.
-        """
-        from repro.core.recsa import RecSADelta
-
-        harness = RecSAHarness(pids=[1, 2], gossip_deltas=True)
-        harness.round(count=6)
-        victim = harness[2]
-        chain_version = victim._gossip_chain[1][0]
-        flag = bool(victim.all_flags.get(1, False))
-        before = victim.delta_fallbacks
-        stale = RecSADelta(
-            sender=1,
-            version=chain_version + 5,
-            base_version=chain_version + 4,
-            base_digest=0xDEAD,
-            changes=(("all_flag", not flag),),
-            digest=0xBEEF,
-            echo=None,
-        )
-        victim.on_delta(1, stale)
-        assert bool(victim.all_flags.get(1, False)) == flag
-        assert victim.delta_fallbacks == before + 1
-        assert 1 not in victim._gossip_chain
-
-        # Broken chain but a provably matching base: the delta applies and
-        # re-seeds the chain (the from-scratch repair path).
-        repair = RecSADelta(
-            sender=1,
-            version=chain_version + 1,
-            base_version=chain_version,
-            base_digest=victim._stored_core_digest(1),
-            changes=(("all_flag", not flag),),
-            digest=0xF00D,
-            echo=None,
-        )
-        victim.on_delta(1, repair)
-        assert bool(victim.all_flags.get(1, False)) == (not flag)
-        assert victim._gossip_chain[1] == (chain_version + 1, 0xF00D)
-
-    def test_message_without_chain_metadata_breaks_chain(self):
-        from repro.common.types import BOTTOM, DEFAULT_PROPOSAL
-        from repro.core.recsa import RecSAMessage
-
-        harness = RecSAHarness(pids=[1, 2], gossip_deltas=True)
-        harness.round(count=6)
-        victim = harness[2]
-        assert 1 in victim._gossip_chain
-        stale = RecSAMessage(
-            sender=1,
-            fd=frozenset({1, 2}),
-            part=frozenset({1, 2}),
-            config=BOTTOM,
-            prp=DEFAULT_PROPOSAL,
-            all_flag=False,
-            echo=None,
-        )
-        victim.on_message(1, stale)
-        assert 1 not in victim._gossip_chain
 
 
 class TestLedgerOracle:
@@ -299,12 +179,12 @@ class TestScaleDeterminism:
     def test_same_seed_is_bit_identical_at_n128(self):
         """Two cold n=128 bootstraps, same seed, byte-identical statistics.
 
-        The horizon is short — the point is determinism of the delta path
-        at scale, not convergence (which gets its own curve in the audit
+        The horizon is short — the point is determinism at scale, not
+        convergence (which gets its own curve in the audit
         tier and benchmarks).
         """
-        first = _stats_at(128, seed=89, horizon=2.0, gossip_deltas=True)
-        second = _stats_at(128, seed=89, horizon=2.0, gossip_deltas=True)
+        first = _stats_at(128, seed=89, horizon=2.0)
+        second = _stats_at(128, seed=89, horizon=2.0)
         assert first == second
         assert first["executed_events"] > 10_000
 

@@ -12,8 +12,8 @@ bench:
 	$(PYTHON) benchmarks/spine/run.py
 
 # The two micro-benches that attribute what the spine cannot: per-type codec
-# encode/decode ns/op against the JSON reference, and the event-queue / recSA
-# broadcast-round / delivery-path inner loops (needs pytest-benchmark).
+# encode/decode ns/op, and the event-queue / recSA broadcast-round /
+# delivery-path inner loops (needs pytest-benchmark).
 bench-micro:
 	$(PYTHON) benchmarks/bench_codec.py
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/bench_hotpath.py -q

@@ -4,18 +4,11 @@ The runtime's per-datagram cost is one :func:`repro.common.codec.frame` on
 the sender and one :func:`~repro.common.codec.unframe` on the receiver, so
 the codec *is* the wire hot path.  This bench measures each hot wire type —
 the messages that dominate live traffic (data-link tokens every heartbeat,
-counter quorum reads/writes per client op, recMA flags) — through the wire format and, for scale, the reference encoding the
-tests compare it against:
+counter quorum reads/writes per client op, recMA flags) — through
+:func:`codec.frame` and :func:`codec.unframe`.
 
-* ``binary``  — the wire format (:func:`codec.frame` /
-  :func:`codec.unframe`);
-* ``json``    — the tagged-JSON reference (``json.dumps`` of
-  :func:`codec.encode`, ``json.loads`` into :func:`codec.decode`); nothing
-  sends it.
-
-Reported per type: encode ns/op, decode ns/op, frame bytes, and the
-combined encode+decode speedup of binary over JSON.  Run directly (it finds
-``src/`` itself) or with ``make bench-micro``::
+Reported per type: encode ns/op, decode ns/op and frame bytes.  Run
+directly (it finds ``src/`` itself) or with ``make bench-micro``::
 
     python benchmarks/bench_codec.py
 """
@@ -68,11 +61,6 @@ def hot_exemplars() -> Dict[str, Any]:
     }
 
 
-def _reference_dumps(value: Any) -> str:
-    """The tagged-JSON reference encoding of *value* as compact JSON text."""
-    return json.dumps(codec.encode(value), separators=(",", ":"))
-
-
 def _time_ns(fn, reps: int) -> float:
     t0 = time.perf_counter_ns()
     for _ in range(reps):
@@ -81,37 +69,21 @@ def _time_ns(fn, reps: int) -> float:
 
 
 def bench_codec(reps: int = 20_000) -> Dict[str, Any]:
-    """Measure both encodings over the hot types; return the result entry."""
+    """Measure the wire format over the hot types; return the result entry."""
     entry: Dict[str, Any] = {"reps": reps, "types": {}}
-    speedups = []
     for name, value in hot_exemplars().items():
         binary_frame = codec.frame(value)
-        json_text = _reference_dumps(value)
         # Round-trip equality is asserted here too — a microbench that
         # measures a broken fast path would be worse than no bench.
-        assert codec.unframe(binary_frame)[0] == codec.decode(json.loads(json_text))
+        assert codec.unframe(binary_frame)[0] == value
 
-        bin_enc = _time_ns(lambda v=value: codec.frame(v), reps)
-        bin_dec = _time_ns(lambda f=binary_frame: codec.unframe(f), reps)
-        json_enc = _time_ns(lambda v=value: _reference_dumps(v), reps)
-        json_dec = _time_ns(lambda t=json_text: codec.decode(json.loads(t)), reps)
-        speedup = round((json_enc + json_dec) / (bin_enc + bin_dec), 2)
-        speedups.append(speedup)
         entry["types"][name] = {
-            "binary": {
-                "encode_ns": round(bin_enc, 1),
-                "decode_ns": round(bin_dec, 1),
-                "frame_bytes": len(binary_frame),
-            },
-            "json": {
-                "encode_ns": round(json_enc, 1),
-                "decode_ns": round(json_dec, 1),
-                "frame_bytes": len(json_text.encode("utf-8")),
-            },
-            "speedup_encode_decode": speedup,
+            "encode_ns": round(_time_ns(lambda v=value: codec.frame(v), reps), 1),
+            "decode_ns": round(
+                _time_ns(lambda f=binary_frame: codec.unframe(f), reps), 1
+            ),
+            "frame_bytes": len(binary_frame),
         }
-    entry["min_speedup"] = min(speedups)
-    entry["median_speedup"] = sorted(speedups)[len(speedups) // 2]
     entry["all_ok"] = True
     return entry
 
@@ -121,12 +93,9 @@ def main() -> int:
     print(json.dumps(entry, indent=2, sort_keys=True))
     for name, cell in sorted(entry["types"].items()):
         print(
-            f"[bench-codec] {name}: binary "
-            f"{cell['binary']['encode_ns']:.0f}/{cell['binary']['decode_ns']:.0f} ns "
-            f"({cell['binary']['frame_bytes']}B)  json "
-            f"{cell['json']['encode_ns']:.0f}/{cell['json']['decode_ns']:.0f} ns "
-            f"({cell['json']['frame_bytes']}B)  "
-            f"speedup {cell['speedup_encode_decode']}x",
+            f"[bench-codec] {name}: "
+            f"{cell['encode_ns']:.0f}/{cell['decode_ns']:.0f} ns "
+            f"({cell['frame_bytes']}B)",
             file=sys.stderr,
         )
     return 0

@@ -30,27 +30,11 @@ def _event_throughput(n_events: int) -> dict:
     for i in range(n_events):
         queue.schedule(float(i % 97), append, args=(i,))
     drained = 0
-    while queue:
-        queue.pop().fire()
+    while (entry := queue.pop_entry()) is not None:
+        event = entry[3]
+        event.callback(*event.args)
         drained += 1
     return {"events": n_events, "drained": drained}
-
-
-def _event_bulk_throughput(n_events: int, batch: int) -> dict:
-    """Same, but scheduling through the ``schedule_many`` bulk API."""
-    queue = EventQueue()
-    sink = []
-    append = sink.append
-    for start in range(0, n_events, batch):
-        queue.schedule_many(
-            (float((start + i) % 97), append, (start + i,), "")
-            for i in range(min(batch, n_events - start))
-        )
-    drained = 0
-    while queue:
-        queue.pop().fire()
-        drained += 1
-    return {"events": n_events, "batch": batch, "drained": drained}
 
 
 def _broadcast_round_cost(n: int, rounds: int) -> dict:
@@ -199,15 +183,6 @@ def test_event_queue_throughput(benchmark, n_events):
     result = benchmark.pedantic(_event_throughput, args=(n_events,), rounds=3, iterations=1)
     record(benchmark, result)
     assert result["drained"] == n_events
-
-
-@pytest.mark.parametrize("batch", [64])
-def test_event_queue_bulk_throughput(benchmark, batch):
-    result = benchmark.pedantic(
-        _event_bulk_throughput, args=(100_000, batch), rounds=3, iterations=1
-    )
-    record(benchmark, result)
-    assert result["drained"] == 100_000
 
 
 @pytest.mark.parametrize("n", [16, 64])

@@ -32,9 +32,6 @@ class Probe:
     check: ProbeCheck
     timeout: float = DEFAULT_PROBE_TIMEOUT
 
-    def __call__(self, cluster: "Cluster") -> bool:
-        return self.check(cluster)
-
 
 @dataclass(frozen=True)
 class ProbeResult:
@@ -146,16 +143,6 @@ def no_pending_writes(cluster: "Cluster") -> bool:
     return bool(services) and all(vs.pending_count() == 0 for vs in services)
 
 
-def smr_states_agree(cluster: "Cluster") -> bool:
-    """Alive replicas hold identical replicated-state snapshots."""
-    snapshots: List[Any] = []
-    for node in cluster.alive_nodes():
-        vs = node.service_map.get("vs")
-        if vs is not None:
-            snapshots.append(vs.machine.snapshot())
-    return len(snapshots) > 0 and all(s == snapshots[0] for s in snapshots[1:])
-
-
 def smr_histories_agree(cluster: "Cluster") -> bool:
     """Same-view replicas expose prefix-ordered delivery histories.
 
@@ -189,35 +176,6 @@ def smr_histories_agree(cluster: "Cluster") -> bool:
 # ---------------------------------------------------------------------------
 # Invariant checks (used by the audit engine; see repro.audit)
 # ---------------------------------------------------------------------------
-def channels_bounded(cluster: "Cluster") -> bool:
-    """No channel ever holds more in-flight packets than its capacity.
-
-    The paper bounds adversarial channel content by ``cap`` per channel
-    (Section 2 / Lemma 3.18); the simulated channels enforce this, so the
-    invariant doubles as a self-check of the fault-injection plumbing.
-    """
-    return all(
-        chan.occupancy() <= chan.config.capacity
-        for chan in cluster.simulator.network.channels()
-    )
-
-
-def no_reset_in_progress(cluster: "Cluster") -> bool:
-    """No alive node's own config entry is ``⊥``.
-
-    **Deliberately too strong**: a brute-force reset legitimately drives
-    every config entry through ``⊥``, so any corruption that triggers a reset
-    violates this.  It exists as the demonstration target for the audit
-    engine's reproducer shrinking (``tests/test_audit.py``'s shrink test).
-    """
-    from repro.common.types import BOTTOM
-
-    return all(
-        node.recsa.config.get(node.pid) is not BOTTOM
-        for node in cluster.alive_nodes()
-    )
-
-
 def _honest_rb_services(cluster: "Cluster"):
     """Yield ``(pid, rb_service)`` for every honest alive node running one.
 
@@ -292,14 +250,6 @@ def rb_all_delivered(cluster: "Cluster") -> bool:
     return True
 
 
-def bounded_channels_invariant() -> Invariant:
-    return Invariant("channels_bounded", channels_bounded)
-
-
-def no_reset_invariant() -> Invariant:
-    return Invariant("no_reset_in_progress", no_reset_in_progress)
-
-
 def smr_agreement_invariant() -> Invariant:
     """``smr_agreement`` armed as a safety property, not just a probe.
 
@@ -319,27 +269,6 @@ def rb_agreement_invariant() -> Invariant:
 def rb_validity_invariant() -> Invariant:
     """``rb_validity`` — honest-origin deliveries match the origin's sends."""
     return Invariant("rb_validity", rb_deliveries_valid)
-
-
-#: Named invariant factories — what corpus entries and CLI flags resolve
-#: against (an :class:`Invariant` itself is not JSON-serializable).
-INVARIANT_FACTORIES: Dict[str, Callable[[], Invariant]] = {
-    "channels_bounded": bounded_channels_invariant,
-    "no_reset_in_progress": no_reset_invariant,
-    "smr_agreement": smr_agreement_invariant,
-    "rb_agreement": rb_agreement_invariant,
-    "rb_validity": rb_validity_invariant,
-}
-
-
-def invariant_by_name(name: str) -> Invariant:
-    """Build the named invariant (corpus replay, CLI selection)."""
-    try:
-        return INVARIANT_FACTORIES[name]()
-    except KeyError:
-        raise KeyError(
-            f"unknown invariant {name!r}; available: {sorted(INVARIANT_FACTORIES)}"
-        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +292,6 @@ def register_agreement(timeout: float = DEFAULT_PROBE_TIMEOUT) -> Probe:
 
 def writes_delivered(timeout: float = DEFAULT_PROBE_TIMEOUT) -> Probe:
     return Probe("writes_delivered", no_pending_writes, timeout)
-
-
-def smr_agreement(timeout: float = DEFAULT_PROBE_TIMEOUT) -> Probe:
-    return Probe("smr_agreement", smr_states_agree, timeout)
 
 
 def rb_delivered(timeout: float = DEFAULT_PROBE_TIMEOUT) -> Probe:

@@ -414,19 +414,6 @@ class TraitorProgram:
             label=f"byzantine:tick:{self.pid}",
         )
 
-    # ---------------------------------------------------------- inspection
-    def statistics(self) -> Dict[str, Any]:
-        return {
-            "pid": self.pid,
-            "behaviors": list(self.behavior_names),
-            "active": self.active,
-            "forged": self.forged,
-            "mutated": self.mutated,
-            "dropped": self.dropped,
-            "equivocated": self.equivocated,
-            "inflated": self.inflated,
-        }
-
 
 # ---------------------------------------------------------------------------
 # Traitor selection policies
@@ -494,17 +481,6 @@ class ByzantineSpec:
     duration: float = 60.0
     seed: int = 0
     tick_interval: float = 2.0
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "behaviors": list(self.behaviors),
-            "traitors": self.traitors,
-            "selection": self.selection,
-            "delay": self.delay,
-            "duration": self.duration,
-            "seed": self.seed,
-            "tick_interval": self.tick_interval,
-        }
 
 
 def plan_assignments(

@@ -28,8 +28,8 @@ of a matrix drops from O(cases) bootstraps to O(distinct prefixes).  The
 they live only for the one sweep.  A group goes warm only when it has at
 least ``max(2, parallelism)`` cases, the point where one serial bootstrap in
 the parent beats the pool's parallel cold ones.  Warm results are
-byte-identical to cold ones: :func:`report_bytes` of the two reports is
-equal (pinned by the test-suite), and ``reuse_prefix=False`` forces the cold
+byte-identical to cold ones: the test-suite pins the two reports'
+deterministic projection equal, and ``reuse_prefix=False`` forces the cold
 reference path.
 
 A run that fails certification is handed to :func:`shrink_case`, which
@@ -42,7 +42,6 @@ across all its probe runs, so each ddmin trial skips bootstrap too.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 import statistics
@@ -644,66 +643,6 @@ def stabilization_distribution(verdicts: Sequence[Dict[str, Any]]) -> Dict[str, 
         "worst": max(times),
         "by_case": dict(sorted(by_case.items())),
     }
-
-
-# ---------------------------------------------------------------------------
-# The deterministic report surface
-# ---------------------------------------------------------------------------
-#: Result-entry keys that are *not* part of the deterministic surface: wall
-#: clock depends on machine load and worker pids on the OS.  They are
-#: scrubbed before any byte-comparison.
-VOLATILE_KEYS = frozenset({"wall_seconds", "worker_pid"})
-
-
-def scrub_volatile(value: Any) -> Any:
-    """A deep copy of *value* with every volatile key removed.
-
-    Two executions of the same cell differ only in wall clock and worker
-    identity, so what remains is the deterministic surface.
-    """
-    if isinstance(value, dict):
-        return {
-            key: scrub_volatile(item)
-            for key, item in value.items()
-            if key not in VOLATILE_KEYS
-        }
-    if isinstance(value, list):
-        return [scrub_volatile(item) for item in value]
-    return value
-
-
-def deterministic_report(report: Dict[str, Any]) -> Dict[str, Any]:
-    """The byte-comparable projection of a ``certify`` report.
-
-    Everything load- or machine-dependent is dropped (wall clock, worker
-    accounting, prefix-reuse counts); what remains — the verdicts,
-    stabilization distribution, failure list and matrix identity — must
-    serialize identically for two sweeps of the same code and inputs,
-    however they were scheduled: serial or parallel, warm or cold.
-    """
-    meta = report.get("meta", {})
-    projected: Dict[str, Any] = {
-        "meta": {
-            "cases": meta.get("cases"),
-            "seeds": meta.get("seeds"),
-            "runs": meta.get("runs"),
-            "corrupted_mid_bootstrap": meta.get("corrupted_mid_bootstrap"),
-        },
-        "certified": report.get("certified"),
-        "failed": report.get("failed"),
-        "verdicts": scrub_volatile(report.get("verdicts", [])),
-        "stabilization": scrub_volatile(report.get("stabilization", {})),
-    }
-    if "reproducers" in report:
-        projected["reproducers"] = scrub_volatile(report["reproducers"])
-    return projected
-
-
-def report_bytes(report: Dict[str, Any]) -> bytes:
-    """Canonical bytes of a report's deterministic projection."""
-    return json.dumps(
-        deterministic_report(report), sort_keys=True, separators=(",", ":"), default=str
-    ).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,6 @@ Design
   :func:`register_singleton` / :func:`wire_enum`.  Nothing outside the
   registry ever decodes into an object with behaviour — an attacker cannot
   instantiate arbitrary classes (this is deliberately *not* pickle).
-* **Tagged recursive encoding.**  JSON scalars pass through; every container
-  and registered type encodes as ``{"%": tag, ...}`` so decoding is
-  unambiguous: tuples, frozensets, sets, dicts with non-string keys and
-  ``mappingproxy`` views (copy-on-write SMR snapshots) all round-trip.
-  Frozenset elements are sorted by their encoded representation, so equal
-  values encode to identical bytes regardless of iteration order.
-  :func:`encode` / :func:`decode` never touch the wire: this form is the
-  reference ``tests/test_codec.py`` compares the binary format against.
 * **Length-prefixed framing with a format discriminator.**  :func:`frame`
   prefixes the body with a 4-byte big-endian length; the first body byte is
   a one-byte wire-format discriminator.  There is one format (``B`` =
@@ -36,9 +28,11 @@ Design
   message snapshots (one ``>q``-per-field pack instead of per-field
   recursion).  Type/enum/singleton identifiers are indices into the sorted
   registry, so both sides of a connection that import the same message
-  modules agree on them.  ``decode_binary(encode_binary(x))`` equals
-  ``decode(encode(x))`` for every encodable value — pinned property-style
-  in ``tests/test_codec.py``.
+  modules agree on them.  Tuples, frozensets, sets, dicts with non-string
+  keys and ``mappingproxy`` views (copy-on-write SMR snapshots) all
+  round-trip; frozenset elements are written in a canonical order, so equal
+  values encode to identical bytes.  ``tests/test_codec.py`` pins one frame
+  per wire type and compares the format against a tagged-JSON reference.
 * **Graceful rejection.**  Malformed input — truncated frames, unknown tags
   or opcodes, wrong field sets, over-deep nesting — raises
   :class:`CodecError`, never anything else.  Receivers (the runtime
@@ -51,7 +45,6 @@ Design
 from __future__ import annotations
 
 import dataclasses
-import json
 import struct
 import types
 from enum import Enum
@@ -81,7 +74,6 @@ _LEN = struct.Struct(">I")
 FORMAT_BINARY = 0x42  # 'B'
 
 _TYPES: Dict[str, Type[Any]] = {}
-_TYPE_NAMES: Dict[Type[Any], str] = {}
 _TYPE_FIELDS: Dict[str, Tuple[str, ...]] = {}
 _SINGLETONS: Dict[str, Any] = {}
 _SINGLETON_IDS: Dict[int, str] = {}
@@ -108,7 +100,6 @@ def wire_type(cls: Optional[type] = None, *, name: Optional[str] = None):
         if existing is not None and existing is not klass:
             raise CodecError(f"wire type name {wire_name!r} already registered")
         _TYPES[wire_name] = klass
-        _TYPE_NAMES[klass] = wire_name
         _TYPE_FIELDS[wire_name] = tuple(
             f.name for f in dataclasses.fields(klass) if f.init
         )
@@ -142,12 +133,6 @@ def wire_enum(cls: Type[Enum]) -> Type[Enum]:
     return cls
 
 
-def registered_wire_types() -> Dict[str, Type[Any]]:
-    """Snapshot of the dataclass registry (used by the round-trip tests)."""
-    _ensure_registered()
-    return dict(_TYPES)
-
-
 def _ensure_registered() -> None:
     """Import every module that defines wire types.
 
@@ -168,136 +153,6 @@ def _ensure_registered() -> None:
     import repro.vs.view  # noqa: F401
     import repro.vs.virtual_synchrony  # noqa: F401
     import repro.baselines.coherent_start  # noqa: F401
-
-
-# ---------------------------------------------------------------------------
-# Encoding
-# ---------------------------------------------------------------------------
-def _encode(value: Any, depth: int) -> Any:
-    if depth > MAX_DEPTH:
-        raise CodecError("object graph too deep to encode")
-    # Enums before scalars: an IntEnum member (e.g. Phase.IDLE) *is* an int,
-    # but must round-trip as the enum member, not its value — downstream code
-    # compares by identity (``prp.phase is Phase.IDLE``).
-    if isinstance(value, Enum):
-        name = type(value).__name__
-        if name not in _ENUMS:
-            raise CodecError(f"unregistered enum {name!r}")
-        return {"%": "enum", "t": name, "v": _encode(value.value, depth + 1)}
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    singleton = _SINGLETON_IDS.get(id(value))
-    if singleton is not None:
-        return {"%": "one", "t": singleton}
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        name = _TYPE_NAMES.get(type(value))
-        if name is None:
-            raise CodecError(f"unregistered wire type {type(value).__name__!r}")
-        fields = {
-            f: _encode(getattr(value, f), depth + 1) for f in _TYPE_FIELDS[name]
-        }
-        return {"%": "dc", "t": name, "f": fields}
-    if isinstance(value, tuple):
-        return {"%": "tuple", "v": [_encode(v, depth + 1) for v in value]}
-    if isinstance(value, list):
-        return {"%": "list", "v": [_encode(v, depth + 1) for v in value]}
-    if isinstance(value, (frozenset, set)):
-        encoded = [_encode(v, depth + 1) for v in value]
-        # Canonical element order: equal sets encode to identical bytes.
-        encoded.sort(key=lambda item: json.dumps(item, sort_keys=True))
-        tag = "fset" if isinstance(value, frozenset) else "set"
-        return {"%": tag, "v": encoded}
-    if isinstance(value, (dict, types.MappingProxyType)):
-        return {
-            "%": "dict",
-            "v": [
-                [_encode(k, depth + 1), _encode(v, depth + 1)]
-                for k, v in value.items()
-            ],
-        }
-    raise CodecError(f"cannot encode {type(value).__name__!r} value")
-
-
-def _decode(value: Any, depth: int) -> Any:
-    if depth > MAX_DEPTH:
-        raise CodecError("encoded graph too deep to decode")
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if not isinstance(value, dict):
-        raise CodecError(f"unexpected wire element {type(value).__name__!r}")
-    tag = value.get("%")
-    if tag == "dc":
-        name = value.get("t")
-        cls = _TYPES.get(name) if isinstance(name, str) else None
-        if cls is None:
-            raise CodecError(f"unknown wire type {name!r}")
-        fields = value.get("f")
-        if not isinstance(fields, dict) or not all(
-            isinstance(k, str) for k in fields
-        ):
-            raise CodecError(f"malformed fields for wire type {name!r}")
-        if not set(fields) <= set(_TYPE_FIELDS[name]):
-            raise CodecError(f"unknown fields for wire type {name!r}")
-        decoded = {k: _decode(v, depth + 1) for k, v in fields.items()}
-        try:
-            return cls(**decoded)
-        except (TypeError, ValueError) as exc:
-            raise CodecError(f"cannot construct {name!r}: {exc}") from None
-    if tag == "one":
-        name = value.get("t")
-        if name not in _SINGLETONS:
-            raise CodecError(f"unknown singleton {name!r}")
-        return _SINGLETONS[name]
-    if tag == "enum":
-        name = value.get("t")
-        cls = _ENUMS.get(name) if isinstance(name, str) else None
-        if cls is None:
-            raise CodecError(f"unknown wire enum {name!r}")
-        try:
-            return cls(_decode(value.get("v"), depth + 1))
-        except ValueError as exc:
-            raise CodecError(f"bad {name!r} value: {exc}") from None
-    if tag in ("tuple", "list", "fset", "set"):
-        items = value.get("v")
-        if not isinstance(items, list):
-            raise CodecError(f"malformed {tag!r} container")
-        decoded_items = [_decode(v, depth + 1) for v in items]
-        if tag == "tuple":
-            return tuple(decoded_items)
-        if tag == "list":
-            return decoded_items
-        try:
-            return frozenset(decoded_items) if tag == "fset" else set(decoded_items)
-        except TypeError as exc:
-            raise CodecError(f"unhashable {tag!r} element: {exc}") from None
-    if tag == "dict":
-        items = value.get("v")
-        if not isinstance(items, list) or not all(
-            isinstance(pair, list) and len(pair) == 2 for pair in items
-        ):
-            raise CodecError("malformed dict container")
-        try:
-            return {
-                _decode(k, depth + 1): _decode(v, depth + 1) for k, v in items
-            }
-        except TypeError as exc:
-            raise CodecError(f"unhashable dict key: {exc}") from None
-    raise CodecError(f"unknown wire tag {tag!r}")
-
-
-def encode(value: Any) -> Any:
-    """Encode *value* into the JSON-safe tagged representation."""
-    _ensure_registered()
-    return _encode(value, 0)
-
-
-def decode(value: Any) -> Any:
-    """Decode a tagged representation back into Python objects.
-
-    Raises :class:`CodecError` on any malformed input; never anything else.
-    """
-    _ensure_registered()
-    return _decode(value, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -760,9 +615,3 @@ def unframe(data: bytes) -> Tuple[Any, int]:
     if fmt == FORMAT_BINARY:
         return decode_binary(body), end
     raise CodecError(f"unknown wire format discriminator 0x{fmt:02X}")
-
-
-def roundtrip(value: Any) -> Any:
-    """``unframe(frame(value))`` — the property the codec tests pin."""
-    decoded, _ = unframe(frame(value))
-    return decoded

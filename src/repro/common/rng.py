@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterator
 
 
 def derive_seed(root_seed: int, *components: object) -> int:
@@ -36,10 +35,3 @@ def make_rng(root_seed: int, *components: object) -> random.Random:
     """Return a :class:`random.Random` seeded with a derived sub-seed."""
     return random.Random(derive_seed(root_seed, *components))
 
-
-def seed_stream(root_seed: int, label: str) -> Iterator[int]:
-    """Yield an infinite stream of derived seeds labelled *label*."""
-    index = 0
-    while True:
-        yield derive_seed(root_seed, label, index)
-        index += 1

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, Optional, Tuple
 
 from repro.common.codec import register_singleton, wire_enum, wire_type
 
@@ -42,15 +42,9 @@ class _Sentinel:
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return self._name
 
-    def __copy__(self) -> "_Sentinel":
-        return self
-
-    def __deepcopy__(self, memo: dict) -> "_Sentinel":
-        return self
-
     def __reduce__(self):
-        # Preserve singleton identity across pickling (used by the fault
-        # injector when snapshotting process state).
+        # Preserve singleton identity across pickling and copying (snapshots
+        # pickle whole process states).
         return (_lookup_sentinel, (self._name,))
 
 
@@ -98,21 +92,19 @@ def make_config(members: Iterable[ProcessId]) -> Configuration:
     return canonical(frozenset(members))
 
 
-def majority_size(config: Iterable[ProcessId]) -> int:
-    """Return the size of a majority quorum of *config*.
+def majority_size(config: Collection[ProcessId]) -> int:
+    """The size of a majority quorum of *config*, ``floor(|config|/2) + 1``.
 
-    The paper's recMA layer tests ``|alive ∩ config| < |config|/2 + 1``; this
-    helper returns the smallest integer that constitutes a majority, i.e.
-    ``floor(|config|/2) + 1``.
+    The paper's quorum system (Section 2): recMA's majority test (Algorithm
+    3.2, line 12) and the counters' read and write phases use this one rule.
     """
-    return len(list(config)) // 2 + 1
+    return len(config) // 2 + 1
 
 
 def is_majority(subset: Iterable[ProcessId], config: Iterable[ProcessId]) -> bool:
     """Return ``True`` when *subset* contains a majority of *config*."""
     config_set = frozenset(config)
-    inter = frozenset(subset) & config_set
-    return len(inter) >= majority_size(config_set)
+    return len(frozenset(subset) & config_set) >= majority_size(config_set)
 
 
 @wire_enum
@@ -128,19 +120,6 @@ class Phase(enum.IntEnum):
     SELECT = 1
     REPLACE = 2
 
-    def next(self) -> "Phase":
-        """The ``increment(phs)`` macro of Algorithm 3.1 (line 22).
-
-        Phase 0 stays at 0 (the automaton only advances from 0 via an
-        explicit ``estab()``), phase 1 advances to 2, and phase 2 wraps back
-        to 0.
-        """
-        if self is Phase.IDLE:
-            return Phase.IDLE
-        if self is Phase.SELECT:
-            return Phase.REPLACE
-        return Phase.IDLE
-
 
 @wire_type
 @dataclass(frozen=True, order=False)
@@ -148,9 +127,10 @@ class Proposal:
     """A configuration-replacement notification ``prp = ⟨phase, set⟩``.
 
     ``set`` is ``None`` for "no value" (the paper's ``⊥``) and otherwise a
-    :data:`Configuration`.  Proposals are compared lexicographically: first by
-    phase, then by the proposed set (sets ordered as sorted tuples of ids),
-    exactly as the paper's ``maxNtf()`` macro requires.
+    :data:`Configuration`.  Proposals are ordered by :meth:`sort_key`,
+    lexicographically: first by phase, then by the proposed set (sets
+    ordered as sorted tuples of ids), exactly as the paper's ``maxNtf()``
+    macro requires.
     """
 
     phase: Phase
@@ -165,37 +145,11 @@ class Proposal:
             members_key = tuple(sorted(self.members))
         return (int(self.phase), members_key)
 
-    def __lt__(self, other: "Proposal") -> bool:
-        return self.sort_key() < other.sort_key()
-
-    def __le__(self, other: "Proposal") -> bool:
-        return self.sort_key() <= other.sort_key()
-
-    def __gt__(self, other: "Proposal") -> bool:
-        return self.sort_key() > other.sort_key()
-
-    def __ge__(self, other: "Proposal") -> bool:
-        return self.sort_key() >= other.sort_key()
-
     @property
     def is_default(self) -> bool:
         """True for the default ("no proposal") notification ``⟨0, ⊥⟩``."""
         return self.phase is Phase.IDLE and self.members is None
 
-    def with_phase(self, phase: Phase) -> "Proposal":
-        """Return a copy of this proposal carrying *phase*."""
-        return Proposal(phase=phase, members=self.members)
-
 
 DEFAULT_PROPOSAL = Proposal(phase=Phase.IDLE, members=None)
 """The paper's ``dfltNtf = ⟨0, ⊥⟩`` constant."""
-
-
-def degree(proposal: Proposal, all_flag: bool) -> int:
-    """The ``degree(k)`` macro (Algorithm 3.1, line 16).
-
-    A notification's degree is ``2 * phase + (1 if all flag raised else 0)``;
-    the stale-information tests compare degrees of different participants and
-    flag gaps larger than one.
-    """
-    return 2 * int(proposal.phase) + (1 if all_flag else 0)

@@ -14,15 +14,6 @@ Three cooperating layers, composed per-processor by
   (Algorithm 3.3): application-controlled admission of new participants.
 """
 
-from repro.core.quorum import MajorityQuorumSystem, QuorumSystem
-from repro.core.prediction import (
-    PredictionPolicy,
-    NeverReconfigure,
-    AlwaysReconfigure,
-    FractionCrashedPolicy,
-    MembershipDriftPolicy,
-    CallbackPolicy,
-)
 from repro.core.recsa import RecSA, RecSAMessage
 from repro.core.recma import RecMA, RecMAMessage
 from repro.core.joining import JoiningProtocol, JoinRequest, JoinResponse, AdmissionPolicy
@@ -30,14 +21,6 @@ from repro.core.scheme import ReconfigurationScheme
 from repro.core.stale import StaleInfoType, classify_stale_information
 
 __all__ = [
-    "MajorityQuorumSystem",
-    "QuorumSystem",
-    "PredictionPolicy",
-    "NeverReconfigure",
-    "AlwaysReconfigure",
-    "FractionCrashedPolicy",
-    "MembershipDriftPolicy",
-    "CallbackPolicy",
     "RecSA",
     "RecSAMessage",
     "RecMA",

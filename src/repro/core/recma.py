@@ -11,7 +11,11 @@ trigger:
   this test safe: as long as a real majority is alive, at least one core
   member keeps reporting ``noMaj = False`` and no spurious trigger happens;
 * **prediction** — the application-provided ``evalConf()`` policy asks for a
-  reconfiguration and a majority of the configuration members agree.
+  reconfiguration and a majority of the configuration members agree.  The
+  paper treats *when* a delicate reconfiguration is useful as an application
+  concern (e.g. "once 1/4th of the members are not trusted"); the hook is
+  :attr:`RecMA.policy`, called as ``policy(configuration, trusted)``, and by
+  default never votes, so only a majority collapse triggers.
 
 Each processor can trigger at most once per event: after calling ``estab()``
 the local flags are flushed, and subsequent iterations observe
@@ -25,9 +29,8 @@ from typing import Any, Callable, Dict, FrozenSet, Optional
 
 from repro.common.codec import wire_type
 from repro.common.logging_utils import get_logger
-from repro.common.types import Configuration, ProcessId
+from repro.common.types import Configuration, ProcessId, is_majority
 from repro.core.gossip import GossipGate
-from repro.core.prediction import NeverReconfigure, PredictionPolicy
 from repro.core.recsa import DEFAULT_GOSSIP_REFRESH_INTERVAL, RecSA
 from repro.core.stale import is_real_config
 
@@ -35,6 +38,14 @@ _log = get_logger("recma")
 
 FdProvider = Callable[[], FrozenSet[ProcessId]]
 SendFn = Callable[[ProcessId, Any], None]
+#: The ``evalConf()`` black box (line 16): True votes for a reconfiguration
+#: of the configuration, given the caller's trusted set.
+PredictionPolicy = Callable[[Configuration, FrozenSet[ProcessId]], bool]
+
+
+def never_reconfigure(configuration: Configuration, trusted: FrozenSet[ProcessId]) -> bool:
+    """The default ``evalConf()``: reconfigure only on majority loss."""
+    return False
 
 
 @wire_type
@@ -56,14 +67,13 @@ class RecMA:
         recsa: RecSA,
         fd_provider: FdProvider,
         send: SendFn,
-        policy: Optional[PredictionPolicy] = None,
         gossip_refresh_interval: int = DEFAULT_GOSSIP_REFRESH_INTERVAL,
     ) -> None:
         self.pid = pid
         self.recsa = recsa
         self.fd_provider = fd_provider
         self.send = send
-        self.policy: PredictionPolicy = policy or NeverReconfigure()
+        self.policy: PredictionPolicy = never_reconfigure
 
         # Replicated flag arrays (own entry + most recently received values).
         self.no_maj: Dict[ProcessId, bool] = {pid: False}
@@ -137,10 +147,9 @@ class RecMA:
 
     def _evaluate(self, current: Configuration) -> None:
         trusted = frozenset(self.fd_provider()) | {self.pid}
-        majority = len(current) // 2 + 1
 
         # Line 12: can we see a trusted majority of the configuration?
-        if len(current & trusted) < majority:
+        if not is_majority(trusted, current):
             self.no_maj[self.pid] = True
 
         # The core (an intersection of every participant's reported set) is
@@ -203,16 +212,3 @@ class RecMA:
             return
         self.no_maj[sender] = bool(message.no_maj)
         self.need_reconf[sender] = bool(message.need_reconf)
-
-    # ------------------------------------------------------------------
-    # Diagnostics
-    # ------------------------------------------------------------------
-    def snapshot(self) -> Dict[str, Any]:
-        """Structured view of the layer's state for tests and debugging."""
-        return {
-            "pid": self.pid,
-            "no_maj": self.no_maj.get(self.pid, False),
-            "need_reconf": self.need_reconf.get(self.pid, False),
-            "prev_config": self.prev_config,
-            "triggers": self.trigger_count,
-        }

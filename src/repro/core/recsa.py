@@ -820,19 +820,3 @@ class RecSA:
 
     # Kept only for the spine's span table, which wraps these names (ROADMAP 6(d)).
     on_delta = on_digest = on_message
-
-    # ------------------------------------------------------------------
-    # Diagnostics
-    # ------------------------------------------------------------------
-    def snapshot(self) -> Dict[str, Any]:
-        """A structured snapshot of the layer's state (tests / debugging)."""
-        return {
-            "pid": self.pid,
-            "config": self._own.get("config"),
-            "prp": self._own_prp(),
-            "all": self._own_all(),
-            "participant": self.is_participant(),
-            "no_reco": self.no_reco(),
-            "resets": self.reset_count,
-            "installs": self.install_count,
-        }

@@ -18,7 +18,7 @@ interface:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, Iterable, Optional
+from typing import Any, Callable, FrozenSet, Iterable, Optional
 
 from repro.common.types import Configuration, NOT_PARTICIPANT, ProcessId
 from repro.core.joining import (
@@ -30,7 +30,6 @@ from repro.core.joining import (
     StateProvider,
     StateResetter,
 )
-from repro.core.prediction import PredictionPolicy
 from repro.core.recma import RecMA, RecMAMessage
 from repro.core.recsa import DEFAULT_GOSSIP_REFRESH_INTERVAL, RecSA, RecSAMessage
 from repro.core.stale import is_real_config
@@ -49,7 +48,6 @@ class ReconfigurationScheme:
         fd_provider: FdProvider,
         send: SendFn,
         initial_config: Any = None,
-        prediction_policy: Optional[PredictionPolicy] = None,
         admission_policy: Optional[AdmissionPolicy] = None,
         state_provider: Optional[StateProvider] = None,
         state_initializer: Optional[StateInitializer] = None,
@@ -72,7 +70,6 @@ class ReconfigurationScheme:
             recsa=self.recsa,
             fd_provider=fd_provider,
             send=send,
-            policy=prediction_policy,
             gossip_refresh_interval=gossip_refresh_interval,
         )
         self.joining = JoiningProtocol(
@@ -89,10 +86,6 @@ class ReconfigurationScheme:
     # ------------------------------------------------------------------
     # Application-facing interface
     # ------------------------------------------------------------------
-    def get_config(self) -> Any:
-        """The current configuration (``⊥``/``]`` while unstable/joining)."""
-        return self.recsa.get_config()
-
     def configuration(self) -> Optional[Configuration]:
         """The current configuration as a set, or ``None`` when unavailable."""
         value = self.recsa.get_config()
@@ -105,11 +98,6 @@ class ReconfigurationScheme:
     def is_participant(self) -> bool:
         """True once this processor has become a participant."""
         return self.recsa.is_participant()
-
-    def is_member(self) -> bool:
-        """True when this processor belongs to the current configuration."""
-        config = self.configuration()
-        return config is not None and self.pid in config
 
     def request_reconfiguration(self, members: Iterable[ProcessId]) -> bool:
         """Explicitly request a delicate reconfiguration to *members*."""
@@ -144,14 +132,3 @@ class ReconfigurationScheme:
                 self.recsa.store(sender, "config", NOT_PARTICIPANT)
             return self.joining.on_message(sender, message)
         return False
-
-    # ------------------------------------------------------------------
-    # Diagnostics
-    # ------------------------------------------------------------------
-    def snapshot(self) -> Dict[str, Any]:
-        """Combined diagnostic snapshot of the three layers."""
-        return {
-            "recsa": self.recsa.snapshot(),
-            "recma": self.recma.snapshot(),
-            "joined": self.joining.joined,
-        }

@@ -39,12 +39,11 @@ from __future__ import annotations
 
 import enum
 from types import MappingProxyType
-from typing import Any, FrozenSet, Iterable, List, Mapping, Set
+from typing import Any, FrozenSet, Iterable, List, Mapping
 
 from repro.common.types import (
     BOTTOM,
     NOT_PARTICIPANT,
-    Configuration,
     Phase,
     ProcessId,
 )
@@ -107,16 +106,6 @@ def has_type2(records: Records, scope: Iterable[ProcessId]) -> bool:
         if is_real_config(value) and len(value) == 0:
             return True
     return False
-
-
-def has_config_conflict(records: Records, scope: Iterable[ProcessId]) -> bool:
-    """Two trusted processors hold different non-``⊥``, non-``]`` configurations."""
-    real_configs: Set[Configuration] = set()
-    for pid in scope:
-        value = records.get(pid, NO_RECORD).get("config", NOT_PARTICIPANT)
-        if is_real_config(value) and len(value) > 0:
-            real_configs.add(value)
-    return len(real_configs) > 1
 
 
 def has_type3(records: Records, participants: Iterable[ProcessId]) -> bool:

@@ -28,7 +28,7 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.common.codec import wire_type
 from repro.common.logging_utils import get_logger
-from repro.common.types import Configuration, ProcessId
+from repro.common.types import Configuration, ProcessId, majority_size
 from repro.core.gossip import GossipGate
 from repro.core.scheme import ReconfigurationScheme
 from repro.counters.counter import (
@@ -114,9 +114,6 @@ class IncrementOutcome:
     counter: Optional[Counter] = None
     aborted: bool = False
 
-    def __bool__(self) -> bool:  # pragma: no cover - convenience
-        return self.success
-
 
 class _OpPhase(Enum):
     READ = "read"
@@ -141,7 +138,7 @@ class _IncrementOp:
     request: Any = None
 
     def majority(self) -> int:
-        return len(self.config) // 2 + 1
+        return majority_size(self.config)
 
 
 class CounterService:

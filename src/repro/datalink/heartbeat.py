@@ -14,7 +14,7 @@ those algorithms need), which keeps the simulation fast.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.common.types import ProcessId
 from repro.datalink.token_exchange import DataLinkMessage, LinkEndpoint
@@ -87,10 +87,6 @@ class HeartbeatService:
             )
             self.links[peer] = endpoint
         return endpoint
-
-    def peers(self) -> Iterable[ProcessId]:
-        """Identifiers of every peer a link exists for."""
-        return self.links.keys()
 
     # ------------------------------------------------------------ data plane
     def send_reliable(self, peer: ProcessId, payload: Any) -> None:
@@ -168,8 +164,3 @@ class HeartbeatService:
         if not isinstance(message.seq, int) or isinstance(message.seq, bool):
             return False
         return 0 <= message.seq < _MAX_LINK_SEQ
-
-    # ------------------------------------------------------------ inspection
-    def established_peers(self) -> List[ProcessId]:
-        """Peers whose link has completed the snap-stabilizing cleaning."""
-        return [peer for peer, link in self.links.items() if link.is_established()]

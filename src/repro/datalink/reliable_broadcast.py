@@ -228,17 +228,6 @@ class ReliableBroadcastService:
         return True
 
     # ---------------------------------------------------------- inspection
-    def statistics(self) -> Dict[str, Any]:
-        return {
-            "variant": self.variant,
-            "n": self.n,
-            "f": self.f,
-            "sent": len(self.sent),
-            "delivered": len(self.delivered),
-            "quarantined": self.quarantined,
-            "duplicates": self.duplicates,
-            "equivocations_observed": self.equivocations_observed,
-        }
 
 
 class BrachaBroadcastService(ReliableBroadcastService):

@@ -1,5 +1,5 @@
 """(N, Theta)-failure detector (Section 2 of the paper)."""
 
-from repro.failure_detector.ntheta import NThetaFailureDetector, FailureDetectorView
+from repro.failure_detector.ntheta import NThetaFailureDetector
 
-__all__ = ["NThetaFailureDetector", "FailureDetectorView"]
+__all__ = ["NThetaFailureDetector"]

@@ -10,19 +10,15 @@ position of the gap yields an estimate ``ni <= N`` of the number of active
 processors, and everything ranked past ``min(ni, N)`` — or past the gap — is
 suspected.
 
-The detector exposes:
-
-* ``trusted()`` — the set of processors currently trusted (including self),
-* ``estimate_active()`` — the gap-based estimate of the active count,
-* ``view()`` — an immutable snapshot shipped inside recSA messages (the
-  ``FD[]`` field of Algorithm 3.1).
+The detector exposes ``trusted()``, the set of processors currently trusted
+(including self), which recSA ships as the ``FD[]`` field of Algorithm 3.1,
+and ``counts``, the heartbeat vector itself.
 """
 
 from __future__ import annotations
 
 from collections.abc import MutableMapping
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Tuple
+from typing import Dict, FrozenSet, Iterator
 
 from repro.common.types import ProcessId, canonical
 
@@ -81,28 +77,6 @@ class _CountsView(MutableMapping):
         return f"_CountsView({dict(self)!r})"
 
 
-@dataclass(frozen=True)
-class FailureDetectorView:
-    """Immutable snapshot of a failure detector's trusted set.
-
-    ``trusted`` always contains the owner.  The view is what travels inside
-    protocol messages (the paper's ``FD[i]``), so it must be hashable and
-    comparable.
-    """
-
-    owner: ProcessId
-    trusted: FrozenSet[ProcessId]
-
-    def __contains__(self, pid: ProcessId) -> bool:
-        return pid in self.trusted
-
-    def __iter__(self):
-        return iter(sorted(self.trusted))
-
-    def __len__(self) -> int:
-        return len(self.trusted)
-
-
 class NThetaFailureDetector:
     """Heartbeat-count based failure detector with gap estimation.
 
@@ -114,7 +88,7 @@ class NThetaFailureDetector:
     count sits at or below it.  What can break the order marks the vector
     for one re-sort by ``(count, pid)`` at the next recomputation: a
     heartbeat that lands out of order, a ``counts`` write or deletion,
-    :meth:`forget`, and a cleared cache version (the corruption plan's
+    and a cleared cache version (the corruption plan's
     ``_trusted_cache_version = -1``: the cache is arbitrary state too).
 
     Parameters
@@ -216,55 +190,6 @@ class NThetaFailureDetector:
                 self._resort = True
         raw[sender] = fresh
 
-    def forget(self, pid: ProcessId) -> None:
-        """Drop a processor from the vector (used when links are torn down)."""
-        self._counts_version += 1
-        self._raw.pop(pid, None)
-        self._resort = True
-
-    def known(self) -> FrozenSet[ProcessId]:
-        """Every processor that has ever exchanged a token with the owner."""
-        return frozenset(self._raw) | {self.pid}
-
-    # -------------------------------------------------------------- ranking
-    def ranked(self) -> List[Tuple[ProcessId, int]]:
-        """Processors ordered by recency of communication (best first).
-
-        Ties are broken by identifier so the ranking is deterministic.
-        """
-        shift = self._shift
-        return sorted(
-            ((pid, raw + shift) for pid, raw in self._raw.items()),
-            key=lambda item: (item[1], item[0]),
-        )
-
-    def estimate_active(self) -> int:
-        """Gap-based estimate ``ni`` of the number of active processors.
-
-        Walks the ranked vector and stops at the first entry whose count is
-        "far" above the counts seen so far (the ever-expanding gap of a
-        crashed processor); the number of entries before the gap — plus one
-        for the owner — capped at ``N`` is the estimate.
-        """
-        ranked = self.ranked()
-        if not ranked:
-            return 1
-        active = 0
-        reference = 0.0
-        for index, (_, count) in enumerate(ranked):
-            if index == 0:
-                reference = float(count)
-                threshold = self.gap_factor * max(reference, 1.0) + self.gap_slack
-            else:
-                threshold = self.gap_factor * max(reference, 1.0) + self.gap_slack
-            if count > threshold:
-                break
-            active += 1
-            # Reference tracks the running mean of accepted counts so the
-            # gap grows with the crashed processor's count, not with noise.
-            reference = (reference * index + count) / (index + 1)
-        return min(active + 1, self.upper_bound_n)
-
     def trusted(self) -> FrozenSet[ProcessId]:
         """The set of processors the owner currently trusts (including self).
 
@@ -286,12 +211,11 @@ class NThetaFailureDetector:
         """Owner + the ranked prefix before the gap, at most ``N`` in all.
 
         One walk over the ordered vector, freshest first (after one re-sort
-        when the order is marked unknown).  The walk is the walk of
-        :meth:`estimate_active` — same thresholds, same running mean — and
-        the prefix it accepts is what gets trusted: while no gap has been
-        met the estimate is always ahead of the prefix length, so the only
-        other stop is the cap ("we can ignore any processors that rank
-        below the Nth vector entry").  The result becomes the cached set;
+        when the order is marked unknown), from the freshest count up to the
+        first count "far" above the running mean of the counts accepted so
+        far — the ever-expanding gap of a crashed processor — or to the cap
+        ("we can ignore any processors that rank below the Nth vector
+        entry").  The result becomes the cached set;
         an unchanged set keeps the cached object.
 
         There is no walk when it could not stop early: fewer than ``N``
@@ -346,17 +270,3 @@ class NThetaFailureDetector:
             return cache
         self._trusted_cache = result
         return result
-
-    def suspects(self) -> FrozenSet[ProcessId]:
-        """Processors known to the detector but not currently trusted."""
-        return frozenset(self._raw) - self.trusted()
-
-    def view(self) -> FailureDetectorView:
-        """Immutable snapshot used inside protocol messages (``FD[i]``)."""
-        return FailureDetectorView(owner=self.pid, trusted=self.trusted())
-
-    # ---------------------------------------------------------- diagnostics
-    def snapshot_counts(self) -> Dict[ProcessId, int]:
-        """Copy of the effective heartbeat-count vector (for tests/traces)."""
-        shift = self._shift
-        return {pid: raw + shift for pid, raw in self._raw.items()}

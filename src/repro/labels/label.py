@@ -93,11 +93,6 @@ def label_less_than(a: EpochLabel, b: EpochLabel) -> bool:
     return a.sting in b.antistings and b.sting not in a.antistings
 
 
-def labels_incomparable(a: EpochLabel, b: EpochLabel) -> bool:
-    """True when neither label dominates the other under ``≺lb``."""
-    return a != b and not label_less_than(a, b) and not label_less_than(b, a)
-
-
 def max_label(labels: Iterable[EpochLabel]) -> Optional[EpochLabel]:
     """A maximal element of *labels* under ``≺lb`` (None for an empty input).
 

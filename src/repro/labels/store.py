@@ -82,10 +82,6 @@ class BoundedLabelQueue:
         self._pairs[pair.ml] = pair
         self._pairs.move_to_end(pair.ml)
 
-    def remove(self, label: EpochLabel) -> None:
-        """Drop the pair stored for *label* (if any)."""
-        self._pairs.pop(label, None)
-
     def clear(self) -> None:
         """Drop every stored pair."""
         self._pairs.clear()

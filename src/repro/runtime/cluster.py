@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import asyncio
 from numbers import Real
-from typing import Any, Dict, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
-from repro.common.types import BOTTOM, Configuration, ProcessId, make_config
-from repro.sim.cluster import ClusterNode, agreed_configuration, converged_scan
+from repro.common.types import BOTTOM, ProcessId, make_config
+from repro.sim.cluster import ClusterNode, converged_scan
 from repro.sim.config import ClusterConfig, preset
 from repro.sim.stacks import StackProfile
 from repro.runtime.transport import AsyncioTransport, DEFAULT_TICK_SECONDS
@@ -94,12 +94,6 @@ class RuntimeCluster:
             await self.transport.close()
             self.transport = None
 
-    async def __aenter__(self) -> "RuntimeCluster":
-        return await self.start()
-
-    async def __aexit__(self, *exc_info: Any) -> None:
-        await self.shutdown()
-
     # ------------------------------------------------------------ queries
     def alive_nodes(self) -> List[ClusterNode]:
         return [n for n in self.nodes.values() if n.started and not n.crashed]
@@ -107,14 +101,6 @@ class RuntimeCluster:
     def is_converged(self) -> bool:
         """The full-scan convergence oracle over the live nodes."""
         return converged_scan(self.nodes.values())
-
-    def agreed_configuration(self) -> Optional[Configuration]:
-        """The single real configuration all alive participants hold."""
-        return agreed_configuration(self.nodes.values())
-
-    def service(self, pid: ProcessId, name: str) -> Any:
-        """The *name* stack service of node *pid* (e.g. ``"counters"``)."""
-        return self.nodes[pid].service(name)
 
     async def wait_converged(
         self, timeout_s: float, poll_s: float = 0.05
@@ -159,16 +145,3 @@ class RuntimeCluster:
         await self.transport.start_node(node)
         self.nodes[pid] = node
         return node
-
-    # -------------------------------------------------------- inspection
-    def statistics(self) -> Dict[str, Any]:
-        stats: Dict[str, Any] = {
-            "n": self.n,
-            "seed": self.seed,
-            "alive": len(self.alive_nodes()),
-            "converged": self.is_converged(),
-            "tick_seconds": self.tick_seconds,
-        }
-        if self.transport is not None:
-            stats.update(self.transport.statistics())
-        return stats

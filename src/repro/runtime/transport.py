@@ -372,12 +372,6 @@ class AsyncioTransport:
         # Let transport close callbacks run before the loop goes away.
         await asyncio.sleep(0)
 
-    async def __aenter__(self) -> "AsyncioTransport":
-        return self
-
-    async def __aexit__(self, *exc_info: Any) -> None:
-        await self.close()
-
     def statistics(self) -> Dict[str, Any]:
         """Wire counters, shaped like the simulator's ``statistics()``."""
         return {

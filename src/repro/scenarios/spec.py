@@ -10,7 +10,7 @@ turns a spec plus a seed into a deterministic statistics dictionary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Optional, Tuple, Union
 
 from repro.analysis.probes import Invariant, Probe
@@ -91,7 +91,3 @@ class ScenarioSpec:
     horizon: float = 0.0
     measure_window: float = 0.0
     require_bootstrap: bool = True
-
-    def with_overrides(self, **overrides: Any) -> "ScenarioSpec":
-        """A copy of the spec with the given fields replaced."""
-        return replace(self, **overrides)

@@ -17,7 +17,7 @@ monitors used by the test-suite and benchmark harness.
 """
 
 from repro.sim.events import Action, Event, EventQueue
-from repro.sim.snapshot import SimSnapshot, snapshot
+from repro.sim.snapshot import SimSnapshot
 from repro.sim.network import Packet, Channel, ChannelConfig, Network
 from repro.sim.process import Process, ProcessContext
 from repro.sim.simulator import Simulator
@@ -32,7 +32,6 @@ __all__ = [
     "Event",
     "EventQueue",
     "SimSnapshot",
-    "snapshot",
     "Packet",
     "Channel",
     "ChannelConfig",

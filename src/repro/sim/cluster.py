@@ -218,7 +218,6 @@ class ClusterNode(Process):
             fd_provider=self.failure_detector.trusted,
             send=self._send_raw,
             initial_config=initial_config,
-            prediction_policy=config.prediction_policy,
             admission_policy=config.admission_policy,
             send_many=self._send_raw_many,
             gossip_refresh_interval=config.gossip_refresh_interval,

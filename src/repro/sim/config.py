@@ -30,7 +30,6 @@ from typing import Any, Callable, Dict, Optional, Union
 
 from repro.common.errors import SimulationError
 from repro.core.joining import AdmissionPolicy
-from repro.core.prediction import PredictionPolicy
 from repro.core.recsa import DEFAULT_GOSSIP_REFRESH_INTERVAL
 from repro.failure_detector.ntheta import DEFAULT_GAP_SLACK
 from repro.sim.network import ChannelConfig
@@ -63,7 +62,6 @@ class ClusterConfig:
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     step_interval: float = 1.0
     coherent_start: bool = False
-    prediction_policy: Optional[PredictionPolicy] = None
     admission_policy: Optional[AdmissionPolicy] = None
     require_link_cleaning: bool = False
     gossip_refresh_interval: int = DEFAULT_GOSSIP_REFRESH_INTERVAL

@@ -306,14 +306,6 @@ class NetworkEnvironment:
             self.record("heal", name=partition_name, links=len(entry))
         return freed
 
-    def active_partitions(self) -> List[str]:
-        """Names of every currently installed partition."""
-        return sorted(self._partitions)
-
-    def is_blocked(self, source: ProcessId, destination: ProcessId) -> bool:
-        """True when at least one partition blocks the directed pair."""
-        return (source, destination) in self._blocked
-
     def permits(self, source: ProcessId, destination: ProcessId) -> bool:
         """Whether a packet may currently travel the directed pair.
 

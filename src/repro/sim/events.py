@@ -27,17 +27,14 @@ Two kinds of entry share the heap:
   shared bound method instead of allocating a closure per event.
 
 Cancellation is O(1): the handle is flagged and skipped lazily when it
-reaches the head of the heap.  The queue counts the cancelled handles still
-in the heap, so ``len(queue)`` — heap size minus that count — is exact no
-matter which cancellation path (:meth:`Event.cancel` or
-:meth:`EventQueue.cancel`) or drain path (``peek_time`` vs ``pop``) touched
-the heap, and a handle-less push touches no counter at all.
+reaches the head of the heap (:meth:`EventQueue.peek_time` or
+:meth:`EventQueue.pop_entry`).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
 
@@ -103,7 +100,7 @@ class Event:
         Optional human-readable label used by traces and tests.
     """
 
-    __slots__ = ("time", "sequence", "callback", "args", "cancelled", "label", "_queue")
+    __slots__ = ("time", "sequence", "callback", "args", "cancelled", "label")
 
     def __init__(
         self,
@@ -112,7 +109,6 @@ class Event:
         callback: Callable[..., None],
         args: Tuple = (),
         label: str = "",
-        queue: Optional["EventQueue"] = None,
     ) -> None:
         self.time = time
         self.sequence = sequence
@@ -120,23 +116,6 @@ class Event:
         self.args = args
         self.cancelled = False
         self.label = label
-        self._queue = queue
-
-    def cancel(self) -> None:
-        """Mark the event so it will be skipped when it reaches the head.
-
-        Routes through the owning queue (when attached) so the queue's live
-        count stays exact regardless of which cancellation entry point the
-        caller used.
-        """
-        if self._queue is not None:
-            self._queue.cancel(self)
-        else:
-            self.cancelled = True
-
-    def fire(self) -> None:
-        """Invoke the callback with its stored arguments."""
-        self.callback(*self.args)
 
 
 class EventQueue:
@@ -146,14 +125,6 @@ class EventQueue:
     def __init__(self) -> None:
         self._heap: List[Entry] = []
         self._next_seq = 0
-        # Cancelled handles still in the heap; ``len`` subtracts them.
-        self._cancelled = 0
-
-    def __len__(self) -> int:
-        return len(self._heap) - self._cancelled
-
-    def __bool__(self) -> bool:
-        return len(self._heap) > self._cancelled
 
     def push(self, time: float, target: Any, item: Any) -> None:
         """Insert a handle-less entry ``(time, sequence, target, item)``.
@@ -182,57 +153,14 @@ class EventQueue:
             raise SimulationError(f"cannot schedule event at non-finite time {time!r}")
         seq = self._next_seq
         self._next_seq = seq + 1
-        event = Event(time, seq, callback, args, label, self)
+        event = Event(time, seq, callback, args, label)
         heapq.heappush(self._heap, (time, seq, None, event))
         return event
 
-    def schedule_many(
-        self, entries: Iterable[Tuple[float, Callable[..., None], Tuple, str]]
-    ) -> List[Event]:
-        """Bulk-insert events; each entry is ``(time, callback, args, label)``.
-
-        Insertion order assigns the tie-breaking sequence numbers exactly as a
-        sequence of :meth:`schedule` calls would, so the two APIs are
-        interchangeable without perturbing determinism.  When the queue is
-        empty the batch is heapified in O(k) instead of k pushes.  The batch
-        is validated before the queue is touched, so a non-finite time leaves
-        the queue unchanged.
-        """
-        validated = []
-        for entry in entries:
-            time = entry[0]
-            if not (time == time and time != _INF and time != _NEG_INF):
-                raise SimulationError(f"cannot schedule event at non-finite time {time!r}")
-            validated.append(entry)
-        heap = self._heap
-        created: List[Event] = []
-        seq = self._next_seq
-        bulk = not heap
-        for time, callback, args, label in validated:
-            event = Event(time, seq, callback, args, label, self)
-            if bulk:
-                heap.append((time, seq, None, event))
-            else:
-                heapq.heappush(heap, (time, seq, None, event))
-            seq += 1
-            created.append(event)
-        if bulk and heap:
-            heapq.heapify(heap)
-        self._next_seq = seq
-        return created
-
     def cancel(self, event: Event) -> None:
-        """Cancel *event* in O(1); it will be skipped lazily when popped.
-
-        Cancelling an event that has already been popped (or dropped by
-        :meth:`clear`) is a no-op — only handles still in the heap are
-        counted, so ``len`` stays exact whichever order pop/cancel land in
-        (e.g. a process crashing itself from inside its own firing timer).
-        """
-        if not event.cancelled:
-            event.cancelled = True
-            if event._queue is self:
-                self._cancelled += 1
+        """Cancel *event* in O(1); it will be skipped lazily when it reaches
+        the head.  Cancelling an event that has already fired is a no-op."""
+        event.cancelled = True
 
     def peek_time(self) -> Optional[float]:
         """Return the time of the next live entry, or ``None``."""
@@ -240,8 +168,7 @@ class EventQueue:
         while heap:
             entry = heap[0]
             if entry[2] is None and entry[3].cancelled:
-                heapq.heappop(heap)[3]._queue = None
-                self._cancelled -= 1
+                heapq.heappop(heap)
                 continue
             return entry[0]
         return None
@@ -252,25 +179,7 @@ class EventQueue:
         heap = self._heap
         while heap:
             entry = heapq.heappop(heap)
-            if entry[2] is None:
-                event = entry[3]
-                event._queue = None
-                if event.cancelled:
-                    self._cancelled -= 1
-                    continue
+            if entry[2] is None and entry[3].cancelled:
+                continue
             return entry
         return None
-
-    def pop(self) -> Any:
-        """Remove the next live entry and return its item — the
-        :class:`Event` handle of a scheduled event — or ``None``."""
-        entry = self.pop_entry()
-        return None if entry is None else entry[3]
-
-    def clear(self) -> None:
-        """Drop every pending entry."""
-        for entry in self._heap:
-            if entry[2] is None:
-                entry[3]._queue = None
-        self._heap.clear()
-        self._cancelled = 0

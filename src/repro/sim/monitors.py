@@ -77,12 +77,6 @@ class InvariantMonitor:
         """Register *predicate*; it must return True whenever the invariant holds."""
         self.predicates[name] = predicate
 
-    def violated(self, name: Optional[str] = None) -> List[Violation]:
-        """Return recorded violation intervals, optionally filtered by name."""
-        if name is None:
-            return list(self.violations)
-        return [v for v in self.violations if v.name == name]
-
     def ok(self) -> bool:
         """True when no violation has been recorded."""
         return not self.violations

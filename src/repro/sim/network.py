@@ -209,11 +209,6 @@ class Channel:
         self.dropped_count = 0
         self.duplicated_count = 0
 
-    @property
-    def in_flight(self) -> Tuple[Packet, ...]:
-        """Snapshot of packets currently in flight (oldest first)."""
-        return tuple(self._in_flight.values())
-
     def occupancy(self) -> int:
         """Number of packets currently occupying channel capacity."""
         return len(self._in_flight)

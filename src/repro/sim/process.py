@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, List, Optional, TYPE_CHECKING
 
 from repro.common.types import ProcessId
 from repro.common.logging_utils import get_logger
@@ -40,19 +40,6 @@ class ProcessContext:
     pid: ProcessId
     transport: "Transport"
     rng: random.Random
-
-    def now(self) -> float:
-        """The transport clock, for metrics and traces only.
-
-        Contract (see :mod:`repro.transport.base`): no protocol layer calls
-        this — pacing is iteration-count based throughout the stack
-        (heartbeat ``idle_resend_interval``, reliable-broadcast round
-        counters), because the paper's algorithms are time-free.  Under the
-        simulator this is the deterministic simulated clock; under the
-        asyncio runtime it is wall clock rescaled to sim-time units, so
-        values are backend-relative and must never feed algorithm state.
-        """
-        return self.transport.now
 
     def send(self, destination: ProcessId, payload: Any) -> None:
         """Send *payload* to *destination* over the unreliable network."""
@@ -153,14 +140,3 @@ class Process:
             self.on_timer()
         finally:
             self._arm_timer()
-
-    # ----------------------------------------------------------- inspection
-    def describe(self) -> Dict[str, Any]:
-        """A small status dictionary used by traces and debugging helpers."""
-        return {
-            "pid": self.pid,
-            "crashed": self.crashed,
-            "started": self.started,
-            "steps": self.step_count,
-            "received": self.received_count,
-        }

@@ -33,7 +33,6 @@ from repro.common.errors import SimulationError
 from repro.common.logging_utils import get_logger
 from repro.common.rng import make_rng
 from repro.common.types import ProcessId
-from repro.sim.environment import NetworkEnvironment
 from repro.sim.events import Event, EventQueue
 from repro.sim.network import ChannelConfig, Network, Packet
 from repro.sim.process import Process, ProcessContext
@@ -100,10 +99,6 @@ class Simulator:
         """The per-process randomness stream, ``(seed, "process", pid)``."""
         return make_rng(self.seed, "process", pid)
 
-    def get_process(self, pid: ProcessId) -> Process:
-        """Return the registered process with identifier *pid*."""
-        return self.processes[pid]
-
     def active_processes(self) -> List[Process]:
         """Processes that have started and not crashed."""
         return [p for p in self.processes.values() if p.started and not p.crashed]
@@ -141,11 +136,6 @@ class Simulator:
         return self.call_at(self.now + delay, callback, label=label)
 
     # -------------------------------------------------------------- network
-    @property
-    def environment(self) -> NetworkEnvironment:
-        """The network's time-varying environment layer."""
-        return self.network.environment
-
     def send(self, source: ProcessId, destination: ProcessId, payload: Any) -> None:
         """Send a packet from *source* to *destination* (may be lost)."""
         interceptor = self.outbound_interceptors.get(source)

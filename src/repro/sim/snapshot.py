@@ -43,6 +43,10 @@ make that sound:
   in a dict keyed by ``id(packet)`` for O(1) completion; object ids change
   across a round trip, so :func:`_rekey_in_flight` rebuilds those ledgers
   (in order) after every ``loads``.
+* **Generators restore without touching the OS.**  ``random.Random``
+  unpickles through ``Random()``, which seeds itself from ``os.urandom``
+  before the pickled state overwrites it; :func:`_reduce_random` rebuilds
+  each generator from its state alone.
 
 Restrictions
 ------------
@@ -62,6 +66,7 @@ from __future__ import annotations
 import copyreg
 import io
 import pickle
+import random
 import types
 from typing import Any, Tuple
 
@@ -115,16 +120,32 @@ def _reduce_method(method: types.MethodType) -> Tuple[Any, Tuple[Any, str]]:
     return getattr, (instance, function.__name__)
 
 
-def _dumps(subject: Any) -> bytes:
-    """Pickle *subject* with bound methods reduced by :func:`_reduce_method`.
+def _restore_random(cls: type, state: Tuple[Any, ...]) -> random.Random:
+    rng = cls.__new__(cls)
+    rng.setstate(state)
+    return rng
 
-    A ``dispatch_table`` entry (not ``reducer_override``, which is a Python
-    call per pickled object) keeps the C pickler at full speed: the reducer
-    runs only for the few hundred bound methods of a graph.
+
+def _reduce_random(rng: random.Random) -> Tuple[Any, Tuple[type, Tuple[Any, ...]]]:
+    """Reduce a generator to its state, restored without seeding it first."""
+    return _restore_random, (type(rng), rng.getstate())
+
+
+def _dumps(subject: Any) -> bytes:
+    """Pickle *subject* with bound methods reduced by :func:`_reduce_method`
+    and generators by :func:`_reduce_random`.
+
+    ``dispatch_table`` entries (not ``reducer_override``, which is a Python
+    call per pickled object) keep the C pickler at full speed: the reducers
+    run only for the few hundred bound methods and generators of a graph.
     """
     buffer = io.BytesIO()
     pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
-    pickler.dispatch_table = {**copyreg.dispatch_table, types.MethodType: _reduce_method}
+    pickler.dispatch_table = {
+        **copyreg.dispatch_table,
+        types.MethodType: _reduce_method,
+        random.Random: _reduce_random,
+    }
     try:
         pickler.dump(subject)
     except (pickle.PicklingError, TypeError, AttributeError) as error:
@@ -175,8 +196,3 @@ class SimSnapshot:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimSnapshot({len(self._blob)} bytes, restores={self._restores})"
-
-
-def snapshot(subject: Any) -> SimSnapshot:
-    """Convenience alias for :meth:`SimSnapshot.capture`."""
-    return SimSnapshot.capture(subject)

@@ -24,12 +24,6 @@ class View:
     view_id: Counter
     members: FrozenSet[ProcessId]
 
-    def __contains__(self, pid: ProcessId) -> bool:
-        return pid in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
     @property
     def coordinator(self) -> ProcessId:
         """The member that created (wrote) the view identifier."""

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 import pytest
 
+from repro.analysis import probes
 from repro.audit.arbitrary_state import PROFILES, apply_plan, generate_plan
 from repro.common.types import BOTTOM, ProcessId, make_config
 from repro.core.recsa import RecSA
@@ -21,6 +23,45 @@ def quick_cluster(n: int, seed: int = 1, capacity: int = 8, **overrides: Any) ->
     config = fast_sim(**overrides)
     channel = replace(config.channel, capacity=capacity)
     return build_cluster(n, seed, config=config.with_overrides(channel=channel))
+
+
+def no_reset_in_progress(cluster: Cluster) -> bool:
+    """No alive node's own config entry is ``⊥``.
+
+    **Deliberately too strong**: a brute-force reset legitimately drives
+    every config entry through ``⊥``, so any corruption that triggers a reset
+    violates this.  It exists as the demonstration target for the audit
+    engine's reproducer shrinking (``tests/test_audit.py``'s shrink test) and
+    the corpus entries it mined.
+    """
+    return all(
+        node.recsa.config.get(node.pid) is not BOTTOM
+        for node in cluster.alive_nodes()
+    )
+
+
+def no_reset_invariant() -> probes.Invariant:
+    return probes.Invariant("no_reset_in_progress", no_reset_in_progress)
+
+
+#: Named invariant factories — what corpus entries resolve against (an
+#: :class:`~repro.analysis.probes.Invariant` itself is not JSON-serializable).
+INVARIANT_FACTORIES: Dict[str, Callable[[], probes.Invariant]] = {
+    "no_reset_in_progress": no_reset_invariant,
+    "smr_agreement": probes.smr_agreement_invariant,
+    "rb_agreement": probes.rb_agreement_invariant,
+    "rb_validity": probes.rb_validity_invariant,
+}
+
+
+def invariant_by_name(name: str) -> probes.Invariant:
+    """Build the named invariant (corpus replay)."""
+    try:
+        return INVARIANT_FACTORIES[name]()
+    except KeyError:
+        raise KeyError(
+            f"unknown invariant {name!r}; available: {sorted(INVARIANT_FACTORIES)}"
+        ) from None
 
 
 def scramble(
@@ -169,3 +210,63 @@ class RecSAHarness:
 def recsa_harness() -> RecSAHarness:
     """A three-processor RecSA harness bootstrapping via a reset."""
     return RecSAHarness(pids=[1, 2, 3])
+
+
+# ---------------------------------------------------------------------------
+# The deterministic report surface of ``certify``: what the audit pins compare
+# ---------------------------------------------------------------------------
+#: Result-entry keys that are *not* part of the deterministic surface: wall
+#: clock depends on machine load and worker pids on the OS.  They are
+#: scrubbed before any byte-comparison.
+VOLATILE_KEYS = frozenset({"wall_seconds", "worker_pid"})
+
+
+def scrub_volatile(value: Any) -> Any:
+    """A deep copy of *value* with every volatile key removed.
+
+    Two executions of the same cell differ only in wall clock and worker
+    identity, so what remains is the deterministic surface.
+    """
+    if isinstance(value, dict):
+        return {
+            key: scrub_volatile(item)
+            for key, item in value.items()
+            if key not in VOLATILE_KEYS
+        }
+    if isinstance(value, list):
+        return [scrub_volatile(item) for item in value]
+    return value
+
+
+def deterministic_report(report: Dict[str, Any]) -> Dict[str, Any]:
+    """The byte-comparable projection of a ``certify`` report.
+
+    Everything load- or machine-dependent is dropped (wall clock, worker
+    accounting, prefix-reuse counts); what remains — the verdicts,
+    stabilization distribution, failure list and matrix identity — must
+    serialize identically for two sweeps of the same code and inputs,
+    however they were scheduled: serial or parallel, warm or cold.
+    """
+    meta = report.get("meta", {})
+    projected: Dict[str, Any] = {
+        "meta": {
+            "cases": meta.get("cases"),
+            "seeds": meta.get("seeds"),
+            "runs": meta.get("runs"),
+            "corrupted_mid_bootstrap": meta.get("corrupted_mid_bootstrap"),
+        },
+        "certified": report.get("certified"),
+        "failed": report.get("failed"),
+        "verdicts": scrub_volatile(report.get("verdicts", [])),
+        "stabilization": scrub_volatile(report.get("stabilization", {})),
+    }
+    if "reproducers" in report:
+        projected["reproducers"] = scrub_volatile(report["reproducers"])
+    return projected
+
+
+def report_bytes(report: Dict[str, Any]) -> bytes:
+    """Canonical bytes of a report's deterministic projection."""
+    return json.dumps(
+        deterministic_report(report), sort_keys=True, separators=(",", ":"), default=str
+    ).encode("utf-8")

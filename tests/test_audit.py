@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -27,8 +28,6 @@ from repro.audit.harness import (
     AuditCase,
     build_cases,
     certify,
-    deterministic_report,
-    report_bytes,
     run_case,
     shrink_case,
 )
@@ -43,7 +42,12 @@ from repro.sim.network import ChannelConfig
 from repro.sim.simulator import Simulator
 from repro.sim.stacks import available_stacks
 
-from tests.conftest import quick_cluster
+from tests.conftest import (
+    deterministic_report,
+    no_reset_invariant,
+    quick_cluster,
+    report_bytes,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +119,7 @@ class TestViolationIntervals:
         monitor.add_invariant("window", lambda: not (10.0 <= sim.now <= 20.0))
         sim.run(until=50.0)
         assert not monitor.ok()
-        intervals = monitor.violated("window")
+        intervals = [v for v in monitor.violations if v.name == "window"]
         assert len(intervals) == 1
         interval = intervals[0]
         assert interval.time >= 10.0
@@ -141,7 +145,7 @@ class TestViolationIntervals:
             lambda: not (5.0 <= sim.now <= 10.0 or 25.0 <= sim.now <= 30.0),
         )
         sim.run(until=40.0)
-        assert len(monitor.violated("two-windows")) == 2
+        assert len([v for v in monitor.violations if v.name == "two-windows"]) == 2
 
     def test_violated_filters_and_ok(self):
         sim = Simulator(seed=1)
@@ -151,8 +155,8 @@ class TestViolationIntervals:
         monitor.add_invariant("bad", lambda: False)
         sim.run(until=10.0)
         assert not monitor.ok()
-        assert monitor.violated("good") == []
-        assert len(monitor.violated("bad")) == 1
+        assert [v for v in monitor.violations if v.name == "good"] == []
+        assert len([v for v in monitor.violations if v.name == "bad"]) == 1
         assert monitor.summary()["intervals"][0]["name"] == "bad"
 
     def test_strict_mode_still_raises(self):
@@ -348,7 +352,7 @@ class TestSchedulers:
                 self.sink = sink
 
             def on_receive(self, sender, payload):
-                self.sink.arrivals.append(self.context.now())
+                self.sink.arrivals.append(self.context.transport.now)
 
         sink = _Sink()
         sim.add_process(_Node(0, sink))
@@ -385,7 +389,7 @@ class TestSchedulers:
         base = run.cluster.config.channel
         assert chan.config.max_delay == pytest.approx(base.max_delay * 8.0)
         with pytest.raises(KeyError, match="unknown scheduler"):
-            prepare(spec.with_overrides(scheduler="nope"), seed=0)
+            prepare(replace(spec, scheduler="nope"), seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +456,7 @@ class TestAuditHarness:
         case = AuditCase(
             scheduler="uniform",
             corruption_seed=0,
-            invariants=(probes.no_reset_invariant(),),
+            invariants=(no_reset_invariant(),),
         )
         # An empty corruption plan must certify: bootstrap resets happen
         # before the invariant arms, so a violation is attributable to the
@@ -465,7 +469,7 @@ class TestAuditHarness:
         case = AuditCase(
             scheduler="uniform",
             corruption_seed=0,
-            invariants=(probes.no_reset_invariant(),),
+            invariants=(no_reset_invariant(),),
         )
         full = run_case(case, seed=0)
         assert not full["ok"]  # the deliberately broken invariant fires
@@ -478,7 +482,7 @@ class TestAuditHarness:
         case = AuditCase(
             scheduler="uniform",
             corruption_seed=0,
-            invariants=(probes.no_reset_invariant(),),
+            invariants=(no_reset_invariant(),),
         )
         a = shrink_case(case, seed=0)
         b = shrink_case(case, seed=0)

@@ -11,18 +11,26 @@ Two obligations, matching the transport split:
   frame that *decodes* fine but carries out-of-bounds protocol values is
   the next layer's problem, which ``validate_rb_message`` demonstrably
   catches (the same split the Byzantine datalink uses).
+
+The binary wire format is checked against two references kept here: a
+tagged-JSON encoding of the same object graph (:func:`encode` /
+:func:`decode`), and one pinned frame per registered wire type
+(:data:`WIRE_PINS`), which catches format drift a round trip cannot.
 """
 
+import dataclasses
 import json
 import struct
 import types
+from enum import Enum
+from typing import Any
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines.coherent_start import CoherentStartMessage
 from repro.common import codec
-from repro.common.codec import CodecError, decode, encode, frame, roundtrip, unframe
+from repro.common.codec import CodecError, frame, unframe
 from repro.common.types import (
     BOTTOM,
     NOT_PARTICIPANT,
@@ -53,6 +61,148 @@ from repro.labels.label import EpochLabel, LabelPair
 from repro.labels.labeling import LabelMessage
 from repro.vs.view import View
 from repro.vs.virtual_synchrony import VSState, VSStatus
+
+
+# ---------------------------------------------------------------------------
+# Tagged-JSON reference
+# ---------------------------------------------------------------------------
+# The same object graph as the binary format, with every container and
+# registered type written as ``{"%": tag, ...}``.  It never touches the wire:
+# the binary codec is compared against it, value for value.
+def registered_wire_types():
+    """Snapshot of the codec's dataclass registry, every message module loaded."""
+    codec._ensure_registered()
+    return dict(codec._TYPES)
+
+
+def _encode(value: Any, depth: int) -> Any:
+    if depth > codec.MAX_DEPTH:
+        raise CodecError("object graph too deep to encode")
+    # Enums before scalars: an IntEnum member (e.g. Phase.IDLE) *is* an int,
+    # but must round-trip as the enum member, not its value — downstream code
+    # compares by identity (``prp.phase is Phase.IDLE``).
+    if isinstance(value, Enum):
+        name = type(value).__name__
+        if name not in codec._ENUMS:
+            raise CodecError(f"unregistered enum {name!r}")
+        return {"%": "enum", "t": name, "v": _encode(value.value, depth + 1)}
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    singleton = codec._SINGLETON_IDS.get(id(value))
+    if singleton is not None:
+        return {"%": "one", "t": singleton}
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        name = next((n for n, cls in codec._TYPES.items() if cls is type(value)), None)
+        if name is None:
+            raise CodecError(f"unregistered wire type {type(value).__name__!r}")
+        fields = {
+            f: _encode(getattr(value, f), depth + 1) for f in codec._TYPE_FIELDS[name]
+        }
+        return {"%": "dc", "t": name, "f": fields}
+    if isinstance(value, tuple):
+        return {"%": "tuple", "v": [_encode(v, depth + 1) for v in value]}
+    if isinstance(value, list):
+        return {"%": "list", "v": [_encode(v, depth + 1) for v in value]}
+    if isinstance(value, (frozenset, set)):
+        encoded = [_encode(v, depth + 1) for v in value]
+        # Canonical element order: equal sets encode to identical bytes.
+        encoded.sort(key=lambda item: json.dumps(item, sort_keys=True))
+        tag = "fset" if isinstance(value, frozenset) else "set"
+        return {"%": tag, "v": encoded}
+    if isinstance(value, (dict, types.MappingProxyType)):
+        return {
+            "%": "dict",
+            "v": [
+                [_encode(k, depth + 1), _encode(v, depth + 1)]
+                for k, v in value.items()
+            ],
+        }
+    raise CodecError(f"cannot encode {type(value).__name__!r} value")
+
+
+def _decode(value: Any, depth: int) -> Any:
+    if depth > codec.MAX_DEPTH:
+        raise CodecError("encoded graph too deep to decode")
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if not isinstance(value, dict):
+        raise CodecError(f"unexpected wire element {type(value).__name__!r}")
+    tag = value.get("%")
+    if tag == "dc":
+        name = value.get("t")
+        cls = codec._TYPES.get(name) if isinstance(name, str) else None
+        if cls is None:
+            raise CodecError(f"unknown wire type {name!r}")
+        fields = value.get("f")
+        if not isinstance(fields, dict) or not all(
+            isinstance(k, str) for k in fields
+        ):
+            raise CodecError(f"malformed fields for wire type {name!r}")
+        if not set(fields) <= set(codec._TYPE_FIELDS[name]):
+            raise CodecError(f"unknown fields for wire type {name!r}")
+        decoded = {k: _decode(v, depth + 1) for k, v in fields.items()}
+        try:
+            return cls(**decoded)
+        except (TypeError, ValueError) as exc:
+            raise CodecError(f"cannot construct {name!r}: {exc}") from None
+    if tag == "one":
+        name = value.get("t")
+        if name not in codec._SINGLETONS:
+            raise CodecError(f"unknown singleton {name!r}")
+        return codec._SINGLETONS[name]
+    if tag == "enum":
+        name = value.get("t")
+        cls = codec._ENUMS.get(name) if isinstance(name, str) else None
+        if cls is None:
+            raise CodecError(f"unknown wire enum {name!r}")
+        try:
+            return cls(_decode(value.get("v"), depth + 1))
+        except ValueError as exc:
+            raise CodecError(f"bad {name!r} value: {exc}") from None
+    if tag in ("tuple", "list", "fset", "set"):
+        items = value.get("v")
+        if not isinstance(items, list):
+            raise CodecError(f"malformed {tag!r} container")
+        decoded_items = [_decode(v, depth + 1) for v in items]
+        if tag == "tuple":
+            return tuple(decoded_items)
+        if tag == "list":
+            return decoded_items
+        try:
+            return frozenset(decoded_items) if tag == "fset" else set(decoded_items)
+        except TypeError as exc:
+            raise CodecError(f"unhashable {tag!r} element: {exc}") from None
+    if tag == "dict":
+        items = value.get("v")
+        if not isinstance(items, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 for pair in items
+        ):
+            raise CodecError("malformed dict container")
+        try:
+            return {
+                _decode(k, depth + 1): _decode(v, depth + 1) for k, v in items
+            }
+        except TypeError as exc:
+            raise CodecError(f"unhashable dict key: {exc}") from None
+    raise CodecError(f"unknown wire tag {tag!r}")
+
+
+def encode(value: Any) -> Any:
+    """Encode *value* into the JSON-safe tagged representation."""
+    codec._ensure_registered()
+    return _encode(value, 0)
+
+
+def decode(value: Any) -> Any:
+    """Decode a tagged representation; raises only :class:`CodecError`."""
+    codec._ensure_registered()
+    return _decode(value, 0)
+
+
+def roundtrip(value: Any) -> Any:
+    """``unframe(frame(value))``: the wire's round trip."""
+    decoded, _ = unframe(frame(value))
+    return decoded
 
 
 _LABEL = EpochLabel(creator=2, sting=7, antistings=frozenset({1, 3}))
@@ -124,10 +274,79 @@ EXEMPLARS = {
 }
 
 
+#: One pinned frame per registered wire type: the exemplar's bytes on the wire.
+#: A format change shows here; regenerate with frame(EXEMPLARS[name]).hex()
+#: only for a deliberate wire-format change.
+WIRE_PINS = {
+    "CoherentStartMessage": "00000011420b00030a030409040300030203040306",
+    "Counter": "00000013420b010b060304030e090203020306030a0304",
+    "CounterGossipMessage": (
+        "0000002c420b0203020b030b010b060304030e090203020306030a03040b010b"
+        "060304030e090203020306030a030400"
+    ),
+    "CounterPair": (
+        "00000027420b030b010b060304030e090203020306030a03040b010b06030403"
+        "0e090203020306030a0304"
+    ),
+    "DataLinkMessage": "00000015420b04050464617461030203020602050268620306",
+    "EchoTriple": "00000018420b0509030300030203040b0f0d00030209020300030201",
+    "EpochLabel": "0000000d420b060304030e090203020306",
+    "JoinRequest": "0000000b420c070000000000000009",
+    "JoinResponse": (
+        "00000034420b080302010a0205066c6162656c7306010b0a0b060304030e0902"
+        "030203060b060304030e09020302030605047365716e0306"
+    ),
+    "LabelMessage": (
+        "00000020420b0903080b0a0b060304030e0902030203060b060304030e090203"
+        "02030600"
+    ),
+    "LabelPair": (
+        "0000001b420b0a0b060304030e0902030203060b060304030e090203020306"
+    ),
+    "MaxReadRequest": "00000013420c0b00000000000000010000000000000011",
+    "MaxReadResponse": (
+        "0000002e420b0c030403220b030b010b060304030e090203020306030a03040b"
+        "010b060304030e090203020306030a030402"
+    ),
+    "MaxWriteRequest": "00000019420b0d030203240b010b060304030e090203020306030a0304",
+    "MaxWriteResponse": "00000009420b0e030403240102",
+    "Proposal": "0000000f420b0f0d0003040903030003040308",
+    "RBMessage": "00000017420b100503667764030403120503636d64060203020306",
+    "RecMAMessage": "00000007420b1103000201",
+    "RecSAMessage": (
+        "00000038420b1203060904030003020304030609030300030203040e000b0f0d"
+        "00030000020b0509030300030203040b0f0d00030209020300030201"
+    ),
+    "VSState": (
+        "00000066420b1303000b140b010b060304030e090203020306030a0304090303"
+        "00030203040d0105096d756c7469636173740306000202060303000304060205"
+        "03636d6403160a0105016b0602030205017806010602030606020503636d6403"
+        "16030006020300030000"
+    ),
+    "View": (
+        "0000001d420b140b010b060304030e090203020306030a030409030300030203"
+        "04"
+    ),
+}
+
 class TestRoundTrip:
     def test_every_registered_type_has_an_exemplar(self):
-        registered = set(codec.registered_wire_types())
+        registered = set(registered_wire_types())
         assert registered == set(EXEMPLARS)
+
+    @pytest.mark.parametrize("name", sorted(EXEMPLARS))
+    def test_exemplar_frame_equals_its_pin(self, name):
+        value = EXEMPLARS[name]
+        assert set(WIRE_PINS) == set(EXEMPLARS)
+        pinned = bytes.fromhex(WIRE_PINS[name])
+        assert frame(value).hex() == WIRE_PINS[name]
+        restored, consumed = unframe(pinned)
+        assert consumed == len(pinned)
+        if name == "VSState":
+            # mappingproxy snapshots decode as plain dicts (equal content).
+            value = dataclasses.replace(value, state_snapshot=dict(value.state_snapshot))
+        assert restored == value
+        assert type(restored) is type(value)
 
     @pytest.mark.parametrize("name", sorted(EXEMPLARS))
     def test_exemplar_roundtrips(self, name):

@@ -15,9 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.probes import invariant_by_name
 from repro.audit.byzantine import ByzantineSpec
 from repro.audit.harness import AuditCase, run_case
+
+from tests.conftest import invariant_by_name
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 CORPUS_ENTRIES = sorted(CORPUS_DIR.glob("*.json"))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.events import EventQueue
 from tests.conftest import quick_cluster
 
 
@@ -65,30 +64,3 @@ class TestSeededDeterminism:
             return cluster.statistics(), cluster.agreed_configuration()
 
         assert run() == run()
-
-
-class TestEventOrderDeterminism:
-    def test_schedule_and_schedule_many_interchangeable(self):
-        """Bulk scheduling must assign the same tie-breaking order as loops."""
-        fired_a, fired_b = [], []
-        qa, qb = EventQueue(), EventQueue()
-        for i in range(10):
-            qa.schedule(1.0, fired_a.append, args=(i,))
-        qb.schedule_many((1.0, fired_b.append, (i,), "") for i in range(10))
-        while qa:
-            qa.pop().fire()
-        while qb:
-            qb.pop().fire()
-        assert fired_a == fired_b == list(range(10))
-
-    def test_bulk_after_existing_events_keeps_order(self):
-        queue = EventQueue()
-        fired = []
-        queue.schedule(2.0, fired.append, args=("late",))
-        queue.schedule_many(
-            [(1.0, fired.append, ("early",), ""), (2.0, fired.append, ("tie",), "")]
-        )
-        while queue:
-            queue.pop().fire()
-        # Same time (2.0): the earlier-scheduled event wins the tie.
-        assert fired == ["early", "late", "tie"]

@@ -23,7 +23,7 @@ from repro.sim.network import ChannelConfig
 from repro.sim.process import Process
 from repro.sim.simulator import Simulator
 
-from tests.conftest import quick_cluster
+from tests.conftest import invariant_by_name, quick_cluster
 
 
 class _Sink(Process):
@@ -49,55 +49,55 @@ def _two_nodes(seed: int = 1, **channel_kwargs) -> Simulator:
 class TestDirectedPartitions:
     def test_one_way_partition_blocks_single_direction(self):
         sim = _two_nodes()
-        sim.environment.partition([1], [2], symmetric=False)
+        sim.network.environment.partition([1], [2], symmetric=False)
         for _ in range(5):
             sim.send(1, 2, "forward")
             sim.send(2, 1, "reverse")
         sim.run(until=10.0)
-        forward = sim.get_process(2).received
-        reverse = sim.get_process(1).received
+        forward = sim.processes[2].received
+        reverse = sim.processes[1].received
         assert forward == []
         assert len(reverse) == 5
 
     def test_per_partition_heal(self):
         sim = _two_nodes()
         sim.add_process(_Sink(3))
-        env = sim.environment
+        env = sim.network.environment
         first = env.partition([1], [2], name="a")
         env.partition([1], [3], name="b")
-        assert env.active_partitions() == ["a", "b"]
+        assert env.summary()["active_partitions"] == ["a", "b"]
         freed = env.heal(first)
         assert freed == 2  # both directions of the 1<->2 split
-        assert env.active_partitions() == ["b"]
+        assert env.summary()["active_partitions"] == ["b"]
         sim.send(1, 2, "healed")
         sim.send(1, 3, "still blocked")
         sim.run(until=10.0)
-        assert sim.get_process(2).received == [(1, "healed")]
-        assert sim.get_process(3).received == []
+        assert sim.processes[2].received == [(1, "healed")]
+        assert sim.processes[3].received == []
 
     def test_heal_unknown_partition_is_noop(self):
         sim = _two_nodes()
-        assert sim.environment.heal("nope") == 0
+        assert sim.network.environment.heal("nope") == 0
 
     def test_leaky_partition_passes_some_packets(self):
         sim = _two_nodes(seed=3)
-        sim.environment.partition([1], [2], leak=0.3)
+        sim.network.environment.partition([1], [2], leak=0.3)
         # Spread the sends out so channel capacity never throttles them.
         for i in range(200):
             sim.call_at(float(i), lambda: sim.send(1, 2, "leak?"), label="send")
         sim.run(until=300.0)
-        leaked = len(sim.get_process(2).received)
+        leaked = len(sim.processes[2].received)
         # A 30% leak over 200 sends: comfortably between "none" and "all".
         assert 20 < leaked < 120
 
     def test_leak_is_deterministic_per_seed(self):
         def run(seed):
             sim = _two_nodes(seed=seed)
-            sim.environment.partition([1], [2], leak=0.2)
+            sim.network.environment.partition([1], [2], leak=0.2)
             for i in range(100):
                 sim.call_at(float(i), lambda i=i: sim.send(1, 2, i), label="send")
             sim.run(until=200.0)
-            return [payload for _, payload in sim.get_process(2).received]
+            return [payload for _, payload in sim.processes[2].received]
 
         first = run(7)
         assert first == run(7)
@@ -107,19 +107,19 @@ class TestDirectedPartitions:
         # A packet must leak through EVERY blocking partition; one leak-free
         # blocker therefore drops everything.
         sim = _two_nodes(seed=2)
-        sim.environment.partition([1], [2], name="leaky", leak=0.9)
-        sim.environment.partition([1], [2], name="wall", leak=0.0)
+        sim.network.environment.partition([1], [2], name="leaky", leak=0.9)
+        sim.network.environment.partition([1], [2], name="wall", leak=0.0)
         for _ in range(50):
             sim.send(1, 2, "x")
         sim.run(until=20.0)
-        assert sim.get_process(2).received == []
+        assert sim.processes[2].received == []
 
     def test_invalid_leak_rejected(self):
         sim = _two_nodes()
         from repro.common.errors import SimulationError
 
         with pytest.raises(SimulationError, match="leak probability"):
-            sim.environment.partition([1], [2], leak=1.0)
+            sim.network.environment.partition([1], [2], leak=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +132,7 @@ class TestLinkStateLayers:
         # pair is read by re-fetching the channel, and a mutation is O(1)
         # instead of a walk over touched channels.
         sim = _two_nodes()
-        env = sim.environment
+        env = sim.network.environment
         override = ChannelConfig(min_delay=1.0, max_delay=2.0)
         env.set_link_config(1, 2, override)
         assert sim.network.channel(1, 2).config is override
@@ -146,7 +146,7 @@ class TestLinkStateLayers:
     def test_policy_shapes_channels_created_later(self):
         sim = _two_nodes()
         shaped = ChannelConfig(min_delay=3.0, max_delay=4.0)
-        sim.environment.add_link_policy(
+        sim.network.environment.add_link_policy(
             "test", lambda s, d: shaped if d == 2 else None
         )
         assert sim.network.channel(1, 2).config is shaped
@@ -156,12 +156,12 @@ class TestLinkStateLayers:
         sim = _two_nodes()
         assert sim.network.channel(1, 2).config is sim.network.default_config
         shaped = ChannelConfig(min_delay=3.0, max_delay=4.0)
-        sim.environment.add_link_policy("test", lambda s, d: shaped)
+        sim.network.environment.add_link_policy("test", lambda s, d: shaped)
         assert sim.network.channel(1, 2).config is shaped
 
     def test_transitions_are_recorded_with_time(self):
         sim = _two_nodes()
-        env = sim.environment
+        env = sim.network.environment
         sim.call_at(5.0, lambda: env.partition([1], [2], name="p"))
         sim.call_at(9.0, lambda: env.heal("p"))
         sim.run(until=20.0)
@@ -361,7 +361,7 @@ class TestSMRAgreementInvariant:
         assert probes.smr_histories_agree(cluster)
 
     def test_invariant_by_name_registry(self):
-        invariant = probes.invariant_by_name("smr_agreement")
+        invariant = invariant_by_name("smr_agreement")
         assert invariant.name == "smr_agreement"
         with pytest.raises(KeyError, match="unknown invariant"):
-            probes.invariant_by_name("definitely_not_registered")
+            invariant_by_name("definitely_not_registered")

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.common.types import Phase, Proposal, is_majority, majority_size, make_config
-from repro.core.quorum import MajorityQuorumSystem
 from repro.counters.counter import Counter, counter_less_than
 from repro.labels.label import (
     EpochLabel,
@@ -35,11 +34,13 @@ proposals = st.builds(
 class TestProposalOrderProperties:
     @given(proposals, proposals)
     def test_order_is_total_and_antisymmetric(self, a, b):
-        assert (a < b) or (b < a) or (a.sort_key() == b.sort_key())
+        a, b = a.sort_key(), b.sort_key()
+        assert (a < b) or (b < a) or (a == b)
         assert not ((a < b) and (b < a))
 
     @given(proposals, proposals, proposals)
     def test_order_is_transitive(self, a, b, c):
+        a, b, c = a.sort_key(), b.sort_key(), c.sort_key()
         if a < b and b < c:
             assert a < c
 
@@ -47,7 +48,7 @@ class TestProposalOrderProperties:
     def test_default_is_minimum(self, a):
         from repro.common.types import DEFAULT_PROPOSAL
 
-        assert DEFAULT_PROPOSAL <= a
+        assert DEFAULT_PROPOSAL.sort_key() <= a.sort_key()
 
 
 class TestMajorityProperties:
@@ -66,11 +67,12 @@ class TestMajorityProperties:
 
     @given(pid_sets)
     def test_quorum_system_consistent_with_is_majority(self, members):
-        system = MajorityQuorumSystem(members)
+        """The majority quorum system: the smallest majority is a quorum and
+        one member fewer is not."""
+        size = majority_size(members)
         sorted_members = sorted(members)
-        subset = frozenset(sorted_members[: system.quorum_size()])
-        assert system.is_quorum(subset)
-        assert is_majority(subset, members)
+        assert is_majority(sorted_members[:size], members)
+        assert not is_majority(sorted_members[: size - 1], members)
 
 
 labels = st.builds(
@@ -281,8 +283,8 @@ class TestEventQueueProperties:
         for t in times:
             queue.schedule(t, lambda: None)
         popped = []
-        while queue:
-            popped.append(queue.pop().time)
+        while (entry := queue.pop_entry()) is not None:
+            popped.append(entry[3].time)
         assert popped == sorted(popped)
         assert len(popped) == len(times)
 
@@ -292,13 +294,17 @@ _queue_ops = st.lists(
     st.one_of(
         st.tuples(st.just("push"), _times),
         st.tuples(st.just("timer"), _times),
-        st.tuples(st.just("many"), st.lists(_times, max_size=5)),
         st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=30)),
         st.tuples(st.just("pop"), st.integers(min_value=1, max_value=4)),
         st.tuples(st.just("pickle"), st.just(0)),
     ),
     max_size=40,
 )
+
+
+def _live(queue):
+    """Entries in the heap that are not cancelled timers."""
+    return sum(1 for _, _, target, item in queue._heap if target is not None or not item.cancelled)
 
 
 class TestMixedEventQueueModel:
@@ -308,16 +314,19 @@ class TestMixedEventQueueModel:
     @settings(max_examples=150, deadline=None)
     @given(_queue_ops)
     @example([
-        ("many", [3.0, 1.0, 1.0]),   # bulk into an empty heap (heapified)
+        ("timer", 3.0),
+        ("timer", 1.0),
+        ("timer", 1.0),
         ("push", 1.0),               # a delivery tied with two timers
         ("timer", 0.0),
-        ("cancel", 1),               # cancel before pop, through the handle
+        ("cancel", 1),               # cancel before pop
         ("pop", 2),
-        ("cancel", 3),               # cancel after pop, through the handle
-        ("cancel", 2),               # ... and through the queue
+        ("cancel", 3),               # cancel after pop
+        ("cancel", 3),               # ... twice
         ("pickle", 0),               # round trip mid-stream
-        ("many", [0.0, 2.0]),        # bulk into a non-empty heap
-        ("cancel", 6),               # cancel before pop, through the queue
+        ("timer", 0.0),
+        ("timer", 2.0),
+        ("cancel", 6),               # cancel before pop
         ("push", 2.0),
         ("pop", 4),
     ])
@@ -340,16 +349,10 @@ class TestMixedEventQueueModel:
             elif op == "timer":
                 token = add(arg, "timer")
                 handles.append((queue.schedule(arg, list, args=(token,)), token))
-            elif op == "many":
-                tokens = [add(time, "timer") for time in arg]
-                created = queue.schedule_many(
-                    (time, list, (token,), "") for time, token in zip(arg, tokens)
-                )
-                handles.extend(zip(created, tokens))
             elif op == "cancel" and handles:
                 handle, token = handles[arg % len(handles)]
-                # Both entry points, also on a handle already popped.
-                handle.cancel() if arg % 2 else queue.cancel(handle)
+                # Also on a handle already popped.
+                queue.cancel(handle)
                 model[:] = [entry for entry in model if entry[3] != token]
             elif op == "pop":
                 for _ in range(arg):
@@ -368,12 +371,11 @@ class TestMixedEventQueueModel:
             elif op == "pickle":
                 # The handles travel with the queue, as in a snapshot.
                 queue, handles = pickle.loads(pickle.dumps((queue, handles)))
-            assert len(queue) == len(model)
-            assert bool(queue) == bool(model)
+            assert _live(queue) == len(model)
             if op == "push":  # elsewhere a cancelled head is left for pop
                 assert queue.peek_time() == (min(model)[0] if model else None)
         drained = []
-        while queue:
-            drained.append(queue.pop_entry()[:2])
+        while (entry := queue.pop_entry()) is not None:
+            drained.append(entry[:2])
         assert drained == sorted(entry[:2] for entry in model)
-        assert queue.pop_entry() is None and len(queue) == 0
+        assert queue.peek_time() is None

@@ -23,7 +23,7 @@ from repro.common.types import (
 )
 from repro.core.joining import JoinRequest
 from repro.core.recsa import EchoTriple, RecSA, RecSAMessage
-from repro.core.stale import StaleInfoType, classify_stale_information
+from repro.core.stale import StaleInfoType, classify_stale_information, is_real_config
 from repro.sim.snapshot import SimSnapshot
 
 from tests.conftest import RecSAHarness, quick_cluster, scramble
@@ -53,15 +53,16 @@ class TestStaleClassification:
         assert StaleInfoType.TYPE_1 in self._classify(harness)
 
     def test_config_conflict_is_not_type2_but_is_detected_separately(self):
-        from repro.core.stale import has_config_conflict
-
         harness = RecSAHarness([1, 2, 3], initial_config=make_config([1, 2, 3]))
         harness.round(3)
         harness[1].config[2] = make_config([1, 2])
         # Conflicts are handled by the no-notification branch, not the
         # always-on classification (see stale.has_type2 docstring).
         assert StaleInfoType.TYPE_2 not in self._classify(harness)
-        assert has_config_conflict(harness[1]._records, harness[1].trusted())
+        # Two trusted processors hold different real configurations.
+        records = harness[1]._records
+        configs = {records[pid]["config"] for pid in harness[1].trusted()}
+        assert len({c for c in configs if is_real_config(c) and c}) > 1
 
     def test_type2_bottom_detected(self):
         harness = RecSAHarness([1, 2, 3], initial_config=make_config([1, 2, 3]))

@@ -6,7 +6,7 @@ joiner re-admission — plus closed-loop clients that check what they got back
 (counter values, Thm 4.6; SMR delivery across a live view change) and the
 hostile-datagram quarantine path.  These are also the examples of driving a
 live cluster: a service is called in-process through
-``cluster.service(pid, name)``.  Everything but the SMR tests runs at
+``cluster.nodes[pid].service(name)``.  Everything but the SMR tests runs at
 ``tick_seconds`` well below the default so the whole module stays a few wall
 seconds.
 
@@ -17,6 +17,7 @@ expected timings are an order of magnitude smaller.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import socket
 import statistics
@@ -24,12 +25,11 @@ import struct
 
 import pytest
 
-from repro.common.codec import encode
 from repro.core.joining import JoinRequest
 from repro.counters.counter import counter_less_than
 from repro.runtime.cluster import RuntimeCluster
 from repro.runtime.transport import _HEADER
-from repro.sim.cluster import build_cluster
+from repro.sim.cluster import agreed_configuration, build_cluster
 from repro.sim.config import PRESETS, preset
 from repro.vs.virtual_synchrony import VSState
 
@@ -37,6 +37,16 @@ from repro.vs.virtual_synchrony import VSState
 TICK = 0.01
 #: Outer wall-clock budget per wait; actual convergence is well under 1 s.
 BUDGET_S = 30.0
+
+
+@contextlib.asynccontextmanager
+async def _running(cluster: RuntimeCluster):
+    """Start *cluster*; shut it down on the way out."""
+    await cluster.start()
+    try:
+        yield cluster
+    finally:
+        await cluster.shutdown()
 
 
 async def _wait_until(predicate, what: str) -> None:
@@ -68,7 +78,7 @@ async def _smr_clients(cluster: RuntimeCluster):
     the first replica delivers *command*."""
     assert await cluster.wait_converged(timeout_s=BUDGET_S, poll_s=0.01)
     loop = asyncio.get_running_loop()
-    services = {pid: cluster.service(pid, "vs") for pid in cluster.nodes}
+    services = {pid: cluster.nodes[pid].service("vs") for pid in cluster.nodes}
     await _wait_until(
         lambda: any(vs.is_coordinator() and vs.view for vs in services.values()),
         "no view was installed",
@@ -117,11 +127,11 @@ def test_bootstrap_kill_restart_cycle():
     """n=8: converge from scratch, evict a killed node, re-admit it."""
 
     async def scenario() -> None:
-        async with RuntimeCluster(
+        async with _running(RuntimeCluster(
             n=8, seed=7, stack="counters", tick_seconds=TICK
-        ) as cluster:
+        )) as cluster:
             assert await cluster.wait_converged(timeout_s=BUDGET_S, poll_s=0.01)
-            assert cluster.agreed_configuration() == frozenset(range(8))
+            assert agreed_configuration(cluster.nodes.values()) == frozenset(range(8))
 
             victim = 7
             await _kill_and_wait_for_eviction(cluster, victim)
@@ -133,7 +143,7 @@ def test_bootstrap_kill_restart_cycle():
                 "restarted node never rejoined",
             )
 
-            stats = cluster.statistics()
+            stats = cluster.transport.statistics()
             assert stats["delivery_errors"] == 0
             assert stats["sent_datagrams"] > 0
 
@@ -145,16 +155,16 @@ def test_restart_of_a_live_pid_is_refused_and_changes_nothing():
     the node: the cluster keeps describing the nodes that are running."""
 
     async def scenario() -> None:
-        async with RuntimeCluster(
+        async with _running(RuntimeCluster(
             n=3, seed=7, stack="counters", tick_seconds=TICK
-        ) as cluster:
+        )) as cluster:
             assert await cluster.wait_converged(timeout_s=BUDGET_S, poll_s=0.01)
             node = cluster.nodes[2]
             with pytest.raises(RuntimeError, match="live endpoint"):
                 await cluster.restart(2)
             assert cluster.nodes[2] is node
             assert cluster.is_converged()
-            assert cluster.statistics()["alive"] == 3
+            assert len(cluster.alive_nodes()) == 3
 
     asyncio.run(scenario())
 
@@ -171,14 +181,14 @@ def test_closed_loop_counter_clients_get_distinct_increasing_values():
     """
 
     async def scenario() -> None:
-        async with RuntimeCluster(
+        async with _running(RuntimeCluster(
             n=4, seed=7, stack="counters", tick_seconds=TICK
-        ) as cluster:
+        )) as cluster:
             assert await cluster.wait_converged(timeout_s=BUDGET_S, poll_s=0.01)
 
             def max_label_agreed() -> bool:
                 pairs = [
-                    cluster.service(pid, "counters").local_max_counter()
+                    cluster.nodes[pid].service("counters").local_max_counter()
                     for pid in cluster.nodes
                 ]
                 return None not in pairs and len({pair.mct.label for pair in pairs}) == 1
@@ -189,7 +199,7 @@ def test_closed_loop_counter_clients_get_distinct_increasing_values():
             outcomes: dict = {pid: [] for pid in cluster.nodes}
 
             async def client(pid: int) -> None:
-                counters = cluster.service(pid, "counters")
+                counters = cluster.nodes[pid].service("counters")
                 while loop.time() < stop_at:
                     done = loop.create_future()
                     counters.increment(done.set_result)
@@ -204,7 +214,7 @@ def test_closed_loop_counter_clients_get_distinct_increasing_values():
                 assert all(
                     counter_less_than(a.counter, b.counter) for a, b in zip(mine, mine[1:])
                 )
-            assert cluster.statistics()["delivery_errors"] == 0
+            assert cluster.transport.statistics()["delivery_errors"] == 0
 
     asyncio.run(scenario())
 
@@ -227,7 +237,7 @@ def test_smr_closed_loop_costs_the_same_at_any_history_length():
     window = 500
 
     async def scenario() -> None:
-        async with RuntimeCluster(n=8, seed=7, stack="vs_smr") as cluster:
+        async with _running(RuntimeCluster(n=8, seed=7, stack="vs_smr")) as cluster:
             submit = await _smr_clients(cluster)
             transport = cluster.transport
             sizes: list = []  # every accepted VSState frame, in send order
@@ -247,7 +257,7 @@ def test_smr_closed_loop_costs_the_same_at_any_history_length():
                     cuts.append(len(sizes))
 
             await _deliver_closed_loop(submit, 3000, on_completed)
-            stats = cluster.statistics()
+            stats = cluster.transport.statistics()
             assert stats["oversize_frames"] == 0
             assert stats["delivery_errors"] == 0
             per_frame = [statistics.mean(sizes[a:b]) for a, b in zip(cuts, cuts[1:])]
@@ -284,12 +294,12 @@ def test_smr_keeps_delivering_across_a_live_view_change(history):
     """
 
     async def scenario() -> None:
-        async with RuntimeCluster(n=8, seed=7, stack="vs_smr") as cluster:
+        async with _running(RuntimeCluster(n=8, seed=7, stack="vs_smr")) as cluster:
             submit = await _smr_clients(cluster)
             await _deliver_closed_loop(submit, history)
             await _kill_and_wait_for_eviction(cluster, 7)
             await asyncio.wait_for(submit(0, ("after-the-kill", 0, 0)), timeout=3.0)
-            assert cluster.statistics()["oversize_frames"] == 0
+            assert cluster.transport.statistics()["oversize_frames"] == 0
 
     asyncio.run(scenario())
 
@@ -302,9 +312,9 @@ def test_oversize_frames_are_counted_apart_and_warned_once(caplog):
     from repro.runtime.transport import MAX_DATAGRAM_BYTES
 
     async def scenario() -> None:
-        async with RuntimeCluster(
+        async with _running(RuntimeCluster(
             n=2, seed=7, stack="counters", tick_seconds=TICK
-        ) as cluster:
+        )) as cluster:
             transport = cluster.transport
             huge = JoinResponse(sender=0, granted=True, state="x" * MAX_DATAGRAM_BYTES)
             dropped = transport.dropped_frames
@@ -329,7 +339,9 @@ def test_receive_buffer_is_one_udp_datagram_and_the_largest_frame_arrives():
     from repro.runtime.transport import MAX_DATAGRAM_BYTES
 
     async def scenario() -> None:
-        async with RuntimeCluster(n=2, seed=7, stack="bare", tick_seconds=10.0) as cluster:
+        async with _running(
+            RuntimeCluster(n=2, seed=7, stack="bare", tick_seconds=10.0)
+        ) as cluster:
             transport = cluster.transport
             sizes = {ep.udp.max_size for ep in transport._endpoints.values()}
             assert sizes == {64 * 1024}
@@ -355,7 +367,9 @@ def test_send_encodes_a_broadcast_message_once_per_loop_turn(monkeypatch):
 
     async def scenario() -> None:
 
-        async with RuntimeCluster(n=4, seed=7, stack="bare", tick_seconds=10.0) as cluster:
+        async with _running(
+            RuntimeCluster(n=4, seed=7, stack="bare", tick_seconds=10.0)
+        ) as cluster:
             transport = cluster.transport
             await asyncio.sleep(0.05)  # the start-up burst is flushed
             message = JoinRequest(sender=0)
@@ -388,18 +402,21 @@ def test_hostile_datagrams_are_quarantined_not_fatal():
     node keeps working (same stance as the Byzantine datalink validation)."""
 
     async def scenario() -> None:
-        async with RuntimeCluster(
+        async with _running(RuntimeCluster(
             n=3, seed=7, stack="counters", tick_seconds=TICK
-        ) as cluster:
+        )) as cluster:
             assert await cluster.wait_converged(timeout_s=BUDGET_S, poll_s=0.01)
             transport = cluster.transport
             target = transport._addrs[0]
             hostile = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
             loop = asyncio.get_running_loop()
             try:
-                # A well-formed frame in the retired tagged-JSON format: sent
-                # alone first, so the count below is this datagram's.
-                body = json.dumps(encode(JoinRequest(sender=1))).encode("utf-8")
+                # A well-formed frame in the retired tagged-JSON format (a
+                # JoinRequest from node 1): sent alone first, so the count
+                # below is this datagram's.
+                body = json.dumps(
+                    {"%": "dc", "t": "JoinRequest", "f": {"sender": 1}}
+                ).encode("utf-8")
                 hostile.sendto(
                     _HEADER.pack(1) + struct.pack(">I", len(body) + 1) + b"J" + body,
                     target,
@@ -457,7 +474,7 @@ def test_both_backends_build_the_same_node_from_one_config(name):
     simulated = build_cluster(n=3, config=preset(name))
 
     async def scenario() -> dict:
-        async with RuntimeCluster(n=3, config=name, tick_seconds=TICK) as live:
+        async with _running(RuntimeCluster(n=3, config=name, tick_seconds=TICK)) as live:
             return {pid: _node_shape(node) for pid, node in live.nodes.items()}
 
     live = asyncio.run(scenario())

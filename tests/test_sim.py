@@ -13,6 +13,14 @@ from repro.sim.process import Process
 from repro.sim.simulator import Simulator
 
 
+def _drain(queue):
+    """Pop every live entry; return the popped events."""
+    popped = []
+    while (entry := queue.pop_entry()) is not None:
+        popped.append(entry[3])
+    return popped
+
+
 class TestEventQueue:
     def test_orders_by_time(self):
         queue = EventQueue()
@@ -20,8 +28,8 @@ class TestEventQueue:
         queue.schedule(2.0, lambda: fired.append("b"))
         queue.schedule(1.0, lambda: fired.append("a"))
         queue.schedule(3.0, lambda: fired.append("c"))
-        while queue:
-            queue.pop().callback()
+        for event in _drain(queue):
+            event.callback()
         assert fired == ["a", "b", "c"]
 
     def test_ties_broken_in_insertion_order(self):
@@ -29,8 +37,8 @@ class TestEventQueue:
         fired = []
         for name in "abc":
             queue.schedule(1.0, lambda n=name: fired.append(n))
-        while queue:
-            queue.pop().callback()
+        for event in _drain(queue):
+            event.callback()
         assert fired == ["a", "b", "c"]
 
     def test_cancelled_events_are_skipped(self):
@@ -38,8 +46,7 @@ class TestEventQueue:
         event = queue.schedule(1.0, lambda: None)
         queue.schedule(2.0, lambda: None)
         queue.cancel(event)
-        assert len(queue) == 1
-        assert queue.pop().time == 2.0
+        assert [e.time for e in _drain(queue)] == [2.0]
 
     def test_peek_time(self):
         queue = EventQueue()
@@ -54,94 +61,41 @@ class TestEventQueue:
         with pytest.raises(SimulationError):
             queue.schedule(float("nan"), lambda: None)
 
-    def test_clear(self):
-        queue = EventQueue()
-        queue.schedule(1.0, lambda: None)
-        queue.clear()
-        assert not queue
-
     def test_live_count_exact_across_cancel_paths(self):
-        """Regression: ``len(queue)`` stays exact whichever path cancels or
-        drains a cancelled event (queue.cancel vs event.cancel, peek vs pop)."""
+        """Regression: exactly the live events come out, whichever path
+        drains a cancelled one (peek_time vs pop_entry), and a double cancel
+        is harmless."""
         queue = EventQueue()
         a = queue.schedule(1.0, lambda: None)
         b = queue.schedule(2.0, lambda: None)
         c = queue.schedule(3.0, lambda: None)
-        assert len(queue) == 3
-        # Cancel through the handle (used to leak the live count).
-        a.cancel()
-        assert len(queue) == 2
-        # Cancelled head dropped via peek_time: count unchanged.
+        queue.cancel(a)
+        # Cancelled head dropped via peek_time.
         assert queue.peek_time() == 2.0
-        assert len(queue) == 2
-        # Cancel through the queue; double-cancel must not double-decrement.
         queue.cancel(b)
-        b.cancel()
         queue.cancel(b)
-        assert len(queue) == 1
-        # Cancelled head dropped inside pop: the live event comes out.
-        assert queue.pop() is c
-        assert len(queue) == 0
-        assert queue.pop() is None
-        assert len(queue) == 0
+        # Cancelled head dropped inside pop_entry: the live event comes out.
+        assert queue.pop_entry()[3] is c
+        assert queue.pop_entry() is None
+        assert queue.peek_time() is None
 
     def test_cancel_after_pop_does_not_corrupt_count(self):
         queue = EventQueue()
         event = queue.schedule(1.0, lambda: None)
-        queue.schedule(2.0, lambda: None)
-        assert queue.pop() is event
-        assert len(queue) == 1
+        later = queue.schedule(2.0, lambda: None)
+        assert queue.pop_entry()[3] is event
         # Cancelling the already-popped event (a process crashing itself from
-        # inside its own firing timer does this) must not decrement the count.
-        event.cancel()
-        assert len(queue) == 1
-        assert bool(queue)
+        # inside its own firing timer does this) leaves the rest live.
         queue.cancel(event)
-        assert len(queue) == 1
-
-    def test_cancel_after_clear_is_noop(self):
-        queue = EventQueue()
-        event = queue.schedule(1.0, lambda: None)
-        queue.clear()
-        event.cancel()
-        assert len(queue) == 0
-
-    def test_schedule_many_atomic_on_invalid_entry(self):
-        """A bad entry mid-batch must leave the queue untouched and usable."""
-        queue = EventQueue()
-        with pytest.raises(SimulationError):
-            queue.schedule_many(
-                [(1.0, lambda: None, (), ""), (float("nan"), lambda: None, (), "")]
-            )
-        assert len(queue) == 0
-        # The queue still works and the next sequence number is unused.
-        queue.schedule(1.0, lambda: None)
-        queue.schedule(1.0, lambda: None)
-        assert len(queue) == 2
-        assert queue.pop() is not None and queue.pop() is not None
-
-    def test_schedule_many_bulk(self):
-        queue = EventQueue()
-        fired = []
-        events = queue.schedule_many(
-            (float(t), fired.append, (t,), "") for t in (3, 1, 2)
-        )
-        assert len(events) == 3
-        assert len(queue) == 3
-        while queue:
-            queue.pop().fire()
-        assert fired == [1, 2, 3]
-
-    def test_schedule_many_rejects_non_finite(self):
-        queue = EventQueue()
-        with pytest.raises(SimulationError):
-            queue.schedule_many([(float("nan"), lambda: None, (), "")])
+        assert queue.peek_time() == 2.0
+        assert _drain(queue) == [later]
 
     def test_event_args_passed_to_callback(self):
         queue = EventQueue()
         got = []
         queue.schedule(1.0, lambda a, b: got.append((a, b)), args=(1, 2))
-        queue.pop().fire()
+        event = queue.pop_entry()[3]
+        event.callback(*event.args)
         assert got == [(1, 2)]
 
 
@@ -155,7 +109,7 @@ class TestChannel:
         assert chan.try_accept(packets[2], 0.0, queue) == 0
         assert chan.dropped_count == 1
         assert chan.occupancy() == 2
-        assert len(queue) == 2
+        assert len(_drain(queue)) == 2
 
     def test_complete_delivery_frees_capacity(self):
         chan = Channel(1, 2, ChannelConfig(capacity=1), seed=0)
@@ -332,7 +286,7 @@ class TestNetworkFastPath:
         a, b = _Echo(1), _Echo(2)
         sim.add_process(a)
         sim.add_process(b)
-        sim.environment.partition([1], [2])
+        sim.network.environment.partition([1], [2])
         assert sim.send_many(1, [(2, "blocked")]) == 0
         sim.run(until=5.0)
         assert b.got == []
@@ -372,11 +326,11 @@ class TestNetworkPartition:
         a, b = _Echo(1), _Echo(2)
         sim.add_process(a)
         sim.add_process(b)
-        sim.environment.partition([1], [2])
+        sim.network.environment.partition([1], [2])
         sim.send(1, 2, "ping")
         sim.run(until=5.0)
         assert b.got == []
-        sim.environment.heal()
+        sim.network.environment.heal()
         sim.send(1, 2, "ping")
         sim.run(until=10.0)
         assert (1, "ping") in b.got
@@ -404,7 +358,7 @@ class TestMonitors:
         monitor.add_invariant("few-steps", lambda: proc.step_count < 3)
         sim.run(until=10.0)
         assert not monitor.ok()
-        assert monitor.violated("few-steps")
+        assert [v for v in monitor.violations if v.name == "few-steps"]
 
     def test_invariant_monitor_strict_raises(self):
         from repro.common.errors import InvariantViolation

@@ -12,6 +12,11 @@ link resolution are covered alongside, since the same engine relies on both.
 from __future__ import annotations
 
 import copy
+import copyreg
+import io
+import pickle
+import random
+import types
 
 import pytest
 
@@ -22,7 +27,6 @@ from repro.audit.harness import (
     certify,
     prefix_key,
     prefix_snapshot,
-    report_bytes,
     run_case,
     shrink_case,
 )
@@ -40,8 +44,10 @@ from repro.failure_detector.ntheta import NThetaFailureDetector
 from repro.sim.cluster import build_cluster
 from repro.sim.events import Action
 from repro.sim.network import ChannelConfig
-from repro.sim.snapshot import SimSnapshot
+from repro.sim.snapshot import SimSnapshot, _reduce_method
 from repro.sim.stacks import available_stacks
+
+from tests.conftest import no_reset_invariant, report_bytes
 
 
 def _strip_wall(result):
@@ -110,12 +116,12 @@ class TestSnapshotDeterminism:
             run = prepare(spec, seed=7)
             assert not drive(run, stop_before=70.0)
             environment = run.cluster.environment
-            assert environment.active_partitions() == ["partition_leak:forward"]
+            assert environment.summary()["active_partitions"] == ["partition_leak:forward"]
             environment.apply_overlay("test-overlay", overlay)
             if capture:
                 snapshot = SimSnapshot.capture(run)
                 run = snapshot.restore()
-                assert run.cluster.environment.active_partitions() == [
+                assert run.cluster.environment.summary()["active_partitions"] == [
                     "partition_leak:forward"
                 ]
                 assert "test-overlay" in run.cluster.environment._overlays
@@ -228,6 +234,36 @@ class TestByteSnapshots:
             SimSnapshot.capture(cluster)
         assert "Cluster" in str(caught.value) and "lambda" in str(caught.value)
 
+    def test_restored_generators_equal_the_captured_ones(self):
+        """Generators are rebuilt from their state alone: every one in the
+        restored graph has the captured state and draws the same next values."""
+
+        def generators(subject):
+            found = []
+
+            def record(rng):
+                found.append(rng)
+                return rng.__reduce__()
+
+            pickler = pickle.Pickler(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL)
+            pickler.dispatch_table = {
+                **copyreg.dispatch_table,
+                types.MethodType: _reduce_method,
+                random.Random: record,
+            }
+            pickler.dump(subject)
+            return found
+
+        run = prepare(_snapshot_spec("counters"), seed=3)
+        assert not drive(run, stop_before=20.0)
+        captured = generators(run)
+        restored = generators(SimSnapshot.capture(run).restore())
+        assert len(captured) == len(restored) > 8
+        for original, copy_ in zip(captured, restored):
+            assert type(copy_) is type(original)
+            assert copy_.getstate() == original.getstate()
+            assert [copy_.random() for _ in range(3)] == [original.random() for _ in range(3)]
+
     def test_capture_rejects_a_subject_without_a_simulator(self):
         with pytest.raises(SimulationError):
             SimSnapshot.capture({"not": "a simulation"})
@@ -284,7 +320,7 @@ class TestWarmPrefixSharing:
         case = AuditCase(
             scheduler="uniform",
             corruption_seed=0,
-            invariants=(probes.no_reset_invariant(),),
+            invariants=(no_reset_invariant(),),
         )
         cold = shrink_case(case, seed=0, reuse_prefix=False)
         warm = shrink_case(case, seed=0, reuse_prefix=True)

@@ -79,7 +79,8 @@ def _drive_sim(probes: Sequence[Probe], schedule: Schedule, horizon: float) -> A
 
 def _drive_asyncio(probes: Sequence[Probe], schedule: Schedule, horizon: float) -> Any:
     async def main() -> Any:
-        async with AsyncioTransport(seed=SEED, tick_seconds=TICK_SECONDS) as transport:
+        transport = AsyncioTransport(seed=SEED, tick_seconds=TICK_SECONDS)
+        try:
             for probe in probes:
                 await transport.start_node(probe)
             elapsed = 0.0
@@ -89,6 +90,8 @@ def _drive_asyncio(probes: Sequence[Probe], schedule: Schedule, horizon: float) 
                 action(transport)
             await asyncio.sleep(max(0.0, horizon - elapsed) * TICK_SECONDS)
             return transport
+        finally:
+            await transport.close()
 
     return asyncio.run(main())
 
@@ -292,7 +295,7 @@ class TestConformance:
         def arm(p: Probe) -> None:
             for delay in (1.0, 2.0, 3.0):
                 p.context.set_timer(
-                    delay, lambda: stamps.append(p.context.now()), label="stamp"
+                    delay, lambda: stamps.append(p.context.transport.now), label="stamp"
                 )
 
         probe.on_start_hook = arm
@@ -311,11 +314,13 @@ def test_process_rng_streams_are_backend_independent():
     }
 
     async def runtime_draws() -> dict:
-        async with AsyncioTransport(seed=SEED) as transport:
-            return {
-                pid: [transport.make_process_rng(pid).random() for _ in range(5)]
-                for pid in (0, 3, 7)
-            }
+        transport = AsyncioTransport(seed=SEED)
+        draws = {
+            pid: [transport.make_process_rng(pid).random() for _ in range(5)]
+            for pid in (0, 3, 7)
+        }
+        await transport.close()
+        return draws
 
     assert asyncio.run(runtime_draws()) == sim_draws
     # Distinct pids draw distinct streams.

@@ -62,8 +62,8 @@ class TestView:
 
     def test_view_membership_and_coordinator(self):
         view = View(view_id=self._counter(3, wid=5), members=frozenset([1, 5]))
-        assert 5 in view
-        assert len(view) == 2
+        assert 5 in view.members
+        assert len(view.members) == 2
         assert view.coordinator == 5
 
     def test_newer_view(self):

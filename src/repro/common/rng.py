@@ -34,4 +34,3 @@ def derive_seed(root_seed: int, *components: object) -> int:
 def make_rng(root_seed: int, *components: object) -> random.Random:
     """Return a :class:`random.Random` seeded with a derived sub-seed."""
     return random.Random(derive_seed(root_seed, *components))
-

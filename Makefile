@@ -26,11 +26,11 @@ scenarios-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/replicated_state_machine.py
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/shared_storage_under_churn.py
 
-# The fast audit matrices (python -m repro.audit --list): smoke (54 runs:
+# The fast audit matrices (python -m repro.audit --list): smoke (57 runs:
 # static schedulers x 2 corruption seeds, every dynamic adversary, SMR stacks
-# with smr_agreement armed, two Byzantine cases), byzantine (18 runs: traitor
-# programs against the reliable-broadcast stacks) and profiles (24 runs: every
-# corruption intensity).  Each certifies, then fails when it lost a pinned
+# with smr_agreement armed, the labels stack, two Byzantine cases), byzantine
+# (18 runs: traitor programs against the reliable-broadcast stacks) and
+# profiles (24 runs: every corruption intensity).  Each certifies, then fails when it lost a pinned
 # case or run, or its worst-case stabilization time regressed >25% against
 # matrices.<name> of benchmarks/audit_baseline.json (re-pin: docs/audit.md).
 audit-gate:

@@ -4,7 +4,7 @@ Examples::
 
     python -m repro.audit --list                       # matrices, schedulers,
                                                        # Byzantine behaviors
-    python -m repro.audit --matrix smoke --workers 4   # CI gate: 54 runs
+    python -m repro.audit --matrix smoke --workers 4   # CI gate: 57 runs
     python -m repro.audit --matrix n24 --pin           # re-pin after a
                                                        # deliberate change
 
@@ -57,9 +57,10 @@ MATRICES: Dict[str, Tuple[List[AuditCase], Tuple[int, ...]]] = {
     # coverage on the bare stack; every dynamic adversary runs once; the
     # SMR-replicating stacks run with smr_agreement armed (under the benign
     # baseline and, for vs_smr, the adaptive coordinator-targeting
-    # adversary).  Two Byzantine cases ride along: f < n/3 traitors running
-    # every registered behavior against Bracha reliable broadcast, and an
-    # equivocating coordinator against vs_smr_rb (all three invariants).
+    # adversary); the labels stack runs once under the benign baseline.  Two
+    # Byzantine cases ride along: f < n/3 traitors running every registered
+    # behavior against Bracha reliable broadcast, and an equivocating
+    # coordinator against vs_smr_rb (all three invariants).
     "smoke": (
         build_cases(schedulers=static_schedulers(), corruption_seeds=[0, 1])
         + build_cases(schedulers=dynamic_schedulers(), corruption_seeds=[0])
@@ -71,6 +72,7 @@ MATRICES: Dict[str, Tuple[List[AuditCase], Tuple[int, ...]]] = {
         + build_cases(
             schedulers=["uniform"], corruption_seeds=[0], stacks=["shared_register"]
         )
+        + build_cases(schedulers=["uniform"], corruption_seeds=[0], stacks=["labels"])
         + build_cases(
             schedulers=["uniform"],
             corruption_seeds=[0],

@@ -408,21 +408,25 @@ def _service_atoms(
 ) -> List[CorruptionAtom]:
     pid = node.pid
     atoms: List[CorruptionAtom] = []
-    counters = node.service_map.get("counters")
-    if counters is not None:
-        # Forcing a store rebuild exercises the bounded-label recovery path;
-        # per-label sequence numbers get arbitrary (seqn, wid) values.
+    for name in ("counters", "labels"):
+        service = node.service_map.get(name)
+        if service is None:
+            continue
+        # Forcing a store rebuild exercises the bounded-label recovery path.
         if rng.random() < probability:
             atoms.append(
                 CorruptionAtom(
                     kind="attr",
                     pid=pid,
-                    path=("service:counters",),
+                    path=(f"service:{name}",),
                     key="_store_members",
                     value=None,
                 )
             )
-        for label in list(counters.seqns):
+        if name != "counters":
+            continue
+        # Per-label sequence numbers get arbitrary (seqn, wid) values.
+        for label in list(service.seqns):
             if rng.random() < probability:
                 atoms.append(
                     CorruptionAtom(
@@ -433,17 +437,6 @@ def _service_atoms(
                         value=(rng.randint(0, 2 ** 20), rng.choice(list(universe))),
                     )
                 )
-    labels = node.service_map.get("labels")
-    if labels is not None and rng.random() < probability:
-        atoms.append(
-            CorruptionAtom(
-                kind="attr",
-                pid=pid,
-                path=("service:labels",),
-                key="_store_members",
-                value=None,
-            )
-        )
     vs = node.service_map.get("vs")
     if vs is not None:
         if rng.random() < probability:

@@ -9,31 +9,7 @@ after transient faults drive the sequence number to its maximum.
 
 * :mod:`repro.counters.counter` — the counter value type and ``≺ct`` order;
 * :mod:`repro.counters.service` — the member-side counter management
-  (Algorithm 4.3) and the increment protocols for members (Algorithm 4.4)
-  and non-member participants (Algorithm 4.5).
+  (Algorithm 4.3, extending :mod:`repro.labels.labeling`'s member service)
+  and the increment protocols for members (Algorithm 4.4) and non-member
+  participants (Algorithm 4.5).
 """
-
-from repro.counters.counter import Counter, CounterPair, counter_less_than, max_counter
-from repro.counters.service import (
-    CounterService,
-    CounterGossipMessage,
-    MaxReadRequest,
-    MaxReadResponse,
-    MaxWriteRequest,
-    MaxWriteResponse,
-    IncrementOutcome,
-)
-
-__all__ = [
-    "Counter",
-    "CounterPair",
-    "counter_less_than",
-    "max_counter",
-    "CounterService",
-    "CounterGossipMessage",
-    "MaxReadRequest",
-    "MaxReadResponse",
-    "MaxWriteRequest",
-    "MaxWriteResponse",
-    "IncrementOutcome",
-]

@@ -15,8 +15,10 @@ The :class:`CounterService` plays two roles:
   reports the outcome through a callback (an ``Abort`` is reported when a
   reconfiguration interferes, exactly as in the paper).
 
-The epoch-label bookkeeping reuses :class:`repro.labels.store.LabelStore`;
-the service layers sequence-number tracking on top of it.
+The service extends :class:`repro.labels.labeling.LabelingService`: the
+member gate, the store rebuild, the gated member loop and the guarded
+receipt are the labeling skeleton's; the service layers sequence-number
+tracking and the increment phases on top of it.
 """
 
 from __future__ import annotations
@@ -24,32 +26,21 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.common.codec import wire_type
-from repro.common.logging_utils import get_logger
 from repro.common.types import Configuration, ProcessId, majority_size
-from repro.core.gossip import GossipGate
 from repro.core.scheme import ReconfigurationScheme
 from repro.counters.counter import (
     DEFAULT_SEQN_BOUND,
     Counter,
     CounterPair,
-    counter_less_than,
     max_counter,
 )
 from repro.labels.label import EpochLabel, LabelPair
-from repro.labels.store import LabelStore
+from repro.labels.labeling import LabelingService, SendFn
 
-_log = get_logger("counters")
-
-SendFn = Callable[[ProcessId, Any], None]
 IncrementCallback = Callable[["IncrementOutcome"], None]
-
-
-def _label_key(pair: Optional[CounterPair]) -> Optional[Tuple[EpochLabel, bool]]:
-    """The label part of a gossiped counter pair: what a send is gated on."""
-    return None if pair is None else (pair.mct.label, pair.legit)
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +132,10 @@ class _IncrementOp:
         return majority_size(self.config)
 
 
-class CounterService:
+class CounterService(LabelingService):
     """Per-processor counter service layered on the reconfiguration scheme."""
 
+    message_type = CounterGossipMessage
     _op_counter = itertools.count(1)
 
     def __init__(
@@ -152,20 +144,14 @@ class CounterService:
         scheme: ReconfigurationScheme,
         send: SendFn,
         seqn_bound: int = DEFAULT_SEQN_BOUND,
-        in_transit_bound: int = 16,
     ) -> None:
-        self.pid = pid
-        self.scheme = scheme
-        self.send = send
+        super().__init__(pid, scheme, send)
         self.seqn_bound = seqn_bound
-        self.in_transit_bound = in_transit_bound
 
-        # Member-side state (Algorithm 4.3): label store + per-label seqn.
-        self.store: Optional[LabelStore] = None
-        self._store_members: Optional[Tuple[ProcessId, ...]] = None
+        # Member-side state (Algorithm 4.3) beside the label store: the pair
+        # last received from each member and the per-label seqn.
         self.max_counters: Dict[ProcessId, Optional[CounterPair]] = {}
         self.seqns: Dict[EpochLabel, Tuple[int, ProcessId]] = {}
-        self.gate = GossipGate(scheme.recsa.gossip_refresh_interval)
 
         # Client-side state: in-flight increment operations.
         self._ops: Dict[int, _IncrementOp] = {}
@@ -174,7 +160,6 @@ class CounterService:
         self.increments_completed = 0
         self.increments_aborted = 0
         self.exhaustion_rollovers = 0
-        self.rebuild_count = 0
         # Labels whose exhaustion this service has already counted, so the
         # rollover diagnostic fires once per retired epoch regardless of
         # which path (gossiped cancellation vs findMaxCounter) retires it.
@@ -183,40 +168,14 @@ class CounterService:
     # ------------------------------------------------------------------
     # Membership / structure management
     # ------------------------------------------------------------------
-    def _stable_members(self) -> Optional[Configuration]:
-        """The configuration this processor serves as a member of — ``None``
-        while a reconfiguration is in progress or it is not a member.  The
-        member-side handlers ask once per message."""
-        scheme = self.scheme
-        if not scheme.no_reco():
-            return None
-        config = scheme.configuration()
-        if config is None or self.pid not in config:
-            return None
-        return config
-
-    def _conf_changed(self, members: Configuration) -> bool:
-        return self._store_members != tuple(sorted(members))
-
     def _rebuild_for(self, members: Configuration) -> None:
-        if self.store is None:
-            self.store = LabelStore(
-                owner=self.pid, members=members, in_transit_bound=self.in_transit_bound
-            )
-        else:
-            self.store.rebuild(members)
-            self.store.empty_all_queues()
-        self.store.clean_non_member_labels()
-        self.store.receipt_action(None, self.store.own_max(), self.pid)
-        self._store_members = tuple(sorted(members))
-        self.gate.reset()
+        super()._rebuild_for(members)
         self.max_counters = {m: self.max_counters.get(m) for m in members}
         self.seqns = {
             label: value
             for label, value in self.seqns.items()
             if label.creator in members
         }
-        self.rebuild_count += 1
 
     # ------------------------------------------------------------------
     # Local maximal-counter bookkeeping
@@ -307,12 +266,16 @@ class CounterService:
         self._send_reads(op)
         return op.op_id
 
+    def _request(self, op: _IncrementOp, answered: Any = ()) -> None:
+        """Send the phase's request to every other member that has not
+        answered it yet."""
+        for member in op.config:
+            if member != self.pid and member not in answered:
+                self.send(member, op.request)
+
     def _send_reads(self, op: _IncrementOp) -> None:
         op.request = MaxReadRequest(sender=self.pid, op_id=op.op_id)
-        for member in op.config:
-            if member == self.pid:
-                continue
-            self.send(member, op.request)
+        self._request(op)
         # A member counts itself among the read responses.
         if self.pid in op.config:
             op.read_responses[self.pid] = self.local_max_counter()
@@ -321,10 +284,7 @@ class CounterService:
     def _send_writes(self, op: _IncrementOp) -> None:
         assert op.written is not None
         op.request = MaxWriteRequest(sender=self.pid, op_id=op.op_id, counter=op.written)
-        for member in op.config:
-            if member == self.pid:
-                continue
-            self.send(member, op.request)
+        self._request(op)
         if self.pid in op.config:
             self._apply_write(op.written)
             op.write_acks.add(self.pid)
@@ -374,22 +334,12 @@ class CounterService:
             self.increments_aborted += 1
         op.callback(outcome)
 
-    def _abort_op(self, op_id: int) -> None:
-        op = self._ops.get(op_id)
-        if op is not None:
-            self._finish(op, IncrementOutcome(success=False, aborted=True))
-
     # ------------------------------------------------------------------
     # Node hooks
     # ------------------------------------------------------------------
     def on_timer(self) -> None:
         """Member gossip plus retransmission of in-flight operation requests."""
-        members = self._stable_members()
-        if members is not None:
-            if self._conf_changed(members):
-                self._rebuild_for(members)
-            else:
-                self._gossip(members)
+        super().on_timer()
         # Retransmit pending requests (fair-communication driving).
         for op in list(self._ops.values()):
             if op.phase is _OpPhase.READ:
@@ -398,25 +348,20 @@ class CounterService:
                 answered = op.write_acks
             else:
                 continue
-            for member in op.config:
-                if member != self.pid and member not in answered:
-                    self.send(member, op.request)
+            self._request(op, answered)
 
-    def _gossip(self, members: Configuration) -> None:
-        """Send a member the pairs when their labels changed (a sequence
-        number alone travels with the reads and writes) or every K rounds."""
-        assert self.store is not None
-        own = self.local_max_counter()
-        own_key = _label_key(own)
-        for member in members:
-            if member == self.pid:
-                continue
-            last_sent = self.max_counters.get(member)
-            if self.gate.due(member, (own_key, _label_key(last_sent))):
-                self.send(
-                    member,
-                    CounterGossipMessage(sender=self.pid, sent_max=own, last_sent=last_sent),
-                )
+    def _own_pair(self) -> Optional[CounterPair]:
+        return self.local_max_counter()
+
+    def _last_sent(self, member: ProcessId) -> Optional[CounterPair]:
+        return self.max_counters.get(member)
+
+    @staticmethod
+    def _gate_key(pair: Optional[CounterPair]) -> Optional[Tuple[EpochLabel, bool]]:
+        """The label part of a counter pair: a member is sent the pairs when
+        their labels changed (a sequence number alone travels with the reads
+        and writes) or every K rounds."""
+        return None if pair is None else (pair.mct.label, pair.legit)
 
     # ------------------------------------------------------------------
     # Message handling
@@ -441,12 +386,7 @@ class CounterService:
         return False
 
     # -- member side -----------------------------------------------------
-    def _on_gossip(self, sender: ProcessId, message: CounterGossipMessage) -> None:
-        members = self._stable_members()
-        if members is None or self._conf_changed(members):
-            return
-        if sender not in members:
-            return
+    def _receipt(self, sender: ProcessId, message: CounterGossipMessage) -> None:
         assert self.store is not None
         self.max_counters[sender] = message.sent_max
         if message.sent_max is not None:
@@ -467,18 +407,21 @@ class CounterService:
                     LabelPair(ml=own.ml, cl=own.ml), None, sender
                 )
 
-    def _on_read_request(self, sender: ProcessId, message: MaxReadRequest) -> None:
+    def _serve(self, sender: ProcessId, reply: type, op_id: int, refusal: Any) -> bool:
+        """Whether this processor answers a request as a member, its
+        structures rebuilt first when they lag; otherwise it replies
+        ``reply(pid, op_id, refusal, aborted=True)``."""
         members = self._stable_members()
         if members is None:
-            self.send(
-                sender,
-                MaxReadResponse(
-                    sender=self.pid, op_id=message.op_id, counter=None, aborted=True
-                ),
-            )
-            return
+            self.send(sender, reply(self.pid, op_id, refusal, aborted=True))
+            return False
         if self._conf_changed(members):
             self._rebuild_for(members)
+        return True
+
+    def _on_read_request(self, sender: ProcessId, message: MaxReadRequest) -> None:
+        if not self._serve(sender, MaxReadResponse, message.op_id, None):
+            return
         counter = self._find_max_counter()
         pair = CounterPair(mct=counter) if counter is not None else None
         self.send(
@@ -487,17 +430,8 @@ class CounterService:
         )
 
     def _on_write_request(self, sender: ProcessId, message: MaxWriteRequest) -> None:
-        members = self._stable_members()
-        if members is None:
-            self.send(
-                sender,
-                MaxWriteResponse(
-                    sender=self.pid, op_id=message.op_id, acked=False, aborted=True
-                ),
-            )
+        if not self._serve(sender, MaxWriteResponse, message.op_id, False):
             return
-        if self._conf_changed(members):
-            self._rebuild_for(members)
         self._apply_write(message.counter)
         self.send(
             sender,
@@ -517,23 +451,26 @@ class CounterService:
         self._record_counter(counter)
 
     # -- client side -----------------------------------------------------
-    def _on_read_response(self, message: MaxReadResponse) -> None:
+    def _pending(self, message: Any, phase: _OpPhase) -> Optional[_IncrementOp]:
+        """The operation *message* answers, if it is pending in *phase* and
+        the answer is no abort (which finishes the operation)."""
         op = self._ops.get(message.op_id)
-        if op is None or op.phase is not _OpPhase.READ:
-            return
+        if op is None or op.phase is not phase:
+            return None
         if message.aborted:
-            self._abort_op(message.op_id)
+            self._finish(op, IncrementOutcome(success=False, aborted=True))
+            return None
+        return op
+
+    def _on_read_response(self, message: MaxReadResponse) -> None:
+        op = self._pending(message, _OpPhase.READ)
+        if op is None:
             return
         op.read_responses[message.sender] = message.counter
         self._maybe_finish_read(op)
 
     def _on_write_response(self, message: MaxWriteResponse) -> None:
-        op = self._ops.get(message.op_id)
-        if op is None or op.phase is not _OpPhase.WRITE:
-            return
-        if message.aborted:
-            self._abort_op(message.op_id)
-            return
-        if message.acked:
+        op = self._pending(message, _OpPhase.WRITE)
+        if op is not None and message.acked:
             op.write_acks.add(message.sender)
             self._maybe_finish_write(op)

@@ -10,20 +10,6 @@ transient faults corrupt the label storage.
 * :mod:`repro.labels.store` — the bounded per-creator label-pair queues and
   the receipt action of Algorithm 4.2;
 * :mod:`repro.labels.labeling` — the reconfiguration-aware wrapper
-  (Algorithm 4.1) run by configuration members.
+  (Algorithm 4.1) run by configuration members, and the member skeleton
+  that :mod:`repro.counters.service` extends.
 """
-
-from repro.labels.label import EpochLabel, LabelPair, label_less_than, max_label, next_label
-from repro.labels.store import LabelStore
-from repro.labels.labeling import LabelingService, LabelMessage
-
-__all__ = [
-    "EpochLabel",
-    "LabelPair",
-    "label_less_than",
-    "max_label",
-    "next_label",
-    "LabelStore",
-    "LabelingService",
-    "LabelMessage",
-]

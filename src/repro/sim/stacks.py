@@ -16,7 +16,7 @@ Built-in profiles (ordered bottom-up; each bundle includes what it builds on):
     The bounded epoch-label algorithm (:mod:`repro.labels`).
 ``counters``
     The practically-unbounded counter-increment algorithm
-    (:mod:`repro.counters`).  Options: ``seqn_bound``, ``in_transit_bound``.
+    (:mod:`repro.counters`).  Options: ``seqn_bound``.
 ``vs_smr``
     Counters plus the virtually synchronous replicated state machine.
     Options: ``state_machine`` (factory, default ``LogStateMachine``) and
@@ -128,13 +128,7 @@ def _build_bare(node: "ClusterNode", options: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _build_labels(node: "ClusterNode", options: Dict[str, Any]) -> Dict[str, Any]:
-    service = LabelingService(
-        node.pid,
-        node.scheme,
-        node.send,
-        in_transit_bound=options.get("in_transit_bound", 16),
-    )
-    return {"labels": service}
+    return {"labels": LabelingService(node.pid, node.scheme, node.send)}
 
 
 def _build_counters(node: "ClusterNode", options: Dict[str, Any]) -> Dict[str, Any]:
@@ -143,7 +137,6 @@ def _build_counters(node: "ClusterNode", options: Dict[str, Any]) -> Dict[str, A
         node.scheme,
         node.send,
         seqn_bound=options.get("seqn_bound", DEFAULT_SEQN_BOUND),
-        in_transit_bound=options.get("in_transit_bound", 16),
     )
     return {"counters": service}
 

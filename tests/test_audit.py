@@ -631,7 +631,7 @@ class TestAuditStacksAndProfiles:
         schedulers = {case.scheduler for case in cases}
         assert {"crash_recovery", "partition_leak", "target_coordinator"} <= schedulers
         stacks = {case.stack for case in cases}
-        assert {"bare", "vs_smr", "shared_register"} <= stacks
+        assert {"bare", "labels", "vs_smr", "shared_register"} <= stacks
         armed = [
             case for case in cases if any(i.name == "smr_agreement" for i in case.invariants)
         ]

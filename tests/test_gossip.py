@@ -10,11 +10,15 @@ corrupted gate or a corrupted store is repaired within K iterations.
 from __future__ import annotations
 
 import copy
+import dataclasses
+import hashlib
 import random
 
 import pytest
 
 from repro.audit.arbitrary_state import apply_plan
+from repro.common.codec import frame
+from repro.common.types import make_config
 from repro.core.gossip import GossipGate
 from repro.core.recsa import DEFAULT_GOSSIP_REFRESH_INTERVAL as K
 from repro.counters.counter import Counter, CounterPair, counter_less_than
@@ -27,6 +31,7 @@ from repro.counters.service import (
 from repro.labels.label import EpochLabel, LabelPair, next_label
 from repro.labels.labeling import LabelMessage
 from repro.sim.faults import CorruptionAtom
+from repro.sim.stacks import get_stack
 
 from tests.conftest import quick_cluster
 
@@ -277,3 +282,65 @@ def test_write_of_the_held_label_changes_nothing(seed):
         service.on_message(sender, MaxWriteRequest(sender, op_id, counter))
         assert _store_state(service.store) == _store_state(unconditional)
     assert held_writes > 50
+
+
+def _service_send_digest(stack):
+    """sha256 of every send the member services make, in send order —
+    ``(now, sender, destination)`` and the framed message — then of every
+    increment outcome, over n = 5: 30 increments (or, on the labels stack,
+    30 periods) 7 su apart and a reconfiguration to ``{0, 1, 2, 3}`` after
+    the 13th.  Operation ids come from a process-wide counter, so each is
+    replaced by its first-appearance rank before framing."""
+    cluster = quick_cluster(5, seed=29, stack=stack)
+    services = cluster.services(stack.name)
+    digest = hashlib.sha256()
+    ranks = {}
+    for pid, svc in services.items():
+        def send(destination, message, _pid=pid, _send=svc.send):
+            if hasattr(message, "op_id"):
+                rank = ranks.setdefault(message.op_id, len(ranks))
+                message_bytes = frame(dataclasses.replace(message, op_id=rank))
+            else:
+                message_bytes = frame(message)
+            digest.update(repr((cluster.simulator.now, _pid, destination)).encode())
+            digest.update(message_bytes)
+            _send(destination, message)
+
+        svc.send = send
+    outcomes = []
+    for step in range(30):
+        if hasattr(services[0], "increment"):
+            services[step % 5].increment(outcomes.append)
+        cluster.run(until=cluster.simulator.now + 7)
+        if step == 12:
+            assert cluster.nodes[0].scheme.request_reconfiguration(make_config([0, 1, 2, 3]))
+    for outcome in outcomes:
+        digest.update(repr((outcome.success, outcome.aborted)).encode())
+        digest.update(frame(outcome.counter))
+    assert cluster.agreed_configuration() == make_config([0, 1, 2, 3])
+    return digest.hexdigest(), [outcome.success for outcome in outcomes]
+
+
+@pytest.mark.parametrize(
+    "stack, expected",
+    [
+        (get_stack("labels"), "88c4958174df4dda11e655f410e501234c2c6e1b15578f9b6a55f9464fc724fb"),
+        (get_stack("counters"), "905571271af7e4df93625470b16d3aaf0115f57db17a9d17868dd3f26282b1b7"),
+        (
+            get_stack("counters", seqn_bound=4),
+            "0a7a6a33e641b213cf841c03f84ca80196c0fc521bfaec7ba07fc4bdc4a89c88",
+        ),
+    ],
+    ids=["labels", "counters", "counters-exhausted"],
+)
+def test_service_send_trajectory_pin(stack, expected):
+    """The service layer's trajectory: every gossip, read, write and reply
+    with its time and content, and every increment outcome.  It moves only
+    when a service sends something else or at another time, and then the
+    change says why."""
+    hexdigest, successes = _service_send_digest(stack)
+    # The window holds the reconfiguration's aborts (the first increment
+    # also starts before bootstrap has finished).
+    aborted = [step for step, success in enumerate(successes) if not success]
+    assert aborted == ([0, 13, 14] if successes else [])
+    assert hexdigest == expected

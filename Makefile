@@ -18,10 +18,11 @@ bench-micro:
 	$(PYTHON) benchmarks/bench_codec.py
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/bench_hotpath.py -q
 
-# CI gate: every registered scenario once, seed 0, nonzero exit on failure;
-# then the three examples, each of which ends by asserting what it claims.
+# CI gate: every registered scenario once, seed 0, on a two-worker pool,
+# nonzero exit on failure; then the three examples, each of which ends by
+# asserting what it claims.
 scenarios-smoke:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.scenarios --smoke
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.scenarios --smoke --workers 2
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/quickstart.py
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/replicated_state_machine.py
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/shared_storage_under_churn.py

@@ -23,7 +23,8 @@ from dataclasses import replace
 from repro import build_cluster, fast_sim
 from repro.analysis import probes
 from repro.analysis.probes import wait_for
-from repro.audit.arbitrary_state import PROFILES, apply_plan, generate_plan
+from repro.audit.arbitrary_state import PROFILES, generate_plan
+from repro.sim.faults import apply_plan
 
 
 def main() -> None:

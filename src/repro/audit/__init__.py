@@ -28,7 +28,6 @@ here.
 from repro.audit.arbitrary_state import (
     DEFAULT_PROFILE,
     CorruptionProfile,
-    apply_plan,
     generate_plan,
     plan_summary,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "CorruptionProfile",
     "DEFAULT_PROFILE",
     "generate_plan",
-    "apply_plan",
     "plan_summary",
     "AdversarialScheduler",
     "available_schedulers",

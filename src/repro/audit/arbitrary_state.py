@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import Any, Dict, List, Sequence, TYPE_CHECKING
 
 from repro.common.rng import make_rng
 from repro.common.types import (
@@ -49,7 +49,7 @@ from repro.common.types import (
 from repro.core.recma import RecMAMessage
 from repro.core.recsa import EchoTriple, RecSAMessage
 from repro.datalink.token_exchange import DataLinkMessage
-from repro.sim.faults import CorruptionAtom, FaultInjector
+from repro.sim.faults import CorruptionAtom
 from repro.vs.virtual_synchrony import VSStatus
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -553,17 +553,6 @@ def generate_plan(
                     )
                 )
     return atoms
-
-
-def apply_plan(
-    cluster: "Cluster",
-    atoms: Sequence[CorruptionAtom],
-    injector: Optional[FaultInjector] = None,
-) -> Dict[str, int]:
-    """Apply *atoms* through a :class:`FaultInjector` (recording each one)."""
-    if injector is None:
-        injector = FaultInjector(cluster.simulator)
-    return injector.apply_plan(cluster, atoms)
 
 
 def plan_summary(atoms: Sequence[CorruptionAtom]) -> Dict[str, int]:

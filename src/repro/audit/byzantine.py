@@ -57,7 +57,6 @@ from repro.common.types import ProcessId
 from repro.datalink.reliable_broadcast import MAX_RB_SEQ, RBMessage
 from repro.datalink.token_exchange import DataLinkMessage
 from repro.sim.events import Action
-from repro.sim.faults import FaultInjector
 from repro.sim.network import Packet
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -314,9 +313,9 @@ register_behavior(
 class TraitorProgram:
     """The composition of behaviors animating one Byzantine processor.
 
-    Installed through :meth:`FaultInjector.make_byzantine`: registers itself
-    as the simulator's outbound interceptor for ``pid`` and (for behaviors
-    with a ``tick`` hook) schedules a periodic spontaneous-traffic tick.
+    :meth:`activate` registers it as the simulator's outbound interceptor
+    for ``pid`` and (for behaviors with a ``tick`` hook) schedules a
+    periodic spontaneous-traffic tick; :meth:`deactivate` ends the window.
     Plain object + :class:`Action` scheduling keeps it snapshot-safe.
     """
 
@@ -529,8 +528,7 @@ class ByzantineWorkload:
         by_pid: Dict[ProcessId, List[str]] = {}
         for pid, behavior in selected:
             by_pid.setdefault(pid, []).append(behavior)
-        injector = FaultInjector(cluster.simulator)
-        installed: List[ProcessId] = []
+        # The plan names only pids alive at this instant (select_traitors).
         for pid, behaviors in sorted(by_pid.items()):
             program = TraitorProgram(
                 cluster,
@@ -539,19 +537,18 @@ class ByzantineWorkload:
                 seed=spec.seed,
                 tick_interval=spec.tick_interval,
             )
-            if injector.make_byzantine(cluster, pid, program):
-                installed.append(pid)
-                cluster.simulator.call_later(
-                    spec.duration,
-                    Action(FaultInjector.restore_honest, injector, pid),
-                    label=f"byzantine:end:{pid}",
-                )
+            program.activate()
+            cluster.simulator.call_later(
+                spec.duration,
+                Action(TraitorProgram.deactivate, program),
+                label=f"byzantine:end:{pid}",
+            )
         entry: Dict[str, Any] = {
             "workload": "byzantine",
             "time": self.at,
             "atoms_total": len(plan),
             "atoms_selected": len(selected),
-            "traitors": installed,
+            "traitors": sorted(by_pid),
             "selection": spec.selection,
             "duration": spec.duration,
         }

@@ -58,7 +58,6 @@ from repro.audit.arbitrary_state import (
 )
 from repro.audit.byzantine import ByzantineSpec, ByzantineWorkload
 from repro.audit.schedulers import available_schedulers, get_scheduler
-from repro.scenarios.library import register_scenario
 from repro.scenarios.runner import drive, finalize, prepare, run_matrix, run_scenario
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.workloads import (
@@ -153,9 +152,9 @@ class AuditCase:
 
     @property
     def name(self) -> str:
-        # The name encodes every registry-relevant parameter so two sweeps
-        # with different topologies/stacks/intensities/program parameters in
-        # one process cannot silently alias each other's registered specs.
+        # The name is the case's identity in reports and pins: it encodes
+        # every parameter that shapes the run, so two cases with different
+        # topologies/stacks/intensities/program parameters never share one.
         base = (
             f"audit:{self.scheduler}:c{self.corruption_seed}"
             f":n{self.n}:{self.stack}"
@@ -422,23 +421,6 @@ def _run_from_snapshot(
     return finalize(run)
 
 
-#: Per-sweep warm state, rebuilt by :func:`certify` and inherited by forked
-#: matrix workers (copy-on-write).  Under a spawn start method the workers
-#: see empty dicts and fall back to cold runs — correct, just slower.
-_WARM_CASES: Dict[str, AuditCase] = {}
-_WARM_SNAPSHOTS: Dict[Tuple[str, int], SimSnapshot] = {}
-
-
-def _warm_job(name: str, seed: int) -> Dict[str, Any]:
-    """Matrix job runner: resume the case's warm snapshot when one exists."""
-    case = _WARM_CASES.get(name)
-    if case is not None:
-        snapshot = _WARM_SNAPSHOTS.get((prefix_key(case), seed))
-        if snapshot is not None:
-            return _run_from_snapshot(snapshot, case, seed)
-    return run_scenario(name, seed=seed)
-
-
 def run_case(
     case: AuditCase,
     seed: int,
@@ -446,7 +428,7 @@ def run_case(
     record_atoms: bool = False,
     snapshot: Optional[SimSnapshot] = None,
 ) -> Dict[str, Any]:
-    """Execute one audit run (spec passed directly; no registration needed).
+    """Execute one audit run.
 
     With *snapshot* (a :func:`prefix_snapshot` of the same ``(case, seed)``
     prefix), the bootstrap is skipped by resuming the warm copy — the result
@@ -494,9 +476,9 @@ def certify(
 ) -> Dict[str, Any]:
     """Sweep ``cases x seeds``; return the JSON-serializable audit report.
 
-    The cases are registered as named scenarios (re-registration allowed) so
-    the parallel matrix workers can resolve them, exactly like the built-in
-    scenario library.
+    The cases themselves are the sweep's jobs: :func:`run_matrix` runs each
+    ``(case, seed)`` through :func:`run_case`, and its forked workers
+    inherit the case list and the snapshot table.
 
     With *reuse_prefix* (the default), cases sharing a pre-corruption prefix
     are fanned out from one warm :class:`~repro.sim.snapshot.SimSnapshot` per
@@ -514,12 +496,10 @@ def certify(
     if store is not None:
         raise TypeError("certify() has no sweep store; store must be None")
     wall_start = time.perf_counter()
-    by_name: Dict[str, AuditCase] = {}
-    for case in cases:
-        register_scenario(case.to_spec(), replace=True)
-        by_name[case.name] = case
-    job_runner = None
+    by_name: Dict[str, AuditCase] = {case.name: case for case in cases}
+    keys: Dict[str, str] = {}
     groups: Dict[str, List[AuditCase]] = {}
+    snapshots: Dict[Tuple[str, int], SimSnapshot] = {}
     warm_jobs = 0
     try:
         cores = len(os.sched_getaffinity(0))
@@ -528,11 +508,9 @@ def certify(
     parallelism = max(1, min(workers, cores, len(by_name) * max(1, len(seeds))))
 
     if reuse_prefix:
-        for case in by_name.values():
-            groups.setdefault(prefix_key(case), []).append(case)
-        _WARM_CASES.clear()
-        _WARM_SNAPSHOTS.clear()
-        _WARM_CASES.update(by_name)
+        for name, case in by_name.items():
+            keys[name] = prefix_key(case)
+            groups.setdefault(keys[name], []).append(case)
         for key, members in groups.items():
             # Building costs one serial parent bootstrap, which must beat
             # the pool's parallel cold bootstraps of the same members.
@@ -541,73 +519,65 @@ def certify(
             for seed in seeds:
                 snapshot = prefix_snapshot(members[0], seed)
                 if snapshot is not None:
-                    _WARM_SNAPSHOTS[(key, seed)] = snapshot
+                    snapshots[(key, seed)] = snapshot
                     warm_jobs += len(members)
-        if _WARM_SNAPSHOTS:
-            job_runner = _warm_job
-    try:
-        sweep = run_matrix(
-            list(by_name), seeds=seeds, workers=workers, job_runner=job_runner
-        )
-        verdicts = [
-            _verdict(entry, corrupt_at=by_name[entry["scenario"]].corrupt_at)
-            for entry in sweep["results"]
-        ]
-        failures = [v for v in verdicts if not v["certified"]]
-        report: Dict[str, Any] = {
-            "meta": {
-                "cases": sorted(by_name),
-                "seeds": list(seeds),
-                "workers": sweep["meta"]["workers"],
-                "runs": len(verdicts),
-                "sweep": sweep["meta"]["sweep"],
-                # Warm prefix sharing: how many distinct pre-corruption
-                # prefixes the matrix had, and how many of its runs resumed
-                # a snapshot instead of bootstrapping from scratch.
-                "prefix_reuse": {
-                    "enabled": bool(reuse_prefix),
-                    "distinct_prefixes": len(groups) if reuse_prefix else None,
-                    "snapshots": len(_WARM_SNAPSHOTS) if reuse_prefix else 0,
-                    "warm_runs": warm_jobs,
-                },
-                # Runs where bootstrap overran corrupt_at: those certify
-                # convergence from a corrupted bootstrap state, not
-                # re-convergence of a converged system.
-                "corrupted_mid_bootstrap": sum(
-                    1 for v in verdicts if v["corrupted_converged_state"] is False
-                ),
+
+    def warm_snapshot(case: AuditCase, seed: int) -> Optional[SimSnapshot]:
+        return snapshots.get((keys.get(case.name), seed))
+
+    def run_job(case: AuditCase, seed: int) -> Dict[str, Any]:
+        return run_case(case, seed, snapshot=warm_snapshot(case, seed))
+
+    sweep = run_matrix(
+        list(by_name.values()), seeds=seeds, workers=workers, job_runner=run_job
+    )
+    verdicts = [
+        _verdict(entry, corrupt_at=by_name[entry["scenario"]].corrupt_at)
+        for entry in sweep["results"]
+    ]
+    failures = [v for v in verdicts if not v["certified"]]
+    report: Dict[str, Any] = {
+        "meta": {
+            "cases": sorted(by_name),
+            "seeds": list(seeds),
+            "workers": sweep["meta"]["workers"],
+            "runs": len(verdicts),
+            "sweep": sweep["meta"]["sweep"],
+            # Warm prefix sharing: how many distinct pre-corruption
+            # prefixes the matrix had, and how many of its runs resumed
+            # a snapshot instead of bootstrapping from scratch.
+            "prefix_reuse": {
+                "enabled": bool(reuse_prefix),
+                "distinct_prefixes": len(groups) if reuse_prefix else None,
+                "snapshots": len(snapshots),
+                "warm_runs": warm_jobs,
             },
-            "certified": not failures,
-            "failed": [f"{v['case']}@{v['seed']}" for v in failures],
-            "verdicts": verdicts,
-        }
-        report["stabilization"] = stabilization_distribution(verdicts)
-        if shrink_failures and failures:
-            # A failing case's prefix snapshot is usually already warm from
-            # the sweep; hand it to the shrinker so ddmin skips the
-            # re-bootstrap too.
-            report["reproducers"] = [
-                shrink_case(
-                    by_name[v["case"]],
-                    v["seed"],
-                    max_trials=max_shrink_trials,
-                    snapshot=_WARM_SNAPSHOTS.get(
-                        (prefix_key(by_name[v["case"]]), v["seed"])
-                    ),
-                )
-                for v in failures
-            ]
-        report["meta"]["wall_seconds"] = time.perf_counter() - wall_start
-        return report
-    finally:
-        if reuse_prefix:
-            # Each snapshot is the pickle of a whole simulation graph (a few
-            # hundred KB); they were only needed during the sweep (workers
-            # inherited them at fork) and the shrink pass — don't hold the
-            # memory for the process lifetime, not even when a worker death
-            # raised.
-            _WARM_CASES.clear()
-            _WARM_SNAPSHOTS.clear()
+            # Runs where bootstrap overran corrupt_at: those certify
+            # convergence from a corrupted bootstrap state, not
+            # re-convergence of a converged system.
+            "corrupted_mid_bootstrap": sum(
+                1 for v in verdicts if v["corrupted_converged_state"] is False
+            ),
+        },
+        "certified": not failures,
+        "failed": [f"{v['case']}@{v['seed']}" for v in failures],
+        "verdicts": verdicts,
+    }
+    report["stabilization"] = stabilization_distribution(verdicts)
+    if shrink_failures and failures:
+        # A failing case's prefix snapshot is usually already warm from the
+        # sweep; hand it to the shrinker so ddmin skips the re-bootstrap too.
+        report["reproducers"] = [
+            shrink_case(
+                by_name[v["case"]],
+                v["seed"],
+                max_trials=max_shrink_trials,
+                snapshot=warm_snapshot(by_name[v["case"]], v["seed"]),
+            )
+            for v in failures
+        ]
+    report["meta"]["wall_seconds"] = time.perf_counter() - wall_start
+    return report
 
 
 # ---------------------------------------------------------------------------

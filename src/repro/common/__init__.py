@@ -12,10 +12,7 @@ from repro.common.types import (
 from repro.common.errors import (
     ReproError,
     SimulationError,
-    ChannelFullError,
     InvariantViolation,
-    NotParticipantError,
-    ReconfigurationInProgress,
 )
 
 __all__ = [
@@ -28,8 +25,5 @@ __all__ = [
     "DEFAULT_PROPOSAL",
     "ReproError",
     "SimulationError",
-    "ChannelFullError",
     "InvariantViolation",
-    "NotParticipantError",
-    "ReconfigurationInProgress",
 ]

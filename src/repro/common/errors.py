@@ -20,36 +20,9 @@ class SimulationError(ReproError):
     """
 
 
-class ChannelFullError(SimulationError):
-    """A bounded channel rejected a packet because it is at capacity.
-
-    The data-link layer treats this the same way as a packet loss (the paper
-    allows the newly-sent packet to be omitted when the channel is full), so
-    this exception is normally caught inside :mod:`repro.sim.network` and only
-    escapes when a caller explicitly asks for strict send semantics.
-    """
-
-
 class InvariantViolation(ReproError):
     """A monitored safety invariant was violated during a simulation run.
 
     Raised by :class:`repro.sim.monitors.InvariantMonitor` when configured in
     strict mode; in recording mode violations are collected instead.
     """
-
-
-class NotParticipantError(ReproError):
-    """An operation that requires participant status was invoked by a joiner."""
-
-
-class ReconfigurationInProgress(ReproError):
-    """An operation was rejected because a reconfiguration is taking place.
-
-    Mirrors the ``Abort`` replies of Algorithms 4.4/4.5: counter increments and
-    register operations performed while the configuration is being replaced
-    fail fast and must be retried by the caller.
-    """
-
-
-class QuorumUnavailable(ReproError):
-    """A quorum (majority) of the configuration could not be assembled."""

@@ -59,6 +59,11 @@ MAX_PATH_LEN = 64
 #: spraying fresh forged ids cannot grow honest state without bound.
 MAX_TRACKED_MESSAGES = 256
 
+#: Retransmission pacing: every ``RESEND_INTERVAL`` timer rounds, at most
+#: ``MAX_RESENDS`` times per message id.
+RESEND_INTERVAL = 4
+MAX_RESENDS = 8
+
 
 @wire_type
 @dataclass(frozen=True)
@@ -123,8 +128,6 @@ class ReliableBroadcastService:
         pid: ProcessId,
         peers: Tuple[ProcessId, ...],
         send: SendFunction,
-        resend_interval: int = 4,
-        max_resends: int = 8,
     ) -> None:
         self.pid = pid
         self.peers: Tuple[ProcessId, ...] = tuple(
@@ -143,8 +146,6 @@ class ReliableBroadcastService:
         self.quarantined = 0
         self.duplicates = 0
         self.equivocations_observed = 0
-        self.resend_interval = max(1, int(resend_interval))
-        self.max_resends = max(0, int(max_resends))
         self._rounds = 0
         self._resends: Dict[Tuple[ProcessId, int], int] = {}
 
@@ -179,7 +180,7 @@ class ReliableBroadcastService:
         bound keeps a quiesced system quiet.
         """
         self._rounds += 1
-        if self._rounds % self.resend_interval == 0:
+        if self._rounds % RESEND_INTERVAL == 0:
             self._resend()
 
     # ----------------------------------------------------------- internals
@@ -203,7 +204,7 @@ class ReliableBroadcastService:
 
     def _budget(self, mid: Tuple[ProcessId, int]) -> bool:
         tries = self._resends.get(mid, 0)
-        if tries >= self.max_resends:
+        if tries >= MAX_RESENDS:
             return False
         self._resends[mid] = tries + 1
         return True
@@ -489,7 +490,6 @@ def make_rb_service(
     pid: ProcessId,
     peers: Tuple[ProcessId, ...],
     send: SendFunction,
-    **options: Any,
 ) -> ReliableBroadcastService:
     """Build the named reliable-broadcast variant."""
     try:
@@ -499,4 +499,4 @@ def make_rb_service(
             f"unknown reliable-broadcast variant {variant!r}; "
             f"available: {sorted(RB_VARIANTS)}"
         ) from None
-    return service_cls(pid, peers, send, **options)
+    return service_cls(pid, peers, send)

@@ -62,13 +62,11 @@ def main(argv=None) -> int:
             print(f"{name:26s} n={spec.n:<3d} stack={stack:16s} {spec.description}")
         return 0
 
-    names = args.scenarios or available_scenarios()
-    for name in names:
-        get_scenario(name)  # fail fast with the available-scenario list
+    # An unknown name fails here, with the available-scenario list.
+    specs = [get_scenario(name) for name in args.scenarios or available_scenarios()]
     seeds = [0] if args.smoke else parse_seeds(args.seeds)
-    workers = 1 if args.smoke else args.workers
 
-    sweep = run_matrix(names, seeds=seeds, workers=workers)
+    sweep = run_matrix(specs, seeds=seeds, workers=args.workers)
 
     print(f"scenario sweep ({len(sweep['results'])} runs, {sweep['meta']['workers']} worker(s))")
     row = "{:26s} {:>4}  {:5} {:>9} {:>10} {:>7}".format

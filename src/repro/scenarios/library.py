@@ -3,8 +3,8 @@
 Every scenario here is a few declarative lines — topology, stack profile,
 composed workloads, probes — where the pre-scenario harness needed a
 hand-written script per experiment.  All of them are registered by name so
-the CLI (``python -m repro.scenarios``) and the multiprocessing seed sweep
-can resolve them inside worker processes without pickling closures.
+the CLI (``python -m repro.scenarios``) can look them up; a sweep runs the
+spec objects themselves (:func:`~repro.scenarios.runner.run_matrix`).
 """
 
 from __future__ import annotations
@@ -32,13 +32,9 @@ from repro.scenarios.workloads import (
 _REGISTRY: Dict[str, ScenarioSpec] = {}
 
 
-def register_scenario(spec: ScenarioSpec, replace: bool = False) -> ScenarioSpec:
-    """Add *spec* to the named-scenario registry (unique name required).
-
-    *replace* overwrites an existing registration — used by generated
-    scenario families (the audit harness re-registers its cases per sweep).
-    """
-    if spec.name in _REGISTRY and not replace:
+def register_scenario(spec: ScenarioSpec) -> ScenarioSpec:
+    """Add *spec* to the named-scenario registry (unique name required)."""
+    if spec.name in _REGISTRY:
         raise ValueError(f"scenario {spec.name!r} is already registered")
     _REGISTRY[spec.name] = spec
     return spec

@@ -19,15 +19,18 @@ Execution is split into a **resumable phase machine**:
   assembles the result dictionary.
 * :func:`execute` is simply ``drive`` + ``finalize``.
 
-:func:`run_matrix` executes a ``scenarios × seeds`` grid.  With
-``workers > 1`` a persistent pool of forked worker processes pulls jobs from
-one shared queue (work stealing: a slow job never strands the other jobs
-that a static chunking would have pinned to the same worker), and only
-``(scenario name, seed)`` pairs cross the process boundary — workers
-re-resolve specs from the registry, so probes and workload callables never
-need to be pickled.  Each result records its own wall time and worker pid;
-the sweep meta reports per-worker utilization so scheduling regressions are
-visible in every sweep artifact.
+:func:`run_matrix` executes a ``scenarios × seeds`` grid over the objects it
+is handed — scenario specs, or anything else with a ``.name`` that its job
+runner understands (the audit harness passes its cases).  With ``workers >
+1`` a persistent pool of forked worker processes pulls jobs from one shared
+queue (work stealing: a slow job never strands the other jobs that a static
+chunking would have pinned to the same worker).  The workers are forked
+after the job list is built, so they inherit the objects themselves; only
+job indices and result dictionaries cross the process boundary, and probes
+and workload callables never need to be pickled.  Where the platform has no
+``fork``, the jobs run serially.  Each result records its own wall time and
+worker pid; the sweep meta reports per-worker utilization so scheduling
+regressions are visible in every sweep artifact.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import os
 import time
 from queue import Empty
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.scenarios.spec import ScenarioSpec
 from repro.sim.cluster import Cluster, build_cluster
@@ -193,22 +196,6 @@ def finalize(run: ScenarioRun) -> Dict[str, Any]:
     environment = cluster.environment
     if spec.scheduler is not None or environment.transition_count:
         result["environment"] = environment.summary()
-    if spec.measure_window > 0:
-        before = cluster.statistics()
-        start = cluster.simulator.now
-        wall_start = time.perf_counter()
-        cluster.run(until=start + spec.measure_window)
-        window_wall = time.perf_counter() - wall_start
-        after = cluster.statistics()
-        result["window"] = {
-            "horizon": spec.measure_window,
-            "executed_events": after["executed_events"] - before["executed_events"],
-            "delivered_messages": after["delivered_messages"]
-            - before["delivered_messages"],
-            # Wall-clock is reported for benchmarks but is NOT part of the
-            # deterministic surface; determinism tests must exclude it.
-            "wall_seconds": window_wall,
-        }
     result["statistics"] = cluster.statistics()
     return result
 
@@ -227,18 +214,16 @@ def run_scenario(spec_or_name: Union[str, ScenarioSpec], seed: int = 0) -> Dict[
 # ---------------------------------------------------------------------------
 # Parallel seed sweeps
 # ---------------------------------------------------------------------------
-#: A job runner maps ``(scenario name, seed)`` to a result dictionary.  The
-#: default resolves the name through the registry and runs it cold; the audit
-#: harness substitutes a runner that resumes warm prefix snapshots.  Custom
-#: runners must be module-level callables when sweeps may run under a spawn
-#: start method (fork inherits anything).
-JobRunner = Callable[[str, int], Dict[str, Any]]
+#: A job runner maps ``(scenario, seed)`` to a result dictionary, where the
+#: scenario is one of the objects handed to :func:`run_matrix`.  The default
+#: runs a spec cold; the audit harness substitutes a runner that resumes warm
+#: prefix snapshots of its cases.
+JobRunner = Callable[[Any, int], Dict[str, Any]]
 
 
-def _run_job(job: Sequence[Any], job_runner: Optional[JobRunner] = None) -> Dict[str, Any]:
-    name, seed = job
+def _run_job(job_runner: JobRunner, scenario: Any, seed: int) -> Dict[str, Any]:
     wall_start = time.perf_counter()
-    result = job_runner(name, seed) if job_runner is not None else run_scenario(name, seed=seed)
+    result = job_runner(scenario, seed)
     return {
         **result,
         "wall_seconds": time.perf_counter() - wall_start,
@@ -269,20 +254,22 @@ def _reap_workers(processes: List[Any], timeout: float = 5.0) -> None:
 def _pool_worker(
     task_queue: "multiprocessing.Queue",
     result_queue: "multiprocessing.Queue",
-    job_runner: Optional[JobRunner],
+    jobs: Sequence[Tuple[Any, int]],
+    job_runner: JobRunner,
 ) -> None:
-    """One persistent worker: pull jobs until the ``None`` sentinel arrives."""
+    """One persistent worker: run job indices until the ``None`` sentinel."""
     while True:
-        job = task_queue.get()
-        if job is None:
+        index = task_queue.get()
+        if index is None:
             return
+        scenario, seed = jobs[index]
         try:
-            result_queue.put(_run_job(job, job_runner))
+            result_queue.put(_run_job(job_runner, scenario, seed))
         except Exception as exc:  # surface worker failures instead of hanging
             result_queue.put(
                 {
-                    "scenario": job[0],
-                    "seed": job[1],
+                    "scenario": scenario.name,
+                    "seed": seed,
                     "ok": False,
                     "error": f"{type(exc).__name__}: {exc}",
                     "worker_pid": os.getpid(),
@@ -323,73 +310,45 @@ def _sweep_summary(
 
 
 def run_matrix(
-    scenarios: Sequence[Union[str, ScenarioSpec]],
+    scenarios: Sequence[Any],
     seeds: Sequence[int],
     workers: int = 1,
-    job_runner: Optional[JobRunner] = None,
+    job_runner: JobRunner = run_scenario,
 ) -> Dict[str, Any]:
-    """Run every ``scenario × seed`` combination, optionally in parallel.
+    """Run ``job_runner(scenario, seed)`` for every ``scenario × seed``.
 
+    *scenarios* are objects with a ``.name``: scenario specs for the default
+    runner (resolve a registered name with ``get_scenario``).
     Returns ``{"meta": ..., "results": [...]}`` with results sorted by
-    ``(scenario, seed)`` regardless of completion order.  Scenario *specs*
-    (not just names) are accepted with ``workers == 1``; a parallel sweep
-    requires registered names so workers can resolve them locally.
+    ``(scenario, seed)`` regardless of completion order.
 
-    Parallel sweeps use a persistent pool of forked workers pulling from one
-    shared work queue — a slow job delays only itself, not a statically
-    assigned chunk.  ``meta["sweep"]`` reports per-worker job counts, busy
-    seconds and overall pool utilization; each result entry carries its own
-    ``wall_seconds`` and ``worker_pid``.
+    Parallel sweeps use a persistent pool of forked workers pulling job
+    indices from one shared work queue — a slow job delays only itself, not
+    a statically assigned chunk.  ``meta["sweep"]`` reports per-worker job
+    counts, busy seconds and overall pool utilization; each result entry
+    carries its own ``wall_seconds`` and ``worker_pid``.
     """
-    from repro.scenarios.library import get_scenario
-
-    names = [ref if isinstance(ref, str) else ref.name for ref in scenarios]
-    jobs = [(name, seed) for name in names for seed in seeds]
+    names = [scenario.name for scenario in scenarios]
+    jobs = [(scenario, seed) for scenario in scenarios for seed in seeds]
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - platform without fork: run serially
+        workers = 1
     effective_workers = max(1, min(workers, len(jobs)))
-    for ref in scenarios:
-        if isinstance(ref, str):
-            get_scenario(ref)  # fail fast on unknown names
-        elif effective_workers > 1 or job_runner is not None:
-            # Workers (and custom job runners) resolve jobs by name from the
-            # registry; an unregistered spec object would fail remotely on
-            # every job, so fail fast here.
-            try:
-                registered = get_scenario(ref.name)
-            except KeyError:
-                registered = None
-            if registered is not ref:
-                raise ValueError(
-                    f"parallel sweeps require registered scenario names; "
-                    f"register_scenario({ref.name!r}) first or use workers=1"
-                )
     sweep_start = time.perf_counter()
     if effective_workers == 1:
-        by_ref = {(ref if isinstance(ref, str) else ref.name): ref for ref in scenarios}
-        results = []
-        for name, seed in jobs:
-            if job_runner is not None:
-                results.append(_run_job((name, seed), job_runner))
-            else:
-                results.append(_run_job((by_ref[name], seed)))
+        results = [_run_job(job_runner, scenario, seed) for scenario, seed in jobs]
     else:
-        # Prefer fork so workers inherit runtime-registered scenarios (and
-        # the audit harness's warm prefix snapshots, copy-on-write); under
-        # spawn (Windows) workers re-import only the built-in library, so
-        # names registered at runtime would not resolve there.
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - platform without fork
-            context = multiprocessing.get_context()
         task_queue = context.Queue()
         result_queue = context.Queue()
-        for job in jobs:
-            task_queue.put(job)
+        for index in range(len(jobs)):
+            task_queue.put(index)
         for _ in range(effective_workers):
             task_queue.put(None)  # one shutdown sentinel per worker
         processes = [
             context.Process(
                 target=_pool_worker,
-                args=(task_queue, result_queue, job_runner),
+                args=(task_queue, result_queue, jobs, job_runner),
                 daemon=True,
             )
             for _ in range(effective_workers)
@@ -415,7 +374,9 @@ def run_matrix(
                 while len(results) < len(jobs):
                     results.append(result_queue.get(timeout=0.25))
             except Empty:
-                missing = _unfinished_jobs(jobs, results)
+                missing = _unfinished_jobs(
+                    [(scenario.name, seed) for scenario, seed in jobs], results
+                )
                 _reap_workers(processes)
                 raise RuntimeError(
                     f"worker process died before finishing its jobs; "

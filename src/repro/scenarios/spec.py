@@ -70,9 +70,6 @@ class ScenarioSpec:
     horizon:
         Extra simulated time to run after bootstrap — typically sized so the
         installed workloads have fully played out before probing.
-    measure_window:
-        When positive, a post-probe steady-state window: statistics deltas
-        over this much simulated time are reported under ``"window"``.
     """
 
     name: str
@@ -89,5 +86,4 @@ class ScenarioSpec:
     convergence_poll: float = 0.0
     bootstrap_timeout: float = 4_000.0
     horizon: float = 0.0
-    measure_window: float = 0.0
     require_bootstrap: bool = True

@@ -35,13 +35,13 @@ from typing import (
 from repro.audit.arbitrary_state import (
     DEFAULT_PROFILE,
     CorruptionProfile,
-    apply_plan,
     generate_plan,
     plan_summary,
 )
 from repro.common.rng import make_rng
 from repro.common.types import ProcessId
 from repro.sim.events import Action
+from repro.sim.faults import apply_plan
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.cluster import Cluster

@@ -6,14 +6,14 @@ The simulator realizes the system model of Section 2 of the paper:
   followed by a single communication operation;
 * fully-connected topology with per-directed-pair channels of bounded
   capacity ``cap`` whose packets may be lost, duplicated or reordered but not
-  created out of thin air (except by the fault injector, which models
+  created out of thin air (except by channel corruption atoms, which model
   transient faults);
 * *fair communication*: a packet that is sent infinitely often is received
   infinitely often (losses are probabilistic with probability < 1);
 * processors that may crash (stop-fail) and new processors that may join.
 
-The package also contains the transient-fault injector and the invariant
-monitors used by the test-suite and benchmark harness.
+The package also applies transient-fault plans (:mod:`repro.sim.faults`) and
+holds the invariant monitors used by the test-suite and benchmark harness.
 """
 
 from repro.sim.events import Action, Event, EventQueue
@@ -23,7 +23,6 @@ from repro.sim.process import Process, ProcessContext
 from repro.sim.simulator import Simulator
 from repro.sim.config import ClusterConfig, fast_sim, paper_faithful, preset
 from repro.sim.stacks import StackProfile, available_stacks, get_stack, register_stack, stack
-from repro.sim.faults import FaultInjector
 from repro.sim.monitors import InvariantMonitor, ConvergenceTracker
 from repro.sim.cluster import Cluster, ClusterNode, build_cluster
 
@@ -48,7 +47,6 @@ __all__ = [
     "get_stack",
     "register_stack",
     "stack",
-    "FaultInjector",
     "InvariantMonitor",
     "ConvergenceTracker",
     "Cluster",

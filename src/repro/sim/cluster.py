@@ -66,8 +66,8 @@ class ConvergenceLedger:
     because each node's contribution depends only on that node's local state,
     and local state only changes inside the marked entry points (or through
     out-of-band mutation, covered by :meth:`mark_all` at every
-    ``Cluster.run``/``run_until`` entry and by the fault injector's explicit
-    invalidation).  The test suite cross-checks every answer against the
+    ``Cluster.run``/``run_until`` entry and by the explicit invalidation of
+    :func:`~repro.sim.faults.apply_atom`).  The test suite cross-checks every answer against the
     retained scan oracle, :func:`converged_scan`.
 
     A marked node's contribution is a pure function of its recSA records and
@@ -536,7 +536,7 @@ class Cluster:
     def invalidate_convergence(self, pid: Optional[ProcessId] = None) -> None:
         """Mark convergence state stale after out-of-band node mutation.
 
-        The fault injector and tests that mutate node
+        Corruption atoms and tests that mutate node
         state directly (instead of through the node's own event hooks) must
         call this so the incremental ledger re-examines the touched node
         (or, with no *pid*, every node) at the next check.

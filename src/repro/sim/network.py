@@ -5,8 +5,9 @@ The paper's communication model (Section 2):
 * every directed pair of processors is connected by a channel of bounded
   capacity ``cap``;
 * packets may be lost, reordered or duplicated, but not created spontaneously
-  (an adversarial/arbitrary initial channel content is modelled by the fault
-  injector stuffing channels with stale packets, bounded by ``O(N^2 * cap)``);
+  (an adversarial/arbitrary initial channel content is modelled by
+  corruption atoms stuffing channels with stale packets, bounded by
+  ``O(N^2 * cap)``);
 * *fair communication*: a packet sent infinitely often is received infinitely
   often — realized here by loss probabilities strictly below one.
 
@@ -34,12 +35,13 @@ an environment mutation empties the table (O(1), see
 :meth:`Network.invalidate_routes`) so the next send on each pair re-resolves
 its configuration through the environment.
 
-The in-flight set is an insertion-ordered ``dict`` keyed by packet identity,
-so accepting and completing a delivery are both O(1).  Identity keys are
-required because payloads may be unhashable; the queue always hands back the
-exact object that was accepted.  Every per-channel counter update also feeds
-a network-wide :class:`NetworkCounters` aggregate, making ``statistics()`` and
-``total_in_flight()`` O(1) instead of an O(N^2) scan over channels.
+A packet carries its own in-flight mark: accepting it sets the mark and
+counts one unit of the channel's occupancy, and the first delivery clears
+the mark and frees that unit, so both are O(1) and payloads need not be
+hashable (the queue always hands back the exact object that was accepted).
+Every per-channel counter update also feeds a network-wide
+:class:`NetworkCounters` aggregate, making ``statistics()`` O(1) instead of
+an O(N^2) scan over channels.
 """
 
 from __future__ import annotations
@@ -58,44 +60,24 @@ from repro.sim.events import EventQueue
 class Packet:
     """A low-level packet travelling on a directed channel.
 
-    ``sender_label`` carries the anti-parallel data-link labelling described
-    in Section 2 (packets are identified by the sender of the data link they
-    belong to); higher layers usually just use ``payload``.
-
-    A slotted value class, built on every send: two packets are equal (and
-    hash alike) when their four fields are.  Nothing may mutate a packet
-    once it is sent.
+    A slotted object, built on every send and compared by identity, as the
+    event heap and the channel's occupancy accounting do.  ``in_flight`` is
+    the one field that changes once the packet is sent: its channel sets it
+    on accepting the packet and clears it on the first delivery.
     """
 
-    __slots__ = ("source", "destination", "payload", "sender_label")
+    __slots__ = ("source", "destination", "payload", "in_flight")
 
-    def __init__(
-        self,
-        source: ProcessId,
-        destination: ProcessId,
-        payload: Any,
-        sender_label: Optional[ProcessId] = None,
-    ) -> None:
+    def __init__(self, source: ProcessId, destination: ProcessId, payload: Any) -> None:
         self.source = source
         self.destination = destination
         self.payload = payload
-        self.sender_label = sender_label
-
-    def _fields(self) -> Tuple[Any, ...]:
-        return (self.source, self.destination, self.payload, self.sender_label)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()  # type: ignore[attr-defined]
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
+        self.in_flight = False
 
     def __repr__(self) -> str:
         return (
             f"Packet(source={self.source!r}, destination={self.destination!r}, "
-            f"payload={self.payload!r}, sender_label={self.sender_label!r})"
+            f"payload={self.payload!r})"
         )
 
 
@@ -150,22 +132,21 @@ class ChannelConfig:
 class NetworkCounters:
     """Network-wide aggregate counters, maintained incrementally by channels."""
 
-    __slots__ = ("sent", "delivered", "dropped", "duplicated", "in_flight")
+    __slots__ = ("sent", "delivered", "dropped", "duplicated")
 
     def __init__(self) -> None:
         self.sent = 0
         self.delivered = 0
         self.dropped = 0
         self.duplicated = 0
-        self.in_flight = 0
 
 
 class Channel:
     """A directed, bounded-capacity, unreliable channel.
 
-    The channel tracks the set of in-flight packets (for capacity accounting
-    and for fault-injection snapshots) and pushes the delivery of every
-    copy it accepts onto the simulator's event queue.
+    The channel counts its in-flight packets (its occupancy, for capacity
+    accounting) and pushes the delivery of every copy it accepts onto the
+    simulator's event queue.
     """
 
     __slots__ = (
@@ -174,7 +155,7 @@ class Channel:
         "config",
         "_seed",
         "_rng",
-        "_in_flight",
+        "_occupancy",
         "_totals",
         "sent_count",
         "delivered_count",
@@ -202,7 +183,7 @@ class Channel:
         # (seed, "channel", source, destination), so the first draw sees the
         # exact sequence the eager constructor produced.
         self._rng: Optional[Any] = None
-        self._in_flight: Dict[int, Packet] = {}
+        self._occupancy = 0
         self._totals = totals if totals is not None else NetworkCounters()
         self.sent_count = 0
         self.delivered_count = 0
@@ -211,7 +192,7 @@ class Channel:
 
     def occupancy(self) -> int:
         """Number of packets currently occupying channel capacity."""
-        return len(self._in_flight)
+        return self._occupancy
 
     def try_accept(
         self, packet: Packet, now: float, events: EventQueue, rng: Optional[Any] = None
@@ -230,9 +211,8 @@ class Channel:
         totals = self._totals
         self.sent_count += 1
         totals.sent += 1
-        in_flight = self._in_flight
         config = self.config
-        if len(in_flight) >= config.capacity:
+        if self._occupancy >= config.capacity:
             # Channel full: the new packet is omitted (paper, Section 2).
             self.dropped_count += 1
             totals.dropped += 1
@@ -244,8 +224,8 @@ class Channel:
             self.dropped_count += 1
             totals.dropped += 1
             return 0
-        in_flight[id(packet)] = packet
-        totals.in_flight += 1
+        packet.in_flight = True
+        self._occupancy += 1
         events.push(self.arrival(now, rng), self, packet)
         dup = config.duplicate_probability
         if dup and rng.random() < dup:
@@ -292,24 +272,25 @@ class Channel:
         Returns ``False`` when the channel is already at capacity: the paper's
         adversary is limited to ``cap`` stale packets per channel.
         """
-        if len(self._in_flight) >= self.config.capacity:
+        if self._occupancy >= self.config.capacity:
             return False
-        self._in_flight[id(packet)] = packet
-        self._totals.in_flight += 1
+        packet.in_flight = True
+        self._occupancy += 1
         return True
 
     def complete_delivery(self, packet: Packet) -> bool:
-        """Remove *packet* from the in-flight set; return whether it was there.
+        """Clear *packet*'s in-flight mark; return whether it was set.
 
-        Duplicated deliveries of the same packet only remove one in-flight
-        slot; the second delivery still hands the payload to the receiver but
-        does not consume capacity (it never did).
+        A duplicated delivery is the same packet pushed twice, so only the
+        first delivery frees its slot; the second still hands the payload to
+        the receiver but does not consume capacity (it never did).
         """
-        if self._in_flight.pop(id(packet), None) is None:
+        if not packet.in_flight:
             return False
+        packet.in_flight = False
+        self._occupancy -= 1
         self.delivered_count += 1
         self._totals.delivered += 1
-        self._totals.in_flight -= 1
         return True
 
     def _materialize_rng(self) -> Any:
@@ -450,9 +431,9 @@ class Network:
     def stuff_channel(self, source: ProcessId, destination: ProcessId, payload: Any) -> bool:
         """Inject a stale packet into a channel and schedule its delivery.
 
-        Used by the transient-fault injector to model arbitrary initial
-        channel contents.  Returns ``False`` when the channel was full.  The
-        delay is drawn from the channel's own stream.
+        Used by channel corruption atoms (:mod:`repro.sim.faults`) to model
+        arbitrary initial channel contents.  Returns ``False`` when the
+        channel was full.  The delay is drawn from the channel's own stream.
         """
         chan = self.channel(source, destination)
         packet = Packet(source, destination, payload)
@@ -461,10 +442,6 @@ class Network:
         simulator = self._simulator
         simulator.events.push(chan.arrival(simulator.now), chan, packet)
         return True
-
-    def total_in_flight(self) -> int:
-        """Total packets currently in flight across all channels (O(1))."""
-        return self._totals.in_flight
 
     def statistics(self) -> Dict[str, int]:
         """Aggregate send/deliver/drop/duplicate counters over all channels.

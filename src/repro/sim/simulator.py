@@ -10,7 +10,7 @@ The simulator owns:
 * the registry of :class:`~repro.sim.process.Process` instances,
 * the :class:`~repro.sim.network.Network`, whose channels push every
   accepted packet onto this event queue,
-* optional per-step hooks used by monitors and the fault injector.
+* optional per-step hooks used by the monitors.
 
 One simulated message costs one ``heappush`` when it is sent (by
 :meth:`~repro.sim.network.Channel.try_accept`) and one ``heappop`` when

@@ -2,7 +2,7 @@
 
 A :class:`SimSnapshot` captures the *complete* state of a simulation at an
 instant between events — the event queue (including pending timers and
-in-flight delivery events), every channel's in-flight ledger, each process's
+in-flight delivery events), every channel's occupancy, each process's
 full protocol state (recSA / recMA / failure detector / heartbeat links /
 stack services), the :class:`~repro.sim.environment.NetworkEnvironment`'s
 layer stack, partitions and transition log, and every seeded RNG stream —
@@ -39,14 +39,13 @@ make that sound:
   spans are patched in at class level exactly like that).
   :func:`_reduce_method` looks the function up by identity along the
   instance's MRO and reduces to the attribute name it finds.
-* **Identity-keyed ledgers are re-keyed.**  Channels track in-flight packets
-  in a dict keyed by ``id(packet)`` for O(1) completion; object ids change
-  across a round trip, so :func:`_rekey_in_flight` rebuilds those ledgers
-  (in order) after every ``loads``.
 * **Generators restore without touching the OS.**  ``random.Random``
   unpickles through ``Random()``, which seeds itself from ``os.urandom``
   before the pickled state overwrites it; :func:`_reduce_random` rebuilds
   each generator from its state alone.
+
+Nothing in the state is keyed by object identity (a packet carries its own
+in-flight mark), so a restored copy needs no repair pass after ``loads``.
 
 Restrictions
 ------------
@@ -86,21 +85,6 @@ def _find_simulator(subject: Any) -> Any:
         f"cannot find a simulator inside {type(subject).__name__!r}; "
         "capture a Simulator, a Cluster or a ScenarioRun"
     )
-
-
-def _rekey_in_flight(simulator: Any) -> None:
-    """Rebuild every channel's identity-keyed in-flight ledger.
-
-    The ledger maps ``id(packet) -> packet``; after a round trip the values
-    are fresh objects while the keys still hold the *original* ids, so a
-    delivery completing on the copy would miss the ledger and corrupt the
-    capacity accounting.  Rebuilding preserves insertion order, which is the
-    only ordering the channel relies on.
-    """
-    for channel in simulator.network.channels():
-        in_flight = channel._in_flight
-        if in_flight:
-            channel._in_flight = {id(packet): packet for packet in in_flight.values()}
 
 
 def _reduce_method(method: types.MethodType) -> Tuple[Any, Tuple[Any, str]]:
@@ -180,7 +164,6 @@ class SimSnapshot:
     def restore(self) -> Any:
         """Return a fresh, fully independent copy of the captured state."""
         restored = pickle.loads(self._blob)
-        _rekey_in_flight(_find_simulator(restored))
         self._restores += 1
         return restored
 
@@ -188,11 +171,6 @@ class SimSnapshot:
     def restores(self) -> int:
         """How many times this snapshot has been restored (fan-out width)."""
         return self._restores
-
-    @property
-    def now(self) -> float:
-        """The simulated instant the snapshot was captured at."""
-        return _find_simulator(pickle.loads(self._blob)).now
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimSnapshot({len(self._blob)} bytes, restores={self._restores})"

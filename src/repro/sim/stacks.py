@@ -19,10 +19,10 @@ Built-in profiles (ordered bottom-up; each bundle includes what it builds on):
     (:mod:`repro.counters`).  Options: ``seqn_bound``.
 ``vs_smr``
     Counters plus the virtually synchronous replicated state machine.
-    Options: ``state_machine`` (factory, default ``LogStateMachine``) and
-    ``eval_config`` (a ``node -> policy`` factory; the default policy reads
-    ``node.control["reconfigure"]``, so callers trigger a coordinator-led
-    delicate reconfiguration with ``node.control["reconfigure"] = True``).
+    Options: ``state_machine`` (factory, default ``LogStateMachine``).  The
+    evalConfig policy reads ``node.control["reconfigure"]``, so callers
+    trigger a coordinator-led delicate reconfiguration with
+    ``node.control["reconfigure"] = True``.
 ``shared_register``
     ``vs_smr`` pinned to a :class:`~repro.vs.smr.RegisterStateMachine` plus a
     :class:`~repro.vs.shared_memory.SharedRegister` client bound to the node.
@@ -30,8 +30,7 @@ Built-in profiles (ordered bottom-up; each bundle includes what it builds on):
     A Byzantine-tolerant reliable-broadcast service
     (:mod:`repro.datalink.reliable_broadcast`) on the bare scheme: Bracha
     echo voting, Dolev path flooding, or the unprotected naive fan-out
-    baseline.  Options: ``variant`` (pre-set per profile), plus the
-    service's ``resend_interval`` / ``max_resends``.
+    baseline.  Options: ``variant`` (pre-set per profile).
 ``vs_smr_rb``
     ``vs_smr`` with a Bracha reliable-broadcast service alongside — the
     stack the Byzantine audit certifies ``smr_agreement`` on while traitors
@@ -142,7 +141,7 @@ def _build_counters(node: "ClusterNode", options: Dict[str, Any]) -> Dict[str, A
 
 
 class _ControlEvalConfig:
-    """Default evalConfig policy: read the node's ``control`` mailbox.
+    """The evalConfig policy: read the node's ``control`` mailbox.
 
     A class (not a closure) so snapshot/restore deep-copies remap the node
     reference: a restored VS service must read the restored node's mailbox,
@@ -158,22 +157,16 @@ class _ControlEvalConfig:
         return bool(self.node.control.get("reconfigure", False))
 
 
-def _control_eval_config(node: "ClusterNode") -> Callable[[], bool]:
-    """Build the default evalConfig policy for *node*."""
-    return _ControlEvalConfig(node)
-
-
 def _build_vs_smr(node: "ClusterNode", options: Dict[str, Any]) -> Dict[str, Any]:
     services = _build_counters(node, options)
     machine_factory = options.get("state_machine", LogStateMachine)
-    eval_factory = options.get("eval_config", _control_eval_config)
     services["vs"] = VirtualSynchronyService(
         node.pid,
         node.scheme,
         services["counters"],
         node.send,
         state_machine=machine_factory(),
-        eval_config=eval_factory(node),
+        eval_config=_ControlEvalConfig(node),
     )
     return services
 
@@ -196,8 +189,6 @@ def _build_rb(node: "ClusterNode", options: Dict[str, Any]) -> Dict[str, Any]:
         node.pid,
         tuple(node._initial_peers),
         node.send,
-        resend_interval=options.get("resend_interval", 4),
-        max_resends=options.get("max_resends", 8),
     )
     return {"rb": service}
 

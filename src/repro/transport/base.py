@@ -15,7 +15,7 @@ wall-clock reading (in sim-time units) under the asyncio runtime.  **No protocol
 reads it** — an audit of the stack (PR 8) found zero call sites: the
 heartbeat service paces itself by iteration count
 (``idle_resend_interval``), the reliable-broadcast services by
-``_rounds % resend_interval``, and the failure detector is heartbeat-count
+``_rounds % RESEND_INTERVAL``, and the failure detector is heartbeat-count
 based by construction.  That is deliberate: the paper's algorithms are
 *time-free* (self-stabilization may not assume synchronized or even
 monotonic local clocks after a transient fault), so ``now`` exists for

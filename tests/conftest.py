@@ -9,12 +9,12 @@ from typing import Any, Callable, Dict, Iterable, List, Optional
 import pytest
 
 from repro.analysis import probes
-from repro.audit.arbitrary_state import PROFILES, apply_plan, generate_plan
+from repro.audit.arbitrary_state import PROFILES, generate_plan
 from repro.common.types import BOTTOM, ProcessId, make_config
 from repro.core.recsa import RecSA
 from repro.sim.cluster import Cluster, build_cluster
 from repro.sim.config import fast_sim
-from repro.sim.faults import CorruptionAtom
+from repro.sim.faults import CorruptionAtom, apply_plan
 
 
 def quick_cluster(n: int, seed: int = 1, capacity: int = 8, **overrides: Any) -> Cluster:

@@ -5,11 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.coherent_start import CoherentStartMessage, CoherentStartNode
-from repro.audit.arbitrary_state import apply_plan
 from repro.common.types import make_config
 from repro.core.recma import RecMAMessage
 from repro.scenarios import ChurnWorkload
-from repro.sim.faults import CorruptionAtom
+from repro.sim.faults import CorruptionAtom, apply_plan
 from repro.sim.simulator import Simulator
 
 from tests.conftest import quick_cluster, scramble

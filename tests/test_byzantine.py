@@ -19,6 +19,7 @@ import pytest
 from repro.audit.byzantine import (
     BEHAVIORS,
     ByzantineSpec,
+    ByzantineWorkload,
     TraitorProgram,
     available_behaviors,
     get_behavior,
@@ -34,7 +35,6 @@ from repro.audit.harness import (
 )
 from repro.common.rng import make_rng
 from repro.failure_detector.ntheta import NThetaFailureDetector
-from repro.sim.faults import FaultInjector
 
 from tests.conftest import quick_cluster
 
@@ -92,40 +92,43 @@ class TestRegistryAndPlanning:
 
 
 # ---------------------------------------------------------------------------
-# Interceptor lifecycle through the fault injector
+# Interceptor lifecycle
 # ---------------------------------------------------------------------------
 class TestTraitorLifecycle:
     def test_make_byzantine_installs_and_restore_honest_removes(self):
         cluster = quick_cluster(5, stack="rb_bracha")
         assert cluster.run_until_converged(timeout=2_000)
-        injector = FaultInjector(cluster.simulator)
         program = TraitorProgram(cluster, 1, ("equivocate",), seed=3)
-        assert injector.make_byzantine(cluster, 1, program)
+        program.activate()
         assert cluster.simulator.outbound_interceptors[1] is program
         assert 1 in cluster.byzantine_pids and program.active
 
-        injector.restore_honest(1)
+        program.deactivate()
         assert 1 not in cluster.simulator.outbound_interceptors
         assert not program.active
         # The pid stays marked: its local state carries no guarantees.
         assert 1 in cluster.byzantine_pids
 
     def test_make_byzantine_refuses_dead_nodes(self):
+        """Traitors are chosen among the nodes alive when the workload
+        fires, so a crashed node is never turned."""
         cluster = quick_cluster(4, stack="rb_bracha")
         assert cluster.run_until_converged(timeout=2_000)
-        cluster.try_crash(2)
-        injector = FaultInjector(cluster.simulator)
-        program = TraitorProgram(cluster, 2, ("forge",), seed=1)
-        assert not injector.make_byzantine(cluster, 2, program)
-        assert 2 not in cluster.simulator.outbound_interceptors
+        cluster.try_crash(0)
+        spec = ByzantineSpec(behaviors=("forge",), traitors=2)
+        ByzantineWorkload(at=cluster.simulator.now + 1.0, spec=spec).install(cluster)
+        cluster.run(until=cluster.simulator.now + 2.0)
+        (entry,) = cluster.workload_reports
+        assert entry["traitors"] == [1, 2]
+        assert sorted(cluster.simulator.outbound_interceptors) == [1, 2]
+        assert 0 not in cluster.byzantine_pids
 
     def test_traitor_emissions_bypass_interception(self):
         """Forged spontaneous traffic must not recurse into the interceptor."""
         cluster = quick_cluster(5, stack="rb_bracha")
         assert cluster.run_until_converged(timeout=2_000)
-        injector = FaultInjector(cluster.simulator)
         program = TraitorProgram(cluster, 0, ("forge", "inflate"), seed=5)
-        assert injector.make_byzantine(cluster, 0, program)
+        program.activate()
         cluster.run(until=cluster.simulator.now + 30.0)
         assert program.forged > 0 and program.inflated > 0
         # Honest nodes survived the junk: simulation kept executing and the

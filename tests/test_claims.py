@@ -16,10 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.audit.arbitrary_state import apply_plan
 from repro.common.types import make_config
 from repro.labels.label import EpochLabel, LabelPair
-from repro.sim.faults import CorruptionAtom
+from repro.sim.faults import CorruptionAtom, apply_plan
 
 from tests.conftest import quick_cluster, scramble
 

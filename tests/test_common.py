@@ -186,9 +186,7 @@ class TestRng:
 class TestErrors:
     def test_hierarchy(self):
         assert issubclass(errors.SimulationError, errors.ReproError)
-        assert issubclass(errors.ChannelFullError, errors.SimulationError)
-        assert issubclass(errors.ReconfigurationInProgress, errors.ReproError)
-        assert issubclass(errors.QuorumUnavailable, errors.ReproError)
+        assert issubclass(errors.InvariantViolation, errors.ReproError)
 
     def test_raise_and_catch_base(self):
         with pytest.raises(errors.ReproError):

@@ -16,7 +16,6 @@ import random
 
 import pytest
 
-from repro.audit.arbitrary_state import apply_plan
 from repro.common.codec import frame
 from repro.common.types import make_config
 from repro.core.gossip import GossipGate
@@ -30,7 +29,7 @@ from repro.counters.service import (
 )
 from repro.labels.label import EpochLabel, LabelPair, next_label
 from repro.labels.labeling import LabelMessage
-from repro.sim.faults import CorruptionAtom
+from repro.sim.faults import CorruptionAtom, apply_plan
 from repro.sim.stacks import get_stack
 
 from tests.conftest import quick_cluster

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 from itertools import cycle, islice
 
-from repro.audit.arbitrary_state import apply_plan
 from repro.common.types import make_config
 from repro.core.recma import RecMA, RecMAMessage, never_reconfigure
-from repro.sim.faults import CorruptionAtom
+from repro.sim.faults import CorruptionAtom, apply_plan
 
 from tests.conftest import quick_cluster
 

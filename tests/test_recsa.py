@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.audit.arbitrary_state import apply_plan, generate_plan
+from repro.audit.arbitrary_state import generate_plan
 from repro.common.types import (
     BOTTOM,
     DEFAULT_PROPOSAL,
@@ -24,6 +24,7 @@ from repro.common.types import (
 from repro.core.joining import JoinRequest
 from repro.core.recsa import EchoTriple, RecSA, RecSAMessage
 from repro.core.stale import StaleInfoType, classify_stale_information, is_real_config
+from repro.sim.faults import apply_plan
 from repro.sim.snapshot import SimSnapshot
 
 from tests.conftest import RecSAHarness, quick_cluster, scramble

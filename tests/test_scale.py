@@ -14,9 +14,10 @@ from __future__ import annotations
 import pytest
 
 from tests.conftest import oracle_checked, quick_cluster, scramble
-from repro.audit.arbitrary_state import apply_plan, generate_plan
+from repro.audit.arbitrary_state import generate_plan
 from repro.failure_detector.ntheta import NThetaFailureDetector
 from repro.sim.config import fast_sim
+from repro.sim.faults import apply_plan
 
 
 def _stats_at(n, seed, horizon, **overrides):

@@ -247,20 +247,14 @@ class TestScenarioEngine:
         assert set(result["probes"]) == {"converged", "converged#2"}
         assert result["ok"]
 
-    def test_measure_window_reports_deltas(self):
-        spec = ScenarioSpec(name="window", n=3, measure_window=50.0)
-        result = run_scenario(spec, seed=6)
-        assert result["window"]["horizon"] == 50.0
-        assert result["window"]["delivered_messages"] > 0
-
     def test_matrix_serial(self):
-        sweep = run_matrix(["bootstrap"], seeds=[0, 1], workers=1)
+        sweep = run_matrix([get_scenario("bootstrap")], seeds=[0, 1], workers=1)
         assert sweep["meta"]["workers"] == 1
         assert [entry["seed"] for entry in sweep["results"]] == [0, 1]
         assert all(entry["ok"] for entry in sweep["results"])
 
     def test_matrix_uses_all_configured_workers(self):
-        sweep = run_matrix(["bootstrap"], seeds=[0, 1, 2, 3], workers=2)
+        sweep = run_matrix([get_scenario("bootstrap")], seeds=[0, 1, 2, 3], workers=2)
         assert sweep["meta"]["workers"] == 2
         pids = {entry["worker_pid"] for entry in sweep["results"]}
         # Work stealing: jobs go to whichever pool worker is free, so the
@@ -274,8 +268,23 @@ class TestScenarioEngine:
         # Results come back sorted regardless of completion order.
         assert [entry["seed"] for entry in sweep["results"]] == [0, 1, 2, 3]
 
+    def test_matrix_runs_unregistered_specs(self):
+        """A sweep runs the spec objects it is handed: forked workers
+        inherit them, so a spec that was never registered sweeps in
+        parallel and matches its serial runs."""
+        spec = ScenarioSpec(name="unregistered", n=3, probes=(probes.converged(2_000),))
+        assert spec.name not in available_scenarios()
+        sweep = run_matrix([spec], seeds=[0, 1], workers=2)
+        assert sweep["meta"]["workers"] == 2
+        volatile = ("wall_seconds", "worker_pid")
+        swept = [
+            {key: value for key, value in entry.items() if key not in volatile}
+            for entry in sweep["results"]
+        ]
+        assert swept == [run_scenario(spec, seed=seed) for seed in (0, 1)]
+
     def test_matrix_results_match_serial_runs(self):
-        sweep = run_matrix(["bootstrap"], seeds=[3], workers=2)
+        sweep = run_matrix([get_scenario("bootstrap")], seeds=[3], workers=2)
         direct = run_scenario("bootstrap", seed=3)
         (entry,) = sweep["results"]
         assert entry["statistics"] == direct["statistics"]

@@ -6,7 +6,6 @@ import pytest
 
 from repro.common.errors import SimulationError
 from repro.sim.events import EventQueue
-from repro.sim.faults import FaultInjector
 from repro.sim.monitors import ConvergenceTracker, InvariantMonitor
 from repro.sim.network import Channel, ChannelConfig, Network, Packet
 from repro.sim.process import Process
@@ -256,19 +255,16 @@ class TestNetworkFastPath:
             manual["duplicated"] += chan.duplicated_count
         assert aggregate == manual
 
-    def test_total_in_flight_matches_occupancy_sum(self):
+    def test_occupancy_drains_after_delivery(self):
         sim = Simulator(seed=3)
         sim.add_process(_Echo(1))
         sim.add_process(_Echo(2))
         for i in range(5):
             sim.send(1, 2, i)
-        assert sim.network.total_in_flight() == sum(
-            chan.occupancy() for chan in sim.network.channels()
-        )
+        chan = sim.network.channel(1, 2)
+        assert chan.occupancy() == 5
         sim.run(until=10.0)
-        assert sim.network.total_in_flight() == sum(
-            chan.occupancy() for chan in sim.network.channels()
-        )
+        assert chan.occupancy() == 0 and chan.delivered_count == 5
 
     def test_send_many_delivers_to_every_destination(self):
         sim = Simulator(seed=4)
@@ -342,9 +338,8 @@ class TestFaultInjector:
         a, b = _Echo(1), _Echo(2)
         sim.add_process(a)
         sim.add_process(b)
-        injector = FaultInjector(sim)
-        assert injector.stuff_channel(1, 2, "stale")
-        assert [record.kind for record in injector.records] == ["stuff-channel"]
+        assert sim.network.stuff_channel(1, 2, "stale")
+        assert sim.network.channel(1, 2).occupancy() == 1
         sim.run(until=10.0)
         assert (1, "stale") in b.got
 

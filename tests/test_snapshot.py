@@ -35,6 +35,7 @@ from repro.scenarios import (
     ScenarioSpec,
     drive,
     finalize,
+    get_scenario,
     prepare,
     run_matrix,
     run_scenario,
@@ -55,8 +56,6 @@ def _strip_wall(result):
     result = copy.deepcopy(result)
     result.pop("wall_seconds", None)
     result.pop("worker_pid", None)
-    if "window" in result:
-        result["window"].pop("wall_seconds", None)
     return result
 
 
@@ -138,7 +137,8 @@ class TestSnapshotDeterminism:
         case = AuditCase(scheduler="uniform", corruption_seed=0, corrupt_at=2.0)
         cold = run_case(case, seed=1)
         snapshot = prefix_snapshot(case, seed=1)
-        assert snapshot is not None and snapshot.now < 2.0
+        assert snapshot is not None
+        assert snapshot.restore().cluster.simulator.now < 2.0
         warm = run_case(case, seed=1, snapshot=snapshot)
         assert warm == cold
 
@@ -166,28 +166,33 @@ class TestSnapshotDeterminism:
         drive(run)
         assert _strip_wall(finalize(run)) == _strip_wall(cold)
 
-    def test_in_flight_ledgers_are_rekeyed(self):
-        """Packets in flight across the boundary are delivered on the copy:
-        the identity-keyed channel ledgers must be rebuilt after the copy,
-        or completions would miss and capacity accounting would corrupt."""
+    def test_in_flight_marks_survive_restore(self):
+        """Packets in flight across the boundary keep their marks on the
+        copy: each channel's occupancy equals the distinct pending packets
+        still marked in flight, before and after the copy runs on."""
+
+        def marked_pending(simulator):
+            pending = {}
+            for _, _, channel, item in simulator.events._heap:
+                if channel is not None and item.in_flight:
+                    pending.setdefault(channel, set()).add(item)
+            return {channel: len(packets) for channel, packets in pending.items()}
+
+        def assert_occupancy_matches(simulator):
+            pending = marked_pending(simulator)
+            for channel in simulator.network.channels():
+                assert channel.occupancy() == pending.get(channel, 0)
+            return sum(pending.values())
+
         spec = _snapshot_spec("bare")
         run = prepare(spec, seed=0)
         # Pause inside the bootstrap storm, where the boundary is guaranteed
         # to cut live traffic (steady state throttles itself to near-silence).
         drive(run, stop_before=2.0)
-        network = run.cluster.simulator.network
-        assert network.total_in_flight() > 0
         restored = SimSnapshot.capture(run).restore()
-        chan_net = restored.cluster.simulator.network
-        for channel in chan_net.channels():
-            for key, packet in channel._in_flight.items():
-                assert key == id(packet)
+        assert assert_occupancy_matches(restored.cluster.simulator) > 0
         drive(restored)
-        # Every in-flight packet either completed or was legitimately
-        # dropped; the incremental aggregate stayed consistent.
-        assert chan_net.total_in_flight() == sum(
-            channel.occupancy() for channel in chan_net.channels()
-        )
+        assert_occupancy_matches(restored.cluster.simulator)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +338,7 @@ class TestWarmPrefixSharing:
 # ---------------------------------------------------------------------------
 class TestSweepAccounting:
     def test_serial_sweep_reports_utilization(self):
-        sweep = run_matrix(["bootstrap"], seeds=[0, 1], workers=1)
+        sweep = run_matrix([get_scenario("bootstrap")], seeds=[0, 1], workers=1)
         summary = sweep["meta"]["sweep"]
         assert summary["wall_seconds"] > 0
         assert summary["busy_seconds"] > 0
@@ -344,7 +349,7 @@ class TestSweepAccounting:
             assert entry["wall_seconds"] > 0 and entry["worker_pid"]
 
     def test_parallel_sweep_accounts_every_job(self):
-        sweep = run_matrix(["bootstrap"], seeds=[0, 1, 2, 3], workers=2)
+        sweep = run_matrix([get_scenario("bootstrap")], seeds=[0, 1, 2, 3], workers=2)
         summary = sweep["meta"]["sweep"]
         assert sum(w["jobs"] for w in summary["by_worker"].values()) == 4
         assert summary["max_job_seconds"] <= summary["busy_seconds"] + 1e-9

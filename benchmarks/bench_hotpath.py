@@ -5,9 +5,8 @@ These do not reproduce a claim of the paper (those are tier-1 tests, see
 through — event scheduling/dispatch, the recSA broadcast round, a counter
 member's steady-state iteration (label-layer gossip and the receipts it
 triggers), a heartbeat followed by the failure detector's ``trusted()``, and
-the convergence ledger's refresh of a node an event left unchanged — in
-isolation, which the spine's per-layer spans cannot: it sees them only
-inside whole workloads.  Run with ``make bench-micro``.
+the convergence predicate on a converged cluster — in isolation, which the
+spine's per-layer spans cannot: it sees them only inside whole workloads.  Run with ``make bench-micro``.
 """
 
 from __future__ import annotations
@@ -147,23 +146,20 @@ def _heartbeat_then_trusted(fd: NThetaFailureDetector, n: int, beats: int = 20_0
     return {"n": n, "beats": beats, "trusted_mean": total / beats}
 
 
-def _converged_ledger(n: int):
+def _converged_cluster(n: int):
     cluster = bench_cluster(n, seed=7)
     assert cluster.run_until_converged(timeout=800)
     return (cluster,), {}
 
 
-def _ledger_refreshes(cluster, refreshes: int = 20_000) -> dict:
-    """Mark one node of a converged cluster dirty and refresh, *refreshes*
-    times: the convergence check after an event that moved nothing."""
-    ledger = cluster.convergence_ledger
-    pids = sorted(cluster.nodes)
+def _convergence_checks(cluster, checks: int = 20_000) -> dict:
+    """*checks* calls of ``is_converged()`` on a converged cluster: what a
+    per-event tracker pays after an event that moved nothing."""
+    is_converged = cluster.is_converged
     converged = 0
-    for index in range(refreshes):
-        ledger.mark(pids[index % len(pids)])
-        ledger.refresh()
-        converged += ledger.converged()
-    return {"refreshes": refreshes, "converged": converged}
+    for _ in range(checks):
+        converged += is_converged()
+    return {"n": len(cluster.nodes), "checks": checks, "converged": converged}
 
 
 def _delivery_path_cost(n: int, until: float) -> dict:
@@ -219,12 +215,12 @@ def test_detector_heartbeat_then_trusted(benchmark, n):
     assert result["trusted_mean"] == n
 
 
-def test_ledger_refresh_of_a_dirty_converged_node(benchmark):
+def test_convergence_check_of_a_converged_cluster(benchmark):
     result = benchmark.pedantic(
-        _ledger_refreshes, setup=lambda: _converged_ledger(8), rounds=3, iterations=1
+        _convergence_checks, setup=lambda: _converged_cluster(8), rounds=3, iterations=1
     )
     record(benchmark, result)
-    assert result["converged"] == result["refreshes"]
+    assert result["converged"] == result["checks"]
 
 
 @pytest.mark.parametrize("n", [8, 32])

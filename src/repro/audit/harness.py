@@ -127,9 +127,10 @@ class AuditCase:
     convergence_budget: float = 6_000.0
     #: Sim-time cadence for the run's ConvergenceTracker; 0.0 = evaluate
     #: after every event (exact transition times — the small-n default).
-    #: Large-n tiers set this: at n=128 the per-event predicate is a
-    #: ~300 us/event monitor tax, and a 0.2-unit cadence only coarsens
-    #: the reported stabilization times by that interval.  Measurement
+    #: Large-n tiers set this: at n=128 the scan of a converged cluster
+    #: costs ~170 us, paid after each of ~24 000 events per sim-unit, and a
+    #: 0.2-unit cadence only coarsens the reported stabilization times by
+    #: that interval.  Measurement
     #: cadence only — the event trajectory is identical either way, so
     #: it is deliberately NOT part of the case name or prefix key.
     convergence_poll: float = 0.0

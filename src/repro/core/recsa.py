@@ -293,6 +293,11 @@ class RecSA:
         """True when the owner is a participant (``config[i] != ]``)."""
         return self._own.get("config", NOT_PARTICIPANT) is not NOT_PARTICIPANT
 
+    def own_config(self) -> Any:
+        """``config[i]``: the owner's own config slot, ``]`` while it is not
+        a participant."""
+        return self._own.get("config", NOT_PARTICIPANT)
+
     def _memoized(
         self,
         name: str,

@@ -7,11 +7,11 @@ NTheta failure detector, recSA/recMA/joining, the configured
 :class:`~repro.sim.stacks.StackProfile` services) and hosts them on an
 :class:`~repro.runtime.transport.AsyncioTransport` instead of a simulator.
 
-Convergence has no incremental ledger here (there is no single event stream
-to piggyback on), so :meth:`wait_converged` polls the shared full-scan
-oracle :func:`repro.sim.cluster.converged_scan` on a wall-clock cadence —
-n=8 scans are microseconds, and the poll runs in the same loop thread as
-the protocol, so each answer is a consistent atomic snapshot.
+Convergence is the one predicate both backends share,
+:func:`repro.sim.cluster.converged_scan`, which :meth:`wait_converged`
+polls on a wall-clock cadence — n=8 scans are microseconds, and the poll
+runs in the same loop thread as the protocol, so each answer is a
+consistent atomic snapshot.
 
 Node failure and recovery mirror the paper's churn story: :meth:`kill` is a
 stop-fail (endpoint torn down, packets to it become losses), and
@@ -99,13 +99,13 @@ class RuntimeCluster:
         return [n for n in self.nodes.values() if n.started and not n.crashed]
 
     def is_converged(self) -> bool:
-        """The full-scan convergence oracle over the live nodes."""
+        """:func:`~repro.sim.cluster.converged_scan` over the live nodes."""
         return converged_scan(self.nodes.values())
 
     async def wait_converged(
         self, timeout_s: float, poll_s: float = 0.05
     ) -> bool:
-        """Poll the convergence oracle until it holds or *timeout_s* passes."""
+        """Poll the convergence predicate until it holds or *timeout_s* passes."""
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout_s
         while True:

@@ -62,8 +62,8 @@ class ScenarioSpec:
         transition times — the seed behaviour); a positive cadence
         coarsens every reported transition time by at most one interval
         but removes the per-event predicate cost, which at n >= 128 is
-        the difference between a tractable audit tier and a ~300 us/event
-        monitor tax.
+        the difference between a tractable audit tier and a ~170 us scan
+        of the converged cluster after every event.
     bootstrap_timeout:
         Simulated-time budget for the initial self-organization phase
         (skipped when ``require_bootstrap`` is False).

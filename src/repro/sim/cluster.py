@@ -21,10 +21,10 @@ helpers such as :meth:`Cluster.run_until_converged` and
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Union
 
 from repro.common.errors import SimulationError
-from repro.common.types import BOTTOM, Configuration, ProcessId, make_config
+from repro.common.types import BOTTOM, NOT_PARTICIPANT, Configuration, ProcessId, make_config
 from repro.core.scheme import ReconfigurationScheme
 from repro.core.stale import is_real_config
 from repro.datalink.heartbeat import HeartbeatService
@@ -34,153 +34,6 @@ from repro.sim.config import ClusterConfig
 from repro.sim.process import Process
 from repro.sim.simulator import Simulator
 from repro.sim.stacks import StackProfile, get_stack
-
-
-#: Ledger entry for an alive node that is not (yet) a participant.
-_NON_PARTICIPANT_ENTRY = "non-participant"
-#: Ledger entry for a participant whose own config slot is not a real
-#: configuration (⊥ or corrupted) — convergence is impossible while any exist.
-_BAD_CONFIG_ENTRY = "bad-config"
-
-
-class ConvergenceLedger:
-    """Incremental convergence tracking: O(changed nodes) per check.
-
-    ``Cluster.is_converged`` used to re-scan every node on every evaluation —
-    and ``run_until_converged`` evaluates it as a predicate throughout the
-    run, making the scan Θ(n) per event and the dominant cost of large
-    bootstraps (61% of an n=128 profile).  The ledger replaces the scan with
-    a *dirty set* plus counters: every event that can change a node's
-    convergence contribution marks that node (from ``ClusterNode.on_timer`` /
-    ``on_receive`` / ``crash`` / ``on_start``), and a check only recomputes
-    the marked nodes' contributions, folding the differences into four
-    aggregates:
-
-    * ``participants`` — alive participants,
-    * ``bad_config`` — participants whose own config slot is not real,
-    * ``unstable`` — participants whose ``no_reco()`` is currently false,
-    * ``config_counts`` — multiset of the participants' real configs.
-
-    Convergence ⇔ ``participants > 0 ∧ bad_config == 0 ∧ unstable == 0 ∧
-    len(config_counts) == 1`` — exactly the predicate the full scan computes,
-    because each node's contribution depends only on that node's local state,
-    and local state only changes inside the marked entry points (or through
-    out-of-band mutation, covered by :meth:`mark_all` at every
-    ``Cluster.run``/``run_until`` entry and by the explicit invalidation of
-    :func:`~repro.sim.faults.apply_atom`).  The test suite cross-checks every answer against the
-    retained scan oracle, :func:`converged_scan`.
-
-    A marked node's contribution is a pure function of its recSA records and
-    trusted set, so the ledger also keeps the inputs it was computed from —
-    recSA's ``version`` and the trusted-set object — and skips the
-    recomputation while both are unchanged (most marks come from a gossip
-    receipt or heartbeat that moved neither).  :meth:`mark_all` and
-    :meth:`invalidate` drop those inputs.
-    """
-
-    __slots__ = (
-        "_cluster",
-        "_dirty",
-        "_entries",
-        "_inputs",
-        "_participants",
-        "_bad_config",
-        "_unstable",
-        "_config_counts",
-    )
-
-    def __init__(self, cluster: "Cluster") -> None:
-        self._cluster = cluster
-        self._dirty: set = set()
-        self._entries: Dict[ProcessId, Any] = {}
-        self._inputs: Dict[ProcessId, Tuple[int, FrozenSet[ProcessId]]] = {}
-        self._participants = 0
-        self._bad_config = 0
-        self._unstable = 0
-        self._config_counts: Dict[Any, int] = {}
-
-    def mark(self, pid: ProcessId) -> None:
-        """Record that *pid*'s convergence contribution may have changed."""
-        self._dirty.add(pid)
-
-    def invalidate(self, pid: ProcessId) -> None:
-        """:meth:`mark` after a mutation behind *pid*'s back: recompute for sure."""
-        self._dirty.add(pid)
-        self._inputs.pop(pid, None)
-
-    def mark_all(self) -> None:
-        """Mark every known node (out-of-band mutations, run entry)."""
-        self._dirty.update(self._cluster.nodes)
-        self._inputs.clear()
-
-    def refresh(self) -> None:
-        """Fold every dirty node's (re)computed contribution into the counters."""
-        dirty = self._dirty
-        if not dirty:
-            return
-        nodes = self._cluster.nodes
-        entries = self._entries
-        inputs = self._inputs
-        for pid in dirty:
-            node = nodes.get(pid)
-            if node is None or not node.started or node.crashed:
-                new = None
-                inputs.pop(pid, None)
-            else:
-                recsa = node.recsa
-                trusted = recsa.trusted()
-                seen = inputs.get(pid)
-                if seen is not None and seen[1] is trusted and seen[0] == recsa.version:
-                    continue
-                new = self._contribution(node)
-                inputs[pid] = (recsa.version, trusted)
-            old = entries.get(pid)
-            if new == old:
-                continue
-            if old is not None:
-                self._account(old, -1)
-            if new is None:
-                del entries[pid]
-            else:
-                entries[pid] = new
-                self._account(new, +1)
-        dirty.clear()
-
-    def converged(self) -> bool:
-        """The aggregate predicate (callers must :meth:`refresh` first)."""
-        return (
-            self._participants > 0
-            and self._bad_config == 0
-            and self._unstable == 0
-            and len(self._config_counts) == 1
-        )
-
-    @staticmethod
-    def _contribution(node: "ClusterNode") -> Any:
-        scheme = node.scheme
-        if not scheme.is_participant():
-            return _NON_PARTICIPANT_ENTRY
-        value = node.recsa.config.get(node.pid)
-        if not is_real_config(value):
-            return _BAD_CONFIG_ENTRY
-        return (value, scheme.no_reco())
-
-    def _account(self, entry: Any, sign: int) -> None:
-        if entry == _NON_PARTICIPANT_ENTRY:
-            return
-        self._participants += sign
-        if entry == _BAD_CONFIG_ENTRY:
-            self._bad_config += sign
-            return
-        value, stable = entry
-        if not stable:
-            self._unstable += sign
-        counts = self._config_counts
-        total = counts.get(value, 0) + sign
-        if total:
-            counts[value] = total
-        else:
-            del counts[value]
 
 
 class ClusterNode(Process):
@@ -199,9 +52,6 @@ class ClusterNode(Process):
         #: Out-of-band knobs read by stack-profile policies (e.g. the default
         #: ``vs_smr`` evalConfig reads ``control["reconfigure"]``).
         self.control: Dict[str, Any] = {}
-        #: ``ConvergenceLedger.mark`` of the owning cluster (installed by
-        #: ``Cluster.add_node``); ``None`` for nodes driven outside a cluster.
-        self._converge_mark: Optional[Callable[[ProcessId], None]] = None
         self.failure_detector = NThetaFailureDetector(
             pid=pid, upper_bound_n=config.upper_bound_n, gap_slack=config.fd_gap_slack
         )
@@ -288,34 +138,16 @@ class ClusterNode(Process):
     # Process hooks
     # ------------------------------------------------------------------
     def on_start(self) -> None:
-        mark = self._converge_mark
-        if mark is not None:
-            mark(self.pid)
         for peer in self._initial_peers:
             self.heartbeat.add_peer(peer)
 
     def on_timer(self) -> None:
-        mark = self._converge_mark
-        if mark is not None:
-            mark(self.pid)
         self.heartbeat.on_timer()
         self.scheme.step()
         for hook in self._timer_hooks:
             hook()
 
-    def crash(self) -> None:
-        mark = self._converge_mark
-        if mark is not None:
-            mark(self.pid)
-        super().crash()
-
     def on_receive(self, sender: ProcessId, payload: Any) -> None:
-        # Any receipt can move this node's convergence contribution: protocol
-        # gossip mutates the replicated arrays, and even a bare heartbeat
-        # token shifts the failure detector, hence trusted() and no_reco().
-        mark = self._converge_mark
-        if mark is not None:
-            mark(self.pid)
         # A packet from an unknown peer is the "connection signal": create the
         # link (which starts the snap-stabilizing cleaning handshake).
         if sender not in self.heartbeat.links and sender != self.pid:
@@ -354,50 +186,53 @@ class ClusterNode(Process):
 
 
 def converged_scan(nodes: Iterable[ClusterNode]) -> bool:
-    """The full-scan convergence oracle over any collection of nodes.
+    """The convergence predicate over any collection of nodes.
 
     True when at least one alive participant exists, every alive participant
     holds the same real configuration, and none reports a reconfiguration in
-    progress.  Shared by :meth:`Cluster.is_converged_scan` (the simulator
-    ledger's cross-check) and the asyncio :class:`repro.runtime.cluster
-    .RuntimeCluster`, which has no ledger and polls this directly.
+    progress.  This is the one rule both backends ask:
+    :meth:`Cluster.is_converged` and the asyncio
+    :class:`repro.runtime.cluster.RuntimeCluster`.
+
+    Each alive node's own config slot is read once (it tells a participant
+    from a joiner, and ⊥ or a corrupted value from a real configuration);
+    ``no_reco()``, the costly test, comes last.
     """
     agreed = None
-    found = False
     for node in nodes:
         if not node.started or node.crashed:
             continue
-        scheme = node.scheme
-        if not scheme.is_participant():
+        recsa = node.scheme.recsa
+        value = recsa.own_config()
+        if value is NOT_PARTICIPANT:
             continue
-        value = node.recsa.config.get(node.pid)
-        if not is_real_config(value):
-            return False
-        if found:
-            if value != agreed:
+        if agreed is None:
+            if not is_real_config(value):
                 return False
-        else:
             agreed = value
-            found = True
-        if not scheme.no_reco():
+        elif value is not agreed and (value != agreed or not is_real_config(value)):
             return False
-    return found
+        if not recsa.no_reco():
+            return False
+    return agreed is not None
 
 
 def agreed_configuration(nodes: Iterable[ClusterNode]) -> Optional[Configuration]:
     """The single configuration every alive participant holds, if any.
 
-    Reads each alive participant's own config slot — the value the
-    :class:`ConvergenceLedger` and :func:`converged_scan` read — and returns
-    ``None`` when participants disagree, some hold a non-real value (``⊥``
-    or corrupted), or there are no participants at all.  Shared by
-    :meth:`Cluster.agreed_configuration` and the asyncio ``RuntimeCluster``.
+    Reads each alive node's own config slot, as :func:`converged_scan`
+    does, and returns ``None`` when participants disagree, some hold a
+    non-real value (``⊥`` or corrupted), or there are no participants at
+    all.  Shared by :meth:`Cluster.agreed_configuration` and the asyncio
+    ``RuntimeCluster``.
     """
     agreed = None
     for node in nodes:
-        if not node.started or node.crashed or not node.scheme.is_participant():
+        if not node.started or node.crashed:
             continue
-        value = node.recsa.config.get(node.pid)
+        value = node.scheme.recsa.own_config()
+        if value is NOT_PARTICIPANT:
+            continue
         if not is_real_config(value):
             return None
         if agreed is None:
@@ -429,8 +264,6 @@ class Cluster:
         #: workloads (e.g. what a corruption workload actually injected); the
         #: scenario runner copies them into the result dictionary.
         self.workload_reports: List[Dict[str, Any]] = []
-        #: Incremental convergence state (see :class:`ConvergenceLedger`).
-        self.convergence_ledger = ConvergenceLedger(self)
         self._poll_interval = config.poll_interval()
 
     @property
@@ -464,8 +297,6 @@ class Cluster:
             initial_config=initial_config,
         )
         self.nodes[pid] = node
-        node._converge_mark = self.convergence_ledger.mark
-        self.convergence_ledger.mark(pid)
         self.simulator.add_process(node)
         return node
 
@@ -513,19 +344,7 @@ class Cluster:
         return agreed_configuration(self.nodes.values())
 
     def is_converged(self) -> bool:
-        """True when all alive participants agree and report stability.
-
-        Answered by the :class:`ConvergenceLedger` in O(nodes touched since
-        the last check) instead of a full-cluster scan — this is evaluated as
-        a predicate throughout ``run_until_converged``, where the scan was
-        Θ(n) per event.  :meth:`is_converged_scan` is the retained oracle.
-        """
-        ledger = self.convergence_ledger
-        ledger.refresh()
-        return ledger.converged()
-
-    def is_converged_scan(self) -> bool:
-        """The full-scan convergence oracle (single pass, early exit)."""
+        """:func:`converged_scan` over this cluster's nodes."""
         return converged_scan(self.nodes.values())
 
     def all_nodes_participating(self) -> bool:
@@ -533,28 +352,11 @@ class Cluster:
         alive = self.alive_nodes()
         return bool(alive) and all(node.scheme.is_participant() for node in alive)
 
-    def invalidate_convergence(self, pid: Optional[ProcessId] = None) -> None:
-        """Mark convergence state stale after out-of-band node mutation.
-
-        Corruption atoms and tests that mutate node
-        state directly (instead of through the node's own event hooks) must
-        call this so the incremental ledger re-examines the touched node
-        (or, with no *pid*, every node) at the next check.
-        """
-        if pid is None:
-            self.convergence_ledger.mark_all()
-        else:
-            self.convergence_ledger.invalidate(pid)
-
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
     def run(self, until: float) -> None:
         """Advance the simulation until simulated time *until*."""
-        # Anything may have been mutated out-of-band since the last run
-        # (tests poking node state between calls); re-examine every node at
-        # the next convergence check.
-        self.convergence_ledger.mark_all()
         self.simulator.run(until=until)
 
     def run_until_converged(self, timeout: float = 2_000.0) -> bool:
@@ -579,7 +381,6 @@ class Cluster:
         flip moves by at most one poll interval while dense event bursts pay
         one evaluation per interval.
         """
-        self.convergence_ledger.mark_all()
         return self.simulator.run_until(
             predicate,
             timeout=self.simulator.now + timeout,

@@ -56,7 +56,7 @@ MAX_RECORDED_TRANSITIONS = 256
 #: list: a static installer emits one ``link_config`` per directed pair
 #: (O(n²) identical t=0 entries), which would crowd the mid-run partition/
 #: overlay/heal transitions the log exists to report.
-UNLISTED_KINDS = frozenset({"link_config", "link_config_cleared"})
+UNLISTED_KINDS = frozenset({"link_config"})
 
 
 class NetworkEnvironment:
@@ -182,12 +182,6 @@ class NetworkEnvironment:
         self._overrides[(source, destination)] = config
         self._invalidate_resolution()
         self.record("link_config", link=[source, destination])
-
-    def clear_link_config(self, source: ProcessId, destination: ProcessId) -> None:
-        """Drop the explicit override of one directed pair (if any)."""
-        if self._overrides.pop((source, destination), None) is not None:
-            self._invalidate_resolution()
-            self.record("link_config_cleared", link=[source, destination])
 
     def apply_overlay(self, tag: str, mapping: Dict[LinkKey, Any]) -> None:
         """Push (or replace) the tagged overlay; overlays win over overrides.

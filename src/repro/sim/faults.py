@@ -109,9 +109,6 @@ def apply_atom(cluster: Any, atom: CorruptionAtom) -> bool:
         target[atom.key] = atom.value
     else:
         raise SimulationError(f"unknown corruption-atom kind {atom.kind!r}")
-    # State was mutated behind the node's back: the incremental
-    # convergence ledger must re-examine this node at the next check.
-    cluster.invalidate_convergence(atom.pid)
     return True
 
 

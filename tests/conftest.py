@@ -82,22 +82,6 @@ def scramble(
     return plan
 
 
-def oracle_checked(cluster: Cluster):
-    """``cluster.is_converged`` as a ``run_until`` predicate that asserts, on
-    every evaluation, that the incremental ledger agrees with the full-scan
-    oracle."""
-
-    def predicate() -> bool:
-        result = cluster.is_converged()
-        assert result == cluster.is_converged_scan(), (
-            f"convergence ledger diverged from the scan oracle at "
-            f"t={cluster.simulator.now}: ledger={result}"
-        )
-        return result
-
-    return predicate
-
-
 class LocalBus:
     """A synchronous, in-memory message bus for unit-testing protocol objects.
 

@@ -444,9 +444,8 @@ def _assert_memo_agrees(cluster, after: str) -> None:
 class TestDerivedVerdictMemo:
     @pytest.mark.parametrize("seed", range(6))
     def test_random_walk_agrees_with_unmemoized_bodies(self, seed):
-        """Oracle style (cf. ``conftest.oracle_checked``): after *every*
-        operation of a seeded walk over everything that can move a verdict —
-        simulator events (``step``/``on_message``), the interface calls,
+        """Oracle style: after *every* operation of a seeded walk over
+        everything that can move a verdict — simulator events (``step``/``on_message``), the interface calls,
         received forgeries, the joining hook and both corruption surfaces —
         the memoized answers equal the bodies they memoize."""
         rng = random.Random(seed)

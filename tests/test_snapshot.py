@@ -377,8 +377,6 @@ class TestResolveCache:
         assert network.channel(0, 1).config is base
         environment.remove_overlay("t")
         assert network.channel(0, 1).config is shaped
-        environment.clear_link_config(0, 1)
-        assert network.channel(0, 1).config == base
 
     def test_policy_registration_invalidates(self):
         cluster = build_cluster(n=3, seed=0)

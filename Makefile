@@ -13,10 +13,12 @@ bench:
 
 # The two micro-benches that attribute what the spine cannot: per-type codec
 # encode/decode ns/op, and the event-queue / recSA broadcast-round /
-# delivery-path inner loops (needs pytest-benchmark).
+# delivery-path inner loops (needs pytest-benchmark); then one small run of
+# the SIGPROF + collector sampler, so that tool keeps working.
 bench-micro:
 	$(PYTHON) benchmarks/bench_codec.py
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/bench_hotpath.py -q
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/sample_hotpath.py --n 16
 
 # CI gate: every registered scenario once, seed 0, on a two-worker pool,
 # nonzero exit on failure; then the three examples, each of which ends by

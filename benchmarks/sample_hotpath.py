@@ -9,6 +9,11 @@ cProfile it adds no per-call cost, so work that moves into or out of C
 Python calls.  The run is the ``sim_scale`` shape: an n-node ``fast_sim``
 bootstrap with ``fd_gap_slack = 2n``, then an 8 su converged window.
 
+The sampler cannot see the cyclic garbage collector: its time is charged to
+whichever frame was allocating.  So one more row, timed with
+``gc.callbacks``, names the collector: the seconds spent inside collections
+during the run, the collections per generation and the objects they freed.
+
     PYTHONPATH=src python benchmarks/sample_hotpath.py --n 128 --seed 89
 """
 
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import gc
 import os
 import signal
 import time
@@ -49,20 +55,36 @@ def main() -> None:
                 inclusive[name] += 1
             frame = frame.f_back
 
+    per_generation = [0, 0, 0]
+    collector = {"seconds": 0.0, "collected": 0, "started": 0.0}
+
+    def time_collection(phase: str, info: dict) -> None:
+        if phase == "start":
+            collector["started"] = time.perf_counter()
+            return
+        collector["seconds"] += time.perf_counter() - collector["started"]
+        collector["collected"] += info["collected"]
+        per_generation[info["generation"]] += 1
+
     cluster = build_cluster(n=args.n, seed=args.seed, config=fast_sim(fd_gap_slack=2 * args.n))
     signal.signal(signal.SIGPROF, sample)
     signal.setitimer(signal.ITIMER_PROF, INTERVAL_S, INTERVAL_S)
+    gc.callbacks.append(time_collection)
     cpu = time.process_time()
     try:
         converged = cluster.run_until_converged()
         cluster.run(until=cluster.simulator.now + WINDOW_SU)
     finally:
         signal.setitimer(signal.ITIMER_PROF, 0, 0)
+        gc.callbacks.remove(time_collection)
     cpu = time.process_time() - cpu
     stats = cluster.statistics()
     total = max(1, samples[0])
     print(f"n={args.n} seed={args.seed} converged={converged} events={stats['executed_events']} "
           f"cpu_s={cpu:.2f} samples={samples[0]}")
+    print(f"collector: {collector['seconds']:.3f} s in collections "
+          f"(gen 0/1/2: {'/'.join(map(str, per_generation))}), "
+          f"{collector['collected']} objects collected")
     for title, ranking in (("by inclusive share", inclusive), ("by self share", own)):
         print(f"\n{title}\n{'inclusive':>9} {'self':>6}  function")
         for name, _ in ranking.most_common(TOP):

@@ -225,8 +225,10 @@ class RecSA:
         self.version = 0
         self.all_seen: Set[ProcessId] = set()
         # Verdicts derived from (trusted set, records) since either last
-        # moved; see :meth:`_memoized`.
+        # moved, and that key; see :meth:`_memoized`.
         self._memo: Dict[str, Any] = {}
+        self._memo_trusted: Optional[FrozenSet[ProcessId]] = None
+        self._memo_version = -1
 
         # Change-detected gossip bookkeeping (line 29 fast path): the local
         # broadcast core — everything in a RecSAMessage except the per-peer
@@ -311,13 +313,21 @@ class RecSA:
         :meth:`step` (module docstring: a memo lives at most one iteration).
         """
         if trusted is None:
-            trusted = self.trusted()
+            trusted = self.fd_provider()
+            # The detector still hands back the memo's set and nothing moved
+            # the version: that set is the stored ``fd[i]``, so ``trusted()``
+            # would write nothing and return it.
+            if trusted is not self._memo_trusted or self.version != self._memo_version:
+                trusted = self.trusted()
+        if trusted is not self._memo_trusted or self.version != self._memo_version:
+            self._memo = {}
+            self._memo_trusted = trusted
+            self._memo_version = self.version
         memo = self._memo
-        if memo.get("trusted") is not trusted or memo.get("version") != self.version:
-            memo = self._memo = {"version": self.version, "trusted": trusted}
-        if name not in memo:
-            memo[name] = derive(trusted)
-        return memo[name]
+        value = memo.get(name, _ABSENT)
+        if value is _ABSENT:
+            value = memo[name] = derive(trusted)
+        return value
 
     def participants(self, trusted: Optional[FrozenSet[ProcessId]] = None) -> FrozenSet[ProcessId]:
         """``FD[i].part``: trusted processors whose config field is not ``]``."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.common.types import ProcessId
-from repro.datalink.token_exchange import DataLinkMessage, LinkEndpoint
+from repro.datalink.token_exchange import MAX_LINK_SEQ, DataLinkMessage, LinkEndpoint
 
 HeartbeatListener = Callable[[ProcessId], None]
 PayloadHandler = Callable[[ProcessId, Any], None]
@@ -32,12 +32,6 @@ DEFAULT_IDLE_RESEND_INTERVAL = 1
 
 #: Wire kinds a data-link packet may carry.
 _VALID_KINDS = frozenset(("data", "ack", "clean", "clean-ack"))
-
-#: Upper bound on plausible sequence/nonce values.  Token seqs alternate in a
-#: tiny ring and cleaning nonces grow as ``counter * 10_000 + pid``, so any
-#: honest value fits comfortably; a Byzantine out-of-range (or negative, or
-#: non-integer) value is quarantined instead of ingested.
-_MAX_LINK_SEQ = 1 << 31
 
 
 class HeartbeatService:
@@ -135,8 +129,11 @@ class HeartbeatService:
         honest value range is counted and dropped before the endpoint (or
         the failure detector behind it) can ingest it — a Byzantine peer
         must not be able to poison link state with out-of-range values.
+        A packet claiming the receiver's own pid as its source (no process
+        keeps a link to itself; a forged datagram header) is dropped the
+        same way.
         """
-        if not self._valid_packet(message):
+        if sender == self.pid or not self._valid_packet(message):
             self.quarantined += 1
             return
         # A packet labelled with a link sender that is neither endpoint of
@@ -163,4 +160,7 @@ class HeartbeatService:
             return False
         if not isinstance(message.seq, int) or isinstance(message.seq, bool):
             return False
-        return 0 <= message.seq < _MAX_LINK_SEQ
+        # Token seqs alternate in a tiny ring and cleaning nonces wrap below
+        # the bound, so an honest value always fits; a Byzantine out-of-range
+        # (or negative) value is quarantined instead of ingested.
+        return 0 <= message.seq < MAX_LINK_SEQ

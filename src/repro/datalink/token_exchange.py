@@ -37,6 +37,10 @@ from repro.common.types import ProcessId
 
 _log = get_logger("datalink")
 
+#: Sequence numbers and cleaning nonces lie in ``[0, MAX_LINK_SEQ)``; the
+#: heartbeat service quarantines an inbound packet whose value does not.
+MAX_LINK_SEQ = 1 << 31
+
 
 class LinkState(Enum):
     """Lifecycle of a link endpoint."""
@@ -183,7 +187,11 @@ class LinkEndpoint:
         self.capacity = capacity
         self.sender = TokenExchangeLink(local, remote, capacity)
         self.state = LinkState.CLEANING if require_cleaning else LinkState.ESTABLISHED
-        self.clean_nonce = next(self._nonce_counter) * 10_000 + local
+        # Wraps into the accepted range (values below the wrap are
+        # ``counter * 10_000 + local``): an unwrapped nonce from a process
+        # that has built ≈ 214 748 endpoints would be quarantined by every
+        # peer, and the link would never leave cleaning.
+        self.clean_nonce = (next(self._nonce_counter) * 10_000 + local) % MAX_LINK_SEQ
         self.clean_ack_count = 0
         self.last_delivered_seq: Optional[int] = None
         self.heartbeats_observed = 0

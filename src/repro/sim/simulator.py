@@ -26,8 +26,10 @@ state holds (used heavily by the convergence experiments).
 
 from __future__ import annotations
 
+import gc
 import random
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 
 from repro.common.errors import SimulationError
 from repro.common.logging_utils import get_logger
@@ -44,6 +46,22 @@ _log = get_logger("simulator")
 #: the boundary and was **not** executed.  Falsy on purpose — callers that
 #: ignore pausing treat it like a timeout.
 PAUSED = type("_Paused", (), {"__bool__": lambda self: False, "__repr__": lambda self: "PAUSED"})()
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, then restore the caller's state.
+
+    Restores on every exit (return, :data:`PAUSED`, an exception), and a
+    caller that had already disabled the collector keeps it disabled.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class Simulator:
@@ -204,15 +222,26 @@ class Simulator:
         >= stop_before``; otherwise returns ``True`` with ``now`` advanced to
         *until*.  The pause boundary is what snapshot capture uses to stop
         between events (see ``repro.scenarios.runner.drive``).
+
+        The loop runs with the cyclic garbage collector paused.  Reference
+        counting already frees every packet, event and message the loop
+        drops, so a collection inside it only re-walks the live cluster and
+        finds nothing.  A change that
+        makes an event drop a reference cycle (a record pointing back at
+        itself, an exception kept with its traceback) breaks that premise:
+        such cycles pile up until the loop returns.
+        ``tests/test_sim.py::TestCollectorPause`` checks the premise on every
+        stack and the restored collector state on every exit.
         """
-        while True:
-            next_time = self.events.peek_time()
-            if next_time is None or next_time > until:
-                self.now = max(self.now, until)
-                return True
-            if stop_before is not None and next_time >= stop_before:
-                return PAUSED
-            self.step()
+        with _collector_paused():
+            while True:
+                next_time = self.events.peek_time()
+                if next_time is None or next_time > until:
+                    self.now = max(self.now, until)
+                    return True
+                if stop_before is not None and next_time >= stop_before:
+                    return PAUSED
+                self.step()
 
     def run_until(
         self,
@@ -245,35 +274,40 @@ class Simulator:
         boundary (the event is not executed; resuming later re-enters with an
         extra predicate evaluation, which is pure and cannot perturb the
         run).
+
+        Like :meth:`run`, the loop (predicate included) runs with the cyclic
+        garbage collector paused; :meth:`run` says why and what would break
+        that premise.
         """
-        if predicate():
-            return True
-        events = self.events
-        if poll_interval is not None and poll_interval > 0.0:
-            next_poll = self.now + poll_interval
+        with _collector_paused():
+            if predicate():
+                return True
+            events = self.events
+            if poll_interval is not None and poll_interval > 0.0:
+                next_poll = self.now + poll_interval
+                while True:
+                    next_time = events.peek_time()
+                    if next_time is None or next_time > timeout:
+                        return predicate()
+                    if stop_before is not None and next_time >= stop_before:
+                        return PAUSED
+                    if next_time >= next_poll:
+                        if predicate():
+                            return True
+                        # Re-anchor on the upcoming event so idle stretches skip
+                        # straight to the next live instant instead of walking
+                        # empty poll windows one by one.
+                        next_poll = max(next_poll + poll_interval, next_time)
+                    self.step()
             while True:
                 next_time = events.peek_time()
                 if next_time is None or next_time > timeout:
                     return predicate()
                 if stop_before is not None and next_time >= stop_before:
                     return PAUSED
-                if next_time >= next_poll:
-                    if predicate():
-                        return True
-                    # Re-anchor on the upcoming event so idle stretches skip
-                    # straight to the next live instant instead of walking
-                    # empty poll windows one by one.
-                    next_poll = max(next_poll + poll_interval, next_time)
                 self.step()
-        while True:
-            next_time = events.peek_time()
-            if next_time is None or next_time > timeout:
-                return predicate()
-            if stop_before is not None and next_time >= stop_before:
-                return PAUSED
-            self.step()
-            if predicate():
-                return True
+                if predicate():
+                    return True
 
     # ------------------------------------------------------------ inspection
     def statistics(self) -> Dict[str, Any]:

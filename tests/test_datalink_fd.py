@@ -2,14 +2,25 @@
 
 from __future__ import annotations
 
+import itertools
 import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.datalink.heartbeat import HeartbeatService
-from repro.datalink.token_exchange import DataLinkMessage, LinkEndpoint, LinkState, TokenExchangeLink
+from repro.datalink.token_exchange import (
+    MAX_LINK_SEQ,
+    DataLinkMessage,
+    LinkEndpoint,
+    LinkState,
+    TokenExchangeLink,
+)
 from repro.failure_detector.ntheta import NThetaFailureDetector
+from repro.sim.cluster import build_cluster
+from repro.sim.config import paper_faithful
+
+from tests.conftest import quick_cluster
 
 
 def _wire(a: LinkEndpoint, b: LinkEndpoint, rounds: int = 50):
@@ -97,6 +108,21 @@ class TestLinkEndpoint:
         _, delivered_b = _wire(a, b, rounds=40)
         assert delivered_b == ["m1", "m2", "m3"]
 
+    def test_cleaning_nonces_stay_in_the_accepted_range(self, monkeypatch):
+        """A process that has built ≈ 214 748 endpoints drew nonces of 2^31
+        and up, which every peer quarantined: a link needing cleaning never
+        established and the cluster never converged.  Below the wrap the
+        nonce is unchanged, so every trajectory pin holds."""
+        monkeypatch.setattr(LinkEndpoint, "_nonce_counter", itertools.count(214_748))
+        assert LinkEndpoint(3, 4, capacity=1).clean_nonce == 214_748 * 10_000 + 3
+        assert 214_749 * 10_000 + 3 >= MAX_LINK_SEQ
+        assert 0 <= LinkEndpoint(3, 4, capacity=1).clean_nonce < MAX_LINK_SEQ
+
+        monkeypatch.setattr(LinkEndpoint, "_nonce_counter", itertools.count(214_800))
+        cluster = build_cluster(4, 3, config=paper_faithful())
+        assert cluster.run_until_converged(timeout=300)
+        assert sum(node.heartbeat.quarantined for node in cluster.nodes.values()) == 0
+
 
 class TestHeartbeatService:
     def _pair(self, require_cleaning=False):
@@ -149,6 +175,19 @@ class TestHeartbeatService:
         svc_a, _, _ = self._pair()
         with pytest.raises(ValueError):
             svc_a.add_peer(1)
+
+    def test_packet_from_own_pid_is_quarantined(self):
+        """No process keeps a link to itself, so a packet claiming the
+        receiver's pid as its source (a forged datagram header) is dropped
+        and counted; it used to raise out of ``add_peer`` and end the run."""
+        cluster = quick_cluster(4, seed=3)
+        assert cluster.run_until_converged(timeout=800)
+        node = cluster.nodes[0]
+        node.on_receive(0, DataLinkMessage("data", 0, 0))
+        assert node.heartbeat.quarantined == 1
+        assert 0 not in node.heartbeat.links
+        cluster.run(until=cluster.simulator.now + 10.0)
+        assert cluster.is_converged()
 
     def test_mislabelled_packet_ignored(self):
         svc_a, _, _ = self._pair()

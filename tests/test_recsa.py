@@ -407,10 +407,11 @@ class TestChangeDetectedGossip:
 def _underived(recsa: RecSA):
     """``(no_reco, get_config, participants)`` from the un-memoized bodies.
 
-    Derived with the memo set aside, so nothing the oracle computes comes
-    from — or leaks into — the memo under test.
+    Derived with the memo and its key set aside, so nothing the oracle
+    computes comes from — or leaks into — the memo under test.
     """
-    saved, recsa._memo = recsa._memo, {}
+    saved = recsa._memo, recsa._memo_trusted, recsa._memo_version
+    recsa._memo = {}
     try:
         trusted = recsa.trusted()
         stable = recsa._derive_no_reco(trusted)
@@ -421,7 +422,7 @@ def _underived(recsa: RecSA):
         )
         return stable, config, recsa._derive_participants(trusted)
     finally:
-        recsa._memo = saved
+        recsa._memo, recsa._memo_trusted, recsa._memo_version = saved
 
 
 def _assert_memo_agrees(cluster, after: str) -> None:

@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
+from repro.audit.arbitrary_state import generate_plan
+from repro.audit.byzantine import TraitorProgram
 from repro.common.errors import SimulationError
 from repro.sim.events import EventQueue
+from repro.sim.faults import apply_plan
 from repro.sim.monitors import ConvergenceTracker, InvariantMonitor
 from repro.sim.network import Channel, ChannelConfig, Network, Packet
 from repro.sim.process import Process
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import PAUSED, Simulator
+from repro.sim.stacks import available_stacks
+
+from tests.conftest import quick_cluster
 
 
 def _drain(queue):
@@ -233,6 +241,95 @@ class TestSimulator:
         sim.run(until=3.0)
         stats = sim.statistics()
         assert {"time", "executed_events", "processes", "net_sent"} <= set(stats)
+
+
+@pytest.fixture
+def collector_state():
+    """Restore the cyclic collector's enabled state after the test."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def _cyclic_garbage_of(loop) -> int:
+    """Objects a full collection finds unreachable after *loop()* ran with
+    the collector off, none of them left over from before it."""
+    gc.disable()
+    gc.collect()
+    loop()
+    return gc.collect()
+
+
+class TestCollectorPause:
+    """``Simulator.run``/``run_until`` pause the cyclic collector: the loop
+    leaves no cyclic garbage, and every exit restores the caller's state."""
+
+    @pytest.mark.parametrize("stack", available_stacks())
+    def test_loop_leaves_no_cyclic_garbage(self, stack, collector_state):
+        cluster = quick_cluster(6, seed=4, stack=stack)
+        assert _cyclic_garbage_of(lambda: cluster.run_until_converged(timeout=2_000)) == 0
+        # A traitor program (on one reliable-broadcast stack), a corruption
+        # plan and a crash, each fired from inside the loop.
+        sim = cluster.simulator
+        now = sim.now
+        if stack == "rb_bracha":
+            behaviors = ("forge", "mutate", "drop", "equivocate", "inflate")
+            sim.call_at(now + 1.0, TraitorProgram(cluster, 1, behaviors, seed=3).activate)
+        reports = []
+        sim.call_at(now + 2.0, lambda: reports.append(
+            apply_plan(cluster, generate_plan(cluster, seed=7, profile="heavy"))
+        ))
+        sim.call_at(now + 3.0, lambda: cluster.try_crash(5))
+        assert _cyclic_garbage_of(lambda: cluster.run(until=now + 40.0)) == 0
+        assert reports[0]["applied"] > 0
+        assert cluster.nodes[5].crashed
+
+    EXITS = {
+        "run": lambda sim: sim.run(until=5.0),
+        "run_until": lambda sim: sim.run_until(lambda: sim.now >= 3.0, timeout=10.0),
+        "run_until_polled": lambda sim: sim.run_until(
+            lambda: False, timeout=5.0, poll_interval=1.0
+        ),
+        "run_paused": lambda sim: sim.run(until=5.0, stop_before=3.0),
+        "run_until_paused": lambda sim: sim.run_until(lambda: False, stop_before=3.0),
+    }
+
+    @pytest.mark.parametrize("caller_enabled", [True, False])
+    @pytest.mark.parametrize("exit_path", sorted(EXITS))
+    def test_every_exit_restores_the_callers_state(
+        self, exit_path, caller_enabled, collector_state
+    ):
+        sim = Simulator(seed=1)
+        sim.add_process(_Echo(1))
+        inside = []
+        sim.call_at(1.0, lambda: inside.append(gc.isenabled()))
+        gc.enable() if caller_enabled else gc.disable()
+        result = self.EXITS[exit_path](sim)
+        assert gc.isenabled() is caller_enabled
+        assert inside == [False]
+        assert (result is PAUSED) == exit_path.endswith("_paused")
+
+    @pytest.mark.parametrize("caller_enabled", [True, False])
+    @pytest.mark.parametrize("method", ["run", "run_until"])
+    def test_a_raising_handler_restores_the_callers_state(
+        self, method, caller_enabled, collector_state
+    ):
+        sim = Simulator(seed=1)
+
+        def fail():
+            raise RuntimeError("handler failed")
+
+        sim.call_at(1.0, fail)
+        gc.enable() if caller_enabled else gc.disable()
+        with pytest.raises(RuntimeError, match="handler failed"):
+            if method == "run":
+                sim.run(until=5.0)
+            else:
+                sim.run_until(lambda: False, timeout=5.0)
+        assert gc.isenabled() is caller_enabled
 
 
 class TestNetworkFastPath:

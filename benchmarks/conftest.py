@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
+from repro.node.config import fast_sim
 from repro.sim.cluster import Cluster, build_cluster
-from repro.sim.config import fast_sim
 
 
 def bench_cluster(n: int, seed: int = 1) -> Cluster:

@@ -26,8 +26,8 @@ import os
 import signal
 import time
 
+from repro.node.config import fast_sim
 from repro.sim.cluster import build_cluster
-from repro.sim.config import fast_sim
 
 WINDOW_SU = 8.0
 INTERVAL_S = 0.001

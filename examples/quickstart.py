@@ -2,7 +2,8 @@
 """Quickstart: self-organizing configuration, joining, and reconfiguration.
 
 The example builds a five-node cluster from a declarative
-:class:`~repro.sim.config.ClusterConfig` preset, lets it self-organize into a
+:class:`~repro.node.config.ClusterConfig` preset (the node's config, which
+the live runtime shares), lets it self-organize into a
 quorum configuration, adds a joiner, crashes a majority of the configuration
 and shows the scheme recovering by installing a new configuration over the
 survivors.  The final phase runs one of the composed scenarios from the
@@ -16,8 +17,9 @@ Run with::
 
 from __future__ import annotations
 
-from repro import build_cluster, fast_sim
+from repro.node.config import fast_sim
 from repro.scenarios import run_scenario
+from repro.sim.cluster import build_cluster
 
 
 def main() -> None:

@@ -15,8 +15,10 @@ Run with::
 
 from __future__ import annotations
 
-from repro import build_cluster, fast_sim, stack
 from repro.analysis.probes import view_is_installed
+from repro.node.config import fast_sim
+from repro.node.stacks import stack
+from repro.sim.cluster import build_cluster
 from repro.vs.smr import KeyValueStateMachine
 
 

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro import build_cluster, fast_sim
 from repro.analysis import probes
 from repro.analysis.probes import wait_for
 from repro.audit.arbitrary_state import PROFILES, generate_plan
+from repro.node.config import fast_sim
+from repro.sim.cluster import build_cluster
 from repro.sim.faults import apply_plan
 
 

@@ -4,9 +4,12 @@ This package reproduces the system described in *"Self-Stabilizing
 Reconfiguration"* (Dolev, Georgiou, Marcoullis, Schiller — MIDDLEWARE 2016).
 It provides:
 
+* the node both hosts run: one processor's protocol stack, its config and
+  presets, and the stack profiles (:mod:`repro.node`),
 * a deterministic discrete-event simulation substrate for asynchronous
   message-passing systems with bounded, lossy, duplicating, reordering
-  channels (:mod:`repro.sim`),
+  channels (:mod:`repro.sim`), and a live asyncio/UDP runtime that hosts the
+  same node (:mod:`repro.runtime`),
 * self-stabilizing data links and an (N, Theta)-failure detector
   (:mod:`repro.datalink`, :mod:`repro.failure_detector`),
 * the self-stabilizing reconfiguration scheme itself — recSA, recMA and the
@@ -32,10 +35,11 @@ True
 """
 
 from repro.common.types import ProcessId, Configuration, NOT_PARTICIPANT
+from repro.node.config import ClusterConfig, fast_sim, paper_faithful, preset
+from repro.node.node import ClusterNode
+from repro.node.stacks import StackProfile, get_stack, stack
 from repro.sim.simulator import Simulator
-from repro.sim.config import ClusterConfig, fast_sim, paper_faithful, preset
-from repro.sim.stacks import StackProfile, get_stack, stack
-from repro.sim.cluster import Cluster, ClusterNode, build_cluster
+from repro.sim.cluster import Cluster, build_cluster
 
 __all__ = [
     "ProcessId",

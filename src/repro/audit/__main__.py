@@ -39,7 +39,7 @@ from repro.audit.schedulers import (
     get_scheduler,
     static_schedulers,
 )
-from repro.sim.config import coherent_start
+from repro.node.config import coherent_start
 
 #: Every registered traitor behavior at once (f = 1 < n/3 at n = 5).
 _BYZ_FULL = ByzantineSpec(

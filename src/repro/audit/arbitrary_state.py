@@ -53,7 +53,8 @@ from repro.sim.faults import CorruptionAtom
 from repro.vs.virtual_synchrony import VSStatus
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.cluster import Cluster, ClusterNode
+    from repro.node.node import ClusterNode
+    from repro.sim.cluster import Cluster
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 The transient-fault audit certifies recovery from *arbitrary state followed
 by honest execution*.  This module supplies the harder half of the threat
 model: processors that keep executing **maliciously**.  A traitor is an
-otherwise-normal :class:`~repro.sim.cluster.ClusterNode` whose outbound
+otherwise-normal :class:`~repro.node.node.ClusterNode` whose outbound
 traffic is intercepted by a :class:`TraitorProgram` — a composition of
 registered :class:`ByzantineBehavior` strategies:
 

@@ -63,7 +63,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional,
 from repro.common.rng import make_rng
 from repro.common.types import ProcessId
 from repro.sim.events import Action
-from repro.sim.network import ChannelConfig
+from repro.node.config import ChannelConfig
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.cluster import Cluster

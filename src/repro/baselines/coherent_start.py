@@ -22,7 +22,7 @@ from typing import Any, Dict, FrozenSet, Iterable, Optional
 
 from repro.common.codec import wire_type
 from repro.common.types import Configuration, ProcessId, make_config
-from repro.sim.process import Process
+from repro.node.process import Process
 
 
 @wire_type

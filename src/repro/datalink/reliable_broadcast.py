@@ -12,7 +12,7 @@ honest origin is exactly what that origin broadcast (*validity*).
 
 Three service variants share one interface (``broadcast`` / ``on_message``
 / ``on_timer`` / ``delivered``), selectable per
-:class:`~repro.sim.stacks.StackProfile`:
+:class:`~repro.node.stacks.StackProfile`:
 
 ``BrachaBroadcastService``
     The echo protocol for fully connected topologies: echo the first SEND

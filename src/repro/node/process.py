@@ -7,38 +7,55 @@ single atomic step of the interleaving model.
 
 Concrete protocol layers (data link, failure detector, recSA, recMA, joining,
 applications) are implemented as plain Python objects owned by a process (see
-:mod:`repro.sim.cluster`); this module only provides the scheduling plumbing.
+:mod:`repro.node.node`); this module only provides the scheduling plumbing.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Any, Callable, Optional
 
 from repro.common.types import ProcessId
-from repro.common.logging_utils import get_logger
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.transport.base import Transport
-
-_log = get_logger("process")
 
 
 @dataclass
 class ProcessContext:
-    """Capabilities handed to a process by its transport backend.
+    """Capabilities handed to a process by its host: the capability boundary.
 
-    A context exposes exactly what the system model allows a processor to do:
-    read the (local) clock, draw local randomness, send packets, and arm
-    timers.  Processes never touch the backend directly — the same protocol
-    code runs over the deterministic simulator
-    (:class:`repro.sim.simulator.Simulator`, its own transport) and the
-    asyncio runtime (:class:`repro.runtime.transport.AsyncioTransport`).
+    The paper's system model (Section 2) gives a processor exactly four
+    abilities: take a step when its periodic timer fires, receive a packet,
+    send packets over unreliable channels, and draw local randomness.  A
+    context exposes exactly those: send, arm and cancel timers, and ``rng``.
+    Processes never touch the host directly, so the same protocol code runs
+    over the deterministic simulator (:class:`repro.sim.simulator.Simulator`)
+    and the asyncio runtime (:class:`repro.runtime.transport.AsyncioTransport`).
+
+    *transport* is the host.  It supplies ``send(source, destination,
+    payload)``, ``send_many(source, pairs)`` (returns the packets accepted),
+    ``set_timer(pid, delay, callback, label)`` (delay in sim-time units; the
+    handle it returns is only valid for ``cancel_timer``), an idempotent
+    ``cancel_timer(handle)``, and a read attribute ``now``.  *rng* is the
+    host's ``make_process_rng(pid)``, derived from ``(root seed, "process",
+    pid)`` by :func:`repro.common.rng.make_rng` on both hosts, so a node's
+    local coin flips do not depend on which host runs it.
+
+    The ``now`` contract: ``now`` is the host's clock, the simulated clock
+    under the simulator and a monotonic wall-clock reading (in sim-time units)
+    under the runtime.  **No protocol layer reads it.**  The heartbeat paces
+    itself by iteration count (``idle_resend_interval``), reliable broadcast
+    by round counters, and the failure detector counts heartbeats.  The
+    paper's algorithms are time-free (self-stabilization may not assume
+    synchronized or even monotonic clocks after a transient fault), so
+    ``now`` serves metrics, traces and harness code only, which read
+    ``context.transport.now``.  A layer that branched on it would fork
+    trajectories between hosts and forfeit the time-free argument.  Timers
+    are the one sanctioned contact with time: the algorithms rely on their
+    order, not on their instants.
     """
 
     pid: ProcessId
-    transport: "Transport"
+    transport: Any
     rng: random.Random
 
     def send(self, destination: ProcessId, payload: Any) -> None:
@@ -59,7 +76,7 @@ class ProcessContext:
 
 
 class Process:
-    """Base class for simulated processors.
+    """Base class for processors, on either host.
 
     Subclasses override :meth:`on_start`, :meth:`on_timer` and
     :meth:`on_receive`.  The default implementation arms a periodic timer with
@@ -81,13 +98,13 @@ class Process:
 
     # ------------------------------------------------------------------ API
     def bind(self, context: ProcessContext) -> None:
-        """Attach the simulator-provided context (called by the simulator)."""
+        """Attach the host-provided context (called by the host)."""
         self.context = context
 
     def start(self) -> None:
         """Begin executing: run :meth:`on_start` and arm the periodic timer."""
         if self.context is None:
-            raise RuntimeError(f"process {self.pid} not bound to a simulator")
+            raise RuntimeError(f"process {self.pid} not bound to a host")
         if self.crashed or self.started:
             return
         self.started = True

@@ -54,7 +54,7 @@ from repro.vs.smr import LogStateMachine, RegisterStateMachine
 from repro.vs.virtual_synchrony import VirtualSynchronyService
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cluster imports us)
-    from repro.sim.cluster import ClusterNode
+    from repro.node.node import ClusterNode
 
 #: A builder receives the node plus the profile's options and returns the
 #: ordered ``{name: service}`` mapping; the node registers the services in

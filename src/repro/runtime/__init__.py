@@ -1,12 +1,13 @@
 """The real-runtime backend: the middleware off the simulator, onto sockets.
 
-This package runs the *same* protocol stack the simulator drives —
-:class:`~repro.sim.cluster.ClusterNode` with its data link, failure
+This package hosts the *same* node the simulator hosts —
+:class:`~repro.node.node.ClusterNode` with its data link, failure
 detector, recSA/recMA, joining, and application services, unmodified —
-as live asyncio tasks exchanging UDP datagrams on localhost:
+as live asyncio tasks exchanging UDP datagrams on localhost.  It imports
+:mod:`repro.node` and nothing from :mod:`repro.sim`:
 
-* :class:`~repro.runtime.transport.AsyncioTransport` — the
-  :class:`~repro.transport.base.Transport` backend: per-node UDP
+* :class:`~repro.runtime.transport.AsyncioTransport` — the host behind
+  each node's :class:`~repro.node.process.ProcessContext`: per-node UDP
   endpoints, the :mod:`repro.common.codec` wire format, wall-clock
   timers rescaled to sim-time units.
 * :class:`~repro.runtime.cluster.RuntimeCluster` — the harness: builds

@@ -1,14 +1,15 @@
 """``RuntimeCluster``: a live localhost cluster of the full protocol stack.
 
 The runtime analogue of :func:`repro.sim.cluster.build_cluster` +
-:class:`~repro.sim.cluster.Cluster`: it builds the *same*
-:class:`~repro.sim.cluster.ClusterNode` objects (heartbeat link layer,
-NTheta failure detector, recSA/recMA/joining, the configured
-:class:`~repro.sim.stacks.StackProfile` services) and hosts them on an
+:class:`~repro.sim.cluster.Cluster`: it boots the *same*
+:class:`~repro.node.node.ClusterNode` objects through the same
+:func:`~repro.node.node.boot` (heartbeat link layer, NTheta failure
+detector, recSA/recMA/joining, the configured
+:class:`~repro.node.stacks.StackProfile` services) and hosts them on an
 :class:`~repro.runtime.transport.AsyncioTransport` instead of a simulator.
 
 Convergence is the one predicate both backends share,
-:func:`repro.sim.cluster.converged_scan`, which :meth:`wait_converged`
+:func:`repro.node.node.converged_scan`, which :meth:`wait_converged`
 polls on a wall-clock cadence — n=8 scans are microseconds, and the poll
 runs in the same loop thread as the protocol, so each answer is a
 consistent atomic snapshot.
@@ -26,10 +27,10 @@ import asyncio
 from numbers import Real
 from typing import Dict, List, Optional, Union
 
-from repro.common.types import BOTTOM, ProcessId, make_config
-from repro.sim.cluster import ClusterNode, converged_scan
-from repro.sim.config import ClusterConfig, preset
-from repro.sim.stacks import StackProfile
+from repro.common.types import ProcessId
+from repro.node.config import ClusterConfig, preset
+from repro.node.node import ClusterNode, boot, converged_scan
+from repro.node.stacks import StackProfile
 from repro.runtime.transport import AsyncioTransport, DEFAULT_TICK_SECONDS
 
 
@@ -54,15 +55,13 @@ class RuntimeCluster:
         stack: Union[str, StackProfile, None] = None,
         tick_seconds: float = DEFAULT_TICK_SECONDS,
     ) -> None:
-        if n < 1:
-            raise ValueError("a cluster needs at least one node")
-        self.n = n
-        self.seed = seed
-        self.config = preset(config).with_overrides(stack=stack).resolve(n)
         if not isinstance(tick_seconds, Real) or tick_seconds <= 0:
             raise ValueError(
                 f"tick_seconds must be a positive number, got {tick_seconds!r}"
             )
+        self.n = n
+        self.seed = seed
+        self.config, self._booting = boot(n, preset(config), stack)
         self.tick_seconds = tick_seconds
         self.nodes: Dict[ProcessId, ClusterNode] = {}
         self.transport: Optional[AsyncioTransport] = None
@@ -75,17 +74,10 @@ class RuntimeCluster:
         self.transport = AsyncioTransport(
             seed=self.seed, tick_seconds=self.tick_seconds
         )
-        pids = list(range(self.n))
-        initial = make_config(pids) if self.config.coherent_start else BOTTOM
-        for pid in pids:
-            node = ClusterNode(
-                pid=pid,
-                peers=pids,
-                config=self.config,
-                initial_config=initial,
-            )
-            self.nodes[pid] = node
+        for node in self._booting:
+            # Hosted first, recorded second, as in :meth:`restart`.
             await self.transport.start_node(node)
+            self.nodes[node.pid] = node
         return self
 
     async def shutdown(self) -> None:
@@ -99,7 +91,7 @@ class RuntimeCluster:
         return [n for n in self.nodes.values() if n.started and not n.crashed]
 
     def is_converged(self) -> bool:
-        """:func:`~repro.sim.cluster.converged_scan` over the live nodes."""
+        """:func:`~repro.node.node.converged_scan` over the live nodes."""
         return converged_scan(self.nodes.values())
 
     async def wait_converged(

@@ -36,7 +36,7 @@ from repro.common.codec import CodecError, frame, unframe
 from repro.common.logging_utils import get_logger
 from repro.common.rng import make_rng
 from repro.common.types import ProcessId
-from repro.sim.process import Process, ProcessContext
+from repro.node.process import Process, ProcessContext
 
 _log = get_logger("runtime.transport")
 
@@ -133,7 +133,7 @@ class _NodeEndpoint(asyncio.DatagramProtocol):
 
 
 class AsyncioTransport:
-    """A :class:`~repro.transport.base.Transport` over asyncio + UDP.
+    """A host for :class:`~repro.node.process.ProcessContext` over asyncio + UDP.
 
     Construct inside a running event loop; then :meth:`start_node` each
     process, and :meth:`close` when done (``async with`` does both ends).
@@ -169,11 +169,12 @@ class AsyncioTransport:
         self.delivered_frames = 0
         self._oversize_warned_at = float("-inf")
 
-    # ------------------------------------------------------- Transport API
+    # -------------------------------------------------------- host API
     @property
     def now(self) -> float:
         """Wall time since transport creation, in sim-time units (metrics
-        only — see :mod:`repro.transport.base` for the contract)."""
+        only — see :class:`~repro.node.process.ProcessContext` for the
+        contract)."""
         return (self._loop.time() - self._epoch) / self.tick_seconds
 
     def _schedule_flush(self) -> None:

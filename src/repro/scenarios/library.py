@@ -16,7 +16,7 @@ from repro.analysis import probes
 from repro.audit.arbitrary_state import PROFILES
 from repro.audit.byzantine import ByzantineSpec, ByzantineWorkload
 from repro.scenarios.spec import ScenarioSpec
-from repro.sim.config import fast_sim
+from repro.node.config import fast_sim
 from repro.scenarios.workloads import (
     ArbitraryStateWorkload,
     ChurnWorkload,

@@ -42,9 +42,9 @@ from queue import Empty
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.node.config import preset
 from repro.scenarios.spec import ScenarioSpec
 from repro.sim.cluster import Cluster, build_cluster
-from repro.sim.config import preset
 from repro.sim.events import Action
 from repro.sim.monitors import ConvergenceTracker, InvariantMonitor
 from repro.sim.simulator import PAUSED

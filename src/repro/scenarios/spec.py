@@ -2,7 +2,7 @@
 
 A :class:`ScenarioSpec` names everything one experiment needs — topology
 size, cluster configuration (a preset name or a concrete
-:class:`~repro.sim.config.ClusterConfig`), the stack profile every node runs,
+:class:`~repro.node.config.ClusterConfig`), the stack profile every node runs,
 a composable schedule of workloads (anything with ``install(cluster)``), and
 the probes that define success.  The runner (:mod:`repro.scenarios.runner`)
 turns a spec plus a seed into a deterministic statistics dictionary.
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, Tuple, Union
 
 from repro.analysis.probes import Invariant, Probe
-from repro.sim.config import ClusterConfig
+from repro.node.config import ClusterConfig
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,7 @@ class ScenarioSpec:
         A preset name (``"fast_sim"``, ``"paper_faithful"``,
         ``"coherent_start"``) or a :class:`ClusterConfig` instance.
     stack:
-        Stack-profile name or :class:`~repro.sim.stacks.StackProfile`;
+        Stack-profile name or :class:`~repro.node.stacks.StackProfile`;
         ``None`` uses whatever the cluster config declares.
     workloads:
         Objects satisfying the ``Workload`` protocol

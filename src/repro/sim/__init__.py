@@ -12,19 +12,19 @@ The simulator realizes the system model of Section 2 of the paper:
   infinitely often (losses are probabilistic with probability < 1);
 * processors that may crash (stop-fail) and new processors that may join.
 
-The package also applies transient-fault plans (:mod:`repro.sim.faults`) and
-holds the invariant monitors used by the test-suite and benchmark harness.
+It hosts the node of :mod:`repro.node` (the processor, its config and its
+stack profile), which the live runtime hosts too.  The package also applies
+transient-fault plans (:mod:`repro.sim.faults`), snapshots runs
+(:mod:`repro.sim.snapshot`) and holds the invariant monitors used by the
+test-suite and benchmark harness.
 """
 
 from repro.sim.events import Action, Event, EventQueue
 from repro.sim.snapshot import SimSnapshot
-from repro.sim.network import Packet, Channel, ChannelConfig, Network
-from repro.sim.process import Process, ProcessContext
+from repro.sim.network import Packet, Channel, Network
 from repro.sim.simulator import Simulator
-from repro.sim.config import ClusterConfig, fast_sim, paper_faithful, preset
-from repro.sim.stacks import StackProfile, available_stacks, get_stack, register_stack, stack
 from repro.sim.monitors import InvariantMonitor, ConvergenceTracker
-from repro.sim.cluster import Cluster, ClusterNode, build_cluster
+from repro.sim.cluster import Cluster, build_cluster
 
 __all__ = [
     "Action",
@@ -33,23 +33,10 @@ __all__ = [
     "SimSnapshot",
     "Packet",
     "Channel",
-    "ChannelConfig",
     "Network",
-    "Process",
-    "ProcessContext",
     "Simulator",
-    "ClusterConfig",
-    "fast_sim",
-    "paper_faithful",
-    "preset",
-    "StackProfile",
-    "available_stacks",
-    "get_stack",
-    "register_stack",
-    "stack",
     "InvariantMonitor",
     "ConvergenceTracker",
     "Cluster",
-    "ClusterNode",
     "build_cluster",
 ]

@@ -2,7 +2,7 @@
 
 The paper's fair-communication model lets the channel adversary vary loss,
 delay and reordering *over time*; historically the fabric only supported
-static per-pair :class:`~repro.sim.network.ChannelConfig` overrides installed
+static per-pair :class:`~repro.node.config.ChannelConfig` overrides installed
 once before the run, and a binary ``frozenset`` partition set that healed
 all-or-nothing.  :class:`NetworkEnvironment` turns network conditions into a
 first-class, programmable layer:

@@ -131,7 +131,7 @@ class EventQueue:
 
         The hot path of every simulated message: no handle, no validation —
         the caller guarantees a finite *time* (channel delays are checked
-        once, when their :class:`~repro.sim.network.ChannelConfig` is built)
+        once, when their :class:`~repro.node.config.ChannelConfig` is built)
         and a non-``None`` *target*.
         """
         seq = self._next_seq

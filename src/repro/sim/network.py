@@ -47,12 +47,11 @@ an O(N^2) scan over channels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.common.rng import make_rng
 from repro.common.types import ProcessId
-from repro.common.errors import SimulationError
+from repro.node.config import ChannelConfig
 from repro.sim.environment import NetworkEnvironment
 from repro.sim.events import EventQueue
 
@@ -79,54 +78,6 @@ class Packet:
             f"Packet(source={self.source!r}, destination={self.destination!r}, "
             f"payload={self.payload!r})"
         )
-
-
-@dataclass
-class ChannelConfig:
-    """Behavioural parameters of a directed channel.
-
-    Attributes
-    ----------
-    capacity:
-        Maximum number of in-flight packets (the paper's ``cap``).  A send
-        into a full channel silently drops the *new* packet, matching the
-        paper ("the new packet might be omitted or some already sent packet
-        may be lost").
-    loss_probability:
-        Probability that an accepted packet is dropped instead of delivered.
-        Must be strictly below 1.0 to preserve fair communication.
-    duplicate_probability:
-        Probability that an accepted packet is delivered twice.
-    min_delay / max_delay:
-        Uniform delivery-delay bounds (finite); a wide interval produces
-        reordering.
-    delay_quantum:
-        When positive, the **arrival instant** of every delivery on this
-        channel is rounded up to the next multiple of this quantum (see
-        :meth:`Channel.arrival`), so packets
-        sent at different times land together in synchronized bursts at
-        quantum boundaries — the burst-delivery adversarial scheduler.
-        Zero (the default) keeps continuous arrivals.
-    """
-
-    capacity: int = 8
-    loss_probability: float = 0.0
-    duplicate_probability: float = 0.0
-    min_delay: float = 0.5
-    max_delay: float = 1.5
-    delay_quantum: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise SimulationError("channel capacity must be at least 1")
-        if not 0.0 <= self.loss_probability < 1.0:
-            raise SimulationError("loss probability must be in [0, 1)")
-        if not 0.0 <= self.duplicate_probability <= 1.0:
-            raise SimulationError("duplicate probability must be in [0, 1]")
-        if not (0 <= self.min_delay <= self.max_delay < math.inf):
-            raise SimulationError("delay bounds must satisfy 0 <= min <= max < inf")
-        if not 0 <= self.delay_quantum < math.inf:
-            raise SimulationError("delay quantum must be non-negative and finite")
 
 
 class NetworkCounters:

@@ -1,13 +1,13 @@
 """The discrete-event simulator driving processes, timers and the network.
 
-:class:`Simulator` is itself a :class:`~repro.transport.base.Transport`: every
-process context holds the simulator directly, so a simulated send or timer is
-one call into it.
+:class:`Simulator` is itself the host behind every
+:class:`~repro.node.process.ProcessContext`: each context holds the simulator
+directly, so a simulated send or timer is one call into it.
 
 The simulator owns:
 
 * the simulated clock and event queue,
-* the registry of :class:`~repro.sim.process.Process` instances,
+* the registry of :class:`~repro.node.process.Process` instances,
 * the :class:`~repro.sim.network.Network`, whose channels push every
   accepted packet onto this event queue,
 * optional per-step hooks used by the monitors.
@@ -36,8 +36,9 @@ from repro.common.logging_utils import get_logger
 from repro.common.rng import make_rng
 from repro.common.types import ProcessId
 from repro.sim.events import Event, EventQueue
-from repro.sim.network import ChannelConfig, Network, Packet
-from repro.sim.process import Process, ProcessContext
+from repro.node.config import ChannelConfig
+from repro.node.process import Process, ProcessContext
+from repro.sim.network import Network, Packet
 
 _log = get_logger("simulator")
 

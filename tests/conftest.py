@@ -12,14 +12,14 @@ from repro.analysis import probes
 from repro.audit.arbitrary_state import PROFILES, generate_plan
 from repro.common.types import BOTTOM, ProcessId, make_config
 from repro.core.recsa import RecSA
+from repro.node.config import fast_sim
 from repro.sim.cluster import Cluster, build_cluster
-from repro.sim.config import fast_sim
 from repro.sim.faults import CorruptionAtom, apply_plan
 
 
 def quick_cluster(n: int, seed: int = 1, capacity: int = 8, **overrides: Any) -> Cluster:
     """A small ``fast_sim`` cluster for tests; *overrides* are
-    :class:`~repro.sim.config.ClusterConfig` fields, *capacity* the channels'."""
+    :class:`~repro.node.config.ClusterConfig` fields, *capacity* the channels'."""
     config = fast_sim(**overrides)
     channel = replace(config.channel, capacity=capacity)
     return build_cluster(n, seed, config=config.with_overrides(channel=channel))

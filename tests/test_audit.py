@@ -31,6 +31,8 @@ from repro.audit.harness import (
     shrink_case,
 )
 from repro.audit.schedulers import available_schedulers, get_scheduler
+from repro.node.config import ChannelConfig, fast_sim
+from repro.node.stacks import available_stacks
 from repro.scenarios import (
     ArbitraryStateWorkload,
     ScenarioSpec,
@@ -39,12 +41,9 @@ from repro.scenarios import (
 )
 from repro.scenarios.runner import _unfinished_jobs, prepare
 from repro.sim.cluster import build_cluster
-from repro.sim.config import fast_sim
 from repro.sim.faults import CorruptionAtom, _resolve_path, apply_plan
 from repro.sim.monitors import InvariantMonitor
-from repro.sim.network import ChannelConfig
 from repro.sim.simulator import Simulator
-from repro.sim.stacks import available_stacks
 
 from tests.conftest import (
     deterministic_report,
@@ -341,7 +340,7 @@ class TestSchedulers:
             def __init__(self):
                 self.arrivals = []
 
-        from repro.sim.process import Process
+        from repro.node.process import Process
 
         class _Node(Process):
             def __init__(self, pid, sink):

@@ -167,13 +167,13 @@ def test_every_cluster_config_field_is_read():
     that does nothing, and fails here instead of drifting."""
     import dataclasses
 
-    from repro.sim.config import ClusterConfig
+    from repro.node.config import ClusterConfig
 
     src = REPO / "src" / "repro"
     text = "\n".join(
         path.read_text(encoding="utf-8")
         for path in sorted(src.rglob("*.py"))
-        if path != src / "sim" / "config.py"
+        if path != src / "node" / "config.py"
     )
     unread = [
         field.name

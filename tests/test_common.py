@@ -153,8 +153,8 @@ class TestCanonical:
         """The identity the per-peer checks rely on: a copy of a protocol set
         built without ``canonical`` would bring back the O(n) compare per
         peer, and fails here instead of in a benchmark."""
+        from repro.node.config import fast_sim
         from repro.sim.cluster import build_cluster
-        from repro.sim.config import fast_sim
 
         cluster = build_cluster(16, 89, config=fast_sim())
         assert cluster.run_until_converged(timeout=6_000.0)

@@ -7,7 +7,7 @@ import pytest
 from repro.counters.counter import Counter, CounterPair, counter_less_than, max_counter
 from repro.counters.service import MaxReadRequest, MaxWriteRequest
 from repro.labels.label import EpochLabel
-from repro.sim.stacks import stack
+from repro.node.stacks import stack
 
 from tests.conftest import quick_cluster
 

@@ -17,8 +17,8 @@ from repro.datalink.token_exchange import (
     TokenExchangeLink,
 )
 from repro.failure_detector.ntheta import NThetaFailureDetector
+from repro.node.config import paper_faithful
 from repro.sim.cluster import build_cluster
-from repro.sim.config import paper_faithful
 
 from tests.conftest import quick_cluster
 

@@ -17,10 +17,10 @@ import pytest
 
 from repro.analysis import probes
 from repro.audit.schedulers import current_coordinator, get_scheduler
+from repro.node.config import ChannelConfig
+from repro.node.process import Process
 from repro.scenarios import ScenarioSpec, run_scenario
 from repro.scenarios.runner import prepare
-from repro.sim.network import ChannelConfig
-from repro.sim.process import Process
 from repro.sim.simulator import Simulator
 
 from tests.conftest import invariant_by_name, quick_cluster

@@ -29,8 +29,8 @@ from repro.counters.service import (
 )
 from repro.labels.label import EpochLabel, LabelPair, next_label
 from repro.labels.labeling import LabelMessage
+from repro.node.stacks import get_stack
 from repro.sim.faults import CorruptionAtom, apply_plan
-from repro.sim.stacks import get_stack
 
 from tests.conftest import quick_cluster
 

@@ -27,10 +27,11 @@ import pytest
 
 from repro.core.joining import JoinRequest
 from repro.counters.counter import counter_less_than
+from repro.node.config import PRESETS, preset
+from repro.node.node import agreed_configuration
 from repro.runtime.cluster import RuntimeCluster
 from repro.runtime.transport import _HEADER
-from repro.sim.cluster import agreed_configuration, build_cluster
-from repro.sim.config import PRESETS, preset
+from repro.sim.cluster import build_cluster
 from repro.vs.virtual_synchrony import VSState
 
 #: Fast pacing for tests: 10 ms of wall clock per sim-time unit.

@@ -16,8 +16,8 @@ import pytest
 from tests.conftest import quick_cluster
 from repro.common.types import BOTTOM
 from repro.failure_detector.ntheta import NThetaFailureDetector
+from repro.node.config import fast_sim
 from repro.sim.cluster import build_cluster
-from repro.sim.config import fast_sim
 
 
 def _stats_at(n, seed, horizon, **overrides):
@@ -124,8 +124,8 @@ class TestTransportRewireGuard:
         unicast and burst send takes the loss draw before its delay draw, so
         this pins the trajectory of ``loss_probability`` — which the lossless
         canary and the audit digest do not exercise."""
+        from repro.node.config import degraded_net
         from repro.sim.cluster import build_cluster
-        from repro.sim.config import degraded_net
 
         cluster = build_cluster(8, 89, config=degraded_net())
         cluster.run(until=60.0)

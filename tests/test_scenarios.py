@@ -14,6 +14,8 @@ import pytest
 
 from repro.analysis import probes
 from repro.common.errors import SimulationError
+from repro.node.config import ChannelConfig, fast_sim, paper_faithful, preset
+from repro.node.stacks import available_stacks, get_stack, stack
 from repro.scenarios import (
     ArbitraryStateWorkload,
     ChurnWorkload,
@@ -27,9 +29,6 @@ from repro.scenarios import (
 )
 from repro.runtime.cluster import RuntimeCluster
 from repro.sim.cluster import build_cluster
-from repro.sim.config import fast_sim, paper_faithful, preset
-from repro.sim.network import ChannelConfig
-from repro.sim.stacks import available_stacks, get_stack, stack
 
 from tests.conftest import quick_cluster, scramble
 
@@ -68,8 +67,10 @@ class TestClusterConfig:
 
     def test_upper_bound_below_n_raises(self):
         # A config resolved for 3 nodes carries N = 6; reusing it at n = 10
-        # must not run every detector with N below the processor count.
-        for config in (fast_sim().resolve(3), fast_sim(upper_bound_n=5)):
+        # must not run every detector with N below the processor count.  An
+        # explicit 0 is a bound like any other, not "unset".
+        bounded = (fast_sim().resolve(3), fast_sim(upper_bound_n=5), fast_sim(upper_bound_n=0))
+        for config in bounded:
             with pytest.raises(SimulationError, match="upper_bound_n"):
                 build_cluster(n=10, seed=1, config=config)
             with pytest.raises(SimulationError, match="upper_bound_n"):

@@ -9,13 +9,14 @@ import pytest
 from repro.audit.arbitrary_state import generate_plan
 from repro.audit.byzantine import TraitorProgram
 from repro.common.errors import SimulationError
+from repro.node.config import ChannelConfig
+from repro.node.process import Process
+from repro.node.stacks import available_stacks
 from repro.sim.events import EventQueue
 from repro.sim.faults import apply_plan
 from repro.sim.monitors import ConvergenceTracker, InvariantMonitor
-from repro.sim.network import Channel, ChannelConfig, Network, Packet
-from repro.sim.process import Process
+from repro.sim.network import Channel, Network, Packet
 from repro.sim.simulator import PAUSED, Simulator
-from repro.sim.stacks import available_stacks
 
 from tests.conftest import quick_cluster
 
@@ -186,6 +187,19 @@ class TestSimulator:
         sim.add_process(_Echo(1))
         with pytest.raises(SimulationError):
             sim.add_process(_Echo(1))
+
+    def test_add_node_of_a_live_pid_is_refused_and_changes_nothing(self):
+        """``Cluster.add_node`` of a pid that is running raises before it
+        records the new node: the cluster keeps describing the nodes that
+        are running (the sim twin of ``test_runtime.py``'s restart test)."""
+        cluster = quick_cluster(4, seed=3)
+        assert cluster.run_until_converged(timeout=2_000.0)
+        node = cluster.nodes[0]
+        with pytest.raises(SimulationError, match="duplicate process id"):
+            cluster.add_node(0)
+        assert cluster.nodes[0] is node
+        assert cluster.is_converged()
+        assert [alive.pid for alive in cluster.alive_nodes()] == [0, 1, 2, 3]
 
     def test_crashed_process_receives_nothing(self):
         sim = Simulator(seed=1)

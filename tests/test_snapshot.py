@@ -42,11 +42,11 @@ from repro.scenarios import (
 )
 from repro.common.errors import SimulationError
 from repro.failure_detector.ntheta import NThetaFailureDetector
+from repro.node.config import ChannelConfig
+from repro.node.stacks import available_stacks
 from repro.sim.cluster import build_cluster
 from repro.sim.events import Action
-from repro.sim.network import ChannelConfig
 from repro.sim.snapshot import SimSnapshot, _reduce_method
-from repro.sim.stacks import available_stacks
 
 from tests.conftest import no_reset_invariant, report_bytes
 

@@ -1,10 +1,11 @@
-"""Transport conformance: one battery, two backends.
+"""Host conformance: one battery, two backends.
 
 Every test here runs the *same scenario* against both
 :class:`repro.sim.simulator.Simulator` (discrete-event simulator) and
 :class:`repro.runtime.transport.AsyncioTransport` (UDP/localhost event
-loop), asserting the behavioural contract of
-:class:`repro.transport.base.Transport` that the protocol stack relies on:
+loop), the two hosts behind :class:`repro.node.process.ProcessContext`,
+asserting the contract its docstring states and the protocol stack relies
+on:
 
 * delivery — a sent payload arrives at the destination, intact (in the
   asyncio backend that means a full codec round trip over a real socket);
@@ -30,9 +31,9 @@ from typing import Any, Callable, List, Sequence, Tuple
 import pytest
 
 from repro.common.types import Phase, Proposal, make_config
+from repro.node.config import ChannelConfig
+from repro.node.process import Process
 from repro.runtime.transport import AsyncioTransport
-from repro.sim.network import ChannelConfig
-from repro.sim.process import Process
 from repro.sim.simulator import Simulator
 
 SEED = 5

@@ -96,8 +96,8 @@ class ClusterConfig:
         processors).  ``None`` derives ``max(2n, n + 2)`` from the initial
         cluster size during :meth:`resolve`.
     channel:
-        The `ChannelConfig` of every directed
-        channel; its ``capacity`` is also the heartbeat links' ``cap``.
+        The :class:`ChannelConfig` of every directed channel; its
+        ``capacity`` is also the heartbeat links' ``cap``.
     coherent_start:
         When True nodes boot with the full configuration already installed;
         when False (default) they boot into a brute-force reset and

@@ -35,7 +35,7 @@ from repro.node.stacks import StackProfile, get_stack
 
 
 class ClusterNode(Process):
-    """A simulated processor running the full reconfiguration stack."""
+    """A processor running the full reconfiguration stack, on either host."""
 
     def __init__(
         self,

@@ -68,8 +68,12 @@ class RuntimeCluster:
 
     # --------------------------------------------------------------- boot
     async def start(self) -> "RuntimeCluster":
-        """Open every endpoint and start every node (pids ``0..n-1``)."""
-        if self.transport is not None:
+        """Open every endpoint and start every node (pids ``0..n-1``).
+
+        A cluster starts once: its nodes are booted in the constructor, and a
+        node that ran cannot boot again.
+        """
+        if self.transport is not None or self.nodes:
             raise RuntimeError("cluster already started")
         self.transport = AsyncioTransport(
             seed=self.seed, tick_seconds=self.tick_seconds

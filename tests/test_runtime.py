@@ -170,6 +170,21 @@ def test_restart_of_a_live_pid_is_refused_and_changes_nothing():
     asyncio.run(scenario())
 
 
+def test_a_cluster_starts_once():
+    """The constructor boots the nodes, so a second ``start``, after a
+    shutdown too, is refused instead of hosting nodes that already ran."""
+
+    async def scenario() -> None:
+        cluster = RuntimeCluster(n=2, seed=7, stack="bare", tick_seconds=TICK)
+        async with _running(cluster):
+            with pytest.raises(RuntimeError, match="already started"):
+                await cluster.start()
+        with pytest.raises(RuntimeError, match="already started"):
+            await cluster.start()
+
+    asyncio.run(scenario())
+
+
 def test_closed_loop_counter_clients_get_distinct_increasing_values():
     """Thm 4.6 on the live backend: n=4, four concurrent closed-loop clients
     for 1.5 s — every increment succeeds, no two clients are handed the same

@@ -13,6 +13,10 @@ The sampler cannot see the cyclic garbage collector: its time is charged to
 whichever frame was allocating.  So one more row, timed with
 ``gc.callbacks``, names the collector: the seconds spent inside collections
 during the run, the collections per generation and the objects they freed.
+A ``memory:`` row reads the process's peak RSS and the channels' random
+streams: how many channels exist, how many streams are still buffered and
+how many were promoted to their own generator, the bytes they hold and the
+most draws any one channel took.
 
     PYTHONPATH=src python benchmarks/sample_hotpath.py --n 128 --seed 89
 """
@@ -23,7 +27,9 @@ import argparse
 import collections
 import gc
 import os
+import resource
 import signal
+import sys
 import time
 
 from repro.node.config import fast_sim
@@ -85,6 +91,13 @@ def main() -> None:
     print(f"collector: {collector['seconds']:.3f} s in collections "
           f"(gen 0/1/2: {'/'.join(map(str, per_generation))}), "
           f"{collector['collected']} objects collected")
+    channels = list(cluster.simulator.network.channels())
+    streams = [channel.stream for channel in channels if channel.stream is not None]
+    promoted = sum(stream.promoted for stream in streams)
+    print(f"memory: peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB, "
+          f"{len(channels)} channels, streams {len(streams) - promoted} buffered / "
+          f"{promoted} promoted holding {sum(map(sys.getsizeof, streams)) / 1e6:.2f} MB, "
+          f"at most {max((stream.drawn for stream in streams), default=0)} draws per channel")
     for title, ranking in (("by inclusive share", inclusive), ("by self share", own)):
         print(f"\n{title}\n{'inclusive':>9} {'self':>6}  function")
         for name, _ in ranking.most_common(TOP):

@@ -34,29 +34,37 @@ Quickstart
 True
 """
 
-from repro.common.types import ProcessId, Configuration, NOT_PARTICIPANT
-from repro.node.config import ClusterConfig, fast_sim, paper_faithful, preset
-from repro.node.node import ClusterNode
-from repro.node.stacks import StackProfile, get_stack, stack
-from repro.sim.simulator import Simulator
-from repro.sim.cluster import Cluster, build_cluster
+from importlib import import_module
+from typing import Any
 
-__all__ = [
-    "ProcessId",
-    "Configuration",
-    "NOT_PARTICIPANT",
-    "Simulator",
-    "ClusterConfig",
-    "fast_sim",
-    "paper_faithful",
-    "preset",
-    "StackProfile",
-    "get_stack",
-    "stack",
-    "Cluster",
-    "ClusterNode",
-    "build_cluster",
-    "__version__",
-]
+#: Each public name and the module it comes from, imported on first access:
+#: a live process that imports ``repro.runtime`` loads no simulator module.
+_EXPORTS = {
+    "ProcessId": "repro.common.types",
+    "Configuration": "repro.common.types",
+    "NOT_PARTICIPANT": "repro.common.types",
+    "Simulator": "repro.sim.simulator",
+    "ClusterConfig": "repro.node.config",
+    "fast_sim": "repro.node.config",
+    "paper_faithful": "repro.node.config",
+    "preset": "repro.node.config",
+    "StackProfile": "repro.node.stacks",
+    "get_stack": "repro.node.stacks",
+    "stack": "repro.node.stacks",
+    "Cluster": "repro.sim.cluster",
+    "ClusterNode": "repro.node.node",
+    "build_cluster": "repro.sim.cluster",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(module), name)
+    globals()[name] = value
+    return value

@@ -34,7 +34,8 @@ Design
   values encode to identical bytes.  ``tests/test_codec.py`` pins one frame
   per wire type and compares the format against a tagged-JSON reference.
 * **Graceful rejection.**  Malformed input — truncated frames, unknown tags
-  or opcodes, wrong field sets, over-deep nesting — raises
+  or opcodes, wrong field sets, over-deep nesting, varints longer than
+  :data:`MAX_VARINT_BITS` — raises
   :class:`CodecError`, never anything else.  Receivers (the runtime
   transport, the conformance tests) catch that one type and quarantine,
   mirroring how
@@ -66,6 +67,12 @@ MAX_FRAME_BYTES = 1 << 20
 #: a handful of levels (message → pair → label → frozenset); a deeply nested
 #: bomb is rejected instead of recursing toward the interpreter limit.
 MAX_DEPTH = 32
+
+#: Longest varint the codec writes or reads, in bits: 18 bytes of 7 bits.
+#: Honest integers stay far below it (sequence numbers are bounded by 2**64,
+#: which zigzag doubles), and a decoder that met a longer varint would
+#: rebuild an ever-larger int byte by byte: quadratic time from one frame.
+MAX_VARINT_BITS = 126
 
 #: The length prefix: 4-byte big-endian unsigned body length.
 _LEN = struct.Struct(">I")
@@ -213,9 +220,12 @@ def _append_int(buf: bytearray, n: int) -> None:
     # Zigzag so small negatives stay small on the wire.
     zz = (n << 1) if n >= 0 else ((-n << 1) - 1)
     buf.append(_OP_INT)
-    while zz > 0x7F:
-        buf.append((zz & 0x7F) | 0x80)
-        zz >>= 7
+    if zz > 0x7F:
+        if zz >> MAX_VARINT_BITS:
+            raise CodecError(f"integer of {n.bit_length()} bits exceeds the varint cap")
+        while zz > 0x7F:
+            buf.append((zz & 0x7F) | 0x80)
+            zz >>= 7
     buf.append(zz)
 
 
@@ -448,6 +458,8 @@ def _read_uvarint(data: bytes, i: int, end: int) -> Tuple[int, int]:
         if byte < 0x80:
             return result, i
         shift += 7
+        if shift >= MAX_VARINT_BITS:
+            raise CodecError("varint exceeds the cap")
 
 
 def _bin_decode(data: bytes, i: int, end: int, depth: int) -> Tuple[Any, int]:
@@ -471,6 +483,8 @@ def _bin_decode(data: bytes, i: int, end: int, depth: int) -> Tuple[Any, int]:
             if byte < 0x80:
                 break
             shift += 7
+            if shift >= MAX_VARINT_BITS:
+                raise CodecError("varint exceeds the cap")
         return (zz >> 1) if not (zz & 1) else -((zz + 1) >> 1), i
     if op == _OP_DC or op == _OP_DCQ:
         type_id, i = _read_uvarint(data, i, end)

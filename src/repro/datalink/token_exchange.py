@@ -82,6 +82,10 @@ class TokenExchangeLink:
     outgoing message queue piggy-backed on it) until it has received more
     than ``capacity`` acknowledgements carrying the current sequence number;
     it then advances the sequence number and moves to the next message.
+
+    ``outbox`` is ``None`` until the first payload is queued: most links only
+    ever carry the bare heartbeat token, and an empty ``deque`` costs ~760
+    bytes per endpoint.
     """
 
     def __init__(self, local: ProcessId, remote: ProcessId, capacity: int) -> None:
@@ -90,14 +94,17 @@ class TokenExchangeLink:
         self.capacity = capacity
         self.seq = 0
         self.ack_count = 0
-        self.outbox: Deque[Any] = deque()
+        self.outbox: Optional[Deque[Any]] = None
         self.current_payload: Any = None
         self.completed_round_trips = 0
         self._cached_message: Optional[DataLinkMessage] = None
 
     def enqueue(self, payload: Any) -> None:
         """Queue *payload* for reliable FIFO delivery to the remote peer."""
-        self.outbox.append(payload)
+        outbox = self.outbox
+        if outbox is None:
+            outbox = self.outbox = deque()
+        outbox.append(payload)
         if self.current_payload is None:
             self._cached_message = None
 
@@ -152,12 +159,14 @@ class TokenExchangeLink:
         """
         self.seq = 0
         self.ack_count = 0
-        if self.current_payload is not None:
+        if not preserve_outbox:
+            self.outbox = None
+        elif self.current_payload is not None:
+            if self.outbox is None:
+                self.outbox = deque()
             self.outbox.appendleft(self.current_payload)
         self.current_payload = None
         self._cached_message = None
-        if not preserve_outbox:
-            self.outbox.clear()
 
 
 class LinkEndpoint:

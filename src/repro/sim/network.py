@@ -29,6 +29,14 @@ between the network and the queue, and no list of deliveries; unicast sends
 and ``send_many`` bursts take the same path (a burst only swaps in the
 network's broadcast RNG stream).
 
+Every channel draws from its own stream (the adversary picks each channel's
+delays independently), yet at n = 128 a channel draws only a dozen times a
+run: heartbeat tokens and acks are unicast, so every channel draws, but
+sparsely.  The stream is therefore a
+:class:`~repro.common.rng.ChannelStream` — the exact values of
+``make_rng(seed, "channel", source, destination)``, buffered a few at a
+time — built on the channel's first draw, not a 2.5 KB Twister per channel.
+
 The network keeps a route table of the channels whose configuration is
 current: the steady-state send resolves its channel with one dict lookup, and
 an environment mutation empties the table (O(1), see
@@ -49,7 +57,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Iterable, Optional, Tuple
 
-from repro.common.rng import make_rng
+from repro.common.rng import ChannelStream, derive_seed, make_rng
 from repro.common.types import ProcessId
 from repro.node.config import ChannelConfig
 from repro.sim.environment import NetworkEnvironment
@@ -97,7 +105,8 @@ class Channel:
 
     The channel counts its in-flight packets (its occupancy, for capacity
     accounting) and pushes the delivery of every copy it accepts onto the
-    simulator's event queue.
+    simulator's event queue.  ``stream`` is its own
+    :class:`~repro.common.rng.ChannelStream`, ``None`` until its first draw.
     """
 
     __slots__ = (
@@ -105,7 +114,7 @@ class Channel:
         "destination",
         "config",
         "_seed",
-        "_rng",
+        "stream",
         "_occupancy",
         "_totals",
         "sent_count",
@@ -126,14 +135,7 @@ class Channel:
         self.destination = destination
         self.config = config
         self._seed = seed
-        # The per-channel RNG is materialized on first draw: a Mersenne
-        # Twister carries ~2.5 KB of state, and at n=512 the fabric holds
-        # ~262k directed channels — most of which only ever see broadcast
-        # traffic, whose draws come from the burst stream instead.  Lazy
-        # construction changes no stream: ``make_rng`` is a pure function of
-        # (seed, "channel", source, destination), so the first draw sees the
-        # exact sequence the eager constructor produced.
-        self._rng: Optional[Any] = None
+        self.stream: Optional[ChannelStream] = None
         self._occupancy = 0
         self._totals = totals if totals is not None else NetworkCounters()
         self.sent_count = 0
@@ -156,7 +158,7 @@ class Channel:
         then a second delay).  Every accepted copy is pushed onto *events* as
         a handle-less ``(arrival, sequence, self, packet)`` entry.  Returns
         the number of copies pushed: 0 (lost or channel full), 1, or 2
-        (duplicated).  *rng* overrides the channel's own generator for every
+        (duplicated).  *rng* overrides the channel's own stream for every
         draw (the broadcast path feeds one shared stream for a whole burst).
         """
         totals = self._totals
@@ -169,7 +171,7 @@ class Channel:
             totals.dropped += 1
             return 0
         if rng is None:
-            rng = self._rng or self._materialize_rng()
+            rng = self.stream or self._materialize_stream()
         loss = config.loss_probability
         if loss and rng.random() < loss:
             self.dropped_count += 1
@@ -202,7 +204,7 @@ class Channel:
             time = now + low
         else:
             if rng is None:
-                rng = self._rng or self._materialize_rng()
+                rng = self.stream or self._materialize_stream()
             time = now + (low + (high - low) * rng.random())
         quantum = config.delay_quantum
         if quantum > 0.0:
@@ -244,10 +246,10 @@ class Channel:
         self._totals.delivered += 1
         return True
 
-    def _materialize_rng(self) -> Any:
-        rng = make_rng(self._seed, "channel", self.source, self.destination)
-        self._rng = rng
-        return rng
+    def _materialize_stream(self) -> ChannelStream:
+        stream = ChannelStream(derive_seed(self._seed, "channel", self.source, self.destination))
+        self.stream = stream
+        return stream
 
 
 class Network:
@@ -259,7 +261,11 @@ class Network:
     link-state layer that holds per-pair overrides, dynamic overlays, link
     policies (so late joiners inherit the active shaping) and the directed,
     possibly leaky partitions.  Accepted packets go straight onto the event
-    queue of the simulator bound with :meth:`bind`.
+    queue of the simulator bound with :meth:`bind`.  Heartbeat tokens and
+    acks are unicast between every pair, so a running cluster soon holds all
+    ``N(N-1)`` channels, each with its own stream: it is the compact
+    :class:`~repro.common.rng.ChannelStream`, not laziness, that keeps them
+    small.
     """
 
     def __init__(

@@ -42,7 +42,10 @@ make that sound:
 * **Generators restore without touching the OS.**  ``random.Random``
   unpickles through ``Random()``, which seeds itself from ``os.urandom``
   before the pickled state overwrites it; :func:`_reduce_random` rebuilds
-  each generator from its state alone.
+  each generator from its state alone.  A channel's
+  :class:`~repro.common.rng.ChannelStream` pickles by its own fields (its
+  seed, draw count and buffer; a promoted one's Twister state), so a
+  snapshot carries a few doubles per channel, not a 625-word state.
 
 Nothing in the state is keyed by object identity (a packet carries its own
 in-flight mark), so a restored copy needs no repair pass after ``loads``.

@@ -623,6 +623,23 @@ class TestBinaryRejection:
         with pytest.raises(CodecError):
             codec.decode_binary(hostile)
 
+    def test_overlong_varint_rejected_without_building_the_int(self):
+        # One 59 000-byte varint: the decode loop would rebuild an ever-larger
+        # int from every byte; the cap stops it after MAX_VARINT_BITS.
+        longest = codec.MAX_VARINT_BITS // 7
+        with pytest.raises(CodecError):
+            codec.decode_binary(bytes([0x03]) + b"\xff" * 58_999 + b"\x01")
+        with pytest.raises(CodecError):
+            codec.decode_binary(bytes([0x05]) + b"\xff" * longest + b"\x01")
+        largest = (1 << (codec.MAX_VARINT_BITS - 1)) - 1
+        for value in (largest, -largest - 1, 1 << 64, -(1 << 70)):
+            body = codec.encode_binary(value)
+            assert len(body) <= 1 + longest
+            assert codec.decode_binary(body) == value
+        for value in (largest + 1, -largest - 2):
+            with pytest.raises(CodecError):
+                codec.encode_binary(value)
+
     def test_unknown_ids_rejected(self):
         with pytest.raises(CodecError):
             codec.decode_binary(bytes([0x0B, 0xFA, 0x01]))  # wire type id

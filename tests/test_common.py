@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import copy
 import pickle
+import sys
 
 import pytest
 
 from repro.common import errors, types
-from repro.common.rng import derive_seed, make_rng
+from repro.common.rng import FIRST_BLOCK, TWISTER_DRAWS, ChannelStream, derive_seed, make_rng
 from repro.common.types import (
     BOTTOM,
     CANONICAL_BOUND,
@@ -181,6 +182,52 @@ class TestRng:
 
     def test_make_rng_is_reproducible(self):
         assert make_rng(7, "x").random() == make_rng(7, "x").random()
+
+
+def _promotion_draw() -> int:
+    """The draw that promotes a stream: blocks double from FIRST_BLOCK while
+    shorter than a Twister's state."""
+    drawn, size = 0, FIRST_BLOCK
+    while size < TWISTER_DRAWS:
+        drawn, size = drawn + size, 2 * size
+    return drawn + 1
+
+
+class TestChannelStream:
+    COMPONENTS = [(89, "channel", 0, 1), (0, "channel", 127, 3), (7, "x"), (2**40, "channel", 5, 5)]
+
+    @pytest.mark.parametrize("components", COMPONENTS)
+    def test_draws_equal_make_rng_across_refills_and_promotion(self, components):
+        stream = ChannelStream(derive_seed(*components))
+        reference = make_rng(*components)
+        assert _promotion_draw() < 1_000
+        for index in range(1_000):
+            assert stream.random() == reference.random(), index
+            assert stream.drawn == index + 1
+            assert stream.promoted == (index + 1 >= _promotion_draw())
+
+    @pytest.mark.parametrize("stop", [0, 1, FIRST_BLOCK - 3, FIRST_BLOCK, 100, _promotion_draw() + 7])
+    def test_pickle_round_trip_continues_identically(self, stop):
+        stream = ChannelStream(derive_seed(3, "channel", 1, 2))
+        reference = make_rng(3, "channel", 1, 2)
+        for _ in range(stop):
+            assert stream.random() == reference.random()
+        restored = pickle.loads(pickle.dumps(stream, protocol=pickle.HIGHEST_PROTOCOL))
+        assert (restored.drawn, restored.promoted) == (stream.drawn, stream.promoted)
+        expected = [reference.random() for _ in range(400)]
+        assert [restored.random() for _ in range(400)] == expected
+        assert [stream.random() for _ in range(400)] == expected
+
+    def test_a_sparse_stream_holds_a_few_hundred_bytes(self):
+        full = sys.getsizeof(make_rng(1, "x")) + sys.getsizeof(make_rng(1, "x").__dict__)
+        sizes = []
+        stream = ChannelStream(derive_seed(1, "x"))
+        for drawn in range(1, 2_000):
+            stream.random()
+            sizes.append(sys.getsizeof(stream))
+            if drawn <= 16:
+                assert sizes[-1] <= 400, drawn
+        assert max(sizes) < full
 
 
 class TestErrors:

@@ -16,6 +16,9 @@ where protocol is ``core``, ``labels``, ``counters``, ``vs``, ``datalink`` and
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple
 
@@ -39,8 +42,6 @@ EXCEPTIONS = {
     # Numbers the wire types by sorted name, so every module that defines
     # one (the baseline's included) is imported before the first frame.
     "common/codec.py::_ensure_registered",
-    # The package root: the public facade, over every layer.
-    "__init__.py",
     # The frozen spine's ``fast_sim`` import (ROADMAP 6(f)); nothing in
     # ``src/repro`` may import it (checked below).
     "sim/config.py",
@@ -117,3 +118,17 @@ def test_nothing_in_the_package_imports_the_spine_reexport():
         if any(module == "repro.sim.config" for _, module in _imports(path))
     ]
     assert not importers, importers
+
+
+def test_the_live_runtime_loads_no_simulator_module():
+    """The package root resolves its public names on first access, so a live
+    process that imports the runtime never loads ``repro.sim``."""
+    probe = (
+        "import sys, repro.runtime.cluster\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['repro', 'sim']))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]", result.stdout

@@ -41,6 +41,7 @@ from repro.scenarios import (
     run_scenario,
 )
 from repro.common.errors import SimulationError
+from repro.common.rng import ChannelStream
 from repro.failure_detector.ntheta import NThetaFailureDetector
 from repro.node.config import ChannelConfig
 from repro.node.stacks import available_stacks
@@ -240,8 +241,9 @@ class TestByteSnapshots:
         assert "Cluster" in str(caught.value) and "lambda" in str(caught.value)
 
     def test_restored_generators_equal_the_captured_ones(self):
-        """Generators are rebuilt from their state alone: every one in the
-        restored graph has the captured state and draws the same next values."""
+        """Generators are rebuilt from their state alone, and channel streams
+        from their fields: every one in the restored graph has the captured
+        state and draws the same next values."""
 
         def generators(subject):
             found = []
@@ -255,18 +257,23 @@ class TestByteSnapshots:
                 **copyreg.dispatch_table,
                 types.MethodType: _reduce_method,
                 random.Random: record,
+                ChannelStream: record,
             }
             pickler.dump(subject)
             return found
+
+        def state(rng):
+            return rng.getstate() if isinstance(rng, random.Random) else rng.__reduce__()[1]
 
         run = prepare(_snapshot_spec("counters"), seed=3)
         assert not drive(run, stop_before=20.0)
         captured = generators(run)
         restored = generators(SimSnapshot.capture(run).restore())
         assert len(captured) == len(restored) > 8
+        assert sum(isinstance(rng, ChannelStream) for rng in captured) > 8
         for original, copy_ in zip(captured, restored):
             assert type(copy_) is type(original)
-            assert copy_.getstate() == original.getstate()
+            assert state(copy_) == state(original)
             assert [copy_.random() for _ in range(3)] == [original.random() for _ in range(3)]
 
     def test_capture_rejects_a_subject_without_a_simulator(self):

@@ -7,8 +7,11 @@ the messages that dominate live traffic (data-link tokens every heartbeat,
 counter quorum reads/writes per client op, recMA flags) — through
 :func:`codec.frame` and :func:`codec.unframe`.
 
-Reported per type: encode ns/op, decode ns/op and frame bytes.  Run
-directly (it finds ``src/`` itself) or with ``make bench-micro``::
+Each type's encode and decode are timed ``REPEATS`` times, each a loop of
+``REPS`` calls; reported per type are the minimum and the quartiles of the
+per-repeat ns/op (read the minimum: a mean of one loop carries whatever else
+the host ran) and the frame bytes.  Run directly (it finds ``src/`` itself)
+or with ``make bench-micro``::
 
     python benchmarks/bench_codec.py
 """
@@ -16,6 +19,7 @@ directly (it finds ``src/`` itself) or with ``make bench-micro``::
 from __future__ import annotations
 
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -40,13 +44,15 @@ _LABEL = EpochLabel(creator=2, sting=7, antistings=frozenset({1, 3}))
 _COUNTER = Counter(label=_LABEL, seqn=5, wid=2)
 _CPAIR = CounterPair(mct=_COUNTER, cct=_COUNTER)
 
+#: Timed loops per type and direction, and calls per loop.
+REPEATS = 15
+REPS = 2_000
+
 
 def hot_exemplars() -> Dict[str, Any]:
     """Representative instances of the wire types dominating live traffic."""
     return {
-        "DataLinkMessage": DataLinkMessage(
-            kind="data", link_sender=1, seq=1, payload=("hb", 3)
-        ),
+        "DataLinkMessage": DataLinkMessage(kind="data", link_sender=1, seq=1),
         "MaxReadRequest": MaxReadRequest(sender=2, op_id=41),
         "MaxReadResponse": MaxReadResponse(
             sender=3, op_id=41, counter=_CPAIR, aborted=False
@@ -61,16 +67,26 @@ def hot_exemplars() -> Dict[str, Any]:
     }
 
 
-def _time_ns(fn, reps: int) -> float:
-    t0 = time.perf_counter_ns()
-    for _ in range(reps):
-        fn()
-    return (time.perf_counter_ns() - t0) / reps
+def _time_ns(fn) -> Dict[str, float]:
+    """Min and quartiles of ``REPEATS`` timed loops of ``REPS`` calls, ns/op."""
+    samples = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter_ns()
+        for _ in range(REPS):
+            fn()
+        samples.append((time.perf_counter_ns() - t0) / REPS)
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    return {
+        "min": round(min(samples), 1),
+        "q1": round(q1, 1),
+        "median": round(median, 1),
+        "q3": round(q3, 1),
+    }
 
 
-def bench_codec(reps: int = 20_000) -> Dict[str, Any]:
+def bench_codec() -> Dict[str, Any]:
     """Measure the wire format over the hot types; return the result entry."""
-    entry: Dict[str, Any] = {"reps": reps, "types": {}}
+    entry: Dict[str, Any] = {"repeats": REPEATS, "reps": REPS, "types": {}}
     for name, value in hot_exemplars().items():
         binary_frame = codec.frame(value)
         # Round-trip equality is asserted here too — a microbench that
@@ -78,14 +94,16 @@ def bench_codec(reps: int = 20_000) -> Dict[str, Any]:
         assert codec.unframe(binary_frame)[0] == value
 
         entry["types"][name] = {
-            "encode_ns": round(_time_ns(lambda v=value: codec.frame(v), reps), 1),
-            "decode_ns": round(
-                _time_ns(lambda f=binary_frame: codec.unframe(f), reps), 1
-            ),
+            "encode_ns": _time_ns(lambda v=value: codec.frame(v)),
+            "decode_ns": _time_ns(lambda f=binary_frame: codec.unframe(f)),
             "frame_bytes": len(binary_frame),
         }
     entry["all_ok"] = True
     return entry
+
+
+def _row(cell: Dict[str, float]) -> str:
+    return f"{cell['min']:.0f} [{cell['q1']:.0f} {cell['median']:.0f} {cell['q3']:.0f}]"
 
 
 def main() -> int:
@@ -93,8 +111,8 @@ def main() -> int:
     print(json.dumps(entry, indent=2, sort_keys=True))
     for name, cell in sorted(entry["types"].items()):
         print(
-            f"[bench-codec] {name}: "
-            f"{cell['encode_ns']:.0f}/{cell['decode_ns']:.0f} ns "
+            f"[bench-codec] {name}: encode {_row(cell['encode_ns'])} / "
+            f"decode {_row(cell['decode_ns'])} ns, min [quartiles] "
             f"({cell['frame_bytes']}B)",
             file=sys.stderr,
         )

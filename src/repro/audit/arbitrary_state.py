@@ -217,7 +217,6 @@ def _random_stale_payload(
         kind=rng.choice(["data", "ack", "clean", "clean-ack"]),
         link_sender=source,
         seq=rng.randint(0, 1),
-        payload=None,
     )
 
 

@@ -3,15 +3,12 @@
 Implements the communication substrate the paper assumes (Section 2):
 
 * a **token-exchange** stop-and-wait protocol per directed pair that keeps
-  retransmitting the current packet until more than the channel-capacity
-  acknowledgements arrive — the continuous token bounce doubles as the
-  heartbeat used by the (N, Theta)-failure detector;
+  retransmitting the current token until more than the channel-capacity
+  acknowledgements arrive — the continuous token bounce is the heartbeat
+  used by the (N, Theta)-failure detector; the token carries no payload;
 * a **snap-stabilizing link cleaning** handshake executed when two processors
   first hear from each other, flushing any stale packets left in the channel
-  by a transient fault before higher layers see messages;
-* a small **reliable FIFO messaging** facade on top of the token exchange for
-  the layers that need request/response semantics (joining, counter reads and
-  writes);
+  by a transient fault before the link's token starts;
 * optional **Byzantine-tolerant reliable broadcast** variants
   (:mod:`repro.datalink.reliable_broadcast`): Bracha echo voting and Dolev
   path flooding, selectable per stack profile, for the active-adversary
@@ -19,7 +16,6 @@ Implements the communication substrate the paper assumes (Section 2):
 """
 
 from repro.datalink.token_exchange import (
-    TokenExchangeLink,
     LinkEndpoint,
     DataLinkMessage,
     LinkState,
@@ -35,7 +31,6 @@ from repro.datalink.reliable_broadcast import (
 )
 
 __all__ = [
-    "TokenExchangeLink",
     "LinkEndpoint",
     "DataLinkMessage",
     "LinkState",

@@ -1,33 +1,32 @@
 """Heartbeat service built on the token-exchange data links.
 
 The service owns one :class:`~repro.datalink.token_exchange.LinkEndpoint` per
-known peer.  On every do-forever-loop iteration it retransmits the current
-token (and cleaning probes) on every link; on packet arrival it feeds the
-packet to the owning endpoint and reports heartbeats to its listeners — the
-(N, Theta)-failure detector registers itself as such a listener.
+known peer.  On every do-forever-loop iteration it retransmits the token (or
+the cleaning probe) on every link; on packet arrival it feeds the packet to
+the owning endpoint and reports each heartbeat through its ``on_heartbeat``
+callable — the (N, Theta)-failure detector's ``heartbeat``.
 
-Payload messages sent through :meth:`send_reliable` travel on the token
-exchange (reliable FIFO); the higher-volume gossip of the reconfiguration
-algorithms uses the raw unreliable channel instead (fair communication is all
-those algorithms need), which keeps the simulation fast.
+The token carries no payload.  The gossip of the reconfiguration algorithms
+uses the raw unreliable channel instead (fair communication is all those
+algorithms need), and :meth:`HeartbeatService.notify_traffic` lets that
+gossip stand in for a throttled token.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict
 
 from repro.common.types import ProcessId
 from repro.datalink.token_exchange import MAX_LINK_SEQ, DataLinkMessage, LinkEndpoint
 
 HeartbeatListener = Callable[[ProcessId], None]
-PayloadHandler = Callable[[ProcessId, Any], None]
 SendFunction = Callable[[ProcessId, Any], None]
 
-#: Default retransmission period (in do-forever iterations) for *idle*
-#: established links.  While a link carries no application payload the token
-#: is a pure heartbeat, and the owner may let other traffic (protocol gossip
-#: reported through :meth:`HeartbeatService.notify_traffic`) stand in for it;
-#: ``1`` retransmits every iteration (the seed behaviour).
+#: Default retransmission period (in do-forever iterations) of an
+#: established link's token.  The token is a pure heartbeat, and the owner
+#: may let other traffic (protocol gossip reported through
+#: :meth:`HeartbeatService.notify_traffic`) stand in for it; ``1``
+#: retransmits every iteration (the seed behaviour).
 DEFAULT_IDLE_RESEND_INTERVAL = 1
 
 #: Wire kinds a data-link packet may carry.
@@ -35,18 +34,22 @@ _VALID_KINDS = frozenset(("data", "ack", "clean", "clean-ack"))
 
 
 class HeartbeatService:
-    """Per-process manager of token-exchange links and heartbeat fan-out."""
+    """Per-process manager of token-exchange links; reports each heartbeat."""
 
     def __init__(
         self,
         pid: ProcessId,
         send: SendFunction,
+        on_heartbeat: HeartbeatListener,
         channel_capacity: int = 8,
         require_cleaning: bool = True,
         idle_resend_interval: int = DEFAULT_IDLE_RESEND_INTERVAL,
     ) -> None:
         self.pid = pid
         self._send = send
+        #: Called with the peer id on every heartbeat (the failure detector's
+        #: ``heartbeat``).
+        self.on_heartbeat = on_heartbeat
         self.channel_capacity = channel_capacity
         self.require_cleaning = require_cleaning
         self.idle_resend_interval = max(1, int(idle_resend_interval))
@@ -55,18 +58,8 @@ class HeartbeatService:
         #: endpoint saw them (Byzantine garbage degrades gracefully).
         self.quarantined = 0
         self._idle_rounds: Dict[ProcessId, int] = {}
-        self._heartbeat_listeners: List[HeartbeatListener] = []
-        self._payload_handlers: List[PayloadHandler] = []
 
     # --------------------------------------------------------------- wiring
-    def add_heartbeat_listener(self, listener: HeartbeatListener) -> None:
-        """Register a callback invoked with the peer id on every heartbeat."""
-        self._heartbeat_listeners.append(listener)
-
-    def add_payload_handler(self, handler: PayloadHandler) -> None:
-        """Register a callback for payloads delivered reliably by a link."""
-        self._payload_handlers.append(handler)
-
     def add_peer(self, peer: ProcessId) -> LinkEndpoint:
         """Ensure a link endpoint exists for *peer* and return it."""
         if peer == self.pid:
@@ -83,22 +76,17 @@ class HeartbeatService:
         return endpoint
 
     # ------------------------------------------------------------ data plane
-    def send_reliable(self, peer: ProcessId, payload: Any) -> None:
-        """Queue *payload* for reliable FIFO delivery to *peer*."""
-        self.add_peer(peer).send(payload)
-
     def on_timer(self) -> None:
         """Retransmit tokens / cleaning probes on every link (one step).
 
-        Established links with no payload in flight are *idle*: their token
-        is pure liveness signalling, so the retransmission is throttled to
-        every ``idle_resend_interval``-th iteration.  Cleaning probes and
-        links carrying payload always transmit — the snap-stabilizing
-        handshake and the reliable-FIFO latency are never throttled.
+        An established link's token is pure liveness signalling, so its
+        retransmission is throttled to every ``idle_resend_interval``-th
+        iteration.  Cleaning probes are never throttled: the
+        snap-stabilizing handshake always transmits.
         """
         interval = self.idle_resend_interval
         for peer, endpoint in self.links.items():
-            if interval > 1 and endpoint.is_established() and endpoint.is_idle():
+            if interval > 1 and endpoint.is_established():
                 rounds = self._idle_rounds.get(peer, interval)
                 if rounds + 1 < interval:
                     self._idle_rounds[peer] = rounds + 1
@@ -115,11 +103,10 @@ class HeartbeatService:
         Any packet received from *sender* proves the peer was recently alive
         (packets are never created spontaneously; stale in-flight packets are
         bounded by the channel capacity), so protocol gossip can stand in for
-        throttled heartbeat tokens.  Fans the heartbeat out to the listeners
-        exactly like a token arrival.
+        throttled heartbeat tokens.  Reports the heartbeat exactly like a
+        token arrival.
         """
-        for listener in self._heartbeat_listeners:
-            listener(sender)
+        self.on_heartbeat(sender)
 
     def on_packet(self, sender: ProcessId, message: DataLinkMessage) -> None:
         """Feed a received data-link packet to the owning endpoint.
@@ -141,20 +128,18 @@ class HeartbeatService:
         if message.link_sender not in (sender, self.pid):
             return
         endpoint = self.add_peer(sender)
-        replies, delivered, heartbeat = endpoint.on_packet(message)
+        replies, heartbeat = endpoint.on_packet(message)
         for reply in replies:
             self._send(sender, reply)
         if heartbeat:
-            for listener in self._heartbeat_listeners:
-                listener(sender)
-        for payload in delivered:
-            for handler in self._payload_handlers:
-                handler(sender, payload)
+            self.on_heartbeat(sender)
 
     @staticmethod
     def _valid_packet(message: DataLinkMessage) -> bool:
         """Schema/bounds check for inbound data-link packets (never raises)."""
-        if message.kind not in _VALID_KINDS:
+        # A forged frame may carry any decodable value as its kind; an
+        # unhashable one would raise out of the set lookup.
+        if not isinstance(message.kind, str) or message.kind not in _VALID_KINDS:
             return False
         if not isinstance(message.link_sender, int) or isinstance(message.link_sender, bool):
             return False

@@ -16,8 +16,9 @@ Named presets cover the configurations the repository actually uses:
     harness run on (short simulations, identical protocol behaviour).
 ``paper_faithful``
     The communication model of the paper's Section 2 taken literally: wider
-    delay bounds, the snap-stabilizing link-cleaning handshake on every link,
-    and un-throttled heartbeat tokens.
+    delay bounds, the snap-stabilizing link-cleaning handshake on every link
+    before its token starts (every packet of the handshake already counts as
+    a heartbeat), and un-throttled heartbeat tokens.
 ``coherent_start``
     ``fast_sim`` but booting with the full configuration pre-installed — the
     assumption classical reconfiguration schemes make, used as a baseline.
@@ -176,7 +177,10 @@ def paper_faithful(**overrides: Any) -> ClusterConfig:
     """The paper's communication model taken literally.
 
     Wide delay bounds (reordering), the snap-stabilizing cleaning handshake
-    on every link before heartbeats count, and an un-throttled heartbeat.
+    on every link before its token starts, and an un-throttled token.  The
+    handshake gates nothing above the link: its probes, their acks and any
+    token a peer sends meanwhile count as heartbeats, so a cluster can
+    converge before its links are established.
     """
     return ClusterConfig(
         require_link_cleaning=True,

@@ -56,11 +56,11 @@ class ClusterNode(Process):
         self.heartbeat = HeartbeatService(
             pid=pid,
             send=self._send_raw,
+            on_heartbeat=self.failure_detector.heartbeat,
             channel_capacity=config.channel.capacity,
             require_cleaning=config.require_link_cleaning,
             idle_resend_interval=config.heartbeat_resend_interval,
         )
-        self.heartbeat.add_heartbeat_listener(self.failure_detector.heartbeat)
         self.scheme = ReconfigurationScheme(
             pid=pid,
             fd_provider=self.failure_detector.trusted,

@@ -220,9 +220,7 @@ _VIEW = View(view_id=_COUNTER, members=make_config([0, 1, 2]))
 #: below fails if a new @wire_type lands without an exemplar here, so the
 #: round-trip property can never silently skip a message class.
 EXEMPLARS = {
-    "DataLinkMessage": DataLinkMessage(
-        kind="data", link_sender=1, seq=1, payload=("hb", 3)
-    ),
+    "DataLinkMessage": DataLinkMessage(kind="data", link_sender=1, seq=1),
     "RBMessage": RBMessage(kind="fwd", origin=2, seq=9, payload="cmd", path=(1, 3)),
     "EchoTriple": _ECHO,
     "RecSAMessage": RecSAMessage(
@@ -288,7 +286,7 @@ WIRE_PINS = {
         "00000027420b030b010b060304030e090203020306030a03040b010b06030403"
         "0e090203020306030a0304"
     ),
-    "DataLinkMessage": "00000015420b04050464617461030203020602050268620306",
+    "DataLinkMessage": "0000000d420b0405046461746103020302",
     "EchoTriple": "00000018420b0509030300030203040b0f0d00030209020300030201",
     "EpochLabel": "0000000d420b060304030e090203020306",
     "JoinRequest": "0000000b420c070000000000000009",

@@ -8,13 +8,13 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.common.codec import frame, unframe
 from repro.datalink.heartbeat import HeartbeatService
 from repro.datalink.token_exchange import (
     MAX_LINK_SEQ,
     DataLinkMessage,
     LinkEndpoint,
     LinkState,
-    TokenExchangeLink,
 )
 from repro.failure_detector.ntheta import NThetaFailureDetector
 from repro.node.config import paper_faithful
@@ -24,89 +24,64 @@ from tests.conftest import quick_cluster
 
 
 def _wire(a: LinkEndpoint, b: LinkEndpoint, rounds: int = 50):
-    """Run *rounds* of synchronous exchange between two endpoints."""
-    delivered_a, delivered_b = [], []
+    """Run *rounds* of synchronous exchange between two endpoints; return the
+    number of heartbeats each endpoint observed."""
+    beats_a = beats_b = 0
     for _ in range(rounds):
         for msg in a.on_timer():
-            replies, delivered, _ = b.on_packet(msg)
-            delivered_b.extend(delivered)
+            replies, heartbeat = b.on_packet(msg)
+            beats_b += heartbeat
             for reply in replies:
-                _, delivered2, _ = a.on_packet(reply)
-                delivered_a.extend(delivered2)
+                beats_a += a.on_packet(reply)[1]
         for msg in b.on_timer():
-            replies, delivered, _ = a.on_packet(msg)
-            delivered_a.extend(delivered)
+            replies, heartbeat = a.on_packet(msg)
+            beats_a += heartbeat
             for reply in replies:
-                _, delivered2, _ = b.on_packet(reply)
-                delivered_b.extend(delivered2)
-    return delivered_a, delivered_b
+                beats_b += b.on_packet(reply)[1]
+    return beats_a, beats_b
 
 
 class TestTokenExchangeLink:
+    """The sender role of :class:`LinkEndpoint`: the token exchange proper."""
+
     def test_round_trip_requires_capacity_plus_one_acks(self):
-        link = TokenExchangeLink(local=1, remote=2, capacity=3)
-        msg = link.current_message()
+        link = LinkEndpoint(local=1, remote=2, capacity=3, require_cleaning=False)
+        (msg,) = link.on_timer()
         for _ in range(3):
             assert not link.on_ack(msg.seq)
         assert link.on_ack(msg.seq)
-        assert link.completed_round_trips == 1
+        assert (link.seq, link.ack_count) == (1, 0)
+        (token,) = link.on_timer()
+        assert (token.kind, token.link_sender, token.seq) == ("data", 1, 1)
 
     def test_stale_ack_ignored(self):
-        link = TokenExchangeLink(local=1, remote=2, capacity=1)
+        link = LinkEndpoint(local=1, remote=2, capacity=1, require_cleaning=False)
         assert not link.on_ack(999)
         assert link.ack_count == 0
-
-    def test_fifo_message_progression(self):
-        link = TokenExchangeLink(local=1, remote=2, capacity=0)
-        link.enqueue("first")
-        link.enqueue("second")
-        assert link.current_message().payload == "first"
-        assert link.on_ack(link.seq)
-        assert link.current_message().payload == "second"
 
 
 class TestLinkEndpoint:
     def test_cleaning_completes_then_delivers(self):
+        """After the handshake each side's token goes round: more than
+        ``capacity`` acks flip its sequence number."""
         a = LinkEndpoint(1, 2, capacity=2, require_cleaning=True)
         b = LinkEndpoint(2, 1, capacity=2, require_cleaning=True)
-        a.send("hello")
-        delivered_a, delivered_b = _wire(a, b, rounds=30)
+        beats_a, beats_b = _wire(a, b, rounds=30)
         assert a.is_established()
         assert b.is_established()
-        assert "hello" in delivered_b
-
-    def test_no_cleaning_mode_delivers_immediately(self):
-        a = LinkEndpoint(1, 2, capacity=1, require_cleaning=False)
-        b = LinkEndpoint(2, 1, capacity=1, require_cleaning=False)
-        a.send("x")
-        _, delivered_b = _wire(a, b, rounds=10)
-        assert delivered_b == ["x"]
-
-    def test_duplicate_data_not_redelivered(self):
-        a = LinkEndpoint(1, 2, capacity=0, require_cleaning=False)
-        b = LinkEndpoint(2, 1, capacity=0, require_cleaning=False)
-        a.send("once")
-        msg = a.on_timer()[0]
-        _, d1, _ = b.on_packet(msg)
-        _, d2, _ = b.on_packet(msg)
-        assert d1 == ["once"]
-        assert d2 == []
+        assert a.seq != 0 and b.seq != 0
+        assert beats_a > 0 and beats_b > 0
 
     def test_packets_during_cleaning_not_delivered(self):
+        """A token that arrives during cleaning is acked and counts as a
+        heartbeat, but leaves the cleaning endpoint's state alone."""
         b = LinkEndpoint(2, 1, capacity=2, require_cleaning=True)
-        data = DataLinkMessage(kind="data", link_sender=1, seq=0, payload="stale")
-        replies, delivered, heartbeat = b.on_packet(data)
-        assert delivered == []
+        data = DataLinkMessage(kind="data", link_sender=1, seq=0)
+        replies, heartbeat = b.on_packet(data)
+        assert replies == [DataLinkMessage(kind="ack", link_sender=2, seq=0)]
         assert heartbeat
         assert b.state is LinkState.CLEANING
-
-    def test_fifo_order_preserved(self):
-        a = LinkEndpoint(1, 2, capacity=1, require_cleaning=False)
-        b = LinkEndpoint(2, 1, capacity=1, require_cleaning=False)
-        for value in ["m1", "m2", "m3"]:
-            a.send(value)
-        _, delivered_b = _wire(a, b, rounds=40)
-        assert delivered_b == ["m1", "m2", "m3"]
+        assert (b.seq, b.ack_count, b.clean_ack_count) == (0, 0, 0)
 
     def test_cleaning_nonces_stay_in_the_accepted_range(self, monkeypatch):
         """A process that has built ≈ 214 748 endpoints drew nonces of 2^31
@@ -125,8 +100,9 @@ class TestLinkEndpoint:
 
 
 class TestHeartbeatService:
-    def _pair(self, require_cleaning=False):
+    def _pair(self, require_cleaning=False, on_heartbeat=None):
         wires = {}
+        beats = on_heartbeat or (lambda peer: None)
 
         def send_a(dest, payload):
             wires.setdefault(dest, []).append((1, payload))
@@ -134,8 +110,12 @@ class TestHeartbeatService:
         def send_b(dest, payload):
             wires.setdefault(dest, []).append((2, payload))
 
-        svc_a = HeartbeatService(1, send_a, channel_capacity=2, require_cleaning=require_cleaning)
-        svc_b = HeartbeatService(2, send_b, channel_capacity=2, require_cleaning=require_cleaning)
+        svc_a = HeartbeatService(
+            1, send_a, beats, channel_capacity=2, require_cleaning=require_cleaning
+        )
+        svc_b = HeartbeatService(
+            2, send_b, lambda peer: None, channel_capacity=2, require_cleaning=require_cleaning
+        )
         svc_a.add_peer(2)
         svc_b.add_peer(1)
         return svc_a, svc_b, wires
@@ -151,19 +131,10 @@ class TestHeartbeatService:
                     target.on_packet(sender, payload)
 
     def test_heartbeats_reach_listener(self):
-        svc_a, svc_b, wires = self._pair()
         beats = []
-        svc_a.add_heartbeat_listener(beats.append)
+        svc_a, svc_b, wires = self._pair(on_heartbeat=beats.append)
         self._pump(svc_a, svc_b, wires)
         assert beats.count(2) > 0
-
-    def test_reliable_payload_delivery(self):
-        svc_a, svc_b, wires = self._pair()
-        got = []
-        svc_b.add_payload_handler(lambda sender, payload: got.append((sender, payload)))
-        svc_a.send_reliable(2, "data")
-        self._pump(svc_a, svc_b, wires, rounds=30)
-        assert (1, "data") in got
 
     def test_cleaning_eventually_establishes(self):
         svc_a, svc_b, wires = self._pair(require_cleaning=True)
@@ -190,12 +161,41 @@ class TestHeartbeatService:
         assert cluster.is_converged()
 
     def test_mislabelled_packet_ignored(self):
-        svc_a, _, _ = self._pair()
         beats = []
-        svc_a.add_heartbeat_listener(beats.append)
-        bogus = DataLinkMessage(kind="data", link_sender=77, seq=0, payload="x")
+        svc_a, _, _ = self._pair(on_heartbeat=beats.append)
+        bogus = DataLinkMessage(kind="data", link_sender=77, seq=0)
         svc_a.on_packet(2, bogus)
         assert beats == []
+
+    def test_unhashable_kind_is_quarantined(self):
+        """A forged frame may decode to any value in ``kind``; an unhashable
+        one raised ``TypeError`` out of the kind check instead of being
+        counted and dropped."""
+        forged, _ = unframe(frame(DataLinkMessage(kind=["data"], link_sender=1, seq=0)))
+        beats = []
+        svc_b = HeartbeatService(2, lambda dest, payload: None, beats.append)
+        svc_b.on_packet(1, forged)
+        assert svc_b.quarantined == 1
+        assert beats == [] and 1 not in svc_b.links
+
+    def test_idle_resend_interval_throttles_established_tokens_only(self):
+        """With interval 3, an established link sends its token on every
+        third iteration (the first one included); a cleaning link sends its
+        probe on every iteration."""
+        for require_cleaning, expected in ((False, [1, 4, 7]), (True, list(range(1, 10)))):
+            sent = []
+            svc = HeartbeatService(
+                1,
+                lambda dest, payload: sent.append((iteration, payload.kind)),
+                lambda peer: None,
+                require_cleaning=require_cleaning,
+                idle_resend_interval=3,
+            )
+            svc.add_peer(2)
+            for iteration in range(1, 10):
+                svc.on_timer()
+            kind = "clean" if require_cleaning else "data"
+            assert sent == [(i, kind) for i in expected]
 
 
 class TestNThetaFailureDetector:

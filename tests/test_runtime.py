@@ -151,6 +151,31 @@ def test_bootstrap_kill_restart_cycle():
     asyncio.run(scenario())
 
 
+def test_paper_faithful_links_finish_cleaning_live():
+    """n=4 ``paper_faithful``: every link runs the snap-stabilizing cleaning
+    handshake over UDP and becomes established (≈ 0.2 s measured; the
+    cluster converges before that, since cleaning packets are heartbeats
+    too), with no packet quarantined and no delivery error."""
+
+    async def scenario() -> None:
+        async with _running(RuntimeCluster(
+            n=4, seed=7, config="paper_faithful", stack="bare", tick_seconds=TICK
+        )) as cluster:
+            assert await cluster.wait_converged(timeout_s=BUDGET_S, poll_s=0.01)
+            links = [
+                link for node in cluster.nodes.values() for link in node.heartbeat.links.values()
+            ]
+            assert len(links) == 12
+            await _wait_until(
+                lambda: all(link.is_established() for link in links),
+                "a link never finished cleaning",
+            )
+            assert sum(node.heartbeat.quarantined for node in cluster.nodes.values()) == 0
+            assert cluster.transport.statistics()["delivery_errors"] == 0
+
+    asyncio.run(scenario())
+
+
 def test_restart_of_a_live_pid_is_refused_and_changes_nothing():
     """``restart`` of a pid that was never killed raises before it replaces
     the node: the cluster keeps describing the nodes that are running."""

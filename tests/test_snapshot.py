@@ -220,12 +220,12 @@ class TestByteSnapshots:
         monkeypatch.setattr(NThetaFailureDetector, "heartbeat", traced)
         run = prepare(spec, seed=2)
         assert not drive(run, stop_before=20.0)
-        listeners = run.cluster.nodes[0].heartbeat._heartbeat_listeners
-        assert [listener.__func__.__name__ for listener in listeners] == ["traced"]
+        listener = run.cluster.nodes[0].heartbeat.on_heartbeat
+        assert listener.__func__.__name__ == "traced"
 
         restored = SimSnapshot.capture(run).restore()
         node = restored.cluster.nodes[0]
-        (listener,) = node.heartbeat._heartbeat_listeners
+        listener = node.heartbeat.on_heartbeat
         assert listener.__self__ is node.failure_detector
         assert listener.__func__ is traced
         before = len(calls)

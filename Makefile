@@ -21,10 +21,11 @@ bench-micro:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/sample_hotpath.py --n 16
 
 # CI gate: every registered scenario once, seed 0, on a two-worker pool,
-# nonzero exit on failure; then the three examples, each of which ends by
-# asserting what it claims.
+# nonzero exit on failure, written to SCENARIOS_smoke.json (diff two commits'
+# per-scenario "statistics" with it); then the three examples, each of which
+# ends by asserting what it claims.
 scenarios-smoke:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.scenarios --smoke --workers 2
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.scenarios --smoke --workers 2 --output SCENARIOS_smoke.json
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/quickstart.py
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/replicated_state_machine.py
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/shared_storage_under_churn.py

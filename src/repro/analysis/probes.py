@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
+from repro.common.types import BOTTOM
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.cluster import Cluster
 
@@ -248,6 +250,27 @@ def rb_all_delivered(cluster: "Cluster") -> bool:
             if any((origin, seq) not in other.delivered for _, other in services):
                 return False
     return True
+
+
+def no_reset_in_progress(cluster: "Cluster") -> bool:
+    """No alive node's own config entry is ``⊥``.
+
+    Exactly *closure* for a coherent start: a system that boots with its
+    configuration installed and suffers no fault must never reset.  After a
+    corruption it is **deliberately too strong** — a brute-force reset
+    legitimately drives every config entry through ``⊥`` — which makes it
+    the demonstration target of the audit engine's reproducer shrinking and
+    of the corpus entries that shrinking mined.
+    """
+    return all(
+        node.recsa.config.get(node.pid) is not BOTTOM
+        for node in cluster.alive_nodes()
+    )
+
+
+def no_reset_invariant() -> Invariant:
+    """``no_reset_in_progress`` armed as an invariant."""
+    return Invariant("no_reset_in_progress", no_reset_in_progress)
 
 
 def smr_agreement_invariant() -> Invariant:

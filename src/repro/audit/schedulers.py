@@ -3,16 +3,16 @@
 The paper's asynchronous model lets the environment schedule message
 deliveries arbitrarily (within fair communication) and lets the channel
 adversary vary conditions *over time*.  Each scheduler here is an
-**environment program** over the
-:class:`~repro.sim.environment.NetworkEnvironment`: its installer shapes the
-initial link state, registers *link policies* so processors joining mid-run
-inherit the active shaping, and — for the dynamic adversaries — schedules
-environment transitions (partitions, overlays, heals) as ordinary simulator
-events.  A scenario names a scheduler the same way it names a stack profile
+**environment program** over the :class:`~repro.sim.network.Network`: its
+installer pushes one *link rule* (a pair-keyed config function, so
+processors joining mid-run inherit the active shaping) and — for the
+dynamic adversaries — schedules transitions (partitions, rule pushes and
+pops, heals) as ordinary simulator events.  A scenario names a scheduler
+the same way it names a stack profile
 (``ScenarioSpec(scheduler="reorder_heavy")``), optionally with parameters
 (``scheduler_params=(("epochs", 5),)``).
 
-Static programs (shape installed up front, late joiners inherit it):
+Static programs (one rule pushed up front, late joiners inherit it):
 
 ``uniform``
     The identity baseline — whatever the cluster config declares.
@@ -50,7 +50,7 @@ Dynamic programs (time-varying, scheduled through environment events):
     coordinator — the VS-layer coordinator when the stack runs one, else the
     highest-pid member of the agreed configuration (the processor recMA's
     delicate reconfiguration converges around) — and degrades that node's
-    links by a slow-down overlay, chasing the leadership wherever it moves.
+    links by a slow-down rule, chasing the leadership wherever it moves.
 """
 
 from __future__ import annotations
@@ -152,11 +152,6 @@ def _pairs(cluster: "Cluster") -> Iterable[Tuple[ProcessId, ProcessId]]:
                 yield source, destination
 
 
-def _base_config(cluster: "Cluster") -> ChannelConfig:
-    base = cluster.config.channel
-    return base if base is not None else ChannelConfig()
-
-
 def current_coordinator(cluster: "Cluster") -> Optional[ProcessId]:
     """The processor currently coordinating the system, best effort.
 
@@ -184,16 +179,16 @@ def current_coordinator(cluster: "Cluster") -> Optional[ProcessId]:
 
 
 # ---------------------------------------------------------------------------
-# Link policies (deep-copy-safe callables)
+# Link rules (picklable callables)
 #
-# Policies are long-lived environment state, so they are small frozen
-# dataclasses over immutable values instead of closures: snapshot/restore
-# deep-copies them with the graph, and they are pure per pair — the contract
-# the network's route table relies on (:meth:`NetworkEnvironment.config_for`).
+# Rules are long-lived network state, so they are small frozen dataclasses
+# instead of closures: snapshot/restore pickles them with the graph, and they
+# are pure per pair — the contract the network's route table relies on
+# (:data:`~repro.sim.network.LinkRule`).
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class _ConstantLinkPolicy:
-    """Shape every late pair with one fixed config."""
+    """Shape every pair with one fixed config."""
 
     config: ChannelConfig
 
@@ -214,83 +209,68 @@ class _VictimLinkPolicy:
         return self.config if self.victim in (source, destination) else None
 
 
-@dataclass(frozen=True)
-class _DelaySkewLatePolicy:
-    """Per-pair log-uniform delay factors for pairs that appear later.
+def _scaled(base: ChannelConfig, factor: float) -> ChannelConfig:
+    """*base* with both delay bounds multiplied by *factor*."""
+    return replace(base, min_delay=base.min_delay * factor, max_delay=base.max_delay * factor)
 
-    Factors come from a pair-keyed derived stream, so shaping extends to
-    joiners without perturbing the install-time draws.
+
+def _skew_factor(rng: random.Random) -> float:
+    return math.exp(rng.uniform(math.log(0.5), math.log(8.0)))
+
+
+@dataclass(frozen=True)
+class _DelaySkewLinkPolicy:
+    """Per-pair log-uniform delay factors.
+
+    *configs* holds the pairs present at install time; a pair that appears
+    later draws its factor from a pair-keyed derived stream, so shaping
+    extends to joiners without perturbing the install-time draws.
     """
 
     seed: int
     base: ChannelConfig
+    configs: Dict[Tuple[ProcessId, ProcessId], ChannelConfig]
 
     def __call__(self, source: ProcessId, destination: ProcessId) -> ChannelConfig:
-        pair_rng = make_rng(self.seed, "scheduler", "delay_skew", "late", source, destination)
-        factor = math.exp(pair_rng.uniform(math.log(0.5), math.log(8.0)))
-        return replace(
-            self.base,
-            min_delay=self.base.min_delay * factor,
-            max_delay=self.base.max_delay * factor,
-        )
+        config = self.configs.get((source, destination))
+        if config is None:
+            pair_rng = make_rng(self.seed, "scheduler", "delay_skew", "late", source, destination)
+            config = _scaled(self.base, _skew_factor(pair_rng))
+        return config
 
 
 # ---------------------------------------------------------------------------
-# Static installers (install-once; late joiners covered by link policies)
+# Static installers (one rule each, pushed at install time)
 # ---------------------------------------------------------------------------
 def _install_uniform(cluster: "Cluster", rng: random.Random) -> None:
     """The identity scheduler: keep the cluster config's channel shape."""
 
 
 def _install_delay_skew(cluster: "Cluster", rng: random.Random) -> None:
-    base = _base_config(cluster)
-    environment = cluster.environment
-    for source, destination in _pairs(cluster):
-        factor = math.exp(rng.uniform(math.log(0.5), math.log(8.0)))
-        environment.set_link_config(
-            source,
-            destination,
-            replace(
-                base,
-                min_delay=base.min_delay * factor,
-                max_delay=base.max_delay * factor,
-            ),
-        )
-    environment.add_link_policy(
-        "delay_skew", _DelaySkewLatePolicy(cluster.simulator.seed, base)
+    base = cluster.config.channel
+    configs = {pair: _scaled(base, _skew_factor(rng)) for pair in _pairs(cluster)}
+    cluster.network.push_rule(
+        "delay_skew", _DelaySkewLinkPolicy(cluster.simulator.seed, base, configs)
     )
 
 
 def _install_reorder_heavy(cluster: "Cluster", rng: random.Random) -> None:
-    base = _base_config(cluster)
-    environment = cluster.environment
-    config = replace(
-        base, max_delay=base.max_delay * 8.0, duplicate_probability=0.2
-    )
-    for source, destination in _pairs(cluster):
-        environment.set_link_config(source, destination, config)
-    environment.add_link_policy("reorder_heavy", _ConstantLinkPolicy(config))
+    base = cluster.config.channel
+    config = replace(base, max_delay=base.max_delay * 8.0, duplicate_probability=0.2)
+    cluster.network.push_rule("reorder_heavy", _ConstantLinkPolicy(config))
 
 
 def _install_burst_delivery(cluster: "Cluster", rng: random.Random) -> None:
-    base = _base_config(cluster)
-    environment = cluster.environment
+    base = cluster.config.channel
     quantum = base.max_delay * 4.0
     config = replace(base, max_delay=base.max_delay * 4.0, delay_quantum=quantum)
-    for source, destination in _pairs(cluster):
-        environment.set_link_config(source, destination, config)
-    environment.add_link_policy("burst_delivery", _ConstantLinkPolicy(config))
+    cluster.network.push_rule("burst_delivery", _ConstantLinkPolicy(config))
 
 
 def _install_slow_node(cluster: "Cluster", rng: random.Random) -> None:
-    base = _base_config(cluster)
-    environment = cluster.environment
     victim = rng.choice(sorted(cluster.nodes))
-    slow = replace(base, min_delay=base.min_delay * 10.0, max_delay=base.max_delay * 10.0)
-    for source, destination in _pairs(cluster):
-        if victim in (source, destination):
-            environment.set_link_config(source, destination, slow)
-    environment.add_link_policy("slow_node", _VictimLinkPolicy(victim, slow))
+    slow = _scaled(cluster.config.channel, 10.0)
+    cluster.network.push_rule("slow_node", _VictimLinkPolicy(victim, slow))
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +279,7 @@ def _install_slow_node(cluster: "Cluster", rng: random.Random) -> None:
 # Each program is a plain object whose scheduled transitions are ``Action``s
 # over bound methods: deep-copying the graph (snapshot/restore) copies the
 # program with it, so a restored run's pending transitions mutate the
-# restored environment, never the original's.
+# restored network, never the original's.
 # ---------------------------------------------------------------------------
 @dataclass
 class _CrashRecoveryProgram:
@@ -315,13 +295,11 @@ class _CrashRecoveryProgram:
         node = cluster.nodes.get(victim)
         if node is None or node.crashed:
             return
-        environment = cluster.environment
-        name = environment.isolate(
-            victim, sorted(cluster.nodes), name=f"crash_recovery:{epoch}"
-        )
-        environment.call_at(
+        network = cluster.network
+        name = network.isolate(victim, sorted(cluster.nodes), name=f"crash_recovery:{epoch}")
+        cluster.simulator.call_at(
             cluster.simulator.now + self.outage,
-            Action(environment.heal, name),
+            Action(network.heal, name),
             label="env:crash-recovery:heal",
         )
 
@@ -371,23 +349,23 @@ class _PartitionLeakProgram:
     def forward(self) -> None:
         groups = self._halves()
         if groups is not None:
-            self.cluster.environment.partition(
+            self.cluster.network.partition(
                 groups[0], groups[1],
                 name="partition_leak:forward", leak=self.leak, symmetric=False,
             )
 
     def flip(self) -> None:
-        environment = self.cluster.environment
-        environment.heal("partition_leak:forward")
+        network = self.cluster.network
+        network.heal("partition_leak:forward")
         groups = self._halves()
         if groups is not None:
-            environment.partition(
+            network.partition(
                 groups[1], groups[0],
                 name="partition_leak:reverse", leak=self.leak, symmetric=False,
             )
 
     def heal_reverse(self) -> None:
-        self.cluster.environment.heal("partition_leak:reverse")
+        self.cluster.network.heal("partition_leak:reverse")
 
 
 def _install_partition_leak(
@@ -433,19 +411,14 @@ class _TargetCoordinatorProgram:
 
     def epoch(self, index: int) -> None:
         cluster = self.cluster
-        environment = cluster.environment
-        environment.remove_overlay(self.tag)
+        network = cluster.network
+        network.pop_rule(self.tag)
         if index >= self.epochs:
             return
         victim = current_coordinator(cluster)
         if victim is not None:
-            mapping: Dict[Tuple[ProcessId, ProcessId], ChannelConfig] = {}
-            for peer in sorted(cluster.nodes):
-                if peer != victim:
-                    mapping[(victim, peer)] = self.slow
-                    mapping[(peer, victim)] = self.slow
-            environment.apply_overlay(self.tag, mapping)
-            environment.record("target", victim=victim, epoch=index)
+            network.push_rule(self.tag, _VictimLinkPolicy(victim, self.slow))
+            network.record("target", victim=victim, epoch=index)
         cluster.simulator.call_at(
             cluster.simulator.now + self.period,
             Action(self.epoch, index + 1),
@@ -465,18 +438,13 @@ def _install_target_coordinator(
     """Adaptively degrade whoever currently coordinates the system.
 
     Every *period* the program re-reads :func:`current_coordinator` and
-    replaces its slow-down overlay so only the current leader's links (both
-    directions, against every present processor) run *slow_factor* times
-    slower.  After *epochs* readings the overlay is removed for good, so the
-    adversary quiesces and convergence probes measure recovery under — not
-    after — the chase.
+    replaces its slow-down rule so only the current leader's links (both
+    directions, against every processor, joiners included) run
+    *slow_factor* times slower.  After *epochs* readings the rule is popped
+    for good, so the adversary quiesces and convergence probes measure
+    recovery under — not after — the chase.
     """
-    base = _base_config(cluster)
-    slow = replace(
-        base,
-        min_delay=base.min_delay * slow_factor,
-        max_delay=base.max_delay * slow_factor,
-    )
+    slow = _scaled(cluster.config.channel, slow_factor)
     program = _TargetCoordinatorProgram(cluster, slow, period, epochs)
     cluster.simulator.call_at(
         start, Action(program.epoch, 0), label="env:target-coordinator"

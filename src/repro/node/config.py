@@ -36,6 +36,7 @@ from repro.common.errors import SimulationError
 from repro.core.joining import AdmissionPolicy
 from repro.core.recsa import DEFAULT_GOSSIP_REFRESH_INTERVAL
 from repro.failure_detector.ntheta import DEFAULT_GAP_SLACK
+from repro.node.process import STEP_INTERVAL
 
 
 @dataclass
@@ -111,7 +112,6 @@ class ClusterConfig:
 
     upper_bound_n: Optional[int] = None
     channel: ChannelConfig = field(default_factory=ChannelConfig)
-    step_interval: float = 1.0
     coherent_start: bool = False
     admission_policy: Optional[AdmissionPolicy] = None
     require_link_cleaning: bool = False
@@ -137,8 +137,8 @@ class ClusterConfig:
         interval and the minimum link delay)."""
         min_delay = self.channel.min_delay
         if min_delay > 0.0:
-            return min(self.step_interval, min_delay)
-        return 0.1 * self.step_interval
+            return min(STEP_INTERVAL, min_delay)
+        return 0.1 * STEP_INTERVAL
 
     def resolve(self, n: int) -> "ClusterConfig":
         """Return a copy for an initial cluster of *n* nodes with ``N`` set.

@@ -44,7 +44,7 @@ class ClusterNode(Process):
         config: ClusterConfig,
         initial_config: Any = None,
     ) -> None:
-        super().__init__(pid=pid, step_interval=config.step_interval)
+        super().__init__(pid=pid)
         self.config = config
         self._initial_peers = [p for p in peers if p != pid]
         #: Out-of-band knobs read by stack-profile policies (e.g. the default

@@ -75,6 +75,10 @@ class ProcessContext:
         self.transport.cancel_timer(handle)
 
 
+#: The period of every processor's do-forever loop, in time units.
+STEP_INTERVAL = 1.0
+
+
 class Process:
     """Base class for processors, on either host.
 
@@ -85,7 +89,9 @@ class Process:
     "periodic timer triggering pi to (re)send" input event of the paper.
     """
 
-    def __init__(self, pid: ProcessId, step_interval: float = 1.0, jitter: float = 0.2) -> None:
+    def __init__(
+        self, pid: ProcessId, step_interval: float = STEP_INTERVAL, jitter: float = 0.2
+    ) -> None:
         self.pid = pid
         self.step_interval = step_interval
         self.jitter = jitter

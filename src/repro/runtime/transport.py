@@ -60,8 +60,8 @@ _RECV_BYTES = 64 * 1024
 #: At most one oversize-frame warning per this many wall seconds.
 _OVERSIZE_WARNING_PERIOD_S = 1.0
 
-#: Default wall seconds per simulated-time unit.  At the stack's default
-#: step_interval of 1.0 this paces each node's do-forever loop at 20 Hz —
+#: Default wall seconds per simulated-time unit.  At the processors' step
+#: interval of 1.0 (``STEP_INTERVAL``) this paces each node's do-forever loop at 20 Hz —
 #: fast enough that an n=8 bootstrap converges in a few wall seconds, slow
 #: enough that n nodes' timers plus their message fan-out stay far below a
 #: single core's capacity.

@@ -72,9 +72,14 @@ register_scenario(
 register_scenario(
     ScenarioSpec(
         name="coherent_start",
-        description="Classical-assumption boot: configuration pre-installed.",
+        description=(
+            "Classical-assumption boot: configuration pre-installed; no "
+            "node may reset over the horizon (closure)."
+        ),
         n=5,
         config="coherent_start",
+        horizon=200.0,
+        invariants=(probes.no_reset_invariant(),),
         probes=(probes.converged(2_000),),
     )
 )
@@ -188,7 +193,7 @@ register_scenario(
 )
 
 # ---------------------------------------------------------------------------
-# Environment-driven scenarios (time-varying adversaries, repro.sim.environment)
+# Environment-driven scenarios (time-varying adversaries, repro.audit.schedulers)
 # ---------------------------------------------------------------------------
 register_scenario(
     ScenarioSpec(

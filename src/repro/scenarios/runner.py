@@ -190,12 +190,12 @@ def finalize(run: ScenarioRun) -> Dict[str, Any]:
         result["ok"] = result["ok"] and run.monitor.ok()
     if cluster.workload_reports:
         result["workload_reports"] = list(cluster.workload_reports)
-    # What the environment did and when: partition/heal/overlay transitions
-    # of the installed environment program (deterministic, so part of the
-    # reproducible result surface).
-    environment = cluster.environment
-    if spec.scheduler is not None or environment.transition_count:
-        result["environment"] = environment.summary()
+    # What the environment did and when: the network's rule, partition and
+    # heal transitions (deterministic, so part of the reproducible result
+    # surface).
+    network = cluster.network
+    if spec.scheduler is not None or network.transition_count:
+        result["environment"] = network.summary()
     result["statistics"] = cluster.statistics()
     return result
 

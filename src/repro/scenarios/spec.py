@@ -39,8 +39,8 @@ class ScenarioSpec:
     scheduler:
         Name of an adversarial scheduler (:mod:`repro.audit.schedulers`)
         installed right after the cluster is built — an *environment
-        program* over the :class:`~repro.sim.environment.NetworkEnvironment`:
-        static shapes (delay skew, heavy reordering, burst delivery, a slow
+        program* over the :class:`~repro.sim.network.Network`'s link rules
+        and partitions: static shapes (delay skew, heavy reordering, burst delivery, a slow
         node) or time-varying adversaries (crash-recovery blackouts, leaky
         one-way partitions, adaptive coordinator targeting).  ``None`` keeps
         the config's uniform channel behaviour.

@@ -272,13 +272,13 @@ class PartitionWorkload:
         alive = sorted(node.pid for node in cluster.alive_nodes())
         half = len(alive) // 2
         if half and len(alive) - half:
-            cluster.environment.partition(
+            cluster.network.partition(
                 alive[:half], alive[half:], name=PartitionWorkload.NAME
             )
 
     @staticmethod
     def _heal(cluster: "Cluster") -> None:
-        cluster.environment.heal(PartitionWorkload.NAME)
+        cluster.network.heal(PartitionWorkload.NAME)
 
 
 @dataclass(frozen=True)

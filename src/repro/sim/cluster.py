@@ -16,6 +16,7 @@ from repro.common.types import Configuration, ProcessId
 from repro.node.config import ClusterConfig
 from repro.node.node import ClusterNode, agreed_configuration, boot, converged_scan
 from repro.node.stacks import StackProfile, get_stack
+from repro.sim.network import Network
 from repro.sim.simulator import Simulator
 
 
@@ -44,10 +45,10 @@ class Cluster:
         self._poll_interval = config.poll_interval()
 
     @property
-    def environment(self):
-        """The network's time-varying environment layer (link programs,
-        partitions); what adversarial environment programs mutate mid-run."""
-        return self.simulator.network.environment
+    def network(self) -> Network:
+        """The simulator's network: its link rules and partitions are what
+        the adversarial schedulers change mid-run."""
+        return self.simulator.network
 
     # ------------------------------------------------------------------
     # Topology management

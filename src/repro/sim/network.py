@@ -37,11 +37,12 @@ sparsely.  The stream is therefore a
 ``make_rng(seed, "channel", source, destination)``, buffered a few at a
 time — built on the channel's first draw, not a 2.5 KB Twister per channel.
 
-The network keeps a route table of the channels whose configuration is
-current: the steady-state send resolves its channel with one dict lookup, and
-an environment mutation empties the table (O(1), see
-:meth:`Network.invalidate_routes`) so the next send on each pair re-resolves
-its configuration through the environment.
+The network is also the one owner of how a directed pair is shaped: a stack
+of named *link rules* over one default :class:`ChannelConfig`, plus named,
+directed, possibly leaky partitions.  It keeps a route table of the channels
+whose configuration is current: the steady-state send resolves its channel
+with one dict lookup, and pushing or popping a rule empties the table (O(1))
+so the next send on each pair re-resolves its configuration.
 
 A packet carries its own in-flight mark: accepting it sets the mark and
 counts one unit of the channel's occupancy, and the first delivery clears
@@ -55,13 +56,24 @@ an O(N^2) scan over channels.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro.common.errors import SimulationError
 from repro.common.rng import ChannelStream, derive_seed, make_rng
 from repro.common.types import ProcessId
 from repro.node.config import ChannelConfig
-from repro.sim.environment import NetworkEnvironment
 from repro.sim.events import EventQueue
+
+LinkKey = Tuple[ProcessId, ProcessId]
+#: A link rule: the config of a directed pair, or ``None`` to defer to the
+#: rule underneath (and finally to the network default).  Rules live in the
+#: simulated state, so they must pickle (snapshot/restore) and be pure per
+#: pair (the route table keeps each answer until the stack changes).
+LinkRule = Callable[[ProcessId, ProcessId], Optional[ChannelConfig]]
+
+#: How many transition records :meth:`Network.summary` keeps verbatim; the
+#: per-kind counts are always exact.
+MAX_RECORDED_TRANSITIONS = 256
 
 
 class Packet:
@@ -256,40 +268,52 @@ class Network:
     """The fully-connected fabric of directed :class:`Channel` objects.
 
     The network is lazy: a channel is created the first time a packet flows
-    between a pair of processors, resolving its configuration through the
-    :class:`~repro.sim.environment.NetworkEnvironment` — the time-varying
-    link-state layer that holds per-pair overrides, dynamic overlays, link
-    policies (so late joiners inherit the active shaping) and the directed,
-    possibly leaky partitions.  Accepted packets go straight onto the event
-    queue of the simulator bound with :meth:`bind`.  Heartbeat tokens and
-    acks are unicast between every pair, so a running cluster soon holds all
-    ``N(N-1)`` channels, each with its own stream: it is the compact
+    between a pair of processors.  Heartbeat tokens and acks are unicast
+    between every pair, so a running cluster soon holds all ``N(N-1)``
+    channels, each with its own stream: it is the compact
     :class:`~repro.common.rng.ChannelStream`, not laziness, that keeps them
-    small.
+    small.  Accepted packets go straight onto the event queue of the
+    simulator bound with :meth:`bind`.
+
+    The network owns what the paper's channel adversary may vary over time:
+
+    * **link rules** — an ordered stack of named :data:`LinkRule` callables
+      over :attr:`default_config`.  A pair's config is the answer of the most
+      recently pushed rule that does not defer, else the default.  A rule
+      answers for every pair, existing or not, so a processor joining
+      mid-run gets channels shaped by whatever rule is active;
+    * **partitions** — named, directed and optionally leaky: one-way blocks,
+      per-partition heal, and a leak probability that lets an occasional
+      packet cross (fair communication holds whenever every blocking
+      partition leaks).  Leak draws come from the ``"environment"`` stream;
+    * **the transition log** — every push, pop, partition and heal, with
+      its simulated time, so a scenario result can report what the
+      adversary did and when.
     """
 
-    def __init__(
-        self,
-        default_config: Optional[ChannelConfig] = None,
-        seed: int = 0,
-        environment: Optional[NetworkEnvironment] = None,
-    ) -> None:
-        self._default_config = default_config or ChannelConfig()
+    def __init__(self, default_config: Optional[ChannelConfig] = None, seed: int = 0) -> None:
+        self.default_config = default_config or ChannelConfig()
         self._seed = seed
-        self._channels: Dict[Tuple[ProcessId, ProcessId], Channel] = {}
+        self._channels: Dict[LinkKey, Channel] = {}
         # The channels whose config is current: the send path's one lookup.
-        self._routes: Dict[Tuple[ProcessId, ProcessId], Channel] = {}
+        self._routes: Dict[LinkKey, Channel] = {}
         self._simulator: Optional[Any] = None
-        self.environment = environment or NetworkEnvironment(
-            self._default_config, seed=seed
-        )
-        self.environment.attach(self)
         self._totals = NetworkCounters()
         # Dedicated stream for batched broadcasts: every delay of a
         # ``send_many`` burst is drawn from this one RNG, consumed in send
         # order, which keeps the burst deterministic while touching a single
         # generator instead of one per destination channel.
         self._broadcast_rng = make_rng(seed, "broadcast")
+        # Link rules by name, in push order (the last one is asked first).
+        self._rules: Dict[str, LinkRule] = {}
+        # Named directed partitions: name -> {link: leak probability}, plus
+        # the per-link view the send path reads.
+        self._partitions: Dict[str, Dict[LinkKey, float]] = {}
+        self._blocked: Dict[LinkKey, Dict[str, float]] = {}
+        self._partition_counter = 0
+        self._leak_rng = make_rng(seed, "environment")
+        self.transition_counts: Dict[str, int] = {}
+        self.transitions: List[Dict[str, Any]] = []
 
     def bind(self, simulator: Any) -> None:
         """Bind the simulator whose clock (``now``) and event queue
@@ -298,43 +322,165 @@ class Network:
         snapshot/restore rebinds the copy automatically."""
         self._simulator = simulator
 
-    @property
-    def default_config(self) -> ChannelConfig:
-        """The fabric-wide fallback :class:`ChannelConfig`.
-
-        Rebinding it empties the route table — the default is the bottom
-        layer of the environment's resolution stack, so a channel configured
-        against the old default would otherwise keep it.
-        """
-        return self._default_config
-
-    @default_config.setter
-    def default_config(self, config: ChannelConfig) -> None:
-        self._default_config = config
-        environment = getattr(self, "environment", None)
-        if environment is not None:
-            environment._invalidate_resolution()
-
-    def invalidate_routes(self) -> None:
-        """Forget which channels hold a current config (called by the
-        environment on every config-affecting mutation): each pair
-        re-resolves on its next send, so a mutation stays O(1) however many
-        channels exist."""
+    # ------------------------------------------------------------------
+    # Link rules
+    # ------------------------------------------------------------------
+    def push_rule(self, name: str, rule: LinkRule) -> None:
+        """Push *rule* on top of the stack, replacing any rule named *name*."""
+        self._rules.pop(name, None)
+        self._rules[name] = rule
         self._routes.clear()
+        self.record("rule", name=name)
 
-    def channel(self, source: ProcessId, destination: ProcessId) -> Channel:
-        """Return (creating if needed) the directed channel source→destination.
+    def pop_rule(self, name: str) -> bool:
+        """Pop the rule named *name*, restoring the rules underneath; return
+        whether there was one."""
+        if self._rules.pop(name, None) is None:
+            return False
+        self._routes.clear()
+        self.record("rule_popped", name=name)
+        return True
 
-        The channel's configuration is **pulled** through the environment's
-        :meth:`~repro.sim.environment.NetworkEnvironment.config_for` the first
-        time the pair is used after an environment mutation, so a processor
-        joining mid-run gets channels shaped by whatever program is active.
+    def config_for(self, source: ProcessId, destination: ProcessId) -> ChannelConfig:
+        """The config of the directed pair: the most recent rule's answer
+        that is not ``None``, else the default."""
+        for rule in reversed(self._rules.values()):
+            config = rule(source, destination)
+            if config is not None:
+                return config
+        return self.default_config
+
+    # ------------------------------------------------------------------
+    # Partitions: named, directed, leaky
+    # ------------------------------------------------------------------
+    def block_links(
+        self,
+        links: Iterable[LinkKey],
+        name: Optional[str] = None,
+        leak: float = 0.0,
+    ) -> str:
+        """Block the given directed links under one named partition."""
+        if not 0.0 <= leak < 1.0:
+            raise SimulationError("partition leak probability must be in [0, 1)")
+        if name is None:
+            self._partition_counter += 1
+            name = f"partition-{self._partition_counter}"
+        entry = self._partitions.setdefault(name, {})
+        for source, destination in links:
+            if source == destination:
+                continue
+            key = (source, destination)
+            entry[key] = leak
+            self._blocked.setdefault(key, {})[name] = leak
+        # Partitions gate delivery (``permits``) but do not change a pair's
+        # config, so they leave the route table alone.
+        self.record("partition", name=name, links=len(entry), leak=leak)
+        return name
+
+    def partition(
+        self,
+        group_a: Iterable[ProcessId],
+        group_b: Iterable[ProcessId],
+        name: Optional[str] = None,
+        leak: float = 0.0,
+        symmetric: bool = True,
+    ) -> str:
+        """Partition two groups; ``symmetric=False`` blocks only a→b links.
+
+        Returns the partition's name, the handle :meth:`heal` takes: several
+        partitions coexist and heal independently.
         """
+        group_b = list(group_b)
+        links: List[LinkKey] = []
+        for a in group_a:
+            for b in group_b:
+                if a == b:
+                    continue
+                links.append((a, b))
+                if symmetric:
+                    links.append((b, a))
+        return self.block_links(links, name=name, leak=leak)
+
+    def isolate(
+        self,
+        pid: ProcessId,
+        peers: Iterable[ProcessId],
+        name: Optional[str] = None,
+        leak: float = 0.0,
+    ) -> str:
+        """Block every link between *pid* and *peers*, both directions."""
+        return self.partition([pid], [p for p in peers if p != pid], name=name, leak=leak)
+
+    def heal(self, name: Optional[str] = None) -> int:
+        """Heal the named partition (or every partition); return links freed."""
+        names = [name] if name is not None else list(self._partitions)
+        freed = 0
+        for partition_name in names:
+            entry = self._partitions.pop(partition_name, None)
+            if entry is None:
+                continue
+            for key in entry:
+                blockers = self._blocked.get(key)
+                if blockers is not None:
+                    blockers.pop(partition_name, None)
+                    if not blockers:
+                        del self._blocked[key]
+            freed += len(entry)
+            self.record("heal", name=partition_name, links=len(entry))
+        return freed
+
+    def permits(self, source: ProcessId, destination: ProcessId) -> bool:
+        """Whether a packet may currently travel the directed pair.
+
+        A blocked pair still passes a packet with probability equal to the
+        *product* of the blocking partitions' leak probabilities (the packet
+        must leak through every one); any leak-free blocker drops everything.
+        """
+        blockers = self._blocked.get((source, destination))
+        if not blockers:
+            return True
+        passthrough = 1.0
+        for leak in blockers.values():
+            if leak <= 0.0:
+                return False
+            passthrough *= leak
+        return self._leak_rng.random() < passthrough
+
+    # ------------------------------------------------------------------
+    # Transition log
+    # ------------------------------------------------------------------
+    def record(self, kind: str, **details: Any) -> None:
+        """Record one transition (exact count, bounded detail)."""
+        self.transition_counts[kind] = self.transition_counts.get(kind, 0) + 1
+        if len(self.transitions) < MAX_RECORDED_TRANSITIONS:
+            self.transitions.append({"time": self._simulator.now, "kind": kind, **details})
+
+    @property
+    def transition_count(self) -> int:
+        """Total number of recorded transitions (exact)."""
+        return sum(self.transition_counts.values())
+
+    def summary(self) -> Dict[str, Any]:
+        """JSON-serializable view of the transitions of a run."""
+        return {
+            "transitions": self.transition_count,
+            "by_kind": dict(sorted(self.transition_counts.items())),
+            "active_partitions": sorted(self._partitions),
+            "events": [dict(entry) for entry in self.transitions],
+        }
+
+    # ------------------------------------------------------------------
+    # Channels and sends
+    # ------------------------------------------------------------------
+    def channel(self, source: ProcessId, destination: ProcessId) -> Channel:
+        """Return (creating if needed) the directed channel source→destination,
+        its config read through :meth:`config_for` the first time the pair is
+        used after the rule stack changed."""
         return self._routes.get((source, destination)) or self._route(source, destination)
 
     def _route(self, source: ProcessId, destination: ProcessId) -> Channel:
         key = (source, destination)
-        config = self.environment.config_for(source, destination)
+        config = self.config_for(source, destination)
         chan = self._channels.get(key)
         if chan is None:
             chan = Channel(source, destination, config, seed=self._seed, totals=self._totals)
@@ -353,8 +499,7 @@ class Network:
         source = packet.source
         destination = packet.destination
         chan = self._routes.get((source, destination)) or self._route(source, destination)
-        environment = self.environment
-        if environment._blocked and not environment.permits(source, destination):
+        if self._blocked and not self.permits(source, destination):
             chan.record_blocked()
             return
         simulator = self._simulator
@@ -368,8 +513,7 @@ class Network:
         number of packets accepted into channels.
         """
         routes = self._routes
-        environment = self.environment
-        blocked = environment._blocked
+        blocked = self._blocked
         rng = self._broadcast_rng
         simulator = self._simulator
         now = simulator.now
@@ -378,13 +522,12 @@ class Network:
         for destination, payload in payloads:
             packet = Packet(source, destination, payload)
             chan = routes.get((source, destination)) or self._route(source, destination)
-            if blocked and not environment.permits(source, destination):
+            if blocked and not self.permits(source, destination):
                 chan.record_blocked()
                 continue
             if chan.try_accept(packet, now, events, rng):
                 accepted += 1
         return accepted
-
     def stuff_channel(self, source: ProcessId, destination: ProcessId, payload: Any) -> bool:
         """Inject a stale packet into a channel and schedule its delivery.
 

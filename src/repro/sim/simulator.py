@@ -68,24 +68,12 @@ def _collector_paused() -> Iterator[None]:
 class Simulator:
     """Deterministic discrete-event simulator for the asynchronous model."""
 
-    def __init__(
-        self,
-        seed: int = 0,
-        channel_config: Optional[ChannelConfig] = None,
-        network: Optional[Network] = None,
-    ) -> None:
+    def __init__(self, seed: int = 0, channel_config: Optional[ChannelConfig] = None) -> None:
         self.seed = seed
         self.now: float = 0.0
         self.events = EventQueue()
-        self.network = network or Network(default_config=channel_config, seed=seed)
+        self.network = Network(default_config=channel_config, seed=seed)
         self.network.bind(self)
-        # The time-varying environment layer ticks through ordinary simulator
-        # events: bind this simulator as the environment's timeline (clock +
-        # ``call_at``) so environment programs (adversarial schedulers,
-        # partition schedules) can register their transitions like any other
-        # event source.  The simulator object itself is bound — not captured
-        # closures — so snapshot/restore rebinds the copy automatically.
-        self.network.environment.bind_timeline(self)
         self.processes: Dict[ProcessId, Process] = {}
         #: Per-source outbound interceptors (Byzantine traitor programs):
         #: when a source pid maps to a program here, every packet it sends

@@ -4,8 +4,8 @@ A :class:`SimSnapshot` captures the *complete* state of a simulation at an
 instant between events — the event queue (including pending timers and
 in-flight delivery events), every channel's occupancy, each process's
 full protocol state (recSA / recMA / failure detector / heartbeat links /
-stack services), the :class:`~repro.sim.environment.NetworkEnvironment`'s
-layer stack, partitions and transition log, and every seeded RNG stream —
+stack services), the :class:`~repro.sim.network.Network`'s link rules,
+partitions and transition log, and every seeded RNG stream —
 and can restore any number of fresh, fully independent copies.
 
 The determinism guarantee
@@ -55,8 +55,8 @@ Restrictions
 * A snapshot must be taken **between events** (never from inside a running
   callback): capture while a handler is mid-flight would miss its pending
   local mutations.
-* Objects reachable from the graph must be picklable; registered link
-  policies must be pure per pair (the built-ins are frozen dataclasses).
+* Objects reachable from the graph must be picklable; pushed link rules
+  must be pure per pair (the built-ins are frozen dataclasses).
 * Only restore trusted bytes — unpickling executes the constructors of
   whatever it decodes.
 * Wall-clock measurements are obviously not reproduced — only simulated

@@ -10,7 +10,7 @@ import pytest
 
 from repro.analysis import probes
 from repro.audit.arbitrary_state import PROFILES, generate_plan
-from repro.common.types import BOTTOM, ProcessId, make_config
+from repro.common.types import BOTTOM, ProcessId
 from repro.core.recsa import RecSA
 from repro.node.config import fast_sim
 from repro.sim.cluster import Cluster, build_cluster
@@ -25,29 +25,10 @@ def quick_cluster(n: int, seed: int = 1, capacity: int = 8, **overrides: Any) ->
     return build_cluster(n, seed, config=config.with_overrides(channel=channel))
 
 
-def no_reset_in_progress(cluster: Cluster) -> bool:
-    """No alive node's own config entry is ``⊥``.
-
-    **Deliberately too strong**: a brute-force reset legitimately drives
-    every config entry through ``⊥``, so any corruption that triggers a reset
-    violates this.  It exists as the demonstration target for the audit
-    engine's reproducer shrinking (``tests/test_audit.py``'s shrink test) and
-    the corpus entries it mined.
-    """
-    return all(
-        node.recsa.config.get(node.pid) is not BOTTOM
-        for node in cluster.alive_nodes()
-    )
-
-
-def no_reset_invariant() -> probes.Invariant:
-    return probes.Invariant("no_reset_in_progress", no_reset_in_progress)
-
-
 #: Named invariant factories — what corpus entries resolve against (an
 #: :class:`~repro.analysis.probes.Invariant` itself is not JSON-serializable).
 INVARIANT_FACTORIES: Dict[str, Callable[[], probes.Invariant]] = {
-    "no_reset_in_progress": no_reset_invariant,
+    "no_reset_in_progress": probes.no_reset_invariant,
     "smr_agreement": probes.smr_agreement_invariant,
     "rb_agreement": probes.rb_agreement_invariant,
     "rb_validity": probes.rb_validity_invariant,

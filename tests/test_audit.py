@@ -45,12 +45,7 @@ from repro.sim.faults import CorruptionAtom, _resolve_path, apply_plan
 from repro.sim.monitors import InvariantMonitor
 from repro.sim.simulator import Simulator
 
-from tests.conftest import (
-    deterministic_report,
-    no_reset_invariant,
-    quick_cluster,
-    report_bytes,
-)
+from tests.conftest import deterministic_report, quick_cluster, report_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +447,7 @@ class TestAuditHarness:
         case = AuditCase(
             scheduler="uniform",
             corruption_seed=0,
-            invariants=(no_reset_invariant(),),
+            invariants=(probes.no_reset_invariant(),),
         )
         # An empty corruption plan must certify: bootstrap resets happen
         # before the invariant arms, so a violation is attributable to the
@@ -465,7 +460,7 @@ class TestAuditHarness:
         case = AuditCase(
             scheduler="uniform",
             corruption_seed=0,
-            invariants=(no_reset_invariant(),),
+            invariants=(probes.no_reset_invariant(),),
         )
         full = run_case(case, seed=0)
         assert not full["ok"]  # the deliberately broken invariant fires
@@ -478,7 +473,7 @@ class TestAuditHarness:
         case = AuditCase(
             scheduler="uniform",
             corruption_seed=0,
-            invariants=(no_reset_invariant(),),
+            invariants=(probes.no_reset_invariant(),),
         )
         a = shrink_case(case, seed=0)
         b = shrink_case(case, seed=0)

@@ -1,12 +1,13 @@
-"""Tests for the time-varying NetworkEnvironment layer.
+"""Tests for the network's time-varying shaping: link rules and partitions.
 
 Covers the directed/leaky/named partition model (per-partition heal, one-way
-blocks, leak draws), the link-state layer stack (overlays over overrides
-over policies over the default), the late-joiner shaping regression the
-refactor fixes (a node joining under ``slow_node``/``delay_skew`` gets
-shaped channels in both directions), the dynamic environment programs
-selectable through :class:`~repro.scenarios.spec.ScenarioSpec`, and the
-``smr_agreement`` invariant's prefix semantics.
+blocks, leak draws), the link-rule stack (the most recent rule wins, pop
+restores the rule underneath, a name pushed again replaces its rule, a push
+reshapes existing channels), late-joiner shaping (a node joining under
+``slow_node``/``delay_skew``/``target_coordinator`` gets shaped channels in
+both directions), the dynamic environment programs selectable through
+:class:`~repro.scenarios.spec.ScenarioSpec`, and the ``smr_agreement``
+invariant's prefix semantics.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def _two_nodes(seed: int = 1, **channel_kwargs) -> Simulator:
 class TestDirectedPartitions:
     def test_one_way_partition_blocks_single_direction(self):
         sim = _two_nodes()
-        sim.network.environment.partition([1], [2], symmetric=False)
+        sim.network.partition([1], [2], symmetric=False)
         for _ in range(5):
             sim.send(1, 2, "forward")
             sim.send(2, 1, "reverse")
@@ -62,7 +63,7 @@ class TestDirectedPartitions:
     def test_per_partition_heal(self):
         sim = _two_nodes()
         sim.add_process(_Sink(3))
-        env = sim.network.environment
+        env = sim.network
         first = env.partition([1], [2], name="a")
         env.partition([1], [3], name="b")
         assert env.summary()["active_partitions"] == ["a", "b"]
@@ -77,11 +78,11 @@ class TestDirectedPartitions:
 
     def test_heal_unknown_partition_is_noop(self):
         sim = _two_nodes()
-        assert sim.network.environment.heal("nope") == 0
+        assert sim.network.heal("nope") == 0
 
     def test_leaky_partition_passes_some_packets(self):
         sim = _two_nodes(seed=3)
-        sim.network.environment.partition([1], [2], leak=0.3)
+        sim.network.partition([1], [2], leak=0.3)
         # Spread the sends out so channel capacity never throttles them.
         for i in range(200):
             sim.call_at(float(i), lambda: sim.send(1, 2, "leak?"), label="send")
@@ -93,7 +94,7 @@ class TestDirectedPartitions:
     def test_leak_is_deterministic_per_seed(self):
         def run(seed):
             sim = _two_nodes(seed=seed)
-            sim.network.environment.partition([1], [2], leak=0.2)
+            sim.network.partition([1], [2], leak=0.2)
             for i in range(100):
                 sim.call_at(float(i), lambda i=i: sim.send(1, 2, i), label="send")
             sim.run(until=200.0)
@@ -107,8 +108,8 @@ class TestDirectedPartitions:
         # A packet must leak through EVERY blocking partition; one leak-free
         # blocker therefore drops everything.
         sim = _two_nodes(seed=2)
-        sim.network.environment.partition([1], [2], name="leaky", leak=0.9)
-        sim.network.environment.partition([1], [2], name="wall", leak=0.0)
+        sim.network.partition([1], [2], name="leaky", leak=0.9)
+        sim.network.partition([1], [2], name="wall", leak=0.0)
         for _ in range(50):
             sim.send(1, 2, "x")
         sim.run(until=20.0)
@@ -119,49 +120,66 @@ class TestDirectedPartitions:
         from repro.common.errors import SimulationError
 
         with pytest.raises(SimulationError, match="leak probability"):
-            sim.network.environment.partition([1], [2], leak=1.0)
+            sim.network.partition([1], [2], leak=1.0)
 
 
 # ---------------------------------------------------------------------------
-# Link-state layers: overlays > overrides > policies > default
+# Link rules: a named stack over the default
 # ---------------------------------------------------------------------------
 class TestLinkStateLayers:
-    def test_overlay_wins_and_pop_restores_override(self):
-        # Channel configs are *pulled* through the memoized resolve on every
-        # ``network.channel()`` access (PR 5), so the current shaping of a
-        # pair is read by re-fetching the channel, and a mutation is O(1)
-        # instead of a walk over touched channels.
+    def test_latest_rule_wins_and_pop_restores_the_one_below(self):
+        # A pair's config is read through the route table on every
+        # ``network.channel()`` access, so re-fetching the channel reads the
+        # current shaping.
         sim = _two_nodes()
-        env = sim.network.environment
-        override = ChannelConfig(min_delay=1.0, max_delay=2.0)
-        env.set_link_config(1, 2, override)
-        assert sim.network.channel(1, 2).config is override
-        overlay = ChannelConfig(min_delay=5.0, max_delay=6.0)
-        env.apply_overlay("slow", {(1, 2): overlay})
-        assert sim.network.channel(1, 2).config is overlay
-        assert env.remove_overlay("slow")
-        assert sim.network.channel(1, 2).config is override
-        assert not env.remove_overlay("slow")  # idempotent
+        network = sim.network
+        below = ChannelConfig(min_delay=1.0, max_delay=2.0)
+        network.push_rule("below", lambda s, d: below)
+        assert network.channel(1, 2).config is below
+        above = ChannelConfig(min_delay=5.0, max_delay=6.0)
+        network.push_rule("above", lambda s, d: above if d == 2 else None)
+        assert network.channel(1, 2).config is above
+        assert network.channel(2, 1).config is below  # "above" defers
+        assert network.pop_rule("above")
+        assert network.channel(1, 2).config is below
+        assert not network.pop_rule("above")  # idempotent
+        assert network.pop_rule("below")
+        assert network.channel(1, 2).config is network.default_config
+
+    def test_pushing_a_name_again_replaces_that_rule(self):
+        sim = _two_nodes()
+        network = sim.network
+        first = ChannelConfig(min_delay=1.0, max_delay=2.0)
+        second = ChannelConfig(min_delay=3.0, max_delay=4.0)
+        other = ChannelConfig(min_delay=5.0, max_delay=6.0)
+        network.push_rule("chase", lambda s, d: first)
+        network.push_rule("other", lambda s, d: other)
+        # The replacement goes on top, so it wins over "other" ...
+        network.push_rule("chase", lambda s, d: second)
+        assert network.channel(1, 2).config is second
+        # ... and the old rule is gone: one pop leaves only "other".
+        assert network.pop_rule("chase")
+        assert network.channel(1, 2).config is other
 
     def test_policy_shapes_channels_created_later(self):
         sim = _two_nodes()
         shaped = ChannelConfig(min_delay=3.0, max_delay=4.0)
-        sim.network.environment.add_link_policy(
-            "test", lambda s, d: shaped if d == 2 else None
-        )
+        sim.network.push_rule("test", lambda s, d: shaped if d == 2 else None)
         assert sim.network.channel(1, 2).config is shaped
         assert sim.network.channel(2, 1).config is sim.network.default_config
 
-    def test_policy_reshapes_existing_unoverridden_channels(self):
+    def test_rule_push_reshapes_existing_channels(self):
         sim = _two_nodes()
-        assert sim.network.channel(1, 2).config is sim.network.default_config
+        channel = sim.network.channel(1, 2)
+        assert channel.config is sim.network.default_config
         shaped = ChannelConfig(min_delay=3.0, max_delay=4.0)
-        sim.network.environment.add_link_policy("test", lambda s, d: shaped)
-        assert sim.network.channel(1, 2).config is shaped
+        sim.network.push_rule("test", lambda s, d: shaped)
+        assert sim.network.channel(1, 2) is channel
+        assert channel.config is shaped
 
     def test_transitions_are_recorded_with_time(self):
         sim = _two_nodes()
-        env = sim.network.environment
+        env = sim.network
         sim.call_at(5.0, lambda: env.partition([1], [2], name="p"))
         sim.call_at(9.0, lambda: env.heal("p"))
         sim.run(until=20.0)
@@ -215,6 +233,27 @@ class TestLateJoinerShaping:
             assert 0.5 <= ratio < 8.0
         # Directions draw independent factors.
         assert configs[0].max_delay != configs[1].max_delay
+
+    def test_joiner_under_target_coordinator_gets_slow_links_to_the_victim(self):
+        # The chase re-reads the coordinator once per epoch; a processor that
+        # joins mid-epoch must get the slow config on both of its links to
+        # the current victim, like every processor present at the epoch.
+        cluster = quick_cluster(5, seed=3)
+        get_scheduler("target_coordinator").install(cluster, start=10.0)
+        cluster.run(until=12.0)
+        network = cluster.network
+        (victim,) = [
+            entry["victim"]
+            for entry in network.summary()["events"]
+            if entry["kind"] == "target"
+        ]
+        base = cluster.config.channel.max_delay
+        bystander = next(p for p in sorted(cluster.nodes) if p != victim)
+        assert network.channel(victim, bystander).config.max_delay == pytest.approx(base * 8.0)
+        joiner = cluster.add_joiner(77)
+        for a, b in ((victim, joiner.pid), (joiner.pid, victim)):
+            assert network.channel(a, b).config.max_delay == pytest.approx(base * 8.0)
+        assert network.channel(joiner.pid, bystander).config.max_delay == pytest.approx(base)
 
     def test_joiner_shaping_is_deterministic(self):
         shapes = []
@@ -290,7 +329,7 @@ class TestDynamicSchedulers:
         cluster.run(until=cluster.simulator.now + 10.0)
         targets = [
             entry["victim"]
-            for entry in cluster.environment.summary()["events"]
+            for entry in cluster.network.summary()["events"]
             if entry["kind"] == "target"
         ]
         assert targets, "the adaptive program never picked a victim"

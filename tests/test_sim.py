@@ -393,15 +393,14 @@ class TestNetworkFastPath:
         a, b = _Echo(1), _Echo(2)
         sim.add_process(a)
         sim.add_process(b)
-        sim.network.environment.partition([1], [2])
+        sim.network.partition([1], [2])
         assert sim.send_many(1, [(2, "blocked")]) == 0
         sim.run(until=5.0)
         assert b.got == []
         assert sim.network.statistics()["dropped"] >= 1
 
     def test_send_many_respects_capacity(self):
-        sim = Simulator(seed=4)
-        sim.network.default_config = ChannelConfig(capacity=2)
+        sim = Simulator(seed=4, channel_config=ChannelConfig(capacity=2))
         sim.add_process(_Echo(1))
         sim.add_process(_Echo(2))
         accepted = sim.send_many(1, [(2, i) for i in range(5)])
@@ -433,11 +432,11 @@ class TestNetworkPartition:
         a, b = _Echo(1), _Echo(2)
         sim.add_process(a)
         sim.add_process(b)
-        sim.network.environment.partition([1], [2])
+        sim.network.partition([1], [2])
         sim.send(1, 2, "ping")
         sim.run(until=5.0)
         assert b.got == []
-        sim.network.environment.heal()
+        sim.network.heal()
         sim.send(1, 2, "ping")
         sim.run(until=10.0)
         assert (1, "ping") in b.got

@@ -3,10 +3,10 @@
 The load-bearing guarantee of PR 5's sweep-throughput engine is pinned here:
 a restored :class:`~repro.sim.snapshot.SimSnapshot` resumed to completion is
 **byte-identical** to a cold, uninterrupted run of the same seed — for every
-stack profile, with active leaky partitions and overlays in the captured
+stack profile, with active leaky partitions and link rules in the captured
 state, and through the audit harness's warm prefix path (certify and ddmin
-shrinking).  The work-stealing sweep meta and the environment's memoized
-link resolution are covered alongside, since the same engine relies on both.
+shrinking).  The work-stealing sweep meta and the network's route table are
+covered alongside, since the same engine relies on both.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from repro.audit.harness import (
     run_case,
     shrink_case,
 )
+from repro.audit.schedulers import _VictimLinkPolicy
 from repro.scenarios import (
     ArbitraryStateWorkload,
     ScenarioSpec,
@@ -49,7 +50,7 @@ from repro.sim.cluster import build_cluster
 from repro.sim.events import Action
 from repro.sim.snapshot import SimSnapshot, _reduce_method
 
-from tests.conftest import no_reset_invariant, report_bytes
+from tests.conftest import report_bytes
 
 
 def _strip_wall(result):
@@ -98,7 +99,7 @@ class TestSnapshotDeterminism:
         assert warm["convergence"] == cold["convergence"]
 
     def test_snapshot_with_active_leaky_partition_and_overlay(self):
-        """Capture mid-run with a leaky partition standing and an overlay
+        """Capture mid-run with a leaky partition standing and a link rule
         pushed; the restored run must still replay byte-identically."""
         spec = ScenarioSpec(
             name="snapdet:leaky",
@@ -109,22 +110,21 @@ class TestSnapshotDeterminism:
             probes=(probes.converged(6_000.0),),
             track_convergence=True,
         )
-        slow = ChannelConfig(min_delay=2.0, max_delay=6.0)
-        overlay = {(0, 1): slow, (1, 0): slow}
+        rule = _VictimLinkPolicy(0, ChannelConfig(min_delay=2.0, max_delay=6.0))
 
         def run_with_boundary(capture: bool):
             run = prepare(spec, seed=7)
             assert not drive(run, stop_before=70.0)
-            environment = run.cluster.environment
-            assert environment.summary()["active_partitions"] == ["partition_leak:forward"]
-            environment.apply_overlay("test-overlay", overlay)
+            network = run.cluster.network
+            assert network.summary()["active_partitions"] == ["partition_leak:forward"]
+            network.push_rule("test-rule", rule)
             if capture:
                 snapshot = SimSnapshot.capture(run)
                 run = snapshot.restore()
-                assert run.cluster.environment.summary()["active_partitions"] == [
+                assert run.cluster.network.summary()["active_partitions"] == [
                     "partition_leak:forward"
                 ]
-                assert "test-overlay" in run.cluster.environment._overlays
+                assert run.cluster.network._rules["test-rule"] == rule
             drive(run)
             return finalize(run)
 
@@ -332,7 +332,7 @@ class TestWarmPrefixSharing:
         case = AuditCase(
             scheduler="uniform",
             corruption_seed=0,
-            invariants=(no_reset_invariant(),),
+            invariants=(probes.no_reset_invariant(),),
         )
         cold = shrink_case(case, seed=0, reuse_prefix=False)
         warm = shrink_case(case, seed=0, reuse_prefix=True)
@@ -368,54 +368,43 @@ class TestSweepAccounting:
 # Memoized link resolution: the network's route table
 # ---------------------------------------------------------------------------
 class TestResolveCache:
-    """A pair's channel keeps its resolved config in the route table until a
-    config-affecting mutation empties the table."""
+    """A pair's channel keeps its config in the route table until a rule
+    push or pop empties the table."""
 
-    def test_override_and_overlay_invalidate(self):
+    def test_rule_push_and_pop_invalidate(self):
         cluster = build_cluster(n=3, seed=0)
-        network = cluster.simulator.network
-        environment = cluster.environment
+        network = cluster.network
         base = network.channel(0, 1).config
         shaped = ChannelConfig(min_delay=3.0, max_delay=9.0)
-        environment.set_link_config(0, 1, shaped)
+        network.push_rule("shape", lambda s, d: shaped if (s, d) == (0, 1) else None)
         assert not network._routes
         assert network.channel(0, 1).config is shaped
-        environment.apply_overlay("t", {(0, 1): base})
+        network.push_rule("t", lambda s, d: base)
+        assert not network._routes
         assert network.channel(0, 1).config is base
-        environment.remove_overlay("t")
+        assert network.pop_rule("t")
+        assert not network._routes
         assert network.channel(0, 1).config is shaped
 
     def test_policy_registration_invalidates(self):
         cluster = build_cluster(n=3, seed=0)
-        network = cluster.simulator.network
-        environment = cluster.environment
+        network = cluster.network
         default = network.channel(0, 2).config
         shaped = ChannelConfig(min_delay=5.0, max_delay=10.0)
-        environment.add_link_policy("shape", lambda s, d: shaped)
+        network.push_rule("shape", lambda s, d: shaped)
         assert network.channel(0, 2).config is shaped
         assert default is not shaped
 
     def test_partition_and_heal_leave_routes_untouched(self):
         cluster = build_cluster(n=3, seed=0)
-        network = cluster.simulator.network
-        environment = cluster.environment
+        network = cluster.network
         channel = network.channel(0, 1)
         routes = dict(network._routes)
-        name = environment.partition([0], [1], leak=0.5)
+        name = network.partition([0], [1], leak=0.5)
         assert network._routes == routes
         assert network.channel(0, 1) is channel
-        environment.heal(name)
+        network.heal(name)
         assert network._routes == routes
-
-    def test_default_config_rebind_invalidates(self):
-        cluster = build_cluster(n=3, seed=0)
-        network = cluster.simulator.network
-        channel = network.channel(0, 1)
-        replacement = ChannelConfig(capacity=3)
-        network.default_config = replacement
-        assert not network._routes
-        assert network.channel(0, 1) is channel
-        assert channel.config is replacement
 
 
 # ---------------------------------------------------------------------------

@@ -445,13 +445,13 @@ class TestBatchOnlyMulticast:
     def test_dropped_round_resyncs(self):
         env, coord = _multicasting(4, seed=72)
         follower = next(pid for pid in env.vs if pid != coord)
-        cut = env.cluster.environment.partition([coord], [follower], symmetric=False)
+        cut = env.cluster.network.partition([coord], [follower], symmetric=False)
         env.vs[coord].submit("while-cut")
         assert env.cluster.run_until(
             lambda: "while-cut" in env.vs[coord].machine.log, timeout=50
         )
         assert "while-cut" not in env.vs[follower].machine.log
-        env.cluster.environment.heal(cut)
+        env.cluster.network.heal(cut)
         assert _delivered_everywhere(env, "while-cut")
         env.vs[follower].submit("after-heal")
         assert _delivered_everywhere(env, "after-heal")

@@ -2,9 +2,9 @@
 
 An :class:`AuditCase` names one ``(adversarial scheduler, corruption seed)``
 cell of the audit matrix; :func:`certify` sweeps ``cases x simulator seeds``
-through the scenario engine's parallel matrix (:func:`repro.scenarios.runner
-.run_matrix`, so the audit reuses the same worker plumbing and determinism
-contract as every other sweep) and asserts, per run, that
+through the scenario engine's matrix (:func:`repro.scenarios.runner
+.run_matrix`, so the audit reuses the same forked process pool and
+determinism contract as every other sweep) and asserts, per run, that
 
 * the cluster **re-converges within the case's simulated-time budget** after
   the corruption (``converged`` / ``participating`` probes plus a
@@ -24,8 +24,8 @@ each distinct ``(prefix, simulator seed)`` once, snapshots it right before
 the first event at ``corrupt_at`` (:class:`~repro.sim.snapshot.SimSnapshot`),
 and fans the corruption cases out from the warm snapshot — the dominant cost
 of a matrix drops from O(cases) bootstraps to O(distinct prefixes).  The
-``fork``-based worker pool inherits parent-captured snapshots copy-on-write;
-they live only for the one sweep.  A group goes warm only when it has at
+workers of the sweep's ``fork``-context ``ProcessPoolExecutor`` inherit
+parent-captured snapshots copy-on-write; they live only for the one sweep.  A group goes warm only when it has at
 least ``max(2, parallelism)`` cases, the point where one serial bootstrap in
 the parent beats the pool's parallel cold ones.  Warm results are
 byte-identical to cold ones: the test-suite pins the two reports'
@@ -478,8 +478,9 @@ def certify(
     """Sweep ``cases x seeds``; return the JSON-serializable audit report.
 
     The cases themselves are the sweep's jobs: :func:`run_matrix` runs each
-    ``(case, seed)`` through :func:`run_case`, and its forked workers
-    inherit the case list and the snapshot table.
+    ``(case, seed)`` through :func:`run_case`; with ``workers > 1`` the
+    forked workers of its process pool inherit the case list and the
+    snapshot table (nothing is pickled on the way in).
 
     With *reuse_prefix* (the default), cases sharing a pre-corruption prefix
     are fanned out from one warm :class:`~repro.sim.snapshot.SimSnapshot` per

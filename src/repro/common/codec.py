@@ -21,16 +21,15 @@ Design
   a one-byte wire-format discriminator.  There is one format (``B`` =
   binary); :func:`unframe` rejects every other discriminator, and a
   receiver can reject oversized or truncated input before parsing.
-* **Binary format.**  The wire format (PR 9) is the object graph as compact
-  opcode-prefixed bytes: per-dataclass *precompiled flat encoders* (field
-  list resolved at registry build time, fields positional on the wire) plus
-  a per-dataclass *precompiled* ``struct`` *fast path* for all-integer
-  message snapshots (one ``>q``-per-field pack instead of per-field
-  recursion).  Type/enum/singleton identifiers are indices into the sorted
-  registry, so both sides of a connection that import the same message
-  modules agree on them.  Tuples, frozensets, sets, dicts with non-string
-  keys and ``mappingproxy`` views (copy-on-write SMR snapshots) all
-  round-trip; frozenset elements are written in a canonical order, so equal
+* **Binary format.**  The wire format is the object graph as compact
+  opcode-prefixed bytes.  Every dataclass is written the one way: its
+  opcode, its type id, then its fields in registry order, by a
+  per-dataclass *precompiled flat encoder* (field list resolved at registry
+  build time, fields positional on the wire).  Type/enum/singleton
+  identifiers are indices into the sorted registry, so both sides of a
+  connection that import the same message modules agree on them.  Tuples,
+  frozensets, sets, dicts with non-string keys and ``mappingproxy`` views
+  (copy-on-write SMR snapshots) all round-trip; frozenset elements are written in a canonical order, so equal
   values encode to identical bytes.  ``tests/test_codec.py`` pins one frame
   per wire type and compares the format against a tagged-JSON reference.
 * **Graceful rejection.**  Malformed input — truncated frames, unknown tags
@@ -179,7 +178,7 @@ _OP_SET = 0x08
 _OP_FSET = 0x09
 _OP_DICT = 0x0A
 _OP_DC = 0x0B  # dataclass: type id + per-field values (registry order)
-_OP_DCQ = 0x0C  # dataclass, all-int struct fast path: type id + n * '>q'
+# 0x0C is unassigned: it decodes as an unknown opcode.
 _OP_ENUM = 0x0D
 _OP_ONE = 0x0E  # sentinel singleton
 
@@ -195,7 +194,7 @@ _BIN_TABLES: Optional[Dict[str, Any]] = None
 # Mutated in place by the builder; cleared (not rebound) on invalidation so
 # every reference observes the reset.
 _BIN_DISPATCH: Dict[type, Any] = {}
-_BIN_DC_BY_ID: List[Tuple[type, Tuple[str, ...], Optional[struct.Struct], Any]] = []
+_BIN_DC_BY_ID: List[Tuple[type, Tuple[str, ...], Any]] = []
 _BIN_ENUMS_BY_ID: List[type] = []
 _BIN_ONES_BY_ID: List[Any] = []
 
@@ -227,27 +226,6 @@ def _append_int(buf: bytearray, n: int) -> None:
             buf.append((zz & 0x7F) | 0x80)
             zz >>= 7
     buf.append(zz)
-
-
-def _int_fields(cls: type, fields: Tuple[str, ...]) -> bool:
-    """True when every dataclass field is annotated as a plain integer.
-
-    Annotation strings (PEP 563 modules) are matched textually: only the
-    shapes that mean "always an int on an honest node" qualify the type for
-    the ``_OP_DCQ`` struct fast path.  The fast path additionally guards
-    every *value* at encode time, so a lying annotation degrades to the
-    generic flat encoder instead of mis-encoding.
-    """
-    int_names = {"int", "ProcessId"}
-    for field in dataclasses.fields(cls):
-        if not field.init:
-            continue
-        annotation = field.type if isinstance(field.type, str) else getattr(
-            field.type, "__name__", ""
-        )
-        if annotation not in int_names:
-            return False
-    return bool(fields)
 
 
 def _build_binary_tables() -> Dict[str, Any]:
@@ -284,52 +262,25 @@ def _build_binary_tables() -> Dict[str, Any]:
     for name in dc_names:
         cls = _TYPES[name]
         fields = _TYPE_FIELDS[name]
-        qstruct = (
-            struct.Struct(">%dq" % len(fields)) if _int_fields(cls, fields) else None
-        )
-        dc_by_id.append((cls, fields, qstruct, make_ctor(cls, fields)))
+        dc_by_id.append((cls, fields, make_ctor(cls, fields)))
 
     dispatch: Dict[type, Any] = {}
 
     def make_dc_encoder(name: str) -> Any:
-        type_id = dc_ids[name]
-        cls, fields, qstruct, _ctor = dc_by_id[type_id]
+        fields = _TYPE_FIELDS[name]
         header = bytearray()
         header.append(_OP_DC)
-        _append_uvarint(header, type_id)
+        _append_uvarint(header, dc_ids[name])
         flat_header = bytes(header)
-        if qstruct is None:
 
-            def encode_flat(buf: bytearray, value: Any, depth: int) -> None:
-                if depth > MAX_DEPTH:
-                    raise CodecError("object graph too deep to encode")
-                buf += flat_header
-                for field in fields:
-                    _bin_encode(buf, getattr(value, field), depth + 1)
-
-            return encode_flat
-
-        qheader = bytearray()
-        qheader.append(_OP_DCQ)
-        _append_uvarint(qheader, type_id)
-        qflat = bytes(qheader)
-        lo, hi = -(1 << 63), 1 << 63
-
-        def encode_struct(buf: bytearray, value: Any, depth: int) -> None:
+        def encode_flat(buf: bytearray, value: Any, depth: int) -> None:
             if depth > MAX_DEPTH:
                 raise CodecError("object graph too deep to encode")
-            values = tuple(getattr(value, field) for field in fields)
-            for item in values:
-                if type(item) is not int or not (lo <= item < hi):
-                    # Corrupted / exotic value: fall back to the flat layout.
-                    buf += flat_header
-                    for field in fields:
-                        _bin_encode(buf, getattr(value, field), depth + 1)
-                    return
-            buf += qflat
-            buf += qstruct.pack(*values)
+            buf += flat_header
+            for field in fields:
+                _bin_encode(buf, getattr(value, field), depth + 1)
 
-        return encode_struct
+        return encode_flat
 
     for name in dc_names:
         dispatch[_TYPES[name]] = make_dc_encoder(name)
@@ -486,27 +437,17 @@ def _bin_decode(data: bytes, i: int, end: int, depth: int) -> Tuple[Any, int]:
             if shift >= MAX_VARINT_BITS:
                 raise CodecError("varint exceeds the cap")
         return (zz >> 1) if not (zz & 1) else -((zz + 1) >> 1), i
-    if op == _OP_DC or op == _OP_DCQ:
+    if op == _OP_DC:
         type_id, i = _read_uvarint(data, i, end)
         dc_by_id = _BIN_DC_BY_ID
         if type_id >= len(dc_by_id):
             raise CodecError(f"unknown binary wire type id {type_id}")
-        cls, fields, qstruct, ctor = dc_by_id[type_id]
-        if op == _OP_DCQ:
-            if qstruct is None:
-                raise CodecError(
-                    f"type {cls.__name__!r} has no struct fast path"
-                )
-            if i + qstruct.size > end:
-                raise CodecError("truncated struct-packed dataclass")
-            values: Tuple[Any, ...] = qstruct.unpack_from(data, i)
-            i += qstruct.size
-        else:
-            decoded = []
-            for _ in fields:
-                item, i = _bin_decode(data, i, end, depth + 1)
-                decoded.append(item)
-            values = tuple(decoded)
+        cls, fields, ctor = dc_by_id[type_id]
+        decoded = []
+        for _ in fields:
+            item, i = _bin_decode(data, i, end, depth + 1)
+            decoded.append(item)
+        values = tuple(decoded)
         if ctor is not None:
             # Arity is fixed by the field loop above, so the precompiled
             # constructor cannot mis-build; validation-free types only.

@@ -19,12 +19,10 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, List, Optional
 
 from repro.common.codec import wire_type
-from repro.common.logging_utils import get_logger
 from repro.common.types import ProcessId
 from repro.core.recsa import RecSA
 from repro.core.stale import is_real_config
 
-_log = get_logger("joining")
 
 FdProvider = Callable[[], FrozenSet[ProcessId]]
 SendFn = Callable[[ProcessId, Any], None]

@@ -28,13 +28,11 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, Optional
 
 from repro.common.codec import wire_type
-from repro.common.logging_utils import get_logger
 from repro.common.types import Configuration, ProcessId, is_majority
 from repro.core.gossip import GossipGate
 from repro.core.recsa import DEFAULT_GOSSIP_REFRESH_INTERVAL, RecSA
 from repro.core.stale import is_real_config
 
-_log = get_logger("recma")
 
 FdProvider = Callable[[], FrozenSet[ProcessId]]
 SendFn = Callable[[ProcessId, Any], None]

@@ -29,16 +29,16 @@ dropped, mirroring the inbound validation of the reliable-broadcast layer.
 from __future__ import annotations
 
 import asyncio
+import logging
 import struct
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.common.codec import CodecError, frame, unframe
-from repro.common.logging_utils import get_logger
 from repro.common.rng import make_rng
 from repro.common.types import ProcessId
 from repro.node.process import Process, ProcessContext
 
-_log = get_logger("runtime.transport")
+_log = logging.getLogger(__name__)
 
 #: Datagram header: the sender's pid, 8-byte big-endian signed.
 _HEADER = struct.Struct(">q")

@@ -22,15 +22,15 @@ Execution is split into a **resumable phase machine**:
 :func:`run_matrix` executes a ``scenarios × seeds`` grid over the objects it
 is handed — scenario specs, or anything else with a ``.name`` that its job
 runner understands (the audit harness passes its cases).  With ``workers >
-1`` a persistent pool of forked worker processes pulls jobs from one shared
-queue (work stealing: a slow job never strands the other jobs that a static
-chunking would have pinned to the same worker).  The workers are forked
-after the job list is built, so they inherit the objects themselves; only
-job indices and result dictionaries cross the process boundary, and probes
-and workload callables never need to be pickled.  Where the platform has no
-``fork``, the jobs run serially.  Each result records its own wall time and
-worker pid; the sweep meta reports per-worker utilization so scheduling
-regressions are visible in every sweep artifact.
+1`` the jobs run on a standard-library ``ProcessPoolExecutor`` over the
+``fork`` context, which hands each idle worker the next job index (a slow
+job delays only itself).  The workers are forked after the job list is
+built and adopt it in their initializer, so they inherit the objects
+themselves; only job indices and result dictionaries cross the process
+boundary, and probes and workload callables never need to be pickled.
+Where the platform has no ``fork``, the jobs run serially.  Each result
+records its own wall time and worker pid; the sweep meta reports per-worker
+utilization so scheduling regressions are visible in every sweep artifact.
 """
 
 from __future__ import annotations
@@ -38,9 +38,8 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from queue import Empty
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
 
 from repro.node.config import preset
 from repro.scenarios.spec import ScenarioSpec
@@ -231,50 +230,30 @@ def _run_job(job_runner: JobRunner, scenario: Any, seed: int) -> Dict[str, Any]:
     }
 
 
-def _unfinished_jobs(
-    jobs: Sequence[Sequence[Any]], results: Sequence[Dict[str, Any]]
-) -> List[Sequence[Any]]:
-    """The ``(scenario, seed)`` jobs with no collected result yet.
-
-    Used to name the lost jobs when a worker dies without reporting.
-    """
-    done = {(entry.get("scenario"), entry.get("seed")) for entry in results}
-    return [job for job in jobs if (job[0], job[1]) not in done]
+#: The sweep a forked pool worker serves: ``(jobs, job_runner)``, set by
+#: :func:`_adopt_sweep` in each worker (passed by fork, so nothing is pickled).
+_sweep: Tuple[Sequence[Tuple[Any, int]], JobRunner]
 
 
-def _reap_workers(processes: List[Any], timeout: float = 5.0) -> None:
-    """Join every worker, terminating any that outlives *timeout* seconds."""
-    for process in processes:
-        process.join(timeout=timeout)
-        if process.is_alive():
-            process.terminate()
-            process.join(timeout=timeout)
+def _adopt_sweep(jobs: Sequence[Tuple[Any, int]], job_runner: JobRunner) -> None:
+    global _sweep
+    _sweep = (jobs, job_runner)
 
 
-def _pool_worker(
-    task_queue: "multiprocessing.Queue",
-    result_queue: "multiprocessing.Queue",
-    jobs: Sequence[Tuple[Any, int]],
-    job_runner: JobRunner,
-) -> None:
-    """One persistent worker: run job indices until the ``None`` sentinel."""
-    while True:
-        index = task_queue.get()
-        if index is None:
-            return
-        scenario, seed = jobs[index]
-        try:
-            result_queue.put(_run_job(job_runner, scenario, seed))
-        except Exception as exc:  # surface worker failures instead of hanging
-            result_queue.put(
-                {
-                    "scenario": scenario.name,
-                    "seed": seed,
-                    "ok": False,
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "worker_pid": os.getpid(),
-                }
-            )
+def _run_index(index: int) -> Dict[str, Any]:
+    """Run job *index* of the inherited sweep; an exception becomes its entry."""
+    jobs, job_runner = _sweep
+    scenario, seed = jobs[index]
+    try:
+        return _run_job(job_runner, scenario, seed)
+    except Exception as exc:  # report the failure; the other jobs go on
+        return {
+            "scenario": scenario.name,
+            "seed": seed,
+            "ok": False,
+            "error": f"{type(exc).__name__}: {exc}",
+            "worker_pid": os.getpid(),
+        }
 
 
 def _sweep_summary(
@@ -322,11 +301,11 @@ def run_matrix(
     Returns ``{"meta": ..., "results": [...]}`` with results sorted by
     ``(scenario, seed)`` regardless of completion order.
 
-    Parallel sweeps use a persistent pool of forked workers pulling job
-    indices from one shared work queue — a slow job delays only itself, not
-    a statically assigned chunk.  ``meta["sweep"]`` reports per-worker job
-    counts, busy seconds and overall pool utilization; each result entry
-    carries its own ``wall_seconds`` and ``worker_pid``.
+    Parallel sweeps submit job indices to a pool of forked workers; a job
+    that raises becomes an ``ok: False`` entry with its ``error``, and a
+    worker that dies raises ``RuntimeError``.  ``meta["sweep"]`` reports
+    per-worker job counts, busy seconds and overall pool utilization; each
+    result entry carries its own ``wall_seconds`` and ``worker_pid``.
     """
     names = [scenario.name for scenario in scenarios]
     jobs = [(scenario, seed) for scenario in scenarios for seed in seeds]
@@ -339,51 +318,35 @@ def run_matrix(
     if effective_workers == 1:
         results = [_run_job(job_runner, scenario, seed) for scenario, seed in jobs]
     else:
-        task_queue = context.Queue()
-        result_queue = context.Queue()
-        for index in range(len(jobs)):
-            task_queue.put(index)
-        for _ in range(effective_workers):
-            task_queue.put(None)  # one shutdown sentinel per worker
-        processes = [
-            context.Process(
-                target=_pool_worker,
-                args=(task_queue, result_queue, jobs, job_runner),
-                daemon=True,
+        # Imported here so that a serial sweep never pays the executor's
+        # import (about 2 ms, counted in the setup time of its callers).
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        pool = ProcessPoolExecutor(
+            effective_workers,
+            mp_context=context,
+            initializer=_adopt_sweep,
+            initargs=(jobs, job_runner),
+        )
+        try:
+            futures = [pool.submit(_run_index, index) for index in range(len(jobs))]
+            results, lost = [], []
+            for future, (scenario, seed) in zip(futures, jobs):
+                try:
+                    results.append(future.result())
+                except BrokenProcessPool:
+                    lost.append((scenario.name, seed))
+        finally:
+            # An interrupted parent drops the queued jobs instead of
+            # waiting for the whole sweep.
+            pool.shutdown(cancel_futures=True)
+        if lost:
+            raise RuntimeError(
+                f"worker process died before finishing its jobs; "
+                f"collected {len(results)}/{len(jobs)} results; "
+                f"missing (scenario, seed) pairs: {lost}"
             )
-            for _ in range(effective_workers)
-        ]
-        for process in processes:
-            process.start()
-        results = []
-        while len(results) < len(jobs):
-            try:
-                results.append(result_queue.get(timeout=1.0))
-                continue
-            except Empty:
-                pass
-            # Only an Exception inside a job is reported via the queue; a
-            # worker killed outright (OOM, SIGKILL) would otherwise leave
-            # this collection loop blocked forever.
-            if any(process.is_alive() for process in processes):
-                continue
-            # Every worker has exited.  Drain whatever is still buffered in
-            # the queue (``queue.empty()`` alone is racy against the feeder
-            # threads) before deciding results really are missing.
-            try:
-                while len(results) < len(jobs):
-                    results.append(result_queue.get(timeout=0.25))
-            except Empty:
-                missing = _unfinished_jobs(
-                    [(scenario.name, seed) for scenario, seed in jobs], results
-                )
-                _reap_workers(processes)
-                raise RuntimeError(
-                    f"worker process died before finishing its jobs; "
-                    f"collected {len(results)}/{len(jobs)} results; "
-                    f"missing (scenario, seed) pairs: {missing}"
-                )
-        _reap_workers(processes)
     wall_seconds = time.perf_counter() - sweep_start
     results.sort(key=lambda entry: (entry["scenario"], entry["seed"]))
     return {

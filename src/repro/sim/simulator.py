@@ -32,7 +32,6 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 
 from repro.common.errors import SimulationError
-from repro.common.logging_utils import get_logger
 from repro.common.rng import make_rng
 from repro.common.types import ProcessId
 from repro.sim.events import Event, EventQueue
@@ -40,7 +39,6 @@ from repro.node.config import ChannelConfig
 from repro.node.process import Process, ProcessContext
 from repro.sim.network import Network, Packet
 
-_log = get_logger("simulator")
 
 #: Returned by :meth:`Simulator.run` / :meth:`Simulator.run_until` when a
 #: ``stop_before`` boundary was reached: the next live event lies at or past

@@ -16,8 +16,8 @@ scenario result dictionaries) to running the original — or a cold run of the
 same seed — uninterrupted.  The audit harness builds on this: the expensive
 pre-corruption bootstrap prefix of a sweep is computed once, snapshotted,
 and fanned out across corruption cases (see ``repro.audit.harness``), and
-``run_matrix`` workers inherit parent-captured snapshots copy-on-write
-through ``fork``.
+the workers of ``run_matrix``'s process pool inherit parent-captured
+snapshots copy-on-write through ``fork``.
 
 How it works
 ------------

@@ -47,19 +47,19 @@ self-stabilization arguments):
 from __future__ import annotations
 
 import enum
+import logging
 import zlib
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.common.codec import CodecError, encode_binary, wire_enum, wire_type
-from repro.common.logging_utils import get_logger
 from repro.common.types import Configuration, ProcessId
 from repro.core.scheme import ReconfigurationScheme
 from repro.counters.service import CounterService, IncrementOutcome
 from repro.vs.smr import LogStateMachine, StateMachine
 from repro.vs.view import View
 
-_log = get_logger("vs")
+_log = logging.getLogger(__name__)
 
 SendFn = Callable[[ProcessId, Any], None]
 DeliveryCallback = Callable[[int, View, List[Any]], None]

@@ -3,7 +3,7 @@
 Covers the timeout-budget semantics of ``Cluster.run_until`` (regression:
 probes issued after ``now > 2000`` used to time out instantly), the
 interval-based violation recording of :class:`InvariantMonitor`, the
-``run_matrix`` worker-collection hardening, the arbitrary-state generator's
+arbitrary-state generator's
 determinism and closure, the adversarial schedulers, and the certification
 harness with reproducer shrinking and its byte-comparable report projection.
 """
@@ -39,7 +39,7 @@ from repro.scenarios import (
     available_scenarios,
     run_scenario,
 )
-from repro.scenarios.runner import _unfinished_jobs, prepare
+from repro.scenarios.runner import prepare
 from repro.sim.cluster import build_cluster
 from repro.sim.faults import CorruptionAtom, _resolve_path, apply_plan
 from repro.sim.monitors import InvariantMonitor
@@ -166,20 +166,6 @@ class TestViolationIntervals:
         monitor.add_invariant("never", lambda: False)
         with pytest.raises(InvariantViolation):
             sim.run(until=10.0)
-
-
-# ---------------------------------------------------------------------------
-# Bugfix: run_matrix worker collection
-# ---------------------------------------------------------------------------
-class TestMatrixCollection:
-    def test_unfinished_jobs_names_missing_pairs(self):
-        jobs = [("a", 0), ("a", 1), ("b", 0)]
-        results = [{"scenario": "a", "seed": 0}, {"scenario": "b", "seed": 0}]
-        assert _unfinished_jobs(jobs, results) == [("a", 1)]
-
-    def test_unfinished_jobs_empty_when_all_collected(self):
-        jobs = [("a", 0)]
-        assert _unfinished_jobs(jobs, [{"scenario": "a", "seed": 0}]) == []
 
 
 # ---------------------------------------------------------------------------

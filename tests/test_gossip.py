@@ -324,10 +324,10 @@ def _service_send_digest(stack):
     "stack, expected",
     [
         (get_stack("labels"), "88c4958174df4dda11e655f410e501234c2c6e1b15578f9b6a55f9464fc724fb"),
-        (get_stack("counters"), "905571271af7e4df93625470b16d3aaf0115f57db17a9d17868dd3f26282b1b7"),
+        (get_stack("counters"), "5483ee1a65011720d83cfc0526c4d808b6fc566012dadd59d7c5f09ed6e853e4"),
         (
             get_stack("counters", seqn_bound=4),
-            "0a7a6a33e641b213cf841c03f84ca80196c0fc521bfaec7ba07fc4bdc4a89c88",
+            "969e5c7192b25f5e49c5e26c72c814f6827dd8a2cd873129696d63b74ea2947f",
         ),
     ],
     ids=["labels", "counters", "counters-exhausted"],

@@ -8,7 +8,9 @@ corruption plans), probes, scenario determinism and the parallel runner.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -289,6 +291,38 @@ class TestScenarioEngine:
         direct = run_scenario("bootstrap", seed=3)
         (entry,) = sweep["results"]
         assert entry["statistics"] == direct["statistics"]
+
+
+def _failing_runner(scenario, seed):
+    """A sweep job runner: seed 1 raises, every other seed answers at once."""
+    if seed == 1:
+        raise ValueError("planted")
+    return {"scenario": scenario.name, "seed": seed, "ok": True}
+
+
+def _dying_runner(scenario, seed):
+    """A sweep job runner whose seed 1 kills its worker without reporting."""
+    if seed == 1:
+        os._exit(3)
+    return {"scenario": scenario.name, "seed": seed, "ok": True}
+
+
+class TestSweepFailures:
+    job = SimpleNamespace(name="planted")
+
+    def test_raising_job_is_an_error_entry_and_the_rest_finish(self):
+        sweep = run_matrix([self.job], seeds=[0, 1, 2, 3], workers=2, job_runner=_failing_runner)
+        assert [entry["seed"] for entry in sweep["results"]] == [0, 1, 2, 3]
+        failed = sweep["results"][1]
+        assert failed["ok"] is False
+        assert failed["error"] == "ValueError: planted"
+        assert failed["worker_pid"] != os.getpid()
+        assert all(entry["ok"] for i, entry in enumerate(sweep["results"]) if i != 1)
+
+    def test_dead_worker_fails_the_sweep_naming_the_lost_pair(self):
+        with pytest.raises(RuntimeError, match=r"\('planted', 1\)"):
+            run_matrix([self.job], seeds=[0, 1, 2, 3], workers=2, job_runner=_dying_runner)
+        assert multiprocessing.active_children() == []
 
 
 class TestCLI:

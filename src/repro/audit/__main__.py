@@ -172,8 +172,8 @@ MATRICES: Dict[str, Tuple[List[AuditCase], Tuple[int, ...]]] = {
             corrupt_at=20.0,
             convergence_budget=120.0,
             # 0.2-unit tracker cadence (= fast_sim's min link delay): exact
-            # per-event tracking pays a ~170 us scan of the converged
-            # cluster after every event at this size.
+            # per-event tracking pays a ~60 us scan of the converged
+            # cluster after each of ~10 000 events per sim-unit.
             convergence_poll=0.2,
         ),
         (0,),

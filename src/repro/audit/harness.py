@@ -18,7 +18,9 @@ Warm prefix sharing
 Before the corruption fires, every run of a sweep cell is **pure
 deterministic replay**: it depends on the topology, stack, config, scheduler
 program and simulator seed — but *not* on the corruption seed, profile or
-plan subset, all of which are read at fire time.  :func:`certify` therefore
+plan subset, all of which are read at fire time, and not on a scheduler
+program that is still quiet then (``uniform``, or a dynamic adversary
+anchored after the corruption).  :func:`certify` therefore
 groups cases by that pre-corruption *prefix* (:func:`prefix_key`), bootstraps
 each distinct ``(prefix, simulator seed)`` once, snapshots it right before
 the first event at ``corrupt_at`` (:class:`~repro.sim.snapshot.SimSnapshot`),
@@ -46,7 +48,7 @@ import math
 import os
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import probes
@@ -65,6 +67,7 @@ from repro.scenarios.workloads import (
     RBBroadcastWorkload,
     SMRCommandWorkload,
 )
+from repro.sim.events import Entry
 from repro.sim.snapshot import SimSnapshot
 
 #: Stacks whose nodes run a ``"vs"`` service, i.e. can multicast commands.
@@ -127,8 +130,8 @@ class AuditCase:
     convergence_budget: float = 6_000.0
     #: Sim-time cadence for the run's ConvergenceTracker; 0.0 = evaluate
     #: after every event (exact transition times — the small-n default).
-    #: Large-n tiers set this: at n=128 the scan of a converged cluster
-    #: costs ~170 us, paid after each of ~24 000 events per sim-unit, and a
+    #: Large-n tiers set this: on the n128 tier's converged cluster the scan
+    #: costs ~60 us, paid after each of ~10 000 events per sim-unit, and a
     #: 0.2-unit cadence only coarsens the reported stabilization times by
     #: that interval.  Measurement
     #: cadence only — the event trajectory is identical either way, so
@@ -334,6 +337,43 @@ def build_cases(
 # ---------------------------------------------------------------------------
 # Warm prefix sharing: bootstrap once per (prefix, seed), fan corruption out
 # ---------------------------------------------------------------------------
+def _quiet(case: AuditCase, spec: ScenarioSpec) -> bool:
+    """Whether *case*'s program leaves the environment alone until the
+    corruption fires (:meth:`AdversarialScheduler.first_act`)."""
+    scheduler = get_scheduler(case.scheduler)
+    return scheduler.first_act(**dict(spec.scheduler_params)) >= case.corrupt_at
+
+
+@dataclass
+class _QuietPrograms:
+    """The environment programs of a shared prefix, installed and held back.
+
+    A shared prefix's spec names no scheduler and lists this first among its
+    workloads, so it installs where :func:`prepare` installs a scheduler:
+    each program draws its stream, reads the cluster and schedules its
+    transitions at t = 0 with the sequence numbers it gets in a cold run,
+    and those events then leave the queue.  A warm run puts back its own
+    program's events (:meth:`arm`), which restores the cold run's event
+    order, ties with workload events at the same instant included.
+    """
+
+    programs: Tuple[Tuple[str, Tuple[Tuple[str, Any], ...]], ...]
+    held: Dict[Tuple[str, Tuple[Tuple[str, Any], ...]], List[Entry]] = field(
+        default_factory=dict
+    )
+
+    def install(self, cluster: Any) -> None:
+        events = cluster.simulator.events
+        for name, params in self.programs:
+            since = events.next_sequence
+            get_scheduler(name).install(cluster, **dict(params))
+            self.held[(name, params)] = events.withdraw(since)
+
+    def arm(self, cluster: Any, spec: ScenarioSpec) -> None:
+        """Put the events of *spec*'s program back into the queue."""
+        cluster.simulator.events.readmit(self.held[(spec.scheduler, spec.scheduler_params)])
+
+
 def prefix_key(case: AuditCase) -> str:
     """Digest of everything that shapes a case's *pre-corruption* execution.
 
@@ -342,18 +382,23 @@ def prefix_key(case: AuditCase) -> str:
     fire time, not install time — see ``ArbitraryStateWorkload._fire``), so
     they can share one bootstrapped snapshot per simulator seed.  The probe
     budgets are deliberately *not* part of the key: probes run after the
-    corruption, against the case's own spec.
+    corruption, against the case's own spec.  Neither is the scheduler of a
+    case whose program is still quiet when the corruption fires (``uniform``,
+    and a dynamic adversary whose first transition comes at ``corrupt_at``
+    or later): such cases share the program-free prefix, which holds each
+    of their programs installed but not yet armed (:func:`prefix_snapshot`).
+    A static program acts at install time, so it is always in the key.
     """
     spec = case.to_spec()
     stack = case.stack if isinstance(case.stack, str) else _digest(case.stack)
     config = case.config if isinstance(case.config, str) else _digest(case.config)
+    program = () if _quiet(case, spec) else (case.scheduler, spec.scheduler_params)
     return _digest(
         (
             case.n,
             stack,
             config,
-            case.scheduler,
-            spec.scheduler_params,
+            program,
             case.corrupt_at,
             tuple((inv.name, inv.arm_after) for inv in spec.invariants),
             # A Byzantine case's spec *contents* are read at fire time and
@@ -374,8 +419,31 @@ def prefix_snapshot(case: AuditCase, seed: int) -> Optional[SimSnapshot]:
     tracker, phase state, pending corruption event) is captured.  Returns
     ``None`` in the degenerate case where nothing was left to pause on (the
     caller falls back to cold runs).
+
+    When *case*'s program is quiet until ``corrupt_at`` the prefix is the
+    program-free one of its :func:`prefix_key` group, with the program
+    installed at the scheduler's place and its events held back until a
+    warm run arms them.  :func:`certify` builds one such prefix for a whole
+    group, holding every member's program.
     """
-    run = prepare(case.to_spec(), seed=seed)
+    return _group_snapshot([case], seed)
+
+
+def _group_snapshot(members: Sequence[AuditCase], seed: int) -> Optional[SimSnapshot]:
+    """:func:`prefix_snapshot` of the prefix *members* share (one key)."""
+    case = members[0]
+    spec = case.to_spec()
+    if _quiet(case, spec):
+        programs = dict.fromkeys(
+            (member.scheduler, member.to_spec().scheduler_params) for member in members
+        )
+        spec = replace(
+            spec,
+            scheduler=None,
+            scheduler_params=(),
+            workloads=(_QuietPrograms(tuple(programs)),) + spec.workloads,
+        )
+    run = prepare(spec, seed=seed)
     completed = drive(run, stop_before=case.corrupt_at)
     if completed:
         return None
@@ -389,14 +457,21 @@ def _run_from_snapshot(
     include: Optional[Tuple[int, ...]] = None,
     record_atoms: bool = False,
 ) -> Dict[str, Any]:
-    """Resume a restored prefix as *case*: patch the corruption, run, finalize.
+    """Resume a restored prefix as *case*: arm its program, patch the
+    corruption, run, finalize.
 
-    The pending corruption event in the snapshot belongs to whatever case
-    built the prefix; its corruption-shaping fields are overwritten on the
-    restored copy before the event fires, which is indistinguishable from a
-    cold run of *case* (the fields are only read at fire time).
+    A shared program-free prefix holds *case*'s program installed but
+    disarmed; its events go back into the queue first.  The pending
+    corruption event in the snapshot belongs to whatever case built the
+    prefix; its corruption-shaping fields are overwritten on the restored
+    copy before the event fires, which is indistinguishable from a cold run
+    of *case* (the fields are only read at fire time).
     """
+    spec = case.to_spec(include=include, record_atoms=record_atoms)
     run = snapshot.restore()
+    held = run.spec.workloads[0]
+    if isinstance(held, _QuietPrograms):
+        held.arm(run.cluster, spec)
     (workload,) = [
         w for w in run.spec.workloads if isinstance(w, ArbitraryStateWorkload)
     ]
@@ -417,7 +492,7 @@ def _run_from_snapshot(
         object.__setattr__(byz_workload, "record_atoms", record_atoms)
     # Swap in the case's own spec for naming and probe budgets; the installed
     # objects (workloads, monitor, tracker) stay the restored ones.
-    run.spec = case.to_spec(include=include, record_atoms=record_atoms)
+    run.spec = spec
     drive(run)
     return finalize(run)
 
@@ -483,9 +558,12 @@ def certify(
     snapshot table (nothing is pickled on the way in).
 
     With *reuse_prefix* (the default), cases sharing a pre-corruption prefix
-    are fanned out from one warm :class:`~repro.sim.snapshot.SimSnapshot` per
-    ``(prefix, simulator seed)`` instead of each paying a full bootstrap;
-    results are byte-identical to the cold path.  Snapshots are built in the
+    (:func:`prefix_key`) are fanned out from one warm
+    :class:`~repro.sim.snapshot.SimSnapshot` per ``(prefix, simulator
+    seed)`` instead of each paying a full bootstrap; cases whose programs
+    are quiet until the corruption share one program-free prefix that holds
+    each of their programs disarmed, and each warm run arms its own.
+    Results are byte-identical to the cold path.  Snapshots are built in the
     parent, serially, and the forked pool inherits the whole table, so a
     group only goes warm when its fan-out beats that serial cost: at least
     ``max(2, parallelism)`` cases per prefix, where *parallelism* is the
@@ -519,7 +597,7 @@ def certify(
             if len(members) < max(2, parallelism):
                 continue
             for seed in seeds:
-                snapshot = prefix_snapshot(members[0], seed)
+                snapshot = _group_snapshot(members, seed)
                 if snapshot is not None:
                     snapshots[(key, seed)] = snapshot
                     warm_jobs += len(members)

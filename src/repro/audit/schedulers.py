@@ -55,10 +55,11 @@ Dynamic programs (time-varying, scheduled through environment events):
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.common.rng import make_rng
 from repro.common.types import ProcessId
@@ -73,7 +74,15 @@ Installer = Callable[..., None]
 
 @dataclass(frozen=True)
 class AdversarialScheduler:
-    """A named, seeded environment program (message-timing adversary)."""
+    """A named, seeded environment program (message-timing adversary).
+
+    :meth:`first_act` says from when the program shapes a run: a static
+    program pushes its rule at install time, before any event; ``uniform``
+    never changes anything; a dynamic program leaves the environment alone
+    until its first scheduled transition.  The audit harness reads it to
+    share one warm prefix among cases whose programs are all still quiet
+    when the corruption fires (``repro.audit.harness.prefix_key``).
+    """
 
     name: str
     description: str
@@ -81,6 +90,23 @@ class AdversarialScheduler:
     #: Dynamic programs keep mutating the environment mid-run (scheduled
     #: transitions); static ones only shape the link state at install time.
     dynamic: bool = False
+    #: When the program first acts: ``-inf`` (install time, before any
+    #: event), ``inf`` (never), or the name of the installer keyword that
+    #: holds a dynamic program's first transition time.
+    acts_at: Union[float, str] = -math.inf
+
+    def first_act(self, **params: Any) -> float:
+        """The simulated time of the program's first change to the environment.
+
+        Before it, an installed program has only drawn from its own seeded
+        stream and scheduled events, so a run is the same with or without
+        it.  ``params`` are the install parameters; an absent keyword reads
+        the installer's default.
+        """
+        if isinstance(self.acts_at, str):
+            default = inspect.signature(self.installer).parameters[self.acts_at].default
+            return float(params.get(self.acts_at, default))
+        return self.acts_at
 
     def install(self, cluster: "Cluster", **params: Any) -> None:
         """Install the program on *cluster* (seeded from the simulator seed).
@@ -456,7 +482,10 @@ def _install_target_coordinator(
 # ---------------------------------------------------------------------------
 UNIFORM = register_scheduler(
     AdversarialScheduler(
-        "uniform", "identity baseline: the cluster config's channels", _install_uniform
+        "uniform",
+        "identity baseline: the cluster config's channels",
+        _install_uniform,
+        acts_at=math.inf,
     )
 )
 DELAY_SKEW = register_scheduler(
@@ -493,6 +522,7 @@ CRASH_RECOVERY = register_scheduler(
         "per-epoch link blackouts timed at the FD threshold (apparent crash/recover)",
         _install_crash_recovery,
         dynamic=True,
+        acts_at="start",
     )
 )
 PARTITION_LEAK = register_scheduler(
@@ -501,6 +531,7 @@ PARTITION_LEAK = register_scheduler(
         "one-way leaky partition whose blocked direction flips, then heals",
         _install_partition_leak,
         dynamic=True,
+        acts_at="at",
     )
 )
 TARGET_COORDINATOR = register_scheduler(
@@ -509,5 +540,6 @@ TARGET_COORDINATOR = register_scheduler(
         "adaptive: re-reads the current coordinator each epoch and slows its links",
         _install_target_coordinator,
         dynamic=True,
+        acts_at="start",
     )
 )

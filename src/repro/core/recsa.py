@@ -391,6 +391,12 @@ class RecSA:
         4. an ongoing configuration reset (some ``config`` field is ``⊥``),
         5. a delicate replacement in progress (some non-default notification).
         """
+        # A valid memo entry answers in one call: the per-event convergence
+        # check asks every node this, and nothing moved since the last ask.
+        if self.version == self._memo_version and self.fd_provider() is self._memo_trusted:
+            value = self._memo.get("no_reco", _ABSENT)
+            if value is not _ABSENT:
+                return value
         return self._memoized("no_reco", self._derive_no_reco)
 
     def _derive_no_reco(self, trusted: FrozenSet[ProcessId]) -> bool:

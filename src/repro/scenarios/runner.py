@@ -221,8 +221,23 @@ JobRunner = Callable[[Any, int], Dict[str, Any]]
 
 
 def _run_job(job_runner: JobRunner, scenario: Any, seed: int) -> Dict[str, Any]:
+    """Run one job in this process; an exception becomes its entry.
+
+    Both the serial loop and the pool workers run every job through here,
+    so a raising job is an ``ok: False`` entry with its ``error`` whatever
+    the worker count, and the other jobs go on.
+    """
     wall_start = time.perf_counter()
-    result = job_runner(scenario, seed)
+    try:
+        result = job_runner(scenario, seed)
+    except Exception as exc:
+        return {
+            "scenario": scenario.name,
+            "seed": seed,
+            "ok": False,
+            "error": f"{type(exc).__name__}: {exc}",
+            "worker_pid": os.getpid(),
+        }
     return {
         **result,
         "wall_seconds": time.perf_counter() - wall_start,
@@ -241,19 +256,10 @@ def _adopt_sweep(jobs: Sequence[Tuple[Any, int]], job_runner: JobRunner) -> None
 
 
 def _run_index(index: int) -> Dict[str, Any]:
-    """Run job *index* of the inherited sweep; an exception becomes its entry."""
+    """Run job *index* of the inherited sweep."""
     jobs, job_runner = _sweep
     scenario, seed = jobs[index]
-    try:
-        return _run_job(job_runner, scenario, seed)
-    except Exception as exc:  # report the failure; the other jobs go on
-        return {
-            "scenario": scenario.name,
-            "seed": seed,
-            "ok": False,
-            "error": f"{type(exc).__name__}: {exc}",
-            "worker_pid": os.getpid(),
-        }
+    return _run_job(job_runner, scenario, seed)
 
 
 def _sweep_summary(
@@ -301,11 +307,12 @@ def run_matrix(
     Returns ``{"meta": ..., "results": [...]}`` with results sorted by
     ``(scenario, seed)`` regardless of completion order.
 
-    Parallel sweeps submit job indices to a pool of forked workers; a job
-    that raises becomes an ``ok: False`` entry with its ``error``, and a
-    worker that dies raises ``RuntimeError``.  ``meta["sweep"]`` reports
-    per-worker job counts, busy seconds and overall pool utilization; each
-    result entry carries its own ``wall_seconds`` and ``worker_pid``.
+    A job that raises becomes an ``ok: False`` entry with its ``error``,
+    serial or parallel.  Parallel sweeps submit job indices to a pool of
+    forked workers; a worker that dies raises ``RuntimeError``.
+    ``meta["sweep"]`` reports per-worker job counts, busy seconds and
+    overall pool utilization; each result entry carries its own
+    ``wall_seconds`` and ``worker_pid``.
     """
     names = [scenario.name for scenario in scenarios]
     jobs = [(scenario, seed) for scenario in scenarios for seed in seeds]

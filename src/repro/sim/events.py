@@ -157,6 +157,29 @@ class EventQueue:
         heapq.heappush(self._heap, (time, seq, None, event))
         return event
 
+    @property
+    def next_sequence(self) -> int:
+        """The sequence number the next scheduled entry will get."""
+        return self._next_seq
+
+    def withdraw(self, since: int) -> List[Entry]:
+        """Remove and return every entry scheduled at sequence *since* or later.
+
+        The entries keep their ``(time, sequence)``: :meth:`readmit` puts
+        them back exactly where they would have run had they stayed.
+        """
+        heap = self._heap
+        taken = [entry for entry in heap if entry[1] >= since]
+        if taken:
+            heap[:] = [entry for entry in heap if entry[1] < since]
+            heapq.heapify(heap)
+        return taken
+
+    def readmit(self, entries: List[Entry]) -> None:
+        """Put withdrawn *entries* back into the queue, order keys unchanged."""
+        for entry in entries:
+            heapq.heappush(self._heap, entry)
+
     def cancel(self, event: Event) -> None:
         """Cancel *event* in O(1); it will be skipped lazily when it reaches
         the head.  Cancelling an event that has already fired is a no-op."""

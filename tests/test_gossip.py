@@ -16,7 +16,6 @@ import random
 
 import pytest
 
-from repro.common.codec import frame
 from repro.common.types import make_config
 from repro.core.gossip import GossipGate
 from repro.core.recsa import DEFAULT_GOSSIP_REFRESH_INTERVAL as K
@@ -285,24 +284,24 @@ def test_write_of_the_held_label_changes_nothing(seed):
 
 def _service_send_digest(stack):
     """sha256 of every send the member services make, in send order —
-    ``(now, sender, destination)`` and the framed message — then of every
-    increment outcome, over n = 5: 30 increments (or, on the labels stack,
-    30 periods) 7 su apart and a reconfiguration to ``{0, 1, 2, 3}`` after
-    the 13th.  Operation ids come from a process-wide counter, so each is
-    replaced by its first-appearance rank before framing."""
+    ``(now, sender, destination)`` and the message's ``repr`` — then of
+    every increment outcome, over n = 5: 30 increments (or, on the labels
+    stack, 30 periods) 7 su apart and a reconfiguration to ``{0, 1, 2, 3}``
+    after the 13th.  It hashes what was sent, not how the codec encodes it,
+    so a wire-format change leaves it alone.  Operation ids come from a
+    process-wide counter, so each is replaced by its first-appearance rank
+    first."""
     cluster = quick_cluster(5, seed=29, stack=stack)
     services = cluster.services(stack.name)
     digest = hashlib.sha256()
     ranks = {}
     for pid, svc in services.items():
         def send(destination, message, _pid=pid, _send=svc.send):
+            sent = message
             if hasattr(message, "op_id"):
                 rank = ranks.setdefault(message.op_id, len(ranks))
-                message_bytes = frame(dataclasses.replace(message, op_id=rank))
-            else:
-                message_bytes = frame(message)
-            digest.update(repr((cluster.simulator.now, _pid, destination)).encode())
-            digest.update(message_bytes)
+                sent = dataclasses.replace(message, op_id=rank)
+            digest.update(repr((cluster.simulator.now, _pid, destination, sent)).encode())
             _send(destination, message)
 
         svc.send = send
@@ -314,8 +313,7 @@ def _service_send_digest(stack):
         if step == 12:
             assert cluster.nodes[0].scheme.request_reconfiguration(make_config([0, 1, 2, 3]))
     for outcome in outcomes:
-        digest.update(repr((outcome.success, outcome.aborted)).encode())
-        digest.update(frame(outcome.counter))
+        digest.update(repr((outcome.success, outcome.aborted, outcome.counter)).encode())
     assert cluster.agreed_configuration() == make_config([0, 1, 2, 3])
     return digest.hexdigest(), [outcome.success for outcome in outcomes]
 
@@ -323,11 +321,11 @@ def _service_send_digest(stack):
 @pytest.mark.parametrize(
     "stack, expected",
     [
-        (get_stack("labels"), "88c4958174df4dda11e655f410e501234c2c6e1b15578f9b6a55f9464fc724fb"),
-        (get_stack("counters"), "5483ee1a65011720d83cfc0526c4d808b6fc566012dadd59d7c5f09ed6e853e4"),
+        (get_stack("labels"), "6e9067ced6ad1fff1ec08e29c12f1b485d10f87d400297386d5de548bb0e91ef"),
+        (get_stack("counters"), "7b9a262c5660a1e4804d2eec8e8ec1ecac8e6aaebbca369792af8712ebcb489c"),
         (
             get_stack("counters", seqn_bound=4),
-            "969e5c7192b25f5e49c5e26c72c814f6827dd8a2cd873129696d63b74ea2947f",
+            "fe1c80bea064d4f5e31b3c1c45859b6f638bc0fd486aa7e138683910192adb2b",
         ),
     ],
     ids=["labels", "counters", "counters-exhausted"],

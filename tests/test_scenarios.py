@@ -319,6 +319,13 @@ class TestSweepFailures:
         assert failed["worker_pid"] != os.getpid()
         assert all(entry["ok"] for i, entry in enumerate(sweep["results"]) if i != 1)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_serial_and_pooled_sweeps_report_a_raising_job_alike(self, workers):
+        sweep = run_matrix([self.job], seeds=[0, 1, 2], workers=workers, job_runner=_failing_runner)
+        assert [entry["ok"] for entry in sweep["results"]] == [True, False, True]
+        assert sweep["results"][1]["error"] == "ValueError: planted"
+        assert sweep["meta"]["workers"] == workers
+
     def test_dead_worker_fails_the_sweep_naming_the_lost_pair(self):
         with pytest.raises(RuntimeError, match=r"\('planted', 1\)"):
             run_matrix([self.job], seeds=[0, 1, 2, 3], workers=2, job_runner=_dying_runner)

@@ -322,6 +322,56 @@ class TestWarmPrefixSharing:
         warm = certify(cases, seeds=[0], shrink_failures=False, reuse_prefix=True)
         assert report_bytes(warm) == report_bytes(cold)
 
+    def test_quiet_programs_share_the_program_free_prefix(self):
+        """``uniform`` and the three dynamic adversaries anchored after the
+        corruption run the same prefix: one snapshot per seed serves all."""
+        cases = build_cases(
+            schedulers=["uniform", "crash_recovery", "partition_leak", "target_coordinator"],
+            corruption_seeds=[0, 1],
+        )
+        cold = certify(cases, seeds=[0], shrink_failures=False, reuse_prefix=False)
+        warm = certify(cases, seeds=[0], shrink_failures=False, reuse_prefix=True)
+        assert report_bytes(warm) == report_bytes(cold)
+        reuse = warm["meta"]["prefix_reuse"]
+        assert reuse["distinct_prefixes"] == 1
+        assert reuse["snapshots"] == 1 and reuse["warm_runs"] == 8
+
+    def test_armed_program_keeps_its_place_in_a_tie(self):
+        """On ``vs_smr_rb`` the coordinator-hunting program's first epoch and
+        a broadcast workload both fire at t = 32; the cold run fires the
+        program first (installed first), and so must a warm run off the
+        shared prefix."""
+        from repro.audit.__main__ import MATRICES
+
+        cases = [
+            case
+            for case in MATRICES["byzantine"][0]
+            if case.stack == "vs_smr_rb" and case.profile_name == "none"
+        ]
+        assert sorted(case.scheduler for case in cases) == ["target_coordinator", "uniform"]
+        cold = certify(cases, seeds=[0], shrink_failures=False, reuse_prefix=False)
+        warm = certify(cases, seeds=[0], shrink_failures=False, reuse_prefix=True)
+        assert warm["meta"]["prefix_reuse"]["distinct_prefixes"] == 1
+        assert warm["meta"]["prefix_reuse"]["warm_runs"] == 2
+        assert report_bytes(warm) == report_bytes(cold)
+        (tie,) = [v for v in warm["verdicts"] if ":target_coordinator:" in v["case"]]
+        assert tie["convergence"]["stabilization_time"] == 34.925273797992936
+
+    def test_static_and_early_programs_keep_their_own_prefix(self):
+        quiet = prefix_key(AuditCase(scheduler="uniform", corruption_seed=0))
+        assert prefix_key(AuditCase(scheduler="crash_recovery", corruption_seed=0)) == quiet
+        # A static program pushes its rule at install time, before any event.
+        for name in ("delay_skew", "reorder_heavy", "burst_delivery", "slow_node"):
+            assert prefix_key(AuditCase(scheduler=name, corruption_seed=0)) != quiet
+            assert prefix_key(
+                AuditCase(scheduler=name, corruption_seed=0, corrupt_at=0.0)
+            ) != prefix_key(AuditCase(scheduler="uniform", corruption_seed=0, corrupt_at=0.0))
+        # A dynamic program whose first transition precedes the corruption.
+        early = AuditCase(
+            scheduler="crash_recovery", corruption_seed=0, scheduler_params=(("start", 10.0),)
+        )
+        assert prefix_key(early) != quiet
+
     def test_single_run_prefixes_stay_cold(self):
         cases = build_cases(schedulers=["uniform", "slow_node"], corruption_seeds=[0])
         report = certify(cases, seeds=[0], shrink_failures=False, reuse_prefix=True)

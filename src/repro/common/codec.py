@@ -23,9 +23,16 @@ Design
   receiver can reject oversized or truncated input before parsing.
 * **Binary format.**  The wire format is the object graph as compact
   opcode-prefixed bytes.  Every dataclass is written the one way: its
-  opcode, its type id, then its fields in registry order, by a
-  per-dataclass *precompiled flat encoder* (field list resolved at registry
-  build time, fields positional on the wire).  Type/enum/singleton
+  opcode, its type id, then its fields in registry order, positionally.
+  Each registered dataclass gets one *generated encoder and one generated
+  decoder*, Python source built from its registry entry and compiled with
+  ``exec`` the first time the type is encoded or decoded (compiling all of
+  them up front costs ≈ 20 ms, which would land in the boot of every
+  process that runs a node).  They read and write small ints, ``None``, bools
+  and nested registered dataclasses inline and hand any other field value
+  to the generic, opcode-driven path.  :func:`unframe` decodes a frame in
+  place at an offset, so a datagram of coalesced frames is never sliced.
+  Type/enum/singleton
   identifiers are indices into the sorted registry, so both sides of a
   connection that import the same message modules agree on them.  Tuples,
   frozensets, sets, dicts with non-string keys and ``mappingproxy`` views
@@ -182,9 +189,12 @@ _OP_DC = 0x0B  # dataclass: type id + per-field values (registry order)
 _OP_ENUM = 0x0D
 _OP_ONE = 0x0E  # sentinel singleton
 
+#: The counted containers whose items are decoded one by one.
+_SEQUENCE_OPS = frozenset((_OP_TUPLE, _OP_LIST, _OP_SET, _OP_FSET))
+
 _F8 = struct.Struct(">d")
 
-#: Lazily built binary tables (sorted-registry ids + precompiled encoders).
+#: Lazily built binary tables (sorted-registry ids, per-type stubs).
 #: Rebuilt whenever a registration lands after the first build, so the ids
 #: stay a pure function of the (import-complete) registry contents.
 _BIN_TABLES: Optional[Dict[str, Any]] = None
@@ -192,18 +202,30 @@ _BIN_TABLES: Optional[Dict[str, Any]] = None
 # Hot-path aliases of the tables, kept as module globals so the per-value
 # encode/decode loops pay one dict lookup instead of a tables-dict hop.
 # Mutated in place by the builder; cleared (not rebound) on invalidation so
-# every reference observes the reset.
+# every reference observes the reset.  A dataclass's slot in
+# ``_BIN_DISPATCH`` and ``_BIN_DECODERS`` starts as a stub that compiles the
+# type on first use and puts the generated function in its place.
 _BIN_DISPATCH: Dict[type, Any] = {}
-_BIN_DC_BY_ID: List[Tuple[type, Tuple[str, ...], Any]] = []
+_BIN_DECODERS: List[Any] = []
 _BIN_ENUMS_BY_ID: List[type] = []
 _BIN_ONES_BY_ID: List[Any] = []
+
+#: Frame head before encoding: the length prefix (filled in last) and the
+#: format discriminator.
+_FRAME_HEAD = bytes((0, 0, 0, 0, FORMAT_BINARY))
+
+#: ``_SMALL_INTS[v]`` is the encoding of every int in ``[-64, 64)`` (one
+#: zigzag byte); negative ``v`` index from the end, which is where they sit.
+_SMALL_INTS = [bytes((_OP_INT, v << 1)) for v in range(64)] + [
+    bytes((_OP_INT, (-v << 1) - 1)) for v in range(-64, 0)
+]
 
 
 def _invalidate_binary_tables() -> None:
     global _BIN_TABLES
     _BIN_TABLES = None
     _BIN_DISPATCH.clear()
-    del _BIN_DC_BY_ID[:]
+    del _BIN_DECODERS[:]
     del _BIN_ENUMS_BY_ID[:]
     del _BIN_ONES_BY_ID[:]
 
@@ -229,7 +251,7 @@ def _append_int(buf: bytearray, n: int) -> None:
 
 
 def _build_binary_tables() -> Dict[str, Any]:
-    """Assign sorted-registry ids and precompile per-dataclass encoders."""
+    """Assign sorted-registry ids and install the per-type stubs."""
     _ensure_registered()
     dc_names = sorted(_TYPES)
     enum_names = sorted(_ENUMS)
@@ -238,52 +260,21 @@ def _build_binary_tables() -> Dict[str, Any]:
     enum_ids = {name: i for i, name in enumerate(enum_names)}
     one_ids = {name: i for i, name in enumerate(one_names)}
 
-    def make_ctor(cls: type, fields: Tuple[str, ...]) -> Any:
-        """A decode-side constructor that skips the frozen-init machinery.
+    def make_stubs(name: str) -> Tuple[Any, Any]:
+        def encode_stub(buf: bytearray, value: Any, depth: int) -> None:
+            _compile_wire_type(name)[0](buf, value, depth)
 
-        Wire dataclasses are plain (non-slots) frozen dataclasses, so an
-        instance is its ``__dict__``; building it directly is ~3× cheaper
-        than ``cls(*values)`` (which routes every field through
-        ``object.__setattr__``).  Types with a ``__post_init__`` keep the
-        real constructor so their validation still runs.
-        """
-        if hasattr(cls, "__post_init__") or hasattr(cls, "__slots__"):
-            return None
-        new = cls.__new__
+        def decode_stub(data: bytes, i: int, end: int, depth: int) -> Tuple[Any, int]:
+            return _compile_wire_type(name)[1](data, i, end, depth)
 
-        def ctor(values: Tuple[Any, ...]) -> Any:
-            obj = new(cls)
-            obj.__dict__.update(zip(fields, values))
-            return obj
-
-        return ctor
-
-    dc_by_id = []
-    for name in dc_names:
-        cls = _TYPES[name]
-        fields = _TYPE_FIELDS[name]
-        dc_by_id.append((cls, fields, make_ctor(cls, fields)))
+        return encode_stub, decode_stub
 
     dispatch: Dict[type, Any] = {}
-
-    def make_dc_encoder(name: str) -> Any:
-        fields = _TYPE_FIELDS[name]
-        header = bytearray()
-        header.append(_OP_DC)
-        _append_uvarint(header, dc_ids[name])
-        flat_header = bytes(header)
-
-        def encode_flat(buf: bytearray, value: Any, depth: int) -> None:
-            if depth > MAX_DEPTH:
-                raise CodecError("object graph too deep to encode")
-            buf += flat_header
-            for field in fields:
-                _bin_encode(buf, getattr(value, field), depth + 1)
-
-        return encode_flat
-
+    decoders = []
     for name in dc_names:
-        dispatch[_TYPES[name]] = make_dc_encoder(name)
+        encode_stub, decode_stub = make_stubs(name)
+        dispatch[_TYPES[name]] = encode_stub
+        decoders.append(decode_stub)
 
     def make_enum_encoder(name: str) -> Any:
         header = bytearray()
@@ -302,17 +293,15 @@ def _build_binary_tables() -> Dict[str, Any]:
 
     _BIN_DISPATCH.clear()
     _BIN_DISPATCH.update(dispatch)
-    _BIN_DC_BY_ID[:] = dc_by_id
+    _BIN_DECODERS[:] = decoders
     _BIN_ENUMS_BY_ID[:] = [_ENUMS[name] for name in enum_names]
     _BIN_ONES_BY_ID[:] = [_SINGLETONS[name] for name in one_names]
     return {
         "dc_ids": dc_ids,
-        "dc_by_id": dc_by_id,
         "enum_ids": enum_ids,
         "enums_by_id": _BIN_ENUMS_BY_ID,
         "one_ids": one_ids,
         "ones_by_id": _BIN_ONES_BY_ID,
-        "dispatch": dispatch,
     }
 
 
@@ -322,6 +311,147 @@ def _binary_tables() -> Dict[str, Any]:
     if tables is None:
         tables = _BIN_TABLES = _build_binary_tables()
     return tables
+
+
+# ---------------------------------------------------------------------------
+# Generated per-type encoders and decoders
+# ---------------------------------------------------------------------------
+# One field of a generated encoder.  ``v`` is the field's value; small ints,
+# None and bools are written here, a registered dataclass or enum by its own
+# encoder, anything else by the generic ``_bin_encode``.
+_ENCODE_FIELD = """\
+    v = value.{field}
+    c = v.__class__
+    if c is int:
+        if -64 <= v < 64:
+            buf += SMALL_INTS[v]
+        elif -8192 <= v < 8192:
+            v = v + v if v >= 0 else -v - v - 1
+            buf.append(OP_INT)
+            buf.append((v & 0x7F) | 0x80)
+            buf.append(v >> 7)
+        else:
+            append_int(buf, v)
+    elif v is None:
+        buf.append(OP_NONE)
+    elif c is bool:
+        buf.append(OP_TRUE if v else OP_FALSE)
+    else:
+        encoder = DISPATCH.get(c)
+        if encoder is None:
+            bin_encode(buf, v, depth + 1)
+        else:
+            encoder(buf, v, depth + 1)
+"""
+
+# One field of a generated decoder, into local ``f<k>``.  Reads are not
+# bounded by ``end`` here: a read past it either raises IndexError (the
+# public entry points turn it into CodecError) or leaves ``i`` beyond
+# ``end``, which every later generic read and the entry points' final
+# ``i == end`` check reject.  A 1- or 2-byte varint, None, the bools and a
+# dataclass with a 1-byte type id are read inline; the rest goes to the
+# generic ``_bin_decode`` from the field's first byte.
+_DECODE_FIELD = """\
+    op = data[i]
+    if op == OP_INT:
+        v = data[i + 1]
+        if v < 0x80:
+            f{k} = (v >> 1) ^ -(v & 1)
+            i += 2
+        else:
+            w = data[i + 2]
+            if w < 0x80:
+                v = (v & 0x7F) | (w << 7)
+                f{k} = (v >> 1) ^ -(v & 1)
+                i += 3
+            else:
+                f{k}, i = bin_decode(data, i, end, depth + 1)
+    elif op == OP_NONE:
+        f{k} = None
+        i += 1
+    elif op == OP_TRUE:
+        f{k} = True
+        i += 1
+    elif op == OP_FALSE:
+        f{k} = False
+        i += 1
+    elif op == OP_DC and data[i + 1] < DIRECT_IDS:
+        f{k}, i = DECODERS[data[i + 1]](data, i + 2, end, depth + 1)
+    else:
+        f{k}, i = bin_decode(data, i, end, depth + 1)
+"""
+
+
+def _compile_wire_type(name: str) -> Tuple[Any, Any]:
+    """Generate, compile and install the wire type *name*'s encoder and decoder.
+
+    The source is built from the registry alone (the type id and the field
+    names, which ``dataclasses`` has already checked are identifiers), never
+    from wire input, and compiled with ``exec`` the way ``dataclasses``
+    builds ``__init__``.  The decoder builds the instance through its
+    ``__dict__``, about 2× cheaper than ``cls(*values)``, which routes every
+    field of a frozen dataclass through ``object.__setattr__``; a type with
+    a ``__post_init__`` or ``__slots__`` keeps its real constructor, so its
+    validation still runs.  A field's value is its own graph node, one level
+    below the instance, so a type with fields is too deep one level earlier.
+    """
+    tables = _binary_tables()
+    type_id = tables["dc_ids"][name]
+    cls = _TYPES[name]
+    fields = _TYPE_FIELDS[name]
+    header = bytearray((_OP_DC,))
+    _append_uvarint(header, type_id)
+    limit = MAX_DEPTH - 1 if fields else MAX_DEPTH
+    encode_lines = [
+        "def encode(buf, value, depth):",
+        f"    if depth > {limit}:",
+        '        raise CodecError("object graph too deep to encode")',
+        "    buf += HEADER",
+    ]
+    decode_lines = [
+        "def decode(data, i, end, depth):",
+        f"    if depth > {limit}:",
+        '        raise CodecError("encoded graph too deep to decode")',
+    ]
+    for k, field in enumerate(fields):
+        encode_lines.append(_ENCODE_FIELD.format(field=field))
+        decode_lines.append(_DECODE_FIELD.format(k=k))
+    values = ", ".join(f"f{k}" for k in range(len(fields)))
+    if hasattr(cls, "__post_init__") or hasattr(cls, "__slots__"):
+        decode_lines += [
+            "    try:",
+            f"        return CLS({values}), i",
+            "    except (TypeError, ValueError) as exc:",
+            f'        raise CodecError(f"cannot construct {name!r}: {{exc}}") from None',
+        ]
+    else:
+        decode_lines += ["    obj = NEW(CLS)", "    state = obj.__dict__"]
+        decode_lines += [f"    state[{field!r}] = f{k}" for k, field in enumerate(fields)]
+        decode_lines.append("    return obj, i")
+    namespace: Dict[str, Any] = {
+        "CodecError": CodecError,
+        "HEADER": bytes(header),
+        "SMALL_INTS": _SMALL_INTS,
+        "DISPATCH": _BIN_DISPATCH,
+        "DECODERS": _BIN_DECODERS,
+        "DIRECT_IDS": min(len(_BIN_DECODERS), 0x80),
+        "CLS": cls,
+        "NEW": cls.__new__,
+        "append_int": _append_int,
+        "bin_encode": _bin_encode,
+        "bin_decode": _bin_decode,
+        "OP_INT": _OP_INT,
+        "OP_NONE": _OP_NONE,
+        "OP_TRUE": _OP_TRUE,
+        "OP_FALSE": _OP_FALSE,
+        "OP_DC": _OP_DC,
+    }
+    source = "\n".join(encode_lines) + "\n\n" + "\n".join(decode_lines) + "\n"
+    exec(compile(source, f"<wire type {name}>", "exec"), namespace)
+    encoder, decoder = namespace["encode"], namespace["decode"]
+    _BIN_DISPATCH[cls] = encoder
+    _BIN_DECODERS[type_id] = decoder
+    return encoder, decoder
 
 
 def _bin_encode(buf: bytearray, value: Any, depth: int) -> None:
@@ -336,6 +466,25 @@ def _bin_encode(buf: bytearray, value: Any, depth: int) -> None:
         buf.append(_OP_STR)
         _append_uvarint(buf, len(raw))
         buf += raw
+        return
+    if cls is frozenset or cls is set:
+        # Sets come before the rarer shapes: they are most of what generated
+        # encoders hand over.  Canonical element order: equal sets encode to
+        # identical bytes.
+        if value and depth >= MAX_DEPTH:
+            raise CodecError("object graph too deep to encode")
+        encoded = []
+        for item in value:
+            if item.__class__ is int and -64 <= item < 64:
+                encoded.append(_SMALL_INTS[item])
+                continue
+            piece = bytearray()
+            _bin_encode(piece, item, depth + 1)
+            encoded.append(bytes(piece))
+        encoded.sort()
+        buf.append(_OP_FSET if cls is frozenset else _OP_SET)
+        _append_uvarint(buf, len(encoded))
+        buf += b"".join(encoded)
         return
     if value is None:
         buf.append(_OP_NONE)
@@ -356,19 +505,6 @@ def _bin_encode(buf: bytearray, value: Any, depth: int) -> None:
         _append_uvarint(buf, len(value))
         for item in value:
             _bin_encode(buf, item, depth + 1)
-        return
-    if cls is frozenset or cls is set:
-        # Canonical element order: equal sets encode to identical bytes.
-        encoded = []
-        for item in value:
-            piece = bytearray()
-            _bin_encode(piece, item, depth + 1)
-            encoded.append(bytes(piece))
-        encoded.sort()
-        buf.append(_OP_FSET if cls is frozenset else _OP_SET)
-        _append_uvarint(buf, len(encoded))
-        for piece in encoded:
-            buf += piece
         return
     if cls is dict or cls is types.MappingProxyType:
         buf.append(_OP_DICT)
@@ -437,27 +573,44 @@ def _bin_decode(data: bytes, i: int, end: int, depth: int) -> Tuple[Any, int]:
             if shift >= MAX_VARINT_BITS:
                 raise CodecError("varint exceeds the cap")
         return (zz >> 1) if not (zz & 1) else -((zz + 1) >> 1), i
+    if op in _SEQUENCE_OPS:
+        # Sets (configurations, antistings) are what generated decoders
+        # hand over most; their counts fit one byte.
+        if i < end and data[i] < 0x80:
+            count = data[i]
+            i += 1
+        else:
+            count, i = _read_uvarint(data, i, end)
+        if count > end - i:
+            # Every element costs at least one byte; a larger claim is a
+            # hostile count and must not drive allocation.
+            raise CodecError("container count exceeds remaining bytes")
+        if count and depth >= MAX_DEPTH:
+            raise CodecError("encoded graph too deep to decode")
+        items = []
+        for _ in range(count):
+            # One-byte ints (set members are pids) are read here.
+            if i + 1 < end and data[i] == _OP_INT and data[i + 1] < 0x80:
+                zz = data[i + 1]
+                items.append((zz >> 1) ^ -(zz & 1))
+                i += 2
+                continue
+            item, i = _bin_decode(data, i, end, depth + 1)
+            items.append(item)
+        if op == _OP_TUPLE:
+            return tuple(items), i
+        if op == _OP_LIST:
+            return items, i
+        try:
+            return (frozenset(items) if op == _OP_FSET else set(items)), i
+        except TypeError as exc:
+            raise CodecError(f"unhashable set element: {exc}") from None
     if op == _OP_DC:
         type_id, i = _read_uvarint(data, i, end)
-        dc_by_id = _BIN_DC_BY_ID
-        if type_id >= len(dc_by_id):
+        decoders = _BIN_DECODERS
+        if type_id >= len(decoders):
             raise CodecError(f"unknown binary wire type id {type_id}")
-        cls, fields, ctor = dc_by_id[type_id]
-        decoded = []
-        for _ in fields:
-            item, i = _bin_decode(data, i, end, depth + 1)
-            decoded.append(item)
-        values = tuple(decoded)
-        if ctor is not None:
-            # Arity is fixed by the field loop above, so the precompiled
-            # constructor cannot mis-build; validation-free types only.
-            return ctor(values), i
-        try:
-            return cls(*values), i
-        except (TypeError, ValueError) as exc:
-            raise CodecError(
-                f"cannot construct {cls.__name__!r}: {exc}"
-            ) from None
+        return decoders[type_id](data, i, end, depth)
     if op == _OP_STR:
         length, i = _read_uvarint(data, i, end)
         if i + length > end:
@@ -492,24 +645,6 @@ def _bin_decode(data: bytes, i: int, end: int, depth: int) -> Tuple[Any, int]:
         if one_id >= len(ones):
             raise CodecError(f"unknown binary singleton id {one_id}")
         return ones[one_id], i
-    if op in (_OP_TUPLE, _OP_LIST, _OP_SET, _OP_FSET):
-        count, i = _read_uvarint(data, i, end)
-        if count > end - i:
-            # Every element costs at least one byte; a larger claim is a
-            # hostile count and must not drive allocation.
-            raise CodecError("container count exceeds remaining bytes")
-        items = []
-        for _ in range(count):
-            item, i = _bin_decode(data, i, end, depth + 1)
-            items.append(item)
-        if op == _OP_TUPLE:
-            return tuple(items), i
-        if op == _OP_LIST:
-            return items, i
-        try:
-            return (frozenset(items) if op == _OP_FSET else set(items)), i
-        except TypeError as exc:
-            raise CodecError(f"unhashable set element: {exc}") from None
     if op == _OP_DICT:
         count, i = _read_uvarint(data, i, end)
         if count * 2 > end - i:
@@ -526,13 +661,37 @@ def _bin_decode(data: bytes, i: int, end: int, depth: int) -> Tuple[Any, int]:
     raise CodecError(f"unknown binary opcode 0x{op:02X}")
 
 
+def _decode_body(data: bytes, start: int, end: int) -> Any:
+    """Decode the one value that must fill ``data[start:end]`` exactly.
+
+    The generated decoders read without checking *end*; a read past the
+    buffer raises IndexError, and a read past *end* leaves the last value
+    ending beyond it — both are a truncated body here.
+    """
+    try:
+        # The common case, a dataclass with a one-byte type id, goes
+        # straight to its decoder.
+        if start + 1 < end and data[start] == _OP_DC and data[start + 1] < 0x80:
+            decoders = _BIN_DECODERS
+            type_id = data[start + 1]
+            if type_id >= len(decoders):
+                raise CodecError(f"unknown binary wire type id {type_id}")
+            value, consumed = decoders[type_id](data, start + 2, end, 0)
+        else:
+            value, consumed = _bin_decode(data, start, end, 0)
+    except IndexError:
+        raise CodecError("truncated binary body") from None
+    if consumed != end:
+        raise CodecError(
+            "trailing bytes after binary value" if consumed < end else "truncated binary body"
+        )
+    return value
+
+
 def decode_binary(data: bytes) -> Any:
     """Decode one binary body (raises :class:`CodecError` on anything bad)."""
     _binary_tables()
-    value, consumed = _bin_decode(data, 0, len(data), 0)
-    if consumed != len(data):
-        raise CodecError("trailing bytes after binary value")
-    return value
+    return _decode_body(data, 0, len(data))
 
 
 # ---------------------------------------------------------------------------
@@ -540,33 +699,46 @@ def decode_binary(data: bytes) -> Any:
 # ---------------------------------------------------------------------------
 def frame(value: Any) -> bytes:
     """Serialize *value* to one length-prefixed wire frame (binary format)."""
-    body = encode_binary(value)
-    if len(body) + 1 > MAX_FRAME_BYTES:
-        raise CodecError(f"frame body of {len(body)} bytes exceeds the cap")
-    return _LEN.pack(len(body) + 1) + bytes((FORMAT_BINARY,)) + body
+    if _BIN_TABLES is None:
+        _binary_tables()
+    buf = bytearray(_FRAME_HEAD)
+    encoder = _BIN_DISPATCH.get(value.__class__)
+    if encoder is None:
+        _bin_encode(buf, value, 0)
+    else:
+        encoder(buf, value, 0)
+    length = len(buf) - _LEN.size
+    if length > MAX_FRAME_BYTES:
+        raise CodecError(f"frame body of {length - 1} bytes exceeds the cap")
+    _LEN.pack_into(buf, 0, length)
+    return bytes(buf)
 
 
-def unframe(data: bytes) -> Tuple[Any, int]:
-    """Decode one frame from the head of *data*.
+def unframe(data: bytes, offset: int = 0) -> Tuple[Any, int]:
+    """Decode the frame that starts at *offset* in *data*, in place.
 
-    Returns ``(value, bytes_consumed)``; raises :class:`CodecError` when the
-    prefix is truncated, the body is incomplete or oversized, the format
-    discriminator is unknown, or the body is malformed.  Stream callers keep
-    the tail for the next frame; datagram callers require
-    ``bytes_consumed == len(data)``.
+    Returns ``(value, end)``, where *end* is the offset just past the frame
+    (the bytes consumed, from the default offset 0); raises
+    :class:`CodecError` when the prefix is truncated, the body is incomplete
+    or oversized, the format discriminator is unknown, or the body is
+    malformed.  The body is decoded where it lies, bounded by its length
+    prefix: bytes after the frame never complete it.  Stream and datagram
+    callers pass *end* back as the next offset; a datagram is consumed
+    when it equals ``len(data)``.
     """
-    if len(data) < _LEN.size:
+    if len(data) - offset < _LEN.size:
         raise CodecError("truncated frame: missing length prefix")
-    (length,) = _LEN.unpack_from(data)
+    (length,) = _LEN.unpack_from(data, offset)
     if length > MAX_FRAME_BYTES:
         raise CodecError(f"frame length {length} exceeds the cap")
     if length < 1:
         raise CodecError("empty frame body")
-    end = _LEN.size + length
+    end = offset + _LEN.size + length
     if len(data) < end:
         raise CodecError("truncated frame: incomplete body")
-    fmt = data[_LEN.size]
-    body = data[_LEN.size + 1 : end]
-    if fmt == FORMAT_BINARY:
-        return decode_binary(body), end
-    raise CodecError(f"unknown wire format discriminator 0x{fmt:02X}")
+    fmt = data[offset + _LEN.size]
+    if fmt != FORMAT_BINARY:
+        raise CodecError(f"unknown wire format discriminator 0x{fmt:02X}")
+    if _BIN_TABLES is None:
+        _binary_tables()
+    return _decode_body(data, offset + _LEN.size + 1, end), end

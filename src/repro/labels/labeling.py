@@ -67,7 +67,7 @@ class LabelingService:
         self.scheme = scheme
         self.send = send
         self.store: Optional[LabelStore] = None
-        self._store_members: Optional[Tuple[ProcessId, ...]] = None
+        self._store_members: Optional[Configuration] = None
         self.gate = GossipGate(scheme.recsa.gossip_refresh_interval)
         self.rebuild_count = 0
 
@@ -87,8 +87,12 @@ class LabelingService:
         return config
 
     def _conf_changed(self, members: Configuration) -> bool:
-        """``confChange()``: the label structures lag behind the configuration."""
-        return self._store_members != tuple(sorted(members))
+        """``confChange()``: the label structures lag behind the configuration.
+
+        The configuration is compared by identity first: the scheme hands
+        back the one canonical set object while nothing changes."""
+        stored = self._store_members
+        return not (stored is members or stored == members)
 
     def _rebuild_for(self, members: Configuration) -> None:
         """Lines 9-14: rebuild structures after a completed reconfiguration."""
@@ -99,7 +103,7 @@ class LabelingService:
             self.store.empty_all_queues()
         self.store.clean_non_member_labels()
         self.store.receipt_action(None, self.store.own_max(), self.pid)
-        self._store_members = tuple(sorted(members))
+        self._store_members = members
         self.gate.reset()
         self.rebuild_count += 1
 

@@ -7,6 +7,10 @@ to the same destination within one event-loop turn are *coalesced* into a
 single datagram (up to ``MAX_DATAGRAM_BYTES``), mirroring the simulator's
 ``send_many`` batching: a protocol round that fans out heartbeat + gossip +
 token to the same peer pays one syscall and one header instead of three.
+The flush writes each datagram straight to the sending endpoint's own
+non-blocking socket; a send that would block is a lost datagram (counted
+in ``dropped_datagrams``), never a queue.  The receiver decodes each frame
+in place, at its offset in the datagram.
 Timers are ``loop.call_later`` with simulated-time delays rescaled by
 ``tick_seconds`` (wall seconds per sim-time unit), fixed at construction.
 Because the loop is single-threaded, every timer callback and every
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import asyncio
 import logging
+import socket
 import struct
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
@@ -89,9 +94,14 @@ class _Timer:
 class _NodeEndpoint(asyncio.DatagramProtocol):
     """The per-node UDP protocol: parses datagrams, delivers to the process."""
 
-    def __init__(self, transport: "AsyncioTransport", process: Process) -> None:
+    def __init__(
+        self, transport: "AsyncioTransport", process: Process, sock: socket.socket
+    ) -> None:
         self.owner = transport
         self.process = process
+        # The endpoint's own non-blocking socket, which the outbox flush
+        # sends on directly; asyncio's transport reads from it.
+        self.sock = sock
         self.udp: Optional[asyncio.DatagramTransport] = None
 
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
@@ -107,12 +117,13 @@ class _NodeEndpoint(asyncio.DatagramProtocol):
             # so per-destination FIFO is preserved within the batch.  A bad
             # frame anywhere quarantines the whole datagram *before* any
             # delivery — a Byzantine sender cannot smuggle a valid prefix.
+            # Each frame is decoded where it lies in the datagram.
             payloads: List[Any] = []
             offset = _HEADER.size
-            while offset < len(data):
-                payload, consumed = unframe(data[offset:])
+            size = len(data)
+            while offset < size:
+                payload, offset = unframe(data, offset)
                 payloads.append(payload)
-                offset += consumed
         except CodecError as exc:
             owner.quarantined_datagrams += 1
             _log.debug("pid %s quarantined datagram from %s: %s",
@@ -156,6 +167,8 @@ class AsyncioTransport:
         # Encode-once memo for the current loop turn: id(payload) -> (payload,
         # frame).  Holding the payload keeps its id from being recycled.
         self._frame_memo: Dict[int, Tuple[Any, bytes]] = {}
+        # Per payload class: is it a frozen dataclass (may it be memoized)?
+        self._memoizable: Dict[type, bool] = {}
         # Wire statistics (mirrors the simulator's counters loosely).
         self.sent_datagrams = 0
         self.sent_bytes = 0
@@ -190,8 +203,12 @@ class AsyncioTransport:
         recMA).  Only frozen dataclasses — every protocol message — are
         remembered: a mutable payload may change between two sends.
         """
-        params = getattr(payload.__class__, "__dataclass_params__", None)
-        if params is None or not params.frozen:
+        cls = payload.__class__
+        memoizable = self._memoizable.get(cls)
+        if memoizable is None:
+            params = getattr(cls, "__dataclass_params__", None)
+            memoizable = self._memoizable[cls] = params is not None and params.frozen
+        if not memoizable:
             return frame(payload)
         entry = self._frame_memo.get(id(payload))
         if entry is None:
@@ -272,10 +289,11 @@ class AsyncioTransport:
         batch: List[bytes],
         addr: Tuple[str, int],
     ) -> None:
-        assert endpoint.udp is not None
+        datagram = header + b"".join(batch)
         try:
-            datagram = header + b"".join(batch)
-            endpoint.udp.sendto(datagram, addr)
+            # A full socket buffer raises BlockingIOError: a lost datagram,
+            # like any other send failure on an unreliable channel.
+            endpoint.sock.sendto(datagram, addr)
             self.sent_datagrams += 1
             self.sent_bytes += len(datagram)
         except OSError:
@@ -332,10 +350,15 @@ class AsyncioTransport:
         pid = process.pid
         if pid in self._endpoints:
             raise RuntimeError(f"pid {pid} already has a live endpoint")
-        endpoint = _NodeEndpoint(self, process)
-        udp, _ = await self._loop.create_datagram_endpoint(
-            lambda: endpoint, local_addr=("127.0.0.1", 0)
-        )
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            sock.setblocking(False)
+            sock.bind(("127.0.0.1", 0))
+            endpoint = _NodeEndpoint(self, process, sock)
+            udp, _ = await self._loop.create_datagram_endpoint(lambda: endpoint, sock=sock)
+        except BaseException:
+            sock.close()
+            raise
         assert endpoint.udp is udp
         udp.max_size = _RECV_BYTES  # the selector transport's recvfrom size
         self._endpoints[pid] = endpoint

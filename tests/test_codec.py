@@ -668,3 +668,126 @@ class TestBinaryRejection:
             unframe(bytes(data))
         except CodecError:
             pass
+
+
+#: Field values at the edges of the compiled per-type paths: the 1- and
+#: 2-byte zigzag varints and just past them, a 64-bit value, the inlined
+#: None/bools, and values those paths hand to the generic codec.
+EDGE_VALUES = [
+    0, 63, 64, 127, 128, 8191, 8192, -1, -64, -65, -8192, -8193, 2**63,
+    True, False, None, "data", frozenset({1, 3}), _COUNTER,
+]
+
+
+def _plain(value):
+    """*value* with a mappingproxy snapshot as the dict it decodes to."""
+    if isinstance(value, VSState):
+        return dataclasses.replace(value, state_snapshot=dict(value.state_snapshot))
+    return value
+
+
+class TestCompiledPaths:
+    """Each wire type's generated encoder and decoder, at their edges."""
+
+    @pytest.mark.parametrize("name", sorted(EXEMPLARS))
+    def test_edge_field_values_round_trip_and_match_the_reference(self, name):
+        exemplar = _plain(EXEMPLARS[name])
+        for field in codec._TYPE_FIELDS[name]:
+            for edge in EDGE_VALUES:
+                value = dataclasses.replace(exemplar, **{field: edge})
+                restored = roundtrip(value)
+                assert restored == value, (field, edge)
+                assert type(getattr(restored, field)) is type(edge), (field, edge)
+                assert restored == decode(json.loads(json.dumps(encode(value))))
+
+    @pytest.mark.parametrize("name", sorted(EXEMPLARS))
+    def test_truncated_frame_never_reads_into_the_next_one(self, name):
+        # The length prefix is cut with the body, so the frame claims to end
+        # where the next valid frame begins: decoding in place must stop there.
+        whole = frame(EXEMPLARS[name])
+        body = whole[4:]
+        for cut in range(len(body)):
+            truncated = struct.pack(">I", cut) + body[:cut]
+            with pytest.raises(CodecError):
+                unframe(truncated + whole)
+            with pytest.raises(CodecError):
+                unframe(whole + truncated + whole, len(whole))
+
+    @pytest.mark.parametrize("name", sorted(EXEMPLARS))
+    def test_frame_decodes_in_place_at_its_offset(self, name):
+        head, whole, tail = frame("before"), frame(EXEMPLARS[name]), frame(None)
+        data = head + whole + tail
+        value, end = unframe(data, len(head))
+        assert value == _plain(EXEMPLARS[name])
+        assert end == len(head) + len(whole)
+        assert unframe(data, end) == (None, len(data))
+
+    def test_depth_limit_matches_the_reference(self):
+        def nested(levels):
+            value = 5
+            for _ in range(levels):
+                value = JoinResponse(sender=0, granted=False, state=value)
+            return value
+
+        deepest = nested(codec.MAX_DEPTH)  # its innermost int sits at MAX_DEPTH
+        assert roundtrip(deepest) == deepest
+        assert decode(encode(deepest)) == deepest
+        with pytest.raises(CodecError):
+            codec.encode_binary(nested(codec.MAX_DEPTH + 1))
+        with pytest.raises(CodecError):
+            encode(nested(codec.MAX_DEPTH + 1))
+        # One more level in front of the deepest valid body: too deep to decode.
+        level = codec.encode_binary(JoinResponse(sender=0, granted=False, state=None))[:-1]
+        with pytest.raises(CodecError, match="too deep"):
+            codec.decode_binary(level + codec.encode_binary(deepest))
+
+    def test_type_with_post_init_keeps_its_constructor(self, monkeypatch):
+        @dataclasses.dataclass(frozen=True)
+        class ZZValidated:
+            sender: int
+
+            def __post_init__(self):
+                if self.sender < 0:
+                    raise ValueError("negative sender")
+
+        monkeypatch.setitem(codec._TYPES, "ZZValidated", ZZValidated)
+        monkeypatch.setitem(codec._TYPE_FIELDS, "ZZValidated", ("sender",))
+        codec._invalidate_binary_tables()
+        try:
+            assert roundtrip(ZZValidated(sender=3)) == ZZValidated(sender=3)
+            hostile = bytearray(frame(ZZValidated(sender=3)))
+            hostile[-1] = 0x01  # zigzag -1
+            with pytest.raises(CodecError, match="cannot construct"):
+                unframe(bytes(hostile))
+        finally:
+            monkeypatch.undo()
+            codec._invalidate_binary_tables()
+        assert frame(EXEMPLARS["View"]).hex() == WIRE_PINS["View"]
+
+    def test_datagram_with_a_truncated_frame_delivers_nothing(self):
+        from repro.runtime.transport import _HEADER, _NodeEndpoint
+
+        class Owner:
+            quarantined_datagrams = delivered_datagrams = delivered_frames = 0
+
+        class Process:
+            pid = 1
+
+            def __init__(self):
+                self.delivered = []
+
+            def deliver(self, source, payload):
+                self.delivered.append((source, payload))
+
+        owner, process = Owner(), Process()
+        endpoint = _NodeEndpoint(owner, process, sock=None)
+        valid = frame(EXEMPLARS["DataLinkMessage"])
+        body = valid[4:]
+        truncated = struct.pack(">I", len(body) - 1) + body[:-1]
+        header = _HEADER.pack(7)
+        endpoint.datagram_received(header + valid + truncated + valid, ("127.0.0.1", 9))
+        assert process.delivered == []
+        assert owner.quarantined_datagrams == 1
+        endpoint.datagram_received(header + valid + valid, ("127.0.0.1", 9))
+        assert process.delivered == [(7, EXEMPLARS["DataLinkMessage"])] * 2
+        assert (owner.delivered_datagrams, owner.delivered_frames) == (1, 2)

@@ -430,6 +430,55 @@ def test_send_encodes_a_broadcast_message_once_per_loop_turn(monkeypatch):
     asyncio.run(scenario())
 
 
+def test_all_codec_work_goes_through_the_transports_codec_names(monkeypatch):
+    """A live n=4 counters exchange encodes and decodes every frame through
+    the module-level names ``repro.runtime.transport.frame`` and ``.unframe``,
+    the names the spine benchmark wraps as its ``codec.encode`` and
+    ``codec.decode`` spans: one ``frame`` call per frame queued that the
+    per-turn memo did not serve, one ``unframe`` call per frame delivered.
+    A transport that routes around either name fails here."""
+    import repro.runtime.transport as rt
+
+    counts = {"frame": 0, "unframe": 0, "memo": 0}
+    real_frame, real_unframe = rt.frame, rt.unframe
+    real_frame_once = rt.AsyncioTransport._frame_once
+
+    def frame(payload):
+        counts["frame"] += 1
+        return real_frame(payload)
+
+    def unframe(data, offset=0):
+        counts["unframe"] += 1
+        return real_unframe(data, offset)
+
+    def frame_once(transport, payload):
+        counts["memo"] += id(payload) in transport._frame_memo
+        return real_frame_once(transport, payload)
+
+    monkeypatch.setattr(rt, "frame", frame)
+    monkeypatch.setattr(rt, "unframe", unframe)
+    monkeypatch.setattr(rt.AsyncioTransport, "_frame_once", frame_once)
+
+    async def scenario() -> dict:
+        async with _running(RuntimeCluster(
+            n=4, seed=7, stack="counters", tick_seconds=TICK
+        )) as cluster:
+            transport = cluster.transport
+            assert await cluster.wait_converged(timeout_s=BUDGET_S, poll_s=0.01)
+            for pid in cluster.nodes:
+                done = asyncio.get_running_loop().create_future()
+                cluster.nodes[pid].service("counters").increment(done.set_result)
+                await asyncio.wait_for(done, timeout=10.0)
+        return transport.statistics()
+
+    stats = asyncio.run(scenario())
+    assert stats["quarantined_datagrams"] == 0
+    assert stats["delivered_frames"] > 0 and counts["memo"] > 0
+    queued = stats["sent_frames"] + stats["dropped_frames"]
+    assert counts["frame"] == queued - counts["memo"]
+    assert counts["unframe"] == stats["delivered_frames"]
+
+
 def test_tick_seconds_auto_rejected_at_construction():
     """``tick_seconds`` is a positive number fixed at construction; the
     retired ``"auto"`` mode fails there, not inside ``start()``."""

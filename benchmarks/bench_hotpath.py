@@ -181,7 +181,8 @@ def test_event_queue_throughput(benchmark, n_events):
     assert result["drained"] == n_events
 
 
-@pytest.mark.parametrize("n", [16, 64])
+# n = 128 is the size the spine's ``sim_scale`` runs at.
+@pytest.mark.parametrize("n", [16, 64, 128])
 def test_recsa_broadcast_round(benchmark, n):
     result = benchmark.pedantic(_broadcast_round_cost, args=(n, 50), rounds=3, iterations=1)
     record(benchmark, result)

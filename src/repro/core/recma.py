@@ -34,7 +34,6 @@ from repro.core.recsa import DEFAULT_GOSSIP_REFRESH_INTERVAL, RecSA
 from repro.core.stale import is_real_config
 
 
-FdProvider = Callable[[], FrozenSet[ProcessId]]
 SendFn = Callable[[ProcessId, Any], None]
 #: The ``evalConf()`` black box (line 16): True votes for a reconfiguration
 #: of the configuration, given the caller's trusted set.
@@ -63,13 +62,11 @@ class RecMA:
         self,
         pid: ProcessId,
         recsa: RecSA,
-        fd_provider: FdProvider,
         send: SendFn,
         gossip_refresh_interval: int = DEFAULT_GOSSIP_REFRESH_INTERVAL,
     ) -> None:
         self.pid = pid
         self.recsa = recsa
-        self.fd_provider = fd_provider
         self.send = send
         self.policy: PredictionPolicy = never_reconfigure
 
@@ -125,9 +122,13 @@ class RecMA:
     # ------------------------------------------------------------------
     def step(self) -> None:
         """One iteration of the do-forever loop (participants only)."""
-        if not self.recsa.is_participant():
+        recsa = self.recsa
+        if not recsa.is_participant():
             return
-        current = self.recsa.get_config()
+        # getConfig() and noReco() from one view: nothing below writes recSA
+        # state before the trigger.
+        view = recsa.view()
+        current = view.chs_config if view.no_reco else recsa.own_config()
         self.no_maj[self.pid] = False
         self.need_reconf[self.pid] = False
 
@@ -137,14 +138,14 @@ class RecMA:
                 # gathered for the previous configuration are meaningless.
                 self.flush_flags()
 
-        if self.recsa.no_reco() and is_real_config(current) and len(current) > 0:
+        if view.no_reco and is_real_config(current) and len(current) > 0:
             self.prev_config = frozenset(current)
             self._evaluate(frozenset(current))
 
         self._broadcast()
 
     def _evaluate(self, current: Configuration) -> None:
-        trusted = frozenset(self.fd_provider()) | {self.pid}
+        trusted = self.recsa.trusted()
 
         # Line 12: can we see a trusted majority of the configuration?
         if not is_majority(trusted, current):

@@ -44,26 +44,34 @@ garbled in a few places:
   only when a value changes.  ``config[]``, ``fd[]``, ``part[]``, ``prp[]``,
   ``all_flags[]`` and ``echo[]`` are writable views over the records; every
   write through a view bumps the version.
-* ``noReco()``, ``chsConfig()``/``getConfig()`` and ``FD[i].part`` are pure
-  functions of the trusted set and the records, and every layer above polls
-  them far more often than either moves, so they are answered from a memo
-  keyed on ``(version, trusted set)`` — the set by identity: the failure
-  detector hands back the same object until the set changes.  Local writes,
-  received gossip and corruption all move the version, so there is no
-  ``invalidate()`` to forget.  The memo is derived state like
-  any other variable, so a transient fault may plant a wrong one; ``step()``
-  drops it at the top of every do-forever iteration, which bounds the life
-  of any memo — right or wrong — to one iteration.  Every convergence
-  argument of the paper is in iterations, so a wrong interface answer that
-  survives at most until the next one stretches a bound by one iteration
-  and leaves self-stabilization intact.
+* Every predicate the do-forever loop evaluates over the records —
+  ``FD[i].part``, ``chsConfig()``, the five evidences of ``noReco()``, the
+  stale-information types of Definition 3.1, ``maxNtf()``, line 26's
+  conflict test and the reset's view agreement — is a pure function of the
+  trusted set and the records.  :meth:`RecSA.view` derives them together,
+  in one pass over the trusted records and one over the participants, into
+  one :class:`DerivedView`; recSA's step, recMA and every layer polling
+  ``noReco()``/``getConfig()`` read its fields.  The view is memoized per
+  ``(version, trusted set)`` — the set by identity: the failure detector
+  hands back the same object until the set changes.  Local writes, received
+  gossip and corruption all move the version, so there is no
+  ``invalidate()`` to forget.  The memo is derived state like any other
+  variable, so a transient fault may plant a wrong one; ``step()`` drops it
+  at the top of every do-forever iteration, which bounds the life of any
+  view — right or wrong — to one iteration.  Every convergence argument of
+  the paper is in iterations, so a wrong answer that survives at most until
+  the next one stretches a bound by one iteration and leaves
+  self-stabilization intact.  :mod:`repro.core.stale` keeps the
+  per-type tests as the reference the derivation is checked against.
 """
 
 from __future__ import annotations
 
 from collections.abc import MutableMapping
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple,
+)
 
 from repro.common.codec import wire_type
 from repro.common.types import (
@@ -76,7 +84,7 @@ from repro.common.types import (
     canonical,
     make_config,
 )
-from repro.core.stale import NO_RECORD, StaleInfoType, classify_stale_information
+from repro.core.stale import NO_RECORD, StaleInfoType
 
 FdProvider = Callable[[], FrozenSet[ProcessId]]
 SendFn = Callable[[ProcessId, Any], None]
@@ -119,6 +127,25 @@ class RecSAMessage:
     prp: Proposal
     all_flag: bool
     echo: Optional[EchoTriple]
+
+
+class DerivedView(NamedTuple):
+    """Every fact recSA derives from ``(records, trusted set)`` (module docstring)."""
+
+    #: ``FD[i].part``: trusted processors whose config field is not ``]``.
+    participants: FrozenSet[ProcessId]
+    #: ``chsConfig()``: the trusted processors' one configuration, or ``⊥``.
+    chs_config: Any
+    #: ``noReco()``: none of line 12's five evidences holds.
+    no_reco: bool
+    #: The stale-information types present (Definition 3.1), in type order.
+    stale: Tuple[StaleInfoType, ...]
+    #: ``maxNtf()``: the participants' maximal non-default notification.
+    max_ntf: Optional[Proposal]
+    #: Line 26: trusted processors hold two distinct real configurations.
+    conflict: bool
+    #: Every trusted peer reports the owner's view (a reset may complete).
+    fd_views_agree: bool
 
 
 #: "No such field" in a record lookup (never stored, never pickled).
@@ -224,11 +251,11 @@ class RecSA:
         #: Bumped by every write that changes a record.
         self.version = 0
         self.all_seen: Set[ProcessId] = set()
-        # Verdicts derived from (trusted set, records) since either last
-        # moved, and that key; see :meth:`_memoized`.
-        self._memo: Dict[str, Any] = {}
-        self._memo_trusted: Optional[FrozenSet[ProcessId]] = None
-        self._memo_version = -1
+        # The view derived from (trusted set, records) and its key; see
+        # :meth:`view`.
+        self._view: Optional[DerivedView] = None
+        self._view_trusted: Optional[FrozenSet[ProcessId]] = None
+        self._view_version = -1
 
         # Change-detected gossip bookkeeping (line 29 fast path): the local
         # broadcast core — everything in a RecSAMessage except the per-peer
@@ -237,9 +264,8 @@ class RecSA:
         # periodic full refresh.
         self._state_version = 0
         self._last_core_key: Any = None
-        self._sent_version: Dict[ProcessId, int] = {}
-        self._sent_echo: Dict[ProcessId, Optional[EchoTriple]] = {}
-        self._rounds_since_sent: Dict[ProcessId, int] = {}
+        # Per peer: (core version last sent, echo last sent, rounds since).
+        self._sent: Dict[ProcessId, Tuple[int, Optional[EchoTriple], int]] = {}
 
         # Diagnostics / experiment counters.
         self.reset_count = 0
@@ -300,46 +326,148 @@ class RecSA:
         a participant."""
         return self._own.get("config", NOT_PARTICIPANT)
 
-    def _memoized(
-        self,
-        name: str,
-        derive: Callable[[FrozenSet[ProcessId]], Any],
-        trusted: Optional[FrozenSet[ProcessId]] = None,
-    ) -> Any:
-        """``derive(trusted)``, derived once per state of its inputs.
+    def view(self, trusted: Optional[FrozenSet[ProcessId]] = None) -> DerivedView:
+        """The :class:`DerivedView` of *trusted* (default ``FD[i]``), derived
+        once per state of its inputs.
 
         The memo is keyed on the version and on the trusted set's identity;
-        it is emptied when either moves and dropped at the top of every
-        :meth:`step` (module docstring: a memo lives at most one iteration).
+        it is replaced when either moves and dropped at the top of every
+        :meth:`step` (module docstring: a view lives at most one iteration).
         """
         if trusted is None:
             trusted = self.fd_provider()
             # The detector still hands back the memo's set and nothing moved
             # the version: that set is the stored ``fd[i]``, so ``trusted()``
             # would write nothing and return it.
-            if trusted is not self._memo_trusted or self.version != self._memo_version:
+            if trusted is not self._view_trusted or self.version != self._view_version:
                 trusted = self.trusted()
-        if trusted is not self._memo_trusted or self.version != self._memo_version:
-            self._memo = {}
-            self._memo_trusted = trusted
-            self._memo_version = self.version
-        memo = self._memo
-        value = memo.get(name, _ABSENT)
-        if value is _ABSENT:
-            value = memo[name] = derive(trusted)
-        return value
+        view = self._view
+        if view is None or trusted is not self._view_trusted or self.version != self._view_version:
+            view = self._view = self._derive_view(trusted)
+            self._view_trusted = trusted
+            self._view_version = self.version
+        return view
+
+    def _derive_view(self, trusted: FrozenSet[ProcessId]) -> DerivedView:
+        """One pass over the trusted records, one over the participants."""
+        records = self._records
+        own = self.pid
+        members = set()  # the participants, added in trusted order
+        first: Any = _ABSENT  # the first real configuration seen
+        bottom = mixed = empty = False  # ⊥, two distinct real configs, ∅
+        notified = malformed = False  # a non-default / inconsistent notification
+        untrusting = False  # evidence (1): a peer does not trust the owner
+        views_agree = part_views_agree = True  # fd[k] = trusted, all / participants
+        for pid in trusted:
+            record = records.get(pid, NO_RECORD)
+            config = record.get("config", NOT_PARTICIPANT)
+            if config is not NOT_PARTICIPANT:
+                members.add(pid)
+                if config is first:
+                    pass  # the first value's object, tested when first seen
+                elif config is BOTTOM:
+                    bottom = True
+                elif first is _ABSENT:
+                    first = config
+                    empty = isinstance(config, frozenset) and not config
+                elif config != first:
+                    mixed = True
+                    if isinstance(config, frozenset) and not config:
+                        empty = True
+            prp = record.get("prp")
+            if prp is not None and prp is not DEFAULT_PROPOSAL:
+                if prp.phase is Phase.IDLE:
+                    if prp.members is not None:
+                        notified = malformed = True
+                else:
+                    notified = True
+                    if prp.members is None or len(prp.members) == 0:
+                        malformed = True
+            if pid == own:
+                continue
+            view = record.get("fd")
+            if view is not None and own not in view:
+                untrusting = True
+            if view is None or (view is not trusted and frozenset(view) != trusted):
+                views_agree = False
+                if config is not NOT_PARTICIPANT:
+                    part_views_agree = False
+        part = canonical(frozenset(members))
+
+        max_ntf: Optional[Proposal] = None
+        phase2_sets = set()
+        stable = not (bottom or mixed or notified or untrusting)
+        if notified:
+            candidates = []
+            for pid in part:
+                prp = records[pid].get("prp")
+                if prp is None:
+                    continue
+                if prp.phase is Phase.REPLACE:
+                    phase2_sets.add(prp.members)
+                if prp.members is not None and len(prp.members) > 0:
+                    candidates.append(prp)
+            if candidates:
+                max_ntf = max(candidates, key=lambda prp: prp.sort_key())
+        elif stable:
+            # Evidence (3): each participant's last reported participant set,
+            # and its echo of ours, equal ours.  The echo half only applies
+            # to participants: a joiner never broadcasts, so its peers have
+            # nothing of it to echo back.
+            echoed = self._own.get("config", NOT_PARTICIPANT) is not NOT_PARTICIPANT
+            for pid in part:
+                if pid == own:
+                    continue
+                record = records[pid]
+                reported = record.get("part")
+                if reported is None or (reported is not part and frozenset(reported) != part):
+                    stable = False
+                    break
+                if echoed:
+                    echo = record.get("echo")
+                    if echo is None or (echo.part is not part and frozenset(echo.part) != part):
+                        stable = False
+                        break
+
+        if bottom or first is _ABSENT:
+            chs_config = BOTTOM
+        elif mixed:
+            # Distinct values remain: the smallest by sorted members, each
+            # value as the first object seen of it.
+            distinct = dict.fromkeys(
+                config
+                for pid in trusted
+                if (config := records.get(pid, NO_RECORD).get("config", NOT_PARTICIPANT))
+                is not NOT_PARTICIPANT
+            )
+            chs_config = min(distinct, key=lambda cfg: tuple(sorted(cfg)))
+        else:
+            chs_config = first
+
+        own_config = records.get(own, NO_RECORD).get("config")
+        type3 = len(phase2_sets) > 1
+        type4 = (
+            isinstance(own_config, frozenset)
+            and part_views_agree
+            and own_config.isdisjoint(part)
+        )
+        stale: Tuple[StaleInfoType, ...] = ()
+        if malformed or bottom or empty or type3 or type4:
+            present = (malformed, bottom or empty, type3, type4)
+            stale = tuple(kind for kind, found in zip(StaleInfoType, present) if found)
+        return DerivedView(
+            participants=part,
+            chs_config=chs_config,
+            no_reco=stable,
+            stale=stale,
+            max_ntf=max_ntf,
+            conflict=mixed,
+            fd_views_agree=views_agree,
+        )
 
     def participants(self, trusted: Optional[FrozenSet[ProcessId]] = None) -> FrozenSet[ProcessId]:
         """``FD[i].part``: trusted processors whose config field is not ``]``."""
-        return self._memoized("participants", self._derive_participants, trusted)
-
-    def _derive_participants(self, trusted: FrozenSet[ProcessId]) -> FrozenSet[ProcessId]:
-        records = self._records
-        return canonical(frozenset({
-            pid
-            for pid in trusted
-            if records.get(pid, NO_RECORD).get("config", NOT_PARTICIPANT) is not NOT_PARTICIPANT
-        }))
+        return self.view(trusted).participants
 
     def _own_prp(self) -> Proposal:
         return self._own.get("prp", DEFAULT_PROPOSAL)
@@ -354,30 +482,10 @@ class RecSA:
         """``chsConfig()``: the unique non-``]`` config among trusted, or ``⊥``.
 
         When several distinct values are present the smallest (by sorted
-        member tuple, with ``⊥`` ordered first) is returned so the choice is
-        deterministic across processors holding the same local data.
+        member tuple) is returned so the choice is deterministic across
+        processors holding the same local data; any ``⊥`` answers ``⊥``.
         """
-        return self._memoized("chs_config", self._derive_chs_config)
-
-    def _derive_chs_config(self, trusted: FrozenSet[ProcessId]) -> Any:
-        records = self._records
-        values = []
-        for pid in trusted:
-            value = records.get(pid, NO_RECORD).get("config", NOT_PARTICIPANT)
-            if value is BOTTOM:
-                return BOTTOM
-            if value is not NOT_PARTICIPANT:
-                values.append(value)
-        if not values:
-            return BOTTOM
-        # Trusted peers almost always report one configuration: drop
-        # duplicates first (``fromkeys`` keeps the first object seen, which
-        # is the one ``min`` picks among equal values) and sort members only
-        # when distinct values remain.
-        distinct = list(dict.fromkeys(values))
-        if len(distinct) == 1:
-            return distinct[0]
-        return min(distinct, key=lambda cfg: tuple(sorted(cfg)))
+        return self.view().chs_config
 
     def no_reco(self) -> bool:
         """True when no reconfiguration (brute-force or delicate) is in progress.
@@ -391,56 +499,22 @@ class RecSA:
         4. an ongoing configuration reset (some ``config`` field is ``⊥``),
         5. a delicate replacement in progress (some non-default notification).
         """
-        # A valid memo entry answers in one call: the per-event convergence
-        # check asks every node this, and nothing moved since the last ask.
-        if self.version == self._memo_version and self.fd_provider() is self._memo_trusted:
-            value = self._memo.get("no_reco", _ABSENT)
-            if value is not _ABSENT:
-                return value
-        return self._memoized("no_reco", self._derive_no_reco)
-
-    def _derive_no_reco(self, trusted: FrozenSet[ProcessId]) -> bool:
-        part = self.participants(trusted)
-        records = self._records
-        own = self.pid
-        # The echo half of (3) only applies to participants — a joiner never
-        # broadcasts, so its peers have nothing of it to echo back.
-        own_is_participant = self.is_participant()
-        agreed: Any = _ABSENT
-        # One pass, one record read per processor: the five tests in any order.
-        for pid in trusted:
-            record = records.get(pid, NO_RECORD)
-            value = record.get("config", NOT_PARTICIPANT)
-            if value is not NOT_PARTICIPANT:
-                if value is BOTTOM:
-                    return False  # (4) an ongoing reset
-                if agreed is _ABSENT:
-                    agreed = value
-                elif value is not agreed and value != agreed:
-                    return False  # (2) configuration conflict
-            if not record.get("prp", DEFAULT_PROPOSAL).is_default:
-                return False  # (5) delicate replacement in progress
-            if pid == own:
-                continue
-            view = record.get("fd")
-            if view is not None and own not in view:
-                return False  # (1) mutual trust
-            if pid in part:
-                # (3) the participant's last reported participant set, and
-                # its echo of ours, equal ours.
-                reported = record.get("part")
-                if reported is None or (reported is not part and frozenset(reported) != part):
-                    return False
-                if own_is_participant:
-                    echo = record.get("echo")
-                    if echo is None or (echo.part is not part and frozenset(echo.part) != part):
-                        return False
-        return True
+        # A valid view answers in one call: the per-event convergence check
+        # asks every node this, and nothing moved since the last ask.
+        view = self._view
+        if (
+            view is not None
+            and self.version == self._view_version
+            and self.fd_provider() is self._view_trusted
+        ):
+            return view.no_reco
+        return self.view().no_reco
 
     def get_config(self) -> Any:
         """``getConfig()``: the current configuration as seen by the owner."""
-        if self.no_reco():
-            return self.chs_config()
+        view = self.view()
+        if view.no_reco:
+            return view.chs_config
         return self._own.get("config", NOT_PARTICIPANT)
 
     def estab(self, members: Iterable[ProcessId]) -> bool:
@@ -497,15 +571,7 @@ class RecSA:
 
     def max_ntf(self) -> Optional[Proposal]:
         """``maxNtf()``: lexically-maximal non-default notification, or ``None``."""
-        records = self._records
-        candidates = []
-        for pid in self.participants():
-            prp = records.get(pid, NO_RECORD).get("prp", DEFAULT_PROPOSAL)
-            if not prp.is_default and prp.members is not None and len(prp.members) > 0:
-                candidates.append(prp)
-        if not candidates:
-            return None
-        return max(candidates, key=lambda prp: prp.sort_key())
+        return self.view().max_ntf
 
     # ------------------------------------------------------------------
     # Barrier helpers for the delicate replacement (on a peer's record)
@@ -536,7 +602,10 @@ class RecSA:
         echo = record.get("echo")
         if echo is None:
             return False
-        if (echo.part is not part and frozenset(echo.part) != part) or echo.prp != self._own_prp():
+        own = self._own_prp()
+        if (echo.part is not part and frozenset(echo.part) != part) or (
+            echo.prp is not own and echo.prp != own
+        ):
             return False
         if with_all and echo.all_flag != self._own_all():
             return False
@@ -547,35 +616,34 @@ class RecSA:
     # ------------------------------------------------------------------
     def step(self) -> None:
         """Execute one iteration of the do-forever loop and broadcast."""
-        # No memo outlives an iteration (module docstring).
-        self._memo = {}
+        # No view outlives an iteration (module docstring).
+        self._view = None
         trusted = self.trusted()
         self._clean_after_crashes(trusted)
-        part = self.participants(trusted)
+        view = self.view(trusted)
 
-        stale = classify_stale_information(
-            own=self.pid,
-            records=self._records,
-            own_view=trusted,
-            trusted=trusted,
-            participants=part,
-        )
-        if stale:
-            for kind in stale:
+        if view.stale:
+            for kind in view.stale:
                 self.stale_detections[kind] += 1
             self.config_set(BOTTOM)
+            view = self.view(trusted)
 
-        if self.max_ntf() is None:
-            self._brute_force_step(trusted)
+        if view.max_ntf is None:
+            self._brute_force_step(trusted, view)
         else:
-            self._delicate_step(trusted)
+            self._delicate_step(view)
 
         self._broadcast(trusted)
 
     # -- line 25: clean entries of processors outside the participant set ----
     def _clean_after_crashes(self, trusted: FrozenSet[ProcessId]) -> None:
         part = self.participants(trusted)
-        for pid, record in self._records.items():
+        records = self._records
+        # Every participant has a record: only a record beyond those and the
+        # owner's can need cleaning.
+        if len(records) == len(part) + (self.pid not in part):
+            return
+        for pid, record in records.items():
             if pid == self.pid:
                 continue
             if pid not in part and "config" in record:
@@ -588,48 +656,22 @@ class RecSA:
                 for name in ("echo", "part"):
                     if record.pop(name, _ABSENT) is not _ABSENT:
                         self.version += 1
-                for ledger in (self._sent_version, self._sent_echo, self._rounds_since_sent):
-                    ledger.pop(pid, None)
+                self._sent.pop(pid, None)
 
     # -- line 26: brute-force stabilization -----------------------------------
-    def _brute_force_step(
-        self, trusted: FrozenSet[ProcessId], allow_completion: bool = True
-    ) -> None:
+    def _brute_force_step(self, trusted: FrozenSet[ProcessId], view: DerivedView) -> None:
         # Nullify the configuration upon conflict.
-        records = self._records
-        values = set()
-        for pid in trusted:
-            value = records.get(pid, NO_RECORD).get("config", NOT_PARTICIPANT)
-            if value is NOT_PARTICIPANT or value is BOTTOM:
-                continue
-            values.add(value)
-        if len(values) > 1:
+        if view.conflict:
             self.config_set(BOTTOM)
-
         # Reset completes once every trusted processor reports the same
-        # failure-detector view: adopt that view as the configuration.
-        if (
-            allow_completion
-            and self._own.get("config") is BOTTOM
-            and self._fd_views_agree(trusted)
-        ):
+        # failure-detector view: adopt that view as the configuration (the
+        # nullification above writes no ``fd`` field, so the view still holds).
+        if self._own.get("config") is BOTTOM and view.fd_views_agree:
             self.config_set(make_config(trusted))
 
-    def _fd_views_agree(self, trusted: FrozenSet[ProcessId]) -> bool:
-        records = self._records
-        for pid in trusted:
-            if pid == self.pid:
-                continue
-            view = records.get(pid, NO_RECORD).get("fd")
-            if view is None or (view is not trusted and frozenset(view) != trusted):
-                return False
-        return True
-
     # -- line 28: delicate replacement ----------------------------------------
-    def _delicate_step(self, trusted: FrozenSet[ProcessId]) -> None:
-        maximal = self.max_ntf()
-        if maximal is None:  # pragma: no cover - guarded by caller
-            return
+    def _delicate_step(self, view: DerivedView) -> None:
+        maximal = view.max_ntf
         own = self._own_prp()
 
         # Adoption: phase-0 processors join the replacement by adopting the
@@ -663,7 +705,8 @@ class RecSA:
             # finish on its own or the stale-information tests will reset.
             return
 
-        part = self.participants(trusted)
+        # Adopting writes only the owner's notification: the participants hold.
+        part = view.participants
         records = self._records
         others = [(pid, records.get(pid, NO_RECORD)) for pid in part if pid != self.pid]
 
@@ -753,16 +796,21 @@ class RecSA:
         version = self._state_version
         refresh = self.gossip_refresh_interval
         records = self._records
+        sent = self._sent
 
         outgoing: List[Tuple[ProcessId, Any]] = []
         for pid in trusted:
             if pid == self.pid:
                 continue
             record = records.get(pid, NO_RECORD)
+            entry = sent.get(pid)
+            if entry is None:
+                sent_version, echo, rounds = None, None, refresh
+            else:
+                sent_version, echo, rounds = entry
             # Our echo of this peer's values, as bare fields: two sends in
             # three are skipped and most of the rest repeat the last echo,
             # so an EchoTriple is built only when a new one goes out.
-            echo = self._sent_echo.get(pid)
             echo_fields: Optional[Tuple[Any, ...]] = None
             if "part" in record or "prp" in record:
                 echo_fields = (
@@ -773,23 +821,20 @@ class RecSA:
             echo_unchanged = echo_fields == (
                 None if echo is None else (echo.part, echo.prp, echo.all_flag)
             )
-            rounds = self._rounds_since_sent.get(pid, refresh)
             if (
                 refresh > 1
                 and rounds + 1 < refresh
-                and self._sent_version.get(pid) == version
+                and sent_version == version
                 and echo_unchanged
                 and self._peer_echoed(record, part, with_all=True)
             ):
-                self._rounds_since_sent[pid] = rounds + 1
+                sent[pid] = (version, echo, rounds + 1)
                 self.broadcasts_skipped += 1
                 continue
             if not echo_unchanged:
                 echo = None if echo_fields is None else EchoTriple(*echo_fields)
             outgoing.append((pid, self._full(core_key, echo)))
-            self._sent_version[pid] = version
-            self._sent_echo[pid] = echo
-            self._rounds_since_sent[pid] = 0
+            sent[pid] = (version, echo, 0)
 
         if outgoing:
             self.broadcasts_sent += len(outgoing)

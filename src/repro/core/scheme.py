@@ -68,7 +68,6 @@ class ReconfigurationScheme:
         self.recma = RecMA(
             pid=pid,
             recsa=self.recsa,
-            fd_provider=fd_provider,
             send=send,
             gossip_refresh_interval=gossip_refresh_interval,
         )

@@ -12,6 +12,13 @@ what the owner holds of it — field name to value, the fields of a
 ``prp``, ``all_flag``, ``echo``), a missing field being a missing entry.
 That is what :class:`~repro.core.recsa.RecSA` keeps.
 
+recSA's step does not call these tests: it reads the types from the one
+derivation it computes per state (:meth:`~repro.core.recsa.RecSA.view`,
+``DerivedView.stale``), which folds them into its passes over the records.
+The tests here state each type on its own; they are the reference that
+derivation is tested against (``tests/test_recsa.py``'s random walk), and
+what tests use to assert on a specific type.
+
 * **type-1** — a notification in phase 0 carries a non-empty proposal set.
 * **type-2** — a configuration field holds ``⊥`` or the empty set, or two
   processors hold conflicting non-empty configurations.
@@ -97,7 +104,8 @@ def has_type2(records: Records, scope: Iterable[ProcessId]) -> bool:
     Algorithm 3.1), because a delicate replacement legitimately goes through
     a transient state in which early adopters already installed the new
     configuration while laggards still hold the old one.  Conflict detection
-    therefore lives in :meth:`repro.core.recsa.RecSA._brute_force_step`.
+    therefore lives in :meth:`repro.core.recsa.RecSA._brute_force_step`
+    (``DerivedView.conflict``).
     """
     for pid in scope:
         value = records.get(pid, NO_RECORD).get("config", NOT_PARTICIPANT)

@@ -22,8 +22,13 @@ from repro.common.types import (
     make_config,
 )
 from repro.core.joining import JoinRequest
-from repro.core.recsa import EchoTriple, RecSA, RecSAMessage
-from repro.core.stale import StaleInfoType, classify_stale_information, is_real_config
+from repro.core.recsa import DerivedView, EchoTriple, RecSA, RecSAMessage
+from repro.core.stale import (
+    NO_RECORD,
+    StaleInfoType,
+    classify_stale_information,
+    is_real_config,
+)
 from repro.sim.faults import apply_plan
 from repro.sim.snapshot import SimSnapshot
 
@@ -402,44 +407,136 @@ class TestChangeDetectedGossip:
 
 
 # ---------------------------------------------------------------------------
-# Derived verdicts: the memo behind noReco()/getConfig()/FD[i].part
+# The derived view behind noReco()/getConfig()/FD[i].part and the step
 # ---------------------------------------------------------------------------
-def _underived(recsa: RecSA):
-    """``(no_reco, get_config, participants)`` from the un-memoized bodies.
+# Per-fact reference bodies: each predicate on its own walk over the records,
+# as the paper states it.  ``stale.classify_stale_information`` is the
+# reference of Definition 3.1.
+def _config_of(records, pid):
+    return records.get(pid, NO_RECORD).get("config", NOT_PARTICIPANT)
 
-    Derived with the memo and its key set aside, so nothing the oracle
-    computes comes from — or leaks into — the memo under test.
-    """
-    saved = recsa._memo, recsa._memo_trusted, recsa._memo_version
-    recsa._memo = {}
-    try:
-        trusted = recsa.trusted()
-        stable = recsa._derive_no_reco(trusted)
-        config = (
-            recsa._derive_chs_config(trusted)
-            if stable
-            else recsa.config.get(recsa.pid, NOT_PARTICIPANT)
-        )
-        return stable, config, recsa._derive_participants(trusted)
-    finally:
-        recsa._memo, recsa._memo_trusted, recsa._memo_version = saved
+
+def _reference_participants(recsa: RecSA, trusted) -> frozenset:
+    records = recsa._records
+    return frozenset(pid for pid in trusted if _config_of(records, pid) is not NOT_PARTICIPANT)
+
+
+def _reference_chs_config(recsa: RecSA, trusted):
+    values = []
+    for pid in trusted:
+        value = _config_of(recsa._records, pid)
+        if value is BOTTOM:
+            return BOTTOM
+        if value is not NOT_PARTICIPANT:
+            values.append(value)
+    if not values:
+        return BOTTOM
+    distinct = list(dict.fromkeys(values))
+    if len(distinct) == 1:
+        return distinct[0]
+    return min(distinct, key=lambda cfg: tuple(sorted(cfg)))
+
+
+def _reference_no_reco(recsa: RecSA, trusted) -> bool:
+    part = _reference_participants(recsa, trusted)
+    records = recsa._records
+    own = recsa.pid
+    agreed = None
+    for pid in trusted:
+        record = records.get(pid, NO_RECORD)
+        value = record.get("config", NOT_PARTICIPANT)
+        if value is not NOT_PARTICIPANT:
+            if value is BOTTOM:
+                return False  # (4) an ongoing reset
+            if agreed is None:
+                agreed = value
+            elif value != agreed:
+                return False  # (2) configuration conflict
+        if not record.get("prp", DEFAULT_PROPOSAL).is_default:
+            return False  # (5) delicate replacement in progress
+        if pid == own:
+            continue
+        view = record.get("fd")
+        if view is not None and own not in view:
+            return False  # (1) mutual trust
+        if pid in part:
+            # (3) participant sets and, for a participant owner, their echoes
+            if record.get("part") is None or frozenset(record["part"]) != part:
+                return False
+            if recsa.is_participant():
+                echo = record.get("echo")
+                if echo is None or frozenset(echo.part) != part:
+                    return False
+    return True
+
+
+def _reference_max_ntf(recsa: RecSA, part):
+    candidates = []
+    for pid in part:
+        prp = recsa._records.get(pid, NO_RECORD).get("prp", DEFAULT_PROPOSAL)
+        if not prp.is_default and prp.members is not None and len(prp.members) > 0:
+            candidates.append(prp)
+    return max(candidates, key=lambda prp: prp.sort_key()) if candidates else None
+
+
+def _reference_conflict(recsa: RecSA, trusted) -> bool:
+    values = {_config_of(recsa._records, pid) for pid in trusted}
+    return len(values - {NOT_PARTICIPANT, BOTTOM}) > 1
+
+
+def _reference_fd_views_agree(recsa: RecSA, trusted) -> bool:
+    return all(
+        recsa._records.get(pid, NO_RECORD).get("fd") is not None
+        and frozenset(recsa._records[pid]["fd"]) == trusted
+        for pid in trusted
+        if pid != recsa.pid
+    )
+
+
+def _reference_view(recsa: RecSA, trusted) -> DerivedView:
+    """Every field of :meth:`RecSA.view` from its per-fact reference."""
+    part = _reference_participants(recsa, trusted)
+    stale = classify_stale_information(
+        own=recsa.pid, records=recsa._records, own_view=trusted, trusted=trusted,
+        participants=part,
+    )
+    return DerivedView(
+        participants=part,
+        chs_config=_reference_chs_config(recsa, trusted),
+        no_reco=_reference_no_reco(recsa, trusted),
+        stale=tuple(stale),
+        max_ntf=_reference_max_ntf(recsa, part),
+        conflict=_reference_conflict(recsa, trusted),
+        fd_views_agree=_reference_fd_views_agree(recsa, trusted),
+    )
 
 
 def _assert_memo_agrees(cluster, after: str) -> None:
     for node in cluster.nodes.values():
         recsa = node.recsa
-        expected = _underived(recsa)
-        answered = (recsa.no_reco(), recsa.get_config(), recsa.participants())
-        assert answered == expected, (
-            f"memoized verdicts of node {node.pid} diverged from the "
-            f"un-memoized bodies after {after} at t={cluster.simulator.now}"
+        trusted = recsa.trusted()
+        expected = _reference_view(recsa, trusted)
+        assert recsa.view() == expected, (
+            f"the derived view of node {node.pid} diverged from the per-fact "
+            f"references after {after} at t={cluster.simulator.now}"
+        )
+        config = expected.chs_config if expected.no_reco else recsa.own_config()
+        answered = (
+            recsa.no_reco(), recsa.get_config(), recsa.participants(), recsa.chs_config(),
+            recsa.max_ntf(),
+        )
+        assert answered == (
+            expected.no_reco, config, expected.participants, expected.chs_config,
+            expected.max_ntf,
         )
         # Asking again (now certainly from the memo) changes nothing — nor
         # does asking about another trusted set in between: the set is part
         # of the key.
         other = frozenset(pid for pid in cluster.nodes if pid % 2)
-        assert recsa.participants(other) == recsa._derive_participants(other)
-        assert (recsa.no_reco(), recsa.get_config(), recsa.participants()) == expected
+        assert recsa.view(other) == _reference_view(recsa, other)
+        assert recsa.participants(other) == _reference_participants(recsa, other)
+        assert recsa.view() == expected
+        assert (recsa.no_reco(), recsa.get_config(), recsa.participants()) == answered[:3]
 
 
 class TestDerivedVerdictMemo:
@@ -448,7 +545,7 @@ class TestDerivedVerdictMemo:
         """Oracle style: after *every* operation of a seeded walk over
         everything that can move a verdict — simulator events (``step``/``on_message``), the interface calls,
         received forgeries, the joining hook and both corruption surfaces —
-        the memoized answers equal the bodies they memoize."""
+        every field of the memoized view equals its per-fact reference."""
         rng = random.Random(seed)
         cluster = quick_cluster(5, seed=seed)
         universe = sorted(cluster.nodes)
@@ -506,20 +603,34 @@ class TestDerivedVerdictMemo:
             _assert_memo_agrees(cluster, after=name)
 
     def test_planted_memo_is_gone_after_one_step(self):
-        """The memo is state a transient fault can hit: a wrong verdict
-        planted under a *valid* key survives queries, but not an iteration."""
+        """The memo is state a transient fault can hit: a wrong view planted
+        under a *valid* key survives queries, but not an iteration — and the
+        step acts on the view it derives, not on the planted one."""
         harness = RecSAHarness([1, 2, 3], initial_config=make_config([1, 2, 3]))
         harness.round(6)
         recsa = harness[1]
         assert recsa.no_reco() is True
-        recsa._memo["no_reco"] = False
-        recsa._memo["chs_config"] = make_config([7])
-        recsa._memo["participants"] = frozenset({9})
+        resets, sent = recsa.reset_count, recsa.broadcasts_sent + recsa.broadcasts_skipped
+        recsa._view = recsa.view()._replace(
+            participants=frozenset({9}),
+            chs_config=make_config([7]),
+            no_reco=False,
+            stale=(StaleInfoType.TYPE_2,),
+            max_ntf=Proposal(Phase.SELECT, make_config([7])),
+            conflict=True,
+            fd_views_agree=False,
+        )
         assert recsa.no_reco() is False  # the fault is visible ...
+        assert recsa.get_config() == recsa.config[1]
         recsa.step()
         assert recsa.no_reco() is True  # ... for at most one iteration
         assert recsa.get_config() == make_config([1, 2, 3])
         assert recsa.participants() == frozenset({1, 2, 3})
+        assert recsa.view() == _reference_view(recsa, recsa.trusted())
+        # The planted stale type, conflict and notification were never acted on.
+        assert recsa.reset_count == resets
+        assert recsa.prp[1] == DEFAULT_PROPOSAL
+        assert recsa.broadcasts_sent + recsa.broadcasts_skipped == sent + 2
 
     def test_queries_on_an_unchanged_detector_write_nothing(self):
         """A read that writes would defeat the memo it is the key of."""
@@ -618,3 +729,104 @@ class TestDerivedVerdictMemo:
         for p in harness.pids:
             for peer, echo in harness[p].echo.items():
                 assert echo is held[p][peer]
+
+    def test_converged_nodes_derive_at_most_one_view_per_iteration(self):
+        """The structural half of the one-walk claim: on a converged bare
+        cluster every reader of an iteration (the step, recMA, the joining
+        check, the convergence predicate) shares the step's view."""
+        cluster = quick_cluster(8, seed=89, stack="bare")
+        assert cluster.run_until_converged(timeout=800)
+        counts = {pid: {"steps": 0, "views": 0} for pid in cluster.nodes}
+
+        def counted(pid, name, body):
+            def wrapper(*args, **kwargs):
+                counts[pid][name] += 1
+                return body(*args, **kwargs)
+            return wrapper
+
+        for pid, node in cluster.nodes.items():
+            recsa = node.recsa
+            recsa.step = counted(pid, "steps", recsa.step)
+            recsa._derive_view = counted(pid, "views", recsa._derive_view)
+        # Event by event, each followed by the convergence predicate, as a
+        # per-event tracker asks it.
+        simulator, end = cluster.simulator, cluster.simulator.now + 20
+        while simulator.now < end:
+            simulator.step()
+            assert cluster.is_converged()
+        for pid, count in counts.items():
+            assert count["steps"] > 10, count
+            assert count["views"] <= count["steps"], (pid, count)
+
+
+# ---------------------------------------------------------------------------
+# Conjuncts a deletion once left unnoticed (ROADMAP item 22)
+# ---------------------------------------------------------------------------
+class TestEveryConjunctIsSeen:
+    def test_a_peer_that_does_not_trust_the_owner_is_evidence(self):
+        """noReco() evidence (1): a trusted peer whose view lacks the owner."""
+        harness = RecSAHarness([1, 2, 3], initial_config=make_config([1, 2, 3]))
+        harness.round(6)
+        recsa = harness[1]
+        assert recsa.no_reco() is True
+        recsa.fd[2] = frozenset({2, 3})
+        assert recsa.no_reco() is False
+        assert recsa.get_config() == make_config([1, 2, 3])  # the own entry, not chsConfig
+
+    def test_a_joiner_ignores_what_its_peers_echo(self):
+        """Evidence (3)'s echo half binds participants only: a joiner never
+        broadcasts, so its peers' echoes of it are stale by construction and
+        must not keep it from ``participate()``."""
+        harness = RecSAHarness([1, 2, 3], initial_config=make_config([1, 2, 3]))
+        harness.round(6)
+        joiner = harness[3]
+        joiner.config[3] = NOT_PARTICIPANT
+        for pid in (1, 2):
+            harness[pid].store(3, "config", NOT_PARTICIPANT)  # its join request
+        harness.round(harness[1].gossip_refresh_interval + 1)
+        assert joiner.echo[1].part != joiner.participants()
+        assert joiner.no_reco() is True
+        assert joiner.participate() is True
+        assert joiner.config[3] == make_config([1, 2, 3])
+
+    @pytest.mark.parametrize("reported", [frozenset({2}), frozenset({1, 2})])
+    def test_same_k_needs_the_peer_to_report_our_participant_set(self, reported):
+        """The delicate barrier's ``same(k)``: a peer echoing our notification
+        but reporting another participant set holds the all flag down."""
+        notification = Proposal(Phase.SELECT, make_config([1, 2, 3]))
+        recsa = RecSA(pid=1, fd_provider=lambda: frozenset({1, 2}), send=lambda *_: None,
+                      initial_config=make_config([1, 2]))
+        recsa.store(1, "prp", notification)
+        recsa.on_message(2, RecSAMessage(
+            sender=2, fd=frozenset({1, 2}), part=reported, config=make_config([1, 2]),
+            prp=notification, all_flag=False,
+            echo=EchoTriple(part=frozenset({1, 2}), prp=notification, all_flag=False),
+        ))
+        recsa.step()
+        assert recsa.prp[1] == notification
+        assert recsa.all_flags[1] is (reported == frozenset({1, 2}))
+
+    def test_config_set_forgets_the_barrier(self):
+        """``configSet()`` nullifies the replacement, so the peers recorded as
+        past its barrier are forgotten with it."""
+        harness = RecSAHarness([1, 2, 3], initial_config=make_config([1, 2, 3]))
+        harness.round(3)
+        recsa = harness[1]
+        recsa.all_seen.update({2, 3})
+        recsa.config_set(BOTTOM)
+        assert recsa.all_seen == set()
+
+    def test_an_untrusted_peer_leaves_the_send_ledger(self):
+        """A peer the detector stops trusting loses its send bookkeeping, and
+        a re-trusted one is sent the full state at once."""
+        harness = RecSAHarness([1, 2, 3], initial_config=make_config([1, 2, 3]))
+        harness.round(6)
+        recsa = harness[1]
+        assert set(recsa._sent) == {2, 3}
+        harness.trusted[1] = frozenset({1, 2})
+        recsa.step()
+        assert set(recsa._sent) == {2}
+        harness.trusted[1] = frozenset({1, 2, 3})
+        sent = recsa.broadcasts_sent
+        recsa.step()
+        assert set(recsa._sent) == {2, 3} and recsa.broadcasts_sent > sent

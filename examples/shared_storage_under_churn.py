@@ -24,8 +24,8 @@ from repro.analysis import probes
 from repro.analysis.probes import wait_for
 from repro.audit.arbitrary_state import PROFILES, generate_plan
 from repro.node.config import fast_sim
+from repro.node.faults import apply_plan
 from repro.sim.cluster import build_cluster
-from repro.sim.faults import apply_plan
 
 
 def main() -> None:

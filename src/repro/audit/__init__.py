@@ -6,7 +6,7 @@ starting state — instead of trusting a handful of hand-picked corruptions:
 * :mod:`repro.audit.arbitrary_state` — seeded, type-correct random
   corruption of every protocol-state field (recSA / recMA / failure
   detector / services) plus bounded channel stuffing, emitted as shrinkable
-  :class:`~repro.sim.faults.CorruptionAtom` plans;
+  :class:`~repro.node.faults.CorruptionAtom` plans;
 * :mod:`repro.audit.schedulers` — named adversarial message-timing
   schedulers (delay skew, heavy reordering, burst delivery, slow node)
   scenarios select by name like a stack profile;

@@ -17,7 +17,7 @@ whole protocol state space:
   (recSA gossip, recMA flags, data-link tokens), up to channel capacity.
 
 The generator emits a **plan** — an ordered list of
-:class:`~repro.sim.faults.CorruptionAtom` values — instead of mutating state
+:class:`~repro.node.faults.CorruptionAtom` values — instead of mutating state
 directly.  A plan is a pure function of ``(cluster state, seed, profile)``,
 so the audit harness can re-run subsets of it to shrink a violating run to a
 minimal reproducer, and two runs of the same scenario seed produce the exact
@@ -49,7 +49,7 @@ from repro.common.types import (
 from repro.core.recma import RecMAMessage
 from repro.core.recsa import EchoTriple, RecSAMessage
 from repro.datalink.token_exchange import DataLinkMessage
-from repro.sim.faults import CorruptionAtom
+from repro.node.faults import CorruptionAtom
 from repro.vs.virtual_synchrony import VSStatus
 
 if TYPE_CHECKING:  # pragma: no cover

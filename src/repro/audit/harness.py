@@ -545,7 +545,6 @@ def certify(
     seeds: Sequence[int],
     workers: int = 1,
     shrink_failures: bool = True,
-    max_shrink_trials: int = 64,
     reuse_prefix: bool = True,
     *,
     store: None = None,
@@ -651,7 +650,6 @@ def certify(
             shrink_case(
                 by_name[v["case"]],
                 v["seed"],
-                max_trials=max_shrink_trials,
                 snapshot=warm_snapshot(by_name[v["case"]], v["seed"]),
             )
             for v in failures

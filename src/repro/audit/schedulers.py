@@ -207,10 +207,11 @@ def current_coordinator(cluster: "Cluster") -> Optional[ProcessId]:
 # ---------------------------------------------------------------------------
 # Link rules (picklable callables)
 #
-# Rules are long-lived network state, so they are small frozen dataclasses
+# Rules are long-lived link-model state, so they are small frozen dataclasses
 # instead of closures: snapshot/restore pickles them with the graph, and they
-# are pure per pair — the contract the network's route table relies on
-# (:data:`~repro.sim.network.LinkRule`).
+# are pure per pair — the contract the simulator's route table relies on
+# (:data:`~repro.node.links.LinkRule`).  Any of them may also be pushed on a
+# live cluster's ``network``, where it shapes the transport's frames.
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class _ConstantLinkPolicy:

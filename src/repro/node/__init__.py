@@ -15,7 +15,13 @@ it and neither imports the other:
   registry of application services;
 * :mod:`repro.node.node` — :class:`~repro.node.node.ClusterNode`, the boot
   rule both hosts call (:func:`~repro.node.node.boot`) and the convergence
-  query both ask (:func:`~repro.node.node.converged_scan`).
+  query both ask (:func:`~repro.node.node.converged_scan`);
+* :mod:`repro.node.links` — :class:`~repro.node.links.LinkModel`, the
+  channel adversary's link rules, partitions and transition log, which both
+  hosts read;
+* :mod:`repro.node.faults` — the :class:`~repro.node.faults.CorruptionAtom`
+  and :func:`~repro.node.faults.apply_plan`, which apply a transient-fault
+  plan to either host's cluster.
 
 ``tests/test_layers.py`` enforces the layer graph this package sits in:
 ``common`` ← protocol ← ``node`` ← {``sim``, ``runtime``, ``baselines``} ←

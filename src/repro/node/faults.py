@@ -8,7 +8,11 @@ or a stale packet stuffed into a channel — and :func:`apply_plan` applies an
 ordered list of them.
 
 What to corrupt is decided elsewhere: :mod:`repro.audit.arbitrary_state`
-generates seeded plans of atoms, and this module only applies them.
+generates seeded plans of atoms, and this module only applies them.  It
+applies them on either host: a cluster is anything with a ``nodes`` mapping
+of pid to node and a ``stuff_channel(source, destination, payload)`` method,
+which the simulator's :class:`~repro.sim.cluster.Cluster` and the live
+:class:`~repro.runtime.cluster.RuntimeCluster` both have.
 """
 
 from __future__ import annotations
@@ -86,7 +90,7 @@ def apply_atom(cluster: Any, atom: CorruptionAtom) -> bool:
     alive, the path resolves to an existing field, the channel had room).
     """
     if atom.kind == "channel":
-        return cluster.simulator.network.stuff_channel(atom.pid, atom.key, atom.value)
+        return cluster.stuff_channel(atom.pid, atom.key, atom.value)
     node = cluster.nodes.get(atom.pid)
     if node is None or node.crashed or not node.started:
         return False

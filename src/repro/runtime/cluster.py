@@ -19,16 +19,24 @@ stop-fail (endpoint torn down, packets to it become losses), and
 :meth:`restart` brings the pid back as a **joiner** — a fresh node with no
 configuration that must be admitted through the joining mechanism, exactly
 like a simulator ``add_joiner``.
+
+The channel adversary is the simulator's too: :attr:`RuntimeCluster.network`
+is the transport's :class:`~repro.node.links.LinkModel`, with the
+``push_rule``/``partition``/``heal`` surface of ``Cluster.network``, and
+:meth:`RuntimeCluster.stuff_channel` puts a stale frame in flight, so one
+:func:`~repro.node.faults.apply_plan` corruption plan applies to either
+cluster.
 """
 
 from __future__ import annotations
 
 import asyncio
 from numbers import Real
-from typing import Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.common.types import ProcessId
 from repro.node.config import ClusterConfig, preset
+from repro.node.links import LinkModel
 from repro.node.node import ClusterNode, boot, converged_scan
 from repro.node.stacks import StackProfile
 from repro.runtime.transport import AsyncioTransport, DEFAULT_TICK_SECONDS
@@ -78,6 +86,9 @@ class RuntimeCluster:
         self.transport = AsyncioTransport(
             seed=self.seed, tick_seconds=self.tick_seconds
         )
+        # What ``config_for`` answers for an unruled pair, as on the
+        # simulator; the transport leaves such a pair unshaped.
+        self.transport.network.default_config = self.config.channel
         for node in self._booting:
             # Hosted first, recorded second, as in :meth:`restart`.
             await self.transport.start_node(node)
@@ -89,6 +100,21 @@ class RuntimeCluster:
         if self.transport is not None:
             await self.transport.close()
             self.transport = None
+
+    @property
+    def network(self) -> LinkModel:
+        """The transport's link model: a pushed rule or partition shapes
+        the live frames from then on."""
+        if self.transport is None:
+            raise RuntimeError("cluster not started")
+        return self.transport.network
+
+    def stuff_channel(self, source: ProcessId, destination: ProcessId, payload: Any) -> bool:
+        """Put a stale *payload* in flight from *source* to *destination* (a
+        channel corruption atom); ``False`` when the frame was lost."""
+        if self.transport is None:
+            raise RuntimeError("cluster not started")
+        return self.transport.send_many(source, [(destination, payload)]) == 1
 
     # ------------------------------------------------------------ queries
     def alive_nodes(self) -> List[ClusterNode]:

@@ -17,12 +17,23 @@ Because the loop is single-threaded, every timer callback and every
 datagram delivery runs as one atomic step — the same interleaving model the
 simulator enforces, just scheduled by the kernel instead of an event queue.
 
-Fidelity to the model, not to the simulator: there is no channel-delay or
-loss shaping here (localhost UDP is the channel — unreliable in principle,
-fast in practice), so runtime trajectories are *not* byte-identical to
-simulator ones and never claim to be.  What is identical: the per-process
-RNG streams (same ``make_rng(seed, "process", pid)`` derivation) and the
-protocol semantics the transport conformance suite pins on both backends.
+Fidelity to the model, not to the simulator: by default nothing shapes a
+frame (localhost UDP is the channel — unreliable in principle, fast in
+practice).  The transport's ``network`` is the same
+:class:`~repro.node.links.LinkModel` the simulator's network extends, and
+once a link rule or a partition is present every frame is checked before
+it is coalesced: a frame the partitions refuse (``permits``) is dropped,
+and a pair a rule answers for (``rule_for``) gets that config's loss and
+duplication, drawn from a per-link
+:class:`~repro.common.rng.ChannelStream` seeded like the simulator's
+channel streams, and a delay in ``[min_delay, max_delay]`` ticks
+(``loop.call_later``).  A pair no rule answers for stays unshaped, and
+``capacity`` and ``delay_quantum`` are the simulator's alone.  Runtime
+trajectories are *not* byte-identical to simulator ones and never claim to
+be.  What is identical: the per-process RNG streams (same
+``make_rng(seed, "process", pid)`` derivation), the link model's answers
+and the protocol semantics the transport conformance suite pins on both
+backends.
 
 Hostile input never crashes a node: any datagram that fails to parse
 (truncated header, bad frame, unknown wire tag — i.e. anything a Byzantine
@@ -39,8 +50,10 @@ import struct
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.common.codec import CodecError, frame, unframe
-from repro.common.rng import make_rng
+from repro.common.rng import ChannelStream, derive_seed, make_rng
 from repro.common.types import ProcessId
+from repro.node.config import ChannelConfig
+from repro.node.links import LinkKey, LinkModel
 from repro.node.process import Process, ProcessContext
 
 _log = logging.getLogger(__name__)
@@ -71,6 +84,14 @@ _OVERSIZE_WARNING_PERIOD_S = 1.0
 #: enough that n nodes' timers plus their message fan-out stay far below a
 #: single core's capacity.
 DEFAULT_TICK_SECONDS = 0.05
+
+
+def _delay(config: ChannelConfig, stream: ChannelStream) -> float:
+    """A shaped frame's delay in ticks, drawn from ``[min_delay, max_delay]``
+    (no draw when the bounds coincide)."""
+    low = config.min_delay
+    high = config.max_delay
+    return low if high <= low else low + (high - low) * stream.random()
 
 
 class _Timer:
@@ -169,6 +190,12 @@ class AsyncioTransport:
         self._frame_memo: Dict[int, Tuple[Any, bytes]] = {}
         # Per payload class: is it a frozen dataclass (may it be memoized)?
         self._memoizable: Dict[type, bool] = {}
+        #: The link rules and partitions a frame is checked against; empty,
+        #: it shapes nothing.
+        self.network = LinkModel(seed=seed, clock=self)
+        # Per shaped link: the stream its loss and duplication draws and its
+        # delays come from, built on the link's first shaped frame.
+        self._streams: Dict[LinkKey, ChannelStream] = {}
         # Wire statistics (mirrors the simulator's counters loosely).
         self.sent_datagrams = 0
         self.sent_bytes = 0
@@ -230,10 +257,56 @@ class AsyncioTransport:
             self.oversize_frames += 1
             self._warn_oversize(source, destination, payload, len(body))
             return False
+        # The model's own tables, read directly: with no rule and no
+        # partition, shaping costs a frame these two truthiness tests.
+        network = self.network
+        if network._rules or network._blocked:
+            return self._shape(source, destination, body)
         self._outbox.setdefault((source, destination), []).append(body)
         self.sent_frames += 1
         self._schedule_flush()
         return True
+
+    def _shape(self, source: ProcessId, destination: ProcessId, body: bytes) -> bool:
+        """Put one frame through the link model; True if it is in flight.
+
+        The simulator's accept rule without its capacity: the partitions may
+        refuse the frame, and a pair some rule answers for loses it (loss
+        draw), delays it (delay draw) and may duplicate it (duplicate draw,
+        then a second delay).  A pair no rule answers for is queued as is.
+        """
+        network = self.network
+        if not network.permits(source, destination):
+            self.dropped_frames += 1
+            return False
+        config = network.rule_for(source, destination)
+        if config is None:
+            self._queue(source, destination, body)
+            return True
+        key = (source, destination)
+        stream = self._streams.get(key)
+        if stream is None:
+            stream = self._streams[key] = ChannelStream(
+                derive_seed(self.seed, "channel", source, destination)
+            )
+        loss = config.loss_probability
+        if loss and stream.random() < loss:
+            self.dropped_frames += 1
+            return False
+        later = self._loop.call_later
+        tick = self.tick_seconds
+        later(_delay(config, stream) * tick, self._queue, source, destination, body)
+        duplicate = config.duplicate_probability
+        if duplicate and stream.random() < duplicate:
+            later(_delay(config, stream) * tick, self._queue, source, destination, body)
+        return True
+
+    def _queue(self, source: ProcessId, destination: ProcessId, body: bytes) -> None:
+        """Queue a shaped frame for the next flush (which drops it if either
+        end is gone by then)."""
+        self._outbox.setdefault((source, destination), []).append(body)
+        self.sent_frames += 1
+        self._schedule_flush()
 
     def _warn_oversize(
         self, source: ProcessId, destination: ProcessId, payload: Any, size: int

@@ -40,8 +40,8 @@ from repro.audit.arbitrary_state import (
 )
 from repro.common.rng import make_rng
 from repro.common.types import ProcessId
+from repro.node.faults import apply_plan
 from repro.sim.events import Action
-from repro.sim.faults import apply_plan
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.cluster import Cluster

@@ -13,10 +13,11 @@ The simulator realizes the system model of Section 2 of the paper:
 * processors that may crash (stop-fail) and new processors that may join.
 
 It hosts the node of :mod:`repro.node` (the processor, its config and its
-stack profile), which the live runtime hosts too.  The package also applies
-transient-fault plans (:mod:`repro.sim.faults`), snapshots runs
-(:mod:`repro.sim.snapshot`) and holds the invariant monitors used by the
-test-suite and benchmark harness.
+stack profile), which the live runtime hosts too, and its network is the
+host-neutral link model of :mod:`repro.node.links` plus the channels.  The
+package also snapshots runs (:mod:`repro.sim.snapshot`) and holds the
+invariant monitors used by the test-suite and benchmark harness; transient
+faults are applied by :mod:`repro.node.faults` on either host.
 """
 
 from repro.sim.events import Action, Event, EventQueue

@@ -50,6 +50,11 @@ class Cluster:
         the adversarial schedulers change mid-run."""
         return self.simulator.network
 
+    def stuff_channel(self, source: ProcessId, destination: ProcessId, payload: Any) -> bool:
+        """Put a stale *payload* in flight on the channel source→destination
+        (a channel corruption atom); ``False`` when the channel is full."""
+        return self.simulator.network.stuff_channel(source, destination, payload)
+
     # ------------------------------------------------------------------
     # Topology management
     # ------------------------------------------------------------------

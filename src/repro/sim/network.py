@@ -37,9 +37,10 @@ sparsely.  The stream is therefore a
 ``make_rng(seed, "channel", source, destination)``, buffered a few at a
 time — built on the channel's first draw, not a 2.5 KB Twister per channel.
 
-The network is also the one owner of how a directed pair is shaped: a stack
-of named *link rules* over one default :class:`ChannelConfig`, plus named,
-directed, possibly leaky partitions.  It keeps a route table of the channels
+How a directed pair is shaped — a stack of named *link rules* over one
+default :class:`ChannelConfig`, plus named, directed, possibly leaky
+partitions — is the host-neutral :class:`~repro.node.links.LinkModel`, which
+:class:`Network` extends.  The network keeps a route table of the channels
 whose configuration is current: the steady-state send resolves its channel
 with one dict lookup, and pushing or popping a rule empties the table (O(1))
 so the next send on each pair re-resolves its configuration.
@@ -56,24 +57,13 @@ an O(N^2) scan over channels.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
-from repro.common.errors import SimulationError
 from repro.common.rng import ChannelStream, derive_seed, make_rng
 from repro.common.types import ProcessId
 from repro.node.config import ChannelConfig
+from repro.node.links import LinkKey, LinkModel
 from repro.sim.events import EventQueue
-
-LinkKey = Tuple[ProcessId, ProcessId]
-#: A link rule: the config of a directed pair, or ``None`` to defer to the
-#: rule underneath (and finally to the network default).  Rules live in the
-#: simulated state, so they must pickle (snapshot/restore) and be pure per
-#: pair (the route table keeps each answer until the stack changes).
-LinkRule = Callable[[ProcessId, ProcessId], Optional[ChannelConfig]]
-
-#: How many transition records :meth:`Network.summary` keeps verbatim; the
-#: per-kind counts are always exact.
-MAX_RECORDED_TRANSITIONS = 256
 
 
 class Packet:
@@ -264,7 +254,7 @@ class Channel:
         return stream
 
 
-class Network:
+class Network(LinkModel):
     """The fully-connected fabric of directed :class:`Channel` objects.
 
     The network is lazy: a channel is created the first time a packet flows
@@ -275,24 +265,15 @@ class Network:
     small.  Accepted packets go straight onto the event queue of the
     simulator bound with :meth:`bind`.
 
-    The network owns what the paper's channel adversary may vary over time:
-
-    * **link rules** — an ordered stack of named :data:`LinkRule` callables
-      over :attr:`default_config`.  A pair's config is the answer of the most
-      recently pushed rule that does not defer, else the default.  A rule
-      answers for every pair, existing or not, so a processor joining
-      mid-run gets channels shaped by whatever rule is active;
-    * **partitions** — named, directed and optionally leaky: one-way blocks,
-      per-partition heal, and a leak probability that lets an occasional
-      packet cross (fair communication holds whenever every blocking
-      partition leaks).  Leak draws come from the ``"environment"`` stream;
-    * **the transition log** — every push, pop, partition and heal, with
-      its simulated time, so a scenario result can report what the
-      adversary did and when.
+    What the channel adversary may vary over time — the link rules over
+    :attr:`default_config`, the partitions and the transition log — is the
+    :class:`~repro.node.links.LinkModel` this class extends, the same one
+    the live transport holds.  The network adds the channels, the route
+    table of channels whose config is current, and sending.
     """
 
     def __init__(self, default_config: Optional[ChannelConfig] = None, seed: int = 0) -> None:
-        self.default_config = default_config or ChannelConfig()
+        super().__init__(default_config, seed)
         self._seed = seed
         self._channels: Dict[LinkKey, Channel] = {}
         # The channels whose config is current: the send path's one lookup.
@@ -304,170 +285,19 @@ class Network:
         # order, which keeps the burst deterministic while touching a single
         # generator instead of one per destination channel.
         self._broadcast_rng = make_rng(seed, "broadcast")
-        # Link rules by name, in push order (the last one is asked first).
-        self._rules: Dict[str, LinkRule] = {}
-        # Named directed partitions: name -> {link: leak probability}, plus
-        # the per-link view the send path reads.
-        self._partitions: Dict[str, Dict[LinkKey, float]] = {}
-        self._blocked: Dict[LinkKey, Dict[str, float]] = {}
-        self._partition_counter = 0
-        self._leak_rng = make_rng(seed, "environment")
-        self.transition_counts: Dict[str, int] = {}
-        self.transitions: List[Dict[str, Any]] = []
 
     def bind(self, simulator: Any) -> None:
         """Bind the simulator whose clock (``now``) and event queue
         (``events``) accepted packets are pushed onto (done by the
-        simulator).  The object itself is held, not its queue, so
-        snapshot/restore rebinds the copy automatically."""
-        self._simulator = simulator
+        simulator); it is also the link model's clock.  The object itself
+        is held, not its queue, so snapshot/restore rebinds the copy
+        automatically."""
+        self._simulator = self._clock = simulator
 
-    # ------------------------------------------------------------------
-    # Link rules
-    # ------------------------------------------------------------------
-    def push_rule(self, name: str, rule: LinkRule) -> None:
-        """Push *rule* on top of the stack, replacing any rule named *name*."""
-        self._rules.pop(name, None)
-        self._rules[name] = rule
+    def _changed(self) -> None:
+        # A rule push or pop may change any pair's config: the next send on
+        # each pair re-resolves it.
         self._routes.clear()
-        self.record("rule", name=name)
-
-    def pop_rule(self, name: str) -> bool:
-        """Pop the rule named *name*, restoring the rules underneath; return
-        whether there was one."""
-        if self._rules.pop(name, None) is None:
-            return False
-        self._routes.clear()
-        self.record("rule_popped", name=name)
-        return True
-
-    def config_for(self, source: ProcessId, destination: ProcessId) -> ChannelConfig:
-        """The config of the directed pair: the most recent rule's answer
-        that is not ``None``, else the default."""
-        for rule in reversed(self._rules.values()):
-            config = rule(source, destination)
-            if config is not None:
-                return config
-        return self.default_config
-
-    # ------------------------------------------------------------------
-    # Partitions: named, directed, leaky
-    # ------------------------------------------------------------------
-    def block_links(
-        self,
-        links: Iterable[LinkKey],
-        name: Optional[str] = None,
-        leak: float = 0.0,
-    ) -> str:
-        """Block the given directed links under one named partition."""
-        if not 0.0 <= leak < 1.0:
-            raise SimulationError("partition leak probability must be in [0, 1)")
-        if name is None:
-            self._partition_counter += 1
-            name = f"partition-{self._partition_counter}"
-        entry = self._partitions.setdefault(name, {})
-        for source, destination in links:
-            if source == destination:
-                continue
-            key = (source, destination)
-            entry[key] = leak
-            self._blocked.setdefault(key, {})[name] = leak
-        # Partitions gate delivery (``permits``) but do not change a pair's
-        # config, so they leave the route table alone.
-        self.record("partition", name=name, links=len(entry), leak=leak)
-        return name
-
-    def partition(
-        self,
-        group_a: Iterable[ProcessId],
-        group_b: Iterable[ProcessId],
-        name: Optional[str] = None,
-        leak: float = 0.0,
-        symmetric: bool = True,
-    ) -> str:
-        """Partition two groups; ``symmetric=False`` blocks only a→b links.
-
-        Returns the partition's name, the handle :meth:`heal` takes: several
-        partitions coexist and heal independently.
-        """
-        group_b = list(group_b)
-        links: List[LinkKey] = []
-        for a in group_a:
-            for b in group_b:
-                if a == b:
-                    continue
-                links.append((a, b))
-                if symmetric:
-                    links.append((b, a))
-        return self.block_links(links, name=name, leak=leak)
-
-    def isolate(
-        self,
-        pid: ProcessId,
-        peers: Iterable[ProcessId],
-        name: Optional[str] = None,
-        leak: float = 0.0,
-    ) -> str:
-        """Block every link between *pid* and *peers*, both directions."""
-        return self.partition([pid], [p for p in peers if p != pid], name=name, leak=leak)
-
-    def heal(self, name: Optional[str] = None) -> int:
-        """Heal the named partition (or every partition); return links freed."""
-        names = [name] if name is not None else list(self._partitions)
-        freed = 0
-        for partition_name in names:
-            entry = self._partitions.pop(partition_name, None)
-            if entry is None:
-                continue
-            for key in entry:
-                blockers = self._blocked.get(key)
-                if blockers is not None:
-                    blockers.pop(partition_name, None)
-                    if not blockers:
-                        del self._blocked[key]
-            freed += len(entry)
-            self.record("heal", name=partition_name, links=len(entry))
-        return freed
-
-    def permits(self, source: ProcessId, destination: ProcessId) -> bool:
-        """Whether a packet may currently travel the directed pair.
-
-        A blocked pair still passes a packet with probability equal to the
-        *product* of the blocking partitions' leak probabilities (the packet
-        must leak through every one); any leak-free blocker drops everything.
-        """
-        blockers = self._blocked.get((source, destination))
-        if not blockers:
-            return True
-        passthrough = 1.0
-        for leak in blockers.values():
-            if leak <= 0.0:
-                return False
-            passthrough *= leak
-        return self._leak_rng.random() < passthrough
-
-    # ------------------------------------------------------------------
-    # Transition log
-    # ------------------------------------------------------------------
-    def record(self, kind: str, **details: Any) -> None:
-        """Record one transition (exact count, bounded detail)."""
-        self.transition_counts[kind] = self.transition_counts.get(kind, 0) + 1
-        if len(self.transitions) < MAX_RECORDED_TRANSITIONS:
-            self.transitions.append({"time": self._simulator.now, "kind": kind, **details})
-
-    @property
-    def transition_count(self) -> int:
-        """Total number of recorded transitions (exact)."""
-        return sum(self.transition_counts.values())
-
-    def summary(self) -> Dict[str, Any]:
-        """JSON-serializable view of the transitions of a run."""
-        return {
-            "transitions": self.transition_count,
-            "by_kind": dict(sorted(self.transition_counts.items())),
-            "active_partitions": sorted(self._partitions),
-            "events": [dict(entry) for entry in self.transitions],
-        }
 
     # ------------------------------------------------------------------
     # Channels and sends
@@ -528,10 +358,11 @@ class Network:
             if chan.try_accept(packet, now, events, rng):
                 accepted += 1
         return accepted
+
     def stuff_channel(self, source: ProcessId, destination: ProcessId, payload: Any) -> bool:
         """Inject a stale packet into a channel and schedule its delivery.
 
-        Used by channel corruption atoms (:mod:`repro.sim.faults`) to model
+        Used by channel corruption atoms (:mod:`repro.node.faults`) to model
         arbitrary initial channel contents.  Returns ``False`` when the
         channel was full.  The delay is drawn from the channel's own stream.
         """

@@ -13,8 +13,8 @@ from repro.audit.arbitrary_state import PROFILES, generate_plan
 from repro.common.types import BOTTOM, ProcessId
 from repro.core.recsa import RecSA
 from repro.node.config import fast_sim
+from repro.node.faults import CorruptionAtom, apply_plan
 from repro.sim.cluster import Cluster, build_cluster
-from repro.sim.faults import CorruptionAtom, apply_plan
 
 
 def quick_cluster(n: int, seed: int = 1, capacity: int = 8, **overrides: Any) -> Cluster:

@@ -32,6 +32,7 @@ from repro.audit.harness import (
 )
 from repro.audit.schedulers import available_schedulers, get_scheduler
 from repro.node.config import ChannelConfig, fast_sim
+from repro.node.faults import CorruptionAtom, _resolve_path, apply_plan
 from repro.node.stacks import available_stacks
 from repro.scenarios import (
     ArbitraryStateWorkload,
@@ -41,7 +42,6 @@ from repro.scenarios import (
 )
 from repro.scenarios.runner import prepare
 from repro.sim.cluster import build_cluster
-from repro.sim.faults import CorruptionAtom, _resolve_path, apply_plan
 from repro.sim.monitors import InvariantMonitor
 from repro.sim.simulator import Simulator
 

@@ -7,8 +7,8 @@ import pytest
 from repro.baselines.coherent_start import CoherentStartMessage, CoherentStartNode
 from repro.common.types import make_config
 from repro.core.recma import RecMAMessage
+from repro.node.faults import CorruptionAtom, apply_plan
 from repro.scenarios import ChurnWorkload
-from repro.sim.faults import CorruptionAtom, apply_plan
 from repro.sim.simulator import Simulator
 
 from tests.conftest import quick_cluster, scramble

@@ -18,7 +18,7 @@ import pytest
 
 from repro.common.types import make_config
 from repro.labels.label import EpochLabel, LabelPair
-from repro.sim.faults import CorruptionAtom, apply_plan
+from repro.node.faults import CorruptionAtom, apply_plan
 
 from tests.conftest import quick_cluster, scramble
 

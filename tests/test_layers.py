@@ -122,9 +122,10 @@ def test_nothing_in_the_package_imports_the_spine_reexport():
 
 def test_the_live_runtime_loads_no_simulator_module():
     """The package root resolves its public names on first access, so a live
-    process that imports the runtime never loads ``repro.sim``."""
+    process that imports the runtime, the link model and the corruption
+    surface never loads ``repro.sim``."""
     probe = (
-        "import sys, repro.runtime.cluster\n"
+        "import sys, repro.runtime.cluster, repro.node.links, repro.node.faults\n"
         "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['repro', 'sim']))"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}

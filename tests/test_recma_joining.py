@@ -6,7 +6,7 @@ from itertools import cycle, islice
 
 from repro.common.types import make_config
 from repro.core.recma import RecMA, RecMAMessage, never_reconfigure
-from repro.sim.faults import CorruptionAtom, apply_plan
+from repro.node.faults import CorruptionAtom, apply_plan
 
 from tests.conftest import quick_cluster
 

@@ -29,7 +29,7 @@ from repro.core.stale import (
     classify_stale_information,
     is_real_config,
 )
-from repro.sim.faults import apply_plan
+from repro.node.faults import apply_plan
 from repro.sim.snapshot import SimSnapshot
 
 from tests.conftest import RecSAHarness, quick_cluster, scramble
@@ -539,14 +539,33 @@ def _assert_memo_agrees(cluster, after: str) -> None:
         assert (recsa.no_reco(), recsa.get_config(), recsa.participants()) == answered[:3]
 
 
+def _stable_joiners_with_stale_echoes(cluster) -> int:
+    """Joiners whose ``noReco()`` holds although a participant peer's echo
+    of them is missing or reports another participant set: the states in
+    which evidence (3)'s echo half must not bind a joiner."""
+    count = 0
+    for node in cluster.nodes.values():
+        recsa = node.recsa
+        if recsa.is_participant() or not recsa.no_reco():
+            continue
+        part = recsa.participants()
+        echoes = [recsa.echo.get(pid) for pid in part if pid != node.pid]
+        if any(echo is None or frozenset(echo.part) != part for echo in echoes):
+            count += 1
+    return count
+
+
 class TestDerivedVerdictMemo:
     @pytest.mark.parametrize("seed", range(6))
     def test_random_walk_agrees_with_unmemoized_bodies(self, seed):
         """Oracle style: after *every* operation of a seeded walk over
         everything that can move a verdict — simulator events (``step``/``on_message``), the interface calls,
-        received forgeries, the joining hook and both corruption surfaces —
-        every field of the memoized view equals its per-fact reference."""
+        received forgeries, the joining hook, a participant turned joiner
+        and both corruption surfaces — every field of the memoized view
+        equals its per-fact reference.  The walk must reach a stable joiner
+        whose peers still echo its pre-join values."""
         rng = random.Random(seed)
+        stale_echo_joiners = 0
         cluster = quick_cluster(5, seed=seed)
         universe = sorted(cluster.nodes)
         simulator = cluster.simulator
@@ -579,8 +598,29 @@ class TestDerivedVerdictMemo:
                 ),
             )
 
+        def check(after: str) -> None:
+            nonlocal stale_echo_joiners
+            _assert_memo_agrees(cluster, after=after)
+            stale_echo_joiners += _stable_joiners_with_stale_echoes(cluster)
+
+        def rejoin(node):
+            # A participant turned joiner, built as
+            # ``test_a_joiner_ignores_what_its_peers_echo`` builds one: its
+            # own entry is ``]`` and its peers store that entry as its join
+            # request.  Then a gossip refresh of events, each checked, so
+            # its peers report their new participant sets while their
+            # echoes still carry its pre-join values.
+            node.recsa.config[node.pid] = NOT_PARTICIPANT
+            for peer in cluster.nodes.values():
+                if peer is not node:
+                    peer.recsa.store(node.pid, "config", NOT_PARTICIPANT)
+            until = simulator.now + node.recsa.gossip_refresh_interval + 1
+            while simulator.now < until and simulator.step():
+                check(after="rejoin")
+
         operations = {
             "event": lambda node: simulator.step(),
+            "rejoin": rejoin,
             "estab": lambda node: node.recsa.estab(a_view()),
             "participate": lambda node: node.recsa.participate(),
             "config_set": lambda node: node.recsa.config_set(a_config_value()),
@@ -600,7 +640,8 @@ class TestDerivedVerdictMemo:
         for _ in range(700):
             name = rng.choice(names)
             operations[name](cluster.nodes[rng.choice(universe)])
-            _assert_memo_agrees(cluster, after=name)
+            check(after=name)
+        assert stale_echo_joiners > 0
 
     def test_planted_memo_is_gone_after_one_step(self):
         """The memo is state a transient fault can hit: a wrong view planted

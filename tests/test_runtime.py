@@ -25,12 +25,16 @@ import struct
 
 import pytest
 
+from repro.audit.arbitrary_state import generate_plan
+from repro.audit.schedulers import _VictimLinkPolicy
 from repro.core.joining import JoinRequest
 from repro.counters.counter import counter_less_than
-from repro.node.config import PRESETS, preset
+from repro.node.config import PRESETS, ChannelConfig, preset
+from repro.node.faults import apply_plan
 from repro.node.node import agreed_configuration
+from repro.node.process import Process
 from repro.runtime.cluster import RuntimeCluster
-from repro.runtime.transport import _HEADER
+from repro.runtime.transport import _HEADER, AsyncioTransport
 from repro.sim.cluster import build_cluster
 from repro.vs.virtual_synchrony import VSState
 
@@ -570,3 +574,118 @@ def test_both_backends_build_the_same_node_from_one_config(name):
     live = asyncio.run(scenario())
     assert live == {pid: _node_shape(node) for pid, node in simulated.nodes.items()}
 
+
+
+# ---------------------------------------------------------------------------
+# The channel adversary on the live host: the transport's link model and the
+# corruption surface the simulator's cluster has too.
+# ---------------------------------------------------------------------------
+def test_a_live_partition_evicts_the_isolated_node_until_heal():
+    """n = 5: isolating node 4 makes nodes 0–3 stop trusting it and drop it
+    from their participant sets; after ``heal()`` they trust it again and
+    the cluster converges with it."""
+
+    async def scenario() -> None:
+        async with _running(RuntimeCluster(
+            n=5, seed=7, stack="bare", tick_seconds=TICK
+        )) as cluster:
+            assert await cluster.wait_converged(timeout_s=BUDGET_S, poll_s=0.01)
+            others = [cluster.nodes[pid] for pid in range(4)]
+            name = cluster.network.isolate(4, sorted(cluster.nodes))
+            await _wait_until(
+                lambda: all(
+                    4 not in node.trusted() and 4 not in node.recsa.participants()
+                    for node in others
+                ),
+                "the isolated node was never evicted",
+            )
+            assert cluster.transport.dropped_frames > 0
+            assert cluster.network.heal() == 8
+            await _wait_until(
+                lambda: all(
+                    4 in node.trusted() and 4 in node.recsa.participants()
+                    for node in others
+                )
+                and cluster.is_converged(),
+                "the healed node never came back",
+            )
+            assert 4 in agreed_configuration(cluster.nodes.values())
+            assert cluster.network.summary()["by_kind"] == {"heal": 1, "partition": 1}
+            assert name not in cluster.network.summary()["active_partitions"]
+
+    asyncio.run(scenario())
+
+
+class _Recorder(Process):
+    """Records when the first frame from each sender arrived; never steps."""
+
+    def __init__(self, pid: int) -> None:
+        super().__init__(pid, step_interval=1e6, jitter=0.0)
+        self.arrived: dict = {}
+
+    def on_receive(self, sender: int, payload) -> None:
+        self.arrived.setdefault(sender, asyncio.get_running_loop().time())
+
+
+def test_a_pushed_victim_rule_delays_exactly_the_victims_links():
+    """A rule on the transport's link model shapes live frames: with
+    ``_VictimLinkPolicy(2, slow)`` pushed, every frame to or from node 2
+    waits ``slow``'s fixed 30 ticks, and every other pair stays unshaped."""
+    slow = ChannelConfig(min_delay=30.0, max_delay=30.0)
+    delay_s = slow.min_delay * TICK
+
+    async def scenario() -> dict:
+        transport = AsyncioTransport(seed=7, tick_seconds=TICK)
+        nodes = [_Recorder(pid) for pid in range(4)]
+        try:
+            for node in nodes:
+                await transport.start_node(node)
+            transport.network.push_rule("slow_node", _VictimLinkPolicy(2, slow))
+            sent_at = asyncio.get_running_loop().time()
+            for node in nodes:
+                node.context.send_many(
+                    [(peer.pid, ("probe", node.pid)) for peer in nodes if peer is not node]
+                )
+            await _wait_until(
+                lambda: all(len(node.arrived) == 3 for node in nodes), "a probe never arrived"
+            )
+        finally:
+            await transport.close()
+        return {
+            (sender, node.pid): at - sent_at
+            for node in nodes
+            for sender, at in node.arrived.items()
+        }
+
+    elapsed = asyncio.run(scenario())
+    shaped = {pair for pair in elapsed if 2 in pair}
+    assert len(shaped) == 6 and len(elapsed) == 12
+    for pair, seconds in elapsed.items():
+        if pair in shaped:
+            assert seconds >= delay_s, (pair, seconds)
+        else:
+            assert seconds < delay_s, (pair, seconds)
+
+
+def test_a_scramble_plan_applied_live_converges():
+    """One corruption plan, either host: a ``scramble`` plan from
+    ``generate_plan`` (plus ``channel_only`` stale frames, stuffed through
+    ``RuntimeCluster.stuff_channel``) lands whole on a live n = 4 cluster,
+    which converges again afterwards."""
+
+    async def scenario() -> None:
+        async with _running(RuntimeCluster(
+            n=4, seed=7, stack="counters", tick_seconds=TICK
+        )) as cluster:
+            assert await cluster.wait_converged(timeout_s=BUDGET_S, poll_s=0.01)
+            plan = generate_plan(cluster, seed=13, profile="scramble")
+            stale = generate_plan(cluster, seed=13, profile="channel_only")
+            assert plan and stale and {atom.kind for atom in stale} == {"channel"}
+            assert apply_plan(cluster, plan + stale) == {
+                "applied": len(plan) + len(stale), "skipped": 0,
+            }
+            assert not cluster.is_converged()
+            assert await cluster.wait_converged(timeout_s=BUDGET_S, poll_s=0.01)
+            assert cluster.transport.statistics()["delivery_errors"] == 0
+
+    asyncio.run(scenario())

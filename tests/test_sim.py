@@ -10,10 +10,10 @@ from repro.audit.arbitrary_state import generate_plan
 from repro.audit.byzantine import TraitorProgram
 from repro.common.errors import SimulationError
 from repro.node.config import ChannelConfig
+from repro.node.faults import apply_plan
 from repro.node.process import Process
 from repro.node.stacks import available_stacks
 from repro.sim.events import EventQueue
-from repro.sim.faults import apply_plan
 from repro.sim.monitors import ConvergenceTracker, InvariantMonitor
 from repro.sim.network import Channel, Network, Packet
 from repro.sim.simulator import PAUSED, Simulator

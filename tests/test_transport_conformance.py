@@ -26,14 +26,20 @@ couple of wall seconds.
 from __future__ import annotations
 
 import asyncio
+from dataclasses import replace
 from typing import Any, Callable, List, Sequence, Tuple
 
 import pytest
 
+from repro.audit.schedulers import _VictimLinkPolicy
+from repro.common.rng import make_rng
 from repro.common.types import Phase, Proposal, make_config
-from repro.node.config import ChannelConfig
+from repro.node.config import ChannelConfig, fast_sim
+from repro.node.links import LinkModel
 from repro.node.process import Process
+from repro.runtime.cluster import RuntimeCluster
 from repro.runtime.transport import AsyncioTransport
+from repro.sim.cluster import build_cluster
 from repro.sim.simulator import Simulator
 
 SEED = 5
@@ -326,3 +332,57 @@ def test_process_rng_streams_are_backend_independent():
     assert asyncio.run(runtime_draws()) == sim_draws
     # Distinct pids draw distinct streams.
     assert sim_draws[0] != sim_draws[3]
+
+
+def _link_model_answers(network: LinkModel) -> dict:
+    """Push then pop a rule, partition then heal (a leaky one too), and
+    record what the link model answers at each point."""
+    base = network.config_for(0, 1)
+    slow = replace(base, min_delay=base.min_delay * 10, max_delay=base.max_delay * 10)
+    answers = {"default": (base, network.rule_for(0, 1), network.permits(0, 1))}
+    network.push_rule("slow_node", _VictimLinkPolicy(2, slow))
+    answers["pushed"] = [
+        (network.config_for(s, d), network.rule_for(s, d)) for s, d in ((0, 2), (2, 3), (0, 1))
+    ]
+    assert network.pop_rule("slow_node") and not network.pop_rule("slow_node")
+    answers["popped"] = (network.config_for(0, 2), network.rule_for(0, 2))
+    network.partition([0, 1], [2, 3], name="split", symmetric=False)
+    answers["split"] = [network.permits(s, d) for s, d in ((0, 2), (2, 0), (0, 1))]
+    network.partition([0], [3], name="leaky", leak=0.5)
+    answers["leaky"] = [network.permits(3, 0) for _ in range(16)]
+    answers["healed"] = (network.heal("split"), network.heal(), network.permits(0, 2))
+    answers["by_kind"] = network.summary()["by_kind"]
+    return answers
+
+
+@pytest.mark.parametrize("host", ["sim", "asyncio"])
+def test_both_hosts_answer_from_one_link_model(host):
+    """``Cluster.network`` and a started ``RuntimeCluster.network`` are both
+    :class:`~repro.node.links.LinkModel` s over the cluster's channel config,
+    and the same rule and partition transitions get the same answers (the
+    leak draws included: both come from the ``"environment"`` stream)."""
+    if host == "sim":
+        answers = _link_model_answers(build_cluster(4, seed=SEED, config=fast_sim()).network)
+    else:
+
+        async def live() -> dict:
+            cluster = RuntimeCluster(n=4, seed=SEED, stack="bare", tick_seconds=TICK_SECONDS)
+            await cluster.start()
+            try:
+                return _link_model_answers(cluster.network)
+            finally:
+                await cluster.shutdown()
+
+        answers = asyncio.run(live())
+    base = fast_sim().channel
+    slow = replace(base, min_delay=base.min_delay * 10, max_delay=base.max_delay * 10)
+    leaks = make_rng(SEED, "environment")
+    assert answers == {
+        "default": (base, None, True),
+        "pushed": [(slow, slow), (slow, slow), (base, None)],
+        "popped": (base, None),
+        "split": [False, True, True],
+        "leaky": [leaks.random() < 0.5 for _ in range(16)],
+        "healed": (4, 2, True),
+        "by_kind": {"heal": 2, "partition": 2, "rule": 1, "rule_popped": 1},
+    }

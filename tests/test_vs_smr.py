@@ -11,9 +11,9 @@ from repro.analysis.probes import wait_for
 from repro.audit.arbitrary_state import generate_plan
 from repro.common.codec import encode_binary
 from repro.node.config import fast_sim
+from repro.node.faults import apply_plan
 from repro.node.stacks import stack
 from repro.sim.cluster import build_cluster
-from repro.sim.faults import apply_plan
 from repro.vs.smr import KeyValueStateMachine, LogStateMachine, RegisterStateMachine
 from repro.vs.view import View, newer_view
 from repro.vs.virtual_synchrony import RECOMPUTE_INTERVAL, VSStatus

@@ -15,7 +15,8 @@ import pytest
 
 from conftest import bench_cluster, record
 
-from repro.core.recsa import DEFAULT_GOSSIP_REFRESH_INTERVAL, RecSA
+from repro.core.gossip import REFRESH_INTERVAL
+from repro.core.recsa import RecSA
 from repro.counters.service import CounterService
 from repro.failure_detector.ntheta import NThetaFailureDetector
 from repro.sim.events import EventQueue
@@ -49,13 +50,14 @@ def _broadcast_round_cost(n: int, rounds: int) -> dict:
     inboxes: dict = {pid: [] for pid in pids}
     instances = {}
     for pid in pids:
-        def _send(dest, message, _pid=pid):
-            inboxes[dest].append((_pid, message))
+        def _send_many(pairs, _pid=pid):
+            for dest, message in pairs:
+                inboxes[dest].append((_pid, message))
 
         instances[pid] = RecSA(
             pid=pid,
             fd_provider=lambda _pids=frozenset(pids): _pids,
-            send=_send,
+            send_many=_send_many,
             initial_config=BOTTOM,
         )
     messages = 0
@@ -84,8 +86,6 @@ class _StableScheme:
 
     def __init__(self, members) -> None:
         self.members = frozenset(members)
-        self.recsa = self
-        self.gossip_refresh_interval = DEFAULT_GOSSIP_REFRESH_INTERVAL
 
     def no_reco(self) -> bool:
         return True
@@ -105,7 +105,7 @@ def _counter_members(n: int):
             inboxes[dest].append((_pid, message))
 
         members[pid] = CounterService(pid, scheme, _send)
-    _counter_rounds(members, inboxes, 3 * DEFAULT_GOSSIP_REFRESH_INTERVAL)
+    _counter_rounds(members, inboxes, 3 * REFRESH_INTERVAL)
     assert len({svc.store.local_max_label() for svc in members.values()}) == 1
     return (members, inboxes), {}
 
@@ -203,7 +203,7 @@ def test_counters_member_round(benchmark, n):
     record(benchmark, result)
     # Idle members tell each peer their pair once per refresh interval.
     per_member_round = result["messages_exchanged"] / (n * rounds)
-    assert per_member_round <= (n - 1) / DEFAULT_GOSSIP_REFRESH_INTERVAL + 0.1
+    assert per_member_round <= (n - 1) / REFRESH_INTERVAL + 0.1
 
 
 @pytest.mark.parametrize("n", [8, 128])

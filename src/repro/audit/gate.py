@@ -39,11 +39,7 @@ def extract_bounds(report: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def compare(
-    current: Dict[str, Any],
-    baseline: Dict[str, Any],
-    tolerance: float = TOLERANCE,
-) -> Dict[str, Any]:
+def compare(current: Dict[str, Any], baseline: Dict[str, Any]) -> Dict[str, Any]:
     """Compare current bounds against their pin; collect failures."""
     failures: List[str] = []
     warnings: List[str] = []
@@ -55,11 +51,11 @@ def compare(
     if baseline_worst is None:
         failures.append("baseline has no worst-case bound; re-pin with --pin")
     elif current.get("worst") is not None:
-        limit = baseline_worst * (1.0 + tolerance)
+        limit = baseline_worst * (1.0 + TOLERANCE)
         if current["worst"] > limit:
             failures.append(
                 f"worst-case stabilization regressed: {current['worst']:.2f} > "
-                f"{limit:.2f} (baseline {baseline_worst:.2f} + {tolerance:.0%})"
+                f"{limit:.2f} (baseline {baseline_worst:.2f} + {TOLERANCE:.0%})"
             )
     if current.get("runs") != baseline.get("runs"):
         failures.append(
@@ -72,7 +68,7 @@ def compare(
         failures.append(f"pinned cases missing from the report: {missing}")
     for case, time in sorted(current_cases.items()):
         pinned = pinned_cases.get(case)
-        if pinned and time > pinned * (1.0 + tolerance):
+        if pinned and time > pinned * (1.0 + TOLERANCE):
             warnings.append(
                 f"{case}: {time:.2f} vs baseline {pinned:.2f} (+{time / pinned - 1:.0%})"
             )
@@ -82,7 +78,7 @@ def compare(
         "warnings": warnings,
         "current_worst": current.get("worst"),
         "baseline_worst": baseline_worst,
-        "tolerance": tolerance,
+        "tolerance": TOLERANCE,
     }
 
 

@@ -77,6 +77,9 @@ SMR_STACKS = ("vs_smr", "shared_register", "vs_smr_rb")
 #: on these get broadcast traffic plus the rb_* invariants armed.
 RB_STACKS = ("rb_bracha", "rb_dolev", "rb_naive", "vs_smr_rb")
 
+#: The run budget of one :func:`shrink_case` call, its first run included.
+SHRINK_TRIALS = 64
+
 
 def _digest(value: Any) -> str:
     """Short stable content digest (``repr`` is deterministic for the frozen
@@ -715,7 +718,6 @@ def _plan_size(result: Dict[str, Any], kind: str = "arbitrary_state") -> int:
 def shrink_case(
     case: AuditCase,
     seed: int,
-    max_trials: int = 64,
     reuse_prefix: bool = True,
     snapshot: Optional[SimSnapshot] = None,
 ) -> Dict[str, Any]:
@@ -745,7 +747,7 @@ def shrink_case(
     indices: List[int] = list(range(total))
     trials = 1
     granularity = 2
-    while len(indices) > 1 and trials < max_trials:
+    while len(indices) > 1 and trials < SHRINK_TRIALS:
         chunk = math.ceil(len(indices) / granularity)
         chunks = [indices[i : i + chunk] for i in range(0, len(indices), chunk)]
         reduced = False
@@ -765,7 +767,7 @@ def shrink_case(
                 granularity = max(2, granularity - 1)
                 reduced = True
                 break
-            if trials >= max_trials:
+            if trials >= SHRINK_TRIALS:
                 break
         if not reduced:
             if granularity >= len(indices):

@@ -12,7 +12,6 @@ from repro.common.types import (
 from repro.common.errors import (
     ReproError,
     SimulationError,
-    InvariantViolation,
 )
 
 __all__ = [
@@ -25,5 +24,4 @@ __all__ = [
     "DEFAULT_PROPOSAL",
     "ReproError",
     "SimulationError",
-    "InvariantViolation",
 ]

@@ -18,11 +18,3 @@ class SimulationError(ReproError):
     Examples: scheduling an event in the past, running a simulator that has
     already been shut down, registering two processes under the same id.
     """
-
-
-class InvariantViolation(ReproError):
-    """A monitored safety invariant was violated during a simulation run.
-
-    Raised by :class:`repro.sim.monitors.InvariantMonitor` when configured in
-    strict mode; in recording mode violations are collected instead.
-    """

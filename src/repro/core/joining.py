@@ -11,12 +11,19 @@ approving members.
 The same object implements both roles: the joiner loop (executed while the
 owner is not a participant) and the responder role (executed by configuration
 members replying to ``Join`` requests).
+
+The application's hooks are attributes of :class:`JoiningProtocol`, set by
+the application the way it sets recMA's ``evalConf()``
+(:attr:`repro.core.recma.RecMA.policy`): ``admission_policy`` is
+``passQuery()``, ``state_provider`` ships a member's state to an admitted
+joiner, ``state_initializer`` is ``initVars()`` and ``state_resetter`` is
+``resetVars()``.  By default every joiner is admitted and no state moves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, List, Optional
+from typing import Any, Callable, Dict, FrozenSet
 
 from repro.common.codec import wire_type
 from repro.common.types import ProcessId
@@ -86,19 +93,16 @@ class JoiningProtocol:
         recsa: RecSA,
         fd_provider: FdProvider,
         send: SendFn,
-        admission_policy: Optional[AdmissionPolicy] = None,
-        state_provider: Optional[StateProvider] = None,
-        state_initializer: Optional[StateInitializer] = None,
-        state_resetter: Optional[StateResetter] = None,
     ) -> None:
         self.pid = pid
         self.recsa = recsa
         self.fd_provider = fd_provider
         self.send = send
-        self.admission_policy: AdmissionPolicy = admission_policy or _admit_everyone
-        self.state_provider: StateProvider = state_provider or _no_state
-        self.state_initializer: StateInitializer = state_initializer or _ignore_states
-        self.state_resetter: StateResetter = state_resetter or _reset_nothing
+        # The application's hooks (module docstring), set as attributes.
+        self.admission_policy: AdmissionPolicy = _admit_everyone
+        self.state_provider: StateProvider = _no_state
+        self.state_initializer: StateInitializer = _ignore_states
+        self.state_resetter: StateResetter = _reset_nothing
 
         # Joiner-side collected passes and member states (lines 2, 5, 18).
         self.passes: Dict[ProcessId, bool] = {}

@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, FrozenSet, Optional
 from repro.common.codec import wire_type
 from repro.common.types import Configuration, ProcessId, is_majority
 from repro.core.gossip import GossipGate
-from repro.core.recsa import DEFAULT_GOSSIP_REFRESH_INTERVAL, RecSA
+from repro.core.recsa import RecSA
 from repro.core.stale import is_real_config
 
 
@@ -63,7 +63,6 @@ class RecMA:
         pid: ProcessId,
         recsa: RecSA,
         send: SendFn,
-        gossip_refresh_interval: int = DEFAULT_GOSSIP_REFRESH_INTERVAL,
     ) -> None:
         self.pid = pid
         self.recsa = recsa
@@ -78,7 +77,7 @@ class RecMA:
         # Change-detected gossip: the ⟨noMaj, needReconf⟩ pair goes to a
         # peer when it changed or every K rounds (the flags are idempotent
         # state, so a lost packet is repaired by the next refresh).
-        self.gate = GossipGate(gossip_refresh_interval)
+        self.gate = GossipGate()
 
         # Experiment counters (Lemma 3.18 bounds the spurious ones).
         self.trigger_count = 0

@@ -84,20 +84,11 @@ from repro.common.types import (
     canonical,
     make_config,
 )
+from repro.core import gossip
 from repro.core.stale import NO_RECORD, StaleInfoType
 
 FdProvider = Callable[[], FrozenSet[ProcessId]]
-SendFn = Callable[[ProcessId, Any], None]
 SendManyFn = Callable[[List[Tuple[ProcessId, Any]]], Any]
-
-#: Default period (in do-forever iterations) of the unconditional full
-#: re-broadcast that backs the change-detected gossip.  Re-sending the whole
-#: state every K rounds — even to peers that have provably echoed the current
-#: values — preserves the paper's fair-communication assumption: any state
-#: divergence (lost packet, corrupted echo bookkeeping) is repaired within K
-#: rounds, so every convergence bound merely stretches by a constant factor.
-#: ``1`` disables change detection entirely (the seed behaviour).
-DEFAULT_GOSSIP_REFRESH_INTERVAL = 5
 
 
 @wire_type
@@ -205,9 +196,10 @@ class RecSA:
     fd_provider:
         Zero-argument callable returning the current trusted set of the
         owner's failure detector (always contains the owner).
-    send:
-        Callable ``send(destination, message)`` used for the end-of-loop
-        broadcast; messages need only fair (not reliable) delivery.
+    send_many:
+        Callable ``send_many([(destination, message), ...])`` used for the
+        end-of-loop broadcast; messages need only fair (not reliable)
+        delivery.
     initial_config:
         Optional configuration to start from.  ``None`` boots the processor
         as a non-participant (the paper's interrupt handler, line 31); the
@@ -228,16 +220,12 @@ class RecSA:
         self,
         pid: ProcessId,
         fd_provider: FdProvider,
-        send: SendFn,
+        send_many: SendManyFn,
         initial_config: Any = None,
-        send_many: Optional[SendManyFn] = None,
-        gossip_refresh_interval: int = DEFAULT_GOSSIP_REFRESH_INTERVAL,
     ) -> None:
         self.pid = pid
         self.fd_provider = fd_provider
-        self.send = send
         self.send_many = send_many
-        self.gossip_refresh_interval = max(1, int(gossip_refresh_interval))
 
         # One record per processor, the owner's included (module docstring).
         # Boot (line 31): every entry defaults to (], dfltNtf, false); an
@@ -261,7 +249,7 @@ class RecSA:
         # broadcast core — everything in a RecSAMessage except the per-peer
         # ``echo`` — is versioned; a peer that demonstrably holds the current
         # version (its echo reflects our current values) is skipped until the
-        # periodic full refresh.
+        # periodic full refresh (:data:`repro.core.gossip.REFRESH_INTERVAL`).
         self._state_version = 0
         self._last_core_key: Any = None
         # Per peer: (core version last sent, echo last sent, rounds since).
@@ -771,10 +759,11 @@ class RecSA:
         * our echo of *that peer's* values has not changed either,
         * the peer's last echo reflects our current ``(part, prp, all)`` —
           evidence it already received values equal to the current ones,
-        * fewer than ``gossip_refresh_interval`` rounds have passed since the
-          last send (the unconditional refresh restores the paper's
-          fair-communication guarantee against lost packets and corrupted
-          bookkeeping; see PERFORMANCE.md for the stabilization argument).
+        * fewer than :data:`~repro.core.gossip.REFRESH_INTERVAL` rounds have
+          passed since the last send (the unconditional refresh restores the
+          paper's fair-communication guarantee against lost packets and
+          corrupted bookkeeping; see PERFORMANCE.md for the stabilization
+          argument).
         """
         own_config = self._own.get("config", NOT_PARTICIPANT)
         if own_config is NOT_PARTICIPANT:
@@ -794,7 +783,7 @@ class RecSA:
             # so their receipt (and ours of their echo) compares by identity.
             core_key = self._last_core_key
         version = self._state_version
-        refresh = self.gossip_refresh_interval
+        refresh = gossip.REFRESH_INTERVAL
         records = self._records
         sent = self._sent
 
@@ -822,8 +811,7 @@ class RecSA:
                 None if echo is None else (echo.part, echo.prp, echo.all_flag)
             )
             if (
-                refresh > 1
-                and rounds + 1 < refresh
+                rounds + 1 < refresh
                 and sent_version == version
                 and echo_unchanged
                 and self._peer_echoed(record, part, with_all=True)
@@ -838,11 +826,7 @@ class RecSA:
 
         if outgoing:
             self.broadcasts_sent += len(outgoing)
-            if self.send_many is not None:
-                self.send_many(outgoing)
-            else:
-                for pid, message in outgoing:
-                    self.send(pid, message)
+            self.send_many(outgoing)
 
     def _full(self, core_key: Tuple[Any, ...], echo: Optional[EchoTriple]) -> RecSAMessage:
         trusted, part, own_config, own_prp, own_all = core_key

@@ -10,8 +10,9 @@ interface:
 * ``request_reconfiguration(set)`` — an explicit delicate reconfiguration
   (delegates to recSA's ``estab``; the virtual-synchrony application's
   coordinator uses this, Algorithm 4.6);
-* the joining interface — ``passQuery()`` admission hook and state
-  transfer callbacks;
+* the joining interface — the ``passQuery()`` admission hook and the state
+  transfer callbacks, attributes of :attr:`joining` that the application
+  sets (as it sets ``evalConf()`` on :attr:`recma`);
 * ``step()`` / ``on_message()`` — plumbing called by the owning simulated
   process once per do-forever iteration / per received message.
 """
@@ -21,17 +22,9 @@ from __future__ import annotations
 from typing import Any, Callable, FrozenSet, Iterable, Optional
 
 from repro.common.types import Configuration, NOT_PARTICIPANT, ProcessId
-from repro.core.joining import (
-    AdmissionPolicy,
-    JoiningProtocol,
-    JoinRequest,
-    JoinResponse,
-    StateInitializer,
-    StateProvider,
-    StateResetter,
-)
+from repro.core.joining import JoiningProtocol, JoinRequest, JoinResponse
 from repro.core.recma import RecMA, RecMAMessage
-from repro.core.recsa import DEFAULT_GOSSIP_REFRESH_INTERVAL, RecSA, RecSAMessage
+from repro.core.recsa import RecSA, RecSAMessage
 from repro.core.stale import is_real_config
 
 FdProvider = Callable[[], FrozenSet[ProcessId]]
@@ -47,39 +40,23 @@ class ReconfigurationScheme:
         pid: ProcessId,
         fd_provider: FdProvider,
         send: SendFn,
+        send_many: SendManyFn,
         initial_config: Any = None,
-        admission_policy: Optional[AdmissionPolicy] = None,
-        state_provider: Optional[StateProvider] = None,
-        state_initializer: Optional[StateInitializer] = None,
-        state_resetter: Optional[StateResetter] = None,
-        send_many: Optional[SendManyFn] = None,
-        gossip_refresh_interval: int = DEFAULT_GOSSIP_REFRESH_INTERVAL,
     ) -> None:
         self.pid = pid
         self.fd_provider = fd_provider
         self.recsa = RecSA(
             pid=pid,
             fd_provider=fd_provider,
-            send=send,
-            initial_config=initial_config,
             send_many=send_many,
-            gossip_refresh_interval=gossip_refresh_interval,
+            initial_config=initial_config,
         )
-        self.recma = RecMA(
-            pid=pid,
-            recsa=self.recsa,
-            send=send,
-            gossip_refresh_interval=gossip_refresh_interval,
-        )
+        self.recma = RecMA(pid=pid, recsa=self.recsa, send=send)
         self.joining = JoiningProtocol(
             pid=pid,
             recsa=self.recsa,
             fd_provider=fd_provider,
             send=send,
-            admission_policy=admission_policy,
-            state_provider=state_provider,
-            state_initializer=state_initializer,
-            state_resetter=state_resetter,
         )
 
     # ------------------------------------------------------------------

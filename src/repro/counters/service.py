@@ -5,8 +5,9 @@ The :class:`CounterService` plays two roles:
 * **configuration member** (Algorithm 4.3 + 4.4) — maintains the maximal
   counter by gossiping counter pairs with the other members (mirroring the
   labeling algorithm but carrying sequence numbers; a pair goes to a member
-  when its label part changed or every ``gossip_refresh_interval``
-  iterations, :class:`repro.core.gossip.GossipGate`), answers the majority
+  when its label part changed or every
+  :data:`~repro.core.gossip.REFRESH_INTERVAL` iterations,
+  :class:`repro.core.gossip.GossipGate`), answers the majority
   read/write requests of increment operations, cancels exhausted counters and
   elects fresh epoch labels when needed;
 * **any participant** (Algorithm 4.4 for members, 4.5 for non-members) — the

@@ -3,8 +3,9 @@
 The service is run by **configuration members only**.  Each member sends
 every other member its maximal label pair and the pair it last received from
 that member, whenever either changed as ``(label, legit)`` and at least every
-``gossip_refresh_interval`` iterations (:class:`repro.core.gossip.GossipGate`:
-the fair communication the proofs need); the receipt action (Algorithm 4.2,
+:data:`~repro.core.gossip.REFRESH_INTERVAL` iterations
+(:class:`repro.core.gossip.GossipGate`: the fair communication the proofs
+need); the receipt action (Algorithm 4.2,
 :class:`repro.labels.store.LabelStore`) keeps the bounded structures
 consistent and elects a local maximal label.  The correctness argument of the
 paper then guarantees that members converge to a single, globally maximal
@@ -68,7 +69,7 @@ class LabelingService:
         self.send = send
         self.store: Optional[LabelStore] = None
         self._store_members: Optional[Configuration] = None
-        self.gate = GossipGate(scheme.recsa.gossip_refresh_interval)
+        self.gate = GossipGate()
         self.rebuild_count = 0
 
     # ------------------------------------------------------------------

@@ -33,8 +33,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Optional, Union
 
 from repro.common.errors import SimulationError
-from repro.core.joining import AdmissionPolicy
-from repro.core.recsa import DEFAULT_GOSSIP_REFRESH_INTERVAL
 from repro.failure_detector.ntheta import DEFAULT_GAP_SLACK
 from repro.node.process import STEP_INTERVAL
 
@@ -113,9 +111,7 @@ class ClusterConfig:
     upper_bound_n: Optional[int] = None
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     coherent_start: bool = False
-    admission_policy: Optional[AdmissionPolicy] = None
     require_link_cleaning: bool = False
-    gossip_refresh_interval: int = DEFAULT_GOSSIP_REFRESH_INTERVAL
     heartbeat_resend_interval: int = 3
     stack: Any = "bare"  # str (registry name) or StackProfile
     #: (N, Theta) failure-detector suspicion slack.  The default (16) is

@@ -65,10 +65,8 @@ class ClusterNode(Process):
             pid=pid,
             fd_provider=self.failure_detector.trusted,
             send=self._send_raw,
-            initial_config=initial_config,
-            admission_policy=config.admission_policy,
             send_many=self._send_raw_many,
-            gossip_refresh_interval=config.gossip_refresh_interval,
+            initial_config=initial_config,
         )
         self.services: List[Any] = []
         self.service_map: Dict[str, Any] = {}

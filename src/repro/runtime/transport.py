@@ -39,6 +39,10 @@ Hostile input never crashes a node: any datagram that fails to parse
 (truncated header, bad frame, unknown wire tag — i.e. anything a Byzantine
 peer could spray at a port) is counted in ``quarantined_datagrams`` and
 dropped, mirroring the inbound validation of the reliable-broadcast layer.
+So is a datagram that did not come from the socket of the pid its header
+names: the point-to-point channel authenticates its sender, as the
+simulator's does by stamping the true source.  After a node stops, its
+datagrams still in flight are quarantined too.
 """
 
 from __future__ import annotations
@@ -134,6 +138,12 @@ class _NodeEndpoint(asyncio.DatagramProtocol):
             if len(data) <= _HEADER.size:
                 raise CodecError("datagram shorter than its header")
             (source,) = _HEADER.unpack_from(data)
+            if addr != owner._addrs.get(source):
+                # The header names a pid whose endpoint did not send this
+                # datagram (a forged header, or a stopped node's datagram
+                # still in flight): the socket address is the channel's
+                # authentication, as the simulator's true source is.
+                raise CodecError(f"header pid {source} is not the sender's")
             # A datagram may coalesce several frames; unframe them in order
             # so per-destination FIFO is preserved within the batch.  A bad
             # frame anywhere quarantines the whole datagram *before* any

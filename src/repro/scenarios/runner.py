@@ -125,10 +125,6 @@ def drive(run: ScenarioRun, stop_before: Optional[float] = None) -> bool:
     simulator = cluster.simulator
     while True:
         if run.phase == "bootstrap":
-            if not spec.require_bootstrap:
-                run.bootstrapped = None
-                run.phase, run.phase_deadline = "horizon", None
-                continue
             if run.phase_deadline is None:
                 run.phase_deadline = simulator.now + spec.bootstrap_timeout
             outcome = simulator.run_until(
@@ -164,7 +160,7 @@ def finalize(run: ScenarioRun) -> Dict[str, Any]:
         "n": spec.n,
         "stack": cluster.stack.name,
     }
-    result["bootstrapped"] = run.bootstrapped if spec.require_bootstrap else None
+    result["bootstrapped"] = run.bootstrapped
     probe_results: Dict[str, Dict[str, Any]] = {}
     all_satisfied = True
     for probe in spec.probes:

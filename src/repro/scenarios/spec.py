@@ -65,8 +65,7 @@ class ScenarioSpec:
         the difference between a tractable audit tier and a ~60 us scan
         of the converged cluster after every event.
     bootstrap_timeout:
-        Simulated-time budget for the initial self-organization phase
-        (skipped when ``require_bootstrap`` is False).
+        Simulated-time budget for the initial self-organization phase.
     horizon:
         Extra simulated time to run after bootstrap — typically sized so the
         installed workloads have fully played out before probing.
@@ -86,4 +85,3 @@ class ScenarioSpec:
     convergence_poll: float = 0.0
     bootstrap_timeout: float = 4_000.0
     horizon: float = 0.0
-    require_bootstrap: bool = True

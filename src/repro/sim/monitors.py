@@ -3,8 +3,8 @@
 Two kinds of observers are provided:
 
 * :class:`InvariantMonitor` — evaluates named predicates over the whole
-  system after every executed event; violations are either recorded (default)
-  or raised (strict mode).  The safety properties of the paper's theorems
+  system after every executed event and records each violation interval.
+  The safety properties of the paper's theorems
   (e.g. "no two participants hold different non-⊥ configurations after
   convergence") are expressed as such predicates in the test-suite.
 
@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.common.errors import InvariantViolation
 from repro.sim.simulator import Simulator
 
 
@@ -65,9 +64,8 @@ class Violation:
 class InvariantMonitor:
     """Evaluate named system-wide predicates after every simulator step."""
 
-    def __init__(self, simulator: Simulator, strict: bool = False) -> None:
+    def __init__(self, simulator: Simulator) -> None:
         self.simulator = simulator
-        self.strict = strict
         self.predicates: Dict[str, Callable[[], bool]] = {}
         self.violations: List[Violation] = []
         self._open: Dict[str, Violation] = {}
@@ -117,8 +115,6 @@ class InvariantMonitor:
                 interval.last_time = simulator.now
                 interval.last_event_index = simulator.executed_events
                 interval.count += 1
-            if self.strict:
-                raise InvariantViolation(f"{name} violated at t={simulator.now}: {detail}")
 
 
 class ConvergenceTracker:

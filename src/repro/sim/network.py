@@ -49,9 +49,9 @@ A packet carries its own in-flight mark: accepting it sets the mark and
 counts one unit of the channel's occupancy, and the first delivery clears
 the mark and frees that unit, so both are O(1) and payloads need not be
 hashable (the queue always hands back the exact object that was accepted).
-Every per-channel counter update also feeds a network-wide
-:class:`NetworkCounters` aggregate, making ``statistics()`` O(1) instead of
-an O(N^2) scan over channels.
+Channels count sends, deliveries, drops and duplicates only into the one
+network-wide :class:`NetworkCounters` they share, so ``statistics()`` is
+O(1) instead of an O(N^2) scan over channels.
 """
 
 from __future__ import annotations
@@ -119,10 +119,6 @@ class Channel:
         "stream",
         "_occupancy",
         "_totals",
-        "sent_count",
-        "delivered_count",
-        "dropped_count",
-        "duplicated_count",
     )
 
     def __init__(
@@ -140,10 +136,6 @@ class Channel:
         self.stream: Optional[ChannelStream] = None
         self._occupancy = 0
         self._totals = totals if totals is not None else NetworkCounters()
-        self.sent_count = 0
-        self.delivered_count = 0
-        self.dropped_count = 0
-        self.duplicated_count = 0
 
     def occupancy(self) -> int:
         """Number of packets currently occupying channel capacity."""
@@ -164,19 +156,16 @@ class Channel:
         draw (the broadcast path feeds one shared stream for a whole burst).
         """
         totals = self._totals
-        self.sent_count += 1
         totals.sent += 1
         config = self.config
         if self._occupancy >= config.capacity:
             # Channel full: the new packet is omitted (paper, Section 2).
-            self.dropped_count += 1
             totals.dropped += 1
             return 0
         if rng is None:
             rng = self.stream or self._materialize_stream()
         loss = config.loss_probability
         if loss and rng.random() < loss:
-            self.dropped_count += 1
             totals.dropped += 1
             return 0
         packet.in_flight = True
@@ -184,7 +173,6 @@ class Channel:
         events.push(self.arrival(now, rng), self, packet)
         dup = config.duplicate_probability
         if dup and rng.random() < dup:
-            self.duplicated_count += 1
             totals.duplicated += 1
             events.push(self.arrival(now, rng), self, packet)
             return 2
@@ -216,8 +204,6 @@ class Channel:
     def record_blocked(self) -> None:
         """Count a send attempt that was dropped before entering the channel
         (used by the network for partitioned pairs)."""
-        self.sent_count += 1
-        self.dropped_count += 1
         self._totals.sent += 1
         self._totals.dropped += 1
 
@@ -244,7 +230,6 @@ class Channel:
             return False
         packet.in_flight = False
         self._occupancy -= 1
-        self.delivered_count += 1
         self._totals.delivered += 1
         return True
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import pytest
 
@@ -77,11 +77,13 @@ class LocalBus:
         self.handlers: Dict[ProcessId, Any] = {}
         self.dropped: int = 0
 
-    def sender_for(self, pid: ProcessId):
-        def _send(destination: ProcessId, message: Any) -> None:
-            self.queues.setdefault(destination, []).append((pid, message))
+    def send_many_for(self, pid: ProcessId):
+        """*pid*'s ``send_many([(destination, message), ...])`` on this bus."""
+        def _send_many(pairs: List[Tuple[ProcessId, Any]]) -> None:
+            for destination, message in pairs:
+                self.queues.setdefault(destination, []).append((pid, message))
 
-        return _send
+        return _send_many
 
     def register(self, pid: ProcessId, handler: Any) -> None:
         self.handlers[pid] = handler
@@ -120,7 +122,7 @@ class RecSAHarness:
             instance = RecSA(
                 pid=pid,
                 fd_provider=(lambda p=pid: self.trusted[p]),
-                send=self.bus.sender_for(pid),
+                send_many=self.bus.send_many_for(pid),
                 initial_config=initial_config,
             )
             self.instances[pid] = instance

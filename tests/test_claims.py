@@ -183,6 +183,42 @@ def test_every_cluster_config_field_is_read():
     assert not unread, unread
 
 
+#: The calls that build a ``ClusterConfig`` or a ``ScenarioSpec`` from keywords.
+_CONFIG_BUILDERS = frozenset({
+    "ClusterConfig", "fast_sim", "paper_faithful", "coherent_start", "degraded_net",
+    "preset", "with_overrides", "ScenarioSpec", "replace",
+})
+
+
+def test_every_option_has_a_product_caller():
+    """A ``ClusterConfig`` or ``ScenarioSpec`` field that no product run,
+    benchmark or example sets is an option only tests use: each field must
+    be a keyword of some call that builds one, outside ``tests/``."""
+    import ast
+    import dataclasses
+
+    from repro.node.config import ClusterConfig
+    from repro.scenarios.spec import ScenarioSpec
+
+    keywords = set()
+    for top in ("src", "benchmarks", "examples"):
+        for path in sorted((REPO / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in _CONFIG_BUILDERS:
+                    keywords.update(keyword.arg for keyword in node.keywords)
+    unset = [
+        f"{cls.__name__}.{field.name}"
+        for cls in (ClusterConfig, ScenarioSpec)
+        for field in dataclasses.fields(cls)
+        if field.name not in keywords
+    ]
+    assert not unset, unset
+
+
 def test_every_spine_entry_point_resolves():
     """The spine benchmark wraps each ``(owner, attribute)`` of its span
     table by name (a class attribute through ``owner.__dict__``); a method

@@ -769,6 +769,7 @@ class TestCompiledPaths:
 
         class Owner:
             quarantined_datagrams = delivered_datagrams = delivered_frames = 0
+            _addrs = {7: ("127.0.0.1", 9)}
 
         class Process:
             pid = 1

@@ -233,9 +233,8 @@ class TestChannelStream:
 class TestErrors:
     def test_hierarchy(self):
         assert issubclass(errors.SimulationError, errors.ReproError)
-        assert issubclass(errors.InvariantViolation, errors.ReproError)
 
     def test_raise_and_catch_base(self):
         with pytest.raises(errors.ReproError):
-            raise errors.InvariantViolation("boom")
+            raise errors.SimulationError("boom")
 

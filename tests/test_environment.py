@@ -285,7 +285,6 @@ class TestDynamicSchedulers:
             ),
             horizon=40.0,
             probes=(probes.converged(4_000),),
-            require_bootstrap=True,
         )
         result = run_scenario(spec, seed=0)
         assert result["ok"]
@@ -300,7 +299,6 @@ class TestDynamicSchedulers:
             n=3,
             scheduler="crash_recovery",
             scheduler_params=(("outage_typo", 1.0),),
-            require_bootstrap=False,
         )
         with pytest.raises(TypeError, match="rejected parameters"):
             prepare(spec, seed=0)

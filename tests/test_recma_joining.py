@@ -184,7 +184,10 @@ class TestJoining:
 
     def test_admission_policy_denies_join(self):
         """E5, Theorem 3.26: a joiner ``passQuery()`` denies never participates."""
-        cluster = quick_cluster(3, seed=43, admission_policy=lambda joiner: False)
+        cluster = quick_cluster(3, seed=43)
+        # The application's hook, set the way recMA's ``evalConf()`` is.
+        for node in cluster.nodes.values():
+            node.joining.admission_policy = lambda joiner: False
         assert cluster.run_until_converged(timeout=800)
         joiner = cluster.add_joiner(88)
         cluster.run(until=cluster.simulator.now + 250)

@@ -21,6 +21,8 @@ from repro.common.types import (
     Proposal,
     make_config,
 )
+from repro.core import gossip
+from repro.core.gossip import REFRESH_INTERVAL
 from repro.core.joining import JoinRequest
 from repro.core.recsa import DerivedView, EchoTriple, RecSA, RecSAMessage
 from repro.core.stale import (
@@ -318,7 +320,7 @@ class TestChangeDetectedGossip:
 
     def test_periodic_refresh_always_resends(self):
         harness = RecSAHarness([1, 2, 3], initial_config=make_config([1, 2, 3]))
-        refresh = harness[1].gossip_refresh_interval
+        refresh = REFRESH_INTERVAL
         harness.round(refresh * 4)
         sent_in_window = {p: harness[p].broadcasts_sent for p in harness.pids}
         harness.round(refresh)
@@ -335,29 +337,12 @@ class TestChangeDetectedGossip:
         harness[1].step()  # estab changed prp: the next broadcast must flow
         assert harness[1].broadcasts_sent >= sent_before + 2
 
-    def test_refresh_interval_one_disables_skipping(self):
-        bus_pids = [1, 2, 3]
-        from tests.conftest import LocalBus
-        from repro.core.recsa import RecSA
-
-        bus = LocalBus()
-        instances = {}
-        for pid in bus_pids:
-            inst = RecSA(
-                pid=pid,
-                fd_provider=lambda: frozenset(bus_pids),
-                send=bus.sender_for(pid),
-                initial_config=make_config(bus_pids),
-                gossip_refresh_interval=1,
-            )
-            instances[pid] = inst
-            bus.register(pid, inst.on_message)
-        for _ in range(8):
-            for pid in bus_pids:
-                instances[pid].step()
-            bus.deliver_all()
-        assert all(inst.broadcasts_skipped == 0 for inst in instances.values())
-        assert all(inst.broadcasts_sent == 8 * 2 for inst in instances.values())
+    def test_refresh_interval_one_disables_skipping(self, monkeypatch):
+        monkeypatch.setattr(gossip, "REFRESH_INTERVAL", 1)
+        harness = RecSAHarness([1, 2, 3], initial_config=make_config([1, 2, 3]))
+        harness.round(8)
+        assert all(harness[p].broadcasts_skipped == 0 for p in harness.pids)
+        assert all(harness[p].broadcasts_sent == 8 * 2 for p in harness.pids)
 
     def test_corrupted_peer_repaired_within_refresh_window(self):
         """A peer whose received state is corrupted mid-quiet-period recovers
@@ -367,7 +352,7 @@ class TestChangeDetectedGossip:
         assert harness.converged()
         # Corrupt node 1's copy of node 2's state while the system is quiet.
         harness[1].config[2] = BOTTOM
-        refresh = harness[1].gossip_refresh_interval
+        refresh = REFRESH_INTERVAL
         assert harness.run_until(
             lambda: harness.converged()
             and set(harness.configs().values()) == {make_config([1, 2, 3])},
@@ -383,23 +368,25 @@ class TestChangeDetectedGossip:
         victim = harness[2]
         truth = victim.part[1]
         victim.part[1] = frozenset({99})
-        refresh = victim.gossip_refresh_interval
+        refresh = REFRESH_INTERVAL
         assert harness.run_until(lambda: victim.part[1] == truth, max_rounds=refresh + 1)
 
-    def test_convergence_unaffected_by_gossip_skipping(self):
+    def test_convergence_unaffected_by_gossip_skipping(self, monkeypatch):
         """Bootstrap from BOTTOM must converge to the same configuration with
         and without change detection (the skip guard never hides progress)."""
         configs = {}
         for refresh in (1, 5):
-            cluster = quick_cluster(4, seed=42, gossip_refresh_interval=refresh)
+            monkeypatch.setattr(gossip, "REFRESH_INTERVAL", refresh)
+            cluster = quick_cluster(4, seed=42)
             assert cluster.run_until_converged(timeout=800)
             configs[refresh] = cluster.agreed_configuration()
         assert configs[1] == configs[5]
 
-    def test_skipping_reduces_cluster_traffic(self):
+    def test_skipping_reduces_cluster_traffic(self, monkeypatch):
         delivered = {}
         for refresh in (1, 5):
-            cluster = quick_cluster(6, seed=43, gossip_refresh_interval=refresh)
+            monkeypatch.setattr(gossip, "REFRESH_INTERVAL", refresh)
+            cluster = quick_cluster(6, seed=43)
             assert cluster.run_until_converged(timeout=800)
             cluster.run(until=cluster.simulator.now + 100)
             delivered[refresh] = cluster.statistics()["delivered_messages"]
@@ -614,7 +601,7 @@ class TestDerivedVerdictMemo:
             for peer in cluster.nodes.values():
                 if peer is not node:
                     peer.recsa.store(node.pid, "config", NOT_PARTICIPANT)
-            until = simulator.now + node.recsa.gossip_refresh_interval + 1
+            until = simulator.now + REFRESH_INTERVAL + 1
             while simulator.now < until and simulator.step():
                 check(after="rejoin")
 
@@ -690,7 +677,7 @@ class TestDerivedVerdictMemo:
     def test_every_mutator_counts_and_store_counts_changes_only(self):
         """Every write through an array view bumps the version; ``store``
         and a receipt bump it only when a value moved."""
-        recsa = RecSA(pid=1, fd_provider=lambda: frozenset({1, 2}), send=lambda *_: None)
+        recsa = RecSA(pid=1, fd_provider=lambda: frozenset({1, 2}), send_many=lambda *_: None)
         seen = [recsa.version]
 
         def counted() -> bool:
@@ -756,7 +743,7 @@ class TestDerivedVerdictMemo:
         assert clone._own is clone._records[0]
         clone.config[3] = NOT_PARTICIPANT
         assert clone.version == recsa.version + 1
-        assert pickle.loads(pickle.dumps(RecSA(pid=1, fd_provider=frozenset, send=print))).version == 0
+        assert pickle.loads(pickle.dumps(RecSA(pid=1, fd_provider=frozenset, send_many=print))).version == 0
 
     def test_broadcast_builds_an_echo_only_when_one_goes_out(self):
         """Skipped peers cost no ``EchoTriple``; a repeated echo is the same
@@ -765,7 +752,7 @@ class TestDerivedVerdictMemo:
         harness.round(6)
         held = {p: dict(harness[p].echo) for p in harness.pids}
         skipped = sum(harness[p].broadcasts_skipped for p in harness.pids)
-        harness.round(harness[1].gossip_refresh_interval * 2)
+        harness.round(REFRESH_INTERVAL * 2)
         assert sum(harness[p].broadcasts_skipped for p in harness.pids) > skipped
         for p in harness.pids:
             for peer, echo in harness[p].echo.items():
@@ -824,7 +811,7 @@ class TestEveryConjunctIsSeen:
         joiner.config[3] = NOT_PARTICIPANT
         for pid in (1, 2):
             harness[pid].store(3, "config", NOT_PARTICIPANT)  # its join request
-        harness.round(harness[1].gossip_refresh_interval + 1)
+        harness.round(REFRESH_INTERVAL + 1)
         assert joiner.echo[1].part != joiner.participants()
         assert joiner.no_reco() is True
         assert joiner.participate() is True
@@ -835,7 +822,7 @@ class TestEveryConjunctIsSeen:
         """The delicate barrier's ``same(k)``: a peer echoing our notification
         but reporting another participant set holds the all flag down."""
         notification = Proposal(Phase.SELECT, make_config([1, 2, 3]))
-        recsa = RecSA(pid=1, fd_provider=lambda: frozenset({1, 2}), send=lambda *_: None,
+        recsa = RecSA(pid=1, fd_provider=lambda: frozenset({1, 2}), send_many=lambda *_: None,
                       initial_config=make_config([1, 2]))
         recsa.store(1, "prp", notification)
         recsa.on_message(2, RecSAMessage(

@@ -27,6 +27,7 @@ import pytest
 
 from repro.audit.arbitrary_state import generate_plan
 from repro.audit.schedulers import _VictimLinkPolicy
+from repro.common.codec import frame
 from repro.core.joining import JoinRequest
 from repro.counters.counter import counter_less_than
 from repro.node.config import PRESETS, ChannelConfig, preset
@@ -491,6 +492,45 @@ def test_tick_seconds_auto_rejected_at_construction():
             RuntimeCluster(n=3, seed=7, stack="counters", tick_seconds=bad)
 
 
+def test_a_forged_header_pid_is_quarantined_not_delivered():
+    """The live channel authenticates its sender: a well-formed frame whose
+    header names pid 1, sent from a socket other than pid 1's endpoint, is
+    quarantined.  Delivered, it would be node 1's join request, and node 0
+    would record node 1 as a non-participant."""
+
+    async def scenario() -> None:
+        async with _running(RuntimeCluster(
+            n=3, seed=7, stack="bare", tick_seconds=TICK
+        )) as cluster:
+            assert await cluster.wait_converged(timeout_s=BUDGET_S, poll_s=0.01)
+            transport = cluster.transport
+            node = cluster.nodes[0]
+            forged = JoinRequest(sender=1)
+            delivered = []
+            deliver = node.deliver
+
+            def spy(source, payload):
+                if payload == forged:
+                    delivered.append(source)
+                deliver(source, payload)
+
+            node.deliver = spy
+            before = transport.quarantined_datagrams
+            hostile = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            try:
+                hostile.sendto(_HEADER.pack(1) + frame(forged), transport._addrs[0])
+            finally:
+                hostile.close()
+            await _wait_until(
+                lambda: delivered or transport.quarantined_datagrams > before,
+                "the forged datagram was neither delivered nor quarantined",
+            )
+            assert delivered == []
+            assert transport.quarantined_datagrams == before + 1
+
+    asyncio.run(scenario())
+
+
 def test_hostile_datagrams_are_quarantined_not_fatal():
     """Garbage sprayed at a node's port is counted and dropped, and the
     node keeps working (same stance as the Byzantine datalink validation)."""
@@ -554,8 +594,6 @@ def _node_shape(node) -> dict:
         "channel_capacity": node.heartbeat.channel_capacity,
         "require_cleaning": node.heartbeat.require_cleaning,
         "idle_resend_interval": node.heartbeat.idle_resend_interval,
-        "gossip_refresh_interval": node.recsa.gossip_refresh_interval,
-        "recma_refresh": node.recma.gate.refresh,
         "stack": node.stack.name,
         "step_interval": node.step_interval,
     }

@@ -85,10 +85,10 @@ class TestClusterConfig:
         } == {20}
 
     def test_config_shared_by_late_joiners(self):
-        cluster = quick_cluster(3, seed=9, gossip_refresh_interval=7)
+        cluster = quick_cluster(3, seed=9, heartbeat_resend_interval=7)
         joiner = cluster.add_joiner(77)
         assert joiner.config is cluster.config
-        assert joiner.config.gossip_refresh_interval == 7
+        assert joiner.heartbeat.idle_resend_interval == 7
 
 
 class TestStackProfiles:

@@ -115,7 +115,6 @@ class TestChannel:
         assert chan.try_accept(packets[0], 0.0, queue) == 1
         assert chan.try_accept(packets[1], 0.0, queue) == 1
         assert chan.try_accept(packets[2], 0.0, queue) == 0
-        assert chan.dropped_count == 1
         assert chan.occupancy() == 2
         assert len(_drain(queue)) == 2
 
@@ -144,7 +143,6 @@ class TestChannel:
         queue = EventQueue()
         packet = Packet(1, 2, "x")
         assert chan.try_accept(packet, 0.0, queue) == 2
-        assert chan.duplicated_count == 1
         # Both copies are handle-less entries carrying the same packet.
         assert [queue.pop_entry()[2:] for _ in range(2)] == [(chan, packet)] * 2
 
@@ -348,23 +346,27 @@ class TestCollectorPause:
 
 class TestNetworkFastPath:
     def test_statistics_match_per_channel_counters(self):
-        """The O(1) aggregate must equal the sum over channels at all times."""
-        sim = Simulator(seed=3)
+        """The O(1) aggregate agrees with the channels at all times: every
+        packet sent was dropped, delivered, or still occupies its channel."""
+        sim = Simulator(seed=3, channel_config=ChannelConfig(capacity=12))
         a, b, c = _Echo(1), _Echo(2), _Echo(3)
         for proc in (a, b, c):
             sim.add_process(proc)
+
+        def balanced() -> bool:
+            totals = sim.network.statistics()
+            in_flight = sum(chan.occupancy() for chan in sim.network.channels())
+            return totals["sent"] == totals["dropped"] + totals["delivered"] + in_flight
+
         for i in range(20):
             sim.send(1, 2, f"m{i}")
             sim.send(2, 3, f"n{i}")
-        sim.run(until=15.0)
-        aggregate = sim.network.statistics()
-        manual = {"sent": 0, "delivered": 0, "dropped": 0, "duplicated": 0}
-        for chan in sim.network.channels():
-            manual["sent"] += chan.sent_count
-            manual["delivered"] += chan.delivered_count
-            manual["dropped"] += chan.dropped_count
-            manual["duplicated"] += chan.duplicated_count
-        assert aggregate == manual
+            assert balanced()
+        while sim.now < 15.0 and sim.step():
+            assert balanced()
+        totals = sim.network.statistics()
+        assert totals["sent"] == 40 and totals["dropped"] == 2 * (20 - 12)
+        assert totals["delivered"] == len(b.got) + len(c.got) == 2 * 12
 
     def test_occupancy_drains_after_delivery(self):
         sim = Simulator(seed=3)
@@ -375,7 +377,7 @@ class TestNetworkFastPath:
         chan = sim.network.channel(1, 2)
         assert chan.occupancy() == 5
         sim.run(until=10.0)
-        assert chan.occupancy() == 0 and chan.delivered_count == 5
+        assert chan.occupancy() == 0 and sim.network.statistics()["delivered"] == 5
 
     def test_send_many_delivers_to_every_destination(self):
         sim = Simulator(seed=4)
@@ -405,8 +407,7 @@ class TestNetworkFastPath:
         sim.add_process(_Echo(2))
         accepted = sim.send_many(1, [(2, i) for i in range(5)])
         assert accepted == 2
-        chan = sim.network.channel(1, 2)
-        assert chan.dropped_count == 3
+        assert sim.network.statistics()["dropped"] == 3
 
     def test_duplicate_delivery_consumes_one_slot(self):
         chan = Channel(1, 2, ChannelConfig(capacity=10, duplicate_probability=1.0), seed=0)
@@ -464,17 +465,6 @@ class TestMonitors:
         sim.run(until=10.0)
         assert not monitor.ok()
         assert [v for v in monitor.violations if v.name == "few-steps"]
-
-    def test_invariant_monitor_strict_raises(self):
-        from repro.common.errors import InvariantViolation
-
-        sim = Simulator(seed=1)
-        proc = _Echo(1)
-        sim.add_process(proc)
-        monitor = InvariantMonitor(sim, strict=True)
-        monitor.add_invariant("never", lambda: False)
-        with pytest.raises(InvariantViolation):
-            sim.run(until=5.0)
 
     def test_convergence_tracker(self):
         sim = Simulator(seed=1)

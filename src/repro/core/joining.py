@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet
 
 from repro.common.codec import wire_type
-from repro.common.types import ProcessId
+from repro.common.types import NOT_PARTICIPANT, ProcessId
 from repro.core.recsa import RecSA
 from repro.core.stale import is_real_config
 
@@ -86,6 +86,9 @@ def _reset_nothing() -> None:
 
 class JoiningProtocol:
     """Per-processor instance of the joining mechanism."""
+
+    #: The wire types the node routes to :meth:`on_message`.
+    consumes = (JoinRequest, JoinResponse)
 
     def __init__(
         self,
@@ -205,14 +208,19 @@ class JoiningProtocol:
             self.member_states.pop(response.sender, None)
 
     # ------------------------------------------------------------------
-    # Dispatch helper used by the composed scheme
+    # Message receipt
     # ------------------------------------------------------------------
-    def on_message(self, sender: ProcessId, message: Any) -> bool:
-        """Route joining-mechanism messages; returns True when handled."""
+    def on_message(self, sender: ProcessId, message: Any) -> None:
+        """Handle a join request or a member's response to this joiner."""
         if isinstance(message, JoinRequest):
+            # Join requests only ever originate from non-participants
+            # (Algorithm 3.3 line 6), so they double as evidence that the
+            # sender's config field is ``]``.  Recording that here keeps the
+            # participant set accurate even when a transient fault flipped a
+            # former participant into a joiner — otherwise the stale
+            # "participant" entry would block the delicate replacement
+            # barrier forever.
+            self.recsa.store(sender, "config", NOT_PARTICIPANT)
             self.on_join_request(message)
-            return True
-        if isinstance(message, JoinResponse):
+        else:
             self.on_join_response(message)
-            return True
-        return False

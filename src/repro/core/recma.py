@@ -58,6 +58,9 @@ class RecMAMessage:
 class RecMA:
     """Per-processor instance of the Reconfiguration Management layer."""
 
+    #: The wire types the node routes to :meth:`on_message`.
+    consumes = (RecMAMessage,)
+
     def __init__(
         self,
         pid: ProcessId,

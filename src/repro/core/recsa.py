@@ -201,12 +201,15 @@ class RecSA:
         end-of-loop broadcast; messages need only fair (not reliable)
         delivery.
     initial_config:
-        Optional configuration to start from.  ``None`` boots the processor
+        The configuration to start from.  ``None`` boots the processor
         as a non-participant (the paper's interrupt handler, line 31); the
         special value :data:`BOTTOM` boots it into a configuration reset,
         which is how a fresh cluster bootstraps itself through the
         brute-force technique.
     """
+
+    #: The wire types the node routes to :meth:`on_message`.
+    consumes = (RecSAMessage,)
 
     # The pseudo-code's replicated arrays, as writable views over the records.
     config = property(lambda self: _FieldView(self, "config"))
@@ -221,7 +224,7 @@ class RecSA:
         pid: ProcessId,
         fd_provider: FdProvider,
         send_many: SendManyFn,
-        initial_config: Any = None,
+        initial_config: Any,
     ) -> None:
         self.pid = pid
         self.fd_provider = fd_provider

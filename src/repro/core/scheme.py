@@ -12,19 +12,20 @@ interface:
   coordinator uses this, Algorithm 4.6);
 * the joining interface — the ``passQuery()`` admission hook and the state
   transfer callbacks, attributes of :attr:`joining` that the application
-  sets (as it sets ``evalConf()`` on :attr:`recma`);
-* ``step()`` / ``on_message()`` — plumbing called by the owning simulated
-  process once per do-forever iteration / per received message.
+  sets (as it sets ``evalConf()`` on :attr:`recma`).
+
+The owning :class:`~repro.node.node.ClusterNode` steps the three layers and
+hands each one the messages it consumes, as it does every other layer.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, FrozenSet, Iterable, Optional
 
-from repro.common.types import Configuration, NOT_PARTICIPANT, ProcessId
-from repro.core.joining import JoiningProtocol, JoinRequest, JoinResponse
-from repro.core.recma import RecMA, RecMAMessage
-from repro.core.recsa import RecSA, RecSAMessage
+from repro.common.types import Configuration, ProcessId
+from repro.core.joining import JoiningProtocol
+from repro.core.recma import RecMA
+from repro.core.recsa import RecSA
 from repro.core.stale import is_real_config
 
 FdProvider = Callable[[], FrozenSet[ProcessId]]
@@ -41,7 +42,7 @@ class ReconfigurationScheme:
         fd_provider: FdProvider,
         send: SendFn,
         send_many: SendManyFn,
-        initial_config: Any = None,
+        initial_config: Any,
     ) -> None:
         self.pid = pid
         self.fd_provider = fd_provider
@@ -78,33 +79,3 @@ class ReconfigurationScheme:
     def request_reconfiguration(self, members: Iterable[ProcessId]) -> bool:
         """Explicitly request a delicate reconfiguration to *members*."""
         return self.recsa.estab(members)
-
-    # ------------------------------------------------------------------
-    # Plumbing called by the owning process
-    # ------------------------------------------------------------------
-    def step(self) -> None:
-        """One do-forever iteration of all three layers."""
-        self.recsa.step()
-        self.recma.step()
-        self.joining.step()
-
-    def on_message(self, sender: ProcessId, message: Any) -> bool:
-        """Dispatch a received scheme message; returns True when handled."""
-        if isinstance(message, RecSAMessage):
-            self.recsa.on_message(sender, message)
-            return True
-        if isinstance(message, RecMAMessage):
-            self.recma.on_message(sender, message)
-            return True
-        if isinstance(message, (JoinRequest, JoinResponse)):
-            if isinstance(message, JoinRequest):
-                # Join requests only ever originate from non-participants
-                # (Algorithm 3.3 line 6), so they double as evidence that the
-                # sender's config field is ``]``.  Recording that here keeps
-                # the participant set accurate even when a transient fault
-                # flipped a former participant into a joiner — otherwise the
-                # stale "participant" entry would block the delicate
-                # replacement barrier forever.
-                self.recsa.store(sender, "config", NOT_PARTICIPANT)
-            return self.joining.on_message(sender, message)
-        return False

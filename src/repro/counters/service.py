@@ -137,6 +137,13 @@ class CounterService(LabelingService):
     """Per-processor counter service layered on the reconfiguration scheme."""
 
     message_type = CounterGossipMessage
+    consumes = (
+        CounterGossipMessage,
+        MaxReadRequest,
+        MaxReadResponse,
+        MaxWriteRequest,
+        MaxWriteResponse,
+    )
     _op_counter = itertools.count(1)
 
     def __init__(
@@ -367,24 +374,18 @@ class CounterService(LabelingService):
     # ------------------------------------------------------------------
     # Message handling
     # ------------------------------------------------------------------
-    def on_message(self, sender: ProcessId, message: Any) -> bool:
-        """Dispatch counter-protocol messages; True when the message was ours."""
+    def on_message(self, sender: ProcessId, message: Any) -> None:
+        """Handle a member's gossip, a read or write request, or a reply."""
         if isinstance(message, CounterGossipMessage):
-            self._on_gossip(sender, message)
-            return True
-        if isinstance(message, MaxReadRequest):
+            super().on_message(sender, message)
+        elif isinstance(message, MaxReadRequest):
             self._on_read_request(sender, message)
-            return True
-        if isinstance(message, MaxReadResponse):
+        elif isinstance(message, MaxReadResponse):
             self._on_read_response(message)
-            return True
-        if isinstance(message, MaxWriteRequest):
+        elif isinstance(message, MaxWriteRequest):
             self._on_write_request(sender, message)
-            return True
-        if isinstance(message, MaxWriteResponse):
+        else:
             self._on_write_response(message)
-            return True
-        return False
 
     # -- member side -----------------------------------------------------
     def _receipt(self, sender: ProcessId, message: CounterGossipMessage) -> None:

@@ -9,7 +9,10 @@ callable — the (N, Theta)-failure detector's ``heartbeat``.
 The token carries no payload.  The gossip of the reconfiguration algorithms
 uses the raw unreliable channel instead (fair communication is all those
 algorithms need), and :meth:`HeartbeatService.notify_traffic` lets that
-gossip stand in for a throttled token.
+gossip stand in for a throttled token.  The owning
+:class:`~repro.node.node.ClusterNode` hands the service every data-link
+packet, reports every other arrival through ``notify_traffic``, and passes
+the link parameters of its :class:`~repro.node.config.ClusterConfig`.
 """
 
 from __future__ import annotations
@@ -21,13 +24,6 @@ from repro.datalink.token_exchange import MAX_LINK_SEQ, DataLinkMessage, LinkEnd
 
 HeartbeatListener = Callable[[ProcessId], None]
 SendFunction = Callable[[ProcessId, Any], None]
-
-#: Default retransmission period (in do-forever iterations) of an
-#: established link's token.  The token is a pure heartbeat, and the owner
-#: may let other traffic (protocol gossip reported through
-#: :meth:`HeartbeatService.notify_traffic`) stand in for it; ``1``
-#: retransmits every iteration (the seed behaviour).
-DEFAULT_IDLE_RESEND_INTERVAL = 1
 
 #: Wire kinds a data-link packet may carry.
 _VALID_KINDS = frozenset(("data", "ack", "clean", "clean-ack"))
@@ -41,9 +37,9 @@ class HeartbeatService:
         pid: ProcessId,
         send: SendFunction,
         on_heartbeat: HeartbeatListener,
-        channel_capacity: int = 8,
-        require_cleaning: bool = True,
-        idle_resend_interval: int = DEFAULT_IDLE_RESEND_INTERVAL,
+        channel_capacity: int,
+        require_cleaning: bool,
+        idle_resend_interval: int,
     ) -> None:
         self.pid = pid
         self._send = send

@@ -122,6 +122,8 @@ class ReliableBroadcastService:
     """
 
     variant = "base"
+    #: The wire types the node routes to :meth:`on_message`.
+    consumes = (RBMessage,)
 
     def __init__(
         self,
@@ -158,19 +160,16 @@ class ReliableBroadcastService:
         self._start_broadcast(seq, payload)
         return seq
 
-    def on_message(self, sender: ProcessId, message: Any) -> bool:
-        """Node message hook: consume every :class:`RBMessage`.
+    def on_message(self, sender: ProcessId, message: RBMessage) -> None:
+        """Handle one :class:`RBMessage`.
 
         Malformed packets are quarantined (counted, ignored) — they must
         degrade gracefully, never crash an honest node.
         """
-        if not isinstance(message, RBMessage):
-            return False
-        if not validate_rb_message(message):
+        if validate_rb_message(message):
+            self._handle(sender, message)
+        else:
             self.quarantined += 1
-            return True
-        self._handle(sender, message)
-        return True
 
     def on_timer(self) -> None:
         """Periodic retransmission (bounded per message id).

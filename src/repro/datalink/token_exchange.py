@@ -90,7 +90,7 @@ class LinkEndpoint:
         local: ProcessId,
         remote: ProcessId,
         capacity: int,
-        require_cleaning: bool = True,
+        require_cleaning: bool,
     ) -> None:
         self.local = local
         self.remote = remote

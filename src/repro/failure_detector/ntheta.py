@@ -98,11 +98,6 @@ class NThetaFailureDetector:
     upper_bound_n:
         The known upper bound ``N`` on the number of simultaneously active
         processors.
-    gap_factor:
-        Multiplicative threshold used to detect the gap in the sorted
-        heartbeat counts: a processor is suspected when its count exceeds
-        ``gap_factor * (median count of better-ranked processors) +
-        gap_slack``.
     gap_slack:
         Additive slack so that small absolute differences between freshly
         started processors do not cause suspicion.
@@ -112,16 +107,20 @@ class NThetaFailureDetector:
     #: already-freshest sender ages the vector (see :meth:`heartbeat`).
     INFLATION_CLAMP = 4
 
+    #: Multiplicative threshold used to detect the gap in the sorted
+    #: heartbeat counts: a processor is suspected when its count exceeds
+    #: ``GAP_FACTOR * (median count of better-ranked processors) +
+    #: gap_slack``.
+    GAP_FACTOR = 4.0
+
     def __init__(
         self,
         pid: ProcessId,
         upper_bound_n: int,
-        gap_factor: float = 4.0,
         gap_slack: int = DEFAULT_GAP_SLACK,
     ) -> None:
         self.pid = pid
         self.upper_bound_n = upper_bound_n
-        self.gap_factor = gap_factor
         self.gap_slack = gap_slack
         # The paper's nonCrashed heartbeat-count vector, offset-encoded:
         # the effective count of ``pid`` is ``_raw[pid] + _shift``.  A
@@ -220,7 +219,7 @@ class NThetaFailureDetector:
 
         There is no walk when it could not stop early: fewer than ``N``
         processors are known (the cap cannot bite) and the oldest count is
-        within the smallest threshold the walk can apply, ``gap_factor * 1
+        within the smallest threshold the walk can apply, ``GAP_FACTOR * 1
         + gap_slack``.  Then everything known is trusted — the cached set
         itself when it has that size, since between two recomputations
         with the order known the vector only gains processors.
@@ -234,7 +233,7 @@ class NThetaFailureDetector:
             self._resort = False
         shift = self._shift
         cap = self.upper_bound_n
-        gap_factor = self.gap_factor
+        gap_factor = self.GAP_FACTOR
         gap_slack = self.gap_slack
         cache = self._trusted_cache
         if (

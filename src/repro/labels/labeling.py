@@ -57,6 +57,8 @@ class LabelingService:
     #: The wire type of the member-to-member exchange: ``(sender, sent_max,
     #: last_sent)``.
     message_type: type = LabelMessage
+    #: The wire types the node routes to :meth:`on_message`.
+    consumes: Tuple[type, ...] = (LabelMessage,)
 
     def __init__(
         self,
@@ -162,14 +164,7 @@ class LabelingService:
                     self.message_type(sender=self.pid, sent_max=own, last_sent=last_sent),
                 )
 
-    def on_message(self, sender: ProcessId, message: Any) -> bool:
-        """Handle a label exchange; returns True when the message was ours."""
-        if not isinstance(message, LabelMessage):
-            return False
-        self._on_gossip(sender, message)
-        return True
-
-    def _on_gossip(self, sender: ProcessId, message: Any) -> None:
+    def on_message(self, sender: ProcessId, message: Any) -> None:
         """Apply a member's gossip — only in a stable configuration whose
         structures are current, and only from a member of it."""
         members = self._stable_members()

@@ -59,7 +59,7 @@ class ChannelConfig:
     delay_quantum:
         When positive, the **arrival instant** of every delivery on this
         channel is rounded up to the next multiple of this quantum (see
-        :meth:`repro.sim.network.Channel.arrival`), so packets
+        :meth:`repro.sim.network.Channel.try_accept`), so packets
         sent at different times land together in synchronized bursts at
         quantum boundaries — the burst-delivery adversarial scheduler.
         Zero (the default) keeps continuous arrivals.

@@ -23,7 +23,11 @@ one as its ``network``.  It keeps:
 
 The default config is what the simulator shapes an unruled pair with; the
 live transport leaves an unruled pair alone (localhost is its channel).
-``capacity`` and ``delay_quantum`` are read by the simulator only.
+
+:func:`draw_copies` is the accept rule both hosts apply to a shaped packet,
+in draw order: the loss draw, the delay draw, the duplicate draw, then the
+duplicate's own delay draw.  ``capacity``, ``delay_quantum`` and the
+broadcast stream of a ``send_many`` burst are the simulator's alone.
 """
 
 from __future__ import annotations
@@ -46,6 +50,35 @@ LinkRule = Callable[[ProcessId, ProcessId], Optional[ChannelConfig]]
 #: How many transition records :meth:`LinkModel.summary` keeps verbatim; the
 #: per-kind counts are always exact.
 MAX_RECORDED_TRANSITIONS = 256
+
+
+def draw_delay(config: ChannelConfig, rng: Any, now: float) -> float:
+    """*now* plus a delay drawn uniformly from ``[min_delay, max_delay]`` (no
+    draw when the bounds coincide): ``random.uniform``'s own arithmetic,
+    without its call."""
+    low = config.min_delay
+    high = config.max_delay
+    if high <= low:
+        return now + low
+    return now + (low + (high - low) * rng.random())
+
+
+def draw_copies(config: ChannelConfig, rng: Any, now: float = 0.0) -> Tuple[float, ...]:
+    """The accept rule of one packet sent at *now*: the arrival instants of
+    the copies that travel, drawn from *rng*.
+
+    A lost packet (loss draw) has none; a kept one has its delay (delay
+    draw) and, when it is duplicated (duplicate draw), a second copy with
+    its own delay.
+    """
+    loss = config.loss_probability
+    if loss and rng.random() < loss:
+        return ()
+    first = draw_delay(config, rng, now)
+    duplicate = config.duplicate_probability
+    if duplicate and rng.random() < duplicate:
+        return (first, draw_delay(config, rng, now))
+    return (first,)
 
 
 class LinkModel:

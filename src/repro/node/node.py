@@ -4,11 +4,21 @@ A :class:`ClusterNode` owns the complete stack of one processor:
 
 * the token-exchange data links and heartbeat service (:mod:`repro.datalink`),
 * the (N, Theta)-failure detector (:mod:`repro.failure_detector`),
-* the composed reconfiguration scheme (:mod:`repro.core.scheme`),
+* the composed reconfiguration scheme (:mod:`repro.core.scheme`): recSA,
+  recMA and the joining mechanism,
 * the application services of its :class:`~repro.node.stacks.StackProfile`
   (labels, counters, virtual synchrony, shared register), which the node
   instantiates itself — examples, tests and benchmarks pick a profile
   instead of hand-wiring services.
+
+The node takes the processor's atomic steps itself.  A timer tick is one
+do-forever iteration: the heartbeat, then recSA, recMA and joining, then
+each service bottom-up.  A packet arrival is one dispatch: a data-link
+packet goes to the heartbeat, and any other payload credits its sender's
+liveness and goes to the one layer that consumes its type.  Each layer
+class names the wire types it consumes, once, in ``consumes``; the node
+gathers them into :attr:`ClusterNode.routes` when it is built, refusing a
+type that two layers claim, and drops a payload no layer consumes.
 
 All tunables travel as one :class:`~repro.node.config.ClusterConfig` value
 shared by every node, including nodes added later by churn.  A node reaches
@@ -21,7 +31,7 @@ have converged.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from repro.common.types import BOTTOM, NOT_PARTICIPANT, Configuration, ProcessId, make_config
 from repro.core.scheme import ReconfigurationScheme
@@ -55,7 +65,7 @@ class ClusterNode(Process):
         )
         self.heartbeat = HeartbeatService(
             pid=pid,
-            send=self._send_raw,
+            send=self.send,
             on_heartbeat=self.failure_detector.heartbeat,
             channel_capacity=config.channel.capacity,
             require_cleaning=config.require_link_cleaning,
@@ -64,17 +74,26 @@ class ClusterNode(Process):
         self.scheme = ReconfigurationScheme(
             pid=pid,
             fd_provider=self.failure_detector.trusted,
-            send=self._send_raw,
-            send_many=self._send_raw_many,
+            send=self.send,
+            send_many=self.send_many,
             initial_config=initial_config,
         )
-        self.services: List[Any] = []
-        self.service_map: Dict[str, Any] = {}
-        self._timer_hooks: List[Callable[[], None]] = []
-        self._message_hooks: List[Callable[[ProcessId, Any], bool]] = []
         self.stack: StackProfile = get_stack(config.stack)
-        for name, service in self.stack.instantiate(self).items():
-            self.register_service(service, name=name)
+        #: The stack's services by name, bottom-up (the order of their
+        #: ``on_timer`` calls).
+        self.service_map: Dict[str, Any] = self.stack.instantiate(self)
+        #: ``{wire type: layer}``: the one consumer of every type the stack
+        #: consumes, as each layer names them in its ``consumes``.
+        self.routes: Dict[type, Any] = {}
+        scheme = self.scheme
+        for layer in (scheme.recsa, scheme.recma, scheme.joining, *self.service_map.values()):
+            for wire_type in layer.consumes:
+                claimed = self.routes.setdefault(wire_type, layer)
+                if claimed is not layer:
+                    raise ValueError(
+                        f"stack {self.stack.name!r}: {wire_type.__name__} is consumed by "
+                        f"both {type(claimed).__name__} and {type(layer).__name__}"
+                    )
 
     # ------------------------------------------------------------------
     # Convenience accessors
@@ -102,24 +121,6 @@ class ClusterNode(Process):
         """The configuration this node currently reports, if any."""
         return self.scheme.configuration()
 
-    def register_service(self, service: Any, name: Optional[str] = None) -> Any:
-        """Attach an application service (labels, counters, VS, ...).
-
-        Hook methods are looked up once here; dispatch afterwards walks plain
-        lists.  Objects without hooks (e.g. a :class:`SharedRegister` client)
-        still land in :attr:`service_map` under *name*.
-        """
-        self.services.append(service)
-        if name is not None:
-            self.service_map[name] = service
-        timer_hook = getattr(service, "on_timer", None)
-        if callable(timer_hook):
-            self._timer_hooks.append(timer_hook)
-        message_hook = getattr(service, "on_message", None)
-        if callable(message_hook):
-            self._message_hooks.append(message_hook)
-        return service
-
     def service(self, name: str) -> Any:
         """The stack service registered under *name* (e.g. ``"vs"``)."""
         try:
@@ -138,44 +139,44 @@ class ClusterNode(Process):
             self.heartbeat.add_peer(peer)
 
     def on_timer(self) -> None:
+        """One do-forever iteration: the links, the scheme's three layers,
+        then each service, bottom-up."""
         self.heartbeat.on_timer()
-        self.scheme.step()
-        for hook in self._timer_hooks:
-            hook()
+        scheme = self.scheme
+        scheme.recsa.step()
+        scheme.recma.step()
+        scheme.joining.step()
+        for service in self.service_map.values():
+            service.on_timer()
 
     def on_receive(self, sender: ProcessId, payload: Any) -> None:
+        """One packet arrival: the connection signal, then the payload's one
+        consumer."""
+        heartbeat = self.heartbeat
         # A packet from an unknown peer is the "connection signal": create the
         # link (which starts the snap-stabilizing cleaning handshake).
-        if sender not in self.heartbeat.links and sender != self.pid:
-            self.heartbeat.add_peer(sender)
-        if isinstance(payload, DataLinkMessage):
-            self.heartbeat.on_packet(sender, payload)
+        if sender not in heartbeat.links and sender != self.pid:
+            heartbeat.add_peer(sender)
+        if type(payload) is DataLinkMessage:
+            heartbeat.on_packet(sender, payload)
             return
         # Protocol gossip proves the sender's liveness just as well as a
         # heartbeat token does, which is what lets idle links throttle their
         # token retransmissions without starving the failure detector.
-        self.heartbeat.notify_traffic(sender)
-        if self.scheme.on_message(sender, payload):
-            return
-        for hook in self._message_hooks:
-            if hook(sender, payload):
-                return
+        heartbeat.notify_traffic(sender)
+        layer = self.routes.get(type(payload))
+        if layer is not None:
+            layer.on_message(sender, payload)
 
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
     def send(self, destination: ProcessId, payload: Any) -> None:
-        """Send *payload* to *destination* (no-op when crashed/unbound).
-
-        This is the public send surface handed to stack services; the
-        underscore alias remains for the scheme/heartbeat wiring above.
-        """
+        """Send *payload* to *destination* (no-op when crashed/unbound)."""
         if self.context is not None and not self.crashed:
             self.context.send(destination, payload)
 
-    _send_raw = send
-
-    def _send_raw_many(self, payloads: Any) -> None:
+    def send_many(self, payloads: Any) -> None:
         """Burst-send ``(destination, payload)`` pairs (broadcast fast path)."""
         if self.context is not None and not self.crashed:
             self.context.send_many(payloads)

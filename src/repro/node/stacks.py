@@ -3,9 +3,11 @@
 A :class:`StackProfile` describes *which* services a node runs on top of the
 reconfiguration scheme and *how* they are wired together.  The node
 instantiates its own profile (``ClusterNode`` calls
-:meth:`StackProfile.instantiate`), which removes the per-example hand wiring
-of ``CounterService``/``VirtualSynchronyService``/``SharedRegister`` and the
-leaky reach into ``node._send_raw`` that every caller used to copy.
+:meth:`StackProfile.instantiate`), so no example, test or benchmark wires
+``CounterService``/``VirtualSynchronyService``/``SharedRegister`` by hand.
+Each service hands its sends to ``node.send`` and names the wire types it
+consumes in its class's ``consumes``; the node routes each received message
+by its type to that one service.
 
 Built-in profiles (ordered bottom-up; each bundle includes what it builds on):
 
@@ -57,8 +59,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cluster imports us)
     from repro.node.node import ClusterNode
 
 #: A builder receives the node plus the profile's options and returns the
-#: ordered ``{name: service}`` mapping; the node registers the services in
-#: that order (which fixes the on_timer / on_message dispatch order).
+#: ordered ``{name: service}`` mapping, bottom-up: the node calls the
+#: services' ``on_timer`` in that order.
 ServiceBuilder = Callable[["ClusterNode", Dict[str, Any]], Dict[str, Any]]
 
 

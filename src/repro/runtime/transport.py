@@ -56,8 +56,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 from repro.common.codec import CodecError, frame, unframe
 from repro.common.rng import ChannelStream, derive_seed, make_rng
 from repro.common.types import ProcessId
-from repro.node.config import ChannelConfig
-from repro.node.links import LinkKey, LinkModel
+from repro.node.links import LinkKey, LinkModel, draw_copies
 from repro.node.process import Process, ProcessContext
 
 _log = logging.getLogger(__name__)
@@ -88,14 +87,6 @@ _OVERSIZE_WARNING_PERIOD_S = 1.0
 #: enough that n nodes' timers plus their message fan-out stay far below a
 #: single core's capacity.
 DEFAULT_TICK_SECONDS = 0.05
-
-
-def _delay(config: ChannelConfig, stream: ChannelStream) -> float:
-    """A shaped frame's delay in ticks, drawn from ``[min_delay, max_delay]``
-    (no draw when the bounds coincide)."""
-    low = config.min_delay
-    high = config.max_delay
-    return low if high <= low else low + (high - low) * stream.random()
 
 
 class _Timer:
@@ -281,9 +272,10 @@ class AsyncioTransport:
         """Put one frame through the link model; True if it is in flight.
 
         The simulator's accept rule without its capacity: the partitions may
-        refuse the frame, and a pair some rule answers for loses it (loss
-        draw), delays it (delay draw) and may duplicate it (duplicate draw,
-        then a second delay).  A pair no rule answers for is queued as is.
+        refuse the frame, and a pair some rule answers for draws its copies
+        (:func:`~repro.node.links.draw_copies`): none when it is lost, else
+        each with its delay in ticks.  A pair no rule answers for is queued
+        as is.
         """
         network = self.network
         if not network.permits(source, destination):
@@ -299,16 +291,14 @@ class AsyncioTransport:
             stream = self._streams[key] = ChannelStream(
                 derive_seed(self.seed, "channel", source, destination)
             )
-        loss = config.loss_probability
-        if loss and stream.random() < loss:
+        copies = draw_copies(config, stream)
+        if not copies:
             self.dropped_frames += 1
             return False
         later = self._loop.call_later
         tick = self.tick_seconds
-        later(_delay(config, stream) * tick, self._queue, source, destination, body)
-        duplicate = config.duplicate_probability
-        if duplicate and stream.random() < duplicate:
-            later(_delay(config, stream) * tick, self._queue, source, destination, body)
+        for delay in copies:
+            later(delay * tick, self._queue, source, destination, body)
         return True
 
     def _queue(self, source: ProcessId, destination: ProcessId, body: bytes) -> None:

@@ -20,8 +20,9 @@ same packet.
 Hot-path design
 ---------------
 One accepted copy is one ``heappush``: :meth:`Channel.try_accept` applies the
-accept rule — capacity, then the loss draw, then the delay draw, then the
-duplicate draw — and pushes each accepted copy straight onto the
+accept rule — capacity, then :func:`~repro.node.links.draw_copies`, the
+loss, delay and duplicate draws the live transport makes too — and pushes
+each accepted copy straight onto the
 :class:`~repro.sim.events.EventQueue` as a handle-less
 ``(arrival, sequence, channel, packet)`` entry, which the simulator pops and
 hands to the receiver.  There is no per-packet event handle, no callback
@@ -62,7 +63,7 @@ from typing import Any, Dict, Iterable, Optional, Tuple
 from repro.common.rng import ChannelStream, derive_seed, make_rng
 from repro.common.types import ProcessId
 from repro.node.config import ChannelConfig
-from repro.node.links import LinkKey, LinkModel
+from repro.node.links import LinkKey, LinkModel, draw_copies, draw_delay
 from repro.sim.events import EventQueue
 
 
@@ -127,7 +128,7 @@ class Channel:
         destination: ProcessId,
         config: ChannelConfig,
         seed: int,
-        totals: Optional[NetworkCounters] = None,
+        totals: NetworkCounters,
     ) -> None:
         self.source = source
         self.destination = destination
@@ -135,7 +136,7 @@ class Channel:
         self._seed = seed
         self.stream: Optional[ChannelStream] = None
         self._occupancy = 0
-        self._totals = totals if totals is not None else NetworkCounters()
+        self._totals = totals
 
     def occupancy(self) -> int:
         """Number of packets currently occupying channel capacity."""
@@ -146,14 +147,16 @@ class Channel:
     ) -> int:
         """Try to accept *packet*, sent at *now*, for transmission.
 
-        The accept rule, in draw order: a full channel omits the packet; an
-        accepted one may be lost (loss draw); otherwise it takes a delay
-        (delay draw, :meth:`arrival`) and may be duplicated (duplicate draw,
-        then a second delay).  Every accepted copy is pushed onto *events* as
-        a handle-less ``(arrival, sequence, self, packet)`` entry.  Returns
-        the number of copies pushed: 0 (lost or channel full), 1, or 2
-        (duplicated).  *rng* overrides the channel's own stream for every
-        draw (the broadcast path feeds one shared stream for a whole burst).
+        The accept rule: a full channel omits the packet; otherwise
+        :func:`~repro.node.links.draw_copies` decides which copies travel
+        and when.  Every copy's arrival is rounded **up** to the next
+        multiple of ``delay_quantum`` when one is set — packets sent at
+        different times then land together in synchronized bursts — and
+        pushed onto *events* as a handle-less ``(arrival, sequence, self,
+        packet)`` entry.  Returns the number of copies pushed: 0 (lost or
+        channel full), 1, or 2 (duplicated).  *rng* overrides the channel's
+        own stream for every draw (the broadcast path feeds one shared
+        stream for a whole burst).
         """
         totals = self._totals
         totals.sent += 1
@@ -164,42 +167,20 @@ class Channel:
             return 0
         if rng is None:
             rng = self.stream or self._materialize_stream()
-        loss = config.loss_probability
-        if loss and rng.random() < loss:
+        copies = draw_copies(config, rng, now)
+        if not copies:
             totals.dropped += 1
             return 0
         packet.in_flight = True
         self._occupancy += 1
-        events.push(self.arrival(now, rng), self, packet)
-        dup = config.duplicate_probability
-        if dup and rng.random() < dup:
-            totals.duplicated += 1
-            events.push(self.arrival(now, rng), self, packet)
-            return 2
-        return 1
-
-    def arrival(self, now: float, rng: Optional[Any] = None) -> float:
-        """The delivery instant of one copy sent at *now*.
-
-        ``now`` plus a delay drawn uniformly from ``[min_delay, max_delay]``
-        (no draw when the bounds coincide), rounded **up** to the next
-        multiple of ``delay_quantum`` when one is set — packets sent at
-        different times then land together in synchronized bursts.  The draw
-        is ``random.uniform``'s own arithmetic, without its call.
-        """
-        config = self.config
-        low = config.min_delay
-        high = config.max_delay
-        if high <= low:
-            time = now + low
-        else:
-            if rng is None:
-                rng = self.stream or self._materialize_stream()
-            time = now + (low + (high - low) * rng.random())
         quantum = config.delay_quantum
-        if quantum > 0.0:
-            time = math.ceil(time / quantum) * quantum
-        return time
+        for time in copies:
+            if quantum > 0.0:
+                time = math.ceil(time / quantum) * quantum
+            events.push(time, self, packet)
+        if len(copies) == 2:
+            totals.duplicated += 1
+        return len(copies)
 
     def record_blocked(self) -> None:
         """Count a send attempt that was dropped before entering the channel
@@ -356,7 +337,11 @@ class Network(LinkModel):
         if not chan.stuff(packet):
             return False
         simulator = self._simulator
-        simulator.events.push(chan.arrival(simulator.now), chan, packet)
+        time = draw_delay(chan.config, chan.stream or chan._materialize_stream(), simulator.now)
+        quantum = chan.config.delay_quantum
+        if quantum > 0.0:
+            time = math.ceil(time / quantum) * quantum
+        simulator.events.push(time, chan, packet)
         return True
 
     def statistics(self) -> Dict[str, int]:

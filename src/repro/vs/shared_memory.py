@@ -28,6 +28,9 @@ class SharedRegister:
     """
 
     _tag_counter = itertools.count(1)
+    #: A client of the VS service below it: it consumes no wire type and
+    #: takes no step of its own in a do-forever iteration.
+    consumes = ()
 
     def __init__(self, pid: ProcessId, vs: VirtualSynchronyService) -> None:
         if not isinstance(vs.machine, RegisterStateMachine):
@@ -38,6 +41,9 @@ class SharedRegister:
         self.pid = pid
         self.vs = vs
         self.writes_submitted = 0
+
+    def on_timer(self) -> None:
+        """Nothing per iteration: the VS service below carries every write."""
 
     # ------------------------------------------------------------------
     # Operations

@@ -56,7 +56,7 @@ from repro.common.codec import CodecError, encode_binary, wire_enum, wire_type
 from repro.common.types import Configuration, ProcessId
 from repro.core.scheme import ReconfigurationScheme
 from repro.counters.service import CounterService, IncrementOutcome
-from repro.vs.smr import LogStateMachine, StateMachine
+from repro.vs.smr import StateMachine
 from repro.vs.view import View
 
 _log = logging.getLogger(__name__)
@@ -129,14 +129,11 @@ class VSState:
         return (self.view, self.status, self.rnd, self.digest)
 
 
-def _never_reconfigure() -> bool:
-    """Default evalConfig policy — a module-level function (not a lambda) so
-    live service instances stay picklable inside disk-backed snapshots."""
-    return False
-
-
 class VirtualSynchronyService:
     """Per-participant virtually synchronous SMR service."""
+
+    #: The wire types the node routes to :meth:`on_message`.
+    consumes = (VSState,)
 
     def __init__(
         self,
@@ -144,17 +141,18 @@ class VirtualSynchronyService:
         scheme: ReconfigurationScheme,
         counters: CounterService,
         send: SendFn,
-        state_machine: Optional[StateMachine] = None,
-        eval_config: Optional[EvalConfigPolicy] = None,
-        delivery_callback: Optional[DeliveryCallback] = None,
+        state_machine: StateMachine,
+        eval_config: EvalConfigPolicy,
     ) -> None:
         self.pid = pid
         self.scheme = scheme
         self.counters = counters
         self.send = send
-        self.machine: StateMachine = state_machine or LogStateMachine()
-        self.eval_config: EvalConfigPolicy = eval_config or _never_reconfigure
-        self.delivery_callback = delivery_callback
+        self.machine = state_machine
+        self.eval_config = eval_config
+        #: Called with ``(rnd, view, batch)`` on every delivery, when the
+        #: application sets it.
+        self.delivery_callback: Optional[DeliveryCallback] = None
 
         # Algorithm 4.7 state.
         self.view: Optional[View] = None
@@ -744,9 +742,9 @@ class VirtualSynchronyService:
     def _replica(self) -> Tuple[Any, List[Tuple[int, Any]]]:
         return (self.machine.snapshot(), list(self._delivered_history))
 
-    def on_message(self, sender: ProcessId, message: Any) -> bool:
+    def on_message(self, sender: ProcessId, message: VSState) -> None:
         """Store a peer's VS state record and take the step it enables at
-        once; True when the message was ours.
+        once.
 
         Only the steady-state steps are message-driven (docs/vs.md): a
         follower whose coordinator moved to the next round applies the batch
@@ -755,12 +753,10 @@ class VirtualSynchronyService:
         next round on each member's report.  Which processor coordinates is
         what the last do-forever iteration established.
         """
-        if not isinstance(message, VSState):
-            return False
         self.states[sender] = message
         coordinator = self._last_coordinator
         if coordinator is None or not self.scheme.is_participant():
-            return True
+            return
         if coordinator == self.pid:
             if self.view is not None and sender in self.view.members:
                 self._prompt_round()
@@ -773,4 +769,3 @@ class VirtualSynchronyService:
             self._follower_step(coordinator)  # applies the batch if aligned
             if self.rnd == message.rnd and (message.delivered or self._pending):
                 self.send(coordinator, self._own_state())
-        return True

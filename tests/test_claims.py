@@ -190,26 +190,69 @@ _CONFIG_BUILDERS = frozenset({
 })
 
 
+def _product_calls():
+    """Every call outside ``tests/`` by callee name: ``[(keywords, number of
+    positional arguments), ...]``."""
+    import ast
+
+    calls = {}
+    for top in ("src", "benchmarks", "examples"):
+        for path in sorted((REPO / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", None) or getattr(func, "attr", None)
+                    keywords = {keyword.arg for keyword in node.keywords}
+                    calls.setdefault(name, []).append((keywords, len(node.args)))
+    return calls
+
+
+def _node_constructors():
+    """What a node and a simulated network construct: directly, or through
+    the scheme, the heartbeat and the stack builders.  ``Process`` (the
+    node's base) and the coherent-start baseline's ``CoherentStartNode``
+    stay out: the tests' quiet probe processes set ``step_interval`` and
+    ``jitter``, which no product process does."""
+    from repro.core.joining import JoiningProtocol
+    from repro.core.recma import RecMA
+    from repro.core.recsa import RecSA
+    from repro.core.scheme import ReconfigurationScheme
+    from repro.counters.service import CounterService
+    from repro.datalink.heartbeat import HeartbeatService
+    from repro.datalink.reliable_broadcast import ReliableBroadcastService
+    from repro.datalink.token_exchange import LinkEndpoint
+    from repro.failure_detector.ntheta import NThetaFailureDetector
+    from repro.labels.labeling import LabelingService
+    from repro.sim.network import Channel
+    from repro.vs.shared_memory import SharedRegister
+    from repro.vs.virtual_synchrony import VirtualSynchronyService
+
+    return (
+        NThetaFailureDetector, HeartbeatService, LinkEndpoint, ReconfigurationScheme,
+        RecSA, RecMA, JoiningProtocol, LabelingService, CounterService,
+        VirtualSynchronyService, SharedRegister, ReliableBroadcastService, Channel,
+    )
+
+
 def test_every_option_has_a_product_caller():
     """A ``ClusterConfig`` or ``ScenarioSpec`` field that no product run,
     benchmark or example sets is an option only tests use: each field must
-    be a keyword of some call that builds one, outside ``tests/``."""
-    import ast
+    be a keyword of some call that builds one, outside ``tests/``.
+
+    The constructors a node and a network call keep two rules: a parameter
+    with a default is set by some call outside ``tests/`` (else only tests
+    use it), and not by every such call (else its default is never used)."""
     import dataclasses
+    import inspect
 
     from repro.node.config import ClusterConfig
     from repro.scenarios.spec import ScenarioSpec
 
+    calls = _product_calls()
     keywords = set()
-    for top in ("src", "benchmarks", "examples"):
-        for path in sorted((REPO / top).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                name = getattr(func, "id", None) or getattr(func, "attr", None)
-                if name in _CONFIG_BUILDERS:
-                    keywords.update(keyword.arg for keyword in node.keywords)
+    for name in _CONFIG_BUILDERS:
+        for called, _ in calls.get(name, ()):
+            keywords |= called
     unset = [
         f"{cls.__name__}.{field.name}"
         for cls in (ClusterConfig, ScenarioSpec)
@@ -217,6 +260,23 @@ def test_every_option_has_a_product_caller():
         if field.name not in keywords
     ]
     assert not unset, unset
+
+    unused, overridden = [], []
+    for cls in _node_constructors():
+        parameters = list(inspect.signature(cls.__init__).parameters.values())[1:]
+        sites = calls.get(cls.__name__, [])
+        for index, parameter in enumerate(parameters):
+            if parameter.default is inspect.Parameter.empty:
+                continue
+            setters = sum(
+                parameter.name in called or positional > index for called, positional in sites
+            )
+            if setters == 0:
+                unused.append(f"{cls.__name__}({parameter.name}=)")
+            elif setters == len(sites):
+                overridden.append(f"{cls.__name__}({parameter.name}=)")
+    assert not unused, unused
+    assert not overridden, overridden
 
 
 def test_every_spine_entry_point_resolves():

@@ -89,9 +89,12 @@ class TestLinkEndpoint:
         established and the cluster never converged.  Below the wrap the
         nonce is unchanged, so every trajectory pin holds."""
         monkeypatch.setattr(LinkEndpoint, "_nonce_counter", itertools.count(214_748))
-        assert LinkEndpoint(3, 4, capacity=1).clean_nonce == 214_748 * 10_000 + 3
+        def nonce():
+            return LinkEndpoint(3, 4, capacity=1, require_cleaning=True).clean_nonce
+
+        assert nonce() == 214_748 * 10_000 + 3
         assert 214_749 * 10_000 + 3 >= MAX_LINK_SEQ
-        assert 0 <= LinkEndpoint(3, 4, capacity=1).clean_nonce < MAX_LINK_SEQ
+        assert 0 <= nonce() < MAX_LINK_SEQ
 
         monkeypatch.setattr(LinkEndpoint, "_nonce_counter", itertools.count(214_800))
         cluster = build_cluster(4, 3, config=paper_faithful())
@@ -111,10 +114,12 @@ class TestHeartbeatService:
             wires.setdefault(dest, []).append((2, payload))
 
         svc_a = HeartbeatService(
-            1, send_a, beats, channel_capacity=2, require_cleaning=require_cleaning
+            1, send_a, beats, channel_capacity=2, require_cleaning=require_cleaning,
+            idle_resend_interval=1,
         )
         svc_b = HeartbeatService(
-            2, send_b, lambda peer: None, channel_capacity=2, require_cleaning=require_cleaning
+            2, send_b, lambda peer: None, channel_capacity=2, require_cleaning=require_cleaning,
+            idle_resend_interval=1,
         )
         svc_a.add_peer(2)
         svc_b.add_peer(1)
@@ -173,7 +178,10 @@ class TestHeartbeatService:
         counted and dropped."""
         forged, _ = unframe(frame(DataLinkMessage(kind=["data"], link_sender=1, seq=0)))
         beats = []
-        svc_b = HeartbeatService(2, lambda dest, payload: None, beats.append)
+        svc_b = HeartbeatService(
+            2, lambda dest, payload: None, beats.append,
+            channel_capacity=8, require_cleaning=True, idle_resend_interval=1,
+        )
         svc_b.on_packet(1, forged)
         assert svc_b.quarantined == 1
         assert beats == [] and 1 not in svc_b.links
@@ -188,6 +196,7 @@ class TestHeartbeatService:
                 1,
                 lambda dest, payload: sent.append((iteration, payload.kind)),
                 lambda peer: None,
+                channel_capacity=8,
                 require_cleaning=require_cleaning,
                 idle_resend_interval=3,
             )
@@ -215,7 +224,8 @@ class TestNThetaFailureDetector:
         """E10, the detector's rule on its own: a silent peer falls behind the
         gap and is suspected, the heartbeating ones stay trusted (the cluster
         half is ``test_claims.py::test_failure_detector_suspects_exactly_the_crashed``)."""
-        fd = NThetaFailureDetector(pid=1, upper_bound_n=10, gap_factor=2.0, gap_slack=4)
+        fd = NThetaFailureDetector(pid=1, upper_bound_n=10, gap_slack=4)
+        fd.GAP_FACTOR = 2.0
         for _ in range(5):
             for peer in (2, 3, 4):
                 fd.heartbeat(peer)
@@ -267,7 +277,7 @@ def estimate_active(fd: NThetaFailureDetector) -> int:
     for index, (_, count) in enumerate(ranked(fd)):
         if index == 0:
             reference = float(count)
-        if count > fd.gap_factor * max(reference, 1.0) + fd.gap_slack:
+        if count > fd.GAP_FACTOR * max(reference, 1.0) + fd.gap_slack:
             break
         active += 1
         # Reference tracks the running mean of accepted counts so the gap
@@ -288,7 +298,7 @@ def _two_walk_trusted(fd: NThetaFailureDetector) -> frozenset:
             break
         if reference is None:
             reference = float(count)
-        threshold = fd.gap_factor * max(reference, 1.0) + fd.gap_slack
+        threshold = fd.GAP_FACTOR * max(reference, 1.0) + fd.gap_slack
         if count > threshold:
             break
         trusted.add(pid)
@@ -325,9 +335,8 @@ class TestOnePassTrusted:
     def test_equals_the_two_walk_reference(
         self, counts, shift, upper_bound_n, gap_factor, gap_slack
     ):
-        fd = NThetaFailureDetector(
-            pid=1, upper_bound_n=upper_bound_n, gap_factor=gap_factor, gap_slack=gap_slack
-        )
+        fd = NThetaFailureDetector(pid=1, upper_bound_n=upper_bound_n, gap_slack=gap_slack)
+        fd.GAP_FACTOR = gap_factor
         fd._shift = shift
         for pid, count in counts.items():
             fd.counts[pid] = count
@@ -359,7 +368,8 @@ class TestOnePassTrusted:
     ):
         """The kept order never shows: every recomputation equals the
         reference, whatever moved the vector in between."""
-        fd = NThetaFailureDetector(pid=1, upper_bound_n=upper_bound_n, gap_factor=2.0, gap_slack=2)
+        fd = NThetaFailureDetector(pid=1, upper_bound_n=upper_bound_n, gap_slack=2)
+        fd.GAP_FACTOR = 2.0
         previous = fd.trusted()
         for step in steps:
             kind = step[0]

@@ -612,7 +612,7 @@ class TestDerivedVerdictMemo:
             "participate": lambda node: node.recsa.participate(),
             "config_set": lambda node: node.recsa.config_set(a_config_value()),
             "forged on_message": lambda node: forged_message(node.recsa),
-            "join request": lambda node: node.scheme.on_message(
+            "join request": lambda node: node.on_receive(
                 rng.choice(universe), JoinRequest(sender=rng.choice(universe))
             ),
             "single-node scramble": lambda node: scramble(
@@ -677,7 +677,10 @@ class TestDerivedVerdictMemo:
     def test_every_mutator_counts_and_store_counts_changes_only(self):
         """Every write through an array view bumps the version; ``store``
         and a receipt bump it only when a value moved."""
-        recsa = RecSA(pid=1, fd_provider=lambda: frozenset({1, 2}), send_many=lambda *_: None)
+        recsa = RecSA(
+            pid=1, fd_provider=lambda: frozenset({1, 2}), send_many=lambda *_: None,
+            initial_config=None,
+        )
         seen = [recsa.version]
 
         def counted() -> bool:
@@ -743,7 +746,8 @@ class TestDerivedVerdictMemo:
         assert clone._own is clone._records[0]
         clone.config[3] = NOT_PARTICIPANT
         assert clone.version == recsa.version + 1
-        assert pickle.loads(pickle.dumps(RecSA(pid=1, fd_provider=frozenset, send_many=print))).version == 0
+        fresh = RecSA(pid=1, fd_provider=frozenset, send_many=print, initial_config=None)
+        assert pickle.loads(pickle.dumps(fresh)).version == 0
 
     def test_broadcast_builds_an_echo_only_when_one_goes_out(self):
         """Skipped peers cost no ``EchoTriple``; a repeated echo is the same

@@ -15,6 +15,8 @@ import copy
 import pytest
 
 from repro.analysis import probes
+from repro.node.config import ClusterConfig
+from repro.node.node import boot
 from repro.datalink.reliable_broadcast import (
     MAX_PATH_LEN,
     MAX_RB_SEQ,
@@ -29,6 +31,13 @@ from repro.datalink.reliable_broadcast import (
 from repro.scenarios import ScenarioSpec, drive, finalize, prepare, run_scenario
 from repro.scenarios.workloads import RBBroadcastWorkload
 from repro.sim.snapshot import SimSnapshot
+
+
+def rb_node(variant: str, n: int):
+    """Node 0 of an *n*-node ``rb_<variant>`` stack, never started: what
+    its ``on_receive`` hands the reliable-broadcast service."""
+    _, nodes = boot(n, ClusterConfig(), stack=f"rb_{variant}")
+    return nodes[0]
 
 
 class SyncNet:
@@ -100,18 +109,20 @@ class TestValidation:
 
     @pytest.mark.parametrize("variant", ["bracha", "dolev", "naive"])
     def test_services_quarantine_instead_of_crashing(self, variant):
-        service = make_rb_service(variant, 0, (1, 2, 3), lambda d, m: None)
+        node = rb_node(variant, 4)
+        service = node.service("rb")
         junk = [
             RBMessage("bogus", 1, 0, "x"),
             RBMessage("send", 1, MAX_RB_SEQ + 5, "x"),
             RBMessage("send", 1, 0, ["unhashable"]),
         ]
         for message in junk:
-            assert service.on_message(1, message)  # consumed, not crashed
+            node.on_receive(1, message)  # consumed, not crashed
         assert service.quarantined == len(junk)
         assert not service.delivered
-        # Non-RB traffic is explicitly not ours: falls through to other hooks.
-        assert not service.on_message(1, {"kind": "gossip"})
+        # Non-RB traffic never reaches the service.
+        node.on_receive(1, {"kind": "gossip"})
+        assert service.quarantined == len(junk)
 
 
 # ---------------------------------------------------------------------------
@@ -119,13 +130,14 @@ class TestValidation:
 # ---------------------------------------------------------------------------
 class TestBrachaEdgeCases:
     def test_duplicate_and_replayed_echoes_count_once(self):
-        service = BrachaBroadcastService(0, (1, 2, 3, 4), lambda d, m: None)
+        node = rb_node("bracha", 5)
+        service = node.service("rb")
         echo = RBMessage("echo", 2, 0, "v")
-        assert service.on_message(1, echo)
+        node.on_receive(1, echo)
         before = service.duplicates
         # Replay the identical echo from the same sender three more times.
         for _ in range(3):
-            assert service.on_message(1, echo)
+            node.on_receive(1, echo)
         assert service.duplicates == before + 3
         assert service.echoes[(2, 0)]["v"] == {1}
 

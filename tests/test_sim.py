@@ -15,7 +15,7 @@ from repro.node.process import Process
 from repro.node.stacks import available_stacks
 from repro.sim.events import EventQueue
 from repro.sim.monitors import ConvergenceTracker, InvariantMonitor
-from repro.sim.network import Channel, Network, Packet
+from repro.sim.network import Channel, Network, NetworkCounters, Packet
 from repro.sim.simulator import PAUSED, Simulator
 
 from tests.conftest import quick_cluster
@@ -109,7 +109,7 @@ class TestEventQueue:
 
 class TestChannel:
     def test_capacity_drops_new_packet(self):
-        chan = Channel(1, 2, ChannelConfig(capacity=2), seed=0)
+        chan = Channel(1, 2, ChannelConfig(capacity=2), seed=0, totals=NetworkCounters())
         queue = EventQueue()
         packets = [Packet(1, 2, i) for i in range(3)]
         assert chan.try_accept(packets[0], 0.0, queue) == 1
@@ -119,7 +119,7 @@ class TestChannel:
         assert len(_drain(queue)) == 2
 
     def test_complete_delivery_frees_capacity(self):
-        chan = Channel(1, 2, ChannelConfig(capacity=1), seed=0)
+        chan = Channel(1, 2, ChannelConfig(capacity=1), seed=0, totals=NetworkCounters())
         packet = Packet(1, 2, "x")
         chan.try_accept(packet, 0.0, EventQueue())
         assert chan.complete_delivery(packet)
@@ -131,7 +131,7 @@ class TestChannel:
             ChannelConfig(loss_probability=1.0)
 
     def test_loss_probability_drops_some_packets(self):
-        chan = Channel(1, 2, ChannelConfig(capacity=1000, loss_probability=0.5), seed=3)
+        chan = Channel(1, 2, ChannelConfig(capacity=1000, loss_probability=0.5), seed=3, totals=NetworkCounters())
         queue = EventQueue()
         deliveries = sum(
             1 for i in range(200) if chan.try_accept(Packet(1, 2, i), 0.0, queue)
@@ -139,7 +139,7 @@ class TestChannel:
         assert 0 < deliveries < 200
 
     def test_duplication(self):
-        chan = Channel(1, 2, ChannelConfig(capacity=10, duplicate_probability=1.0), seed=0)
+        chan = Channel(1, 2, ChannelConfig(capacity=10, duplicate_probability=1.0), seed=0, totals=NetworkCounters())
         queue = EventQueue()
         packet = Packet(1, 2, "x")
         assert chan.try_accept(packet, 0.0, queue) == 2
@@ -147,7 +147,7 @@ class TestChannel:
         assert [queue.pop_entry()[2:] for _ in range(2)] == [(chan, packet)] * 2
 
     def test_stuff_respects_capacity(self):
-        chan = Channel(1, 2, ChannelConfig(capacity=1), seed=0)
+        chan = Channel(1, 2, ChannelConfig(capacity=1), seed=0, totals=NetworkCounters())
         assert chan.stuff(Packet(1, 2, "a"))
         assert not chan.stuff(Packet(1, 2, "b"))
 
@@ -410,7 +410,7 @@ class TestNetworkFastPath:
         assert sim.network.statistics()["dropped"] == 3
 
     def test_duplicate_delivery_consumes_one_slot(self):
-        chan = Channel(1, 2, ChannelConfig(capacity=10, duplicate_probability=1.0), seed=0)
+        chan = Channel(1, 2, ChannelConfig(capacity=10, duplicate_probability=1.0), seed=0, totals=NetworkCounters())
         packet = Packet(1, 2, "x")
         assert chan.try_accept(packet, 0.0, EventQueue()) == 2
         assert chan.occupancy() == 1
@@ -421,7 +421,7 @@ class TestNetworkFastPath:
     def test_unhashable_payload_supported(self):
         # The in-flight ledger is identity-keyed: payloads need not be
         # hashable (VS snapshots carry lists).
-        chan = Channel(1, 2, ChannelConfig(capacity=4), seed=0)
+        chan = Channel(1, 2, ChannelConfig(capacity=4), seed=0, totals=NetworkCounters())
         packet = Packet(1, 2, ["mutable", {"nested": True}])
         assert chan.try_accept(packet, 0.0, EventQueue())
         assert chan.complete_delivery(packet)
